@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -56,7 +55,6 @@ class GeneratorSpec:
     n: int
     m: int | None = None
     seed: int = 0
-    params: Mapping[str, float] = field(default_factory=dict)
 
 
 def gen_hypercube(n: int) -> Instance:

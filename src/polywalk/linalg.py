@@ -5,10 +5,16 @@ and :func:`as_matrix` validate shape and finiteness at the package boundary.
 Exact integer work (sub-determinant enumeration) runs on nested Python ints,
 whose width is unbounded, so intermediate products can never overflow.
 
-Two thresholds are used package-wide and kept here: ``PIVOT_TOL`` is the
-absolute pivot floor below which elimination reports :class:`Singular`, and
-``RANK_TOL`` is the relative floor (against the largest pivot seen) deciding
-numerical rank.
+:func:`solve`, :func:`inverse` and :func:`rank` run on numpy's LAPACK
+calls.  Two thresholds are used package-wide and kept here:
+
+* ``PIVOT_TOL`` -- :func:`solve` and :func:`inverse` report :class:`Singular`
+  when an entry of the inverse reaches ``1 / PIVOT_TOL`` (or LAPACK finds an
+  exactly zero pivot, or the result is not finite).  The last row of the
+  inverse carries 1/u_nn of the LU factors, so every final pivot below
+  ``PIVOT_TOL`` is caught.
+* ``RANK_TOL`` -- :func:`rank` counts the singular values above ``RANK_TOL``
+  times the largest one.
 """
 
 from __future__ import annotations
@@ -53,81 +59,49 @@ def normalize(values) -> np.ndarray:
     return v / norm
 
 
-def _eliminate(aug: np.ndarray, pivot_tol: float) -> None:
-    """Forward elimination with partial pivoting, in place.
+def _checked_solve(a: np.ndarray, rhs: np.ndarray, pivot_tol: float) -> np.ndarray:
+    """LAPACK solve of ``a @ X = [I | rhs]``, so X carries the inverse first.
 
-    ``aug`` is an (n, n+k) augmented system.  Raises :class:`Singular` when
-    the best available pivot falls below ``pivot_tol``.
+    Raises :class:`Singular` when LAPACK meets an exactly zero pivot, when
+    the result is not finite, or when an entry of the inverse reaches
+    ``1 / pivot_tol``.
     """
-    n = aug.shape[0]
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[p, col]) < pivot_tol:
-            raise Singular(f"pivot {abs(aug[p, col]):.3e} below {pivot_tol:.1e} in column {col}")
-        if p != col:
-            aug[[col, p]] = aug[[p, col]]
-        if col + 1 < n:
-            factors = aug[col + 1 :, col] / aug[col, col]
-            aug[col + 1 :, col:] -= np.outer(factors, aug[col, col:])
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError(f"matrix must be square, got {a.shape}")
+    if rhs.shape[0] != n:
+        raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix order {n}")
+    try:
+        out = np.linalg.solve(a, np.hstack([np.eye(n), rhs]))
+    except np.linalg.LinAlgError as exc:
+        raise Singular(f"LAPACK reports an exactly singular matrix ({exc})") from exc
+    if not np.isfinite(out).all():
+        raise Singular("the inverse or the solution is not finite")
+    largest = float(np.max(np.abs(out[:, :n])))
+    if largest >= 1.0 / pivot_tol:
+        raise Singular(f"inverse entry {largest:.3e} reaches 1/{pivot_tol:.1e}")
+    return out
 
 
 def solve(mat, rhs, *, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    """Solve the square system mat @ x = rhs by partial-pivot elimination."""
-    a = as_matrix(mat)
-    b = as_vector(rhs)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if b.size != n:
-        raise ValueError(f"rhs length {b.size} does not match matrix order {n}")
-    aug = np.hstack([a, b[:, None]])
-    _eliminate(aug, pivot_tol)
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (aug[i, n] - aug[i, i + 1 : n] @ x[i + 1 :]) / aug[i, i]
-    return x
+    """Solve the square system mat @ x = rhs by LAPACK's LU solve."""
+    return _checked_solve(as_matrix(mat), as_vector(rhs)[:, None], pivot_tol)[:, -1]
 
 
 def inverse(mat, *, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    """Invert a square matrix via elimination on the augmented identity."""
+    """Invert a square matrix by LAPACK's LU solve against the identity."""
     a = as_matrix(mat)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    aug = np.hstack([a, np.eye(n)])
-    _eliminate(aug, pivot_tol)
-    inv = np.empty((n, n))
-    for i in range(n - 1, -1, -1):
-        inv[i] = (aug[i, n:] - aug[i, i + 1 : n] @ inv[i + 1 :]) / aug[i, i]
-    return inv
+    return _checked_solve(a, np.empty((a.shape[0], 0)), pivot_tol)
 
 
 def rank(mat, *, rel_tol: float = RANK_TOL) -> int:
-    """Numerical rank by row echelon with partial pivoting.
+    """Numerical rank: singular values above ``rel_tol`` times the largest.
 
-    A column pivot counts only while it stays above ``rel_tol`` times the
-    largest pivot seen so far, which makes the answer invariant under global
-    scaling of the matrix.
+    The relative floor makes the answer invariant under global scaling of
+    the matrix; the zero matrix has rank 0.
     """
-    a = as_matrix(mat).copy()
-    m, n = a.shape
-    r = 0
-    largest = 0.0
-    for col in range(n):
-        if r == m:
-            break
-        p = r + int(np.argmax(np.abs(a[r:, col])))
-        size = abs(a[p, col])
-        largest = max(largest, size)
-        if largest <= 0.0 or size <= rel_tol * largest:
-            continue
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        if r + 1 < m:
-            factors = a[r + 1 :, col] / a[r, col]
-            a[r + 1 :, col:] -= np.outer(factors, a[r, col:])
-        r += 1
-    return r
+    sigma = np.linalg.svd(as_matrix(mat), compute_uv=False)
+    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
 
 
 def as_int_matrix(rows) -> list[list[int]]:

@@ -67,6 +67,8 @@ MAX_ATTEMPTS = 16
 
 PERTURB_SCALE = 1e-5
 MAGNITUDE_FLOOR = 1e-7
+# Representative distances this close (relative) to the best are ties.
+DIST_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -220,21 +222,22 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             directions = edge_directions(inst, current)
         except Singular as exc:
             raise InfeasibleStep(f"basis {current.basis} became singular") from exc
-        best: tuple[float, int, np.ndarray] | None = None
-        for leaving, d in directions:
-            rise = float(pair.w2 @ d)
-            if rise <= SLOPE_TOL:
-                continue
-            run = float(pair.w1 @ d)
-            if run <= SLOPE_TOL:
-                raise LeftwardEdge(
-                    f"edge relaxing row {leaving} gains eta but w1.d = {run:.3e}")
-            edge_slope = rise / run
-            if best is None or edge_slope > best[0]:
-                best = (edge_slope, leaving, d)
-        if best is None:
+        stacked = np.array([d for _, d in directions])
+        rises = stacked @ pair.w2
+        runs = stacked @ pair.w1
+        candidates = np.flatnonzero(rises > SLOPE_TOL)
+        if candidates.size == 0:
             raise StalledWalk("no improving edge although the target was not reached")
-        edge_slope, leaving, d = best
+        leftward = candidates[runs[candidates] <= SLOPE_TOL]
+        if leftward.size:
+            k = int(leftward[0])
+            raise LeftwardEdge(f"edge relaxing row {directions[k][0]} gains eta "
+                               f"but w1.d = {runs[k]:.3e}")
+        edge_slopes = rises[candidates] / runs[candidates]
+        # argmax keeps the first maximum: ties go to the earliest basis row.
+        best = int(np.argmax(edge_slopes))
+        leaving, d = directions[int(candidates[best])]
+        edge_slope = float(edge_slopes[best])
         if edge_slope > prev_slope - SLOPE_GAP_TOL:
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
@@ -305,7 +308,9 @@ def _representative(perturbed: Instance, original: Instance,
     The perturbation splits a degenerate vertex into an equivalence class of
     perturbed vertices; any basis drawn from the original tight rows that is
     feasible on the perturbed polytope identifies a member.  The closest one
-    is the class representative used as a walk endpoint.
+    is the class representative used as a walk endpoint; distances within
+    ``DIST_TIE_RTOL`` of each other tie, and the first subset in
+    combinations order wins, so rounding noise cannot pick the route.
     """
     tight = tight_rows(original, v.x)
     best: tuple[float, np.ndarray] | None = None
@@ -318,7 +323,7 @@ def _representative(perturbed: Instance, original: Instance,
         if float(np.min(perturbed.slack(x))) < -TIGHT_TOL:
             continue
         dist = float(np.max(np.abs(x - v.x)))
-        if best is None or dist < best[0]:
+        if best is None or dist < best[0] * (1.0 - DIST_TIE_RTOL):
             best = (dist, x)
     if best is None:
         raise PerturbationFailed(

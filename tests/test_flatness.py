@@ -17,7 +17,7 @@ from polywalk.flatness import (
     rotate_rows,
     subdet_report,
 )
-from polywalk.instances import gen_hypercube, gen_transportation
+from polywalk.instances import gen_hypercube, gen_simplex, gen_transportation
 from polywalk.polytope import build_instance
 
 SQRT2 = math.sqrt(2.0)
@@ -91,6 +91,14 @@ def test_delta_A_cube_exact(cube3):
     npt.assert_allclose(report.delta, 1.0, atol=1e-12)
     # Of the C(6,3) = 20 subsets, the independent ones pick one sign per axis.
     assert report.n_bases_checked == 8
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_delta_A_counts_independent_bases(n):
+    # Of the C(2n, n) cube subsets only the 2**n with one row per axis are
+    # independent; every n-subset of the n+1 simplex rows is.
+    assert delta_A(gen_hypercube(n)).n_bases_checked == 2**n
+    assert delta_A(gen_simplex(n)).n_bases_checked == n + 1
 
 
 def test_delta_A_cap():

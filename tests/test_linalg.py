@@ -86,6 +86,31 @@ def test_rank_known_and_random():
         assert rank(a) == np.linalg.matrix_rank(a, tol=1e-9)
 
 
+def _unit_rows_at_angle(theta):
+    return np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
+
+
+@pytest.mark.parametrize("mat", [np.diag([1.0, 1e-13]), _unit_rows_at_angle(1e-13)],
+                         ids=["diag-1e-13", "angle-1e-13"])
+def test_solve_and_inverse_reject_tiny_final_pivot(mat):
+    with pytest.raises(Singular):
+        solve(mat, [1.0, 1.0])
+    with pytest.raises(Singular):
+        inverse(mat)
+
+
+@pytest.mark.parametrize("mat", [1e-6 * np.eye(2), _unit_rows_at_angle(1e-9)],
+                         ids=["scaled-identity", "angle-1e-9"])
+def test_solve_and_inverse_accept_small_but_regular(mat):
+    npt.assert_allclose(inverse(mat) @ mat, np.eye(2), atol=1e-6)
+    npt.assert_allclose(mat @ solve(mat, [1.0, 1.0]), [1.0, 1.0], atol=1e-6)
+
+
+def test_rank_unit_rows_with_duplicate():
+    rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]])
+    assert rank(rows) == 2
+
+
 def test_as_int_matrix_exact_and_rejections():
     assert as_int_matrix([[1.0, -2.0], [3.0, 0.0]]) == [[1, -2], [3, 0]]
     assert as_int_matrix(np.array([[5, 7]], dtype=np.int64)) == [[5, 7]]

@@ -86,6 +86,12 @@ def test_enumerate_vertices_counts(cube3, simplex3, cut_cube3):
     assert len(enumerate_vertices(cut_cube3)) == 8 - 1 + 3
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_enumerate_vertices_closed_form(n):
+    assert len(enumerate_vertices(gen_hypercube(n))) == 2**n
+    assert len(enumerate_vertices(gen_simplex(n))) == n + 1
+
+
 def test_vertex_graph_is_symmetric_and_regular(cube3):
     verts, adj = vertex_graph(cube3)
     assert len(verts) == 8

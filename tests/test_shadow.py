@@ -13,7 +13,13 @@ from polywalk.errors import (
     TooShort,
     VerticalEdge,
 )
-from polywalk.instances import gen_hypercube, gen_random_sphere, gen_simplex
+from polywalk.instances import (
+    GeneratorSpec,
+    gen_hypercube,
+    gen_random_sphere,
+    gen_simplex,
+    generate,
+)
 from polywalk.polytope import enumerate_vertices, tight_rows, verify_vertex
 from polywalk.shadow import (
     ObjectivePair,
@@ -184,6 +190,18 @@ def test_find_path_pyramid_degeneracy(pyramid):
         shared = set(tight_rows(pyramid, a.x)) & set(tight_rows(pyramid, c.x))
         assert len(shared) >= pyramid.n - 1  # consecutive points share an edge
     assert all(s1 - s2 > 0 for s1, s2 in zip(path.slopes, path.slopes[1:]))
+
+
+def test_find_path_representative_ties_go_to_first_subset():
+    # At x1 of transportation-p3q4-s0 seven rows are tight.  On the polytope
+    # perturbed for path seed 25, the bases (0,3,5,6,10,11) and
+    # (1,3,5,6,10,11) lie at the same distance from x1; the first in
+    # combinations order must win, whatever the rounding noise.
+    inst = generate(GeneratorSpec(family="transportation", n=3, m=4, seed=0))
+    assert len(tight_rows(inst, inst.x1)) == 7
+    path = find_path(inst, inst.x1, inst.x2, seed=25)
+    assert path.status == "Perturbed+Completed" and path.retries == 0
+    assert path.vertices[0].basis == (0, 3, 5, 6, 10, 11)
 
 
 def test_slope_gap_values():
