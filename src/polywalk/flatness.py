@@ -10,13 +10,19 @@ sub-determinants, which are computed exactly here.
 Numerically, everything runs through the inverse of the normalized row
 matrix, whose conditioning is itself bounded by 1/flatness; reports carry
 the number of bases checked so callers can judge the enumeration.
+
+The enumerations run on stacks of row subsets, one chunk at a time:
+:func:`delta_A` inverts each chunk of bases at once under the same
+singularity rule as :func:`delta_basis`, and :func:`subdet_report` takes
+each chunk of minors through exact fraction-free elimination, in int64 where
+a Hadamard bound rules out overflow and in Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -107,24 +113,30 @@ def delta_A(inst: Instance, *, cap: int = DELTA_CAP) -> FlatnessReport:
     """Flatness of the constraint matrix: minimum over all independent bases.
 
     Exhaustive over the C(m, n) row subsets, skipping dependent ones, with a
-    cap guard.  The witnessing subset is the first one attaining the minimum.
+    cap guard.  Each chunk of subsets is inverted as one stack under
+    :func:`delta_basis`'s rule; the witnessing subset is the first one
+    attaining the minimum.
     """
     total = math.comb(inst.m, inst.n)
     if total > cap:
         raise CapExceeded(f"C({inst.m},{inst.n}) = {total} bases exceeds cap {cap}")
-    best = None
+    unit_rows = np.array([linalg.normalize(row) for row in inst.A])
+    best = math.inf
     argmin: tuple[int, ...] = ()
     checked = 0
-    for subset in combinations(range(inst.m), inst.n):
-        try:
-            value = delta_basis([inst.A[i] for i in subset])
-        except DependentVectors:
+    for subsets in linalg.index_chunks(combinations(range(inst.m), inst.n)):
+        ok, inverses = linalg.solve_stack(unit_rows[subsets],
+                                          np.empty((len(subsets), inst.n, 0)))
+        if not inverses.size:
             continue
-        checked += 1
-        if best is None or value < best:
-            best = value
-            argmin = subset
-    if best is None:
+        checked += len(inverses)
+        col_norms = np.sqrt((inverses * inverses).sum(axis=1))
+        values = np.minimum(1.0, 1.0 / col_norms.max(axis=1))
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best = float(values[k])
+            argmin = tuple(int(i) for i in subsets[ok][k])
+    if not checked:
         raise DependentVectors("no independent n-row subset exists")
     return FlatnessReport(delta=best, argmin_basis=argmin,
                           method="enumeration", n_bases_checked=checked)
@@ -133,8 +145,11 @@ def delta_A(inst: Instance, *, cap: int = DELTA_CAP) -> FlatnessReport:
 def subdet_report(int_mat, *, cap: int = SUBDET_CAP) -> SubdetReport:
     """Exact largest sub-determinants of an integer matrix, all orders.
 
-    Enumerates every square submatrix up to order n with exact integer
-    determinants; the total count is guarded by ``cap``.
+    Enumerates every square submatrix up to order n, stacked per chunk, with
+    exact fraction-free determinants; the total count is guarded by ``cap``.
+    An order runs in int64 when its squared Hadamard bound
+    (Delta1 * sqrt(k))**(2k) stays below 2**62, so no product can overflow,
+    and in Python ints otherwise.
     """
     mat = linalg.as_int_matrix(int_mat)
     m, n = len(mat), len(mat[0])
@@ -142,15 +157,18 @@ def subdet_report(int_mat, *, cap: int = SUBDET_CAP) -> SubdetReport:
     total = sum(math.comb(m, k) * math.comb(n, k) for k in range(1, k_max + 1))
     if total > cap:
         raise CapExceeded(f"{total} square submatrices exceed cap {cap}")
-    delta_by_order = [0] * (k_max + 1)
+    exact = np.array(mat, dtype=object)
+    Delta1 = max(abs(v) for row in mat for v in row)
+    # Orders above min(m, n) have no minors; their largest is 0.
+    delta_by_order = [0] * (n + 1)
     for k in range(1, k_max + 1):
-        biggest = 0
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                det = linalg.int_determinant([[mat[r][c] for c in cols] for r in rows])
-                biggest = max(biggest, abs(det))
-        delta_by_order[k] = biggest
-    Delta1 = delta_by_order[1]
+        entries = exact.astype(np.int64) if (Delta1 * Delta1 * k) ** k < 2**62 else exact
+        pairs = (r + c for r, c in product(combinations(range(m), k),
+                                           combinations(range(n), k)))
+        for chunk in linalg.index_chunks(pairs):
+            minors = entries[chunk[:, :k, None], chunk[:, None, k:]]
+            dets = linalg.int_determinants(minors)
+            delta_by_order[k] = max(delta_by_order[k], int(np.max(np.abs(dets))))
     Delta_n_minus_1 = delta_by_order[n - 1] if n >= 2 else 1
     return SubdetReport(Delta=max(delta_by_order),
                         Delta1=Delta1,

@@ -25,17 +25,16 @@ from .errors import (
     InfeasibleTotals,
     ParseError,
     SchemaError,
-    Unbounded,
     UnboundedSample,
 )
 from .flatness import random_orthogonal, rotate_rows
 from .polytope import (
+    DIR_TOL,
     ENUM_CAP,
     Instance,
+    VertexWithBasis,
     build_instance,
     edge_directions,
-    enumerate_vertices,
-    ratio_step,
     vertex_graph,
 )
 
@@ -175,26 +174,26 @@ def gen_random_sphere(m: int, n: int, seed: int) -> Instance:
             continue
         inst = build_instance(rows / norms[:, None], np.ones(m), integral=False,
                               name=f"sphere-m{m}-n{n}-s{seed}")
-        if _clean_bounded(inst):
-            x1, x2 = farthest_vertex_pair(inst)
+        verts, adjacency = vertex_graph(inst)
+        if _clean_bounded(inst, verts):
+            x1, x2 = _farthest_pair(verts, adjacency)
             return replace(inst, x1=x1, x2=x2)
     raise UnboundedSample(
         f"no bounded non-degenerate draw in {_SPHERE_RESAMPLE_LIMIT} attempts")
 
 
-def _clean_bounded(inst: Instance) -> bool:
-    """True when every vertex is non-degenerate and every edge is bounded."""
-    verts = enumerate_vertices(inst)
-    if len(verts) < 2:
+def _clean_bounded(inst: Instance, verts: list[VertexWithBasis]) -> bool:
+    """True when every vertex is non-degenerate and every edge is bounded.
+
+    An edge is unbounded when no row stops its ray, :func:`ratio_step`'s
+    rule, checked here for all edges of a vertex at once.
+    """
+    if len(verts) < 2 or any(v.degenerate for v in verts):
         return False
     for v in verts:
-        if v.degenerate:
+        dirs = np.column_stack([d for _, d in edge_directions(inst, v)])
+        if not (inst.A @ dirs > DIR_TOL).any(axis=0).all():
             return False
-        for _, d in edge_directions(inst, v):
-            try:
-                ratio_step(inst, v, d)
-            except Unbounded:
-                return False
     return True
 
 
@@ -220,7 +219,11 @@ def gen_degenerate_pyramid() -> Instance:
 def farthest_vertex_pair(inst: Instance, *, cap: int = ENUM_CAP
                          ) -> tuple[np.ndarray, np.ndarray]:
     """The lexicographically first vertex pair maximizing edge-graph distance."""
-    verts, adjacency = vertex_graph(inst, cap=cap)
+    return _farthest_pair(*vertex_graph(inst, cap=cap))
+
+
+def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
+                   ) -> tuple[np.ndarray, np.ndarray]:
     count = len(verts)
     if count < 2:
         raise ValueError("need at least two vertices for an endpoint pair")

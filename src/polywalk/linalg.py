@@ -15,9 +15,18 @@ calls.  Two thresholds are used package-wide and kept here:
   ``PIVOT_TOL`` is caught.
 * ``RANK_TOL`` -- :func:`rank` counts the singular values above ``RANK_TOL``
   times the largest one.
+
+Enumerations over row subsets run on stacks: :func:`index_chunks` cuts an
+index stream into arrays of ``SUBSET_CHUNK`` rows, :func:`solve_stack` applies
+:func:`solve`'s rule to a whole stack of bases at once, and
+:func:`int_determinants` runs fraction-free elimination on a stack of integer
+matrices.
 """
 
 from __future__ import annotations
+
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +34,11 @@ from .errors import NonIntegerEntry, Singular, ZeroVector
 
 PIVOT_TOL = 1e-12
 RANK_TOL = 1e-9
+
+# Subsets per chunk of a stacked enumeration.  At order 10 a chunk's bases,
+# right-hand sides and solutions take about 0.7 MB; larger chunks run no
+# faster on the test corpus but raise the process's peak memory.
+SUBSET_CHUNK = 256
 
 # Norms at or below this are treated as exactly zero.
 _ZERO_NORM_FLOOR = 1e-300
@@ -102,6 +116,73 @@ def rank(mat, *, rel_tol: float = RANK_TOL) -> int:
     """
     sigma = np.linalg.svd(as_matrix(mat), compute_uv=False)
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+
+
+def index_chunks(tuples: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """Cut a stream of equal-length index tuples into stacked int arrays.
+
+    Yields ``(count, width)`` arrays of at most ``SUBSET_CHUNK`` rows, keeping
+    the stream's order.
+    """
+    stream = iter(tuples)
+    while chunk := list(islice(stream, SUBSET_CHUNK)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def solve_stack(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`solve` and :func:`inverse` on a ``(s, n, n)`` stack at once.
+
+    Returns a mask of the matrices that are not :class:`Singular` under
+    :func:`solve`'s rule and, for those in stack order, the solutions of
+    ``mats[i] @ X = [I | rhs[i]]`` (``rhs`` is ``(s, n, r)``; ``r = 0`` gives
+    the inverses).  LAPACK's LU returns a zero determinant sign exactly when
+    it meets a zero pivot, which is when its solve reports a singular matrix,
+    so the sign screens those out before one stacked solve; the finiteness
+    and ``1 / PIVOT_TOL`` checks then run per matrix.
+    """
+    n = mats.shape[1]
+    ok = np.linalg.slogdet(mats)[0] != 0
+    full = np.empty((int(np.count_nonzero(ok)), n, n + rhs.shape[2]))
+    full[:, :, :n] = np.eye(n)
+    full[:, :, n:] = rhs[ok]
+    out = np.linalg.solve(mats[ok], full)
+    good = np.isfinite(out).all(axis=(1, 2)) \
+        & (np.abs(out[:, :, :n]).max(axis=(1, 2), initial=0.0) < 1.0 / PIVOT_TOL)
+    ok[ok] = good
+    return ok, out[good]
+
+
+def int_determinants(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of a ``(s, k, k)`` stack of integer matrices.
+
+    The same fraction-free elimination as :func:`int_determinant`, with the
+    row swap chosen per matrix.  Every division is exact, so the result is
+    exact in the stack's dtype: int64 when the caller has bounded every
+    intermediate product below 2**63, numpy ``object`` (Python ints)
+    otherwise.
+    """
+    a = mats.copy()
+    s, k, _ = a.shape
+    negate = np.zeros(s, dtype=bool)
+    singular = np.zeros(s, dtype=bool)
+    prev = np.ones(s, dtype=a.dtype)
+    for i in range(k - 1):
+        nonzero = a[:, i:, i] != 0
+        singular |= ~nonzero.any(axis=1)
+        p = i + np.argmax(nonzero, axis=1)
+        swap = np.flatnonzero(p != i)
+        rows_i = a[swap, i].copy()
+        a[swap, i] = a[swap, p[swap]]
+        a[swap, p[swap]] = rows_i
+        negate[swap] = ~negate[swap]
+        # A singular matrix keeps going on a unit pivot; its value is dropped.
+        piv = np.where(singular, 1, a[:, i, i]).astype(a.dtype)
+        a[:, i + 1:, i + 1:] = (a[:, i + 1:, i + 1:] * piv[:, None, None]
+                                - a[:, i + 1:, i:i + 1] * a[:, i:i + 1, i + 1:]) \
+            // prev[:, None, None]
+        prev = piv
+    det = a[:, -1, -1]
+    return np.where(singular, 0, np.where(negate, -det, det)).astype(a.dtype)
 
 
 def as_int_matrix(rows) -> list[list[int]]:

@@ -213,11 +213,11 @@ def feasible_bases(inst: Instance, *, cap: int = ENUM_CAP) -> Iterator[VertexWit
 
     Degenerate vertices appear once per feasible basis; consumers that want
     geometric vertices must deduplicate by point.  Guarded by ``cap`` on the
-    number of subsets C(m, n).
+    number of subsets C(m, n).  This is the one-subset-at-a-time reference
+    (one :func:`linalg.solve` per subset); the enumerations below run on the
+    stacked :func:`feasible_subsets` and yield the same bases.
     """
-    total = math.comb(inst.m, inst.n)
-    if total > cap:
-        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} subsets exceeds cap {cap}")
+    _check_cap(inst, cap)
     for subset in combinations(range(inst.m), inst.n):
         rows = list(subset)
         try:
@@ -231,19 +231,66 @@ def feasible_bases(inst: Instance, *, cap: int = ENUM_CAP) -> Iterator[VertexWit
         yield VertexWithBasis(x=x, basis=subset, degenerate=degenerate)
 
 
+def feasible_subsets(inst: Instance, rows: Sequence[int]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feasible bases among the n-subsets of ``rows``, solved as stacks.
+
+    Each chunk of subsets goes through :func:`linalg.solve_stack`, which
+    keeps exactly the bases :func:`linalg.solve` accepts, and the feasibility
+    and degeneracy tests of :func:`feasible_bases` run on the whole chunk.
+    Returns three arrays with one entry per feasible basis, in combinations
+    order: the subsets ``(k, n)``, the solutions ``(k, n, n + 1)`` of
+    ``A_S X = [I | b_S]`` (the basis inverse, then the point) and the
+    degeneracy flags ``(k,)``.
+    """
+    n = inst.n
+    found = [(np.empty((0, n), dtype=np.intp), np.empty((0, n, n + 1)),
+              np.empty(0, dtype=bool))]
+    for subsets in linalg.index_chunks(combinations(rows, n)):
+        ok, out = linalg.solve_stack(inst.A[subsets], inst.b[subsets][:, :, None])
+        slack = inst.b - out[:, :, n] @ inst.A.T
+        keep = slack.min(axis=1) >= -TIGHT_TOL
+        degenerate = (np.abs(slack[keep]) <= TIGHT_TOL).sum(axis=1) > n
+        found.append((subsets[ok][keep], out[keep], degenerate))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _check_cap(inst: Instance, cap: int) -> None:
+    total = math.comb(inst.m, inst.n)
+    if total > cap:
+        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} subsets exceeds cap {cap}")
+
+
+def _vertex_classes(inst: Instance, cap: int):
+    """Every feasible basis, grouped by point in combinations order.
+
+    Returns the vertices (each kept with its first basis), the stacked
+    solutions of every feasible basis (its inverse, then its point) with the
+    index of the vertex each one stands for, and the vertex points.
+    """
+    _check_cap(inst, cap)
+    bases, out, degenerate = feasible_subsets(inst, range(inst.m))
+    points = np.empty((len(bases), inst.n))
+    verts: list[VertexWithBasis] = []
+    owner: list[int] = []
+    for subset, sol, flag in zip(bases.tolist(), out, degenerate.tolist()):
+        x = sol[:, -1]
+        idx = _locate(points[:len(verts)], x)
+        if idx is None:
+            idx = len(verts)
+            points[idx] = x
+            verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
+        owner.append(idx)
+    return verts, out, owner, points[:len(verts)]
+
+
 def enumerate_vertices(inst: Instance, *, cap: int = ENUM_CAP) -> list[VertexWithBasis]:
     """All vertices by brute-force basis enumeration, deduplicated by point.
 
     Each returned vertex keeps the lexicographically first feasible basis
     that produced it.  Intended for desk-scale audits and oracles.
     """
-    found: list[VertexWithBasis] = []
-    points: list[np.ndarray] = []
-    for cand in feasible_bases(inst, cap=cap):
-        if _locate(points, cand.x) is None:
-            found.append(cand)
-            points.append(cand.x)
-    return found
+    return _vertex_classes(inst, cap)[0]
 
 
 def vertex_graph(inst: Instance, *, cap: int = ENUM_CAP
@@ -252,41 +299,34 @@ def vertex_graph(inst: Instance, *, cap: int = ENUM_CAP
 
     Adjacency is the union of ratio-test targets over every feasible basis of
     every vertex, which exposes all edges even at degenerate vertices (a
-    single basis can hide some of them).  Unbounded rays are skipped.
+    single basis can hide some of them).  Unbounded rays are skipped.  The
+    edge directions of a basis are the columns of minus its inverse, which
+    the enumeration has already computed; the ratio test runs on all of them
+    at once, with :func:`ratio_step`'s rule.
     """
-    bases = list(feasible_bases(inst, cap=cap))
-    verts: list[VertexWithBasis] = []
-    points: list[np.ndarray] = []
-    owners: list[list[VertexWithBasis]] = []
-    for cand in bases:
-        idx = _locate(points, cand.x)
-        if idx is None:
-            verts.append(cand)
-            points.append(cand.x)
-            owners.append([cand])
-        else:
-            owners[idx].append(cand)
+    verts, out, owner, points = _vertex_classes(inst, cap)
     adjacency: list[set[int]] = [set() for _ in verts]
-    for i, vertex_bases in enumerate(owners):
-        for vb in vertex_bases:
-            for _, d in edge_directions(inst, vb):
-                try:
-                    _, step = ratio_step(inst, vb, d)
-                except Unbounded:
-                    continue
-                target = _locate(points, vb.x + step * d)
-                if target is not None and target != i:
-                    adjacency[i].add(target)
-                    adjacency[target].add(i)
+    for sol, i in zip(out, owner):
+        x, dirs = sol[:, -1], -sol[:, :-1]
+        denom = inst.A @ dirs
+        movers = denom > DIR_TOL
+        steps = np.divide(inst.slack(x)[:, None], denom,
+                          out=np.full(denom.shape, np.inf), where=movers)
+        bounded = movers.any(axis=0)
+        step = np.where(bounded, np.maximum(steps.min(axis=0), 0.0), 0.0)
+        ends = x[:, None] + step * dirs
+        near = np.abs(points[:, :, None] - ends).max(axis=1) <= POINT_TOL
+        targets = np.argmax(near, axis=0)
+        for t in targets[bounded & near.any(axis=0) & (targets != i)].tolist():
+            adjacency[i].add(t)
+            adjacency[t].add(i)
     return verts, adjacency
 
 
-def _locate(points: list[np.ndarray], x: np.ndarray) -> int | None:
-    """Index of the point matching x within POINT_TOL, else None."""
-    for i, p in enumerate(points):
-        if float(np.max(np.abs(p - x))) <= POINT_TOL:
-            return i
-    return None
+def _locate(points: np.ndarray, x: np.ndarray) -> int | None:
+    """Index of the first row of ``points`` matching x within POINT_TOL."""
+    hits = np.flatnonzero(np.abs(points - x).max(axis=1) <= POINT_TOL)
+    return int(hits[0]) if hits.size else None
 
 
 def bfs_distance(inst: Instance, s, t, *, graph=None, cap: int = ENUM_CAP) -> int:
@@ -299,7 +339,7 @@ def bfs_distance(inst: Instance, s, t, *, graph=None, cap: int = ENUM_CAP) -> in
     source = linalg.as_vector(s.x if isinstance(s, VertexWithBasis) else s)
     target = linalg.as_vector(t.x if isinstance(t, VertexWithBasis) else t)
     verts, adjacency = graph if graph is not None else vertex_graph(inst, cap=cap)
-    points = [v.x for v in verts]
+    points = np.reshape([v.x for v in verts], (len(verts), inst.n))
     si = _locate(points, source)
     ti = _locate(points, target)
     if si is None or ti is None:
@@ -356,17 +396,28 @@ def map_to_original(original: Instance, v: VertexWithBasis) -> np.ndarray:
     return x
 
 
+def collapse_steps(original: Instance, perturbed_path: Sequence[VertexWithBasis]
+                   ) -> list[tuple[int, np.ndarray]]:
+    """Map a perturbed walk back and merge consecutive duplicates.
+
+    Every path vertex is collapsed through its basis; runs of perturbed
+    vertices that land within ``POINT_TOL`` of the last kept point (several
+    perturbed vertices standing in for one degenerate original vertex) keep
+    only their first.  Returns (path index, original point) per kept vertex.
+    """
+    kept: list[tuple[int, np.ndarray]] = []
+    for i, pv in enumerate(perturbed_path):
+        x = map_to_original(original, pv)
+        if not kept or float(np.max(np.abs(x - kept[-1][1]))) > POINT_TOL:
+            kept.append((i, x))
+    return kept
+
+
 def collapse_path(original: Instance, perturbed_path: Sequence[VertexWithBasis]
                   ) -> list[np.ndarray]:
     """Map a walk on a perturbed instance back to the original polytope.
 
-    Every path vertex is collapsed through its basis; consecutive duplicates
-    (several perturbed vertices standing in for one degenerate original
-    vertex) are merged.  An empty path collapses to an empty walk.
+    The points of :func:`collapse_steps`; an empty path collapses to an
+    empty walk.
     """
-    walk: list[np.ndarray] = []
-    for pv in perturbed_path:
-        x = map_to_original(original, pv)
-        if not walk or float(np.max(np.abs(x - walk[-1]))) > POINT_TOL:
-            walk.append(x)
-    return walk
+    return [x for _, x in collapse_steps(original, perturbed_path)]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -44,14 +43,14 @@ from .errors import (
     WalkFailure,
 )
 from .polytope import (
-    DIR_TOL,
     POINT_TOL,
     TIGHT_TOL,
     Instance,
     PerturbationRecord,
     VertexWithBasis,
+    collapse_steps,
     edge_directions,
-    map_to_original,
+    feasible_subsets,
     perturb,
     ratio_step,
     tight_rows,
@@ -313,16 +312,10 @@ def _representative(perturbed: Instance, original: Instance,
     combinations order wins, so rounding noise cannot pick the route.
     """
     tight = tight_rows(original, v.x)
+    _, out, _ = feasible_subsets(perturbed, tight)
+    points = out[:, :, -1]
     best: tuple[float, np.ndarray] | None = None
-    for subset in combinations(tight, original.n):
-        rows = list(subset)
-        try:
-            x = linalg.solve(perturbed.A[rows], perturbed.b[rows])
-        except Singular:
-            continue
-        if float(np.min(perturbed.slack(x))) < -TIGHT_TOL:
-            continue
-        dist = float(np.max(np.abs(x - v.x)))
+    for dist, x in zip(np.abs(points - v.x).max(axis=1).tolist(), points):
         if best is None or dist < best[0] * (1.0 - DIST_TIE_RTOL):
             best = (dist, x)
     if best is None:
@@ -346,23 +339,17 @@ def _collapse_result(original: Instance, tilde_path: ShadowPath,
     merged; each surviving step keeps the slope and pivot of the perturbed
     edge that crossed between the merged groups.
     """
-    mapped = [map_to_original(original, pv) for pv in tilde_path.vertices]
-    kept = [0]
-    for i in range(1, len(mapped)):
-        if float(np.max(np.abs(mapped[i] - mapped[kept[-1]]))) > POINT_TOL:
-            kept.append(i)
-
+    kept = collapse_steps(original, tilde_path.vertices)
     vertices = []
-    for i in kept:
-        x = mapped[i]
+    for i, x in kept:
         degenerate = len(tight_rows(original, x)) > original.n
         frozen = x.copy()
         frozen.flags.writeable = False
         vertices.append(VertexWithBasis(x=frozen, basis=tilde_path.vertices[i].basis,
                                         degenerate=degenerate))
     pair = tilde_path.objective
-    slopes = tuple(tilde_path.slopes[j - 1] for j in kept[1:])
-    trace = tuple(tilde_path.pivot_trace[j - 1] for j in kept[1:])
+    slopes = tuple(tilde_path.slopes[j - 1] for j, _ in kept[1:])
+    trace = tuple(tilde_path.pivot_trace[j - 1] for j, _ in kept[1:])
     projections = tuple(project(pair, v.x) for v in vertices)
     return ShadowPath(vertices=tuple(vertices), slopes=slopes,
                       projections=projections, pivot_trace=trace,

@@ -2,13 +2,16 @@
 exact sub-determinant bounds."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polywalk.linalg as linalg_mod
 from polywalk.errors import CapExceeded, DependentVectors, NotOrthogonal
 from polywalk.flatness import (
+    SubdetReport,
     certify_delta_Delta,
     delta_A,
     delta_basis,
@@ -17,7 +20,13 @@ from polywalk.flatness import (
     rotate_rows,
     subdet_report,
 )
-from polywalk.instances import gen_hypercube, gen_simplex, gen_transportation
+from polywalk.instances import (
+    gen_hypercube,
+    gen_random_sphere,
+    gen_simplex,
+    gen_transportation,
+)
+from polywalk.linalg import int_determinant
 from polywalk.polytope import build_instance
 
 SQRT2 = math.sqrt(2.0)
@@ -188,3 +197,59 @@ def test_random_orthogonal_properties():
         q = random_orthogonal(4, seed)
         npt.assert_allclose(q.T @ q, np.eye(4), atol=1e-12)
     npt.assert_array_equal(random_orthogonal(3, 7), random_orthogonal(3, 7))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_hypercube(4),
+                                  lambda: gen_random_sphere(12, 4, seed=1)])
+def test_delta_A_same_across_chunk_boundaries(make, monkeypatch):
+    inst = make()
+    default = delta_A(inst)
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
+    assert delta_A(inst) == default
+    if inst.name == "hypercube-n4":
+        # All 16 independent bases tie at 1.0: the first subset wins.
+        assert default.argmin_basis == (0, 1, 2, 3)
+
+
+def test_delta_A_matches_delta_basis_on_every_subset():
+    inst = gen_random_sphere(12, 4, seed=1)
+    values = {}
+    for subset in combinations(range(inst.m), inst.n):
+        try:
+            values[subset] = delta_basis([inst.A[i] for i in subset])
+        except DependentVectors:
+            pass
+    report = delta_A(inst)
+    assert report.n_bases_checked == len(values)
+    assert report.delta == min(values.values()) == values[report.argmin_basis]
+    assert report.argmin_basis == min(values, key=values.get)
+
+
+def _subdet_reference(mat):
+    """Every minor by the scalar int_determinant, one at a time."""
+    m, n = len(mat), len(mat[0])
+    by_order = [0] * (n + 1)
+    for k in range(1, min(m, n) + 1):
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                det = int_determinant([[mat[r][c] for c in cols] for r in rows])
+                by_order[k] = max(by_order[k], abs(det))
+    d1, dn1 = by_order[1], by_order[n - 1] if n >= 2 else 1
+    return SubdetReport(Delta=max(by_order), Delta1=d1, Delta_n_minus_1=dn1,
+                        bound_on_inv_delta=float(n * d1 * dn1))
+
+
+def test_subdet_report_matches_scalar_reference():
+    rng = np.random.default_rng(41)
+    cases = [rng.integers(-9, 10, size=(7, 5)).tolist() for _ in range(6)]
+    cases += [rng.integers(-10**12, 10**12, size=(5, 4)).tolist() for _ in range(2)]
+    cases += [[[3, -4, 5]], [[2, 7]], [[3], [-8], [5]], [[6]]]
+    for mat in cases:
+        assert subdet_report(mat) == _subdet_reference(mat)
+
+
+def test_subdet_report_same_across_chunk_boundaries(monkeypatch):
+    mats = [gen_hypercube(4).int_A, gen_transportation(3, 3, seed=0).int_A]
+    default = [subdet_report(mat) for mat in mats]
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
+    assert [subdet_report(mat) for mat in mats] == default

@@ -1,19 +1,25 @@
 """Dense kernels against numpy oracles and hand-computed values."""
 
+from itertools import combinations
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polywalk.linalg as linalg_mod
 from polywalk.errors import NonIntegerEntry, Singular, ZeroVector
 from polywalk.linalg import (
     as_int_matrix,
     as_matrix,
     as_vector,
+    index_chunks,
     int_determinant,
+    int_determinants,
     inverse,
     normalize,
     rank,
     solve,
+    solve_stack,
 )
 
 
@@ -149,3 +155,73 @@ def test_int_determinant_exact_beyond_float():
     big = 10**9
     mat = [[big, big - 1], [big + 1, big]]
     assert int_determinant(mat) == big * big - (big - 1) * (big + 1) == 1
+
+
+def _singular_rule_stack():
+    """Bases on both sides of the Singular rule, plus well-conditioned ones."""
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    mats = [cube[[0, 3, 1]], cube[[1, 4, 2]]]  # +-e_i pairs: exact zero pivots
+    mats.append(np.diag([1.0, 1e-13, 1.0]))
+    for angle in (1e-13, 1e-9):
+        mats.append(np.array([[1.0, 0.0, 0.0],
+                              [np.cos(angle), np.sin(angle), 0.0],
+                              [0.0, 0.0, 1.0]]))
+    rng = np.random.default_rng(29)
+    mats.extend(rng.standard_normal((6, 3, 3)))
+    mats.append(cube[[0, 4, 5]])
+    return np.array(mats)
+
+
+def test_solve_stack_matches_per_matrix_rule():
+    mats = _singular_rule_stack()
+    rhs = np.random.default_rng(30).standard_normal((len(mats), 3, 1))
+    ok, out = solve_stack(mats, rhs)
+    expected = []
+    for a, b in zip(mats, rhs):
+        try:
+            expected.append(solve(a, b[:, 0]))
+        except Singular:
+            expected.append(None)
+    assert ok.tolist() == [x is not None for x in expected]
+    assert ok.tolist()[:5] == [False, False, False, False, True]
+    accepted = [x for x in expected if x is not None]
+    assert len(out) == len(accepted)
+    for sol, a, x in zip(out, mats[ok], accepted):
+        npt.assert_array_equal(sol[:, -1], x)
+        npt.assert_array_equal(sol[:, :3], inverse(a))
+
+
+def test_solve_stack_empty_and_all_singular():
+    cube = np.vstack([np.eye(2), -np.eye(2)])
+    ok, out = solve_stack(np.array([cube[[0, 2]], cube[[1, 3]]]), np.zeros((2, 2, 0)))
+    assert ok.tolist() == [False, False] and out.shape == (0, 2, 2)
+    ok, out = solve_stack(np.empty((0, 2, 2)), np.empty((0, 2, 1)))
+    assert ok.shape == (0,) and out.shape == (0, 2, 3)
+
+
+def test_int_determinants_match_reference():
+    rng = np.random.default_rng(31)
+    for k in range(1, 6):
+        mats = rng.integers(-9, 10, size=(40, k, k))
+        mats[:5, -1] = mats[:5, 0]  # repeated rows: determinant 0
+        got = int_determinants(mats)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int_determinant(a) for a in mats]
+
+
+def test_int_determinants_exact_on_object_stacks():
+    # Products of 1e12 entries overflow int64; Python ints stay exact.
+    rng = np.random.default_rng(32)
+    mats = rng.integers(-10**12, 10**12, size=(20, 4, 4)).astype(object)
+    mats[0] = [[10**12, 10**12 - 1, 0, 0], [10**12 + 1, 10**12, 0, 0],
+               [0, 0, 1, 0], [0, 0, 0, 1]]
+    got = int_determinants(mats)
+    assert got[0] == 1
+    assert [int(v) for v in got] == [int_determinant(a.tolist()) for a in mats]
+
+
+def test_index_chunks_keep_order_across_boundaries(monkeypatch):
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
+    chunks = list(index_chunks(combinations(range(6), 3)))
+    assert [len(c) for c in chunks] == [7, 7, 6]
+    assert [tuple(r) for c in chunks for r in c.tolist()] == list(combinations(range(6), 3))

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polywalk.linalg as linalg_mod
 from polywalk.errors import Infeasible, NotAVertex, Unbounded
 from polywalk.instances import gen_hypercube, gen_random_sphere, gen_simplex
 from polywalk.polytope import (
@@ -12,6 +13,8 @@ from polywalk.polytope import (
     collapse_path,
     edge_directions,
     enumerate_vertices,
+    feasible_bases,
+    feasible_subsets,
     map_to_original,
     perturb,
     ratio_step,
@@ -177,3 +180,40 @@ def test_hypercube_bfs_is_hamming():
         c = rng.integers(0, 2, size=4).astype(float)
         d = bfs_distance(inst, a, c, graph=graph)
         assert d == int(np.sum(a != c))
+
+
+def _bases(items):
+    return [(v.x.tobytes(), v.basis, v.degenerate) for v in items]
+
+
+@pytest.mark.parametrize("make", [lambda: gen_hypercube(4),
+                                  lambda: gen_random_sphere(12, 4, seed=1)])
+def test_enumeration_same_across_chunk_boundaries(make, monkeypatch):
+    # A chunk of 7 subsets splits C(8,4) = 70 and C(12,4) = 495 many times;
+    # the per-subset feasible_bases is the reference.
+    inst = make()
+    reference = list(feasible_bases(inst))
+    verts, adj = vertex_graph(inst)
+    found = feasible_subsets(inst, range(inst.m))
+    bases, out, degenerate = found
+    assert [tuple(b) for b in bases.tolist()] == [v.basis for v in reference]
+    assert degenerate.tolist() == [v.degenerate for v in reference]
+    for sol, v in zip(out, reference):
+        npt.assert_array_equal(sol[:, -1], v.x)
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
+    assert _bases(enumerate_vertices(inst)) == _bases(verts)
+    chunked_verts, chunked_adj = vertex_graph(inst)
+    assert _bases(chunked_verts) == _bases(verts) and chunked_adj == adj
+    for got, want in zip(feasible_subsets(inst, range(inst.m)), found):
+        npt.assert_array_equal(got, want)
+
+
+def test_feasible_subsets_flag_every_apex_basis(pyramid):
+    # The apex carries four tight rows, so each of its bases is degenerate;
+    # the vertex list keeps the first of them.
+    reference = list(feasible_bases(pyramid))
+    bases, _, degenerate = feasible_subsets(pyramid, range(pyramid.m))
+    assert degenerate.tolist() == [v.degenerate for v in reference]
+    assert int(degenerate.sum()) == 4
+    apex = [v for v in enumerate_vertices(pyramid) if v.degenerate]
+    assert len(apex) == 1 and apex[0].basis == tuple(bases[degenerate][0].tolist())

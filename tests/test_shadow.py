@@ -204,6 +204,26 @@ def test_find_path_representative_ties_go_to_first_subset():
     assert path.vertices[0].basis == (0, 3, 5, 6, 10, 11)
 
 
+def test_representative_breaks_near_ties_by_subset_order():
+    # At the origin rows 0, 1 and 2 are tight.  Pushed out by p, q and r
+    # with r*sqrt(2) = p + q - d, the degenerate vertex splits into the
+    # points of bases (0, 2) and (1, 2), at max-norm distances p and q from
+    # the origin.  q is smaller by a relative 1e-12, within DIST_TIE_RTOL,
+    # so the first basis in combinations order stands for the vertex.
+    from polywalk.polytope import build_instance
+    rows = [[-1.0, 0.0], [0.0, -1.0], [-np.sqrt(0.5), -np.sqrt(0.5)],
+            [1.0, 0.0], [0.0, 1.0]]
+    original = build_instance(rows, [0.0, 0.0, 0.0, 1.0, 1.0])
+    p, d = 1e-5, 1e-6
+    q = p * (1.0 - 1e-12)
+    perturbed = build_instance(rows, [p, q, (p + q - d) * np.sqrt(0.5), 1.0, 1.0])
+    origin = verify_vertex(original, [0.0, 0.0])
+    assert origin.degenerate
+    rep = shadow_mod._representative(perturbed, original, origin)
+    assert rep.basis == (0, 2)
+    npt.assert_allclose(rep.x, [-p, d - q], rtol=0, atol=1e-15)
+
+
 def test_slope_gap_values():
     path = ShadowPath(vertices=(), slopes=(3.0, 2.0, 0.5), projections=(),
                       pivot_trace=(), status="Completed", seed=0)
