@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import CapExceeded, PolywalkError, RetriesExhausted
 from .experiments import bound_report, emit, run_batch
-from .flatness import certify_delta_Delta, delta_A, subdet_report
+from .flatness import certify_reports, delta_A, subdet_report
 from .instances import GeneratorSpec, generate, read_instance, write_instance
 from .polytope import bfs_distance, vertex_graph
 from .shadow import find_path
@@ -73,11 +73,11 @@ def cmd_bound_check(args) -> int:
     report = delta_A(inst)
     print(f"delta={report.delta!r}")
     print("argmin_basis=" + ",".join(str(i) for i in report.argmin_basis))
-    if not inst.integral or inst.int_A is None:
+    if not inst.integral:
         print("certificate=skipped (matrix not integral)")
         return EXIT_OK
     sub = subdet_report(inst.int_A)
-    holds, slack = certify_delta_Delta(inst)
+    holds, slack = certify_reports(report, sub)
     print(f"Delta={sub.Delta}")
     print(f"Delta1={sub.Delta1}")
     print(f"Delta_n_minus_1={sub.Delta_n_minus_1}")

@@ -102,7 +102,7 @@ def bound_report(batch: TrialBatch, inst: Instance, *, delta: float | None = Non
     m, n = inst.m, inst.n
     bound = 8.0 * m * n * n / (delta * delta)
     ceiling = None
-    if inst.integral and inst.int_A is not None:
+    if inst.integral:
         sub = subdet_report(inst.int_A)
         ceiling = 8.0 * m * n * n * sub.bound_on_inv_delta ** 2
     k = len(batch.lengths)

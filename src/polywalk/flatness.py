@@ -109,17 +109,17 @@ def delta_basis(vectors) -> float:
     return min(1.0, 1.0 / float(np.max(col_norms)))
 
 
-def delta_A(inst: Instance, *, cap: int = DELTA_CAP) -> FlatnessReport:
+def delta_A(inst: Instance) -> FlatnessReport:
     """Flatness of the constraint matrix: minimum over all independent bases.
 
-    Exhaustive over the C(m, n) row subsets, skipping dependent ones, with a
-    cap guard.  Each chunk of subsets is inverted as one stack under
+    Exhaustive over the C(m, n) row subsets, skipping dependent ones, guarded
+    by ``DELTA_CAP``.  Each chunk of subsets is inverted as one stack under
     :func:`delta_basis`'s rule; the witnessing subset is the first one
     attaining the minimum.
     """
     total = math.comb(inst.m, inst.n)
-    if total > cap:
-        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} bases exceeds cap {cap}")
+    if total > DELTA_CAP:
+        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} bases exceeds cap {DELTA_CAP}")
     unit_rows = np.array([linalg.normalize(row) for row in inst.A])
     best = math.inf
     argmin: tuple[int, ...] = ()
@@ -142,12 +142,12 @@ def delta_A(inst: Instance, *, cap: int = DELTA_CAP) -> FlatnessReport:
                           method="enumeration", n_bases_checked=checked)
 
 
-def subdet_report(int_mat, *, cap: int = SUBDET_CAP) -> SubdetReport:
+def subdet_report(int_mat) -> SubdetReport:
     """Exact largest sub-determinants of an integer matrix, all orders.
 
     Enumerates every square submatrix up to order n, stacked per chunk, with
-    exact fraction-free determinants; the total count is guarded by ``cap``.
-    An order runs in int64 when its squared Hadamard bound
+    exact fraction-free determinants; the total count is guarded by
+    ``SUBDET_CAP``.  An order runs in int64 when its squared Hadamard bound
     (Delta1 * sqrt(k))**(2k) stays below 2**62, so no product can overflow,
     and in Python ints otherwise.
     """
@@ -155,8 +155,8 @@ def subdet_report(int_mat, *, cap: int = SUBDET_CAP) -> SubdetReport:
     m, n = len(mat), len(mat[0])
     k_max = min(m, n)
     total = sum(math.comb(m, k) * math.comb(n, k) for k in range(1, k_max + 1))
-    if total > cap:
-        raise CapExceeded(f"{total} square submatrices exceed cap {cap}")
+    if total > SUBDET_CAP:
+        raise CapExceeded(f"{total} square submatrices exceed cap {SUBDET_CAP}")
     exact = np.array(mat, dtype=object)
     Delta1 = max(abs(v) for row in mat for v in row)
     # Orders above min(m, n) have no minors; their largest is 0.
@@ -176,20 +176,22 @@ def subdet_report(int_mat, *, cap: int = SUBDET_CAP) -> SubdetReport:
                         bound_on_inv_delta=float(n * Delta1 * Delta_n_minus_1))
 
 
-def certify_delta_Delta(inst: Instance, *, delta_cap: int = DELTA_CAP,
-                        subdet_cap: int = SUBDET_CAP) -> tuple[bool, float]:
-    """Check 1/delta <= n * Delta1 * Delta_{n-1} for an integral instance.
+def certify_reports(report: FlatnessReport, subdets: SubdetReport) -> tuple[bool, float]:
+    """Check 1/delta <= n * Delta1 * Delta_{n-1} from the two reports.
 
     Returns (holds, slack) with slack = bound - 1/delta; ``holds`` allows a
-    1e-6 tolerance on the comparison.
+    ``CERT_TOL`` tolerance on the comparison.
     """
-    if not inst.integral or inst.int_A is None:
-        raise ValueError("certificate needs an instance ingested with integer A")
-    report = delta_A(inst, cap=delta_cap)
-    subdets = subdet_report(inst.int_A, cap=subdet_cap)
     inv_delta = 1.0 / report.delta
     slack = subdets.bound_on_inv_delta - inv_delta
     return inv_delta <= subdets.bound_on_inv_delta + CERT_TOL, slack
+
+
+def certify_delta_Delta(inst: Instance) -> tuple[bool, float]:
+    """The certificate of :func:`certify_reports` for an integral instance."""
+    if not inst.integral:
+        raise ValueError("certificate needs an instance ingested with integer A")
+    return certify_reports(delta_A(inst), subdet_report(inst.int_A))
 
 
 def rotate_rows(inst: Instance, Q) -> Instance:

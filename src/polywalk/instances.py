@@ -29,12 +29,10 @@ from .errors import (
 )
 from .flatness import random_orthogonal, rotate_rows
 from .polytope import (
-    DIR_TOL,
-    ENUM_CAP,
     Instance,
     VertexWithBasis,
     build_instance,
-    edge_directions,
+    graph_distances,
     vertex_graph,
 )
 
@@ -163,6 +161,10 @@ def gen_random_sphere(m: int, n: int, seed: int) -> Instance:
     rejected when the polytope is unbounded, has fewer than two vertices, or
     has a degenerate vertex; rejection is bounded and deterministic in the
     seed.  Endpoints default to a farthest pair in the edge graph.
+
+    Without degenerate vertices every vertex has exactly n edges, and an
+    edge is missing from the graph exactly when it is an unbounded ray, so
+    a draw is bounded when every vertex has n neighbours.
     """
     if m < n + 1:
         raise ValueError("need at least n+1 rows for a bounded polytope")
@@ -175,26 +177,12 @@ def gen_random_sphere(m: int, n: int, seed: int) -> Instance:
         inst = build_instance(rows / norms[:, None], np.ones(m), integral=False,
                               name=f"sphere-m{m}-n{n}-s{seed}")
         verts, adjacency = vertex_graph(inst)
-        if _clean_bounded(inst, verts):
+        if len(verts) > 1 and not any(v.degenerate for v in verts) \
+                and all(len(nbrs) == n for nbrs in adjacency):
             x1, x2 = _farthest_pair(verts, adjacency)
             return replace(inst, x1=x1, x2=x2)
     raise UnboundedSample(
         f"no bounded non-degenerate draw in {_SPHERE_RESAMPLE_LIMIT} attempts")
-
-
-def _clean_bounded(inst: Instance, verts: list[VertexWithBasis]) -> bool:
-    """True when every vertex is non-degenerate and every edge is bounded.
-
-    An edge is unbounded when no row stops its ray, :func:`ratio_step`'s
-    rule, checked here for all edges of a vertex at once.
-    """
-    if len(verts) < 2 or any(v.degenerate for v in verts):
-        return False
-    for v in verts:
-        dirs = np.column_stack([d for _, d in edge_directions(inst, v)])
-        if not (inst.A @ dirs > DIR_TOL).any(axis=0).all():
-            return False
-    return True
 
 
 def gen_rotated(base: Instance, seed: int) -> Instance:
@@ -216,10 +204,9 @@ def gen_degenerate_pyramid() -> Instance:
                           x1=[1.0, 1.0, 0.0], x2=[0.0, 0.0, 1.0])
 
 
-def farthest_vertex_pair(inst: Instance, *, cap: int = ENUM_CAP
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def farthest_vertex_pair(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """The lexicographically first vertex pair maximizing edge-graph distance."""
-    return _farthest_pair(*vertex_graph(inst, cap=cap))
+    return _farthest_pair(*vertex_graph(inst))
 
 
 def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
@@ -229,20 +216,11 @@ def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
         raise ValueError("need at least two vertices for an endpoint pair")
     best = (-1, 0, 0)
     for s in range(count):
-        dist = [-1] * count
-        dist[s] = 0
-        queue = [s]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                for w in adjacency[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            queue = sorted(nxt)
-        for t in range(count):
-            if dist[t] > best[0]:
-                best = (dist[t], s, t)
+        dist = graph_distances(adjacency, s)
+        # max keeps the first maximum, so the first pair wins a tie.
+        t = max(range(count), key=dist.__getitem__)
+        if dist[t] > best[0]:
+            best = (dist[t], s, t)
     return verts[best[1]].x, verts[best[2]].x
 
 
@@ -279,7 +257,7 @@ def write_instance(inst: Instance, path) -> None:
     Integral matrices are written as exact integers; everything else uses
     Python's shortest round-trip float representation.
     """
-    if inst.integral and inst.int_A is not None:
+    if inst.integral:
         matrix = [list(row) for row in inst.int_A]
     else:
         matrix = [[float(v) for v in row] for row in inst.raw_A]

@@ -6,7 +6,8 @@ Exact integer work (sub-determinant enumeration) runs on nested Python ints,
 whose width is unbounded, so intermediate products can never overflow.
 
 :func:`solve`, :func:`inverse` and :func:`rank` run on numpy's LAPACK
-calls.  Two thresholds are used package-wide and kept here:
+calls.  Two thresholds are used package-wide and kept here, as module
+constants read at call time, with no per-call override:
 
 * ``PIVOT_TOL`` -- :func:`solve` and :func:`inverse` report :class:`Singular`
   when an entry of the inverse reaches ``1 / PIVOT_TOL`` (or LAPACK finds an
@@ -73,12 +74,12 @@ def normalize(values) -> np.ndarray:
     return v / norm
 
 
-def _checked_solve(a: np.ndarray, rhs: np.ndarray, pivot_tol: float) -> np.ndarray:
+def _checked_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """LAPACK solve of ``a @ X = [I | rhs]``, so X carries the inverse first.
 
     Raises :class:`Singular` when LAPACK meets an exactly zero pivot, when
     the result is not finite, or when an entry of the inverse reaches
-    ``1 / pivot_tol``.
+    ``1 / PIVOT_TOL``.
     """
     n = a.shape[0]
     if a.shape[1] != n:
@@ -92,30 +93,30 @@ def _checked_solve(a: np.ndarray, rhs: np.ndarray, pivot_tol: float) -> np.ndarr
     if not np.isfinite(out).all():
         raise Singular("the inverse or the solution is not finite")
     largest = float(np.max(np.abs(out[:, :n])))
-    if largest >= 1.0 / pivot_tol:
-        raise Singular(f"inverse entry {largest:.3e} reaches 1/{pivot_tol:.1e}")
+    if largest >= 1.0 / PIVOT_TOL:
+        raise Singular(f"inverse entry {largest:.3e} reaches 1/{PIVOT_TOL:.1e}")
     return out
 
 
-def solve(mat, rhs, *, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def solve(mat, rhs) -> np.ndarray:
     """Solve the square system mat @ x = rhs by LAPACK's LU solve."""
-    return _checked_solve(as_matrix(mat), as_vector(rhs)[:, None], pivot_tol)[:, -1]
+    return _checked_solve(as_matrix(mat), as_vector(rhs)[:, None])[:, -1]
 
 
-def inverse(mat, *, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def inverse(mat) -> np.ndarray:
     """Invert a square matrix by LAPACK's LU solve against the identity."""
     a = as_matrix(mat)
-    return _checked_solve(a, np.empty((a.shape[0], 0)), pivot_tol)
+    return _checked_solve(a, np.empty((a.shape[0], 0)))
 
 
-def rank(mat, *, rel_tol: float = RANK_TOL) -> int:
-    """Numerical rank: singular values above ``rel_tol`` times the largest.
+def rank(mat) -> int:
+    """Numerical rank: singular values above ``RANK_TOL`` times the largest.
 
     The relative floor makes the answer invariant under global scaling of
     the matrix; the zero matrix has rank 0.
     """
     sigma = np.linalg.svd(as_matrix(mat), compute_uv=False)
-    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
 
 
 def index_chunks(tuples: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:

@@ -5,7 +5,8 @@ unit norm at construction (``b`` rescaled alongside), which the walk and the
 flatness computations both assume.  When the ingested matrix is integer, the
 original integer rows are retained for exact sub-determinant work.
 
-Row indices are 0-based everywhere.  Three tolerances govern the geometry:
+Row indices are 0-based everywhere.  Three tolerances govern the geometry,
+each a module constant read at call time, with no per-call override:
 
 * ``TIGHT_TOL``  -- |a_i.x - b_i| at or below this counts the row as tight,
 * ``DIR_TOL``    -- a_j.d must exceed this for row j to stop a ray,
@@ -45,19 +46,22 @@ class Instance:
 
     ``A``/``b`` are the canonical (row-normalized) system used by all
     geometry.  ``raw_A``/``raw_b`` keep the data exactly as ingested for
-    lossless serialization, and ``int_A`` keeps the exact integer rows when
-    the ingested matrix was integer-valued.
+    lossless serialization, and ``int_A`` keeps the exact integer rows of an
+    integral instance; ``integral`` is true exactly when it is set.
     """
 
     name: str
     A: np.ndarray
     b: np.ndarray
-    integral: bool
     raw_A: np.ndarray
     raw_b: np.ndarray
     int_A: tuple[tuple[int, ...], ...] | None = None
     x1: np.ndarray | None = None
     x2: np.ndarray | None = None
+
+    @property
+    def integral(self) -> bool:
+        return self.int_A is not None
 
     @property
     def m(self) -> int:
@@ -131,24 +135,23 @@ def build_instance(A, b, *, name: str = "", integral: bool | None = None,
         v.flags.writeable = False
         return v
 
-    return Instance(name=name, A=canon_A, b=canon_b, integral=integral,
-                    raw_A=raw_A, raw_b=raw_b, int_A=int_A,
-                    x1=_point(x1), x2=_point(x2))
+    return Instance(name=name, A=canon_A, b=canon_b, raw_A=raw_A, raw_b=raw_b,
+                    int_A=int_A, x1=_point(x1), x2=_point(x2))
 
 
-def tight_rows(inst: Instance, x, *, tol: float = TIGHT_TOL) -> tuple[int, ...]:
+def tight_rows(inst: Instance, x) -> tuple[int, ...]:
     """Indices of rows tight at x, ascending.
 
     Raises :class:`Infeasible` naming the most violated row when x is outside
-    the polytope by more than ``tol``.
+    the polytope by more than ``TIGHT_TOL``.
     """
     slack = inst.slack(x)
     worst = int(np.argmin(slack))
-    if slack[worst] < -tol:
+    if slack[worst] < -TIGHT_TOL:
         raise Infeasible(
             f"row {worst} violated: a[{worst}]@x exceeds b[{worst}] by {-slack[worst]:.3e}"
         )
-    return tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= tol))
+    return tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= TIGHT_TOL))
 
 
 def verify_vertex(inst: Instance, x) -> VertexWithBasis:
@@ -208,16 +211,16 @@ def ratio_step(inst: Instance, v: VertexWithBasis, d) -> tuple[int, float]:
     return int(movers[best]), float(max(steps[best], 0.0))
 
 
-def feasible_bases(inst: Instance, *, cap: int = ENUM_CAP) -> Iterator[VertexWithBasis]:
+def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
     """Yield every feasible basic solution, one per independent row subset.
 
     Degenerate vertices appear once per feasible basis; consumers that want
-    geometric vertices must deduplicate by point.  Guarded by ``cap`` on the
-    number of subsets C(m, n).  This is the one-subset-at-a-time reference
+    geometric vertices must deduplicate by point.  Guarded by ``ENUM_CAP`` on
+    the number of subsets C(m, n).  This is the one-subset-at-a-time reference
     (one :func:`linalg.solve` per subset); the enumerations below run on the
     stacked :func:`feasible_subsets` and yield the same bases.
     """
-    _check_cap(inst, cap)
+    _check_cap(inst)
     for subset in combinations(range(inst.m), inst.n):
         rows = list(subset)
         try:
@@ -255,20 +258,20 @@ def feasible_subsets(inst: Instance, rows: Sequence[int]
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _check_cap(inst: Instance, cap: int) -> None:
+def _check_cap(inst: Instance) -> None:
     total = math.comb(inst.m, inst.n)
-    if total > cap:
-        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} subsets exceeds cap {cap}")
+    if total > ENUM_CAP:
+        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} subsets exceeds cap {ENUM_CAP}")
 
 
-def _vertex_classes(inst: Instance, cap: int):
+def _vertex_classes(inst: Instance):
     """Every feasible basis, grouped by point in combinations order.
 
     Returns the vertices (each kept with its first basis), the stacked
     solutions of every feasible basis (its inverse, then its point) with the
     index of the vertex each one stands for, and the vertex points.
     """
-    _check_cap(inst, cap)
+    _check_cap(inst)
     bases, out, degenerate = feasible_subsets(inst, range(inst.m))
     points = np.empty((len(bases), inst.n))
     verts: list[VertexWithBasis] = []
@@ -284,17 +287,16 @@ def _vertex_classes(inst: Instance, cap: int):
     return verts, out, owner, points[:len(verts)]
 
 
-def enumerate_vertices(inst: Instance, *, cap: int = ENUM_CAP) -> list[VertexWithBasis]:
+def enumerate_vertices(inst: Instance) -> list[VertexWithBasis]:
     """All vertices by brute-force basis enumeration, deduplicated by point.
 
     Each returned vertex keeps the lexicographically first feasible basis
     that produced it.  Intended for desk-scale audits and oracles.
     """
-    return _vertex_classes(inst, cap)[0]
+    return _vertex_classes(inst)[0]
 
 
-def vertex_graph(inst: Instance, *, cap: int = ENUM_CAP
-                 ) -> tuple[list[VertexWithBasis], list[set[int]]]:
+def vertex_graph(inst: Instance) -> tuple[list[VertexWithBasis], list[set[int]]]:
     """Vertices plus adjacency over the polytope's edge graph.
 
     Adjacency is the union of ratio-test targets over every feasible basis of
@@ -304,7 +306,7 @@ def vertex_graph(inst: Instance, *, cap: int = ENUM_CAP
     the enumeration has already computed; the ratio test runs on all of them
     at once, with :func:`ratio_step`'s rule.
     """
-    verts, out, owner, points = _vertex_classes(inst, cap)
+    verts, out, owner, points = _vertex_classes(inst)
     adjacency: list[set[int]] = [set() for _ in verts]
     for sol, i in zip(out, owner):
         x, dirs = sol[:, -1], -sol[:, :-1]
@@ -329,7 +331,24 @@ def _locate(points: np.ndarray, x: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def bfs_distance(inst: Instance, s, t, *, graph=None, cap: int = ENUM_CAP) -> int:
+def graph_distances(adjacency: Sequence[set[int]], source: int) -> list[int]:
+    """Edge-graph distance from vertex ``source`` to every vertex.
+
+    Breadth-first search over :func:`vertex_graph` adjacency; -1 marks an
+    unreachable vertex.
+    """
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def bfs_distance(inst: Instance, s, t, *, graph=None) -> int:
     """Edge-graph distance between vertices s and t by breadth-first search.
 
     ``graph`` may pass a precomputed :func:`vertex_graph` result to amortize
@@ -338,25 +357,16 @@ def bfs_distance(inst: Instance, s, t, *, graph=None, cap: int = ENUM_CAP) -> in
     """
     source = linalg.as_vector(s.x if isinstance(s, VertexWithBasis) else s)
     target = linalg.as_vector(t.x if isinstance(t, VertexWithBasis) else t)
-    verts, adjacency = graph if graph is not None else vertex_graph(inst, cap=cap)
+    verts, adjacency = graph if graph is not None else vertex_graph(inst)
     points = np.reshape([v.x for v in verts], (len(verts), inst.n))
     si = _locate(points, source)
     ti = _locate(points, target)
     if si is None or ti is None:
         raise NotAVertex("endpoint does not match any enumerated vertex")
-    dist = {si: 0}
-    queue = [si]
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            if u == ti:
-                return dist[u]
-            for w in adjacency[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        queue = nxt
-    raise Disconnected("no path between the requested vertices")
+    dist = graph_distances(adjacency, si)[ti]
+    if dist < 0:
+        raise Disconnected("no path between the requested vertices")
+    return dist
 
 
 def perturb(inst: Instance, magnitude: float, seed: int) -> tuple[Instance, PerturbationRecord]:

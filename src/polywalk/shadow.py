@@ -60,7 +60,6 @@ from .polytope import (
 SLOPE_TOL = 1e-12
 # Required strict decrease between consecutive recorded slopes.
 SLOPE_GAP_TOL = 1e-12
-ENDPOINT_TOL = 1e-7
 
 MAX_ATTEMPTS = 16
 
@@ -187,20 +186,21 @@ def default_max_steps(inst: Instance) -> int:
 
 
 def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
-         pair: ObjectivePair, max_steps: int | None = None) -> ShadowPath:
+         pair: ObjectivePair) -> ShadowPath:
     """Follow the shadow boundary from start to target.
 
     At each vertex the candidate edges are those gaining on the second
     projection axis; the walk takes the candidate with the largest slope
     (ties to the smallest leaving row).  Termination is by basis-set match
-    with the target, with a point-proximity fallback.  Raises a
+    with the target, with a point-proximity fallback; the walk gives up
+    after :func:`default_max_steps` pivots.  Raises a
     :class:`WalkFailure` subtype on numeric trouble and
     :class:`DegenerateVertex` when it runs into a vertex with extra tight
     rows.
     """
     if start.degenerate or target.degenerate:
         raise DegenerateVertex("walk needs non-degenerate endpoints")
-    limit = default_max_steps(inst) if max_steps is None else max_steps
+    limit = default_max_steps(inst)
     target_basis = set(target.basis)
 
     current = start
@@ -212,7 +212,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
 
     for _ in range(limit):
         if set(current.basis) == target_basis or \
-                float(np.max(np.abs(current.x - target.x))) <= ENDPOINT_TOL:
+                float(np.max(np.abs(current.x - target.x))) <= POINT_TOL:
             return ShadowPath(vertices=tuple(vertices), slopes=tuple(slopes),
                               projections=tuple(projections), pivot_trace=tuple(trace),
                               status="Completed", seed=pair.seed, objective=pair)
@@ -357,12 +357,11 @@ def _collapse_result(original: Instance, tilde_path: ShadowPath,
                       perturbation=record, objective=pair)
 
 
-def find_path(inst: Instance, x1, x2, seed: int, *,
-              max_attempts: int = MAX_ATTEMPTS) -> ShadowPath:
+def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     """Short edge path between two vertices, with retries and perturbation.
 
     Verifies the endpoints, then walks with objectives drawn from ``seed``.
-    Numeric walk failures redraw with seed+1 (up to ``max_attempts``
+    Numeric walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS``
     draws).  Degenerate endpoints, or a degenerate vertex discovered
     mid-walk, switch to the perturbed pipeline: enlarge b slightly, walk
     there, collapse the result back.  Raises :class:`RetriesExhausted` with
@@ -377,7 +376,7 @@ def find_path(inst: Instance, x1, x2, seed: int, *,
     reasons: list[str] = []
     perturbing = v1.degenerate or v2.degenerate
     magnitude: float | None = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         attempt_seed = seed + attempt
         try:
             if not perturbing:
@@ -409,7 +408,7 @@ def find_path(inst: Instance, x1, x2, seed: int, *,
 
     failed = ShadowPath(vertices=(v1,), slopes=(), projections=(),
                         pivot_trace=(), status=f"Failed({';'.join(reasons)})",
-                        seed=int(seed), retries=max_attempts)
+                        seed=int(seed), retries=MAX_ATTEMPTS)
     raise RetriesExhausted(
-        f"no walk succeeded in {max_attempts} attempts: {', '.join(reasons)}",
+        f"no walk succeeded in {MAX_ATTEMPTS} attempts: {', '.join(reasons)}",
         reasons, path=failed)

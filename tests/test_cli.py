@@ -5,6 +5,7 @@ import json
 import pytest
 
 import polywalk.cli as cli_mod
+import polywalk.flatness as flatness_mod
 from polywalk.cli import main
 from polywalk.errors import RetriesExhausted
 from polywalk.instances import gen_hypercube, write_instance
@@ -102,10 +103,23 @@ def test_bound_check_skips_non_integral(tmp_path, capsys):
 
 
 def test_bound_check_violated_exit(cube_file, capsys, monkeypatch):
-    monkeypatch.setattr(cli_mod, "certify_delta_Delta",
-                        lambda inst: (False, -1.0))
+    monkeypatch.setattr(cli_mod, "certify_reports",
+                        lambda report, subdets: (False, -1.0))
     assert main(["bound-check", "--instance", str(cube_file)]) == 2
     assert "certificate=violated" in capsys.readouterr().out
+
+
+def test_bound_check_enumerates_once(cube_file, capsys, monkeypatch):
+    calls = {"delta_A": 0, "subdet_report": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(flatness_mod, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(flatness_mod, name, counted)
+        monkeypatch.setattr(cli_mod, name, counted)
+    assert main(["bound-check", "--instance", str(cube_file)]) == 0
+    assert "certificate=holds" in capsys.readouterr().out
+    assert calls == {"delta_A": 1, "subdet_report": 1}
 
 
 def test_path_retries_exhausted_exit(cube_file, tmp_path, capsys, monkeypatch):

@@ -19,7 +19,15 @@ from polywalk.instances import (
     read_instance,
     write_instance,
 )
-from polywalk.polytope import bfs_distance, enumerate_vertices, verify_vertex
+from polywalk.polytope import (
+    bfs_distance,
+    edge_directions,
+    enumerate_vertices,
+    ratio_step,
+    tight_rows,
+    verify_vertex,
+    vertex_graph,
+)
 
 
 def test_hypercube_shape(cube3):
@@ -72,6 +80,43 @@ def test_random_sphere_clean():
     assert len(verts) >= 2
     assert not any(v.degenerate for v in verts)
     npt.assert_allclose(np.linalg.norm(inst.raw_A, axis=1), 1.0, atol=1e-12)
+
+
+def _hop_distances(adjacency):
+    """All-pairs edge counts by boolean frontier products (no BFS queue)."""
+    count = len(adjacency)
+    adj = np.zeros((count, count), dtype=int)
+    for u, nbrs in enumerate(adjacency):
+        adj[u, list(nbrs)] = 1
+    dist = np.where(np.eye(count, dtype=bool), 0, -1)
+    reached = np.eye(count, dtype=bool)
+    hops = 0
+    while not reached.all():
+        hops += 1
+        frontier = (reached.astype(int) @ adj > 0) & ~reached
+        assert frontier.any(), "vertex graph is disconnected"
+        dist[frontier] = hops
+        reached |= frontier
+    return dist
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_sphere_simple_bounded_and_farthest(n):
+    for m in (n + 2, 3 * n):
+        for seed in range(3):
+            inst = gen_random_sphere(m, n, seed)
+            verts, adjacency = vertex_graph(inst)
+            for v in verts:
+                assert len(tight_rows(inst, v.x)) == n
+                for _, d in edge_directions(inst, v):
+                    ratio_step(inst, v, d)  # raises Unbounded on a ray
+            x1, x2 = farthest_vertex_pair(inst)
+            assert x1.tobytes() == inst.x1.tobytes() and x2.tobytes() == inst.x2.tobytes()
+            dist = _hop_distances(adjacency)
+            points = np.array([v.x for v in verts])
+            pair = [int(np.flatnonzero((points == x).all(axis=1))[0]) for x in (x1, x2)]
+            assert bfs_distance(inst, x1, x2) == dist.max()
+            assert pair == np.argwhere(dist == dist.max())[0].tolist()
 
 
 def test_random_sphere_determinism():

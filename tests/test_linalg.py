@@ -112,6 +112,17 @@ def test_solve_and_inverse_accept_small_but_regular(mat):
     npt.assert_allclose(mat @ solve(mat, [1.0, 1.0]), [1.0, 1.0], atol=1e-6)
 
 
+def test_pivot_tol_is_one_setting_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(linalg_mod, "PIVOT_TOL", 1e-6)
+    mat = np.diag([1.0, 1e-7])
+    with pytest.raises(Singular):
+        solve(mat, [1.0, 1.0])
+    with pytest.raises(Singular):
+        inverse(mat)
+    ok, out = solve_stack(mat[None], np.zeros((1, 2, 0)))
+    assert ok.tolist() == [False] and out.shape == (0, 2, 2)
+
+
 def test_rank_unit_rows_with_duplicate():
     rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]])
     assert rank(rows) == 2
