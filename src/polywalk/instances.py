@@ -157,14 +157,10 @@ def gen_transportation(p: int, q: int, seed: int) -> Instance:
 def gen_random_sphere(m: int, n: int, seed: int) -> Instance:
     """m unit-normal facets at distance 1, redrawn until bounded and clean.
 
-    Rows are uniform on the sphere (normalized Gaussians), b = 1.  A draw is
-    rejected when the polytope is unbounded, has fewer than two vertices, or
-    has a degenerate vertex; rejection is bounded and deterministic in the
-    seed.  Endpoints default to a farthest pair in the edge graph.
-
-    Without degenerate vertices every vertex has exactly n edges, and an
-    edge is missing from the graph exactly when it is an unbounded ray, so
-    a draw is bounded when every vertex has n neighbours.
+    Rows are uniform on the sphere (normalized Gaussians), b = 1.  A draw that
+    :func:`_clean_draw` rejects is redrawn, a bounded number of times and
+    deterministically in the seed.  Endpoints default to a farthest pair in
+    the edge graph.
     """
     if m < n + 1:
         raise ValueError("need at least n+1 rows for a bounded polytope")
@@ -177,12 +173,21 @@ def gen_random_sphere(m: int, n: int, seed: int) -> Instance:
         inst = build_instance(rows / norms[:, None], np.ones(m), integral=False,
                               name=f"sphere-m{m}-n{n}-s{seed}")
         verts, adjacency = vertex_graph(inst)
-        if len(verts) > 1 and not any(v.degenerate for v in verts) \
-                and all(len(nbrs) == n for nbrs in adjacency):
+        if _clean_draw(verts, adjacency, n):
             x1, x2 = _farthest_pair(verts, adjacency)
             return replace(inst, x1=x1, x2=x2)
     raise UnboundedSample(
         f"no bounded non-degenerate draw in {_SPHERE_RESAMPLE_LIMIT} attempts")
+
+
+def _clean_draw(verts: list[VertexWithBasis], adjacency: list[set[int]], n: int) -> bool:
+    """Keep a draw with two or more vertices, none degenerate, n neighbours each.
+
+    Without degenerate vertices a vertex has n edges, and a missing edge is an
+    unbounded ray, so n neighbours at every vertex means the draw is bounded.
+    """
+    return len(verts) > 1 and not any(v.degenerate for v in verts) \
+        and all(len(nbrs) == n for nbrs in adjacency)
 
 
 def gen_rotated(base: Instance, seed: int) -> Instance:

@@ -2,8 +2,8 @@
 
 Real vectors and matrices are plain float64 numpy arrays; :func:`as_vector`
 and :func:`as_matrix` validate shape and finiteness at the package boundary.
-Exact integer work (sub-determinant enumeration) runs on nested Python ints,
-whose width is unbounded, so intermediate products can never overflow.
+Exact integer determinants run in int64 where a Hadamard bound keeps every
+intermediate product below 2**63, and on unbounded Python ints otherwise.
 
 :func:`solve`, :func:`inverse` and :func:`rank` run on numpy's LAPACK
 calls.  Two thresholds are used package-wide and kept here, as module
@@ -50,7 +50,7 @@ def as_vector(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -60,7 +60,7 @@ def as_matrix(values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -86,13 +86,15 @@ def _checked_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix must be square, got {a.shape}")
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix order {n}")
+    full = np.eye(n, n + rhs.shape[1])
+    full[:, n:] = rhs
     try:
-        out = np.linalg.solve(a, np.hstack([np.eye(n), rhs]))
+        out = np.linalg.solve(a, full)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"LAPACK reports an exactly singular matrix ({exc})") from exc
     if not np.isfinite(out).all():
         raise Singular("the inverse or the solution is not finite")
-    largest = float(np.max(np.abs(out[:, :n])))
+    largest = float(np.abs(out[:, :n]).max())
     if largest >= 1.0 / PIVOT_TOL:
         raise Singular(f"inverse entry {largest:.3e} reaches 1/{PIVOT_TOL:.1e}")
     return out

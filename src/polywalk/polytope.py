@@ -179,19 +179,14 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
                            degenerate=len(tight) > inst.n)
 
 
-def edge_directions(inst: Instance, v: VertexWithBasis) -> list[tuple[int, np.ndarray]]:
-    """Edge directions leaving vertex v, one per basis row.
+def edge_directions(inst: Instance, v: VertexWithBasis) -> np.ndarray:
+    """Edge directions leaving vertex v, as one read-only C-ordered (n, n) array.
 
-    Relaxing basis row k gives the direction d with A_basis d = -e_k, i.e.
-    the ray along which only row k goes slack.  Returned in basis order as
-    (leaving_row, d) pairs.
+    Row k is minus column k of the basis inverse: the d with A_basis d = -e_k,
+    along which only basis row ``v.basis[k]`` goes slack.
     """
-    basis_inv = linalg.inverse(inst.A[list(v.basis)])
-    dirs = []
-    for k, row in enumerate(v.basis):
-        d = -basis_inv[:, k]
-        d.flags.writeable = False
-        dirs.append((row, d))
+    dirs = np.negative(linalg.inverse(inst.A[list(v.basis)]).T, order="C")
+    dirs.flags.writeable = False
     return dirs
 
 
@@ -201,8 +196,7 @@ def ratio_step(inst: Instance, v: VertexWithBasis, d) -> tuple[int, float]:
     Only rows with a_j.d > ``DIR_TOL`` can stop the ray; ties go to the
     smallest row index.  Raises :class:`Unbounded` when no row does.
     """
-    direction = linalg.as_vector(d)
-    denom = inst.A @ direction
+    denom = inst.A @ linalg.as_vector(d)
     movers = np.flatnonzero(denom > DIR_TOL)
     if movers.size == 0:
         raise Unbounded("the polytope is unbounded along this direction")

@@ -153,10 +153,11 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     rng = np.random.default_rng(seed)
     lam = 1.0 - rng.random(inst.n)
     mu = 1.0 - rng.random(inst.n)
-    u_cols = np.column_stack([linalg.normalize(inst.A[i]) for i in v1.basis])
-    v_cols = np.column_stack([linalg.normalize(inst.A[i]) for i in v2.basis])
-    w1 = -(u_cols @ lam)
-    w2 = v_cols @ mu
+    rows = inst.A[list(v1.basis) + list(v2.basis)]
+    # Each norm is the row's own dot product, so the bits match linalg.normalize.
+    units = rows / np.sqrt([r @ r for r in rows])[:, None]
+    w1 = -(np.ascontiguousarray(units[:inst.n].T) @ lam)
+    w2 = np.ascontiguousarray(units[inst.n:].T) @ mu
     return ObjectivePair(lam=lam, mu=mu, w1=w1, w2=w2,
                          u_rows=v1.basis, v_rows=v2.basis, seed=int(seed))
 
@@ -212,7 +213,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
 
     for _ in range(limit):
         if set(current.basis) == target_basis or \
-                float(np.max(np.abs(current.x - target.x))) <= POINT_TOL:
+                np.abs(current.x - target.x).max() <= POINT_TOL:
             return ShadowPath(vertices=tuple(vertices), slopes=tuple(slopes),
                               projections=tuple(projections), pivot_trace=tuple(trace),
                               status="Completed", seed=pair.seed, objective=pair)
@@ -221,28 +222,26 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             directions = edge_directions(inst, current)
         except Singular as exc:
             raise InfeasibleStep(f"basis {current.basis} became singular") from exc
-        stacked = np.array([d for _, d in directions])
-        rises = stacked @ pair.w2
-        runs = stacked @ pair.w1
+        rises = directions @ pair.w2
+        runs = directions @ pair.w1
         candidates = np.flatnonzero(rises > SLOPE_TOL)
         if candidates.size == 0:
             raise StalledWalk("no improving edge although the target was not reached")
         leftward = candidates[runs[candidates] <= SLOPE_TOL]
         if leftward.size:
-            k = int(leftward[0])
-            raise LeftwardEdge(f"edge relaxing row {directions[k][0]} gains eta "
-                               f"but w1.d = {runs[k]:.3e}")
+            raise LeftwardEdge(f"edge relaxing row {current.basis[leftward[0]]} gains eta "
+                               f"but w1.d = {runs[leftward[0]]:.3e}")
         edge_slopes = rises[candidates] / runs[candidates]
         # argmax keeps the first maximum: ties go to the earliest basis row.
-        best = int(np.argmax(edge_slopes))
-        leaving, d = directions[int(candidates[best])]
+        best = int(edge_slopes.argmax())
+        leaving = current.basis[candidates[best]]
         edge_slope = float(edge_slopes[best])
         if edge_slope > prev_slope - SLOPE_GAP_TOL:
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
 
         try:
-            entering, step = ratio_step(inst, current, d)
+            entering, step = ratio_step(inst, current, directions[candidates[best]])
         except Unbounded as exc:
             raise UnboundedShadow(str(exc)) from exc
 
@@ -252,10 +251,10 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         except Singular as exc:
             raise InfeasibleStep(f"pivot to basis {new_basis} is singular") from exc
         slack = inst.slack(x_new)
-        worst = int(np.argmin(slack))
+        worst = int(slack.argmin())
         if slack[worst] < -TIGHT_TOL:
             raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
-        if int(np.count_nonzero(np.abs(slack) <= TIGHT_TOL)) > inst.n:
+        if np.count_nonzero(np.abs(slack) <= TIGHT_TOL) > inst.n:
             raise DegenerateVertex(
                 f"walk reached a degenerate vertex (basis {new_basis})")
 

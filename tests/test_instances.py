@@ -10,8 +10,10 @@ from polywalk.errors import ParseError, SchemaError
 from polywalk.flatness import subdet_report
 from polywalk.instances import (
     GeneratorSpec,
+    _clean_draw,
     farthest_vertex_pair,
     gen_degenerate_pyramid,
+    gen_hypercube,
     gen_random_sphere,
     gen_rotated,
     gen_transportation,
@@ -21,6 +23,7 @@ from polywalk.instances import (
 )
 from polywalk.polytope import (
     bfs_distance,
+    build_instance,
     edge_directions,
     enumerate_vertices,
     ratio_step,
@@ -108,7 +111,7 @@ def test_random_sphere_simple_bounded_and_farthest(n):
             verts, adjacency = vertex_graph(inst)
             for v in verts:
                 assert len(tight_rows(inst, v.x)) == n
-                for _, d in edge_directions(inst, v):
+                for _, d in zip(v.basis, edge_directions(inst, v)):
                     ratio_step(inst, v, d)  # raises Unbounded on a ray
             x1, x2 = farthest_vertex_pair(inst)
             assert x1.tobytes() == inst.x1.tobytes() and x2.tobytes() == inst.x2.tobytes()
@@ -117,6 +120,23 @@ def test_random_sphere_simple_bounded_and_farthest(n):
             pair = [int(np.flatnonzero((points == x).all(axis=1))[0]) for x in (x1, x2)]
             assert bfs_distance(inst, x1, x2) == dist.max()
             assert pair == np.argwhere(dist == dist.max())[0].tolist()
+
+
+@pytest.mark.parametrize("make, kept", [
+    (gen_degenerate_pyramid, False),
+    (lambda: gen_hypercube(3), True),
+    # A wedge has one vertex and no bounded edge.
+    (lambda: build_instance([[-1, 0], [0, -1]], [0, 0]), False),
+    # Two vertices joined by one edge; each also starts an unbounded ray.
+    (lambda: build_instance([[-1, 0], [0, -1], [-1, -1]], [0, 0, -1]), False),
+    # A triangle with a redundant row tight at (1, 0): every vertex has two
+    # neighbours, so only the degeneracy clause rejects it.
+    (lambda: build_instance([[-1, 0], [0, -1], [1, 1], [1, -1]], [0, 0, 1, 1]), False),
+], ids=["pyramid", "hypercube3", "one-vertex", "unbounded", "redundant-row"])
+def test_clean_draw_rule(make, kept):
+    inst = make()
+    verts, adjacency = vertex_graph(inst)
+    assert _clean_draw(verts, adjacency, inst.n) is kept
 
 
 def test_random_sphere_determinism():

@@ -8,6 +8,7 @@ import pytest
 
 import polywalk.linalg as linalg_mod
 from polywalk.errors import NonIntegerEntry, Singular, ZeroVector
+from polywalk.instances import gen_hypercube
 from polywalk.linalg import (
     as_int_matrix,
     as_matrix,
@@ -21,6 +22,8 @@ from polywalk.linalg import (
     solve,
     solve_stack,
 )
+from polywalk.polytope import ratio_step, verify_vertex
+from polywalk.shadow import ObjectivePair, project, slope
 
 
 def test_as_vector_rejects_non_finite():
@@ -39,6 +42,38 @@ def test_as_vector_shape():
         as_vector([[1.0, 2.0]])
     with pytest.raises(ValueError):
         as_matrix([1.0, 2.0])
+
+
+_SQUARE = gen_hypercube(2)
+_CORNER = verify_vertex(_SQUARE, _SQUARE.x1)
+_PAIR = ObjectivePair(lam=np.ones(2), mu=np.ones(2), w1=np.array([1.0, 0.0]),
+                      w2=np.array([0.0, 1.0]), u_rows=(2, 3), v_rows=(0, 1), seed=0)
+_BOUNDARY_CALLS = {
+    "solve-matrix": (lambda m: solve(m, [1.0, 1.0]), "matrix"),
+    "solve-rhs": (lambda v: solve(np.eye(2), v), "vector"),
+    "inverse": (inverse, "matrix"),
+    "rank": (rank, "matrix"),
+    "ratio_step": (lambda v: ratio_step(_SQUARE, _CORNER, v), "vector"),
+    "slack": (_SQUARE.slack, "vector"),
+    "project": (lambda v: project(_PAIR, v), "vector"),
+    "slope-src": (lambda v: slope(_PAIR, v, [1.0, 1.0]), "vector"),
+    "slope-dst": (lambda v: slope(_PAIR, [0.0, 0.0], v), "vector"),
+}
+_BAD_INPUTS = {
+    "vector": {"nan": [np.nan, 1.0], "inf": [1.0, -np.inf], "shape": [[1.0, 1.0]]},
+    "matrix": {"nan": [[1.0, 0.0], [0.0, np.nan]], "inf": [[np.inf, 0.0], [0.0, 1.0]],
+               "shape": [1.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
+@pytest.mark.parametrize("entry", sorted(_BOUNDARY_CALLS))
+def test_boundaries_reject_non_finite_and_misshaped_input(entry, bad):
+    """The walk's entry points keep the ValueError contract of as_vector and
+    as_matrix: a NaN, an infinity or a wrong shape never reaches LAPACK."""
+    call, kind = _BOUNDARY_CALLS[entry]
+    with pytest.raises(ValueError):
+        call(_BAD_INPUTS[kind][bad])
 
 
 def test_normalize_unit_and_zero():

@@ -6,7 +6,7 @@ import pytest
 
 import polywalk.linalg as linalg_mod
 from polywalk.errors import Infeasible, NotAVertex, Unbounded
-from polywalk.instances import gen_hypercube, gen_random_sphere, gen_simplex
+from polywalk.instances import gen_hypercube, gen_random_sphere, gen_rotated, gen_simplex
 from polywalk.polytope import (
     bfs_distance,
     build_instance,
@@ -62,10 +62,27 @@ def test_verify_vertex_and_not_a_vertex(cube3, pyramid):
 
 def test_edge_directions_cube_origin(cube3):
     v = verify_vertex(cube3, [0.0, 0.0, 0.0])
-    dirs = dict(edge_directions(cube3, v))
+    dirs = dict(zip(v.basis, edge_directions(cube3, v)))
     assert set(dirs) == {3, 4, 5}
     got = sorted(tuple(np.round(d, 12)) for d in dirs.values())
     assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("make", [lambda: gen_hypercube(3), lambda: gen_simplex(3),
+                                  lambda: gen_rotated(gen_hypercube(8), 0)],
+                         ids=["cube3", "simplex3", "rotated8"])
+def test_edge_directions_are_stacked_inverse_columns(make):
+    inst = make()
+    for x in (inst.x1, inst.x2):
+        v = verify_vertex(inst, x)
+        basis_rows = inst.A[list(v.basis)]
+        dirs = edge_directions(inst, v)
+        assert dirs.shape == (inst.n, inst.n) and dirs.flags.c_contiguous
+        assert not dirs.flags.writeable
+        inverse = linalg_mod.inverse(basis_rows)
+        for k in range(inst.n):
+            assert dirs[k].tobytes() == (-inverse[:, k]).tobytes()
+        npt.assert_allclose(basis_rows @ dirs.T, -np.eye(inst.n), rtol=0, atol=1e-12)
 
 
 def test_ratio_step_simplex_origin(simplex3):

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polywalk.linalg as linalg_mod
 import polywalk.shadow as shadow_mod
 from polywalk.errors import (
     DegenerateVertex,
@@ -15,13 +16,26 @@ from polywalk.errors import (
 )
 from polywalk.instances import (
     GeneratorSpec,
+    gen_cut_cube,
     gen_hypercube,
     gen_random_sphere,
+    gen_rotated,
     gen_simplex,
+    gen_transportation,
     generate,
 )
-from polywalk.polytope import enumerate_vertices, tight_rows, verify_vertex
+from polywalk.polytope import (
+    POINT_TOL,
+    TIGHT_TOL,
+    VertexWithBasis,
+    enumerate_vertices,
+    perturb,
+    ratio_step,
+    tight_rows,
+    verify_vertex,
+)
 from polywalk.shadow import (
+    SLOPE_TOL,
     ObjectivePair,
     ShadowPath,
     default_max_steps,
@@ -111,6 +125,90 @@ def test_walk_cube_always_length_n():
                 assert len(set(a.basis) & set(c.basis)) == n - 1
             assert all(s > 0 for s in path.slopes)
             assert all(s1 - s2 > 0 for s1, s2 in zip(path.slopes, path.slopes[1:]))
+
+
+def _reference_objectives(inst, v1, v2, seed):
+    """The objective draw as first written: one normalize call per basis row."""
+    rng = np.random.default_rng(seed)
+    lam = 1.0 - rng.random(inst.n)
+    mu = 1.0 - rng.random(inst.n)
+    u_cols = np.column_stack([linalg_mod.normalize(inst.A[i]) for i in v1.basis])
+    v_cols = np.column_stack([linalg_mod.normalize(inst.A[i]) for i in v2.basis])
+    return ObjectivePair(lam=lam, mu=mu, w1=-(u_cols @ lam), w2=v_cols @ mu,
+                         u_rows=v1.basis, v_rows=v2.basis, seed=seed)
+
+
+def _reference_walk(inst, start, target, pair):
+    """The pivot loop as first written, the byte reference for :func:`walk`.
+
+    Every pivot lists the basis inverse's negated columns as (row, d) pairs,
+    restacks them for the edge choice, and solves the new basis afresh.
+    """
+    current, vertices, slopes, trace = start, [start], [], []
+    projections = [project(pair, start.x)]
+    for _ in range(default_max_steps(inst)):
+        if set(current.basis) == set(target.basis) or \
+                float(np.max(np.abs(current.x - target.x))) <= POINT_TOL:
+            return vertices, slopes, projections, trace
+        basis_inv = linalg_mod.inverse(inst.A[list(current.basis)])
+        directions = [(row, -basis_inv[:, k]) for k, row in enumerate(current.basis)]
+        stacked = np.array([d for _, d in directions])
+        rises, runs = stacked @ pair.w2, stacked @ pair.w1
+        candidates = np.flatnonzero(rises > SLOPE_TOL)
+        edge_slopes = rises[candidates] / runs[candidates]
+        best = int(np.argmax(edge_slopes))
+        leaving, d = directions[int(candidates[best])]
+        entering, step = ratio_step(inst, current, d)
+        new_basis = tuple(sorted(set(current.basis) - {leaving} | {entering}))
+        x_new = linalg_mod.solve(inst.A[list(new_basis)], inst.b[list(new_basis)])
+        assert float(np.min(inst.slack(x_new))) >= -TIGHT_TOL
+        current = VertexWithBasis(x=x_new, basis=new_basis)
+        vertices.append(current)
+        slopes.append(float(edge_slopes[best]))
+        projections.append(project(pair, x_new))
+        trace.append((leaving, entering, step))
+    raise AssertionError("reference walk did not terminate")
+
+
+def _assert_walk_matches_reference(inst, v1, v2, seed):
+    pair = sample_objectives(inst, v1, v2, seed)
+    ref_pair = _reference_objectives(inst, v1, v2, seed)
+    assert pair.w1.tobytes() == ref_pair.w1.tobytes()
+    assert pair.w2.tobytes() == ref_pair.w2.tobytes()
+    path = walk(inst, v1, v2, pair)
+    vertices, slopes, projections, trace = _reference_walk(inst, v1, v2, ref_pair)
+    assert path.length > 0
+    assert [v.x.tobytes() for v in path.vertices] == [v.x.tobytes() for v in vertices]
+    assert [v.basis for v in path.vertices] == [v.basis for v in vertices]
+    # repr round-trips every float exactly, so equal reprs mean equal bits.
+    assert repr(path.slopes) == repr(tuple(slopes))
+    assert repr(path.projections) == repr(tuple(projections))
+    assert repr(path.pivot_trace) == repr(tuple(trace))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_walk_matches_reference_on_rotated_cubes(n):
+    for seed in range(10):
+        inst = gen_rotated(gen_hypercube(n), seed)
+        v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
+        _assert_walk_matches_reference(inst, v1, v2, seed)
+
+
+def test_walk_matches_reference_on_cut_cube():
+    inst = gen_cut_cube(8)
+    v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
+    for seed in range(10):
+        _assert_walk_matches_reference(inst, v1, v2, seed)
+
+
+def test_walk_matches_reference_on_perturbed_transportation():
+    inst = gen_transportation(3, 3, 0)
+    v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
+    assert v1.degenerate or v2.degenerate
+    perturbed, _ = perturb(inst, shadow_mod._default_magnitude(inst, v1, v2), 0)
+    r1 = shadow_mod._representative(perturbed, inst, v1)
+    r2 = shadow_mod._representative(perturbed, inst, v2)
+    _assert_walk_matches_reference(perturbed, r1, r2, 0)
 
 
 def test_walk_hexagon_opposite_is_three():
