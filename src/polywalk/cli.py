@@ -77,7 +77,7 @@ def cmd_bound_check(args) -> int:
         print("certificate=skipped (matrix not integral)")
         return EXIT_OK
     sub = subdet_report(inst.int_A)
-    holds, slack = certify_reports(report, sub)
+    holds, slack = certify_reports(report, sub.bound_on_inv_delta)
     print(f"Delta={sub.Delta}")
     print(f"Delta1={sub.Delta1}")
     print(f"Delta_n_minus_1={sub.Delta_n_minus_1}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, MissingDelta, RetriesExhausted
-from .flatness import delta_A, subdet_report
+from .flatness import basis_minors, delta_A
 from .polytope import Instance
 from .shadow import find_path
 
@@ -103,8 +103,7 @@ def bound_report(batch: TrialBatch, inst: Instance, *, delta: float | None = Non
     bound = 8.0 * m * n * n / (delta * delta)
     ceiling = None
     if inst.integral:
-        sub = subdet_report(inst.int_A)
-        ceiling = 8.0 * m * n * n * sub.bound_on_inv_delta ** 2
+        ceiling = 8.0 * m * n * n * basis_minors(inst.int_A).bound_on_inv_delta ** 2
     k = len(batch.lengths)
     if k == 0:
         return BoundReport(instance_id=batch.instance_id, m=m, n=n,

@@ -13,9 +13,13 @@ the number of bases checked so callers can judge the enumeration.
 
 The enumerations run on stacks of row subsets, one chunk at a time:
 :func:`delta_A` inverts each chunk of bases at once under the same
-singularity rule as :func:`delta_basis`, and :func:`subdet_report` takes
-each chunk of minors through exact fraction-free elimination, in int64 where
-a Hadamard bound rules out overflow and in Python ints otherwise.
+singularity rule as :func:`delta_basis`.  The integer certificate needs only
+Delta1 and Delta_{n-1}, which :func:`basis_minors` reads in one exact pass
+over the bases from their adjugates (B^-1 = adj(B) / det(B)); the all-orders
+:func:`subdet_report` takes every chunk of minors of every order through
+exact fraction-free elimination.  Both run on machine numbers (float64 and
+int64) where a Hadamard bound keeps every intermediate exact, and in Python
+ints otherwise.
 """
 
 from __future__ import annotations
@@ -59,6 +63,21 @@ class SubdetReport:
     Delta: int
     Delta1: int
     Delta_n_minus_1: int
+    bound_on_inv_delta: float
+
+
+@dataclass(frozen=True)
+class BasisMinors:
+    """Largest absolute minors of an integer matrix of rank n, read off its bases.
+
+    ``Delta1`` ranges over single entries, ``Delta_n_minus_1`` over order
+    n-1 (1 when n = 1) and ``Delta_n`` over the n-row bases.  The product
+    n * Delta1 * Delta_n_minus_1 upper-bounds the inverse flatness.
+    """
+
+    Delta1: int
+    Delta_n_minus_1: int
+    Delta_n: int
     bound_on_inv_delta: float
 
 
@@ -176,22 +195,60 @@ def subdet_report(int_mat) -> SubdetReport:
                         bound_on_inv_delta=float(n * Delta1 * Delta_n_minus_1))
 
 
-def certify_reports(report: FlatnessReport, subdets: SubdetReport) -> tuple[bool, float]:
-    """Check 1/delta <= n * Delta1 * Delta_{n-1} from the two reports.
+def basis_minors(int_mat) -> BasisMinors:
+    """Exact Delta1, Delta_{n-1} and Delta_n in one pass over the n-row bases.
+
+    Every entry of adj(B) is an (n-1)-minor of the basis B, and when the
+    matrix has rank n the n-1 rows of every nonzero (n-1)-minor extend to a
+    nonsingular basis, so Delta_{n-1} is the largest |entry| of adj(B) over
+    the nonsingular bases (for n = 1, adj(B) = [1] gives Delta_0 = 1).  Each
+    chunk of the C(m, n) bases, guarded by ``DELTA_CAP``, goes through
+    :func:`~polywalk.linalg.int_adjugates`: in float64 when the squared
+    Hadamard bound (n * Delta1**2 + 1)**n of [B | I] stays below 2**52, so
+    every intermediate is an integer below 2**53 and exact, and in Python
+    ints otherwise.  Raises :class:`DependentVectors` when no n-row subset
+    is nonsingular.
+    """
+    mat = linalg.as_int_matrix(int_mat)
+    m, n = len(mat), len(mat[0])
+    total = math.comb(m, n)
+    if total > DELTA_CAP:
+        raise CapExceeded(f"C({m},{n}) = {total} bases exceeds cap {DELTA_CAP}")
+    Delta1 = max(abs(v) for row in mat for v in row)
+    exact = np.array(mat, dtype=object)
+    entries = exact.astype(float) if (n * Delta1 * Delta1 + 1) ** n < 2**52 else exact
+    Delta_n_minus_1 = Delta_n = 0
+    for subsets in linalg.index_chunks(combinations(range(m), n)):
+        _, dets, adjugates = linalg.int_adjugates(entries[subsets])
+        if dets.size:
+            Delta_n = max(Delta_n, int(np.max(dets)))
+            Delta_n_minus_1 = max(Delta_n_minus_1, int(np.max(np.abs(adjugates))))
+    if not Delta_n:
+        raise DependentVectors("no nonsingular n-row subset exists")
+    return BasisMinors(Delta1=Delta1, Delta_n_minus_1=Delta_n_minus_1, Delta_n=Delta_n,
+                       bound_on_inv_delta=float(n * Delta1 * Delta_n_minus_1))
+
+
+def certify_reports(report: FlatnessReport, bound_on_inv_delta: float) -> tuple[bool, float]:
+    """Check 1/delta <= n * Delta1 * Delta_{n-1}, the bound given.
 
     Returns (holds, slack) with slack = bound - 1/delta; ``holds`` allows a
     ``CERT_TOL`` tolerance on the comparison.
     """
     inv_delta = 1.0 / report.delta
-    slack = subdets.bound_on_inv_delta - inv_delta
-    return inv_delta <= subdets.bound_on_inv_delta + CERT_TOL, slack
+    slack = bound_on_inv_delta - inv_delta
+    return inv_delta <= bound_on_inv_delta + CERT_TOL, slack
 
 
 def certify_delta_Delta(inst: Instance) -> tuple[bool, float]:
-    """The certificate of :func:`certify_reports` for an integral instance."""
+    """The certificate of :func:`certify_reports` for an integral instance.
+
+    The bound comes from :func:`basis_minors`, so no minor of another order
+    is enumerated.
+    """
     if not inst.integral:
         raise ValueError("certificate needs an instance ingested with integer A")
-    return certify_reports(delta_A(inst), subdet_report(inst.int_A))
+    return certify_reports(delta_A(inst), basis_minors(inst.int_A).bound_on_inv_delta)
 
 
 def rotate_rows(inst: Instance, Q) -> Instance:

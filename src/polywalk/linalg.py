@@ -3,7 +3,8 @@
 Real vectors and matrices are plain float64 numpy arrays; :func:`as_vector`
 and :func:`as_matrix` validate shape and finiteness at the package boundary.
 Exact integer determinants run in int64 where a Hadamard bound keeps every
-intermediate product below 2**63, and on unbounded Python ints otherwise.
+intermediate product below 2**63, exact adjugates in float64 where it keeps
+them below 2**52, and both on unbounded Python ints otherwise.
 
 :func:`solve`, :func:`inverse` and :func:`rank` run on numpy's LAPACK
 calls.  Two thresholds are used package-wide and kept here, as module
@@ -21,7 +22,8 @@ Enumerations over row subsets run on stacks: :func:`index_chunks` cuts an
 index stream into arrays of ``SUBSET_CHUNK`` rows, :func:`solve_stack` applies
 :func:`solve`'s rule to a whole stack of bases at once, and
 :func:`int_determinants` runs fraction-free elimination on a stack of integer
-matrices.
+matrices and :func:`int_adjugates` fraction-free Gauss-Jordan elimination, which
+also gives every basis's adjugate.
 """
 
 from __future__ import annotations
@@ -186,6 +188,58 @@ def int_determinants(mats: np.ndarray) -> np.ndarray:
         prev = piv
     det = a[:, -1, -1]
     return np.where(singular, 0, np.where(negate, -det, det)).astype(a.dtype)
+
+
+def int_adjugates(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact |determinants| and adjugates of a ``(s, n, n)`` integer stack.
+
+    Fraction-free Gauss-Jordan on ``[B | I]``, stored in place: after step k,
+    column j of the stack holds column j of the right block for j <= k and of
+    the left block for j > k; the other columns of both blocks are multiples
+    of unit vectors and are not stored.  The row swap is chosen per matrix,
+    as in :func:`int_determinants`, and a matrix whose pivot column is zero
+    from the diagonal down is singular and leaves the stack.  Every stored
+    entry is, up to sign, a minor of ``[B | I]``, so every division is exact
+    and the result is exact in the stack's dtype: float64 when the caller
+    has bounded every intermediate product below 2**52, so that every
+    product, difference and quotient is an integer float64 holds exactly,
+    and numpy ``object`` (Python ints, divided with ``//``) otherwise.
+
+    Returns the mask of the nonsingular matrices and, for those in stack
+    order, |det B| and the adjugate up to sign and column order (a row swap
+    permutes the columns of the right block).
+    """
+    a = mats.copy()
+    s, n, _ = a.shape
+    live = np.arange(s)
+    prev = np.ones(s, dtype=a.dtype)
+    for k in range(n):
+        nonzero = a[:, k:, k] != 0
+        keep = nonzero.any(axis=1)
+        if not keep.all():
+            a, prev, live, nonzero = a[keep], prev[keep], live[keep], nonzero[keep]
+        p = k + np.argmax(nonzero, axis=1)
+        swap = np.flatnonzero(p != k)
+        rows_k = a[swap, k].copy()
+        a[swap, k] = a[swap, p[swap]]
+        a[swap, p[swap]] = rows_k
+        col = a[:, :, k].copy()
+        row = a[:, k, :].copy()
+        piv = col[:, k]
+        a *= piv[:, None, None]
+        a -= col[:, :, None] * row[:, None, :]
+        if a.dtype == object:
+            a //= prev[:, None, None]
+        else:
+            a /= prev[:, None, None]
+        # Row k is the pivot row, kept; column k enters the right block.
+        a[:, :, k] = -col
+        a[:, k, :] = row
+        a[:, k, k] = prev
+        prev = piv
+    ok = np.zeros(s, dtype=bool)
+    ok[live] = True
+    return ok, np.abs(prev), a
 
 
 def as_int_matrix(rows) -> list[list[int]]:

@@ -28,6 +28,7 @@ from .errors import (
     Disconnected,
     Infeasible,
     MappingFailed,
+    NonIntegerEntry,
     NotAVertex,
     Singular,
     Unbounded,
@@ -100,8 +101,10 @@ def build_instance(A, b, *, name: str = "", integral: bool | None = None,
     """Validate and canonicalize an H-polytope.
 
     ``integral`` defaults to auto-detection: a matrix whose entries are all
-    integer-valued is ingested as exact integers.  Requires m >= n and a
-    nonzero norm on every row.
+    integer-valued is ingested as exact integers, which must have magnitude
+    below 2**53; ``integral=True`` on any other entry raises
+    :class:`NonIntegerEntry`.  Requires m >= n and a nonzero norm on every
+    row.
     """
     raw_A = linalg.as_matrix(A)
     raw_b = linalg.as_vector(b)
@@ -114,12 +117,20 @@ def build_instance(A, b, *, name: str = "", integral: bool | None = None,
     if np.any(norms <= 0.0):
         raise ValueError(f"row {int(np.argmin(norms))} of A has zero norm")
 
+    # The exact certificate must run on the caller's data: no entry is
+    # rounded here, and float64 holds every integer below 2**53 exactly while
+    # a larger entry may already have been rounded on the way in.
     if integral is None:
         integral = bool(np.all(raw_A == np.round(raw_A)))
+    elif integral and not np.all(raw_A == np.round(raw_A)):
+        raise NonIntegerEntry("an integral instance needs integer-valued entries in A")
     int_A = None
     if integral:
-        int_A = tuple(tuple(int(v) for v in row) for row in np.round(raw_A))
-        raw_A = np.array(int_A, dtype=float)
+        if np.any(np.abs(raw_A) >= 2**53):
+            raise ValueError("integral entries of A must have magnitude below 2**53")
+        exact = raw_A.astype(np.int64)
+        int_A = tuple(map(tuple, exact.tolist()))
+        raw_A = exact.astype(float)
 
     canon_A = raw_A / norms[:, None]
     canon_b = raw_b / norms

@@ -5,10 +5,12 @@ import json
 import pytest
 
 import polywalk.cli as cli_mod
+import polywalk.experiments as experiments_mod
 import polywalk.flatness as flatness_mod
 from polywalk.cli import main
-from polywalk.errors import RetriesExhausted
-from polywalk.instances import gen_hypercube, write_instance
+from polywalk.errors import DependentVectors, RetriesExhausted
+from polywalk.flatness import certify_delta_Delta
+from polywalk.instances import gen_hypercube, read_instance, write_instance
 from polywalk.shadow import ShadowPath
 
 
@@ -120,6 +122,58 @@ def test_bound_check_enumerates_once(cube_file, capsys, monkeypatch):
     assert main(["bound-check", "--instance", str(cube_file)]) == 0
     assert "certificate=holds" in capsys.readouterr().out
     assert calls == {"delta_A": 1, "subdet_report": 1}
+
+
+def _count_subdet_reports(monkeypatch) -> list:
+    calls = []
+    original = flatness_mod.subdet_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (flatness_mod, cli_mod, experiments_mod):
+        monkeypatch.setattr(mod, "subdet_report", counted, raising=False)
+    return calls
+
+
+def _experiment(instance, out_dir) -> int:
+    return main(["experiment", "--instance", str(instance), "--trials", "3",
+                 "--seed", "0", "--out", str(out_dir)])
+
+
+def test_only_bound_check_enumerates_every_order(cube_file, tmp_path, capsys, monkeypatch):
+    calls = _count_subdet_reports(monkeypatch)
+    assert certify_delta_Delta(gen_hypercube(3)) == (True, 2.0)
+    assert _experiment(cube_file, tmp_path / "report") == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text())
+    assert report["bound_integral_ceiling"] == 8 * 6 * 9 * 9
+    assert len(calls) == 0
+    assert main(["bound-check", "--instance", str(cube_file)]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_rank_deficient_integer_matrix(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"name": "flat", "m": 3, "n": 2,
+                                "A": [[1, 1], [2, 2], [3, 3]], "b": [1, 2, 3],
+                                "integral": True, "x1": [0.5, 0.5], "x2": [0.0, 1.0]}))
+    with pytest.raises(DependentVectors, match="no independent n-row subset"):
+        certify_delta_Delta(read_instance(path))
+    assert main(["bound-check", "--instance", str(path)]) == 1
+    assert _experiment(path, tmp_path / "report") == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_subdet_cap_binds_only_bound_check(cube_file, tmp_path, capsys, monkeypatch):
+    # The certificate needs no minor beyond the bases, so only the Delta=
+    # line of bound-check still enumerates every order under SUBDET_CAP.
+    monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 1)
+    assert certify_delta_Delta(gen_hypercube(3)) == (True, 2.0)
+    assert _experiment(cube_file, tmp_path / "report") == 0
+    assert main(["bound-check", "--instance", str(cube_file)]) == 3
+    assert "exceed cap 1" in capsys.readouterr().err
 
 
 def test_path_retries_exhausted_exit(cube_file, tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import polywalk.experiments as experiments_mod
-from polywalk.errors import MissingDelta, RetriesExhausted
+from polywalk.errors import DependentVectors, MissingDelta, RetriesExhausted
 from polywalk.experiments import (
     CSV_COLUMNS,
     TrialBatch,
@@ -14,7 +14,9 @@ from polywalk.experiments import (
     report_from_json,
     run_batch,
 )
+from polywalk.flatness import subdet_report
 from polywalk.instances import gen_hypercube
+from polywalk.polytope import build_instance
 from polywalk.shadow import ShadowPath
 
 
@@ -44,6 +46,25 @@ def test_bound_report_cube_exact(cube3):
     # Integer certificate ceiling: delta >= 1/(n Delta1 Delta_{n-1}) = 1/3.
     npt.assert_allclose(report.bound_integral_ceiling, 8 * 6 * 9 * 9, atol=0)
     assert report.bfs_lower == 3
+
+
+def test_bound_report_ceiling_beyond_unimodular(pyramid):
+    batch = run_batch(pyramid, pyramid.x1, pyramid.x2, n_trials=3, base_seed=0)
+    report = bound_report(batch, pyramid)
+    sub = subdet_report(pyramid.int_A)
+    assert (sub.Delta1, sub.Delta_n_minus_1) == (1, 2)
+    # delta >= 1/(n Delta1 Delta_{n-1}) = 1/6 on m = 5 rows in dimension 3.
+    assert report.bound_integral_ceiling == 8 * 5 * 9 * 6**2
+
+
+def test_bound_report_rank_deficient_matrix_raises():
+    inst = build_instance([[1, 1], [2, 2], [3, 3]], [1, 2, 3])
+    batch = TrialBatch(instance_id=inst.name, n_trials=0, base_seed=0,
+                       lengths=(), retries=(), failures=())
+    with pytest.raises(DependentVectors):
+        bound_report(batch, inst)
+    with pytest.raises(DependentVectors):
+        bound_report(batch, inst, delta=0.5)  # the certificate pass refuses too
 
 
 def test_bound_report_accepts_precomputed_delta(cube3):

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from polywalk.errors import ParseError, SchemaError
+from polywalk.errors import NonIntegerEntry, ParseError, SchemaError
 from polywalk.flatness import subdet_report
 from polywalk.instances import (
     GeneratorSpec,
@@ -186,6 +186,25 @@ def test_write_read_round_trip(tmp_path, cube3):
     assert loaded.name == cube3.name and loaded.integral
     npt.assert_array_equal(loaded.raw_A, cube3.raw_A)
     npt.assert_array_equal(loaded.x2, cube3.x2)
+
+
+def test_integral_entries_stay_exact_or_are_rejected(tmp_path):
+    rows = [[2**53 - 1, 0], [0, 1], [-1, 0], [0, -1]]
+    path = tmp_path / "wide.json"
+    write_instance(build_instance(rows, np.ones(4)), path)
+    assert read_instance(path).int_A[0][0] == 2**53 - 1
+    # 2**53 + 1 has no float64; it used to be stored silently as 2**53.
+    rows[0][0] = 2**53 + 1
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        build_instance(rows, np.ones(4))
+    data = json.loads(path.read_text())
+    data["A"][0][0] = 2**53 + 1
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        read_instance(path)
+    # A non-integer entry used to be rounded, and the row norm taken before.
+    with pytest.raises(NonIntegerEntry):
+        build_instance([[0.5, 0], [0, 1], [-1, 0], [0, -1]], np.ones(4), integral=True)
 
 
 def test_read_rejects_nan(tmp_path, cube3):

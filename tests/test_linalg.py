@@ -15,6 +15,7 @@ from polywalk.linalg import (
     as_vector,
     index_chunks,
     int_determinant,
+    int_adjugates,
     int_determinants,
     inverse,
     normalize,
@@ -271,3 +272,59 @@ def test_index_chunks_keep_order_across_boundaries(monkeypatch):
     chunks = list(index_chunks(combinations(range(6), 3)))
     assert [len(c) for c in chunks] == [7, 7, 6]
     assert [tuple(r) for c in chunks for r in c.tolist()] == list(combinations(range(6), 3))
+
+
+def _cofactor_adjugate(mat):
+    """adj(B) entry by entry, each a scalar int_determinant of a minor."""
+    k = len(mat)
+    if k == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * int_determinant([[mat[r][c] for c in range(k) if c != i]
+                                                 for r in range(k) if r != j])
+              for j in range(k)] for i in range(k)]
+
+
+def _check_adjugates(mats, ok, dets, adjs):
+    nonsingular = [a for a in mats.tolist() if int_determinant(a) != 0]
+    assert ok.tolist() == [int_determinant(a) != 0 for a in mats.tolist()]
+    assert [int(d) for d in dets] == [abs(int_determinant(a)) for a in nonsingular]
+    for mat, det, adj in zip(nonsingular, dets, adjs):
+        got = np.array(adj.tolist(), dtype=object)
+        # Up to sign and column order: B @ got is det times a signed permutation.
+        prod = np.array(mat, dtype=object) @ got
+        assert (np.abs(prod) == int(det)).sum() == len(mat) and \
+            (prod != 0).sum() == len(mat)
+        ref = _cofactor_adjugate(mat)
+        assert sorted(abs(int(v)) for v in got.ravel()) == \
+            sorted(abs(v) for row in ref for v in row)
+
+
+def test_int_adjugates_match_cofactor_reference():
+    rng = np.random.default_rng(33)
+    for k in range(1, 6):
+        mats = rng.integers(-4, 5, size=(30, k, k)).astype(float)
+        mats[:5, -1] = mats[:5, 0]  # repeated rows: singular
+        mats[5:10][rng.random((5, k, k)) < 0.6] = 0  # zero pivots force row swaps
+        ok, dets, adjs = int_adjugates(mats)
+        assert dets.dtype == adjs.dtype == np.float64
+        assert adjs.shape == (int(ok.sum()), k, k)
+        _check_adjugates(mats, ok, dets, adjs)
+
+
+def test_int_adjugates_exact_on_object_stacks():
+    # Products of 1e12 entries overflow int64; Python ints stay exact.
+    rng = np.random.default_rng(34)
+    mats = rng.integers(-10**12, 10**12, size=(12, 3, 3)).astype(object)
+    mats[0] = [[0, 0, 1], [10**12, 10**12 - 1, 0], [10**12 + 1, 10**12, 0]]
+    mats[1, 2] = 2 * mats[1, 0]
+    ok, dets, adjs = int_adjugates(mats)
+    assert not ok[1] and dets[0] == 1
+    _check_adjugates(mats, ok, dets, adjs)
+
+
+def test_int_adjugates_empty_and_all_singular():
+    cube = np.vstack([np.eye(2), -np.eye(2)])
+    ok, dets, adjs = int_adjugates(np.array([cube[[0, 2]], cube[[1, 3]]]))
+    assert ok.tolist() == [False, False] and dets.shape == (0,) and adjs.shape == (0, 2, 2)
+    ok, dets, adjs = int_adjugates(np.empty((0, 3, 3)))
+    assert ok.shape == dets.shape == (0,) and adjs.shape == (0, 3, 3)
