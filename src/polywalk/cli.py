@@ -12,6 +12,7 @@ bound, 3 an enumeration cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -122,7 +123,14 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if report.mean_length <= report.bound_8mn2_over_delta2 else EXIT_ALGORITHM
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Each subcommand stores the name of its handler, not the function, so
+    :func:`main` looks the handler up when it runs and a replaced
+    ``cmd_*`` attribute of this module takes effect after the first parse.
+    """
     parser = argparse.ArgumentParser(
         prog="polywalk",
         description="Short edge paths on polytopes via randomized shadow projections.")
@@ -134,15 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2", help="target vertex as comma-separated coordinates")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--json", help="also write the full path record here")
-    p.set_defaults(func=cmd_path)
+    p.set_defaults(func="cmd_path")
 
     p = sub.add_parser("delta", help="flatness of the constraint matrix")
     p.add_argument("--instance", required=True)
-    p.set_defaults(func=cmd_delta)
+    p.set_defaults(func="cmd_delta")
 
     p = sub.add_parser("bound-check", help="flatness vs sub-determinant certificate")
     p.add_argument("--instance", required=True)
-    p.set_defaults(func=cmd_bound_check)
+    p.set_defaults(func="cmd_bound_check")
 
     p = sub.add_parser("generate", help="write an instance file")
     p.add_argument("--family", required=True,
@@ -152,21 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="rows (random-sphere) or q (transportation)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func="cmd_generate")
 
     p = sub.add_parser("experiment", help="Monte Carlo batch with bound report")
     p.add_argument("--instance", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="directory for report.csv/report.json")
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func="cmd_experiment")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

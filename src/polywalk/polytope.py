@@ -393,38 +393,67 @@ def perturb(inst: Instance, magnitude: float, seed: int) -> tuple[Instance, Pert
     return perturbed, record
 
 
+def _map_back(original: Instance, path: Sequence[VertexWithBasis]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbed vertices re-solved through their bases against the original b.
+
+    One :func:`linalg.solve_stack` over every basis of ``path``, then one
+    stacked slack.  Returns the points ``(k, n)`` and their slacks ``(k, m)``
+    on the original polytope.  Raises :class:`MappingFailed` at the first
+    vertex, in path order, whose basis is :class:`Singular` on the original
+    rows or whose point leaves the original polytope.
+    """
+    n = original.n
+    bases = np.array([v.basis for v in path], dtype=np.intp).reshape(len(path), n)
+    ok, out = linalg.solve_stack(original.A[bases], original.b[bases][:, :, None])
+    points = out[:, :, n]
+    slack = original.b - points @ original.A.T
+    good = ok.copy()
+    good[ok] = slack.min(axis=1) >= -TIGHT_TOL
+    if not good.all():
+        i = int(np.argmin(good))
+        if not ok[i]:
+            raise MappingFailed(f"basis of path vertex {i} is singular on the original rows")
+        row = slack[np.count_nonzero(ok[:i])]
+        worst = int(np.argmin(row))
+        raise MappingFailed(f"collapsed point of path vertex {i} violates row {worst} "
+                            f"by {-row[worst]:.3e}")
+    return points, slack
+
+
 def map_to_original(original: Instance, v: VertexWithBasis) -> np.ndarray:
     """Solve v's basis system against the original right-hand side.
 
     This is the collapse step for perturbed walks: the basis rows pin the
     original-polytope point the perturbed vertex came from.  Raises
-    :class:`MappingFailed` when that point leaves the original polytope.
+    :class:`MappingFailed` when the basis is singular on the original rows or
+    the point leaves the original polytope.  :func:`collapse_steps` runs the
+    same solve for a whole path at once.
     """
-    rows = list(v.basis)
-    x = linalg.solve(original.A[rows], original.b[rows])
-    slack = original.b - original.A @ x
-    worst = int(np.argmin(slack))
-    if slack[worst] < -TIGHT_TOL:
-        raise MappingFailed(
-            f"collapsed point violates row {worst} by {-slack[worst]:.3e}"
-        )
-    return x
+    return _map_back(original, [v])[0][0]
 
 
 def collapse_steps(original: Instance, perturbed_path: Sequence[VertexWithBasis]
-                   ) -> list[tuple[int, np.ndarray]]:
+                   ) -> list[tuple[int, VertexWithBasis]]:
     """Map a perturbed walk back and merge consecutive duplicates.
 
-    Every path vertex is collapsed through its basis; runs of perturbed
-    vertices that land within ``POINT_TOL`` of the last kept point (several
-    perturbed vertices standing in for one degenerate original vertex) keep
-    only their first.  Returns (path index, original point) per kept vertex.
+    Every path vertex is collapsed through its basis, all in one stacked
+    solve; runs of perturbed vertices that land within ``POINT_TOL`` of the
+    last kept point (several perturbed vertices standing in for one
+    degenerate original vertex) keep only their first.  Returns, per kept
+    vertex, its path index and the original vertex: a read-only point, the
+    perturbed vertex's basis, and whether more than n original rows are
+    tight there.
     """
-    kept: list[tuple[int, np.ndarray]] = []
-    for i, pv in enumerate(perturbed_path):
-        x = map_to_original(original, pv)
-        if not kept or float(np.max(np.abs(x - kept[-1][1]))) > POINT_TOL:
-            kept.append((i, x))
+    points, slack = _map_back(original, perturbed_path)
+    degenerate = np.count_nonzero(np.abs(slack) <= TIGHT_TOL, axis=1) > original.n
+    kept: list[tuple[int, VertexWithBasis]] = []
+    for i, (pv, x) in enumerate(zip(perturbed_path, points)):
+        if not kept or float(np.max(np.abs(x - kept[-1][1].x))) > POINT_TOL:
+            frozen = x.copy()
+            frozen.flags.writeable = False
+            kept.append((i, VertexWithBasis(x=frozen, basis=pv.basis,
+                                            degenerate=bool(degenerate[i]))))
     return kept
 
 
@@ -435,4 +464,4 @@ def collapse_path(original: Instance, perturbed_path: Sequence[VertexWithBasis]
     The points of :func:`collapse_steps`; an empty path collapses to an
     empty walk.
     """
-    return [x for _, x in collapse_steps(original, perturbed_path)]
+    return [v.x for _, v in collapse_steps(original, perturbed_path)]

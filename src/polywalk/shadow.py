@@ -309,25 +309,37 @@ def _representative(perturbed: Instance, original: Instance,
     is the class representative used as a walk endpoint; distances within
     ``DIST_TIE_RTOL`` of each other tie, and the first subset in
     combinations order wins, so rounding noise cannot pick the route.
+
+    The stacked solve gives the point and basis; raises
+    :class:`PerturbationFailed` unless exactly the basis rows are tight
+    there, they have full rank, and every other row's slack exceeds
+    10 ``TIGHT_TOL``.  With exactly n tight rows this one rank test is
+    :func:`verify_vertex`'s prefix loop, since a subset of rows has no
+    smaller ratio of extreme singular values than the whole basis.
     """
     tight = tight_rows(original, v.x)
-    _, out, _ = feasible_subsets(perturbed, tight)
-    points = out[:, :, -1]
-    best: tuple[float, np.ndarray] | None = None
-    for dist, x in zip(np.abs(points - v.x).max(axis=1).tolist(), points):
+    subsets, out, _ = feasible_subsets(perturbed, tight)
+    best: tuple[float, int] | None = None
+    for k, dist in enumerate(np.abs(out[:, :, -1] - v.x).max(axis=1).tolist()):
         if best is None or dist < best[0] * (1.0 - DIST_TIE_RTOL):
-            best = (dist, x)
+            best = (dist, k)
     if best is None:
         raise PerturbationFailed(
             f"no feasible basis from the {len(tight)} tight rows survives perturbation")
-    rep = verify_vertex(perturbed, best[1])
-    if rep.degenerate:
+    basis = subsets[best[1]]
+    x = out[best[1], :, -1].copy()
+    x.flags.writeable = False
+    slack = perturbed.slack(x)
+    is_tight = np.abs(slack) <= TIGHT_TOL
+    if np.count_nonzero(is_tight) > perturbed.n:
         raise PerturbationFailed("representative vertex is still degenerate")
-    slack = perturbed.slack(rep.x)
-    loose = np.delete(slack, list(rep.basis))
-    if loose.size and float(np.min(loose)) <= 10.0 * TIGHT_TOL:
+    if not is_tight[basis].all():
+        raise PerturbationFailed("representative's tight rows are not its basis")
+    if linalg.rank(perturbed.A[basis]) < perturbed.n:
+        raise PerturbationFailed("representative's basis rows are numerically dependent")
+    if float(slack[~is_tight].min(initial=np.inf)) <= 10.0 * TIGHT_TOL:
         raise PerturbationFailed("representative tightness is not cleanly separated")
-    return rep
+    return VertexWithBasis(x=x, basis=tuple(basis.tolist()))
 
 
 def _collapse_result(original: Instance, tilde_path: ShadowPath,
@@ -339,18 +351,12 @@ def _collapse_result(original: Instance, tilde_path: ShadowPath,
     edge that crossed between the merged groups.
     """
     kept = collapse_steps(original, tilde_path.vertices)
-    vertices = []
-    for i, x in kept:
-        degenerate = len(tight_rows(original, x)) > original.n
-        frozen = x.copy()
-        frozen.flags.writeable = False
-        vertices.append(VertexWithBasis(x=frozen, basis=tilde_path.vertices[i].basis,
-                                        degenerate=degenerate))
+    vertices = tuple(v for _, v in kept)
     pair = tilde_path.objective
     slopes = tuple(tilde_path.slopes[j - 1] for j, _ in kept[1:])
     trace = tuple(tilde_path.pivot_trace[j - 1] for j, _ in kept[1:])
     projections = tuple(project(pair, v.x) for v in vertices)
-    return ShadowPath(vertices=tuple(vertices), slopes=slopes,
+    return ShadowPath(vertices=vertices, slopes=slopes,
                       projections=projections, pivot_trace=trace,
                       status="Perturbed+Completed", seed=seed, retries=retries,
                       perturbation=record, objective=pair)

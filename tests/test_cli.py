@@ -229,3 +229,73 @@ def test_experiment_deterministic_outputs(cube_file, tmp_path, capsys):
     assert (d1 / "report.csv").read_bytes() == (d2 / "report.csv").read_bytes()
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
     capsys.readouterr()
+
+
+def test_build_parser_is_built_once():
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
+def test_handler_replaced_after_first_parse_runs(cube_file, capsys, monkeypatch):
+    assert main(["path", "--instance", str(cube_file), "--seed", "0"]) == 0
+    seen = []
+
+    def fake_path(args):
+        seen.append((args.instance, args.seed, args.x1))
+        return 7
+
+    monkeypatch.setattr(cli_mod, "cmd_path", fake_path)
+    assert main(["path", "--instance", str(cube_file), "--seed", "4"]) == 7
+    assert seen == [(str(cube_file), 4, None)]
+    capsys.readouterr()
+
+
+def _cli_run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_back_to_back_calls_match_fresh_parsers(cube_file, tmp_path, capsys):
+    # Each command differs from the one before in subcommand or flags, so an
+    # option value or default left behind by one parse would show up in the
+    # next; a malformed call in the middle must leave nothing behind either.
+    def commands(tag):
+        out = tmp_path / tag
+        out.mkdir()
+        return [
+            ["path", "--instance", str(cube_file), "--x1", "1,1,1", "--x2", "0,1,0",
+             "--seed", "5", "--json", str(out / "explicit.json")],
+            ["path", "--instance", str(cube_file), "--seed", "5"],
+            ["generate", "--family", "random-sphere", "--n", "3", "--m", "9",
+             "--seed", "1", "--out", str(out / "sphere.json")],
+            ["generate", "--family", "transportation", "--n", "2",
+             "--m", "3", "--out", str(out / "tp.json")],
+            ["path", "--instance", str(cube_file)],
+            ["delta", "--instance", str(out / "sphere.json")],
+            ["bound-check", "--instance", str(out / "tp.json")],
+            ["path", "--instance", str(out / "tp.json"), "--seed", "3",
+             "--json", str(out / "tp_path.json")],
+            ["experiment", "--instance", str(out / "tp.json"), "--trials", "4",
+             "--seed", "2", "--out", str(out / "exp")],
+            ["generate", "--family", "hypercube", "--n", "2", "--out", str(out / "sq.json")],
+        ]
+
+    def files(tag):
+        root = tmp_path / tag
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    shared = [_cli_run(argv, capsys) for argv in commands("shared")]
+    fresh = []
+    for argv in commands("fresh"):
+        cli_mod.build_parser.cache_clear()
+        fresh.append(_cli_run(argv, capsys))
+    strip = str(tmp_path)
+    assert [tuple(str(p).replace(strip + "/shared", "") for p in r) for r in shared] == \
+        [tuple(str(p).replace(strip + "/fresh", "") for p in r) for r in fresh]
+    assert files("shared") == files("fresh")
+    assert shared[4][0] == "exit 2"
+    assert [code for code, _, _ in shared[:4]] == [0, 0, 0, 0]

@@ -5,12 +5,30 @@ import numpy.testing as npt
 import pytest
 
 import polywalk.linalg as linalg_mod
-from polywalk.errors import Infeasible, NotAVertex, Unbounded
-from polywalk.instances import gen_hypercube, gen_random_sphere, gen_rotated, gen_simplex
+import polywalk.shadow as shadow_mod
+from polywalk.errors import (
+    Infeasible,
+    MappingFailed,
+    NotAVertex,
+    PolywalkError,
+    Unbounded,
+)
+from polywalk.instances import (
+    gen_degenerate_pyramid,
+    gen_hypercube,
+    gen_random_sphere,
+    gen_rotated,
+    gen_simplex,
+    gen_transportation,
+)
 from polywalk.polytope import (
+    POINT_TOL,
+    TIGHT_TOL,
+    VertexWithBasis,
     bfs_distance,
     build_instance,
     collapse_path,
+    collapse_steps,
     edge_directions,
     enumerate_vertices,
     feasible_bases,
@@ -234,3 +252,64 @@ def test_feasible_subsets_flag_every_apex_basis(pyramid):
     assert int(degenerate.sum()) == 4
     apex = [v for v in enumerate_vertices(pyramid) if v.degenerate]
     assert len(apex) == 1 and apex[0].basis == tuple(bases[degenerate][0].tolist())
+
+
+def _reference_collapse(original, path):
+    """The earlier collapse: one solve and one slack per path vertex."""
+    kept = []
+    for i, pv in enumerate(path):
+        rows = list(pv.basis)
+        x = linalg_mod.solve(original.A[rows], original.b[rows])
+        assert float(np.min(original.b - original.A @ x)) >= -TIGHT_TOL
+        if not kept or float(np.max(np.abs(x - kept[-1][1]))) > POINT_TOL:
+            kept.append((i, x, len(tight_rows(original, x)) > original.n))
+    return kept
+
+
+def test_collapse_steps_matches_per_vertex_solves():
+    insts = [gen_transportation(p, q, s)
+             for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
+    merged = walks = 0
+    for inst in insts + [gen_degenerate_pyramid()]:
+        v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
+        magnitude = shadow_mod._default_magnitude(inst, v1, v2)
+        for seed in range(20):
+            perturbed, _ = perturb(inst, magnitude, seed)
+            try:
+                r1 = shadow_mod._representative(perturbed, inst, v1)
+                r2 = shadow_mod._representative(perturbed, inst, v2)
+                pair = shadow_mod.sample_objectives(perturbed, r1, r2, seed)
+                path = shadow_mod.walk(perturbed, r1, r2, pair).vertices
+            except PolywalkError:
+                continue
+            walks += 1
+            expected = _reference_collapse(inst, path)
+            kept = collapse_steps(inst, path)
+            assert [i for i, _ in kept] == [i for i, _, _ in expected]
+            assert [v.x.tobytes() for _, v in kept] == [x.tobytes() for _, x, _ in expected]
+            assert [v.degenerate for _, v in kept] == [d for _, _, d in expected]
+            assert [v.basis for _, v in kept] == [path[i].basis for i, _, _ in expected]
+            assert all(not v.x.flags.writeable for _, v in kept)
+            for pv, (_, x, _) in zip([path[i] for i, _, _ in expected], expected):
+                assert map_to_original(inst, pv).tobytes() == x.tobytes()
+            merged += len(path) - len(kept)
+    assert walks > 200 and merged > 0
+
+
+def test_collapse_reports_first_unmappable_vertex():
+    # A square with one corner cut: rows 0 and 1 meet outside (at the cut
+    # corner), and rows 0 and 3 are parallel.
+    square = build_instance([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]],
+                            [1.0, 1.0, 1.5, 0.0, 0.0])
+    good = VertexWithBasis(x=np.zeros(2), basis=(3, 4))
+    outside = VertexWithBasis(x=np.zeros(2), basis=(0, 1))
+    parallel = VertexWithBasis(x=np.zeros(2), basis=(0, 3))
+    with pytest.raises(MappingFailed, match="singular"):
+        map_to_original(square, parallel)
+    with pytest.raises(MappingFailed, match="violates row 2"):
+        map_to_original(square, outside)
+    with pytest.raises(MappingFailed, match="path vertex 1 violates row 2"):
+        collapse_steps(square, [good, outside, parallel])
+    with pytest.raises(MappingFailed, match="path vertex 1 is singular"):
+        collapse_steps(square, [good, parallel, outside])
+    assert collapse_steps(square, []) == []

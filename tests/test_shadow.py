@@ -8,8 +8,12 @@ import pytest
 
 import polywalk.linalg as linalg_mod
 import polywalk.shadow as shadow_mod
+from polywalk.cli import main
 from polywalk.errors import (
     DegenerateVertex,
+    Infeasible,
+    NotAVertex,
+    PerturbationFailed,
     RetriesExhausted,
     TooShort,
     VerticalEdge,
@@ -17,18 +21,22 @@ from polywalk.errors import (
 from polywalk.instances import (
     GeneratorSpec,
     gen_cut_cube,
+    gen_degenerate_pyramid,
     gen_hypercube,
     gen_random_sphere,
     gen_rotated,
     gen_simplex,
     gen_transportation,
     generate,
+    write_instance,
 )
 from polywalk.polytope import (
     POINT_TOL,
     TIGHT_TOL,
     VertexWithBasis,
+    build_instance,
     enumerate_vertices,
+    feasible_subsets,
     perturb,
     ratio_step,
     tight_rows,
@@ -349,3 +357,168 @@ def test_find_path_retries_exhausted(cube3, monkeypatch):
     assert exc.path is not None
     assert exc.path.status.startswith("Failed(VerticalEdge")
     assert exc.path.length == 0
+
+
+def _reference_representative(perturbed, original, v):
+    """The earlier route: pick the nearest point, then re-verify it.
+
+    ``verify_vertex`` chooses the basis by its one-row-at-a-time rank loop;
+    the point must be non-degenerate and its loose rows cleanly separated.
+    A point that is not a vertex of the perturbed polytope is a failed
+    perturbation.
+    """
+    _, out, _ = feasible_subsets(perturbed, tight_rows(original, v.x))
+    best = None
+    for dist, x in zip(np.abs(out[:, :, -1] - v.x).max(axis=1).tolist(), out[:, :, -1]):
+        if best is None or dist < best[0] * (1.0 - shadow_mod.DIST_TIE_RTOL):
+            best = (dist, x)
+    if best is None:
+        raise PerturbationFailed("no feasible basis")
+    try:
+        rep = verify_vertex(perturbed, best[1])
+    except (NotAVertex, Infeasible) as exc:
+        raise PerturbationFailed(str(exc)) from exc
+    if rep.degenerate:
+        raise PerturbationFailed("still degenerate")
+    loose = np.delete(perturbed.slack(rep.x), list(rep.basis))
+    if loose.size and float(np.min(loose)) <= 10.0 * TIGHT_TOL:
+        raise PerturbationFailed("not separated")
+    return rep
+
+
+def _same_representative(perturbed, original, v):
+    try:
+        expected = _reference_representative(perturbed, original, v)
+    except PerturbationFailed:
+        with pytest.raises(PerturbationFailed):
+            shadow_mod._representative(perturbed, original, v)
+        return False
+    rep = shadow_mod._representative(perturbed, original, v)
+    assert rep.x.tobytes() == expected.x.tobytes()
+    assert rep.basis == expected.basis
+    assert not rep.degenerate and not expected.degenerate
+    assert not rep.x.flags.writeable
+    return True
+
+
+def _degenerate_family():
+    insts = [gen_transportation(p, q, s)
+             for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
+    return insts + [gen_degenerate_pyramid()]
+
+
+def test_representative_matches_verify_vertex_route():
+    # The default magnitude, and two that leave the perturbed polytope
+    # degenerate (below TIGHT_TOL) or its slacks unseparated, so both the
+    # accepted points and the refusals are compared.
+    found = refused = 0
+    for inst in _degenerate_family():
+        v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
+        default = shadow_mod._default_magnitude(inst, v1, v2)
+        for magnitude in (default, 1e-12, 5e-9):
+            for seed in range(20):
+                perturbed, _ = perturb(inst, magnitude, seed)
+                for v in (v1, v2):
+                    if _same_representative(perturbed, inst, v):
+                        found += 1
+                    else:
+                        refused += 1
+    assert found > 1000 and refused > 400
+
+
+def test_representative_refuses_a_tight_set_other_than_the_subset(pyramid):
+    # Unperturbed, the apex keeps its four tight rows: a superset of the
+    # chosen basis.
+    apex = verify_vertex(pyramid, pyramid.x2)
+    _same_representative(pyramid, pyramid, apex)
+    with pytest.raises(PerturbationFailed, match="degenerate"):
+        shadow_mod._representative(pyramid, pyramid, apex)
+
+    # An ill-conditioned but full-rank basis whose solved point leaves one
+    # of its own rows slack by more than TIGHT_TOL: a subset of the basis.
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        w, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        rows = u @ np.diag([1.0, 1.0, 1.0, 10.0 ** -rng.uniform(5, 8.5)]) @ w
+        perturbed = build_instance(rows, rng.standard_normal(4), integral=False)
+        _, out, _ = feasible_subsets(perturbed, range(4))
+        if len(out) and np.count_nonzero(
+                np.abs(perturbed.slack(out[0, :, -1])) <= TIGHT_TOL) < 4:
+            break
+    else:
+        pytest.fail("no ill-conditioned basis found")
+    assert linalg_mod.rank(perturbed.A) == 4
+    original = build_instance(rows, np.zeros(4), integral=False)
+    corner = VertexWithBasis(x=np.zeros(4), basis=(0, 1, 2, 3))
+    _same_representative(perturbed, original, corner)
+    with pytest.raises(PerturbationFailed, match="not its basis"):
+        shadow_mod._representative(perturbed, original, corner)
+
+    # Exactly the basis rows are tight, but their singular values span more
+    # than 1/RANK_TOL while the inverse stays below 1/PIVOT_TOL: the one rank
+    # test refuses what verify_vertex's loop refuses.
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    w, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    rows = np.vstack([u @ np.diag([1.0, 1.0, 1.0, 1e-11]) @ w, np.eye(4)])
+    b = np.concatenate([np.zeros(4), np.ones(4)])
+    perturbed = build_instance(rows, b, integral=False)
+    original = build_instance(rows[:4], np.zeros(4), integral=False)
+    assert linalg_mod.rank(perturbed.A[:4]) == 3
+    assert len(feasible_subsets(perturbed, range(4))[0]) == 1
+    _same_representative(perturbed, original, corner)
+    with pytest.raises(PerturbationFailed, match="dependent"):
+        shadow_mod._representative(perturbed, original, corner)
+
+
+def _pyramid_file(tmp_path):
+    path = tmp_path / "pyramid.json"
+    write_instance(gen_degenerate_pyramid(), path)
+    return path
+
+
+def test_representative_off_the_vertex_is_retried(pyramid, monkeypatch, tmp_path, capsys):
+    # Every representative point is pulled slightly into the interior, so it
+    # is no vertex at all: each attempt fails and is recorded.
+    stacked = shadow_mod.feasible_subsets
+
+    def inside(inst, rows):
+        subsets, out, degenerate = stacked(inst, rows)
+        out = out.copy()
+        out[:, :, -1] += 0.01 * (np.array([0.0, 0.0, 0.25]) - out[:, :, -1])
+        return subsets, out, degenerate
+
+    monkeypatch.setattr(shadow_mod, "feasible_subsets", inside)
+    with pytest.raises(RetriesExhausted) as info:
+        find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
+    assert info.value.reasons == ["PerturbationFailed"] * shadow_mod.MAX_ATTEMPTS
+    out_json = tmp_path / "failed.json"
+    assert main(["path", "--instance", str(_pyramid_file(tmp_path)), "--seed", "0",
+                 "--json", str(out_json)]) == 2
+    assert "status=Failed(PerturbationFailed;" in capsys.readouterr().out
+    assert json.loads(out_json.read_text())["status"].startswith("Failed(PerturbationFailed")
+
+
+def test_unmappable_collapse_is_retried(pyramid, monkeypatch, tmp_path, capsys):
+    # The walk's last vertex comes back with a repeated basis row, which is
+    # singular on the original rows.
+    real_walk = shadow_mod.walk
+
+    def repeated_row(inst, start, target, pair):
+        path = real_walk(inst, start, target, pair)
+        last = path.vertices[-1]
+        broken = VertexWithBasis(x=last.x, basis=(last.basis[0],) * inst.n)
+        return ShadowPath(vertices=path.vertices[:-1] + (broken,), slopes=path.slopes,
+                          projections=path.projections, pivot_trace=path.pivot_trace,
+                          status=path.status, seed=path.seed, objective=path.objective)
+
+    monkeypatch.setattr(shadow_mod, "walk", repeated_row)
+    with pytest.raises(RetriesExhausted) as info:
+        find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
+    # Each mapping failure shrinks the magnitude, until the perturbation no
+    # longer separates the tight rows; every attempt is recorded.
+    reasons = info.value.reasons
+    assert len(reasons) == shadow_mod.MAX_ATTEMPTS and reasons[0] == "MappingFailed"
+    assert set(reasons) == {"MappingFailed", "PerturbationFailed"}
+    assert main(["path", "--instance", str(_pyramid_file(tmp_path)), "--seed", "0"]) == 2
+    assert "status=Failed(MappingFailed;" in capsys.readouterr().out
