@@ -16,10 +16,11 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import jsontext
 from .errors import CapExceeded, MissingDelta, RetriesExhausted
 from .flatness import basis_minors, delta_A
 from .polytope import Instance
-from .shadow import find_path
+from .shadow import _attempts, _endpoints
 
 CSV_COLUMNS = ("instance_id", "m", "n", "delta", "trials", "mean", "stderr",
                "bound", "ratio", "bfs_lower")
@@ -63,17 +64,20 @@ class BoundReport:
 def run_batch(inst: Instance, x1, x2, n_trials: int, base_seed: int) -> TrialBatch:
     """Walk n_trials times with seeds base_seed, base_seed+1, ...
 
-    Failed trials (all retries exhausted) are recorded by their failure
-    reasons and excluded from the lengths; the batch itself never aborts.
+    Each trial is :func:`~polywalk.shadow.find_path` with its own seed, but
+    the endpoints are verified once for the whole batch.  Failed trials (all
+    retries exhausted) are recorded by their failure reasons and excluded
+    from the lengths; the batch itself never aborts.
     """
     if n_trials < 0:
         raise ValueError("trial count must be nonnegative")
     lengths: list[int] = []
     retries: list[int] = []
     failures: list[str] = []
+    ends = _endpoints(inst, x1, x2) if n_trials else None
     for t in range(n_trials):
         try:
-            path = find_path(inst, x1, x2, base_seed + t)
+            path = _attempts(ends, base_seed + t)
         except RetriesExhausted as exc:
             failures.append(";".join(exc.reasons))
             continue
@@ -161,7 +165,7 @@ def emit(report: BoundReport, fmt: str = "json") -> str:
             payload["bound_integral_ceiling"] = report.bound_integral_ceiling
         if report.bfs_lower is not None:
             payload["bfs_lower"] = report.bfs_lower
-        return json.dumps(payload, indent=2) + "\n"
+        return jsontext.dumps(payload) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 

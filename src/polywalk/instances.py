@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import jsontext
 from .errors import (
     InfeasibleTotals,
     ParseError,
@@ -39,6 +40,8 @@ from .polytope import (
 
 _SPHERE_RESAMPLE_LIMIT = 64
 _TOTALS_RESAMPLE_LIMIT = 10_000
+# Distances per block of sources in the farthest-pair search.
+_BFS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -217,17 +220,24 @@ def farthest_vertex_pair(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The first pair at the largest distance, sources in ascending order.
+
+    The breadth-first search runs for a block of sources at a time, at most
+    ``_BFS_BLOCK`` distances per block; the first maximum of each block in
+    row-major order is its candidate, and a later block must beat it.
+    """
     count = len(verts)
     if count < 2:
         raise ValueError("need at least two vertices for an endpoint pair")
-    best = (-1, 0, 0)
-    for s in range(count):
-        dist = graph_distances(adjacency, s)
-        # max keeps the first maximum, so the first pair wins a tie.
-        t = max(range(count), key=dist.__getitem__)
-        if dist[t] > best[0]:
-            best = (dist[t], s, t)
-    return verts[best[1]].x, verts[best[2]].x
+    block = max(1, _BFS_BLOCK // count)
+    best, at = -1, 0
+    for lo in range(0, count, block):
+        dist = graph_distances(adjacency, range(lo, min(lo + block, count)))
+        k = int(dist.argmax())
+        if dist.flat[k] > best:
+            best, at = int(dist.flat[k]), lo * count + k
+    s, t = divmod(at, count)
+    return verts[s].x, verts[t].x
 
 
 def generate(spec: GeneratorSpec) -> Instance:
@@ -295,7 +305,7 @@ def write_instance(inst: Instance, path) -> None:
         payload["x1"] = [float(v) for v in inst.x1]
     if inst.x2 is not None:
         payload["x2"] = [float(v) for v in inst.x2]
-    write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_text(path, jsontext.dumps(payload) + "\n")
 
 
 def _number_list(values, length: int, label: str) -> list[float]:

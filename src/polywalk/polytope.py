@@ -11,13 +11,19 @@ each a module constant read at call time, with no per-call override:
 * ``TIGHT_TOL``  -- |a_i.x - b_i| at or below this counts the row as tight,
 * ``DIR_TOL``    -- a_j.d must exceed this for row j to stop a ray,
 * ``POINT_TOL``  -- points closer than this (max-norm) are the same vertex.
+
+Enumerations run on stacked arrays.  :func:`feasible_subsets` solves each
+chunk of row subsets as one stack; :func:`vertex_graph` runs the ratio tests
+of a chunk of feasible bases as one stack and matches their end points to the
+vertices in one pass; :func:`graph_distances` is the one breadth-first search,
+run for a block of sources at once with one 0/1 frontier product per level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,6 +45,10 @@ DIR_TOL = 1e-12
 POINT_TOL = 1e-7
 
 ENUM_CAP = 2_000_000
+
+# Entries of each (bases, vertices, n) array with which vertex_graph matches
+# a chunk of edge end points against the vertices, one coordinate at a time.
+_MATCH_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,23 +318,37 @@ def vertex_graph(inst: Instance) -> tuple[list[VertexWithBasis], list[set[int]]]
     every vertex, which exposes all edges even at degenerate vertices (a
     single basis can hide some of them).  Unbounded rays are skipped.  The
     edge directions of a basis are the columns of minus its inverse, which
-    the enumeration has already computed; the ratio test runs on all of them
-    at once, with :func:`ratio_step`'s rule.
+    the enumeration has already computed.  The ratio tests of a chunk of
+    bases run as one stack, with :func:`ratio_step`'s rule, and every end
+    point is matched to the first vertex within ``POINT_TOL``, as one
+    ``(bases, V, n)`` array per coordinate; a chunk holds as many bases as
+    keep that array within ``_MATCH_BUDGET`` entries.
     """
     verts, out, owner, points = _vertex_classes(inst)
+    n = inst.n
+    owner = np.asarray(owner, dtype=np.intp)
     adjacency: list[set[int]] = [set() for _ in verts]
-    for sol, i in zip(out, owner):
-        x, dirs = sol[:, -1], -sol[:, :-1]
+    chunk = max(1, _MATCH_BUDGET // max(1, len(verts) * n))
+    for lo in range(0, len(out), chunk):
+        sol = out[lo:lo + chunk]
+        x, dirs = sol[:, :, -1], -sol[:, :, :-1]
         denom = inst.A @ dirs
         movers = denom > DIR_TOL
-        steps = np.divide(inst.slack(x)[:, None], denom,
+        # A stack of matrix-vector products, whose bits match Instance.slack.
+        slack = inst.b - (inst.A @ x[:, :, None])[:, :, 0]
+        steps = np.divide(slack[:, :, None], denom,
                           out=np.full(denom.shape, np.inf), where=movers)
-        bounded = movers.any(axis=0)
-        step = np.where(bounded, np.maximum(steps.min(axis=0), 0.0), 0.0)
-        ends = x[:, None] + step * dirs
-        near = np.abs(points[:, :, None] - ends).max(axis=1) <= POINT_TOL
-        targets = np.argmax(near, axis=0)
-        for t in targets[bounded & near.any(axis=0) & (targets != i)].tolist():
+        bounded = movers.any(axis=1)
+        step = np.where(bounded, np.maximum(steps.min(axis=1), 0.0), 0.0)
+        ends = x[:, :, None] + step[:, None, :] * dirs
+        # Within POINT_TOL in max-norm: within it in every coordinate.
+        near = np.abs(points[:, 0, None] - ends[:, None, 0]) <= POINT_TOL
+        for c in range(1, n):
+            near &= np.abs(points[:, c, None] - ends[:, None, c]) <= POINT_TOL
+        targets = np.argmax(near, axis=1)
+        sources = np.broadcast_to(owner[lo:lo + chunk, None], targets.shape)
+        hit = bounded & near.any(axis=1) & (targets != sources)
+        for i, t in zip(sources[hit].tolist(), targets[hit].tolist()):
             adjacency[i].add(t)
             adjacency[t].add(i)
     return verts, adjacency
@@ -336,21 +360,39 @@ def _locate(points: np.ndarray, x: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def graph_distances(adjacency: Sequence[set[int]], source: int) -> list[int]:
-    """Edge-graph distance from vertex ``source`` to every vertex.
+def graph_distances(adjacency: Sequence[set[int]], sources: Sequence[int]) -> np.ndarray:
+    """Edge-graph distances from each of ``sources`` to every vertex.
 
-    Breadth-first search over :func:`vertex_graph` adjacency; -1 marks an
-    unreachable vertex.
+    One breadth-first search over :func:`vertex_graph` adjacency for all the
+    sources at once: each level expands every source's frontier with one 0/1
+    product against the adjacency matrix.  Returns a ``(len(sources), V)``
+    integer array; -1 marks an unreachable vertex.  Beyond the ``(V, V)``
+    adjacency matrix, memory grows with ``len(sources) * V``, so a caller
+    bounds it by passing blocks of sources.
     """
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = [source]
-    for u in queue:
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    count = len(adjacency)
+    degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=count)
+    # float64, as every other product here: float32 counts neighbours just as
+    # exactly but pulls in BLAS's single-precision kernels, 0.1 MB resident.
+    edges = np.zeros((count, count))
+    edges[np.repeat(np.arange(count), degree),
+          np.fromiter(chain.from_iterable(adjacency), dtype=np.intp,
+                      count=int(degree.sum()))] = 1.0
+    sources = np.asarray(sources, dtype=np.intp)
+    rows = np.arange(sources.size)
+    dist = np.full((sources.size, count), -1, dtype=np.intp)
+    dist[rows, sources] = 0
+    frontier = np.zeros((sources.size, count))
+    frontier[rows, sources] = 1.0
+    level = 0
+    while True:
+        reached = frontier @ edges > 0.0
+        reached &= dist < 0
+        if not reached.any():
+            return dist
+        level += 1
+        dist[reached] = level
+        frontier = reached.astype(float)
 
 
 def bfs_distance(inst: Instance, s, t, *, graph=None) -> int:
@@ -368,7 +410,7 @@ def bfs_distance(inst: Instance, s, t, *, graph=None) -> int:
     ti = _locate(points, target)
     if si is None or ti is None:
         raise NotAVertex("endpoint does not match any enumerated vertex")
-    dist = graph_distances(adjacency, si)[ti]
+    dist = int(graph_distances(adjacency, [si])[0, ti])
     if dist < 0:
         raise Disconnected("no path between the requested vertices")
     return dist

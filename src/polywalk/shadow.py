@@ -18,13 +18,13 @@ failures are handled by redrawing the objectives with the next seed.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
+from . import jsontext, linalg
 from .errors import (
     DegenerateVertex,
     InfeasibleStep,
@@ -137,7 +137,7 @@ class ShadowPath:
                 "seed": int(self.perturbation.seed),
             },
         }
-        return json.dumps(record, indent=2)
+        return jsontext.dumps(record)
 
 
 def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
@@ -362,19 +362,37 @@ def _collapse_result(original: Instance, tilde_path: ShadowPath,
                       perturbation=record, objective=pair)
 
 
-def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
-    """Short edge path between two vertices, with retries and perturbation.
+@dataclass(frozen=True)
+class _Endpoints:
+    """Both endpoints of a walk, verified, and whether they are one vertex.
 
-    Verifies the endpoints, then walks with objectives drawn from ``seed``.
-    Numeric walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS``
-    draws).  Degenerate endpoints, or a degenerate vertex discovered
-    mid-walk, switch to the perturbed pipeline: enlarge b slightly, walk
-    there, collapse the result back.  Raises :class:`RetriesExhausted` with
-    the collected failure reasons when every attempt fails.
+    No seed changes any of this, so a batch of walks between the same two
+    points verifies them once.  ``magnitude`` is the default perturbation
+    size, computed on first use.
     """
+
+    inst: Instance
+    v1: VertexWithBasis
+    v2: VertexWithBasis
+    same: bool
+
+    @functools.cached_property
+    def magnitude(self) -> float:
+        return _default_magnitude(self.inst, self.v1, self.v2)
+
+
+def _endpoints(inst: Instance, x1, x2) -> _Endpoints:
+    """The endpoint step of :func:`find_path`: verify both points."""
     v1 = verify_vertex(inst, x1)
     v2 = verify_vertex(inst, x2)
-    if float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL:
+    return _Endpoints(inst=inst, v1=v1, v2=v2,
+                      same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL)
+
+
+def _attempts(ends: _Endpoints, seed: int) -> ShadowPath:
+    """The attempt loop of :func:`find_path` between verified endpoints."""
+    inst, v1, v2 = ends.inst, ends.v1, ends.v2
+    if ends.same:
         return ShadowPath(vertices=(v1,), slopes=(), projections=(),
                           pivot_trace=(), status="Completed", seed=int(seed))
 
@@ -389,7 +407,7 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
                 path = walk(inst, v1, v2, pair)
                 return replace(path, seed=int(seed), retries=attempt)
             if magnitude is None:
-                magnitude = _default_magnitude(inst, v1, v2)
+                magnitude = ends.magnitude
             perturbed, record = perturb(inst, magnitude, attempt_seed)
             r1 = _representative(perturbed, inst, v1)
             r2 = _representative(perturbed, inst, v2)
@@ -417,3 +435,16 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     raise RetriesExhausted(
         f"no walk succeeded in {MAX_ATTEMPTS} attempts: {', '.join(reasons)}",
         reasons, path=failed)
+
+
+def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
+    """Short edge path between two vertices, with retries and perturbation.
+
+    Verifies the endpoints, then walks with objectives drawn from ``seed``.
+    Numeric walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS``
+    draws).  Degenerate endpoints, or a degenerate vertex discovered
+    mid-walk, switch to the perturbed pipeline: enlarge b slightly, walk
+    there, collapse the result back.  Raises :class:`RetriesExhausted` with
+    the collected failure reasons when every attempt fails.
+    """
+    return _attempts(_endpoints(inst, x1, x2), seed)

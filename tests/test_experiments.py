@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import polywalk.experiments as experiments_mod
-from polywalk.errors import DependentVectors, MissingDelta, RetriesExhausted
+import polywalk.shadow as shadow_mod
+from polywalk.errors import DependentVectors, MissingDelta, RetriesExhausted, VerticalEdge
 from polywalk.experiments import (
     CSV_COLUMNS,
     TrialBatch,
@@ -15,9 +16,9 @@ from polywalk.experiments import (
     run_batch,
 )
 from polywalk.flatness import subdet_report
-from polywalk.instances import gen_hypercube
+from polywalk.instances import gen_degenerate_pyramid, gen_hypercube, gen_transportation
 from polywalk.polytope import build_instance
-from polywalk.shadow import ShadowPath
+from polywalk.shadow import ShadowPath, find_path
 
 
 def test_csv_columns_pinned():
@@ -136,17 +137,19 @@ def test_emit_rejects_unknown_format(cube3):
 
 
 def test_run_batch_records_failures(cube3, monkeypatch):
-    real = experiments_mod.find_path
+    # A trial is find_path's attempt loop, run by the batch after it has
+    # verified the endpoints once.
+    real = experiments_mod._attempts
 
-    def flaky(inst, x1, x2, seed):
+    def flaky(ends, seed):
         if seed % 2:
             failed = ShadowPath(vertices=(), slopes=(), projections=(),
                                 pivot_trace=(), status="Failed(VerticalEdge)",
                                 seed=seed, retries=16)
             raise RetriesExhausted("forced", ["VerticalEdge"] * 2, path=failed)
-        return real(inst, x1, x2, seed)
+        return real(ends, seed)
 
-    monkeypatch.setattr(experiments_mod, "find_path", flaky)
+    monkeypatch.setattr(experiments_mod, "_attempts", flaky)
     batch = run_batch(cube3, cube3.x1, cube3.x2, n_trials=6, base_seed=0)
     assert batch.lengths == (3, 3, 3)
     assert len(batch.failures) == 3
@@ -157,3 +160,56 @@ def test_run_batch_records_failures(cube3, monkeypatch):
     report = bound_report(batch, cube3)
     npt.assert_allclose(report.mean_length, 3.0, atol=0)
     assert report.trials == 3
+
+
+def _per_trial_batch(inst, n_trials, base_seed):
+    """The batch as separate find_path calls, one per trial."""
+    lengths, retries, failures = [], [], []
+    for t in range(n_trials):
+        try:
+            path = find_path(inst, inst.x1, inst.x2, base_seed + t)
+        except RetriesExhausted as exc:
+            failures.append(";".join(exc.reasons))
+            continue
+        lengths.append(path.length)
+        retries.append(path.retries)
+    return TrialBatch(instance_id=inst.name, n_trials=n_trials, base_seed=base_seed,
+                      lengths=tuple(lengths), retries=tuple(retries),
+                      failures=tuple(failures))
+
+
+def test_run_batch_verifies_endpoints_once(monkeypatch):
+    inst = gen_transportation(3, 4, 0)
+    calls = []
+    real = shadow_mod.verify_vertex
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shadow_mod, "verify_vertex", counted)
+    run_batch(inst, inst.x1, inst.x2, n_trials=5, base_seed=0)
+    assert len(calls) == 2
+    run_batch(inst, inst.x1, inst.x2, n_trials=0, base_seed=0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("make", [lambda: gen_transportation(3, 3, 0),
+                                  lambda: gen_transportation(3, 4, 0),
+                                  gen_degenerate_pyramid])
+def test_run_batch_equals_per_trial_find_path(make, monkeypatch):
+    inst = make()
+    assert run_batch(inst, inst.x1, inst.x2, 6, 3) == _per_trial_batch(inst, 6, 3)
+    # Every walk drawn with a seed in [100, 116) fails: the trial at seed 100
+    # exhausts its 16 attempts, the trial at 101 succeeds on its last one.
+    real = shadow_mod.walk
+
+    def failing(walk_inst, start, target, pair):
+        if 100 <= pair.seed < 116:
+            raise VerticalEdge("forced")
+        return real(walk_inst, start, target, pair)
+
+    monkeypatch.setattr(shadow_mod, "walk", failing)
+    batch = run_batch(inst, inst.x1, inst.x2, 8, 95)
+    assert batch == _per_trial_batch(inst, 8, 95)
+    assert len(batch.failures) == 1 and 15 in batch.retries

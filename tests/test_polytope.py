@@ -4,9 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polywalk.instances as instances_mod
 import polywalk.linalg as linalg_mod
+import polywalk.polytope as polytope_mod
 import polywalk.shadow as shadow_mod
 from polywalk.errors import (
+    Disconnected,
     Infeasible,
     MappingFailed,
     NotAVertex,
@@ -14,6 +17,9 @@ from polywalk.errors import (
     Unbounded,
 )
 from polywalk.instances import (
+    _farthest_pair,
+    farthest_vertex_pair,
+    gen_cut_cube,
     gen_degenerate_pyramid,
     gen_hypercube,
     gen_random_sphere,
@@ -33,6 +39,7 @@ from polywalk.polytope import (
     enumerate_vertices,
     feasible_bases,
     feasible_subsets,
+    graph_distances,
     map_to_original,
     perturb,
     ratio_step,
@@ -313,3 +320,128 @@ def test_collapse_reports_first_unmappable_vertex():
     with pytest.raises(MappingFailed, match="path vertex 1 is singular"):
         collapse_steps(square, [good, parallel, outside])
     assert collapse_steps(square, []) == []
+
+
+def _reference_graph(inst):
+    """The earlier vertex_graph: one ratio test and one match per basis."""
+    verts, out, owner, points = polytope_mod._vertex_classes(inst)
+    adjacency = [set() for _ in verts]
+    for sol, i in zip(out, owner):
+        x, dirs = sol[:, -1], -sol[:, :-1]
+        denom = inst.A @ dirs
+        movers = denom > polytope_mod.DIR_TOL
+        steps = np.divide(inst.slack(x)[:, None], denom,
+                          out=np.full(denom.shape, np.inf), where=movers)
+        bounded = movers.any(axis=0)
+        step = np.where(bounded, np.maximum(steps.min(axis=0), 0.0), 0.0)
+        ends = x[:, None] + step * dirs
+        near = np.abs(points[:, :, None] - ends).max(axis=1) <= POINT_TOL
+        targets = np.argmax(near, axis=0)
+        for t in targets[bounded & near.any(axis=0) & (targets != i)].tolist():
+            adjacency[i].add(t)
+            adjacency[t].add(i)
+    return verts, adjacency
+
+
+def _reference_distances(adjacency, source):
+    """The earlier breadth-first search: one source, one queue."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _reference_farthest(verts, adjacency):
+    """The earlier farthest pair: one search per source, first maximum wins."""
+    best = (-1, 0, 0)
+    for s in range(len(verts)):
+        dist = _reference_distances(adjacency, s)
+        t = max(range(len(verts)), key=dist.__getitem__)
+        if dist[t] > best[0]:
+            best = (dist[t], s, t)
+    return verts[best[1]].x, verts[best[2]].x
+
+
+def _unbounded_cases():
+    return [build_instance([[-1, 0], [0, -1]], [0, 0]),
+            build_instance([[-1, 0], [0, -1], [-1, -1]], [0, 0, -1]),
+            build_instance([[-1, 0], [0, -1], [1, 1], [1, -1]], [0, 0, 1, 1])]
+
+
+def _graph_cases():
+    for n in (3, 4, 5):
+        yield from (gen_hypercube(n), gen_simplex(n), gen_cut_cube(n),
+                    gen_rotated(gen_hypercube(n), seed=n))
+    for p, q in ((2, 3), (2, 4), (3, 3), (3, 4)):
+        for seed in range(3):
+            yield gen_transportation(p, q, seed)
+    for n in (2, 3, 4, 5, 6):
+        for m in (n + 2, 3 * n):
+            yield gen_random_sphere(m, n, seed=0)
+    yield gen_degenerate_pyramid()
+    yield from _unbounded_cases()
+
+
+def _assert_graph_matches_reference(inst):
+    verts, adjacency = vertex_graph(inst)
+    ref_verts, ref_adjacency = _reference_graph(inst)
+    assert _bases(verts) == _bases(ref_verts)
+    assert adjacency == ref_adjacency
+    count = len(verts)
+    dist = graph_distances(adjacency, range(count))
+    assert dist.tolist() == [_reference_distances(adjacency, s) for s in range(count)]
+    if count > 1:
+        pair = _farthest_pair(verts, adjacency)
+        ref_pair = _reference_farthest(verts, adjacency)
+        assert [x.tobytes() for x in pair] == [x.tobytes() for x in ref_pair]
+
+
+def test_stacked_graph_matches_per_basis_reference():
+    for inst in _graph_cases():
+        _assert_graph_matches_reference(inst)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_transportation(3, 4, 0),
+                                  lambda: gen_random_sphere(15, 5, seed=0),
+                                  gen_degenerate_pyramid])
+def test_stacked_graph_same_across_chunks_and_blocks(make, monkeypatch):
+    # One basis per ratio-test chunk, then three; one source per search
+    # block; seven subsets per enumeration chunk.
+    inst = make()
+    verts, adjacency = vertex_graph(inst)
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
+    monkeypatch.setattr(instances_mod, "_BFS_BLOCK", 1)
+    for budget in (1, 3 * len(verts) * inst.n):
+        monkeypatch.setattr(polytope_mod, "_MATCH_BUDGET", budget)
+        _assert_graph_matches_reference(inst)
+        chunked_verts, chunked_adjacency = vertex_graph(inst)
+        assert _bases(chunked_verts) == _bases(verts) and chunked_adjacency == adjacency
+
+
+def test_farthest_pair_tie_goes_to_first_source():
+    cube = gen_hypercube(4)
+    verts, adjacency = vertex_graph(cube)
+    dist = graph_distances(adjacency, range(len(verts)))
+    # Every vertex has exactly one vertex at the largest distance, its
+    # antipode: all 16 ordered pairs tie.
+    assert dist.max() == 4 and np.count_nonzero(dist == 4) == 16
+    x1, x2 = farthest_vertex_pair(cube)
+    assert x1.tobytes() == verts[0].x.tobytes()
+    npt.assert_array_equal(x2, 1.0 - verts[0].x)
+
+
+def test_bfs_distance_disconnected(cube3):
+    # Keep only the cube's edges inside the faces x0 = 0 and x0 = 1.
+    verts, adjacency = vertex_graph(cube3)
+    split = [{j for j in nbrs if verts[j].x[0] == verts[i].x[0]}
+             for i, nbrs in enumerate(adjacency)]
+    graph = (verts, split)
+    assert bfs_distance(cube3, [0.0, 0.0, 0.0], [0.0, 1.0, 1.0], graph=graph) == 2
+    with pytest.raises(Disconnected):
+        bfs_distance(cube3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], graph=graph)
+    assert (graph_distances(split, [0]) < 0).sum() == 4
