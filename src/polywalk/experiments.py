@@ -1,11 +1,13 @@
 """Monte Carlo trials of the walk and the path-length bound report.
 
-A batch runs :func:`~polywalk.shadow.find_path` repeatedly with consecutive
-seeds and records the observed path lengths.  The report compares the mean
-against the guarantee 8 m n^2 / delta^2 carried by the flatness parameter of
-the constraint matrix (for integral matrices also against the weaker ceiling
-obtained from the sub-determinant certificate), plus the breadth-first-search
-distance as a lower bound where enumeration is affordable.
+A batch runs :func:`~polywalk.shadow.find_path` once per trial, with
+consecutive seeds, and records the observed path lengths; the instance keeps
+its verified endpoints, so a batch verifies them once.  The report compares
+the mean against the guarantee 8 m n^2 / delta^2 carried by the flatness
+parameter of the constraint matrix (for integral matrices also against the
+weaker ceiling obtained from the sub-determinant certificate), plus the
+breadth-first-search distance as a lower bound where enumeration is
+affordable.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import jsontext
 from .errors import CapExceeded, MissingDelta, RetriesExhausted
 from .flatness import basis_minors, delta_A
 from .polytope import Instance
-from .shadow import _attempts, _endpoints
+from .shadow import find_path
 
 CSV_COLUMNS = ("instance_id", "m", "n", "delta", "trials", "mean", "stderr",
                "bound", "ratio", "bfs_lower")
@@ -64,20 +66,20 @@ class BoundReport:
 def run_batch(inst: Instance, x1, x2, n_trials: int, base_seed: int) -> TrialBatch:
     """Walk n_trials times with seeds base_seed, base_seed+1, ...
 
-    Each trial is :func:`~polywalk.shadow.find_path` with its own seed, but
-    the endpoints are verified once for the whole batch.  Failed trials (all
-    retries exhausted) are recorded by their failure reasons and excluded
-    from the lengths; the batch itself never aborts.
+    Each trial is one :func:`~polywalk.shadow.find_path` call with its own
+    seed; the endpoints are verified by the first call only, and not at all
+    for 0 trials, since the instance keeps its last verified pair.  Failed
+    trials (all retries exhausted) are recorded by their failure reasons and
+    excluded from the lengths; the batch itself never aborts.
     """
     if n_trials < 0:
         raise ValueError("trial count must be nonnegative")
     lengths: list[int] = []
     retries: list[int] = []
     failures: list[str] = []
-    ends = _endpoints(inst, x1, x2) if n_trials else None
     for t in range(n_trials):
         try:
-            path = _attempts(ends, base_seed + t)
+            path = find_path(inst, x1, x2, base_seed + t)
         except RetriesExhausted as exc:
             failures.append(";".join(exc.reasons))
             continue

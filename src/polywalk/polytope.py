@@ -22,7 +22,7 @@ run for a block of sources at once with one 0/1 frontier product per level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterator, Sequence
 
@@ -59,6 +59,11 @@ class Instance:
     geometry.  ``raw_A``/``raw_b`` keep the data exactly as ingested for
     lossless serialization, and ``int_A`` keeps the exact integer rows of an
     integral instance; ``integral`` is true exactly when it is set.
+
+    ``_endpoint_memo`` is private to :func:`~polywalk.shadow.find_path`: the
+    last endpoint pair it verified on this instance, keyed by the endpoints'
+    bytes.  It holds no reference back to the instance, and
+    ``dataclasses.replace`` starts a fresh instance with an empty one.
     """
 
     name: str
@@ -69,6 +74,8 @@ class Instance:
     int_A: tuple[tuple[int, ...], ...] | None = None
     x1: np.ndarray | None = None
     x2: np.ndarray | None = None
+    _endpoint_memo: tuple | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @property
     def integral(self) -> bool:

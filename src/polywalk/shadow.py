@@ -18,7 +18,6 @@ failures are handled by redrawing the objectives with the next seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -366,39 +365,29 @@ def _collapse_result(original: Instance, tilde_path: ShadowPath,
 class _Endpoints:
     """Both endpoints of a walk, verified, and whether they are one vertex.
 
-    No seed changes any of this, so a batch of walks between the same two
-    points verifies them once.  ``magnitude`` is the default perturbation
-    size, computed on first use.
+    No seed changes any of this, so :func:`find_path` keeps the last record
+    it built on the instance and repeated walks between the same two points
+    verify them once.  ``magnitude`` is the default perturbation size.  The
+    record holds no reference to its instance, so the memo never keeps an
+    instance alive.
     """
 
-    inst: Instance
     v1: VertexWithBasis
     v2: VertexWithBasis
     same: bool
-
-    @functools.cached_property
-    def magnitude(self) -> float:
-        return _default_magnitude(self.inst, self.v1, self.v2)
+    magnitude: float
 
 
-def _endpoints(inst: Instance, x1, x2) -> _Endpoints:
-    """The endpoint step of :func:`find_path`: verify both points."""
-    v1 = verify_vertex(inst, x1)
-    v2 = verify_vertex(inst, x2)
-    return _Endpoints(inst=inst, v1=v1, v2=v2,
-                      same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL)
-
-
-def _attempts(ends: _Endpoints, seed: int) -> ShadowPath:
+def _attempts(inst: Instance, ends: _Endpoints, seed: int) -> ShadowPath:
     """The attempt loop of :func:`find_path` between verified endpoints."""
-    inst, v1, v2 = ends.inst, ends.v1, ends.v2
+    v1, v2 = ends.v1, ends.v2
     if ends.same:
         return ShadowPath(vertices=(v1,), slopes=(), projections=(),
                           pivot_trace=(), status="Completed", seed=int(seed))
 
     reasons: list[str] = []
     perturbing = v1.degenerate or v2.degenerate
-    magnitude: float | None = None
+    magnitude = ends.magnitude
     for attempt in range(MAX_ATTEMPTS):
         attempt_seed = seed + attempt
         try:
@@ -406,8 +395,6 @@ def _attempts(ends: _Endpoints, seed: int) -> ShadowPath:
                 pair = sample_objectives(inst, v1, v2, attempt_seed)
                 path = walk(inst, v1, v2, pair)
                 return replace(path, seed=int(seed), retries=attempt)
-            if magnitude is None:
-                magnitude = ends.magnitude
             perturbed, record = perturb(inst, magnitude, attempt_seed)
             r1 = _representative(perturbed, inst, v1)
             r2 = _representative(perturbed, inst, v2)
@@ -426,8 +413,7 @@ def _attempts(ends: _Endpoints, seed: int) -> ShadowPath:
             reasons.append(type(exc).__name__)
         except MappingFailed as exc:
             reasons.append(type(exc).__name__)
-            if magnitude is not None:
-                magnitude = max(0.1 * magnitude, MAGNITUDE_FLOOR)
+            magnitude = max(0.1 * magnitude, MAGNITUDE_FLOOR)
 
     failed = ShadowPath(vertices=(v1,), slopes=(), projections=(),
                         pivot_trace=(), status=f"Failed({';'.join(reasons)})",
@@ -441,10 +427,23 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     """Short edge path between two vertices, with retries and perturbation.
 
     Verifies the endpoints, then walks with objectives drawn from ``seed``.
-    Numeric walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS``
-    draws).  Degenerate endpoints, or a degenerate vertex discovered
-    mid-walk, switch to the perturbed pipeline: enlarge b slightly, walk
-    there, collapse the result back.  Raises :class:`RetriesExhausted` with
-    the collected failure reasons when every attempt fails.
+    The instance keeps the last verified endpoint pair, keyed by the bytes
+    of both points, so a later call between the same points (any seed)
+    skips the verification; a failed verification is never kept.  Numeric
+    walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS`` draws).
+    Degenerate endpoints, or a degenerate vertex discovered mid-walk, switch
+    to the perturbed pipeline: enlarge b slightly, walk there, collapse the
+    result back.  Raises :class:`RetriesExhausted` with the collected
+    failure reasons when every attempt fails.
     """
-    return _attempts(_endpoints(inst, x1, x2), seed)
+    key = (linalg.as_vector(x1).tobytes(), linalg.as_vector(x2).tobytes())
+    memo = inst._endpoint_memo
+    if memo is None or memo[0] != key:
+        v1 = verify_vertex(inst, x1)
+        v2 = verify_vertex(inst, x2)
+        memo = (key, _Endpoints(v1=v1, v2=v2,
+                                same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL,
+                                magnitude=_default_magnitude(inst, v1, v2)))
+        # Instance is frozen; the memo is its one private, mutable slot.
+        object.__setattr__(inst, "_endpoint_memo", memo)
+    return _attempts(inst, memo[1], seed)

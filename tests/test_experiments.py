@@ -137,19 +137,17 @@ def test_emit_rejects_unknown_format(cube3):
 
 
 def test_run_batch_records_failures(cube3, monkeypatch):
-    # A trial is find_path's attempt loop, run by the batch after it has
-    # verified the endpoints once.
-    real = experiments_mod._attempts
+    real = experiments_mod.find_path
 
-    def flaky(ends, seed):
+    def flaky(inst, x1, x2, seed):
         if seed % 2:
             failed = ShadowPath(vertices=(), slopes=(), projections=(),
                                 pivot_trace=(), status="Failed(VerticalEdge)",
                                 seed=seed, retries=16)
             raise RetriesExhausted("forced", ["VerticalEdge"] * 2, path=failed)
-        return real(ends, seed)
+        return real(inst, x1, x2, seed)
 
-    monkeypatch.setattr(experiments_mod, "_attempts", flaky)
+    monkeypatch.setattr(experiments_mod, "find_path", flaky)
     batch = run_batch(cube3, cube3.x1, cube3.x2, n_trials=6, base_seed=0)
     assert batch.lengths == (3, 3, 3)
     assert len(batch.failures) == 3
@@ -191,6 +189,8 @@ def test_run_batch_verifies_endpoints_once(monkeypatch):
     run_batch(inst, inst.x1, inst.x2, n_trials=5, base_seed=0)
     assert len(calls) == 2
     run_batch(inst, inst.x1, inst.x2, n_trials=0, base_seed=0)
+    assert len(calls) == 2
+    run_batch(inst, inst.x1, inst.x2, n_trials=5, base_seed=5)
     assert len(calls) == 2
 
 

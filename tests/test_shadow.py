@@ -1,6 +1,9 @@
 """Shadow walks: objectives, projections, walk invariants, degeneracy route."""
 
+import gc
 import json
+import weakref
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -522,3 +525,125 @@ def test_unmappable_collapse_is_retried(pyramid, monkeypatch, tmp_path, capsys):
     assert set(reasons) == {"MappingFailed", "PerturbationFailed"}
     assert main(["path", "--instance", str(_pyramid_file(tmp_path)), "--seed", "0"]) == 2
     assert "status=Failed(MappingFailed;" in capsys.readouterr().out
+
+
+# -- the per-instance endpoint memo of find_path ------------------------------
+
+_MEMO_FAMILIES = {
+    "hypercube": lambda: gen_hypercube(4),
+    "simplex": lambda: gen_simplex(4),
+    "random-sphere": lambda: gen_random_sphere(9, 3, seed=0),
+    "transportation": lambda: gen_transportation(3, 4, 0),
+    "pyramid": gen_degenerate_pyramid,
+}
+
+
+def _counted(monkeypatch, *targets):
+    """Count the calls of each (module, name) in targets, still running them."""
+    counts = Counter()
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _key=f"{module.__name__}.{name}", **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("family", sorted(_MEMO_FAMILIES))
+def test_repeated_find_path_skips_verification(family, monkeypatch):
+    make = _MEMO_FAMILIES[family]
+    inst = make()
+    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    first = find_path(inst, inst.x1, inst.x2, seed=0)
+    assert counts["polywalk.shadow.verify_vertex"] == 2
+    if family == "transportation":
+        assert first.perturbation is not None
+    for seed in (0, 1, 7):
+        again = find_path(inst, inst.x1, inst.x2, seed=seed).to_json()
+        assert again == find_path(make(), inst.x1, inst.x2, seed=seed).to_json()
+    # Each fresh instance verifies once; the repeated calls on inst never do.
+    assert counts["polywalk.shadow.verify_vertex"] == 2 + 2 * 3
+
+
+def test_endpoint_memo_list_and_array_agree(monkeypatch):
+    inst = gen_transportation(3, 4, 0)
+    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    from_arrays = find_path(inst, inst.x1, inst.x2, seed=3).to_json()
+    from_lists = find_path(inst, inst.x1.tolist(), inst.x2.tolist(), seed=3).to_json()
+    assert from_lists == from_arrays
+    assert counts["polywalk.shadow.verify_vertex"] == 2
+    fresh = gen_transportation(3, 4, 0)
+    assert find_path(fresh, fresh.x1.tolist(), fresh.x2.tolist(), seed=3).to_json() \
+        == from_arrays
+
+
+def test_endpoint_memo_holds_the_last_pair_only(monkeypatch):
+    inst = gen_hypercube(3)
+    points = [v.x for v in enumerate_vertices(inst)]
+    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    pairs = [(points[0], points[-1]), (points[1], points[2]), (points[3], points[0]),
+             (points[0], points[-1])]
+    for k, (x1, x2) in enumerate(pairs, start=1):
+        path = find_path(inst, x1, x2, seed=k)
+        npt.assert_array_equal(path.vertices[0].x, x1)
+        npt.assert_array_equal(path.vertices[-1].x, x2)
+        # A new pair is verified and replaces the one slot; the first pair,
+        # walked again after others, is verified again.
+        assert counts["polywalk.shadow.verify_vertex"] == 2 * k
+        key, ends = inst._endpoint_memo
+        assert key == (x1.tobytes(), x2.tobytes())
+        npt.assert_array_equal(ends.v1.x, x1)
+
+
+@pytest.mark.parametrize("bad, error", [([0.5, 0.0, 0.0], NotAVertex),
+                                        ([2.0, 0.0, 0.0], Infeasible),
+                                        ([np.nan, 0.0, 0.0], ValueError)])
+def test_failed_verification_is_never_kept(bad, error, monkeypatch):
+    inst = gen_hypercube(3)
+    find_path(inst, inst.x1, inst.x2, seed=0)
+    memo = inst._endpoint_memo
+    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    for _ in range(2):
+        with pytest.raises(error):
+            find_path(inst, inst.x1, bad, seed=0)
+        with pytest.raises(error):
+            find_path(inst, bad, inst.x2, seed=0)
+        assert inst._endpoint_memo is memo
+    # A non-finite point fails while its key is taken, before any check.
+    expected = 0 if error is ValueError else 6
+    assert counts["polywalk.shadow.verify_vertex"] == expected
+    find_path(inst, inst.x1, inst.x2, seed=1)
+    assert counts["polywalk.shadow.verify_vertex"] == expected
+
+
+def test_endpoint_memo_keeps_no_instance_alive():
+    gc.disable()
+    try:
+        for make in (_MEMO_FAMILIES["hypercube"], _MEMO_FAMILIES["transportation"]):
+            inst = make()
+            find_path(inst, inst.x1, inst.x2, seed=0)
+            find_path(inst, inst.x1, inst.x2, seed=1)
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_first_call_counts_unchanged_and_repeat_skips_verification(monkeypatch):
+    # The counts the benchmark's tracer pins for a fresh hypercube-10 walk.
+    cube = gen_hypercube(10)
+    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"), (linalg_mod, "rank"),
+                      (linalg_mod, "inverse"), (linalg_mod, "solve"),
+                      (shadow_mod, "ratio_step"), (shadow_mod, "edge_directions"))
+    walk_calls = {"polywalk.linalg.inverse": 10, "polywalk.linalg.solve": 10,
+                  "polywalk.shadow.ratio_step": 10, "polywalk.shadow.edge_directions": 10}
+    find_path(cube, cube.x1, cube.x2, seed=0)
+    assert counts == {"polywalk.shadow.verify_vertex": 2, "polywalk.linalg.rank": 20,
+                      **walk_calls}
+    counts.clear()
+    find_path(cube, cube.x1, cube.x2, seed=0)
+    assert counts == walk_calls
