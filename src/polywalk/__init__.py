@@ -57,16 +57,12 @@ from .linalg import (
 )
 from .polytope import (
     Instance,
-    PerturbationRecord,
     VertexWithBasis,
     bfs_distance,
     build_instance,
-    collapse_path,
     edge_directions,
     enumerate_vertices,
     feasible_bases,
-    map_to_original,
-    perturb,
     ratio_step,
     tight_rows,
     verify_vertex,
@@ -74,6 +70,7 @@ from .polytope import (
 )
 from .shadow import (
     ObjectivePair,
+    PerturbationRecord,
     ShadowPath,
     SlopeGapDiagnostic,
     find_path,

@@ -51,18 +51,6 @@ class Disconnected(PolywalkError):
     """Breadth-first search found no route between the two vertices."""
 
 
-class MappingFailed(PolywalkError):
-    """A perturbed-walk vertex does not map back into the original polytope."""
-
-
-class DegenerateVertex(PolywalkError):
-    """A vertex carries more than n tight rows; perturb before walking."""
-
-
-class PerturbationFailed(PolywalkError):
-    """No representative vertex of the perturbed polytope could be located."""
-
-
 # --- flatness / sub-determinants ------------------------------------------
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -165,7 +165,9 @@ def subdet_report(int_mat) -> SubdetReport:
     """Exact largest sub-determinants of an integer matrix, all orders.
 
     Enumerates every square submatrix up to order n, stacked per chunk, with
-    exact fraction-free determinants; the total count is guarded by
+    exact fraction-free determinants; each order's row and column subsets
+    are two index arrays, and a chunk gathers its pairs from them by
+    position.  The total count is guarded by
     ``SUBDET_CAP``.  An order runs in int64 when its squared Hadamard bound
     (Delta1 * sqrt(k))**(2k) stays below 2**62, so no product can overflow,
     and in Python ints otherwise.
@@ -182,10 +184,14 @@ def subdet_report(int_mat) -> SubdetReport:
     delta_by_order = [0] * (n + 1)
     for k in range(1, k_max + 1):
         entries = exact.astype(np.int64) if (Delta1 * Delta1 * k) ** k < 2**62 else exact
-        pairs = (r + c for r, c in product(combinations(range(m), k),
-                                           combinations(range(n), k)))
-        for chunk in linalg.index_chunks(pairs):
-            minors = entries[chunk[:, :k, None], chunk[:, None, k:]]
+        rows = np.array(list(combinations(range(m), k)), dtype=np.intp)
+        cols = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        # Row subsets outer, column subsets inner, in chunks of SUBSET_CHUNK.
+        count = len(rows) * len(cols)
+        for lo in range(0, count, linalg.SUBSET_CHUNK):
+            pair = np.arange(lo, min(lo + linalg.SUBSET_CHUNK, count))
+            r, c = rows[pair // len(cols)], cols[pair % len(cols)]
+            minors = entries[r[:, :, None], c[:, None, :]]
             dets = linalg.int_determinants(minors)
             delta_by_order[k] = max(delta_by_order[k], int(np.max(np.abs(dets))))
     Delta_n_minus_1 = delta_by_order[n - 1] if n >= 2 else 1

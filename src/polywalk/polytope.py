@@ -9,8 +9,13 @@ Row indices are 0-based everywhere.  Three tolerances govern the geometry,
 each a module constant read at call time, with no per-call override:
 
 * ``TIGHT_TOL``  -- |a_i.x - b_i| at or below this counts the row as tight,
-* ``DIR_TOL``    -- a_j.d must exceed this for row j to stop a ray,
+* ``DIR_TOL``    -- a_j.d must exceed this for row j to stop a ray, and an
+  epsilon-coefficient of the lexicographic rule within it of 0 counts as 0,
 * ``POINT_TOL``  -- points closer than this (max-norm) are the same vertex.
+
+Every instance is walked as given: a degenerate vertex is never perturbed
+numerically, and :mod:`polywalk.shadow` breaks its ties by the lexicographic
+rule on the symbolic right-hand side b + (eps, eps**2, ..., eps**m).
 
 Enumerations run on stacked arrays.  :func:`feasible_subsets` solves each
 chunk of row subsets as one stack; :func:`vertex_graph` runs the ratio tests
@@ -33,7 +38,6 @@ from .errors import (
     CapExceeded,
     Disconnected,
     Infeasible,
-    MappingFailed,
     NonIntegerEntry,
     NotAVertex,
     Singular,
@@ -101,16 +105,6 @@ class VertexWithBasis:
     x: np.ndarray
     basis: tuple[int, ...]
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class PerturbationRecord:
-    """What :func:`perturb` did to the right-hand side, for reproducibility."""
-
-    original_b: np.ndarray
-    perturbed_b: np.ndarray
-    magnitude: float
-    seed: int
 
 
 def build_instance(A, b, *, name: str = "", integral: bool | None = None,
@@ -218,17 +212,19 @@ def edge_directions(inst: Instance, v: VertexWithBasis) -> np.ndarray:
     return dirs
 
 
-def ratio_step(inst: Instance, v: VertexWithBasis, d) -> tuple[int, float]:
-    """Largest feasible step from v along d: (entering_row, step).
+def ratio_step(inst: Instance, slack: np.ndarray, d) -> tuple[int, float]:
+    """Largest feasible step along d: (entering_row, step).
 
-    Only rows with a_j.d > ``DIR_TOL`` can stop the ray; ties go to the
-    smallest row index.  Raises :class:`Unbounded` when no row does.
+    ``slack`` is :meth:`Instance.slack` at the point the ray leaves, which
+    the caller already holds; it is used as given, not re-validated.  Only
+    rows with a_j.d > ``DIR_TOL`` can stop the ray; ties go to the smallest
+    row index.  Raises :class:`Unbounded` when no row does.
     """
     denom = inst.A @ linalg.as_vector(d)
     movers = np.flatnonzero(denom > DIR_TOL)
     if movers.size == 0:
         raise Unbounded("the polytope is unbounded along this direction")
-    steps = inst.slack(v.x)[movers] / denom[movers]
+    steps = slack[movers] / denom[movers]
     best = int(np.argmin(steps))
     return int(movers[best]), float(max(steps[best], 0.0))
 
@@ -421,96 +417,3 @@ def bfs_distance(inst: Instance, s, t, *, graph=None) -> int:
     if dist < 0:
         raise Disconnected("no path between the requested vertices")
     return dist
-
-
-def perturb(inst: Instance, magnitude: float, seed: int) -> tuple[Instance, PerturbationRecord]:
-    """Push every facet outward by an independent draw from (0, magnitude].
-
-    Returns the perturbed instance plus a record of what was done.  The
-    polytope only grows (b increases), so original points stay feasible; with
-    probability one, the perturbed polytope has no degenerate vertex.
-    """
-    if not magnitude > 0.0:
-        raise ValueError("perturbation magnitude must be positive")
-    rng = np.random.default_rng(seed)
-    noise = magnitude * (1.0 - rng.random(inst.m))
-    new_b = inst.b + noise
-    perturbed = build_instance(inst.A, new_b, name=f"{inst.name}~perturbed",
-                               integral=False)
-    record = PerturbationRecord(original_b=inst.b, perturbed_b=perturbed.b,
-                                magnitude=float(magnitude), seed=int(seed))
-    return perturbed, record
-
-
-def _map_back(original: Instance, path: Sequence[VertexWithBasis]
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbed vertices re-solved through their bases against the original b.
-
-    One :func:`linalg.solve_stack` over every basis of ``path``, then one
-    stacked slack.  Returns the points ``(k, n)`` and their slacks ``(k, m)``
-    on the original polytope.  Raises :class:`MappingFailed` at the first
-    vertex, in path order, whose basis is :class:`Singular` on the original
-    rows or whose point leaves the original polytope.
-    """
-    n = original.n
-    bases = np.array([v.basis for v in path], dtype=np.intp).reshape(len(path), n)
-    ok, out = linalg.solve_stack(original.A[bases], original.b[bases][:, :, None])
-    points = out[:, :, n]
-    slack = original.b - points @ original.A.T
-    good = ok.copy()
-    good[ok] = slack.min(axis=1) >= -TIGHT_TOL
-    if not good.all():
-        i = int(np.argmin(good))
-        if not ok[i]:
-            raise MappingFailed(f"basis of path vertex {i} is singular on the original rows")
-        row = slack[np.count_nonzero(ok[:i])]
-        worst = int(np.argmin(row))
-        raise MappingFailed(f"collapsed point of path vertex {i} violates row {worst} "
-                            f"by {-row[worst]:.3e}")
-    return points, slack
-
-
-def map_to_original(original: Instance, v: VertexWithBasis) -> np.ndarray:
-    """Solve v's basis system against the original right-hand side.
-
-    This is the collapse step for perturbed walks: the basis rows pin the
-    original-polytope point the perturbed vertex came from.  Raises
-    :class:`MappingFailed` when the basis is singular on the original rows or
-    the point leaves the original polytope.  :func:`collapse_steps` runs the
-    same solve for a whole path at once.
-    """
-    return _map_back(original, [v])[0][0]
-
-
-def collapse_steps(original: Instance, perturbed_path: Sequence[VertexWithBasis]
-                   ) -> list[tuple[int, VertexWithBasis]]:
-    """Map a perturbed walk back and merge consecutive duplicates.
-
-    Every path vertex is collapsed through its basis, all in one stacked
-    solve; runs of perturbed vertices that land within ``POINT_TOL`` of the
-    last kept point (several perturbed vertices standing in for one
-    degenerate original vertex) keep only their first.  Returns, per kept
-    vertex, its path index and the original vertex: a read-only point, the
-    perturbed vertex's basis, and whether more than n original rows are
-    tight there.
-    """
-    points, slack = _map_back(original, perturbed_path)
-    degenerate = np.count_nonzero(np.abs(slack) <= TIGHT_TOL, axis=1) > original.n
-    kept: list[tuple[int, VertexWithBasis]] = []
-    for i, (pv, x) in enumerate(zip(perturbed_path, points)):
-        if not kept or float(np.max(np.abs(x - kept[-1][1].x))) > POINT_TOL:
-            frozen = x.copy()
-            frozen.flags.writeable = False
-            kept.append((i, VertexWithBasis(x=frozen, basis=pv.basis,
-                                            degenerate=bool(degenerate[i]))))
-    return kept
-
-
-def collapse_path(original: Instance, perturbed_path: Sequence[VertexWithBasis]
-                  ) -> list[np.ndarray]:
-    """Map a walk on a perturbed instance back to the original polytope.
-
-    The points of :func:`collapse_steps`; an empty path collapses to an
-    empty walk.
-    """
-    return [v.x for _, v in collapse_steps(original, perturbed_path)]

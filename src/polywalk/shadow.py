@@ -10,10 +10,16 @@ among the edges improving the second coordinate, the one with the largest
 slope in the projection plane.  Slopes are positive and strictly decrease,
 which is also the invariant the walk enforces step by step.
 
-Degenerate vertices (more than n tight rows) break the pivot bookkeeping, so
-:func:`find_path` reroutes such cases through a tiny random enlargement of b,
-walks the perturbed polytope, and collapses the result back.  Numeric
-failures are handled by redrawing the objectives with the next seed.
+Degenerate vertices (more than n tight rows) are walked on the symbolic
+right-hand side b + (eps, eps**2, ..., eps**m), which makes the polytope
+simple for every small eps > 0 (Dantzig, Orden & Wolfe, 1955).  The paper
+randomises only the objectives and assumes only that the polytope walked is
+simple, so this perturbation serves as well as a random one, and no
+perturbed instance is ever built.  A degenerate endpoint stands for its
+first lexicographically feasible basis; a tie in the ratio test goes to the
+row the ray meets first on the perturbed polytope; and a pivot that moves
+nowhere on the original polytope is merged into the vertex it leaves.
+Numeric failures are handled by redrawing the objectives with the next seed.
 """
 
 from __future__ import annotations
@@ -25,12 +31,10 @@ import numpy as np
 
 from . import jsontext, linalg
 from .errors import (
-    DegenerateVertex,
     InfeasibleStep,
     LeftwardEdge,
-    MappingFailed,
     NonMonotoneSlopes,
-    PerturbationFailed,
+    NotAVertex,
     RetriesExhausted,
     Singular,
     StalledWalk,
@@ -42,15 +46,13 @@ from .errors import (
     WalkFailure,
 )
 from .polytope import (
+    DIR_TOL,
     POINT_TOL,
     TIGHT_TOL,
     Instance,
-    PerturbationRecord,
     VertexWithBasis,
-    collapse_steps,
     edge_directions,
     feasible_subsets,
-    perturb,
     ratio_step,
     tight_rows,
     verify_vertex,
@@ -61,11 +63,6 @@ SLOPE_TOL = 1e-12
 SLOPE_GAP_TOL = 1e-12
 
 MAX_ATTEMPTS = 16
-
-PERTURB_SCALE = 1e-5
-MAGNITUDE_FLOOR = 1e-7
-# Representative distances this close (relative) to the best are ties.
-DIST_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,17 @@ class ObjectivePair:
 
 
 @dataclass(frozen=True)
+class PerturbationRecord:
+    """Marks a walk that met a degenerate vertex, endpoints included.
+
+    Such a walk ran on the symbolic right-hand side b + (eps, ..., eps**m)
+    by the lexicographic rule; ``seed`` is the draw of its objectives.
+    """
+
+    seed: int
+
+
+@dataclass(frozen=True)
 class SlopeGapDiagnostic:
     """Smallest gap between consecutive slopes and where it occurs."""
 
@@ -102,8 +110,8 @@ class ShadowPath:
     ``slopes`` has one entry per traversed edge, ``projections`` one (xi,
     eta) pair per vertex (empty for a zero-length path, which samples no
     objectives), ``pivot_trace`` one (leaving_row, entering_row, step) triple
-    per edge.  ``status`` is "Completed", "Perturbed+Completed" or
-    "Failed(...)".
+    per edge.  ``status`` is "Completed", "Perturbed+Completed" (the walk
+    met a degenerate vertex, and ``perturbation`` is set) or "Failed(...)".
     """
 
     vertices: tuple[VertexWithBasis, ...]
@@ -130,9 +138,6 @@ class ShadowPath:
             "slopes": [float(s) for s in self.slopes],
             "projections": [[float(a), float(b)] for a, b in self.projections],
             "perturbation": None if self.perturbation is None else {
-                "original_b": [float(v) for v in self.perturbation.original_b],
-                "perturbed_b": [float(v) for v in self.perturbation.perturbed_b],
-                "magnitude": float(self.perturbation.magnitude),
                 "seed": int(self.perturbation.seed),
             },
         }
@@ -144,11 +149,11 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     """Draw the two endpoint objectives from the seeded generator.
 
     Weights are 1 - U with U uniform on [0, 1), so they land in (0, 1]; lam
-    is drawn before mu.  Requires both endpoints non-degenerate (perturb
-    first otherwise).
+    is drawn before mu.  The rows are the endpoints' bases: at a degenerate
+    vertex, the lexicographically feasible basis :func:`find_path` walks
+    from, so the endpoint optimizes its objective uniquely on the perturbed
+    polytope as well.
     """
-    if v1.degenerate or v2.degenerate:
-        raise DegenerateVertex("sample_objectives needs non-degenerate endpoints")
     rng = np.random.default_rng(seed)
     lam = 1.0 - rng.random(inst.n)
     mu = 1.0 - rng.random(inst.n)
@@ -191,19 +196,23 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
 
     At each vertex the candidate edges are those gaining on the second
     projection axis; the walk takes the candidate with the largest slope
-    (ties to the smallest leaving row).  Termination is by basis-set match
-    with the target, with a point-proximity fallback; the walk gives up
-    after :func:`default_max_steps` pivots.  Raises a
-    :class:`WalkFailure` subtype on numeric trouble and
-    :class:`DegenerateVertex` when it runs into a vertex with extra tight
-    rows.
+    (ties to the smallest leaving row).  A pivot that lands on a degenerate
+    vertex takes its entering row from :func:`_lex_entering`, so from a
+    lexicographically feasible start basis every basis visited is one; a
+    pivot whose entering row was already tight moves nowhere and is merged
+    into the vertex it leaves, which keeps the slope and pivot of the step
+    that reached it.  Termination is by basis-set match with the target,
+    with a point-proximity fallback; the walk gives up after
+    :func:`default_max_steps` pivots.  A walk that meets a degenerate
+    vertex, endpoints included, is "Perturbed+Completed".  Raises a
+    :class:`WalkFailure` subtype on numeric trouble.
     """
-    if start.degenerate or target.degenerate:
-        raise DegenerateVertex("walk needs non-degenerate endpoints")
     limit = default_max_steps(inst)
     target_basis = set(target.basis)
+    met_degenerate = start.degenerate or target.degenerate
 
     current = start
+    slack = inst.slack(start.x)
     vertices = [start]
     slopes: list[float] = []
     projections = [project(pair, start.x)]
@@ -215,7 +224,10 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 np.abs(current.x - target.x).max() <= POINT_TOL:
             return ShadowPath(vertices=tuple(vertices), slopes=tuple(slopes),
                               projections=tuple(projections), pivot_trace=tuple(trace),
-                              status="Completed", seed=pair.seed, objective=pair)
+                              status="Perturbed+Completed" if met_degenerate else "Completed",
+                              seed=pair.seed, objective=pair,
+                              perturbation=PerturbationRecord(pair.seed) if met_degenerate
+                              else None)
 
         try:
             directions = edge_directions(inst, current)
@@ -239,32 +251,83 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
 
+        d = directions[candidates[best]]
         try:
-            entering, step = ratio_step(inst, current, directions[candidates[best]])
+            entering, step = ratio_step(inst, slack, d)
         except Unbounded as exc:
             raise UnboundedShadow(str(exc)) from exc
 
-        new_basis = tuple(sorted(set(current.basis) - {leaving} | {entering}))
-        try:
-            x_new = linalg.solve(inst.A[list(new_basis)], inst.b[list(new_basis)])
-        except Singular as exc:
-            raise InfeasibleStep(f"pivot to basis {new_basis} is singular") from exc
-        slack = inst.slack(x_new)
-        worst = int(slack.argmin())
-        if slack[worst] < -TIGHT_TOL:
-            raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
-        if np.count_nonzero(np.abs(slack) <= TIGHT_TOL) > inst.n:
-            raise DegenerateVertex(
-                f"walk reached a degenerate vertex (basis {new_basis})")
-
-        current = VertexWithBasis(x=x_new, basis=new_basis)
-        vertices.append(current)
-        slopes.append(edge_slope)
-        projections.append(project(pair, x_new))
-        trace.append((leaving, entering, step))
+        staying = set(current.basis) - {leaving}
+        new_basis = tuple(sorted(staying | {entering}))
+        x_new, new_slack = _basic_point(inst, new_basis)
+        tight = np.abs(new_slack) <= TIGHT_TOL
+        landed_degenerate = np.count_nonzero(tight) > inst.n
+        if landed_degenerate:
+            met_degenerate = True
+            lex = _lex_entering(inst, current.basis, directions, d, np.flatnonzero(tight))
+            if lex != entering:
+                entering = lex
+                new_basis = tuple(sorted(staying | {entering}))
+                x_new, new_slack = _basic_point(inst, new_basis)
+        moved = not current.degenerate or slack[entering] > TIGHT_TOL
+        slack = new_slack
+        current = VertexWithBasis(x=x_new, basis=new_basis, degenerate=landed_degenerate)
+        if moved:
+            vertices.append(current)
+            slopes.append(edge_slope)
+            projections.append(project(pair, x_new))
+            trace.append((leaving, entering, step))
         prev_slope = edge_slope
 
     raise StepLimit(f"no termination within {limit} steps")
+
+
+def _basic_point(inst: Instance, basis: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The point of a pivot's new basis and its slack.
+
+    Raises :class:`InfeasibleStep` when the basis is singular or its point
+    leaves the polytope.
+    """
+    rows = list(basis)
+    try:
+        x = linalg.solve(inst.A[rows], inst.b[rows])
+    except Singular as exc:
+        raise InfeasibleStep(f"pivot to basis {basis} is singular") from exc
+    slack = inst.slack(x)
+    worst = int(slack.argmin())
+    if slack[worst] < -TIGHT_TOL:
+        raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
+    return x, slack
+
+
+def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray,
+                  d: np.ndarray, tight: np.ndarray) -> int:
+    """Entering row of a pivot along d that lands on a degenerate vertex.
+
+    The ratio test ties between the movers (a_j.d > ``DIR_TOL``) among the
+    rows ``tight`` at the new point.  On b + (eps, ..., eps**m) the slack of
+    row j at the current basis B gains e_j - a_j B^-1 E_B in eps, and
+    -a_j B^-1 e_k is a_j.d_k for the edge direction d_k relaxing basis row
+    k, so these coefficients come from ``directions``.  The ray meets first
+    the row whose coefficients divided by a_j.d are lexicographically
+    smallest in row order; entries within ``DIR_TOL`` of each other are
+    equal.
+    """
+    rates = inst.A[tight] @ d
+    movers = rates > DIR_TOL
+    ties, rates = tight[movers], rates[movers]
+    if ties.size == 1:
+        return int(ties[0])
+    coef = np.zeros((ties.size, inst.m))
+    coef[:, list(basis)] = (inst.A[ties] @ directions.T) / rates[:, None]
+    coef[np.arange(ties.size), ties] = 1.0 / rates
+    alive = np.arange(ties.size)
+    for col in sorted(set(basis).union(ties.tolist())):
+        column = coef[alive, col]
+        alive = alive[column <= column.min() + DIR_TOL]
+        if alive.size == 1:
+            break
+    return int(ties[alive[0]])
 
 
 def slope_gap(path: ShadowPath) -> SlopeGapDiagnostic:
@@ -280,85 +343,27 @@ def slope_gap(path: ShadowPath) -> SlopeGapDiagnostic:
     return SlopeGapDiagnostic(min_gap=float(gaps[k]), attained_at=(k, k + 1))
 
 
-def _default_magnitude(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis) -> float:
-    """Perturbation size: well below the endpoint slacks, well above TIGHT_TOL.
+def _lex_basis(inst: Instance, v: VertexWithBasis) -> VertexWithBasis:
+    """The basis a walk uses at the degenerate vertex v.
 
-    The scale has to separate two regimes.  It must stay far under the
-    smallest positive slack so every perturbed vertex keeps the tight set of
-    the original vertex it splits from, and far over the tightness tolerance
-    so the perturbed slacks never read as spuriously tight.  Collapse
-    accuracy does not constrain it: mapped vertices are re-solved against the
-    original right-hand side exactly.
+    The first n-subset of v's tight rows, in combinations order, that is
+    nonsingular and lexicographically feasible: its point stays in the
+    polytope for b + (eps, ..., eps**m) and every small eps > 0.  That
+    holds when, for every tight row j, the eps-coefficients of j's slack,
+    e_j - a_j B^-1 placed on the basis rows, have a positive first entry
+    in row order, entries within ``DIR_TOL`` of 0 counting as 0.  The basis
+    depends on the vertex alone.
     """
-    slacks = np.concatenate([inst.slack(v1.x), inst.slack(v2.x)])
-    positive = slacks[slacks > TIGHT_TOL]
-    if positive.size == 0:
-        return max(PERTURB_SCALE * (1.0 + float(np.max(np.abs(inst.b)))),
-                   MAGNITUDE_FLOOR)
-    return max(PERTURB_SCALE * float(np.min(positive)), MAGNITUDE_FLOOR)
-
-
-def _representative(perturbed: Instance, original: Instance,
-                    v: VertexWithBasis) -> VertexWithBasis:
-    """Nearest perturbed vertex whose tight set sits inside v's tight set.
-
-    The perturbation splits a degenerate vertex into an equivalence class of
-    perturbed vertices; any basis drawn from the original tight rows that is
-    feasible on the perturbed polytope identifies a member.  The closest one
-    is the class representative used as a walk endpoint; distances within
-    ``DIST_TIE_RTOL`` of each other tie, and the first subset in
-    combinations order wins, so rounding noise cannot pick the route.
-
-    The stacked solve gives the point and basis; raises
-    :class:`PerturbationFailed` unless exactly the basis rows are tight
-    there, they have full rank, and every other row's slack exceeds
-    10 ``TIGHT_TOL``.  With exactly n tight rows this one rank test is
-    :func:`verify_vertex`'s prefix loop, since a subset of rows has no
-    smaller ratio of extreme singular values than the whole basis.
-    """
-    tight = tight_rows(original, v.x)
-    subsets, out, _ = feasible_subsets(perturbed, tight)
-    best: tuple[float, int] | None = None
-    for k, dist in enumerate(np.abs(out[:, :, -1] - v.x).max(axis=1).tolist()):
-        if best is None or dist < best[0] * (1.0 - DIST_TIE_RTOL):
-            best = (dist, k)
-    if best is None:
-        raise PerturbationFailed(
-            f"no feasible basis from the {len(tight)} tight rows survives perturbation")
-    basis = subsets[best[1]]
-    x = out[best[1], :, -1].copy()
-    x.flags.writeable = False
-    slack = perturbed.slack(x)
-    is_tight = np.abs(slack) <= TIGHT_TOL
-    if np.count_nonzero(is_tight) > perturbed.n:
-        raise PerturbationFailed("representative vertex is still degenerate")
-    if not is_tight[basis].all():
-        raise PerturbationFailed("representative's tight rows are not its basis")
-    if linalg.rank(perturbed.A[basis]) < perturbed.n:
-        raise PerturbationFailed("representative's basis rows are numerically dependent")
-    if float(slack[~is_tight].min(initial=np.inf)) <= 10.0 * TIGHT_TOL:
-        raise PerturbationFailed("representative tightness is not cleanly separated")
-    return VertexWithBasis(x=x, basis=tuple(basis.tolist()))
-
-
-def _collapse_result(original: Instance, tilde_path: ShadowPath,
-                     record: PerturbationRecord, seed: int, retries: int) -> ShadowPath:
-    """Map a completed perturbed walk back onto the original polytope.
-
-    Consecutive perturbed vertices that collapse to one original vertex are
-    merged; each surviving step keeps the slope and pivot of the perturbed
-    edge that crossed between the merged groups.
-    """
-    kept = collapse_steps(original, tilde_path.vertices)
-    vertices = tuple(v for _, v in kept)
-    pair = tilde_path.objective
-    slopes = tuple(tilde_path.slopes[j - 1] for j, _ in kept[1:])
-    trace = tuple(tilde_path.pivot_trace[j - 1] for j, _ in kept[1:])
-    projections = tuple(project(pair, v.x) for v in vertices)
-    return ShadowPath(vertices=vertices, slopes=slopes,
-                      projections=projections, pivot_trace=trace,
-                      status="Perturbed+Completed", seed=seed, retries=retries,
-                      perturbation=record, objective=pair)
+    tight = np.array(tight_rows(inst, v.x))
+    subsets, out, _ = feasible_subsets(inst, tight)
+    coef = -(inst.A[tight] @ out[:, :, :-1])
+    # Only basis rows before j come before j's own coefficient, which is 1.
+    lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < tight[:, None])
+    first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+    feasible = np.flatnonzero((~lead.any(axis=2) | (first > 0)).all(axis=1))
+    if feasible.size == 0:
+        raise NotAVertex(f"no basis of the {tight.size} tight rows is lexicographically feasible")
+    return VertexWithBasis(x=v.x, basis=tuple(subsets[feasible[0]].tolist()), degenerate=True)
 
 
 @dataclass(frozen=True)
@@ -367,15 +372,14 @@ class _Endpoints:
 
     No seed changes any of this, so :func:`find_path` keeps the last record
     it built on the instance and repeated walks between the same two points
-    verify them once.  ``magnitude`` is the default perturbation size.  The
-    record holds no reference to its instance, so the memo never keeps an
-    instance alive.
+    verify them once.  A degenerate endpoint carries its
+    :func:`_lex_basis`.  The record holds no reference to its instance, so
+    the memo never keeps an instance alive.
     """
 
     v1: VertexWithBasis
     v2: VertexWithBasis
     same: bool
-    magnitude: float
 
 
 def _attempts(inst: Instance, ends: _Endpoints, seed: int) -> ShadowPath:
@@ -386,34 +390,13 @@ def _attempts(inst: Instance, ends: _Endpoints, seed: int) -> ShadowPath:
                           pivot_trace=(), status="Completed", seed=int(seed))
 
     reasons: list[str] = []
-    perturbing = v1.degenerate or v2.degenerate
-    magnitude = ends.magnitude
     for attempt in range(MAX_ATTEMPTS):
-        attempt_seed = seed + attempt
         try:
-            if not perturbing:
-                pair = sample_objectives(inst, v1, v2, attempt_seed)
-                path = walk(inst, v1, v2, pair)
-                return replace(path, seed=int(seed), retries=attempt)
-            perturbed, record = perturb(inst, magnitude, attempt_seed)
-            r1 = _representative(perturbed, inst, v1)
-            r2 = _representative(perturbed, inst, v2)
-            pair = sample_objectives(perturbed, r1, r2, attempt_seed)
-            tilde_path = walk(perturbed, r1, r2, pair)
-            return _collapse_result(inst, tilde_path, record, int(seed), attempt)
-        except DegenerateVertex:
-            reasons.append("DegenerateVertex")
-            perturbing = True
+            pair = sample_objectives(inst, v1, v2, seed + attempt)
+            path = walk(inst, v1, v2, pair)
+            return replace(path, seed=int(seed), retries=attempt)
         except WalkFailure as exc:
             reasons.append(type(exc).__name__)
-        except PerturbationFailed as exc:
-            # A murky representative wants a fresh draw, not a smaller
-            # magnitude: shrinking only pushes slacks toward the tightness
-            # tolerance and makes the ambiguity worse.
-            reasons.append(type(exc).__name__)
-        except MappingFailed as exc:
-            reasons.append(type(exc).__name__)
-            magnitude = max(0.1 * magnitude, MAGNITUDE_FLOOR)
 
     failed = ShadowPath(vertices=(v1,), slopes=(), projections=(),
                         pivot_trace=(), status=f"Failed({';'.join(reasons)})",
@@ -424,26 +407,25 @@ def _attempts(inst: Instance, ends: _Endpoints, seed: int) -> ShadowPath:
 
 
 def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
-    """Short edge path between two vertices, with retries and perturbation.
+    """Short edge path between two vertices, with retries.
 
     Verifies the endpoints, then walks with objectives drawn from ``seed``.
     The instance keeps the last verified endpoint pair, keyed by the bytes
     of both points, so a later call between the same points (any seed)
-    skips the verification; a failed verification is never kept.  Numeric
-    walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS`` draws).
-    Degenerate endpoints, or a degenerate vertex discovered mid-walk, switch
-    to the perturbed pipeline: enlarge b slightly, walk there, collapse the
-    result back.  Raises :class:`RetriesExhausted` with the collected
-    failure reasons when every attempt fails.
+    skips the verification; a failed verification is never kept.  A
+    degenerate endpoint is walked from its :func:`_lex_basis`.  Numeric
+    walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS`` draws); raises
+    :class:`RetriesExhausted` with the collected failure reasons when every
+    attempt fails.
     """
     key = (linalg.as_vector(x1).tobytes(), linalg.as_vector(x2).tobytes())
     memo = inst._endpoint_memo
     if memo is None or memo[0] != key:
         v1 = verify_vertex(inst, x1)
         v2 = verify_vertex(inst, x2)
-        memo = (key, _Endpoints(v1=v1, v2=v2,
-                                same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL,
-                                magnitude=_default_magnitude(inst, v1, v2)))
+        memo = (key, _Endpoints(v1=_lex_basis(inst, v1) if v1.degenerate else v1,
+                                v2=_lex_basis(inst, v2) if v2.degenerate else v2,
+                                same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL))
         # Instance is frozen; the memo is its one private, mutable slot.
         object.__setattr__(inst, "_endpoint_memo", memo)
     return _attempts(inst, memo[1], seed)

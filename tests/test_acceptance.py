@@ -28,14 +28,12 @@ from polywalk.instances import (
 from polywalk.polytope import (
     bfs_distance,
     build_instance,
-    collapse_path,
-    perturb,
     tight_rows,
     verify_vertex,
     vertex_graph,
 )
 from polywalk.shadow import (
-    _representative,
+    _lex_basis,
     find_path,
     sample_objectives,
     slope_gap,
@@ -350,25 +348,27 @@ def test_criterion_09_degeneracy_pipeline():
     pyramid = gen_degenerate_pyramid()
     apex = np.array([0.0, 0.0, 1.0])
     path = find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
-    assert path.status == "Perturbed+Completed"
+    assert path.status == "Perturbed+Completed" and path.retries == 0
     assert float(np.max(np.abs(path.vertices[-1].x - apex))) <= 1e-9
 
-    # Drive the collapse helper directly on a perturbed walk as well.
+    # Drive the pipeline's pieces directly: the apex stands for its first
+    # lexicographically feasible basis, and the walk runs on the original
+    # instance, with no perturbed copy and nothing to map back.
     v1 = verify_vertex(pyramid, pyramid.x1)
-    v2 = verify_vertex(pyramid, pyramid.x2)
-    perturbed, _ = perturb(pyramid, 1e-5, seed=0)
-    r1 = _representative(perturbed, pyramid, v1)
-    r2 = _representative(perturbed, pyramid, v2)
-    tilde = walk(perturbed, r1, r2, sample_objectives(perturbed, r1, r2, 0))
-    collapsed = collapse_path(pyramid, list(tilde.vertices))
-    assert float(np.max(np.abs(collapsed[-1] - apex))) <= 1e-9
-    for x in collapsed:
+    r2 = _lex_basis(pyramid, verify_vertex(pyramid, pyramid.x2))
+    assert not v1.degenerate and r2.degenerate
+    walked = walk(pyramid, v1, r2, sample_objectives(pyramid, v1, r2, 0))
+    assert walked.to_json() == path.to_json()
+    points = [v.x for v in walked.vertices]
+    assert float(np.max(np.abs(points[-1] - apex))) <= 1e-9
+    for x in points:
         assert float(np.min(pyramid.slack(x))) >= -1e-7
-    for a, c in zip(collapsed, collapsed[1:]):
+    for a, c in zip(points, points[1:]):
         assert float(np.max(np.abs(a - c))) > 1e-7
         shared = set(tight_rows(pyramid, a)) & set(tight_rows(pyramid, c))
         assert len(shared) >= pyramid.n - 1
-    _report(9, True, f"collapsed walk has {len(collapsed) - 1} step(s), "
+    assert all(s1 > s2 for s1, s2 in zip(walked.slopes, walked.slopes[1:]))
+    _report(9, True, f"lexicographic walk has {walked.length} step(s), "
                      "feasible, duplicate-free, ends at apex")
 
 

@@ -2,7 +2,7 @@
 exact sub-determinant bounds."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import numpy.testing as npt
@@ -256,6 +256,48 @@ def test_subdet_report_same_across_chunk_boundaries(monkeypatch):
     default = [subdet_report(mat) for mat in mats]
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
     assert [subdet_report(mat) for mat in mats] == default
+
+
+def _float_minors_by_order(mat):
+    """Largest |minor| of every order from stacked float determinants over
+    itertools.product of the row and column subsets, rounded: exact for the
+    small entries of the corpus matrices."""
+    entries = np.array(mat, dtype=float)
+    m, n = entries.shape
+    by_order = {}
+    for k in range(1, min(m, n) + 1):
+        pairs = np.array([r + c for r, c in product(combinations(range(m), k),
+                                                   combinations(range(n), k))])
+        minors = entries[pairs[:, :k, None], pairs[:, None, k:]]
+        by_order[k] = int(np.max(np.abs(np.round(np.linalg.det(minors)))))
+    return by_order
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_subdet_report_every_order_on_the_integral_corpus(chunk, monkeypatch):
+    # Every integral instance of the acceptance corpus; the largest minor of
+    # each order is read off the determinant stacks subdet_report computes.
+    insts = [gen(n) for n in (3, 4, 5, 6) for gen in (gen_hypercube, gen_simplex)]
+    insts += [gen_transportation(p, q, s)
+              for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
+    if chunk is not None:
+        monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
+    real = linalg_mod.int_determinants
+    seen = {}
+
+    def recording(minors):
+        dets = real(minors)
+        k = minors.shape[-1]
+        seen[k] = max(seen.get(k, 0), int(np.max(np.abs(dets))))
+        return dets
+
+    monkeypatch.setattr(linalg_mod, "int_determinants", recording)
+    for inst in insts:
+        seen.clear()
+        report = subdet_report(inst.int_A)
+        expected = _float_minors_by_order(inst.int_A)
+        assert seen == expected
+        assert report.Delta == max(expected.values())
 
 
 def _check_basis_minors(mat):

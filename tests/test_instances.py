@@ -112,8 +112,9 @@ def test_random_sphere_simple_bounded_and_farthest(n):
             verts, adjacency = vertex_graph(inst)
             for v in verts:
                 assert len(tight_rows(inst, v.x)) == n
+                slack = inst.slack(v.x)
                 for _, d in zip(v.basis, edge_directions(inst, v)):
-                    ratio_step(inst, v, d)  # raises Unbounded on a ray
+                    ratio_step(inst, slack, d)  # raises Unbounded on a ray
             x1, x2 = farthest_vertex_pair(inst)
             assert x1.tobytes() == inst.x1.tobytes() and x2.tobytes() == inst.x2.tobytes()
             dist = _hop_distances(adjacency)

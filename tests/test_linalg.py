@@ -54,7 +54,7 @@ _BOUNDARY_CALLS = {
     "solve-rhs": (lambda v: solve(np.eye(2), v), "vector"),
     "inverse": (inverse, "matrix"),
     "rank": (rank, "matrix"),
-    "ratio_step": (lambda v: ratio_step(_SQUARE, _CORNER, v), "vector"),
+    "ratio_step": (lambda v: ratio_step(_SQUARE, _SQUARE.slack(_CORNER.x), v), "vector"),
     "slack": (_SQUARE.slack, "vector"),
     "project": (lambda v: project(_PAIR, v), "vector"),
     "slope-src": (lambda v: slope(_PAIR, v, [1.0, 1.0]), "vector"),

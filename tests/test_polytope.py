@@ -1,4 +1,4 @@
-"""Polytope geometry: tight sets, vertices, edges, BFS oracle, perturbation."""
+"""Polytope geometry: tight sets, vertices, edges, ratio test, BFS oracle."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,13 +7,10 @@ import pytest
 import polywalk.instances as instances_mod
 import polywalk.linalg as linalg_mod
 import polywalk.polytope as polytope_mod
-import polywalk.shadow as shadow_mod
 from polywalk.errors import (
     Disconnected,
     Infeasible,
-    MappingFailed,
     NotAVertex,
-    PolywalkError,
     Unbounded,
 )
 from polywalk.instances import (
@@ -29,19 +26,13 @@ from polywalk.instances import (
 )
 from polywalk.polytope import (
     POINT_TOL,
-    TIGHT_TOL,
-    VertexWithBasis,
     bfs_distance,
     build_instance,
-    collapse_path,
-    collapse_steps,
     edge_directions,
     enumerate_vertices,
     feasible_bases,
     feasible_subsets,
     graph_distances,
-    map_to_original,
-    perturb,
     ratio_step,
     tight_rows,
     verify_vertex,
@@ -112,7 +103,7 @@ def test_edge_directions_are_stacked_inverse_columns(make):
 
 def test_ratio_step_simplex_origin(simplex3):
     v = verify_vertex(simplex3, [0.0, 0.0, 0.0])
-    entering, step = ratio_step(simplex3, v, [1.0, 0.0, 0.0])
+    entering, step = ratio_step(simplex3, simplex3.slack(v.x), [1.0, 0.0, 0.0])
     assert entering == 3  # the sum row comes in
     npt.assert_allclose(step, 1.0, atol=1e-12)
 
@@ -121,7 +112,7 @@ def test_ratio_step_unbounded():
     wedge = build_instance([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
     v = verify_vertex(wedge, [0.0, 0.0])
     with pytest.raises(Unbounded):
-        ratio_step(wedge, v, [1.0, 1.0])
+        ratio_step(wedge, wedge.slack(v.x), [1.0, 1.0])
 
 
 def test_enumerate_vertices_counts(cube3, simplex3, cut_cube3):
@@ -165,44 +156,6 @@ def test_bfs_accepts_prebuilt_graph(cube3):
     graph = vertex_graph(cube3)
     d = bfs_distance(cube3, [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], graph=graph)
     assert d == 2
-
-
-def test_perturb_grows_polytope(cube3):
-    pert, rec = perturb(cube3, 1e-4, seed=5)
-    assert np.all(pert.b > cube3.b)
-    assert np.all(pert.b <= cube3.b + 1e-4 + 1e-15)
-    assert rec.magnitude == 1e-4 and rec.seed == 5
-    # Every original vertex stays feasible, and every perturbed vertex stays
-    # within the perturbation scale of an original one.
-    originals = enumerate_vertices(cube3)
-    for v in enumerate_vertices(pert):
-        assert float(np.min(pert.slack(v.x))) >= -1e-9
-        dist = min(float(np.max(np.abs(v.x - o.x))) for o in originals)
-        assert dist <= 2e-4
-
-
-def test_perturb_determinism(cube3):
-    p1, _ = perturb(cube3, 1e-5, seed=9)
-    p2, _ = perturb(cube3, 1e-5, seed=9)
-    npt.assert_array_equal(p1.b, p2.b)
-
-
-def test_map_to_original_recovers_corner(cube3):
-    pert, _ = perturb(cube3, 1e-5, seed=1)
-    for v in enumerate_vertices(pert):
-        mapped = map_to_original(cube3, v)
-        # Each perturbed vertex solves back to the exact original corner.
-        npt.assert_allclose(mapped, np.round(mapped), atol=1e-12)
-
-
-def test_collapse_path_merges_duplicates(cube3):
-    pert, _ = perturb(cube3, 1e-5, seed=2)
-    walk = [verify_vertex(pert, v.x) for v in enumerate_vertices(pert)]
-    # Order the perturbed vertices so the first two map to the same corner.
-    mapped = [tuple(np.round(map_to_original(cube3, v), 6)) for v in walk]
-    assert len(set(mapped)) == 8
-    collapsed = collapse_path(cube3, [walk[0], walk[0], walk[1]])
-    assert len(collapsed) == 2
 
 
 def test_simplex_vertices_match_unit_points():
@@ -259,67 +212,6 @@ def test_feasible_subsets_flag_every_apex_basis(pyramid):
     assert int(degenerate.sum()) == 4
     apex = [v for v in enumerate_vertices(pyramid) if v.degenerate]
     assert len(apex) == 1 and apex[0].basis == tuple(bases[degenerate][0].tolist())
-
-
-def _reference_collapse(original, path):
-    """The earlier collapse: one solve and one slack per path vertex."""
-    kept = []
-    for i, pv in enumerate(path):
-        rows = list(pv.basis)
-        x = linalg_mod.solve(original.A[rows], original.b[rows])
-        assert float(np.min(original.b - original.A @ x)) >= -TIGHT_TOL
-        if not kept or float(np.max(np.abs(x - kept[-1][1]))) > POINT_TOL:
-            kept.append((i, x, len(tight_rows(original, x)) > original.n))
-    return kept
-
-
-def test_collapse_steps_matches_per_vertex_solves():
-    insts = [gen_transportation(p, q, s)
-             for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
-    merged = walks = 0
-    for inst in insts + [gen_degenerate_pyramid()]:
-        v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
-        magnitude = shadow_mod._default_magnitude(inst, v1, v2)
-        for seed in range(20):
-            perturbed, _ = perturb(inst, magnitude, seed)
-            try:
-                r1 = shadow_mod._representative(perturbed, inst, v1)
-                r2 = shadow_mod._representative(perturbed, inst, v2)
-                pair = shadow_mod.sample_objectives(perturbed, r1, r2, seed)
-                path = shadow_mod.walk(perturbed, r1, r2, pair).vertices
-            except PolywalkError:
-                continue
-            walks += 1
-            expected = _reference_collapse(inst, path)
-            kept = collapse_steps(inst, path)
-            assert [i for i, _ in kept] == [i for i, _, _ in expected]
-            assert [v.x.tobytes() for _, v in kept] == [x.tobytes() for _, x, _ in expected]
-            assert [v.degenerate for _, v in kept] == [d for _, _, d in expected]
-            assert [v.basis for _, v in kept] == [path[i].basis for i, _, _ in expected]
-            assert all(not v.x.flags.writeable for _, v in kept)
-            for pv, (_, x, _) in zip([path[i] for i, _, _ in expected], expected):
-                assert map_to_original(inst, pv).tobytes() == x.tobytes()
-            merged += len(path) - len(kept)
-    assert walks > 200 and merged > 0
-
-
-def test_collapse_reports_first_unmappable_vertex():
-    # A square with one corner cut: rows 0 and 1 meet outside (at the cut
-    # corner), and rows 0 and 3 are parallel.
-    square = build_instance([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]],
-                            [1.0, 1.0, 1.5, 0.0, 0.0])
-    good = VertexWithBasis(x=np.zeros(2), basis=(3, 4))
-    outside = VertexWithBasis(x=np.zeros(2), basis=(0, 1))
-    parallel = VertexWithBasis(x=np.zeros(2), basis=(0, 3))
-    with pytest.raises(MappingFailed, match="singular"):
-        map_to_original(square, parallel)
-    with pytest.raises(MappingFailed, match="violates row 2"):
-        map_to_original(square, outside)
-    with pytest.raises(MappingFailed, match="path vertex 1 violates row 2"):
-        collapse_steps(square, [good, outside, parallel])
-    with pytest.raises(MappingFailed, match="path vertex 1 is singular"):
-        collapse_steps(square, [good, parallel, outside])
-    assert collapse_steps(square, []) == []
 
 
 def _reference_graph(inst):

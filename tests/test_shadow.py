@@ -1,25 +1,27 @@
-"""Shadow walks: objectives, projections, walk invariants, degeneracy route."""
+"""Shadow walks: objectives, projections, walk invariants, the lexicographic rule."""
 
 import gc
 import json
 import weakref
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import polywalk.linalg as linalg_mod
+import polywalk.polytope as polytope_mod
 import polywalk.shadow as shadow_mod
-from polywalk.cli import main
 from polywalk.errors import (
-    DegenerateVertex,
     Infeasible,
     NotAVertex,
-    PerturbationFailed,
     RetriesExhausted,
+    Singular,
     TooShort,
     VerticalEdge,
+    WalkFailure,
 )
 from polywalk.instances import (
     GeneratorSpec,
@@ -31,16 +33,14 @@ from polywalk.instances import (
     gen_simplex,
     gen_transportation,
     generate,
-    write_instance,
 )
 from polywalk.polytope import (
+    DIR_TOL,
     POINT_TOL,
     TIGHT_TOL,
     VertexWithBasis,
     build_instance,
     enumerate_vertices,
-    feasible_subsets,
-    perturb,
     ratio_step,
     tight_rows,
     verify_vertex,
@@ -48,6 +48,7 @@ from polywalk.polytope import (
 from polywalk.shadow import (
     SLOPE_TOL,
     ObjectivePair,
+    PerturbationRecord,
     ShadowPath,
     default_max_steps,
     find_path,
@@ -101,11 +102,19 @@ def test_sampled_objectives_make_endpoints_extreme():
         assert eta[order[-1]] - eta[order[-2]] > 1e-12
 
 
-def test_sample_objectives_rejects_degenerate(pyramid):
-    apex = verify_vertex(pyramid, [0.0, 0.0, 1.0])
+def test_sample_objectives_draws_from_a_degenerate_endpoints_basis(pyramid):
     base = verify_vertex(pyramid, [1.0, 1.0, 0.0])
-    with pytest.raises(DegenerateVertex):
-        sample_objectives(pyramid, base, apex, 0)
+    apex = shadow_mod._lex_basis(pyramid, verify_vertex(pyramid, [0.0, 0.0, 1.0]))
+    verts = enumerate_vertices(pyramid)
+    for seed in range(8):
+        pair = sample_objectives(pyramid, base, apex, seed)
+        reference = _reference_objectives(pyramid, base, apex, seed)
+        assert pair.w1.tobytes() == reference.w1.tobytes()
+        assert pair.w2.tobytes() == reference.w2.tobytes()
+        # The apex still maximizes w2 uniquely over the pyramid.
+        eta = sorted(float(pair.w2 @ v.x) for v in verts)
+        assert eta[-1] == pytest.approx(float(pair.w2 @ apex.x))
+        assert eta[-1] - eta[-2] > 1e-12
 
 
 def test_project_and_slope_hand_values():
@@ -149,11 +158,23 @@ def _reference_objectives(inst, v1, v2, seed):
                          u_rows=v1.basis, v_rows=v2.basis, seed=seed)
 
 
+def _lex_smaller(u, v):
+    """Whether u precedes v lexicographically, entries within DIR_TOL equal."""
+    for a, c in zip(u, v):
+        if abs(a - c) > DIR_TOL:
+            return a < c
+    return False
+
+
 def _reference_walk(inst, start, target, pair):
     """The pivot loop as first written, the byte reference for :func:`walk`.
 
     Every pivot lists the basis inverse's negated columns as (row, d) pairs,
-    restacks them for the edge choice, and solves the new basis afresh.
+    restacks them for the edge choice, and solves the new basis afresh.  At
+    a degenerate vertex, each tied row's full epsilon-coefficient vector
+    e_j - a_j B^-1 E_B is built from the inverse and divided by a_j.d, and
+    the vectors are compared pairwise; a pivot that lands within POINT_TOL
+    of the last kept vertex is merged into it.
     """
     current, vertices, slopes, trace = start, [start], [], []
     projections = [project(pair, start.x)]
@@ -169,11 +190,27 @@ def _reference_walk(inst, start, target, pair):
         edge_slopes = rises[candidates] / runs[candidates]
         best = int(np.argmax(edge_slopes))
         leaving, d = directions[int(candidates[best])]
-        entering, step = ratio_step(inst, current, d)
+        entering, step = ratio_step(inst, inst.slack(current.x), d)
         new_basis = tuple(sorted(set(current.basis) - {leaving} | {entering}))
         x_new = linalg_mod.solve(inst.A[list(new_basis)], inst.b[list(new_basis)])
+        tight = tight_rows(inst, x_new)
+        if len(tight) > inst.n:
+            def coefficients(j):
+                coef = np.zeros(inst.m)
+                coef[j] = 1.0
+                coef[list(current.basis)] -= inst.A[j] @ basis_inv
+                return coef / float(inst.A[j] @ d)
+
+            for j in tight:
+                if float(inst.A[j] @ d) > DIR_TOL and \
+                        _lex_smaller(coefficients(j), coefficients(entering)):
+                    entering = j
+            new_basis = tuple(sorted(set(current.basis) - {leaving} | {entering}))
+            x_new = linalg_mod.solve(inst.A[list(new_basis)], inst.b[list(new_basis)])
         assert float(np.min(inst.slack(x_new))) >= -TIGHT_TOL
         current = VertexWithBasis(x=x_new, basis=new_basis)
+        if float(np.max(np.abs(x_new - vertices[-1].x))) <= POINT_TOL:
+            continue
         vertices.append(current)
         slopes.append(float(edge_slopes[best]))
         projections.append(project(pair, x_new))
@@ -195,6 +232,7 @@ def _assert_walk_matches_reference(inst, v1, v2, seed):
     assert repr(path.slopes) == repr(tuple(slopes))
     assert repr(path.projections) == repr(tuple(projections))
     assert repr(path.pivot_trace) == repr(tuple(trace))
+    return path
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -212,14 +250,70 @@ def test_walk_matches_reference_on_cut_cube():
         _assert_walk_matches_reference(inst, v1, v2, seed)
 
 
-def test_walk_matches_reference_on_perturbed_transportation():
-    inst = gen_transportation(3, 3, 0)
-    v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
-    assert v1.degenerate or v2.degenerate
-    perturbed, _ = perturb(inst, shadow_mod._default_magnitude(inst, v1, v2), 0)
-    r1 = shadow_mod._representative(perturbed, inst, v1)
-    r2 = shadow_mod._representative(perturbed, inst, v2)
-    _assert_walk_matches_reference(perturbed, r1, r2, 0)
+def test_walk_matches_reference_on_perturbed_transportation(monkeypatch):
+    # Walked on the lexicographically perturbed right-hand side: most
+    # endpoints are degenerate, and so are vertices met on the way.
+    counts = _counted(monkeypatch, (shadow_mod, "edge_directions"))
+    walks = pivots = steps = met = 0
+    for p, q in ((3, 3), (3, 4)):
+        for s in range(3):
+            inst = gen_transportation(p, q, s)
+            ends = [verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)]
+            r1, r2 = (shadow_mod._lex_basis(inst, v) if v.degenerate else v for v in ends)
+            for seed in range(10):
+                counts.clear()
+                try:
+                    path = _assert_walk_matches_reference(inst, r1, r2, seed)
+                except WalkFailure:
+                    continue
+                if any(v.degenerate for v in path.vertices):
+                    assert path.status == "Perturbed+Completed"
+                    assert path.perturbation == PerturbationRecord(seed=seed)
+                else:
+                    assert path.status == "Completed" and path.perturbation is None
+                walks += 1
+                pivots += counts["polywalk.shadow.edge_directions"]
+                steps += path.length
+                met += sum(v.degenerate for v in path.vertices[1:-1])
+    # Zero-length pivots were merged, and degenerate vertices met mid-walk.
+    assert walks > 50 and pivots > steps and met > 0
+
+
+def test_walk_through_a_degenerate_vertex_is_not_redrawn():
+    # Both endpoints of transportation-p3q4-s1 are simple, but most of its
+    # walks cross degenerate vertices; the lexicographic rule walks through
+    # them with the first draw.
+    inst = gen_transportation(3, 4, 1)
+    ends = [verify_vertex(inst, x) for x in (inst.x1, inst.x2)]
+    assert not any(v.degenerate for v in ends)
+    crossed = 0
+    for seed in range(10):
+        path = find_path(inst, inst.x1, inst.x2, seed=seed)
+        assert path.retries == 0 and path.vertices[0].basis == ends[0].basis
+        if any(v.degenerate for v in path.vertices[1:-1]):
+            assert path.status == "Perturbed+Completed"
+            assert path.perturbation == PerturbationRecord(seed=seed)
+            crossed += 1
+        else:
+            assert path.status == "Completed"
+    assert crossed >= 5
+
+
+def test_walk_takes_one_slack_per_pivot(monkeypatch):
+    # ratio_step reads the slack the walk computed when it reached the
+    # vertex: one slack for the start, then one per new basis.
+    for inst in (gen_rotated(gen_hypercube(8), 0), gen_transportation(3, 4, 0)):
+        v1, v2 = (verify_vertex(inst, x) for x in (inst.x1, inst.x2))
+        v1, v2 = (shadow_mod._lex_basis(inst, v) if v.degenerate else v for v in (v1, v2))
+        pair = sample_objectives(inst, v1, v2, 0)
+        counts = _counted(monkeypatch, (shadow_mod, "ratio_step"),
+                          (polytope_mod.Instance, "slack"), (linalg_mod, "solve"))
+        walk(inst, v1, v2, pair)
+        pivots = counts["polywalk.shadow.ratio_step"]
+        assert pivots >= inst.n
+        assert counts["Instance.slack"] == counts["polywalk.linalg.solve"] + 1
+        assert counts["polywalk.linalg.solve"] >= pivots
+        monkeypatch.undo()
 
 
 def test_walk_hexagon_opposite_is_three():
@@ -289,8 +383,8 @@ def test_find_path_trivial_same_endpoint(cube3):
 
 def test_find_path_pyramid_degeneracy(pyramid):
     path = find_path(pyramid, [1.0, 1.0, 0.0], [0.0, 0.0, 1.0], seed=0)
-    assert path.status == "Perturbed+Completed"
-    assert path.perturbation is not None and path.perturbation.magnitude > 0
+    assert path.status == "Perturbed+Completed" and path.retries == 0
+    assert path.perturbation == PerturbationRecord(seed=0)
     npt.assert_allclose(path.vertices[-1].x, [0.0, 0.0, 1.0], atol=1e-7)
     for v in path.vertices:
         assert float(np.min(pyramid.slack(v.x))) >= -1e-7
@@ -301,36 +395,126 @@ def test_find_path_pyramid_degeneracy(pyramid):
     assert all(s1 - s2 > 0 for s1, s2 in zip(path.slopes, path.slopes[1:]))
 
 
+def _exact_lex_feasible(inst, basis, rows):
+    """Whether ``basis`` is nonsingular and lexicographically feasible for
+    ``rows``, in exact rationals on the raw data."""
+    A = [[Fraction(float(a)) for a in row] for row in inst.raw_A]
+    inverse = _exact_inverse([A[i] for i in basis])
+    if inverse is None:
+        return False
+    for j in rows:
+        # a_j B^-1, then the first nonzero of e_j - a_j B^-1 in row order.
+        weights = [sum(A[j][r] * inverse[r][k] for r in range(inst.n))
+                   for k in range(inst.n)]
+        coef = {row: -w for row, w in zip(basis, weights)}
+        coef[j] = coef.get(j, 0) + 1
+        lead = next((coef[r] for r in sorted(coef) if coef[r] != 0), 0)
+        if lead < 0:
+            return False
+    return True
+
+
+def _exact_inverse(rows):
+    """Gauss-Jordan inverse over the rationals; None when singular."""
+    n = len(rows)
+    work = [list(r) + [Fraction(int(i == k)) for k in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if work[r][c] != 0), None)
+        if pivot is None:
+            return None
+        work[c], work[pivot] = work[pivot], work[c]
+        work[c] = [v / work[c][c] for v in work[c]]
+        for r in range(n):
+            if r != c and work[r][c] != 0:
+                work[r] = [a - work[r][c] * b for a, b in zip(work[r], work[c])]
+    return [row[n:] for row in work]
+
+
 def test_find_path_representative_ties_go_to_first_subset():
-    # At x1 of transportation-p3q4-s0 seven rows are tight.  On the polytope
-    # perturbed for path seed 25, the bases (0,3,5,6,10,11) and
-    # (1,3,5,6,10,11) lie at the same distance from x1; the first in
-    # combinations order must win, whatever the rounding noise.
+    # At x1 of transportation-p3q4-s0 seven rows are tight, and several of
+    # their 6-subsets are lexicographically feasible bases; the first in
+    # combinations order stands for the vertex, on every seed.
     inst = generate(GeneratorSpec(family="transportation", n=3, m=4, seed=0))
-    assert len(tight_rows(inst, inst.x1)) == 7
-    path = find_path(inst, inst.x1, inst.x2, seed=25)
-    assert path.status == "Perturbed+Completed" and path.retries == 0
-    assert path.vertices[0].basis == (0, 3, 5, 6, 10, 11)
+    tight = tight_rows(inst, inst.x1)
+    assert len(tight) == 7
+    feasible = [b for b in combinations(tight, inst.n) if _exact_lex_feasible(inst, b, tight)]
+    assert len(feasible) > 1
+    for seed in range(5):
+        path = find_path(inst, inst.x1, inst.x2, seed=seed)
+        assert path.status == "Perturbed+Completed" and path.retries == 0
+        assert path.vertices[0].basis == feasible[0]
 
 
 def test_representative_breaks_near_ties_by_subset_order():
-    # At the origin rows 0, 1 and 2 are tight.  Pushed out by p, q and r
-    # with r*sqrt(2) = p + q - d, the degenerate vertex splits into the
-    # points of bases (0, 2) and (1, 2), at max-norm distances p and q from
-    # the origin.  q is smaller by a relative 1e-12, within DIST_TIE_RTOL,
-    # so the first basis in combinations order stands for the vertex.
-    from polywalk.polytope import build_instance
-    rows = [[-1.0, 0.0], [0.0, -1.0], [-np.sqrt(0.5), -np.sqrt(0.5)],
-            [1.0, 0.0], [0.0, 1.0]]
-    original = build_instance(rows, [0.0, 0.0, 0.0, 1.0, 1.0])
-    p, d = 1e-5, 1e-6
-    q = p * (1.0 - 1e-12)
-    perturbed = build_instance(rows, [p, q, (p + q - d) * np.sqrt(0.5), 1.0, 1.0])
-    origin = verify_vertex(original, [0.0, 0.0])
-    assert origin.degenerate
-    rep = shadow_mod._representative(perturbed, original, origin)
-    assert rep.basis == (0, 2)
-    npt.assert_allclose(rep.x, [-p, d - q], rtol=0, atol=1e-15)
+    # At the origin rows 0, 1 and 2 are tight.  On basis (0, 1) the
+    # epsilon-coefficients of row 2's slack are (-eta, 1) on rows (0, 1),
+    # up to row 2's norm.  An eta within DIR_TOL of 0 counts as 0, so the
+    # coefficient 1 leads and the first subset in combinations order stands
+    # for the vertex; a larger eta makes the basis infeasible, and so is
+    # (0, 2), by row 1's coefficients (-eta, 1).
+    rows = lambda eta: [[-1.0, 0.0], [0.0, -1.0], [-eta, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    for eta, basis in ((1e-13, (0, 1)), (1e-3, (1, 2))):
+        inst = build_instance(rows(eta), [0.0, 0.0, 0.0, 1.0, 1.0])
+        origin = verify_vertex(inst, [0.0, 0.0])
+        assert origin.degenerate and origin.basis == (0, 1)
+        rep = shadow_mod._lex_basis(inst, origin)
+        assert rep.basis == basis and rep.degenerate
+        assert rep.x.tobytes() == origin.x.tobytes()
+
+
+def _degenerate_family():
+    insts = [gen_transportation(p, q, s)
+             for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
+    return insts + [gen_degenerate_pyramid()]
+
+
+def _reference_lex_basis(inst, v):
+    """First subset of v's tight rows, one inverse per subset, whose tight
+    rows all have a lexicographically positive epsilon-coefficient vector."""
+    tight = tight_rows(inst, v.x)
+    for basis in combinations(tight, inst.n):
+        try:
+            inverse = linalg_mod.inverse(inst.A[list(basis)])
+        except Singular:
+            continue
+        for j in tight:
+            coef = np.zeros(inst.m)
+            coef[j] = 1.0
+            coef[list(basis)] -= inst.A[j] @ inverse
+            lead = coef[np.abs(coef) > DIR_TOL]
+            if lead.size and lead[0] < 0:
+                break
+        else:
+            return basis
+    raise AssertionError("no lexicographically feasible basis")
+
+
+def test_representative_matches_verify_vertex_route(monkeypatch):
+    # A non-degenerate endpoint walks from verify_vertex's basis with no
+    # further call; a degenerate one from the first lexicographically
+    # feasible basis, which is verify_vertex's whenever that one qualifies.
+    counts = _counted(monkeypatch, (shadow_mod, "feasible_subsets"))
+    simple = same = other = 0
+    for inst in _degenerate_family():
+        counts.clear()
+        find_path(inst, inst.x1, inst.x2, seed=0)
+        ends = inst._endpoint_memo[1]
+        for x, rep in ((inst.x1, ends.v1), (inst.x2, ends.v2)):
+            v = verify_vertex(inst, x)
+            assert rep.x.tobytes() == v.x.tobytes() and rep.degenerate == v.degenerate
+            if not v.degenerate:
+                assert rep.basis == v.basis
+                simple += 1
+                continue
+            assert rep.basis == _reference_lex_basis(inst, v)
+            if _exact_lex_feasible(inst, v.basis, tight_rows(inst, v.x)):
+                assert rep.basis == v.basis
+                same += 1
+            else:
+                other += 1
+        degenerate_ends = sum(verify_vertex(inst, x).degenerate for x in (inst.x1, inst.x2))
+        assert counts["polywalk.shadow.feasible_subsets"] == degenerate_ends
+    assert simple > 0 and same > 0 and other > 0
 
 
 def test_slope_gap_values():
@@ -362,169 +546,15 @@ def test_find_path_retries_exhausted(cube3, monkeypatch):
     assert exc.path.length == 0
 
 
-def _reference_representative(perturbed, original, v):
-    """The earlier route: pick the nearest point, then re-verify it.
-
-    ``verify_vertex`` chooses the basis by its one-row-at-a-time rank loop;
-    the point must be non-degenerate and its loose rows cleanly separated.
-    A point that is not a vertex of the perturbed polytope is a failed
-    perturbation.
-    """
-    _, out, _ = feasible_subsets(perturbed, tight_rows(original, v.x))
-    best = None
-    for dist, x in zip(np.abs(out[:, :, -1] - v.x).max(axis=1).tolist(), out[:, :, -1]):
-        if best is None or dist < best[0] * (1.0 - shadow_mod.DIST_TIE_RTOL):
-            best = (dist, x)
-    if best is None:
-        raise PerturbationFailed("no feasible basis")
-    try:
-        rep = verify_vertex(perturbed, best[1])
-    except (NotAVertex, Infeasible) as exc:
-        raise PerturbationFailed(str(exc)) from exc
-    if rep.degenerate:
-        raise PerturbationFailed("still degenerate")
-    loose = np.delete(perturbed.slack(rep.x), list(rep.basis))
-    if loose.size and float(np.min(loose)) <= 10.0 * TIGHT_TOL:
-        raise PerturbationFailed("not separated")
-    return rep
-
-
-def _same_representative(perturbed, original, v):
-    try:
-        expected = _reference_representative(perturbed, original, v)
-    except PerturbationFailed:
-        with pytest.raises(PerturbationFailed):
-            shadow_mod._representative(perturbed, original, v)
-        return False
-    rep = shadow_mod._representative(perturbed, original, v)
-    assert rep.x.tobytes() == expected.x.tobytes()
-    assert rep.basis == expected.basis
-    assert not rep.degenerate and not expected.degenerate
-    assert not rep.x.flags.writeable
-    return True
-
-
-def _degenerate_family():
-    insts = [gen_transportation(p, q, s)
-             for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
-    return insts + [gen_degenerate_pyramid()]
-
-
-def test_representative_matches_verify_vertex_route():
-    # The default magnitude, and two that leave the perturbed polytope
-    # degenerate (below TIGHT_TOL) or its slacks unseparated, so both the
-    # accepted points and the refusals are compared.
-    found = refused = 0
-    for inst in _degenerate_family():
-        v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
-        default = shadow_mod._default_magnitude(inst, v1, v2)
-        for magnitude in (default, 1e-12, 5e-9):
-            for seed in range(20):
-                perturbed, _ = perturb(inst, magnitude, seed)
-                for v in (v1, v2):
-                    if _same_representative(perturbed, inst, v):
-                        found += 1
-                    else:
-                        refused += 1
-    assert found > 1000 and refused > 400
-
-
-def test_representative_refuses_a_tight_set_other_than_the_subset(pyramid):
-    # Unperturbed, the apex keeps its four tight rows: a superset of the
-    # chosen basis.
-    apex = verify_vertex(pyramid, pyramid.x2)
-    _same_representative(pyramid, pyramid, apex)
-    with pytest.raises(PerturbationFailed, match="degenerate"):
-        shadow_mod._representative(pyramid, pyramid, apex)
-
-    # An ill-conditioned but full-rank basis whose solved point leaves one
-    # of its own rows slack by more than TIGHT_TOL: a subset of the basis.
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        w, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        rows = u @ np.diag([1.0, 1.0, 1.0, 10.0 ** -rng.uniform(5, 8.5)]) @ w
-        perturbed = build_instance(rows, rng.standard_normal(4), integral=False)
-        _, out, _ = feasible_subsets(perturbed, range(4))
-        if len(out) and np.count_nonzero(
-                np.abs(perturbed.slack(out[0, :, -1])) <= TIGHT_TOL) < 4:
-            break
-    else:
-        pytest.fail("no ill-conditioned basis found")
-    assert linalg_mod.rank(perturbed.A) == 4
-    original = build_instance(rows, np.zeros(4), integral=False)
-    corner = VertexWithBasis(x=np.zeros(4), basis=(0, 1, 2, 3))
-    _same_representative(perturbed, original, corner)
-    with pytest.raises(PerturbationFailed, match="not its basis"):
-        shadow_mod._representative(perturbed, original, corner)
-
-    # Exactly the basis rows are tight, but their singular values span more
-    # than 1/RANK_TOL while the inverse stays below 1/PIVOT_TOL: the one rank
-    # test refuses what verify_vertex's loop refuses.
-    u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    w, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    rows = np.vstack([u @ np.diag([1.0, 1.0, 1.0, 1e-11]) @ w, np.eye(4)])
-    b = np.concatenate([np.zeros(4), np.ones(4)])
-    perturbed = build_instance(rows, b, integral=False)
-    original = build_instance(rows[:4], np.zeros(4), integral=False)
-    assert linalg_mod.rank(perturbed.A[:4]) == 3
-    assert len(feasible_subsets(perturbed, range(4))[0]) == 1
-    _same_representative(perturbed, original, corner)
-    with pytest.raises(PerturbationFailed, match="dependent"):
-        shadow_mod._representative(perturbed, original, corner)
-
-
-def _pyramid_file(tmp_path):
-    path = tmp_path / "pyramid.json"
-    write_instance(gen_degenerate_pyramid(), path)
-    return path
-
-
-def test_representative_off_the_vertex_is_retried(pyramid, monkeypatch, tmp_path, capsys):
-    # Every representative point is pulled slightly into the interior, so it
-    # is no vertex at all: each attempt fails and is recorded.
-    stacked = shadow_mod.feasible_subsets
-
-    def inside(inst, rows):
-        subsets, out, degenerate = stacked(inst, rows)
-        out = out.copy()
-        out[:, :, -1] += 0.01 * (np.array([0.0, 0.0, 0.25]) - out[:, :, -1])
-        return subsets, out, degenerate
-
-    monkeypatch.setattr(shadow_mod, "feasible_subsets", inside)
-    with pytest.raises(RetriesExhausted) as info:
+def test_unfound_representative_is_reported_and_not_kept(monkeypatch):
+    # With no lexicographically feasible basis, the endpoint is refused as
+    # no vertex, and the memo keeps nothing.
+    pyramid = gen_degenerate_pyramid()
+    empty = (np.empty((0, 3), dtype=np.intp), np.empty((0, 3, 4)), np.empty(0, dtype=bool))
+    monkeypatch.setattr(shadow_mod, "feasible_subsets", lambda inst, rows: empty)
+    with pytest.raises(NotAVertex, match="lexicographically feasible"):
         find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
-    assert info.value.reasons == ["PerturbationFailed"] * shadow_mod.MAX_ATTEMPTS
-    out_json = tmp_path / "failed.json"
-    assert main(["path", "--instance", str(_pyramid_file(tmp_path)), "--seed", "0",
-                 "--json", str(out_json)]) == 2
-    assert "status=Failed(PerturbationFailed;" in capsys.readouterr().out
-    assert json.loads(out_json.read_text())["status"].startswith("Failed(PerturbationFailed")
-
-
-def test_unmappable_collapse_is_retried(pyramid, monkeypatch, tmp_path, capsys):
-    # The walk's last vertex comes back with a repeated basis row, which is
-    # singular on the original rows.
-    real_walk = shadow_mod.walk
-
-    def repeated_row(inst, start, target, pair):
-        path = real_walk(inst, start, target, pair)
-        last = path.vertices[-1]
-        broken = VertexWithBasis(x=last.x, basis=(last.basis[0],) * inst.n)
-        return ShadowPath(vertices=path.vertices[:-1] + (broken,), slopes=path.slopes,
-                          projections=path.projections, pivot_trace=path.pivot_trace,
-                          status=path.status, seed=path.seed, objective=path.objective)
-
-    monkeypatch.setattr(shadow_mod, "walk", repeated_row)
-    with pytest.raises(RetriesExhausted) as info:
-        find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
-    # Each mapping failure shrinks the magnitude, until the perturbation no
-    # longer separates the tight rows; every attempt is recorded.
-    reasons = info.value.reasons
-    assert len(reasons) == shadow_mod.MAX_ATTEMPTS and reasons[0] == "MappingFailed"
-    assert set(reasons) == {"MappingFailed", "PerturbationFailed"}
-    assert main(["path", "--instance", str(_pyramid_file(tmp_path)), "--seed", "0"]) == 2
-    assert "status=Failed(MappingFailed;" in capsys.readouterr().out
+    assert pyramid._endpoint_memo is None
 
 
 # -- the per-instance endpoint memo of find_path ------------------------------
@@ -647,3 +677,88 @@ def test_first_call_counts_unchanged_and_repeat_skips_verification(monkeypatch):
     counts.clear()
     find_path(cube, cube.x1, cube.x2, seed=0)
     assert counts == walk_calls
+
+
+# -- exact oracle and scale invariance of the lexicographic rule ---------------
+
+_LEX_FAMILIES = {
+    "pyramid": gen_degenerate_pyramid,
+    "transportation-3x3": lambda: gen_transportation(3, 3, 0),
+    "transportation-3x4": lambda: gen_transportation(3, 4, 0),
+}
+
+
+def _exact_point(inst, basis):
+    """The point of a basis, in exact rationals on the raw data."""
+    A = [[Fraction(float(a)) for a in inst.raw_A[i]] for i in basis]
+    inverse = _exact_inverse(A)
+    b = [Fraction(float(inst.raw_b[i])) for i in basis]
+    return [sum(inverse[r][k] * b[k] for k in range(inst.n)) for r in range(inst.n)]
+
+
+def _exact_slack(inst, x):
+    return [Fraction(float(bi)) - sum(Fraction(float(a)) * xk for a, xk in zip(row, x))
+            for row, bi in zip(inst.raw_A, inst.raw_b)]
+
+
+@pytest.mark.parametrize("family", sorted(_LEX_FAMILIES))
+def test_lex_walk_exact_oracle(family, monkeypatch):
+    # Every basis a walk visits, zero-length pivots included, is checked in
+    # exact rationals: it is lexicographically feasible, and consecutive
+    # bases differ in one row.  Every kept point is a vertex of P, the slopes
+    # strictly decrease, and the walk ends at x2.
+    inst = _LEX_FAMILIES[family]()
+    visited = []
+    real = shadow_mod.edge_directions
+
+    def recording(inst_, v):
+        visited.append(v.basis)
+        return real(inst_, v)
+
+    monkeypatch.setattr(shadow_mod, "edge_directions", recording)
+    # x2 as generated carries rounding; its vertex is the point of its basis.
+    target = _exact_point(inst, verify_vertex(inst, inst.x2).basis)
+    pivots = steps = 0
+    for seed in range(20):
+        visited.clear()
+        path = find_path(inst, inst.x1, inst.x2, seed=seed)
+        assert path.status == "Perturbed+Completed" and path.retries == 0
+        bases = visited + [path.vertices[-1].basis]
+        for basis in bases:
+            slack = _exact_slack(inst, _exact_point(inst, basis))
+            assert min(slack) >= 0
+            tight = [i for i, s in enumerate(slack) if s == 0]
+            assert _exact_lex_feasible(inst, basis, tight)
+        for before, after in zip(bases, bases[1:]):
+            assert len(set(before) & set(after)) == inst.n - 1
+        for v in path.vertices:
+            x = _exact_point(inst, v.basis)
+            assert min(_exact_slack(inst, x)) >= 0
+            assert max(abs(float(e) - f) for e, f in zip(x, v.x)) <= 1e-12
+        assert all(s1 > s2 for s1, s2 in zip(path.slopes, path.slopes[1:]))
+        assert _exact_point(inst, path.vertices[-1].basis) == target
+        pivots += len(bases) - 1
+        steps += path.length
+    if family != "pyramid":
+        assert pivots > steps  # zero-length pivots were walked and merged
+
+
+@pytest.mark.parametrize("family", ["pyramid", "transportation-3x3"])
+def test_lex_walk_bases_do_not_change_with_scale(family):
+    # The lexicographic rule reads only A and the bases; b, x1 and x2 scaled
+    # by k move no tie and no basis.
+    inst = _LEX_FAMILIES[family]()
+
+    def routes(k):
+        scaled = build_instance(inst.raw_A, k * inst.raw_b, x1=k * inst.x1, x2=k * inst.x2)
+        found = []
+        for seed in range(10):
+            for x1, x2 in ((scaled.x1, scaled.x2), (scaled.x2, scaled.x1)):
+                path = find_path(scaled, x1, x2, seed=seed)
+                found.append((path.status, path.retries, [v.basis for v in path.vertices]))
+        return found
+
+    reference = routes(1.0)
+    assert all(status == "Perturbed+Completed" for status, _, _ in reference)
+    for k in (1e-3, 1e3):
+        assert routes(k) == reference
