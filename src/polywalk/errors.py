@@ -74,7 +74,8 @@ class VerticalEdge(WalkFailure):
 
 
 class LeftwardEdge(WalkFailure):
-    """An improving edge points against the first projection axis."""
+    """An improving edge's projected run is at most ``SLOPE_TOL``: leftward or
+    vertical.  Only the standalone ``slope()`` raises :class:`VerticalEdge`."""
 
 
 class NonMonotoneSlopes(WalkFailure):
@@ -132,8 +133,8 @@ class UnboundedSample(PolywalkError):
 # --- experiments -----------------------------------------------------------
 
 
-class MissingDelta(PolywalkError):
-    """A bound report needs the flatness parameter but none was supplied."""
+class MissingDelta(CapExceeded):
+    """A bound report's flatness was not supplied, and its cap refuses it."""
 
 
 class TooShort(PolywalkError):

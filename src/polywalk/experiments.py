@@ -95,7 +95,8 @@ def bound_report(batch: TrialBatch, inst: Instance, *, delta: float | None = Non
     """Build the comparison report for a finished batch.
 
     ``delta`` may pass a precomputed flatness value; otherwise it is computed
-    here (:class:`MissingDelta` when the basis enumeration cap refuses).
+    here (:class:`MissingDelta`, a :class:`CapExceeded`, when the basis
+    enumeration cap refuses).
     ``bfs_lower`` is forwarded verbatim, absent when not supplied.
     """
     if delta is None:

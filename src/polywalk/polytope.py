@@ -14,8 +14,9 @@ each a module constant read at call time, with no per-call override:
 * ``POINT_TOL``  -- points closer than this (max-norm) are the same vertex.
 
 Every instance is walked as given: a degenerate vertex is never perturbed
-numerically, and :mod:`polywalk.shadow` breaks its ties by the lexicographic
-rule on the symbolic right-hand side b + (eps, eps**2, ..., eps**m).
+numerically.  :func:`verify_vertex` gives it its first lexicographically
+feasible basis on the symbolic right-hand side b + (eps, eps**2, ...,
+eps**m), and :mod:`polywalk.shadow` breaks ratio-test ties by the same rule.
 
 Enumerations run on stacked arrays.  :func:`feasible_subsets` solves each
 chunk of row subsets as one stack; :func:`vertex_graph` runs the ratio tests
@@ -177,24 +178,40 @@ def tight_rows(inst: Instance, x) -> tuple[int, ...]:
 
 
 def verify_vertex(inst: Instance, x) -> VertexWithBasis:
-    """Check that x is a vertex and pick its lexicographically first basis.
+    """Check that x is a vertex and pick the basis a walk uses there.
 
-    The basis is the first n tight rows that are linearly independent; a
-    vertex with more than n tight rows is flagged degenerate.
+    At a simple vertex that is its n tight rows, checked independent one by
+    one.  At a degenerate one it is the first n-subset of the t tight rows,
+    in combinations order and under ``ENUM_CAP`` on C(t, n), that is
+    nonsingular and lexicographically feasible: for every tight row j, the
+    eps-coefficients of j's slack on b + (eps, ..., eps**m), e_j - a_j B^-1
+    on the basis rows, lead with a positive entry in row order (entries
+    within ``DIR_TOL`` of 0 count as 0).
     """
     point = linalg.as_vector(x)
     tight = tight_rows(inst, point)
     if len(tight) < inst.n:
         raise NotAVertex(f"only {len(tight)} tight rows, need {inst.n}")
-    basis: list[int] = []
-    for i in tight:
-        if len(basis) == inst.n:
-            break
-        candidate = basis + [i]
-        if linalg.rank(inst.A[candidate]) == len(candidate):
-            basis.append(i)
-    if len(basis) < inst.n:
-        raise NotAVertex(f"tight rows have rank {len(basis)} < {inst.n}")
+    if len(tight) == inst.n:
+        basis: list[int] = []
+        for i in tight:
+            candidate = basis + [i]
+            if linalg.rank(inst.A[candidate]) == len(candidate):
+                basis.append(i)
+        if len(basis) < inst.n:
+            raise NotAVertex(f"tight rows have rank {len(basis)} < {inst.n}")
+    else:
+        rows = np.array(tight)
+        subsets, out, _ = feasible_subsets(inst, rows)
+        coef = -(inst.A[rows] @ out[:, :, :-1])
+        # Only basis rows before j come before j's own coefficient, which is 1.
+        lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < rows[:, None])
+        first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+        feasible = np.flatnonzero((~lead.any(axis=2) | (first > 0)).all(axis=1))
+        if feasible.size == 0:
+            raise NotAVertex(f"no n-subset of the {rows.size} tight rows is a "
+                             "nonsingular, lexicographically feasible basis")
+        basis = subsets[feasible[0]].tolist()
     frozen = point.copy()
     frozen.flags.writeable = False
     return VertexWithBasis(x=frozen, basis=tuple(basis),
@@ -238,7 +255,7 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
     (one :func:`linalg.solve` per subset); the enumerations below run on the
     stacked :func:`feasible_subsets` and yield the same bases.
     """
-    _check_cap(inst)
+    _check_cap(inst.m, inst.n)
     for subset in combinations(range(inst.m), inst.n):
         rows = list(subset)
         try:
@@ -262,9 +279,11 @@ def feasible_subsets(inst: Instance, rows: Sequence[int]
     Returns three arrays with one entry per feasible basis, in combinations
     order: the subsets ``(k, n)``, the solutions ``(k, n, n + 1)`` of
     ``A_S X = [I | b_S]`` (the basis inverse, then the point) and the
-    degeneracy flags ``(k,)``.
+    degeneracy flags ``(k,)``.  Guarded by ``ENUM_CAP`` on the number of
+    subsets C(len(rows), n).
     """
     n = inst.n
+    _check_cap(len(rows), n)
     found = [(np.empty((0, n), dtype=np.intp), np.empty((0, n, n + 1)),
               np.empty(0, dtype=bool))]
     for subsets in linalg.index_chunks(combinations(rows, n)):
@@ -276,10 +295,10 @@ def feasible_subsets(inst: Instance, rows: Sequence[int]
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
-def _check_cap(inst: Instance) -> None:
-    total = math.comb(inst.m, inst.n)
+def _check_cap(rows: int, n: int) -> None:
+    total = math.comb(rows, n)
     if total > ENUM_CAP:
-        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} subsets exceeds cap {ENUM_CAP}")
+        raise CapExceeded(f"C({rows},{n}) = {total} subsets exceeds cap {ENUM_CAP}")
 
 
 def _vertex_classes(inst: Instance):
@@ -289,7 +308,6 @@ def _vertex_classes(inst: Instance):
     solutions of every feasible basis (its inverse, then its point) with the
     index of the vertex each one stands for, and the vertex points.
     """
-    _check_cap(inst)
     bases, out, degenerate = feasible_subsets(inst, range(inst.m))
     points = np.empty((len(bases), inst.n))
     verts: list[VertexWithBasis] = []

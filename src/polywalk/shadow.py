@@ -16,9 +16,10 @@ simple for every small eps > 0 (Dantzig, Orden & Wolfe, 1955).  The paper
 randomises only the objectives and assumes only that the polytope walked is
 simple, so this perturbation serves as well as a random one, and no
 perturbed instance is ever built.  A degenerate endpoint stands for its
-first lexicographically feasible basis; a tie in the ratio test goes to the
-row the ray meets first on the perturbed polytope; and a pivot that moves
-nowhere on the original polytope is merged into the vertex it leaves.
+first lexicographically feasible basis, picked by ``verify_vertex``; a tie
+in the ratio test goes to the row the ray meets first on the perturbed
+polytope; and a pivot that moves nowhere on the original polytope is merged
+into the vertex it leaves.
 Numeric failures are handled by redrawing the objectives with the next seed.
 """
 
@@ -34,7 +35,6 @@ from .errors import (
     InfeasibleStep,
     LeftwardEdge,
     NonMonotoneSlopes,
-    NotAVertex,
     RetriesExhausted,
     Singular,
     StalledWalk,
@@ -52,15 +52,13 @@ from .polytope import (
     Instance,
     VertexWithBasis,
     edge_directions,
-    feasible_subsets,
     ratio_step,
-    tight_rows,
     verify_vertex,
 )
 
+# A projected rise or run, or the decrease between consecutive slopes, at or
+# below this counts as none.
 SLOPE_TOL = 1e-12
-# Required strict decrease between consecutive recorded slopes.
-SLOPE_GAP_TOL = 1e-12
 
 MAX_ATTEMPTS = 16
 
@@ -150,9 +148,9 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
 
     Weights are 1 - U with U uniform on [0, 1), so they land in (0, 1]; lam
     is drawn before mu.  The rows are the endpoints' bases: at a degenerate
-    vertex, the lexicographically feasible basis :func:`find_path` walks
-    from, so the endpoint optimizes its objective uniquely on the perturbed
-    polytope as well.
+    vertex, the lexicographically feasible basis
+    :func:`~polywalk.polytope.verify_vertex` picks, so the endpoint
+    optimizes its objective uniquely on the perturbed polytope as well.
     """
     rng = np.random.default_rng(seed)
     lam = 1.0 - rng.random(inst.n)
@@ -247,7 +245,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         best = int(edge_slopes.argmax())
         leaving = current.basis[candidates[best]]
         edge_slope = float(edge_slopes[best])
-        if edge_slope > prev_slope - SLOPE_GAP_TOL:
+        if edge_slope > prev_slope - SLOPE_TOL:
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
 
@@ -343,37 +341,13 @@ def slope_gap(path: ShadowPath) -> SlopeGapDiagnostic:
     return SlopeGapDiagnostic(min_gap=float(gaps[k]), attained_at=(k, k + 1))
 
 
-def _lex_basis(inst: Instance, v: VertexWithBasis) -> VertexWithBasis:
-    """The basis a walk uses at the degenerate vertex v.
-
-    The first n-subset of v's tight rows, in combinations order, that is
-    nonsingular and lexicographically feasible: its point stays in the
-    polytope for b + (eps, ..., eps**m) and every small eps > 0.  That
-    holds when, for every tight row j, the eps-coefficients of j's slack,
-    e_j - a_j B^-1 placed on the basis rows, have a positive first entry
-    in row order, entries within ``DIR_TOL`` of 0 counting as 0.  The basis
-    depends on the vertex alone.
-    """
-    tight = np.array(tight_rows(inst, v.x))
-    subsets, out, _ = feasible_subsets(inst, tight)
-    coef = -(inst.A[tight] @ out[:, :, :-1])
-    # Only basis rows before j come before j's own coefficient, which is 1.
-    lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < tight[:, None])
-    first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
-    feasible = np.flatnonzero((~lead.any(axis=2) | (first > 0)).all(axis=1))
-    if feasible.size == 0:
-        raise NotAVertex(f"no basis of the {tight.size} tight rows is lexicographically feasible")
-    return VertexWithBasis(x=v.x, basis=tuple(subsets[feasible[0]].tolist()), degenerate=True)
-
-
 @dataclass(frozen=True)
 class _Endpoints:
     """Both endpoints of a walk, verified, and whether they are one vertex.
 
     No seed changes any of this, so :func:`find_path` keeps the last record
     it built on the instance and repeated walks between the same two points
-    verify them once.  A degenerate endpoint carries its
-    :func:`_lex_basis`.  The record holds no reference to its instance, so
+    verify them once.  The record holds no reference to its instance, so
     the memo never keeps an instance alive.
     """
 
@@ -412,8 +386,8 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     Verifies the endpoints, then walks with objectives drawn from ``seed``.
     The instance keeps the last verified endpoint pair, keyed by the bytes
     of both points, so a later call between the same points (any seed)
-    skips the verification; a failed verification is never kept.  A
-    degenerate endpoint is walked from its :func:`_lex_basis`.  Numeric
+    skips the verification; a failed verification is never kept.  Each
+    endpoint is walked from the basis :func:`verify_vertex` picks.  Numeric
     walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS`` draws); raises
     :class:`RetriesExhausted` with the collected failure reasons when every
     attempt fails.
@@ -423,8 +397,7 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     if memo is None or memo[0] != key:
         v1 = verify_vertex(inst, x1)
         v2 = verify_vertex(inst, x2)
-        memo = (key, _Endpoints(v1=_lex_basis(inst, v1) if v1.degenerate else v1,
-                                v2=_lex_basis(inst, v2) if v2.degenerate else v2,
+        memo = (key, _Endpoints(v1=v1, v2=v2,
                                 same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL))
         # Instance is frozen; the memo is its one private, mutable slot.
         object.__setattr__(inst, "_endpoint_memo", memo)

@@ -33,7 +33,6 @@ from polywalk.polytope import (
     vertex_graph,
 )
 from polywalk.shadow import (
-    _lex_basis,
     find_path,
     sample_objectives,
     slope_gap,
@@ -355,7 +354,7 @@ def test_criterion_09_degeneracy_pipeline():
     # lexicographically feasible basis, and the walk runs on the original
     # instance, with no perturbed copy and nothing to map back.
     v1 = verify_vertex(pyramid, pyramid.x1)
-    r2 = _lex_basis(pyramid, verify_vertex(pyramid, pyramid.x2))
+    r2 = verify_vertex(pyramid, pyramid.x2)
     assert not v1.degenerate and r2.degenerate
     walked = walk(pyramid, v1, r2, sample_objectives(pyramid, v1, r2, 0))
     assert walked.to_json() == path.to_json()

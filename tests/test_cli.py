@@ -7,10 +7,11 @@ import pytest
 import polywalk.cli as cli_mod
 import polywalk.experiments as experiments_mod
 import polywalk.flatness as flatness_mod
+import polywalk.polytope as polytope_mod
 from polywalk.cli import main
 from polywalk.errors import DependentVectors, RetriesExhausted
 from polywalk.flatness import certify_delta_Delta
-from polywalk.instances import gen_hypercube, read_instance, write_instance
+from polywalk.instances import gen_hypercube, gen_transportation, read_instance, write_instance
 from polywalk.shadow import ShadowPath
 
 
@@ -174,6 +175,30 @@ def test_subdet_cap_binds_only_bound_check(cube_file, tmp_path, capsys, monkeypa
     assert _experiment(cube_file, tmp_path / "report") == 0
     assert main(["bound-check", "--instance", str(cube_file)]) == 3
     assert "exceed cap 1" in capsys.readouterr().err
+
+
+def test_delta_cap_exits_3_in_every_command(tmp_path, capsys, monkeypatch):
+    # experiment cannot report without delta, so the cap that refuses it
+    # exits 3 there too, as in delta and bound-check.
+    path = tmp_path / "t33.json"
+    write_instance(gen_transportation(3, 3, 0), path)
+    monkeypatch.setattr(flatness_mod, "DELTA_CAP", 5)
+    assert main(["delta", "--instance", str(path)]) == 3
+    assert main(["bound-check", "--instance", str(path)]) == 3
+    assert _experiment(path, tmp_path / "report") == 3
+    assert capsys.readouterr().err.count("exceeds cap 5") == 3
+    assert not (tmp_path / "report").exists()
+
+
+def test_degenerate_endpoint_cap_exit_code(tripled_cube3, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tripled.json"
+    write_instance(tripled_cube3, path)
+    assert main(["path", "--instance", str(path), "--seed", "0"]) == 0
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", 83)
+    capsys.readouterr()
+    assert main(["path", "--instance", str(path), "--seed", "0"]) == 3
+    assert _experiment(path, tmp_path / "report") == 3
+    assert capsys.readouterr().err.count("C(9,3) = 84 subsets exceeds cap 83") == 2
 
 
 def test_path_retries_exhausted_exit(cube_file, tmp_path, capsys, monkeypatch):

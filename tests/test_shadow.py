@@ -15,6 +15,7 @@ import polywalk.linalg as linalg_mod
 import polywalk.polytope as polytope_mod
 import polywalk.shadow as shadow_mod
 from polywalk.errors import (
+    CapExceeded,
     Infeasible,
     NotAVertex,
     RetriesExhausted,
@@ -104,7 +105,7 @@ def test_sampled_objectives_make_endpoints_extreme():
 
 def test_sample_objectives_draws_from_a_degenerate_endpoints_basis(pyramid):
     base = verify_vertex(pyramid, [1.0, 1.0, 0.0])
-    apex = shadow_mod._lex_basis(pyramid, verify_vertex(pyramid, [0.0, 0.0, 1.0]))
+    apex = verify_vertex(pyramid, [0.0, 0.0, 1.0])
     verts = enumerate_vertices(pyramid)
     for seed in range(8):
         pair = sample_objectives(pyramid, base, apex, seed)
@@ -258,8 +259,7 @@ def test_walk_matches_reference_on_perturbed_transportation(monkeypatch):
     for p, q in ((3, 3), (3, 4)):
         for s in range(3):
             inst = gen_transportation(p, q, s)
-            ends = [verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)]
-            r1, r2 = (shadow_mod._lex_basis(inst, v) if v.degenerate else v for v in ends)
+            r1, r2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
             for seed in range(10):
                 counts.clear()
                 try:
@@ -304,7 +304,6 @@ def test_walk_takes_one_slack_per_pivot(monkeypatch):
     # vertex: one slack for the start, then one per new basis.
     for inst in (gen_rotated(gen_hypercube(8), 0), gen_transportation(3, 4, 0)):
         v1, v2 = (verify_vertex(inst, x) for x in (inst.x1, inst.x2))
-        v1, v2 = (shadow_mod._lex_basis(inst, v) if v.degenerate else v for v in (v1, v2))
         pair = sample_objectives(inst, v1, v2, 0)
         counts = _counted(monkeypatch, (shadow_mod, "ratio_step"),
                           (polytope_mod.Instance, "slack"), (linalg_mod, "solve"))
@@ -456,10 +455,9 @@ def test_representative_breaks_near_ties_by_subset_order():
     for eta, basis in ((1e-13, (0, 1)), (1e-3, (1, 2))):
         inst = build_instance(rows(eta), [0.0, 0.0, 0.0, 1.0, 1.0])
         origin = verify_vertex(inst, [0.0, 0.0])
-        assert origin.degenerate and origin.basis == (0, 1)
-        rep = shadow_mod._lex_basis(inst, origin)
-        assert rep.basis == basis and rep.degenerate
-        assert rep.x.tobytes() == origin.x.tobytes()
+        assert origin.degenerate and origin.basis == basis
+        assert origin.basis == _reference_lex_basis(inst, origin)
+        assert origin.x.tobytes() == np.zeros(2).tobytes()
 
 
 def _degenerate_family():
@@ -490,30 +488,38 @@ def _reference_lex_basis(inst, v):
 
 
 def test_representative_matches_verify_vertex_route(monkeypatch):
-    # A non-degenerate endpoint walks from verify_vertex's basis with no
-    # further call; a degenerate one from the first lexicographically
-    # feasible basis, which is verify_vertex's whenever that one qualifies.
-    counts = _counted(monkeypatch, (shadow_mod, "feasible_subsets"))
+    # find_path walks from verify_vertex's basis at every endpoint.  At a
+    # degenerate one that is the first lexicographically feasible basis, by
+    # one stacked search over its tight rows; the family holds degenerate
+    # endpoints where the first nonsingular subset qualifies and ones where
+    # it does not.
+    counts = _counted(monkeypatch, (polytope_mod, "feasible_subsets"))
     simple = same = other = 0
     for inst in _degenerate_family():
         counts.clear()
         find_path(inst, inst.x1, inst.x2, seed=0)
         ends = inst._endpoint_memo[1]
+        degenerate_ends = 0
         for x, rep in ((inst.x1, ends.v1), (inst.x2, ends.v2)):
             v = verify_vertex(inst, x)
             assert rep.x.tobytes() == v.x.tobytes() and rep.degenerate == v.degenerate
+            assert rep.basis == v.basis
             if not v.degenerate:
-                assert rep.basis == v.basis
                 simple += 1
                 continue
-            assert rep.basis == _reference_lex_basis(inst, v)
-            if _exact_lex_feasible(inst, v.basis, tight_rows(inst, v.x)):
-                assert rep.basis == v.basis
+            degenerate_ends += 1
+            assert v.basis == _reference_lex_basis(inst, v)
+            tight = tight_rows(inst, v.x)
+            first = next(b for b in combinations(tight, inst.n)
+                         if linalg_mod.rank(inst.A[list(b)]) == inst.n)
+            if _exact_lex_feasible(inst, first, tight):
+                assert v.basis == first
                 same += 1
             else:
                 other += 1
-        degenerate_ends = sum(verify_vertex(inst, x).degenerate for x in (inst.x1, inst.x2))
-        assert counts["polywalk.shadow.feasible_subsets"] == degenerate_ends
+        # One search per degenerate endpoint in find_path, one more in the
+        # verify_vertex call above.
+        assert counts["polywalk.polytope.feasible_subsets"] == 2 * degenerate_ends
     assert simple > 0 and same > 0 and other > 0
 
 
@@ -551,10 +557,23 @@ def test_unfound_representative_is_reported_and_not_kept(monkeypatch):
     # no vertex, and the memo keeps nothing.
     pyramid = gen_degenerate_pyramid()
     empty = (np.empty((0, 3), dtype=np.intp), np.empty((0, 3, 4)), np.empty(0, dtype=bool))
-    monkeypatch.setattr(shadow_mod, "feasible_subsets", lambda inst, rows: empty)
+    monkeypatch.setattr(polytope_mod, "feasible_subsets", lambda inst, rows: empty)
     with pytest.raises(NotAVertex, match="lexicographically feasible"):
         find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
     assert pyramid._endpoint_memo is None
+
+
+def test_degenerate_endpoint_search_is_capped(tripled_cube3, monkeypatch):
+    # The search over a degenerate endpoint's tight rows is an enumeration
+    # like any other: over ENUM_CAP it raises CapExceeded, and the memo
+    # keeps nothing.
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", 83)
+    with pytest.raises(CapExceeded, match=r"C\(9,3\) = 84 subsets exceeds cap 83"):
+        find_path(tripled_cube3, tripled_cube3.x1, tripled_cube3.x2, seed=0)
+    assert tripled_cube3._endpoint_memo is None
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", 84)
+    path = find_path(tripled_cube3, tripled_cube3.x1, tripled_cube3.x2, seed=0)
+    assert path.status == "Perturbed+Completed" and path.length == 3
 
 
 # -- the per-instance endpoint memo of find_path ------------------------------
@@ -677,6 +696,16 @@ def test_first_call_counts_unchanged_and_repeat_skips_verification(monkeypatch):
     counts.clear()
     find_path(cube, cube.x1, cube.x2, seed=0)
     assert counts == walk_calls
+
+
+def test_fresh_find_path_ranks_only_the_simple_endpoint(monkeypatch):
+    # The pyramid's x1 is simple and its apex x2 degenerate: verify_vertex
+    # runs its rank loop over x1's n tight rows only, and picks the apex's
+    # basis by the lexicographic search alone.
+    pyramid = gen_degenerate_pyramid()
+    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"), (linalg_mod, "rank"))
+    find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
+    assert counts == {"polywalk.shadow.verify_vertex": 2, "polywalk.linalg.rank": pyramid.n}
 
 
 # -- exact oracle and scale invariance of the lexicographic rule ---------------
