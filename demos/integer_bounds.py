@@ -20,14 +20,13 @@ from polywalk import (
     gen_degenerate_pyramid,
     gen_hypercube,
     gen_transportation,
-    int_determinant,
     subdet_report,
 )
 
 # --- Exact determinants where floating point fails -----------------------
 big = 10**9
 mat = [[big, big - 1], [big + 1, big]]
-print("exact 2x2 determinant with 18-digit products:", int_determinant(mat))
+print("exact 2x2 determinant with 18-digit products:", basis_minors(mat).Delta_n)
 
 # --- Sub-determinant profile of a small matrix ---------------------------
 report = subdet_report([[2, 1], [1, 1]])

@@ -15,7 +15,6 @@ from .experiments import (
     TrialBatch,
     bound_report,
     emit,
-    report_from_json,
     run_batch,
 )
 from .flatness import (
@@ -49,7 +48,6 @@ from .linalg import (
     as_int_matrix,
     as_matrix,
     as_vector,
-    int_determinant,
     inverse,
     normalize,
     rank,
@@ -72,12 +70,10 @@ from .shadow import (
     ObjectivePair,
     PerturbationRecord,
     ShadowPath,
-    SlopeGapDiagnostic,
     find_path,
     project,
     sample_objectives,
     slope,
-    slope_gap,
     walk,
 )
 

@@ -20,7 +20,7 @@ from .errors import CapExceeded, PolywalkError, RetriesExhausted
 from .experiments import bound_report, emit, run_batch
 from .flatness import certify_reports, delta_A, subdet_report
 from .instances import GeneratorSpec, generate, read_instance, write_instance, write_text
-from .polytope import bfs_distance, vertex_graph
+from .polytope import bfs_distance
 from .shadow import find_path
 
 EXIT_OK = 0
@@ -104,8 +104,7 @@ def cmd_experiment(args) -> int:
         return EXIT_INPUT
     batch = run_batch(inst, inst.x1, inst.x2, args.trials, args.seed)
     try:
-        graph = vertex_graph(inst)
-        bfs = bfs_distance(inst, inst.x1, inst.x2, graph=graph)
+        bfs = bfs_distance(inst, inst.x1, inst.x2)
     except CapExceeded:
         bfs = None
     report = bound_report(batch, inst, bfs_lower=bfs)

@@ -135,7 +135,3 @@ class UnboundedSample(PolywalkError):
 
 class MissingDelta(CapExceeded):
     """A bound report's flatness was not supplied, and its cap refuses it."""
-
-
-class TooShort(PolywalkError):
-    """A diagnostic needs at least two edges."""

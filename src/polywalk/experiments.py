@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,9 +57,9 @@ class BoundReport:
     mean_length: float | None
     std_err: float | None
     bound_8mn2_over_delta2: float
-    bound_integral_ceiling: float | None
-    bfs_lower: int | None
     ratio_mean_to_bound: float | None
+    bound_integral_ceiling: float | None = None
+    bfs_lower: int | None = None
 
 
 def run_batch(inst: Instance, x1, x2, n_trials: int, base_seed: int) -> TrialBatch:
@@ -170,16 +169,3 @@ def emit(report: BoundReport, fmt: str = "json") -> str:
             payload["bfs_lower"] = report.bfs_lower
         return jsontext.dumps(payload) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def report_from_json(text: str) -> BoundReport:
-    """Rebuild a report from its JSON emission (the round-trip reader)."""
-    data = json.loads(text)
-    return BoundReport(
-        instance_id=data["instance_id"], m=data["m"], n=data["n"],
-        delta=data["delta"], trials=data["trials"],
-        mean_length=data["mean_length"], std_err=data["std_err"],
-        bound_8mn2_over_delta2=data["bound_8mn2_over_delta2"],
-        bound_integral_ceiling=data.get("bound_integral_ceiling"),
-        bfs_lower=data.get("bfs_lower"),
-        ratio_mean_to_bound=data["ratio_mean_to_bound"])

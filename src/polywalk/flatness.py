@@ -16,10 +16,11 @@ The enumerations run on stacks of row subsets, one chunk at a time:
 singularity rule as :func:`delta_basis`.  The integer certificate needs only
 Delta1 and Delta_{n-1}, which :func:`basis_minors` reads in one exact pass
 over the bases from their adjugates (B^-1 = adj(B) / det(B)); the all-orders
-:func:`subdet_report` takes every chunk of minors of every order through
-exact fraction-free elimination.  Both run on machine numbers (float64 and
-int64) where a Hadamard bound keeps every intermediate exact, and in Python
-ints otherwise.
+:func:`subdet_report` takes every chunk of minors of every order through the
+same exact kernel, :func:`~polywalk.linalg.int_adjugates`.  Both pick its
+dtype by one rule, :func:`~polywalk.linalg.exact_dtype`: machine numbers
+(float64, then int64) where a Hadamard bound keeps every intermediate exact,
+and Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -164,13 +165,13 @@ def delta_A(inst: Instance) -> FlatnessReport:
 def subdet_report(int_mat) -> SubdetReport:
     """Exact largest sub-determinants of an integer matrix, all orders.
 
-    Enumerates every square submatrix up to order n, stacked per chunk, with
-    exact fraction-free determinants; each order's row and column subsets
-    are two index arrays, and a chunk gathers its pairs from them by
-    position.  The total count is guarded by
-    ``SUBDET_CAP``.  An order runs in int64 when its squared Hadamard bound
-    (Delta1 * sqrt(k))**(2k) stays below 2**62, so no product can overflow,
-    and in Python ints otherwise.
+    Enumerates every square submatrix up to order n, stacked per chunk,
+    through :func:`~polywalk.linalg.int_adjugates`, whose |determinants| of
+    the nonsingular minors give each chunk's largest (a singular minor adds
+    0); each order's row and column subsets are two index arrays, and a
+    chunk gathers its pairs from them by position.  The total count is
+    guarded by ``SUBDET_CAP``.  Order k runs in the dtype
+    :func:`~polywalk.linalg.exact_dtype` picks for k and Delta1.
     """
     mat = linalg.as_int_matrix(int_mat)
     m, n = len(mat), len(mat[0])
@@ -178,12 +179,11 @@ def subdet_report(int_mat) -> SubdetReport:
     total = sum(math.comb(m, k) * math.comb(n, k) for k in range(1, k_max + 1))
     if total > SUBDET_CAP:
         raise CapExceeded(f"{total} square submatrices exceed cap {SUBDET_CAP}")
-    exact = np.array(mat, dtype=object)
     Delta1 = max(abs(v) for row in mat for v in row)
     # Orders above min(m, n) have no minors; their largest is 0.
     delta_by_order = [0] * (n + 1)
     for k in range(1, k_max + 1):
-        entries = exact.astype(np.int64) if (Delta1 * Delta1 * k) ** k < 2**62 else exact
+        entries = np.array(mat, dtype=linalg.exact_dtype(k, Delta1))
         rows = np.array(list(combinations(range(m), k)), dtype=np.intp)
         cols = np.array(list(combinations(range(n), k)), dtype=np.intp)
         # Row subsets outer, column subsets inner, in chunks of SUBSET_CHUNK.
@@ -192,8 +192,8 @@ def subdet_report(int_mat) -> SubdetReport:
             pair = np.arange(lo, min(lo + linalg.SUBSET_CHUNK, count))
             r, c = rows[pair // len(cols)], cols[pair % len(cols)]
             minors = entries[r[:, :, None], c[:, None, :]]
-            dets = linalg.int_determinants(minors)
-            delta_by_order[k] = max(delta_by_order[k], int(np.max(np.abs(dets))))
+            dets = linalg.int_adjugates(minors)[1]
+            delta_by_order[k] = max(delta_by_order[k], int(dets.max(initial=0)))
     Delta_n_minus_1 = delta_by_order[n - 1] if n >= 2 else 1
     return SubdetReport(Delta=max(delta_by_order),
                         Delta1=Delta1,
@@ -209,11 +209,9 @@ def basis_minors(int_mat) -> BasisMinors:
     nonsingular basis, so Delta_{n-1} is the largest |entry| of adj(B) over
     the nonsingular bases (for n = 1, adj(B) = [1] gives Delta_0 = 1).  Each
     chunk of the C(m, n) bases, guarded by ``DELTA_CAP``, goes through
-    :func:`~polywalk.linalg.int_adjugates`: in float64 when the squared
-    Hadamard bound (n * Delta1**2 + 1)**n of [B | I] stays below 2**52, so
-    every intermediate is an integer below 2**53 and exact, and in Python
-    ints otherwise.  Raises :class:`DependentVectors` when no n-row subset
-    is nonsingular.
+    :func:`~polywalk.linalg.int_adjugates`, in the dtype
+    :func:`~polywalk.linalg.exact_dtype` picks for n and Delta1.  Raises
+    :class:`DependentVectors` when no n-row subset is nonsingular.
     """
     mat = linalg.as_int_matrix(int_mat)
     m, n = len(mat), len(mat[0])
@@ -221,8 +219,7 @@ def basis_minors(int_mat) -> BasisMinors:
     if total > DELTA_CAP:
         raise CapExceeded(f"C({m},{n}) = {total} bases exceeds cap {DELTA_CAP}")
     Delta1 = max(abs(v) for row in mat for v in row)
-    exact = np.array(mat, dtype=object)
-    entries = exact.astype(float) if (n * Delta1 * Delta1 + 1) ** n < 2**52 else exact
+    entries = np.array(mat, dtype=linalg.exact_dtype(n, Delta1))
     Delta_n_minus_1 = Delta_n = 0
     for subsets in linalg.index_chunks(combinations(range(m), n)):
         _, dets, adjugates = linalg.int_adjugates(entries[subsets])

@@ -1,10 +1,11 @@
-"""Dense real kernel and exact integer determinants.
+"""Dense real kernel and exact integer minors.
 
 Real vectors and matrices are plain float64 numpy arrays; :func:`as_vector`
 and :func:`as_matrix` validate shape and finiteness at the package boundary.
-Exact integer determinants run in int64 where a Hadamard bound keeps every
-intermediate product below 2**63, exact adjugates in float64 where it keeps
-them below 2**52, and both on unbounded Python ints otherwise.
+Integer matrices have one exact kernel, :func:`int_adjugates`, and one rule,
+:func:`exact_dtype`, for the dtype it runs in: float64 or int64 where a
+Hadamard bound keeps every intermediate exact, unbounded Python ints
+otherwise.
 
 :func:`solve`, :func:`inverse` and :func:`rank` run on numpy's LAPACK
 calls.  Two thresholds are used package-wide and kept here, as module
@@ -21,9 +22,9 @@ constants read at call time, with no per-call override:
 Enumerations over row subsets run on stacks: :func:`index_chunks` cuts an
 index stream into arrays of ``SUBSET_CHUNK`` rows, :func:`solve_stack` applies
 :func:`solve`'s rule to a whole stack of bases at once, and
-:func:`int_determinants` runs fraction-free elimination on a stack of integer
-matrices and :func:`int_adjugates` fraction-free Gauss-Jordan elimination, which
-also gives every basis's adjugate.
+:func:`int_adjugates` runs fraction-free Gauss-Jordan elimination on a stack of
+integer matrices, which gives every nonsingular one's |determinant| and
+adjugate.
 """
 
 from __future__ import annotations
@@ -157,37 +158,23 @@ def solve_stack(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ok, out[good]
 
 
-def int_determinants(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a ``(s, k, k)`` stack of integer matrices.
+def exact_dtype(k: int, Delta1: int) -> np.dtype:
+    """The dtype in which :func:`int_adjugates` is exact on k x k matrices.
 
-    The same fraction-free elimination as :func:`int_determinant`, with the
-    row swap chosen per matrix.  Every division is exact, so the result is
-    exact in the stack's dtype: int64 when the caller has bounded every
-    intermediate product below 2**63, numpy ``object`` (Python ints)
-    otherwise.
+    ``Delta1`` bounds the absolute values of the integer entries.  Every
+    number the elimination forms is a minor of ``[B | I]`` or the product of
+    two, and Hadamard's inequality bounds the square of such a minor by
+    H = (k * Delta1**2 + 1)**k.  So float64 is exact while H < 2**52 (every
+    product, difference and quotient is an integer below 2**53), int64 while
+    H < 2**62 (every difference of two products is below 2**63), and numpy
+    ``object`` (Python ints) is needed otherwise.
     """
-    a = mats.copy()
-    s, k, _ = a.shape
-    negate = np.zeros(s, dtype=bool)
-    singular = np.zeros(s, dtype=bool)
-    prev = np.ones(s, dtype=a.dtype)
-    for i in range(k - 1):
-        nonzero = a[:, i:, i] != 0
-        singular |= ~nonzero.any(axis=1)
-        p = i + np.argmax(nonzero, axis=1)
-        swap = np.flatnonzero(p != i)
-        rows_i = a[swap, i].copy()
-        a[swap, i] = a[swap, p[swap]]
-        a[swap, p[swap]] = rows_i
-        negate[swap] = ~negate[swap]
-        # A singular matrix keeps going on a unit pivot; its value is dropped.
-        piv = np.where(singular, 1, a[:, i, i]).astype(a.dtype)
-        a[:, i + 1:, i + 1:] = (a[:, i + 1:, i + 1:] * piv[:, None, None]
-                                - a[:, i + 1:, i:i + 1] * a[:, i:i + 1, i + 1:]) \
-            // prev[:, None, None]
-        prev = piv
-    det = a[:, -1, -1]
-    return np.where(singular, 0, np.where(negate, -det, det)).astype(a.dtype)
+    bound = (k * Delta1 * Delta1 + 1) ** k
+    if bound < 2**52:
+        return np.dtype(np.float64)
+    if bound < 2**62:
+        return np.dtype(np.int64)
+    return np.dtype(object)
 
 
 def int_adjugates(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,13 +184,11 @@ def int_adjugates(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     column j of the stack holds column j of the right block for j <= k and of
     the left block for j > k; the other columns of both blocks are multiples
     of unit vectors and are not stored.  The row swap is chosen per matrix,
-    as in :func:`int_determinants`, and a matrix whose pivot column is zero
-    from the diagonal down is singular and leaves the stack.  Every stored
-    entry is, up to sign, a minor of ``[B | I]``, so every division is exact
-    and the result is exact in the stack's dtype: float64 when the caller
-    has bounded every intermediate product below 2**52, so that every
-    product, difference and quotient is an integer float64 holds exactly,
-    and numpy ``object`` (Python ints, divided with ``//``) otherwise.
+    and a matrix whose pivot column is zero from the diagonal down is
+    singular and leaves the stack.  Every stored entry is, up to sign, a
+    minor of ``[B | I]``, so every division is exact (``/`` on a float
+    stack, ``//`` on any other) and the result is exact in the dtype
+    :func:`exact_dtype` picks for the stack.
 
     Returns the mask of the nonsingular matrices and, for those in stack
     order, |det B| and the adjugate up to sign and column order (a row swap
@@ -228,10 +213,10 @@ def int_adjugates(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         piv = col[:, k]
         a *= piv[:, None, None]
         a -= col[:, :, None] * row[:, None, :]
-        if a.dtype == object:
-            a //= prev[:, None, None]
-        else:
+        if a.dtype.kind == "f":
             a /= prev[:, None, None]
+        else:
+            a //= prev[:, None, None]
         # Row k is the pivot row, kept; column k enters the right block.
         a[:, :, k] = -col
         a[:, k, :] = row
@@ -269,37 +254,3 @@ def as_int_matrix(rows) -> list[list[int]]:
     if not out or width == 0:
         raise ValueError("expected a nonempty integer matrix")
     return out
-
-
-def int_determinant(mat) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Fraction-free elimination: every interior division is exact, so the
-    arithmetic stays in Python ints throughout and the result is the exact
-    determinant regardless of magnitude.
-    """
-    a = as_int_matrix(mat)
-    k = len(a)
-    if any(len(row) != k for row in a):
-        raise ValueError(f"matrix must be square, got {k}x{len(a[0])}")
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            for p in range(i + 1, k):
-                if a[p][i] != 0:
-                    a[i], a[p] = a[p], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[i][i]
-        for r in range(i + 1, k):
-            lead = a[r][i]
-            row_r = a[r]
-            row_i = a[i]
-            for c in range(i + 1, k):
-                row_r[c] = (row_r[c] * piv - lead * row_i[c]) // prev
-            row_r[i] = 0
-        prev = piv
-    return sign * a[-1][-1]

@@ -39,7 +39,6 @@ from .errors import (
     Singular,
     StalledWalk,
     StepLimit,
-    TooShort,
     Unbounded,
     UnboundedShadow,
     VerticalEdge,
@@ -91,14 +90,6 @@ class PerturbationRecord:
     """
 
     seed: int
-
-
-@dataclass(frozen=True)
-class SlopeGapDiagnostic:
-    """Smallest gap between consecutive slopes and where it occurs."""
-
-    min_gap: float
-    attained_at: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -326,19 +317,6 @@ def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray
         if alive.size == 1:
             break
     return int(ties[alive[0]])
-
-
-def slope_gap(path: ShadowPath) -> SlopeGapDiagnostic:
-    """Smallest decrease between consecutive slopes of a path.
-
-    Needs at least two edges; the location is the index pair of the two
-    consecutive edges attaining the minimum.
-    """
-    if len(path.slopes) < 2:
-        raise TooShort("slope gap needs at least two edges")
-    gaps = [path.slopes[i] - path.slopes[i + 1] for i in range(len(path.slopes) - 1)]
-    k = int(np.argmin(gaps))
-    return SlopeGapDiagnostic(min_gap=float(gaps[k]), attained_at=(k, k + 1))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Monte Carlo batches, bound reports, and the two emission formats."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,10 +11,10 @@ import polywalk.shadow as shadow_mod
 from polywalk.errors import DependentVectors, MissingDelta, RetriesExhausted, VerticalEdge
 from polywalk.experiments import (
     CSV_COLUMNS,
+    BoundReport,
     TrialBatch,
     bound_report,
     emit,
-    report_from_json,
     run_batch,
 )
 from polywalk.flatness import subdet_report
@@ -116,7 +118,7 @@ def test_emit_csv_empty_cells_for_missing(cube3):
 def test_emit_json_round_trip(cube3):
     batch = run_batch(cube3, cube3.x1, cube3.x2, n_trials=10, base_seed=3)
     report = bound_report(batch, cube3, bfs_lower=3)
-    again = report_from_json(emit(report, "json"))
+    again = BoundReport(**json.loads(emit(report, "json")))
     assert again == report
 
 
@@ -124,7 +126,7 @@ def test_emit_json_round_trip_without_optionals(cube3):
     batch = TrialBatch(instance_id=cube3.name, n_trials=0, base_seed=0,
                        lengths=(), retries=(), failures=())
     report = bound_report(batch, cube3)
-    again = report_from_json(emit(report, "json"))
+    again = BoundReport(**json.loads(emit(report, "json")))
     assert again == report
     assert again.bfs_lower is None
 

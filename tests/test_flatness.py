@@ -29,8 +29,8 @@ from polywalk.instances import (
     gen_simplex,
     gen_transportation,
 )
-from polywalk.linalg import int_determinant
 from polywalk.polytope import build_instance
+from reference import int_determinant
 
 SQRT2 = math.sqrt(2.0)
 
@@ -276,22 +276,22 @@ def _float_minors_by_order(mat):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_subdet_report_every_order_on_the_integral_corpus(chunk, monkeypatch):
     # Every integral instance of the acceptance corpus; the largest minor of
-    # each order is read off the determinant stacks subdet_report computes.
+    # each order is read off the |determinant| stacks subdet_report computes.
     insts = [gen(n) for n in (3, 4, 5, 6) for gen in (gen_hypercube, gen_simplex)]
     insts += [gen_transportation(p, q, s)
               for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
     if chunk is not None:
         monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
-    real = linalg_mod.int_determinants
+    real = linalg_mod.int_adjugates
     seen = {}
 
     def recording(minors):
-        dets = real(minors)
+        ok, dets, adjs = real(minors)
         k = minors.shape[-1]
-        seen[k] = max(seen.get(k, 0), int(np.max(np.abs(dets))))
-        return dets
+        seen[k] = max(seen.get(k, 0), int(dets.max(initial=0)))
+        return ok, dets, adjs
 
-    monkeypatch.setattr(linalg_mod, "int_determinants", recording)
+    monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
     for inst in insts:
         seen.clear()
         report = subdet_report(inst.int_A)
@@ -362,6 +362,23 @@ def test_basis_minors_exact_on_either_side_of_the_float_bound():
         _check_basis_minors(rng.integers(-10**12, 10**12, size=(6, 4)).tolist())
     got = _check_basis_minors([[10**12, 10**12 - 1], [10**12 + 1, 10**12], [1, 0]])
     assert got.Delta_n == 10**12
+
+
+def test_order_6_minors_of_small_entries_run_in_int64(monkeypatch):
+    # (6 * 12**2 + 1)**6 lies between 2**52 and 2**62: both passes take the
+    # order-6 minors of this matrix through the kernel as int64.
+    mat = np.random.default_rng(45).integers(-12, 13, size=(8, 6)).tolist()
+    real = linalg_mod.int_adjugates
+    dtypes = {}
+
+    def recording(minors):
+        dtypes.setdefault(minors.shape[-1], set()).add(minors.dtype)
+        return real(minors)
+
+    monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
+    assert subdet_report(mat) == _subdet_reference(mat)
+    _check_basis_minors(mat)
+    assert dtypes[6] == {np.dtype(np.int64)}
 
 
 def test_basis_minors_same_across_chunk_boundaries(monkeypatch):

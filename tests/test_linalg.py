@@ -13,10 +13,9 @@ from polywalk.linalg import (
     as_int_matrix,
     as_matrix,
     as_vector,
+    exact_dtype,
     index_chunks,
-    int_determinant,
     int_adjugates,
-    int_determinants,
     inverse,
     normalize,
     rank,
@@ -25,6 +24,7 @@ from polywalk.linalg import (
 )
 from polywalk.polytope import ratio_step, verify_vertex
 from polywalk.shadow import ObjectivePair, project, slope
+from reference import int_determinant
 
 
 def test_as_vector_rejects_non_finite():
@@ -246,25 +246,39 @@ def test_solve_stack_empty_and_all_singular():
     assert ok.shape == (0,) and out.shape == (0, 2, 3)
 
 
-def test_int_determinants_match_reference():
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_int_adjugates_determinants_match_reference(dtype):
     rng = np.random.default_rng(31)
     for k in range(1, 6):
-        mats = rng.integers(-9, 10, size=(40, k, k))
+        mats = rng.integers(-9, 10, size=(40, k, k)).astype(dtype)
         mats[:5, -1] = mats[:5, 0]  # repeated rows: determinant 0
-        got = int_determinants(mats)
-        assert got.dtype == np.int64
-        assert got.tolist() == [int_determinant(a) for a in mats]
+        ok, dets, adjs = int_adjugates(mats)
+        assert dets.dtype == adjs.dtype == np.dtype(dtype)
+        _check_adjugates(mats, ok, dets, adjs)
 
 
-def test_int_determinants_exact_on_object_stacks():
+def test_int_adjugates_determinants_exact_on_object_stacks():
     # Products of 1e12 entries overflow int64; Python ints stay exact.
     rng = np.random.default_rng(32)
     mats = rng.integers(-10**12, 10**12, size=(20, 4, 4)).astype(object)
     mats[0] = [[10**12, 10**12 - 1, 0, 0], [10**12 + 1, 10**12, 0, 0],
                [0, 0, 1, 0], [0, 0, 0, 1]]
-    got = int_determinants(mats)
-    assert got[0] == 1
-    assert [int(v) for v in got] == [int_determinant(a.tolist()) for a in mats]
+    mats[1, 3] = mats[1, 0] - mats[1, 2]  # dependent rows: determinant 0
+    ok, dets, adjs = int_adjugates(mats)
+    assert dets[0] == 1 and not ok[1]
+    _check_adjugates(mats, ok, dets, adjs)
+
+
+def test_exact_dtype_tiers():
+    # (k * Delta1**2 + 1)**k against 2**52 and 2**62.
+    assert exact_dtype(3, 234) == np.float64  # 164269**3 < 2**52
+    assert exact_dtype(3, 235) == np.int64
+    assert exact_dtype(1, 2**26 - 1) == np.float64
+    assert exact_dtype(1, 2**26) == np.int64
+    assert exact_dtype(1, 2**31 - 1) == np.int64
+    assert exact_dtype(1, 2**31) == object
+    assert exact_dtype(6, 12) == np.int64
+    assert exact_dtype(4, 10**12) == object
 
 
 def test_index_chunks_keep_order_across_boundaries(monkeypatch):

@@ -20,7 +20,6 @@ from polywalk.errors import (
     NotAVertex,
     RetriesExhausted,
     Singular,
-    TooShort,
     VerticalEdge,
     WalkFailure,
 )
@@ -50,13 +49,11 @@ from polywalk.shadow import (
     SLOPE_TOL,
     ObjectivePair,
     PerturbationRecord,
-    ShadowPath,
     default_max_steps,
     find_path,
     project,
     sample_objectives,
     slope,
-    slope_gap,
     walk,
 )
 
@@ -521,21 +518,6 @@ def test_representative_matches_verify_vertex_route(monkeypatch):
         # verify_vertex call above.
         assert counts["polywalk.polytope.feasible_subsets"] == 2 * degenerate_ends
     assert simple > 0 and same > 0 and other > 0
-
-
-def test_slope_gap_values():
-    path = ShadowPath(vertices=(), slopes=(3.0, 2.0, 0.5), projections=(),
-                      pivot_trace=(), status="Completed", seed=0)
-    diag = slope_gap(path)
-    npt.assert_allclose(diag.min_gap, 1.0, atol=1e-15)
-    assert diag.attained_at == (0, 1)
-
-
-def test_slope_gap_too_short(cube3):
-    single = ShadowPath(vertices=(), slopes=(1.0,), projections=(),
-                        pivot_trace=(), status="Completed", seed=0)
-    with pytest.raises(TooShort):
-        slope_gap(single)
 
 
 def test_find_path_retries_exhausted(cube3, monkeypatch):
