@@ -16,11 +16,14 @@ The enumerations run on stacks of row subsets, one chunk at a time:
 singularity rule as :func:`delta_basis`.  The integer certificate needs only
 Delta1 and Delta_{n-1}, which :func:`basis_minors` reads in one exact pass
 over the bases from their adjugates (B^-1 = adj(B) / det(B)); the all-orders
-:func:`subdet_report` takes every chunk of minors of every order through the
-same exact kernel, :func:`~polywalk.linalg.int_adjugates`.  Both pick its
-dtype by one rule, :func:`~polywalk.linalg.exact_dtype`: machine numbers
-(float64, then int64) where a Hadamard bound keeps every intermediate exact,
-and Python ints otherwise.
+:func:`subdet_report` takes its chunks of minors through the same exact
+kernel, :func:`~polywalk.linalg.int_adjugates`.  Expanding a minor along its
+unit rows (+-e_j) leaves a smaller minor of the other rows, on columns those
+unit rows do not cover, so it enumerates the minors of the other rows only
+and reads every order off them.  Both pick the kernel's dtype by one rule,
+:func:`~polywalk.linalg.exact_dtype`: machine numbers (float64, then int64)
+where a Hadamard bound keeps every intermediate exact, and Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -165,35 +168,66 @@ def delta_A(inst: Instance) -> FlatnessReport:
 def subdet_report(int_mat) -> SubdetReport:
     """Exact largest sub-determinants of an integer matrix, all orders.
 
-    Enumerates every square submatrix up to order n, stacked per chunk,
-    through :func:`~polywalk.linalg.int_adjugates`, whose |determinants| of
-    the nonsingular minors give each chunk's largest (a singular minor adds
-    0); each order's row and column subsets are two index arrays, and a
-    chunk gathers its pairs from them by position.  The total count is
-    guarded by ``SUBDET_CAP``.  Order k runs in the dtype
-    :func:`~polywalk.linalg.exact_dtype` picks for k and Delta1.
+    A *unit row* has one nonzero entry, +1 or -1.  Expanding a minor along
+    its unit rows shows that every nonzero K-minor is, up to sign, a k-minor
+    of the other rows on some column set S, completed by K - k unit rows on
+    columns outside S: a unit row whose nonzero entry lies outside the
+    minor's columns is a zero row of it, and two on one column are
+    dependent.  Conversely each such completion is a K-minor.  So with u(S)
+    the number of unit-row columns outside S, a k-minor on S counts toward
+    every order from k to k + u(S), and the empty minor gives 1 to every
+    order up to the number of unit-row columns.
+
+    Only the minors of the other rows are enumerated, after zero rows are
+    dropped and rows that repeat up to sign are kept once (a minor holding
+    both has determinant 0).  Each chunk of them goes, stacked, through
+    :func:`~polywalk.linalg.int_adjugates`, whose |determinants| of the
+    nonsingular minors give the chunk's largest per order (a singular minor
+    adds 0); each order's row and column subsets are two index arrays, and a
+    chunk gathers its pairs from them by position.  ``SUBDET_CAP`` guards
+    the count enumerated, the sum over k of C(r, k) * C(n, k) for r such
+    rows.  Order k runs in the dtype :func:`~polywalk.linalg.exact_dtype`
+    picks for k and Delta1.
     """
     mat = linalg.as_int_matrix(int_mat)
-    m, n = len(mat), len(mat[0])
-    k_max = min(m, n)
-    total = sum(math.comb(m, k) * math.comb(n, k) for k in range(1, k_max + 1))
+    n = len(mat[0])
+    Delta1 = max(abs(v) for row in mat for v in row)
+    unit_col = np.zeros(n, dtype=bool)
+    kept: dict[tuple[int, ...], None] = {}
+    for row in mat:
+        support = [j for j, v in enumerate(row) if v]
+        if len(support) == 1 and abs(row[support[0]]) == 1:
+            unit_col[support[0]] = True
+        elif support:
+            sign = 1 if row[support[0]] > 0 else -1
+            kept.setdefault(tuple(sign * v for v in row), None)
+    rest = list(kept)
+    r = len(rest)
+    k_max = min(r, n)
+    total = sum(math.comb(r, k) * math.comb(n, k) for k in range(1, k_max + 1))
     if total > SUBDET_CAP:
         raise CapExceeded(f"{total} square submatrices exceed cap {SUBDET_CAP}")
-    Delta1 = max(abs(v) for row in mat for v in row)
     # Orders above min(m, n) have no minors; their largest is 0.
     delta_by_order = [0] * (n + 1)
+    n_unit = int(np.count_nonzero(unit_col))
+    # The empty minor, completed by unit rows alone.
+    delta_by_order[1:n_unit + 1] = [1] * n_unit
     for k in range(1, k_max + 1):
-        entries = np.array(mat, dtype=linalg.exact_dtype(k, Delta1))
-        rows = np.array(list(combinations(range(m), k)), dtype=np.intp)
+        entries = np.array(rest, dtype=linalg.exact_dtype(k, Delta1))
+        rows = np.array(list(combinations(range(r), k)), dtype=np.intp)
         cols = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        spare = n_unit - np.count_nonzero(unit_col[cols], axis=1)
         # Row subsets outer, column subsets inner, in chunks of SUBSET_CHUNK.
         count = len(rows) * len(cols)
         for lo in range(0, count, linalg.SUBSET_CHUNK):
             pair = np.arange(lo, min(lo + linalg.SUBSET_CHUNK, count))
-            r, c = rows[pair // len(cols)], cols[pair % len(cols)]
-            minors = entries[r[:, :, None], c[:, None, :]]
-            dets = linalg.int_adjugates(minors)[1]
-            delta_by_order[k] = max(delta_by_order[k], int(dets.max(initial=0)))
+            r_sub, c_sub = rows[pair // len(cols)], pair % len(cols)
+            minors = entries[r_sub[:, :, None], cols[c_sub][:, None, :]]
+            ok, dets, _ = linalg.int_adjugates(minors)
+            # Order k + t takes the minors with at least t spare unit rows.
+            u = spare[c_sub[ok]]
+            for t in range(int(u.max(initial=-1)) + 1):
+                delta_by_order[k + t] = max(delta_by_order[k + t], int(dets[u >= t].max()))
     Delta_n_minus_1 = delta_by_order[n - 1] if n >= 2 else 1
     return SubdetReport(Delta=max(delta_by_order),
                         Delta1=Delta1,

@@ -167,14 +167,37 @@ def test_rank_deficient_integer_matrix(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_subdet_cap_binds_only_bound_check(cube_file, tmp_path, capsys, monkeypatch):
+def test_subdet_cap_binds_only_bound_check(cube_file, pyramid, tmp_path, capsys, monkeypatch):
     # The certificate needs no minor beyond the bases, so only the Delta=
-    # line of bound-check still enumerates every order under SUBDET_CAP.
+    # line of bound-check enumerates minors under SUBDET_CAP.  The cap counts
+    # the minors of the rows that are not unit rows: none on the cube, whose
+    # rows are all unit rows, so even a cap of 1 answers it, and 34 on the
+    # pyramid.
     monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 1)
     assert certify_delta_Delta(gen_hypercube(3)) == (True, 2.0)
     assert _experiment(cube_file, tmp_path / "report") == 0
-    assert main(["bound-check", "--instance", str(cube_file)]) == 3
-    assert "exceed cap 1" in capsys.readouterr().err
+    assert main(["bound-check", "--instance", str(cube_file)]) == 0
+    assert "Delta=1\n" in capsys.readouterr().out
+    path = tmp_path / "pyramid.json"
+    write_instance(pyramid, path)
+    monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 33)
+    assert main(["bound-check", "--instance", str(path)]) == 3
+    assert "34 square submatrices exceed cap 33" in capsys.readouterr().err
+    monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 34)
+    assert main(["bound-check", "--instance", str(path)]) == 0
+    assert "Delta=2\n" in capsys.readouterr().out
+
+
+def test_bound_check_transportation_4x4(tmp_path, capsys):
+    # Totally unimodular: 11,439 minors of the rows that are not unit rows
+    # give Delta = 1, where every order of all 16 rows holds 2,042,974.
+    path = tmp_path / "t44.json"
+    write_instance(gen_transportation(4, 4, 0), path)
+    capsys.readouterr()
+    assert main(["bound-check", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "Delta=1\n" in out
+    assert "certificate=holds" in out
 
 
 def test_delta_cap_exits_3_in_every_command(tmp_path, capsys, monkeypatch):

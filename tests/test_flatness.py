@@ -242,13 +242,66 @@ def _subdet_reference(mat):
                         bound_on_inv_delta=float(n * d1 * dn1))
 
 
-def test_subdet_report_matches_scalar_reference():
+def _unit_row(rng, n, scale=1):
+    row = [0] * n
+    row[int(rng.integers(n))] = scale * int(rng.choice([-1, 1]))
+    return row
+
+
+def _mixed_matrix(rng, n, others, units, high, extra=()):
+    """``others`` rows of entries in [-high, high], ``units`` signed unit
+    rows, a negated and a repeated copy of one row and the ``extra`` rows,
+    in a seeded order."""
+    rows = rng.integers(-high, high + 1, size=(others, n)).tolist()
+    rows += [_unit_row(rng, n) for _ in range(units)]
+    rows += [[-v for v in rows[0]], list(rows[-1])] + [list(row) for row in extra]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def _unit_row_cases(rng):
+    """Seeded matrices beside the unit rows that subdet_report sets aside."""
+    cases = []
+    for i in range(16):  # signed unit rows, rows negated and repeated
+        cases.append(_mixed_matrix(rng, 2 + i % 4, 1 + i % 3, 1 + i % 5, 3))
+    for i in range(10):  # a zero row and a zero column
+        n = 3 + i % 3
+        mat = _mixed_matrix(rng, n, 2 + i % 2, 2 + i % 3, 4, extra=[[0] * n])
+        zero = int(rng.integers(n))
+        cases.append([[0 if j == zero else v for j, v in enumerate(row)] for row in mat])
+    for i in range(10):  # +-2 e_j rows stay among the enumerated rows
+        n = 2 + i % 4
+        extra = [_unit_row(rng, n, scale=2) for _ in range(1 + i % 2)]
+        cases.append(_mixed_matrix(rng, n, i % 3, n, 1, extra=extra))
+    for i in range(10):  # m < n
+        n = 4 + i % 2
+        cases.append(_mixed_matrix(rng, n, 1, 1 + i % 2, 3)[:n - 1 - i % 2])
+    for i in range(6):  # order 3 in int64: (3 * 300**2 + 1)**3 > 2**52
+        cases.append(_mixed_matrix(rng, 4, 3, 2, 300))
+    for i in range(6):  # entries of 1e12 on Python ints
+        cases.append(_mixed_matrix(rng, 3 + i % 2, 2, 2 + i % 2, 10**12))
+    cases += [[[1, 0], [0, -1], [-1, 0]], [[0, 0, 0], [0, 0, 0]], [[0, 1, 0]],
+              [[2, 0], [0, 1]], [[-1], [1], [-1]]]
+    return cases
+
+
+def test_subdet_report_matches_scalar_reference(monkeypatch):
+    real = linalg_mod.int_adjugates
+    dtypes = set()
+
+    def recording(minors):
+        dtypes.add(minors.dtype)
+        return real(minors)
+
+    monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
     rng = np.random.default_rng(41)
     cases = [rng.integers(-9, 10, size=(7, 5)).tolist() for _ in range(6)]
     cases += [rng.integers(-10**12, 10**12, size=(5, 4)).tolist() for _ in range(2)]
     cases += [[[3, -4, 5]], [[2, 7]], [[3], [-8], [5]], [[6]]]
+    cases += _unit_row_cases(np.random.default_rng(46))
+    assert len(cases) >= 70
     for mat in cases:
         assert subdet_report(mat) == _subdet_reference(mat)
+    assert dtypes == {np.dtype(np.float64), np.dtype(np.int64), np.dtype(object)}
 
 
 def test_subdet_report_same_across_chunk_boundaries(monkeypatch):
@@ -273,10 +326,24 @@ def _float_minors_by_order(mat):
     return by_order
 
 
+def _enumerated_rows(mat):
+    """The rows whose minors subdet_report enumerates: neither zero nor a
+    unit row, and one row of each set that repeats up to sign."""
+    out = []
+    for row in map(list, mat):
+        support = [v for v in row if v]
+        if support and support != [1] and support != [-1] \
+                and row not in out and [-v for v in row] not in out:
+            out.append(row)
+    return out
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_subdet_report_every_order_on_the_integral_corpus(chunk, monkeypatch):
-    # Every integral instance of the acceptance corpus; the largest minor of
-    # each order is read off the |determinant| stacks subdet_report computes.
+    # Every integral instance of the acceptance corpus.  The report matches
+    # the float minors of every order of the whole matrix, while the stacks
+    # subdet_report computes hold the minors of the rows that are not unit
+    # rows, order by order, and nothing else.
     insts = [gen(n) for n in (3, 4, 5, 6) for gen in (gen_hypercube, gen_simplex)]
     insts += [gen_transportation(p, q, s)
               for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
@@ -284,20 +351,43 @@ def test_subdet_report_every_order_on_the_integral_corpus(chunk, monkeypatch):
         monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
     real = linalg_mod.int_adjugates
     seen = {}
+    sizes = []
 
     def recording(minors):
         ok, dets, adjs = real(minors)
         k = minors.shape[-1]
         seen[k] = max(seen.get(k, 0), int(dets.max(initial=0)))
+        sizes.append(len(minors))
         return ok, dets, adjs
 
     monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
+    enumerated = []
     for inst in insts:
         seen.clear()
+        sizes.clear()
         report = subdet_report(inst.int_A)
         expected = _float_minors_by_order(inst.int_A)
-        assert seen == expected
-        assert report.Delta == max(expected.values())
+        assert (report.Delta, report.Delta1, report.Delta_n_minus_1) == \
+            (max(expected.values()), expected[1], expected.get(inst.n - 1, 1))
+        rest = _enumerated_rows(inst.int_A)
+        assert seen == (_float_minors_by_order(rest) if rest else {})
+        assert sum(sizes) == sum(math.comb(len(rest), k) * math.comb(inst.n, k)
+                                 for k in range(1, inst.n + 1))
+        enumerated.append(sum(sizes))
+    assert enumerated[0:8:2] == [0, 0, 0, 0]  # the hypercubes
+    assert enumerated[-3] == 923  # transportation 3x4 s0
+
+
+def test_transportation_is_totally_unimodular():
+    # Eliminating the balance equations is a sequence of pivots, which keep
+    # a matrix totally unimodular.  A depends on the shape alone; for 2 x 8,
+    # seed 0 draws no matching totals within the generator's limit, seed 19
+    # does.
+    shapes = [(p, q) for p in range(2, 5) for q in range(p, 9) if p * q <= 16]
+    assert len(shapes) == 11
+    for p, q in shapes + [(3, 5)]:
+        seed = 19 if (p, q) == (2, 8) else 0
+        assert subdet_report(gen_transportation(p, q, seed).int_A).Delta == 1
 
 
 def _check_basis_minors(mat):
