@@ -16,14 +16,12 @@ from polywalk import (
     gen_random_sphere,
     gen_transportation,
     run_batch,
-    vertex_graph,
 )
 
 for inst in (gen_hypercube(4), gen_random_sphere(12, 4, seed=0),
              gen_transportation(3, 3, seed=0)):
     batch = run_batch(inst, inst.x1, inst.x2, n_trials=200, base_seed=0)
-    graph = vertex_graph(inst)
-    lower = bfs_distance(inst, inst.x1, inst.x2, graph=graph)
+    lower = bfs_distance(inst, inst.x1, inst.x2)
     report = bound_report(batch, inst, bfs_lower=lower)
     print(f"{inst.name}: mean {report.mean_length:.3f} "
           f"(stderr {report.std_err:.3f}), bfs lower bound {lower}, "

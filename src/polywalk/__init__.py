@@ -18,10 +18,8 @@ from .experiments import (
     run_batch,
 )
 from .flatness import (
-    BasisMinors,
     FlatnessReport,
     SubdetReport,
-    basis_minors,
     certify_delta_Delta,
     delta_A,
     delta_basis,

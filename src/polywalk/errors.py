@@ -134,4 +134,4 @@ class UnboundedSample(PolywalkError):
 
 
 class MissingDelta(CapExceeded):
-    """A bound report's flatness was not supplied, and its cap refuses it."""
+    """The basis enumeration cap refuses a bound report's flatness."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import jsontext
 from .errors import CapExceeded, MissingDelta, RetriesExhausted
-from .flatness import basis_minors, delta_A
+from .flatness import delta_A, subdet_report
 from .polytope import Instance
 from .shadow import find_path
 
@@ -89,27 +89,25 @@ def run_batch(inst: Instance, x1, x2, n_trials: int, base_seed: int) -> TrialBat
                       retries=tuple(retries), failures=tuple(failures))
 
 
-def bound_report(batch: TrialBatch, inst: Instance, *, delta: float | None = None,
+def bound_report(batch: TrialBatch, inst: Instance, *,
                  bfs_lower: int | None = None) -> BoundReport:
     """Build the comparison report for a finished batch.
 
-    ``delta`` may pass a precomputed flatness value; otherwise it is computed
-    here (:class:`MissingDelta`, a :class:`CapExceeded`, when the basis
-    enumeration cap refuses).
+    The flatness comes from :func:`~polywalk.flatness.delta_A`
+    (:class:`MissingDelta`, a :class:`CapExceeded`, when the basis
+    enumeration cap refuses), the integral ceiling from
+    :func:`~polywalk.flatness.subdet_report` under ``SUBDET_CAP``.
     ``bfs_lower`` is forwarded verbatim, absent when not supplied.
     """
-    if delta is None:
-        try:
-            delta = delta_A(inst).delta
-        except CapExceeded as exc:
-            raise MissingDelta(
-                f"flatness of {inst.name} not supplied and not computable: {exc}"
-            ) from exc
+    try:
+        delta = delta_A(inst).delta
+    except CapExceeded as exc:
+        raise MissingDelta(f"flatness of {inst.name} not computable: {exc}") from exc
     m, n = inst.m, inst.n
     bound = 8.0 * m * n * n / (delta * delta)
     ceiling = None
     if inst.integral:
-        ceiling = 8.0 * m * n * n * basis_minors(inst.int_A).bound_on_inv_delta ** 2
+        ceiling = 8.0 * m * n * n * subdet_report(inst.int_A).bound_on_inv_delta ** 2
     k = len(batch.lengths)
     if k == 0:
         return BoundReport(instance_id=batch.instance_id, m=m, n=n,

@@ -13,14 +13,13 @@ the number of bases checked so callers can judge the enumeration.
 
 The enumerations run on stacks of row subsets, one chunk at a time:
 :func:`delta_A` inverts each chunk of bases at once under the same
-singularity rule as :func:`delta_basis`.  The integer certificate needs only
-Delta1 and Delta_{n-1}, which :func:`basis_minors` reads in one exact pass
-over the bases from their adjugates (B^-1 = adj(B) / det(B)); the all-orders
-:func:`subdet_report` takes its chunks of minors through the same exact
+singularity rule as :func:`delta_basis`.  Every exact minor, the integer
+certificate's Delta1 and Delta_{n-1} included, comes from
+:func:`subdet_report`, which takes its chunks of minors through one exact
 kernel, :func:`~polywalk.linalg.int_adjugates`.  Expanding a minor along its
 unit rows (+-e_j) leaves a smaller minor of the other rows, on columns those
 unit rows do not cover, so it enumerates the minors of the other rows only
-and reads every order off them.  Both pick the kernel's dtype by one rule,
+and reads every order off them.  It picks the kernel's dtype by one rule,
 :func:`~polywalk.linalg.exact_dtype`: machine numbers (float64, then int64)
 where a Hadamard bound keeps every intermediate exact, and Python ints
 otherwise.
@@ -67,21 +66,6 @@ class SubdetReport:
     Delta: int
     Delta1: int
     Delta_n_minus_1: int
-    bound_on_inv_delta: float
-
-
-@dataclass(frozen=True)
-class BasisMinors:
-    """Largest absolute minors of an integer matrix of rank n, read off its bases.
-
-    ``Delta1`` ranges over single entries, ``Delta_n_minus_1`` over order
-    n-1 (1 when n = 1) and ``Delta_n`` over the n-row bases.  The product
-    n * Delta1 * Delta_n_minus_1 upper-bounds the inverse flatness.
-    """
-
-    Delta1: int
-    Delta_n_minus_1: int
-    Delta_n: int
     bound_on_inv_delta: float
 
 
@@ -235,37 +219,6 @@ def subdet_report(int_mat) -> SubdetReport:
                         bound_on_inv_delta=float(n * Delta1 * Delta_n_minus_1))
 
 
-def basis_minors(int_mat) -> BasisMinors:
-    """Exact Delta1, Delta_{n-1} and Delta_n in one pass over the n-row bases.
-
-    Every entry of adj(B) is an (n-1)-minor of the basis B, and when the
-    matrix has rank n the n-1 rows of every nonzero (n-1)-minor extend to a
-    nonsingular basis, so Delta_{n-1} is the largest |entry| of adj(B) over
-    the nonsingular bases (for n = 1, adj(B) = [1] gives Delta_0 = 1).  Each
-    chunk of the C(m, n) bases, guarded by ``DELTA_CAP``, goes through
-    :func:`~polywalk.linalg.int_adjugates`, in the dtype
-    :func:`~polywalk.linalg.exact_dtype` picks for n and Delta1.  Raises
-    :class:`DependentVectors` when no n-row subset is nonsingular.
-    """
-    mat = linalg.as_int_matrix(int_mat)
-    m, n = len(mat), len(mat[0])
-    total = math.comb(m, n)
-    if total > DELTA_CAP:
-        raise CapExceeded(f"C({m},{n}) = {total} bases exceeds cap {DELTA_CAP}")
-    Delta1 = max(abs(v) for row in mat for v in row)
-    entries = np.array(mat, dtype=linalg.exact_dtype(n, Delta1))
-    Delta_n_minus_1 = Delta_n = 0
-    for subsets in linalg.index_chunks(combinations(range(m), n)):
-        _, dets, adjugates = linalg.int_adjugates(entries[subsets])
-        if dets.size:
-            Delta_n = max(Delta_n, int(np.max(dets)))
-            Delta_n_minus_1 = max(Delta_n_minus_1, int(np.max(np.abs(adjugates))))
-    if not Delta_n:
-        raise DependentVectors("no nonsingular n-row subset exists")
-    return BasisMinors(Delta1=Delta1, Delta_n_minus_1=Delta_n_minus_1, Delta_n=Delta_n,
-                       bound_on_inv_delta=float(n * Delta1 * Delta_n_minus_1))
-
-
 def certify_reports(report: FlatnessReport, bound_on_inv_delta: float) -> tuple[bool, float]:
     """Check 1/delta <= n * Delta1 * Delta_{n-1}, the bound given.
 
@@ -280,12 +233,13 @@ def certify_reports(report: FlatnessReport, bound_on_inv_delta: float) -> tuple[
 def certify_delta_Delta(inst: Instance) -> tuple[bool, float]:
     """The certificate of :func:`certify_reports` for an integral instance.
 
-    The bound comes from :func:`basis_minors`, so no minor of another order
-    is enumerated.
+    The bound comes from :func:`subdet_report`, as in ``bound-check``, so
+    ``SUBDET_CAP`` guards it; :func:`delta_A` runs first and raises
+    :class:`DependentVectors` on a matrix of rank below n.
     """
     if not inst.integral:
         raise ValueError("certificate needs an instance ingested with integer A")
-    return certify_reports(delta_A(inst), basis_minors(inst.int_A).bound_on_inv_delta)
+    return certify_reports(delta_A(inst), subdet_report(inst.int_A).bound_on_inv_delta)
 
 
 def rotate_rows(inst: Instance, Q) -> Instance:

@@ -416,16 +416,16 @@ def graph_distances(adjacency: Sequence[set[int]], sources: Sequence[int]) -> np
         frontier = reached.astype(float)
 
 
-def bfs_distance(inst: Instance, s, t, *, graph=None) -> int:
+def bfs_distance(inst: Instance, s, t) -> int:
     """Edge-graph distance between vertices s and t by breadth-first search.
 
-    ``graph`` may pass a precomputed :func:`vertex_graph` result to amortize
-    enumeration across calls.  Raises :class:`Disconnected` when no route
-    exists.
+    Enumerates the :func:`vertex_graph` on every call; a caller that holds
+    the graph calls :func:`graph_distances` on it instead.  Raises
+    :class:`Disconnected` when no route exists.
     """
     source = linalg.as_vector(s.x if isinstance(s, VertexWithBasis) else s)
     target = linalg.as_vector(t.x if isinstance(t, VertexWithBasis) else t)
-    verts, adjacency = graph if graph is not None else vertex_graph(inst)
+    verts, adjacency = vertex_graph(inst)
     points = np.reshape([v.x for v in verts], (len(verts), inst.n))
     si = _locate(points, source)
     ti = _locate(points, target)

@@ -26,8 +26,8 @@ from polywalk.instances import (
     write_instance,
 )
 from polywalk.polytope import (
-    bfs_distance,
     build_instance,
+    graph_distances,
     tight_rows,
     verify_vertex,
     vertex_graph,
@@ -302,8 +302,11 @@ def test_criterion_08_oracle_dominance(corpus, corpus_paths, corpus_graphs):
     for (name, seed), path in paths.items():
         inst = by_name[name]
         if name not in bfs_cache:
-            bfs_cache[name] = bfs_distance(inst, inst.x1, inst.x2,
-                                           graph=corpus_graphs[name])
+            verts, adjacency = corpus_graphs[name]
+            points = np.array([v.x for v in verts])
+            ends = [_vertex_index(points, x, name) for x in (inst.x1, inst.x2)]
+            bfs_cache[name] = int(graph_distances(adjacency, ends[:1])[0, ends[1]])
+            assert bfs_cache[name] >= 0, f"{name}: endpoints disconnected"
         lower = bfs_cache[name]
         if path.length < lower:
             dominance_violations += 1

@@ -9,7 +9,7 @@ import polywalk.experiments as experiments_mod
 import polywalk.flatness as flatness_mod
 import polywalk.polytope as polytope_mod
 from polywalk.cli import main
-from polywalk.errors import DependentVectors, RetriesExhausted
+from polywalk.errors import CapExceeded, DependentVectors, RetriesExhausted
 from polywalk.flatness import certify_delta_Delta
 from polywalk.instances import gen_hypercube, gen_transportation, read_instance, write_instance
 from polywalk.shadow import ShadowPath
@@ -143,15 +143,16 @@ def _experiment(instance, out_dir) -> int:
                  "--seed", "0", "--out", str(out_dir)])
 
 
-def test_only_bound_check_enumerates_every_order(cube_file, tmp_path, capsys, monkeypatch):
+def test_every_certificate_reads_one_subdet_report(cube_file, tmp_path, capsys, monkeypatch):
     calls = _count_subdet_reports(monkeypatch)
     assert certify_delta_Delta(gen_hypercube(3)) == (True, 2.0)
+    assert len(calls) == 1
     assert _experiment(cube_file, tmp_path / "report") == 0
     report = json.loads((tmp_path / "report" / "report.json").read_text())
     assert report["bound_integral_ceiling"] == 8 * 6 * 9 * 9
-    assert len(calls) == 0
+    assert len(calls) == 2
     assert main(["bound-check", "--instance", str(cube_file)]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 3
     capsys.readouterr()
 
 
@@ -167,12 +168,13 @@ def test_rank_deficient_integer_matrix(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_subdet_cap_binds_only_bound_check(cube_file, pyramid, tmp_path, capsys, monkeypatch):
-    # The certificate needs no minor beyond the bases, so only the Delta=
-    # line of bound-check enumerates minors under SUBDET_CAP.  The cap counts
-    # the minors of the rows that are not unit rows: none on the cube, whose
-    # rows are all unit rows, so even a cap of 1 answers it, and 34 on the
-    # pyramid.
+def test_subdet_cap_binds_every_integer_certificate(cube_file, pyramid, tmp_path, capsys,
+                                                    monkeypatch):
+    # bound-check, experiment's integral ceiling and certify_delta_Delta all
+    # read the certificate from subdet_report, under SUBDET_CAP.  The cap
+    # counts the minors of the rows that are not unit rows: none on the
+    # cube, whose rows are all unit rows, so even a cap of 1 answers it, and
+    # 34 on the pyramid.
     monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 1)
     assert certify_delta_Delta(gen_hypercube(3)) == (True, 2.0)
     assert _experiment(cube_file, tmp_path / "report") == 0
@@ -181,11 +183,17 @@ def test_subdet_cap_binds_only_bound_check(cube_file, pyramid, tmp_path, capsys,
     path = tmp_path / "pyramid.json"
     write_instance(pyramid, path)
     monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 33)
+    with pytest.raises(CapExceeded, match="34 square submatrices exceed cap 33"):
+        certify_delta_Delta(pyramid)
     assert main(["bound-check", "--instance", str(path)]) == 3
-    assert "34 square submatrices exceed cap 33" in capsys.readouterr().err
+    assert _experiment(path, tmp_path / "refused") == 3
+    assert capsys.readouterr().err.count("34 square submatrices exceed cap 33") == 2
+    assert not (tmp_path / "refused").exists()
     monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 34)
+    assert certify_delta_Delta(pyramid)[0]
     assert main(["bound-check", "--instance", str(path)]) == 0
     assert "Delta=2\n" in capsys.readouterr().out
+    assert _experiment(path, tmp_path / "report") == 0
 
 
 def test_bound_check_transportation_4x4(tmp_path, capsys):

@@ -66,14 +66,6 @@ def test_bound_report_rank_deficient_matrix_raises():
                        lengths=(), retries=(), failures=())
     with pytest.raises(DependentVectors):
         bound_report(batch, inst)
-    with pytest.raises(DependentVectors):
-        bound_report(batch, inst, delta=0.5)  # the certificate pass refuses too
-
-
-def test_bound_report_accepts_precomputed_delta(cube3):
-    batch = run_batch(cube3, cube3.x1, cube3.x2, n_trials=5, base_seed=1)
-    report = bound_report(batch, cube3, delta=0.5)
-    npt.assert_allclose(report.bound_8mn2_over_delta2, 8 * 6 * 9 / 0.25)
 
 
 def test_bound_report_cap_becomes_missing_delta():

@@ -8,12 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import polywalk.flatness as flatness_mod
 import polywalk.linalg as linalg_mod
 from polywalk.errors import CapExceeded, DependentVectors, NotOrthogonal
 from polywalk.flatness import (
     SubdetReport,
-    basis_minors,
     certify_delta_Delta,
     delta_A,
     delta_basis,
@@ -124,6 +122,14 @@ def test_subdet_report_small_matrix():
     assert report.Delta1 == 2
     assert report.Delta_n_minus_1 == 2
     assert report.bound_on_inv_delta == 2 * 2 * 2
+    # Not totally unimodular: Delta_{n-1} = 4 from rows 0 and 2, columns 0
+    # and 2, and Delta = 9 from the first three rows.
+    mat = [[2, 1, 0], [0, 2, 1], [1, 0, 2], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    assert subdet_report(mat) == SubdetReport(Delta=9, Delta1=2, Delta_n_minus_1=4,
+                                              bound_on_inv_delta=3 * 2 * 4)
+    # n = 1: Delta_0 = 1 by convention, and Delta is the largest entry.
+    assert subdet_report([[3], [-8], [5]]) == SubdetReport(
+        Delta=8, Delta1=8, Delta_n_minus_1=1, bound_on_inv_delta=8.0)
 
 
 def test_subdet_report_unimodular_incidence():
@@ -297,6 +303,12 @@ def test_subdet_report_matches_scalar_reference(monkeypatch):
     cases = [rng.integers(-9, 10, size=(7, 5)).tolist() for _ in range(6)]
     cases += [rng.integers(-10**12, 10**12, size=(5, 4)).tolist() for _ in range(2)]
     cases += [[[3, -4, 5]], [[2, 7]], [[3], [-8], [5]], [[6]]]
+    # (3 * 234**2 + 1)**3 < 2**52: the widest entries whose order-3 minors
+    # run in float64.  Entries of 3e4 at n = 2 already run on Python ints.
+    cases += [rng.integers(-high, high + 1, size=(6, n)).tolist()
+              for n, high in ((3, 234), (2, 30_000)) for _ in range(3)]
+    cases += [[[10**12, 10**12 - 1], [10**12 + 1, 10**12], [1, 0]],
+              gen_degenerate_pyramid().int_A]
     cases += _unit_row_cases(np.random.default_rng(46))
     assert len(cases) >= 70
     for mat in cases:
@@ -305,7 +317,8 @@ def test_subdet_report_matches_scalar_reference(monkeypatch):
 
 
 def test_subdet_report_same_across_chunk_boundaries(monkeypatch):
-    mats = [gen_hypercube(4).int_A, gen_transportation(3, 3, seed=0).int_A]
+    mats = [gen_hypercube(4).int_A, gen_transportation(3, 3, seed=0).int_A,
+            gen_degenerate_pyramid().int_A]
     default = [subdet_report(mat) for mat in mats]
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
     assert [subdet_report(mat) for mat in mats] == default
@@ -390,73 +403,9 @@ def test_transportation_is_totally_unimodular():
         assert subdet_report(gen_transportation(p, q, seed).int_A).Delta == 1
 
 
-def _check_basis_minors(mat):
-    """basis_minors against the all-orders subdet_report and scalar Delta_n."""
-    got = basis_minors(mat)
-    sub = subdet_report(mat)
-    n = len(mat[0])
-    Delta_n = max(abs(int_determinant([mat[r] for r in rows]))
-                  for rows in combinations(range(len(mat)), n))
-    assert (got.Delta1, got.Delta_n_minus_1, got.bound_on_inv_delta) == \
-        (sub.Delta1, sub.Delta_n_minus_1, sub.bound_on_inv_delta)
-    assert got.Delta_n == Delta_n
-    return got
-
-
-def test_basis_minors_match_subdet_report_on_the_integral_families():
-    insts = [gen(n) for n in (3, 4, 5, 6) for gen in (gen_hypercube, gen_simplex)]
-    insts += [gen_transportation(p, q, seed=s)
-              for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
-    insts.append(gen_degenerate_pyramid())
-    for inst in insts:
-        _check_basis_minors(inst.int_A)
-    # The pyramid is not unimodular: a pass that returned 1 would fail here.
-    assert basis_minors(gen_degenerate_pyramid().int_A).Delta_n_minus_1 == 2
-
-
-def test_basis_minors_match_subdet_report_on_random_matrices():
-    rng = np.random.default_rng(43)
-    checked = 0
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        mat = rng.integers(-4, 5, size=(int(rng.integers(n, 10)), n)).tolist()
-        if np.linalg.matrix_rank(np.array(mat, dtype=float)) < n:
-            with pytest.raises(DependentVectors):
-                basis_minors(mat)
-            continue
-        _check_basis_minors(mat)
-        checked += 1
-    assert checked >= 35
-
-
-def test_basis_minors_hand_values():
-    # Not totally unimodular: Delta_{n-1} = 4 from rows 0 and 2, columns 0 and 2.
-    mat = [[2, 1, 0], [0, 2, 1], [1, 0, 2], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
-    got = _check_basis_minors(mat)
-    assert (got.Delta1, got.Delta_n_minus_1, got.Delta_n) == (2, 4, 9)
-    assert got.bound_on_inv_delta == 3 * 2 * 4
-    # n = 1: Delta_0 = 1 by convention, and Delta_n is the largest entry.
-    got = _check_basis_minors([[3], [-8], [5]])
-    assert (got.Delta1, got.Delta_n_minus_1, got.Delta_n) == (8, 1, 8)
-
-
-def test_basis_minors_exact_on_either_side_of_the_float_bound():
-    # (3 * 234**2 + 1)**3 < 2**52: the widest entries that run in float64 at
-    # n = 3.  Entries of 3e4 at n = 2 already run on Python ints.
-    rng = np.random.default_rng(44)
-    for n, high in ((3, 234), (2, 30_000)):
-        for _ in range(3):
-            _check_basis_minors(rng.integers(-high, high + 1, size=(6, n)).tolist())
-    # Products of 1e12 entries overflow even int64.
-    for _ in range(2):
-        _check_basis_minors(rng.integers(-10**12, 10**12, size=(6, 4)).tolist())
-    got = _check_basis_minors([[10**12, 10**12 - 1], [10**12 + 1, 10**12], [1, 0]])
-    assert got.Delta_n == 10**12
-
-
 def test_order_6_minors_of_small_entries_run_in_int64(monkeypatch):
-    # (6 * 12**2 + 1)**6 lies between 2**52 and 2**62: both passes take the
-    # order-6 minors of this matrix through the kernel as int64.
+    # (6 * 12**2 + 1)**6 lies between 2**52 and 2**62: subdet_report takes
+    # the order-6 minors of this matrix through the kernel as int64.
     mat = np.random.default_rng(45).integers(-12, 13, size=(8, 6)).tolist()
     real = linalg_mod.int_adjugates
     dtypes = {}
@@ -467,21 +416,4 @@ def test_order_6_minors_of_small_entries_run_in_int64(monkeypatch):
 
     monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
     assert subdet_report(mat) == _subdet_reference(mat)
-    _check_basis_minors(mat)
     assert dtypes[6] == {np.dtype(np.int64)}
-
-
-def test_basis_minors_same_across_chunk_boundaries(monkeypatch):
-    mats = [gen_hypercube(4).int_A, gen_transportation(3, 3, seed=0).int_A,
-            gen_degenerate_pyramid().int_A]
-    default = [basis_minors(mat) for mat in mats]
-    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
-    assert [basis_minors(mat) for mat in mats] == default
-
-
-def test_basis_minors_rank_deficiency_and_cap(monkeypatch):
-    with pytest.raises(DependentVectors):
-        basis_minors([[1, 1], [2, 2], [3, 3]])
-    monkeypatch.setattr(flatness_mod, "DELTA_CAP", 5)
-    with pytest.raises(CapExceeded):
-        basis_minors(gen_hypercube(3).int_A)  # C(6, 3) = 20 bases

@@ -153,9 +153,10 @@ def test_bfs_distance_values(cube3, cut_cube3):
 
 
 def test_bfs_accepts_prebuilt_graph(cube3):
-    graph = vertex_graph(cube3)
-    d = bfs_distance(cube3, [0.0, 0.0, 0.0], [1.0, 1.0, 0.0], graph=graph)
-    assert d == 2
+    verts, adjacency = vertex_graph(cube3)
+    points = [tuple(v.x) for v in verts]
+    source, target = points.index((0.0, 0.0, 0.0)), points.index((1.0, 1.0, 0.0))
+    assert graph_distances(adjacency, [source])[0, target] == 2
 
 
 def test_simplex_vertices_match_unit_points():
@@ -169,11 +170,12 @@ def test_simplex_vertices_match_unit_points():
 def test_hypercube_bfs_is_hamming():
     inst = gen_hypercube(4)
     rng = np.random.default_rng(0)
-    graph = vertex_graph(inst)
+    verts, adjacency = vertex_graph(inst)
+    points = [tuple(v.x) for v in verts]
     for _ in range(10):
         a = rng.integers(0, 2, size=4).astype(float)
         c = rng.integers(0, 2, size=4).astype(float)
-        d = bfs_distance(inst, a, c, graph=graph)
+        d = graph_distances(adjacency, [points.index(tuple(a))])[0, points.index(tuple(c))]
         assert d == int(np.sum(a != c))
 
 
@@ -327,13 +329,13 @@ def test_farthest_pair_tie_goes_to_first_source():
     npt.assert_array_equal(x2, 1.0 - verts[0].x)
 
 
-def test_bfs_distance_disconnected(cube3):
+def test_bfs_distance_disconnected(cube3, monkeypatch):
     # Keep only the cube's edges inside the faces x0 = 0 and x0 = 1.
     verts, adjacency = vertex_graph(cube3)
     split = [{j for j in nbrs if verts[j].x[0] == verts[i].x[0]}
              for i, nbrs in enumerate(adjacency)]
-    graph = (verts, split)
-    assert bfs_distance(cube3, [0.0, 0.0, 0.0], [0.0, 1.0, 1.0], graph=graph) == 2
+    monkeypatch.setattr(polytope_mod, "vertex_graph", lambda inst: (verts, split))
+    assert bfs_distance(cube3, [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]) == 2
     with pytest.raises(Disconnected):
-        bfs_distance(cube3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], graph=graph)
+        bfs_distance(cube3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     assert (graph_distances(split, [0]) < 0).sum() == 4
