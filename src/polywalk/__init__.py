@@ -71,7 +71,6 @@ from .shadow import (
     find_path,
     project,
     sample_objectives,
-    slope,
     walk,
 )
 

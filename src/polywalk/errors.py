@@ -69,13 +69,9 @@ class WalkFailure(PolywalkError):
     """Numeric failure during a walk; redrawing the objectives usually fixes it."""
 
 
-class VerticalEdge(WalkFailure):
-    """A traversed edge is parallel to the second projection axis."""
-
-
 class LeftwardEdge(WalkFailure):
     """An improving edge's projected run is at most ``SLOPE_TOL``: leftward or
-    vertical.  Only the standalone ``slope()`` raises :class:`VerticalEdge`."""
+    vertical."""
 
 
 class NonMonotoneSlopes(WalkFailure):

@@ -109,23 +109,17 @@ def bound_report(batch: TrialBatch, inst: Instance, *,
     if inst.integral:
         ceiling = 8.0 * m * n * n * subdet_report(inst.int_A).bound_on_inv_delta ** 2
     k = len(batch.lengths)
-    if k == 0:
-        return BoundReport(instance_id=batch.instance_id, m=m, n=n,
-                           delta=float(delta), trials=0, mean_length=None,
-                           std_err=None, bound_8mn2_over_delta2=bound,
-                           bound_integral_ceiling=ceiling, bfs_lower=bfs_lower,
-                           ratio_mean_to_bound=None)
-    mean = sum(batch.lengths) / k
-    if k > 1:
-        variance = sum((v - mean) ** 2 for v in batch.lengths) / (k - 1)
+    mean = stderr = ratio = None
+    if k:
+        mean = sum(batch.lengths) / k
+        variance = sum((v - mean) ** 2 for v in batch.lengths) / max(k - 1, 1)
         stderr = math.sqrt(variance / k)
-    else:
-        stderr = 0.0
+        ratio = mean / bound
     return BoundReport(instance_id=batch.instance_id, m=m, n=n,
                        delta=float(delta), trials=k, mean_length=mean,
                        std_err=stderr, bound_8mn2_over_delta2=bound,
                        bound_integral_ceiling=ceiling, bfs_lower=bfs_lower,
-                       ratio_mean_to_bound=mean / bound)
+                       ratio_mean_to_bound=ratio)
 
 
 def emit(report: BoundReport, fmt: str = "json") -> str:

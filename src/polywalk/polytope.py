@@ -19,10 +19,10 @@ feasible basis on the symbolic right-hand side b + (eps, eps**2, ...,
 eps**m), and :mod:`polywalk.shadow` breaks ratio-test ties by the same rule.
 
 Enumerations run on stacked arrays.  :func:`feasible_subsets` solves each
-chunk of row subsets as one stack; :func:`vertex_graph` runs the ratio tests
-of a chunk of feasible bases as one stack and matches their end points to the
-vertices in one pass; :func:`graph_distances` is the one breadth-first search,
-run for a block of sources at once with one 0/1 frontier product per level.
+chunk of row subsets as one stack; :func:`vertex_graph` reads the edges off
+the feasible bases it returns, joining two vertices whose bases share n - 1
+rows; :func:`graph_distances` is the one breadth-first search, run for a
+block of sources at once with one 0/1 frontier product per level.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ DIR_TOL = 1e-12
 POINT_TOL = 1e-7
 
 ENUM_CAP = 2_000_000
-
-# Entries of each (bases, vertices, n) array with which vertex_graph matches
-# a chunk of edge end points against the vertices, one coordinate at a time.
-_MATCH_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,15 +300,15 @@ def _check_cap(rows: int, n: int) -> None:
 def _vertex_classes(inst: Instance):
     """Every feasible basis, grouped by point in combinations order.
 
-    Returns the vertices (each kept with its first basis), the stacked
-    solutions of every feasible basis (its inverse, then its point) with the
-    index of the vertex each one stands for, and the vertex points.
+    Returns the vertices (each kept with its first basis), then every
+    feasible basis with the index of the vertex it stands for.
     """
     bases, out, degenerate = feasible_subsets(inst, range(inst.m))
-    points = np.empty((len(bases), inst.n))
+    subsets = bases.tolist()
+    points = np.empty((len(subsets), inst.n))
     verts: list[VertexWithBasis] = []
     owner: list[int] = []
-    for subset, sol, flag in zip(bases.tolist(), out, degenerate.tolist()):
+    for subset, sol, flag in zip(subsets, out, degenerate.tolist()):
         x = sol[:, -1]
         idx = _locate(points[:len(verts)], x)
         if idx is None:
@@ -320,7 +316,7 @@ def _vertex_classes(inst: Instance):
             points[idx] = x
             verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
         owner.append(idx)
-    return verts, out, owner, points[:len(verts)]
+    return verts, subsets, owner
 
 
 def enumerate_vertices(inst: Instance) -> list[VertexWithBasis]:
@@ -335,43 +331,32 @@ def enumerate_vertices(inst: Instance) -> list[VertexWithBasis]:
 def vertex_graph(inst: Instance) -> tuple[list[VertexWithBasis], list[set[int]]]:
     """Vertices plus adjacency over the polytope's edge graph.
 
-    Adjacency is the union of ratio-test targets over every feasible basis of
-    every vertex, which exposes all edges even at degenerate vertices (a
-    single basis can hide some of them).  Unbounded rays are skipped.  The
-    edge directions of a basis are the columns of minus its inverse, which
-    the enumeration has already computed.  The ratio tests of a chunk of
-    bases run as one stack, with :func:`ratio_step`'s rule, and every end
-    point is matched to the first vertex within ``POINT_TOL``, as one
-    ``(bases, V, n)`` array per coordinate; a chunk holds as many bases as
-    keep that array within ``_MATCH_BUDGET`` entries.
+    Two vertices are adjacent exactly when feasible bases of theirs share
+    n - 1 rows, so every feasible basis is keyed once per row by its other
+    n - 1 rows, and distinct vertices under one key are joined.  This is the
+    graph of :func:`ratio_step`'s rule run from every feasible basis:
+
+    * If bases of vertices u != v share rows R, those n - 1 rows are
+      independent and tight at both points, and each is valid for P, so
+      P cut by A_R x = b_R is a face of dimension at most 1 holding two
+      vertices: an edge, whose only vertices are u and v.
+    * Along an edge some n - 1 independent rows are tight.  At either end
+      the tight rows span R^n, so one tight row outside their span completes
+      them to a nonsingular basis whose point is that end; the enumeration
+      lists both of these feasible bases.
+    * A ray has one vertex on its line and gives no edge, as the ratio test
+      skips it; two bases of one vertex share a key but give no self-edge.
+      So n neighbours at every vertex still means the polytope is bounded.
     """
-    verts, out, owner, points = _vertex_classes(inst)
-    n = inst.n
-    owner = np.asarray(owner, dtype=np.intp)
+    verts, bases, owner = _vertex_classes(inst)
+    ends: dict[tuple[int, ...], set[int]] = {}
+    for subset, i in zip(bases, owner):
+        for j in range(inst.n):
+            ends.setdefault(tuple(subset[:j] + subset[j + 1:]), set()).add(i)
     adjacency: list[set[int]] = [set() for _ in verts]
-    chunk = max(1, _MATCH_BUDGET // max(1, len(verts) * n))
-    for lo in range(0, len(out), chunk):
-        sol = out[lo:lo + chunk]
-        x, dirs = sol[:, :, -1], -sol[:, :, :-1]
-        denom = inst.A @ dirs
-        movers = denom > DIR_TOL
-        # A stack of matrix-vector products, whose bits match Instance.slack.
-        slack = inst.b - (inst.A @ x[:, :, None])[:, :, 0]
-        steps = np.divide(slack[:, :, None], denom,
-                          out=np.full(denom.shape, np.inf), where=movers)
-        bounded = movers.any(axis=1)
-        step = np.where(bounded, np.maximum(steps.min(axis=1), 0.0), 0.0)
-        ends = x[:, :, None] + step[:, None, :] * dirs
-        # Within POINT_TOL in max-norm: within it in every coordinate.
-        near = np.abs(points[:, 0, None] - ends[:, None, 0]) <= POINT_TOL
-        for c in range(1, n):
-            near &= np.abs(points[:, c, None] - ends[:, None, c]) <= POINT_TOL
-        targets = np.argmax(near, axis=1)
-        sources = np.broadcast_to(owner[lo:lo + chunk, None], targets.shape)
-        hit = bounded & near.any(axis=1) & (targets != sources)
-        for i, t in zip(sources[hit].tolist(), targets[hit].tolist()):
-            adjacency[i].add(t)
-            adjacency[t].add(i)
+    for group in ends.values():
+        for i in group:
+            adjacency[i] |= group - {i}
     return verts, adjacency
 
 

@@ -41,7 +41,6 @@ from .errors import (
     StepLimit,
     Unbounded,
     UnboundedShadow,
-    VerticalEdge,
     WalkFailure,
 )
 from .polytope import (
@@ -159,19 +158,6 @@ def project(pair: ObjectivePair, x) -> tuple[float, float]:
     """Image of a point in the (w1.x, w2.x) shadow plane."""
     point = linalg.as_vector(x)
     return float(pair.w1 @ point), float(pair.w2 @ point)
-
-
-def slope(pair: ObjectivePair, src, dst) -> float:
-    """Slope of the projected segment from src to dst.
-
-    Raises :class:`VerticalEdge` when the segment has no extent along the
-    first projection axis.
-    """
-    move = linalg.as_vector(dst) - linalg.as_vector(src)
-    run = float(pair.w1 @ move)
-    if abs(run) <= SLOPE_TOL:
-        raise VerticalEdge(f"projected run {run:.3e} is below {SLOPE_TOL:.1e}")
-    return float(pair.w2 @ move) / run
 
 
 def default_max_steps(inst: Instance) -> int:

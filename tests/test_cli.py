@@ -234,19 +234,19 @@ def test_degenerate_endpoint_cap_exit_code(tripled_cube3, tmp_path, capsys, monk
 
 def test_path_retries_exhausted_exit(cube_file, tmp_path, capsys, monkeypatch):
     failed = ShadowPath(vertices=(), slopes=(), projections=(),
-                        pivot_trace=(), status="Failed(VerticalEdge)",
+                        pivot_trace=(), status="Failed(LeftwardEdge)",
                         seed=0, retries=16)
 
     def exhausted(inst, x1, x2, seed):
-        raise RetriesExhausted("forced", ["VerticalEdge"] * 16, path=failed)
+        raise RetriesExhausted("forced", ["LeftwardEdge"] * 16, path=failed)
 
     monkeypatch.setattr(cli_mod, "find_path", exhausted)
     out_json = tmp_path / "failed.json"
     code = main(["path", "--instance", str(cube_file), "--seed", "0",
                  "--json", str(out_json)])
     assert code == 2
-    assert "status=Failed(VerticalEdge)" in capsys.readouterr().out
-    assert json.loads(out_json.read_text())["status"] == "Failed(VerticalEdge)"
+    assert "status=Failed(LeftwardEdge)" in capsys.readouterr().out
+    assert json.loads(out_json.read_text())["status"] == "Failed(LeftwardEdge)"
 
 
 def test_experiment_writes_reports(cube_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo batches, bound reports, and the two emission formats."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,7 @@ import pytest
 
 import polywalk.experiments as experiments_mod
 import polywalk.shadow as shadow_mod
-from polywalk.errors import DependentVectors, MissingDelta, RetriesExhausted, VerticalEdge
+from polywalk.errors import DependentVectors, LeftwardEdge, MissingDelta, RetriesExhausted
 from polywalk.experiments import (
     CSV_COLUMNS,
     BoundReport,
@@ -83,6 +84,11 @@ def test_bound_report_empty_batch(cube3):
     assert report.trials == 0
     assert report.mean_length is None and report.std_err is None
     assert report.ratio_mean_to_bound is None
+    # One trial has a mean but no spread: its standard error is 0.0.
+    one = bound_report(replace(batch, n_trials=1, lengths=(4,), retries=(0,)), cube3)
+    assert (one.trials, one.mean_length, one.ratio_mean_to_bound) == (1, 4.0, 4.0 / 432.0)
+    assert repr(one.std_err) == "0.0"
+    assert emit(one, "csv").split("\n")[1].split(",")[5:7] == ["4.0", "0.0"]
 
 
 def test_emit_csv_shape(cube3):
@@ -136,16 +142,16 @@ def test_run_batch_records_failures(cube3, monkeypatch):
     def flaky(inst, x1, x2, seed):
         if seed % 2:
             failed = ShadowPath(vertices=(), slopes=(), projections=(),
-                                pivot_trace=(), status="Failed(VerticalEdge)",
+                                pivot_trace=(), status="Failed(LeftwardEdge)",
                                 seed=seed, retries=16)
-            raise RetriesExhausted("forced", ["VerticalEdge"] * 2, path=failed)
+            raise RetriesExhausted("forced", ["LeftwardEdge"] * 2, path=failed)
         return real(inst, x1, x2, seed)
 
     monkeypatch.setattr(experiments_mod, "find_path", flaky)
     batch = run_batch(cube3, cube3.x1, cube3.x2, n_trials=6, base_seed=0)
     assert batch.lengths == (3, 3, 3)
     assert len(batch.failures) == 3
-    assert all("VerticalEdge" in f for f in batch.failures)
+    assert all("LeftwardEdge" in f for f in batch.failures)
     # Statistics survive the failures: mean over the successful trials only,
     # and the report's trial count is the size of that sample.
     assert batch.n_trials == 6
@@ -200,7 +206,7 @@ def test_run_batch_equals_per_trial_find_path(make, monkeypatch):
 
     def failing(walk_inst, start, target, pair):
         if 100 <= pair.seed < 116:
-            raise VerticalEdge("forced")
+            raise LeftwardEdge("forced")
         return real(walk_inst, start, target, pair)
 
     monkeypatch.setattr(shadow_mod, "walk", failing)

@@ -8,7 +8,7 @@ import pytest
 
 import polywalk.shadow as shadow_mod
 from polywalk import jsontext
-from polywalk.errors import RetriesExhausted, VerticalEdge
+from polywalk.errors import LeftwardEdge, RetriesExhausted
 from polywalk.experiments import bound_report, emit, run_batch
 from polywalk.instances import (
     GeneratorSpec,
@@ -51,7 +51,7 @@ def test_path_records(cube3, monkeypatch):
     paths = [completed, perturbed, zero, find_path(inst, inst.x1, inst.x2, seed=1)]
 
     def failing(*args):
-        raise VerticalEdge("forced")
+        raise LeftwardEdge("forced")
 
     monkeypatch.setattr(shadow_mod, "walk", failing)
     with pytest.raises(RetriesExhausted) as info:

@@ -23,7 +23,7 @@ from polywalk.linalg import (
     solve_stack,
 )
 from polywalk.polytope import ratio_step, verify_vertex
-from polywalk.shadow import ObjectivePair, project, slope
+from polywalk.shadow import ObjectivePair, project
 from reference import int_determinant
 
 
@@ -57,8 +57,6 @@ _BOUNDARY_CALLS = {
     "ratio_step": (lambda v: ratio_step(_SQUARE, _SQUARE.slack(_CORNER.x), v), "vector"),
     "slack": (_SQUARE.slack, "vector"),
     "project": (lambda v: project(_PAIR, v), "vector"),
-    "slope-src": (lambda v: slope(_PAIR, v, [1.0, 1.0]), "vector"),
-    "slope-dst": (lambda v: slope(_PAIR, [0.0, 0.0], v), "vector"),
 }
 _BAD_INPUTS = {
     "vector": {"nan": [np.nan, 1.0], "inf": [1.0, -np.inf], "shape": [[1.0, 1.0]]},

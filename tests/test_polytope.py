@@ -217,11 +217,16 @@ def test_feasible_subsets_flag_every_apex_basis(pyramid):
 
 
 def _reference_graph(inst):
-    """The earlier vertex_graph: one ratio test and one match per basis."""
-    verts, out, owner, points = polytope_mod._vertex_classes(inst)
+    """The graph by ratio_step's rule: one ratio test along every edge
+    direction of every feasible basis, and its end point matched to the
+    first vertex within POINT_TOL."""
+    _, out, _ = feasible_subsets(inst, range(inst.m))
+    verts = enumerate_vertices(inst)
+    points = np.array([v.x for v in verts]).reshape(len(verts), inst.n)
     adjacency = [set() for _ in verts]
-    for sol, i in zip(out, owner):
+    for sol in out:
         x, dirs = sol[:, -1], -sol[:, :-1]
+        i = int(np.flatnonzero(np.abs(points - x).max(axis=1) <= POINT_TOL)[0])
         denom = inst.A @ dirs
         movers = denom > polytope_mod.DIR_TOL
         steps = np.divide(inst.slack(x)[:, None], denom,
@@ -267,6 +272,14 @@ def _unbounded_cases():
             build_instance([[-1, 0], [0, -1], [1, 1], [1, -1]], [0, 0, 1, 1])]
 
 
+def _integer_draws():
+    """Seeded integer rows in R^3, each with a degenerate vertex and a ray."""
+    for seed in (3, 11, 18):
+        rng = np.random.default_rng(seed)
+        yield build_instance(rng.integers(-2, 3, size=(7, 3)),
+                             rng.integers(0, 3, size=7), name=f"draw-s{seed}")
+
+
 def _graph_cases():
     for n in (3, 4, 5):
         yield from (gen_hypercube(n), gen_simplex(n), gen_cut_cube(n),
@@ -274,11 +287,13 @@ def _graph_cases():
     for p, q in ((2, 3), (2, 4), (3, 3), (3, 4)):
         for seed in range(3):
             yield gen_transportation(p, q, seed)
+    yield gen_transportation(4, 4, 0)
     for n in (2, 3, 4, 5, 6):
         for m in (n + 2, 3 * n):
             yield gen_random_sphere(m, n, seed=0)
     yield gen_degenerate_pyramid()
     yield from _unbounded_cases()
+    yield from _integer_draws()
 
 
 def _assert_graph_matches_reference(inst):
@@ -298,23 +313,24 @@ def _assert_graph_matches_reference(inst):
 def test_stacked_graph_matches_per_basis_reference():
     for inst in _graph_cases():
         _assert_graph_matches_reference(inst)
+    for inst in _integer_draws():
+        _, out, _ = feasible_subsets(inst, range(inst.m))
+        rays = (inst.A @ -out[:, :, :-1] <= polytope_mod.DIR_TOL).all(axis=1)
+        assert rays.any() and any(v.degenerate for v in enumerate_vertices(inst))
 
 
 @pytest.mark.parametrize("make", [lambda: gen_transportation(3, 4, 0),
                                   lambda: gen_random_sphere(15, 5, seed=0),
                                   gen_degenerate_pyramid])
 def test_stacked_graph_same_across_chunks_and_blocks(make, monkeypatch):
-    # One basis per ratio-test chunk, then three; one source per search
-    # block; seven subsets per enumeration chunk.
+    # One source per search block; seven subsets per enumeration chunk.
     inst = make()
     verts, adjacency = vertex_graph(inst)
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
     monkeypatch.setattr(instances_mod, "_BFS_BLOCK", 1)
-    for budget in (1, 3 * len(verts) * inst.n):
-        monkeypatch.setattr(polytope_mod, "_MATCH_BUDGET", budget)
-        _assert_graph_matches_reference(inst)
-        chunked_verts, chunked_adjacency = vertex_graph(inst)
-        assert _bases(chunked_verts) == _bases(verts) and chunked_adjacency == adjacency
+    _assert_graph_matches_reference(inst)
+    chunked_verts, chunked_adjacency = vertex_graph(inst)
+    assert _bases(chunked_verts) == _bases(verts) and chunked_adjacency == adjacency
 
 
 def test_farthest_pair_tie_goes_to_first_source():

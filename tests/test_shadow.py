@@ -19,8 +19,8 @@ from polywalk.errors import (
     Infeasible,
     NotAVertex,
     RetriesExhausted,
+    LeftwardEdge,
     Singular,
-    VerticalEdge,
     WalkFailure,
 )
 from polywalk.instances import (
@@ -53,7 +53,6 @@ from polywalk.shadow import (
     find_path,
     project,
     sample_objectives,
-    slope,
     walk,
 )
 
@@ -116,13 +115,19 @@ def test_sample_objectives_draws_from_a_degenerate_endpoints_basis(pyramid):
 
 
 def test_project_and_slope_hand_values():
+    # On the unit square, w1 = (2, 1) is least at the origin and w2 = (1, 2)
+    # greatest at (1, 1).  Going up first gains eta at slope 2 against 1/2
+    # going right, so the walk turns at (0, 1).
+    square = gen_hypercube(2)
     pair = ObjectivePair(lam=np.ones(2), mu=np.ones(2),
-                         w1=np.array([1.0, 0.0]), w2=np.array([0.0, 1.0]),
-                         u_rows=(0, 1), v_rows=(2, 3), seed=0)
-    assert project(pair, [3.0, 4.0]) == (3.0, 4.0)
-    npt.assert_allclose(slope(pair, [0.0, 0.0], [1.0, 2.0]), 2.0, atol=1e-15)
-    with pytest.raises(VerticalEdge):
-        slope(pair, [0.0, 0.0], [0.0, 1.0])
+                         w1=np.array([2.0, 1.0]), w2=np.array([1.0, 2.0]),
+                         u_rows=(2, 3), v_rows=(0, 1), seed=0)
+    assert project(pair, [3.0, 4.0]) == (10.0, 11.0)
+    path = walk(square, verify_vertex(square, square.x1),
+                verify_vertex(square, square.x2), pair)
+    assert [v.x.tolist() for v in path.vertices] == [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    assert path.slopes == (2.0, 0.5)
+    assert path.projections == ((0.0, 0.0), (1.0, 2.0), (3.0, 3.0))
 
 
 def test_default_max_steps(cube3):
@@ -521,16 +526,16 @@ def test_representative_matches_verify_vertex_route(monkeypatch):
 
 
 def test_find_path_retries_exhausted(cube3, monkeypatch):
-    def always_vertical(*args, **kwargs):
-        raise VerticalEdge("forced by test")
+    def always_leftward(*args, **kwargs):
+        raise LeftwardEdge("forced by test")
 
-    monkeypatch.setattr(shadow_mod, "walk", always_vertical)
+    monkeypatch.setattr(shadow_mod, "walk", always_leftward)
     with pytest.raises(RetriesExhausted) as info:
         shadow_mod.find_path(cube3, cube3.x1, cube3.x2, seed=0)
     exc = info.value
-    assert exc.reasons == ["VerticalEdge"] * 16
+    assert exc.reasons == ["LeftwardEdge"] * 16
     assert exc.path is not None
-    assert exc.path.status.startswith("Failed(VerticalEdge")
+    assert exc.path.status.startswith("Failed(LeftwardEdge")
     assert exc.path.length == 0
 
 
