@@ -15,8 +15,8 @@ rejected on read.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -315,7 +315,8 @@ def _number_list(values, length: int, label: str) -> list[float]:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise SchemaError(f"{label} contains a non-number: {v!r}")
-        if not math.isfinite(v):
+        # Compared exactly, so an int too large for a float is non-finite too.
+        if not abs(v) <= sys.float_info.max:
             raise ParseError(f"{label} contains a non-finite number")
         out.append(float(v))
     return out

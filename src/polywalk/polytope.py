@@ -28,6 +28,7 @@ block of sources at once with one 0/1 frontier product per level.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterator, Sequence
@@ -61,10 +62,10 @@ class Instance:
     lossless serialization, and ``int_A`` keeps the exact integer rows of an
     integral instance; ``integral`` is true exactly when it is set.
 
-    ``_endpoint_memo`` is private to :func:`~polywalk.shadow.find_path`: the
-    last endpoint pair it verified on this instance, keyed by the endpoints'
-    bytes.  It holds no reference back to the instance, and
-    ``dataclasses.replace`` starts a fresh instance with an empty one.
+    Two private memos refer to no instance and start empty, in a copy by
+    ``dataclasses.replace`` too: ``_endpoint_memo`` holds the last endpoint
+    pair ``find_path`` verified, keyed by the points' bytes, and
+    ``_pivot_memo`` each basis's point, slack and edge directions for ``walk``.
     """
 
     name: str
@@ -77,6 +78,8 @@ class Instance:
     x2: np.ndarray | None = None
     _endpoint_memo: tuple | None = field(default=None, init=False, repr=False,
                                          compare=False)
+    _pivot_memo: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                     repr=False, compare=False)
 
     @property
     def integral(self) -> bool:

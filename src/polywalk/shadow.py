@@ -21,6 +21,7 @@ in the ratio test goes to the row the ray meets first on the perturbed
 polytope; and a pivot that moves nowhere on the original polytope is merged
 into the vertex it leaves.
 Numeric failures are handled by redrawing the objectives with the next seed.
+Walks on one instance share a bounded memo of each basis's point and edges.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ from .polytope import (
 SLOPE_TOL = 1e-12
 
 MAX_ATTEMPTS = 16
+# Bytes of arrays each instance's pivot memo holds at most (see walk).
+PIVOT_MEMO_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,15 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     :func:`default_max_steps` pivots.  A walk that meets a degenerate
     vertex, endpoints included, is "Perturbed+Completed".  Raises a
     :class:`WalkFailure` subtype on numeric trouble.
+
+    The instance's pivot memo keeps each basis's read-only point, slack and
+    edge directions: a pivot looks its new basis up once, computes only what
+    is missing and stores no failure; the start takes only its directions
+    from it.  Each stored value is a deterministic function of (A, b, basis)
+    made by the call a memo-less walk makes, so every output is
+    byte-identical.  No basis repeats within one walk (the kept slopes
+    strictly decrease, and the lexicographic rule never returns to a basis),
+    so a walk on a fresh instance makes exactly a memo-less walk's calls.
     """
     limit = default_max_steps(inst)
     target_basis = set(target.basis)
@@ -188,6 +200,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
 
     current = start
     slack = inst.slack(start.x)
+    entry = _entry(inst, start.basis)
     vertices = [start]
     slopes: list[float] = []
     projections = [project(pair, start.x)]
@@ -204,10 +217,14 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                               perturbation=PerturbationRecord(pair.seed) if met_degenerate
                               else None)
 
-        try:
-            directions = edge_directions(inst, current)
-        except Singular as exc:
-            raise InfeasibleStep(f"basis {current.basis} became singular") from exc
+        directions = entry[2]
+        if directions is None:
+            try:
+                directions = entry[2] = edge_directions(inst, current)
+            except Singular as exc:
+                raise InfeasibleStep(f"basis {current.basis} became singular") from exc
+            if entry[0] is None:  # the start's entry, which no pivot stored
+                _keep(inst, current.basis, entry)
         rises = directions @ pair.w2
         runs = directions @ pair.w1
         candidates = np.flatnonzero(rises > SLOPE_TOL)
@@ -234,7 +251,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
 
         staying = set(current.basis) - {leaving}
         new_basis = tuple(sorted(staying | {entering}))
-        x_new, new_slack = _basic_point(inst, new_basis)
+        x_new, new_slack, _ = entry = _basic_point(inst, new_basis)
         tight = np.abs(new_slack) <= TIGHT_TOL
         landed_degenerate = np.count_nonzero(tight) > inst.n
         if landed_degenerate:
@@ -243,7 +260,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             if lex != entering:
                 entering = lex
                 new_basis = tuple(sorted(staying | {entering}))
-                x_new, new_slack = _basic_point(inst, new_basis)
+                x_new, new_slack, _ = entry = _basic_point(inst, new_basis)
         moved = not current.degenerate or slack[entering] > TIGHT_TOL
         slack = new_slack
         current = VertexWithBasis(x=x_new, basis=new_basis, degenerate=landed_degenerate)
@@ -257,12 +274,34 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     raise StepLimit(f"no termination within {limit} steps")
 
 
-def _basic_point(inst: Instance, basis: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The point of a pivot's new basis and its slack.
+def _entry(inst: Instance, basis: tuple[int, ...]) -> list:
+    """The memo's [point, slack, directions] of a basis, now its most recent."""
+    entry = inst._pivot_memo.get(basis)
+    if entry is not None:
+        inst._pivot_memo.move_to_end(basis)
+    return entry or [None, None, None]
 
-    Raises :class:`InfeasibleStep` when the basis is singular or its point
-    leaves the polytope.
+
+def _keep(inst: Instance, basis: tuple[int, ...], entry: list) -> None:
+    """Store an entry, evicting the least recent past ``PIVOT_MEMO_BYTES``."""
+    memo = inst._pivot_memo
+    memo[basis] = entry
+    m, n = inst.A.shape
+    # At most 2 n^2 + n + m float64s: the point stays a column of its solve's
+    # (n, n + 1) block, as a copy would change the bits of its dot products.
+    if 8 * len(memo) * (n * (2 * n + 1) + m) > PIVOT_MEMO_BYTES:
+        memo.popitem(last=False)
+
+
+def _basic_point(inst: Instance, basis: tuple[int, ...]) -> list:
+    """The memo entry of a pivot's new basis, with its read-only point and slack.
+
+    Raises :class:`InfeasibleStep`, storing nothing, when the basis is
+    singular or its point leaves the polytope.
     """
+    entry = _entry(inst, basis)
+    if entry[0] is not None:
+        return entry
     rows = list(basis)
     try:
         x = linalg.solve(inst.A[rows], inst.b[rows])
@@ -272,7 +311,10 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> tuple[np.ndarray, np
     worst = int(slack.argmin())
     if slack[worst] < -TIGHT_TOL:
         raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
-    return x, slack
+    x.flags.writeable = slack.flags.writeable = False
+    entry[0], entry[1] = x, slack
+    _keep(inst, basis, entry)
+    return entry
 
 
 def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray,
@@ -311,37 +353,12 @@ class _Endpoints:
 
     No seed changes any of this, so :func:`find_path` keeps the last record
     it built on the instance and repeated walks between the same two points
-    verify them once.  The record holds no reference to its instance, so
-    the memo never keeps an instance alive.
+    verify them once.
     """
 
     v1: VertexWithBasis
     v2: VertexWithBasis
     same: bool
-
-
-def _attempts(inst: Instance, ends: _Endpoints, seed: int) -> ShadowPath:
-    """The attempt loop of :func:`find_path` between verified endpoints."""
-    v1, v2 = ends.v1, ends.v2
-    if ends.same:
-        return ShadowPath(vertices=(v1,), slopes=(), projections=(),
-                          pivot_trace=(), status="Completed", seed=int(seed))
-
-    reasons: list[str] = []
-    for attempt in range(MAX_ATTEMPTS):
-        try:
-            pair = sample_objectives(inst, v1, v2, seed + attempt)
-            path = walk(inst, v1, v2, pair)
-            return replace(path, seed=int(seed), retries=attempt)
-        except WalkFailure as exc:
-            reasons.append(type(exc).__name__)
-
-    failed = ShadowPath(vertices=(v1,), slopes=(), projections=(),
-                        pivot_trace=(), status=f"Failed({';'.join(reasons)})",
-                        seed=int(seed), retries=MAX_ATTEMPTS)
-    raise RetriesExhausted(
-        f"no walk succeeded in {MAX_ATTEMPTS} attempts: {', '.join(reasons)}",
-        reasons, path=failed)
 
 
 def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
@@ -363,6 +380,25 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
         v2 = verify_vertex(inst, x2)
         memo = (key, _Endpoints(v1=v1, v2=v2,
                                 same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL))
-        # Instance is frozen; the memo is its one private, mutable slot.
+        # Instance is frozen; its memos are private, mutable slots.
         object.__setattr__(inst, "_endpoint_memo", memo)
-    return _attempts(inst, memo[1], seed)
+    v1, v2 = memo[1].v1, memo[1].v2
+    if memo[1].same:
+        return ShadowPath(vertices=(v1,), slopes=(), projections=(),
+                          pivot_trace=(), status="Completed", seed=int(seed))
+
+    reasons: list[str] = []
+    for attempt in range(MAX_ATTEMPTS):
+        try:
+            pair = sample_objectives(inst, v1, v2, seed + attempt)
+            path = walk(inst, v1, v2, pair)
+            return replace(path, seed=int(seed), retries=attempt)
+        except WalkFailure as exc:
+            reasons.append(type(exc).__name__)
+
+    failed = ShadowPath(vertices=(v1,), slopes=(), projections=(),
+                        pivot_trace=(), status=f"Failed({';'.join(reasons)})",
+                        seed=int(seed), retries=MAX_ATTEMPTS)
+    raise RetriesExhausted(
+        f"no walk succeeded in {MAX_ATTEMPTS} attempts: {', '.join(reasons)}",
+        reasons, path=failed)

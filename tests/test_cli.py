@@ -73,6 +73,16 @@ def test_malformed_instance_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400"], ids=["int", "float"])
+def test_number_beyond_the_float_range_exit_code(cube_file, tmp_path, capsys, number):
+    data = json.loads(cube_file.read_text())
+    data["b"][0] = "HUGE"
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(data).replace('"HUGE"', number))
+    assert main(["path", "--instance", str(bad), "--seed", "0"]) == 1
+    assert "error: b contains a non-finite number" in capsys.readouterr().err
+
+
 def test_delta_output(cube_file, capsys):
     assert main(["delta", "--instance", str(cube_file)]) == 0
     out = capsys.readouterr().out

@@ -230,6 +230,21 @@ def test_read_rejects_nan(tmp_path, cube3):
         read_instance(path)
 
 
+@pytest.mark.parametrize("number", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"],
+                         ids=["int", "negative-int", "float"])
+@pytest.mark.parametrize("field", ["A", "b"])
+def test_read_rejects_numbers_beyond_the_float_range(tmp_path, cube3, field, number):
+    # An integer literal too large for a float is as non-finite as 1e400.
+    path = tmp_path / "huge.json"
+    write_instance(cube3, path)
+    data = json.loads(path.read_text())
+    row = data["A"][0] if field == "A" else data["b"]
+    row[0] = "HUGE"
+    path.write_text(json.dumps(data).replace('"HUGE"', number))
+    with pytest.raises(ParseError, match=f"{field}.* contains a non-finite number"):
+        read_instance(path)
+
+
 def test_read_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -4,6 +4,7 @@ import gc
 import json
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ import polywalk.shadow as shadow_mod
 from polywalk.errors import (
     CapExceeded,
     Infeasible,
+    InfeasibleStep,
     NotAVertex,
     RetriesExhausted,
     LeftwardEdge,
@@ -264,8 +266,9 @@ def test_walk_matches_reference_on_perturbed_transportation(monkeypatch):
             r1, r2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
             for seed in range(10):
                 counts.clear()
+                # A fresh copy has an empty pivot memo: every pivot is counted.
                 try:
-                    path = _assert_walk_matches_reference(inst, r1, r2, seed)
+                    path = _assert_walk_matches_reference(replace(inst), r1, r2, seed)
                 except WalkFailure:
                     continue
                 if any(v.degenerate for v in path.vertices):
@@ -681,8 +684,10 @@ def test_first_call_counts_unchanged_and_repeat_skips_verification(monkeypatch):
     assert counts == {"polywalk.shadow.verify_vertex": 2, "polywalk.linalg.rank": 20,
                       **walk_calls}
     counts.clear()
+    # The repeat finds every basis it reaches in the instance's pivot memo:
+    # no inverse, solve, edge_directions, verification or rank call is left.
     find_path(cube, cube.x1, cube.x2, seed=0)
-    assert counts == walk_calls
+    assert counts == {"polywalk.shadow.ratio_step": 10}
 
 
 def test_fresh_find_path_ranks_only_the_simple_endpoint(monkeypatch):
@@ -693,6 +698,167 @@ def test_fresh_find_path_ranks_only_the_simple_endpoint(monkeypatch):
     counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"), (linalg_mod, "rank"))
     find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
     assert counts == {"polywalk.shadow.verify_vertex": 2, "polywalk.linalg.rank": pyramid.n}
+
+
+# -- the per-instance pivot memo of walk ---------------------------------------
+
+_PIVOT_MEMO_INSTANCES = {
+    **{family: make for family, make in _MEMO_FAMILIES.items() if family != "transportation"},
+    # x2 a hair off the point its basis solves to: a walk that starts there
+    # keeps its verified point and slack, even after a walk reached its basis.
+    "hypercube-nudged": lambda: replace(gen_hypercube(4), x2=np.full(4, 1.0 + 2.0**-40)),
+    **{f"transportation-{p}x{q}-s{s}": (lambda p=p, q=q, s=s: gen_transportation(p, q, s))
+       for p, q in ((3, 3), (3, 4)) for s in range(3)},
+}
+
+
+def _path_record(inst, x1, x2, seed):
+    """The path JSON plus the ratio-test steps, which the JSON leaves out."""
+    try:
+        path = find_path(inst, x1, x2, seed=seed)
+    except RetriesExhausted as exc:
+        path = exc.path
+    return path.to_json(), repr(path.pivot_trace)
+
+
+def _memo_bytes(memo):
+    """Bytes the memo keeps alive: a view keeps all of its base."""
+    return sum((a if a.base is None else a.base).nbytes
+               for entry in memo.values() for a in entry if a is not None)
+
+
+@pytest.mark.parametrize("name", sorted(_PIVOT_MEMO_INSTANCES))
+def test_shared_pivot_memo_matches_fresh_instances(name):
+    # Seeds 0-29 in both directions on one instance, each against the same
+    # walk on its own fresh copy, whose memo starts empty.
+    inst = _PIVOT_MEMO_INSTANCES[name]()
+    for seed in range(30):
+        for x1, x2 in ((inst.x1, inst.x2), (inst.x2, inst.x1)):
+            shared = _path_record(inst, x1, x2, seed)
+            fresh = replace(inst)
+            assert not fresh._pivot_memo
+            assert shared == _path_record(fresh, x1, x2, seed)
+    assert inst._pivot_memo
+
+
+@pytest.mark.parametrize("where", ["solve", "edge_directions"])
+def test_pivot_memo_stores_no_failure(where, monkeypatch):
+    cube = gen_hypercube(4)
+    v1, v2 = verify_vertex(cube, cube.x1), verify_vertex(cube, cube.x2)
+    pair = sample_objectives(cube, v1, v2, 0)
+    expected = walk(replace(cube), v1, v2, pair)
+    # The second vertex: a pivot reaches it, then walks from it.
+    bad = expected.vertices[1].basis
+    failed = Counter()
+    real_solve, real_directions = linalg_mod.solve, shadow_mod.edge_directions
+
+    def solve(mat, rhs):
+        if mat.tobytes() == cube.A[list(bad)].tobytes():
+            failed["solve"] += 1
+            raise Singular("forced")
+        return real_solve(mat, rhs)
+
+    def edge_directions(inst, v):
+        if v.basis == bad:
+            failed["edge_directions"] += 1
+            raise Singular("forced")
+        return real_directions(inst, v)
+
+    if where == "solve":
+        monkeypatch.setattr(linalg_mod, "solve", solve)
+    else:
+        monkeypatch.setattr(shadow_mod, "edge_directions", edge_directions)
+    for attempt in (1, 2):
+        with pytest.raises(InfeasibleStep):
+            walk(cube, v1, v2, pair)
+        # Raised again on the next walk: the failure was never stored.
+        assert failed[where] == attempt
+        entry = cube._pivot_memo.get(bad)
+        assert entry is None if where == "solve" else entry[2] is None
+    monkeypatch.undo()
+    assert walk(cube, v1, v2, pair).to_json() == expected.to_json()
+    assert all(part is not None for part in cube._pivot_memo[bad])
+
+
+def test_pivot_memo_forced_infeasible_point_is_not_stored(monkeypatch):
+    cube = gen_hypercube(4)
+    v1, v2 = verify_vertex(cube, cube.x1), verify_vertex(cube, cube.x2)
+    pair = sample_objectives(cube, v1, v2, 0)
+    bad = walk(replace(cube), v1, v2, pair).vertices[2].basis
+    real = linalg_mod.solve
+    calls = Counter()
+
+    def outside(mat, rhs):
+        if mat.tobytes() == cube.A[list(bad)].tobytes():
+            calls["bad"] += 1
+            return real(mat, rhs) + 2.0
+        return real(mat, rhs)
+
+    monkeypatch.setattr(linalg_mod, "solve", outside)
+    for attempt in (1, 2):
+        with pytest.raises(InfeasibleStep, match="outside the polytope"):
+            walk(cube, v1, v2, pair)
+        assert calls["bad"] == attempt and bad not in cube._pivot_memo
+
+
+def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
+    inst = gen_rotated(gen_hypercube(24), 0)
+    reached = set()
+    for seed in range(25):
+        path = find_path(inst, inst.x1, inst.x2, seed=seed)
+        if seed == 0:
+            first = path.to_json()
+        reached.update(v.basis for v in path.vertices)
+        assert _memo_bytes(inst._pivot_memo) <= shadow_mod.PIVOT_MEMO_BYTES
+    # Bases were evicted.
+    assert len(inst._pivot_memo) < len(reached)
+    start = path.vertices[0].basis
+    assert start in inst._pivot_memo
+    seen = []
+    real = shadow_mod.edge_directions
+
+    def recording(inst_, v):
+        seen.append(v.basis)
+        return real(inst_, v)
+
+    monkeypatch.setattr(shadow_mod, "edge_directions", recording)
+    again = find_path(inst, inst.x1, inst.x2, seed=0)
+    assert again.to_json() == first
+    assert start not in seen
+    # Least recently used first out: the repeat's bases, hits included, are
+    # now the memo's most recent, in the order the walk reached them.
+    bases = [v.basis for v in again.vertices]
+    assert list(inst._pivot_memo)[-len(bases):] == bases
+
+
+def test_memo_arrays_are_read_only():
+    inst = gen_transportation(3, 4, 0)
+    for seed in range(3):
+        path = find_path(inst, inst.x1, inst.x2, seed=seed)
+        assert path.length > 0
+        for v in path.vertices:
+            with pytest.raises(ValueError):
+                v.x[0] = 1.0
+    for entry in inst._pivot_memo.values():
+        for part in entry:
+            if part is not None:
+                with pytest.raises(ValueError):
+                    part[0] = 1.0
+
+
+def test_pivot_memo_keeps_no_instance_alive():
+    gc.disable()
+    try:
+        for make in (_MEMO_FAMILIES["hypercube"], _MEMO_FAMILIES["transportation"]):
+            inst = make()
+            for seed in range(3):
+                find_path(inst, inst.x1, inst.x2, seed=seed)
+            assert inst._pivot_memo
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- exact oracle and scale invariance of the lexicographic rule ---------------
@@ -737,7 +903,9 @@ def test_lex_walk_exact_oracle(family, monkeypatch):
     pivots = steps = 0
     for seed in range(20):
         visited.clear()
-        path = find_path(inst, inst.x1, inst.x2, seed=seed)
+        # Each seed walks a fresh copy, so edge_directions sees every basis.
+        fresh = replace(inst)
+        path = find_path(fresh, fresh.x1, fresh.x2, seed=seed)
         assert path.status == "Perturbed+Completed" and path.retries == 0
         bases = visited + [path.vertices[-1].basis]
         for basis in bases:
