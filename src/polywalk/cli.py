@@ -19,7 +19,8 @@ from pathlib import Path
 from .errors import CapExceeded, PolywalkError, RetriesExhausted
 from .experiments import bound_report, emit, run_batch
 from .flatness import certify_reports, delta_A, subdet_report
-from .instances import GeneratorSpec, generate, read_instance, write_instance, write_text
+from .instances import (FAMILIES, GeneratorSpec, generate, read_instance, write_instance,
+                        write_text)
 from .polytope import bfs_distance
 from .shadow import find_path
 
@@ -152,9 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func="cmd_bound_check")
 
     p = sub.add_parser("generate", help="write an instance file")
-    p.add_argument("--family", required=True,
-                   help="hypercube | simplex | cut-cube | random-sphere | "
-                        "transportation | rotated")
+    p.add_argument("--family", required=True, help=" | ".join(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, help="rows (random-sphere) or q (transportation)")
     p.add_argument("--seed", type=int, default=0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import jsontext
 from .errors import CapExceeded, MissingDelta, RetriesExhausted
@@ -126,8 +126,9 @@ def emit(report: BoundReport, fmt: str = "json") -> str:
     """Render a report as a stable CSV table or JSON object.
 
     The CSV column order is pinned (see ``CSV_COLUMNS``); absent statistics
-    become empty cells.  The JSON object mirrors the report fields, dropping
-    the optional ones when absent, and round-trips through ``json.loads``.
+    become empty cells.  The JSON object holds the report's fields in order,
+    dropping those that default to None when they are None, and round-trips
+    through ``json.loads``.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -144,20 +145,7 @@ def emit(report: BoundReport, fmt: str = "json") -> str:
         ])
         return buf.getvalue()
     if fmt == "json":
-        payload: dict = {
-            "instance_id": report.instance_id,
-            "m": report.m,
-            "n": report.n,
-            "delta": report.delta,
-            "trials": report.trials,
-            "mean_length": report.mean_length,
-            "std_err": report.std_err,
-            "bound_8mn2_over_delta2": report.bound_8mn2_over_delta2,
-            "ratio_mean_to_bound": report.ratio_mean_to_bound,
-        }
-        if report.bound_integral_ceiling is not None:
-            payload["bound_integral_ceiling"] = report.bound_integral_ceiling
-        if report.bfs_lower is not None:
-            payload["bfs_lower"] = report.bfs_lower
+        payload = {f.name: getattr(report, f.name) for f in fields(report)
+                   if f.default is not None or getattr(report, f.name) is not None}
         return jsontext.dumps(payload) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -35,9 +35,8 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, DependentVectors, NotOrthogonal, Singular
-from .polytope import Instance, build_instance
+from .polytope import Instance, _check_cap, build_instance
 
-DELTA_CAP = 1_000_000
 SUBDET_CAP = 10_000_000
 
 # Tolerance used when certifying the integral lower bound.
@@ -120,13 +119,12 @@ def delta_A(inst: Instance) -> FlatnessReport:
     """Flatness of the constraint matrix: minimum over all independent bases.
 
     Exhaustive over the C(m, n) row subsets, skipping dependent ones, guarded
-    by ``DELTA_CAP``.  Each chunk of subsets is inverted as one stack under
+    by :data:`polywalk.polytope.ENUM_CAP` as every enumeration of n-subsets
+    is.  Each chunk of subsets is inverted as one stack under
     :func:`delta_basis`'s rule; the witnessing subset is the first one
     attaining the minimum.
     """
-    total = math.comb(inst.m, inst.n)
-    if total > DELTA_CAP:
-        raise CapExceeded(f"C({inst.m},{inst.n}) = {total} bases exceeds cap {DELTA_CAP}")
+    _check_cap(inst.m, inst.n)
     unit_rows = np.array([linalg.normalize(row) for row in inst.A])
     best = math.inf
     argmin: tuple[int, ...] = ()

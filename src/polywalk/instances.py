@@ -101,15 +101,19 @@ def gen_cut_cube(n: int) -> Instance:
 def gen_transportation(p: int, q: int, seed: int) -> Instance:
     """A p x q transportation polytope in its full-dimensional reduction.
 
-    Supplies and demands are drawn as small positive integers and redrawn
-    until their totals agree.  The free variables are the (p-1)(q-1) interior
-    cells; eliminating the balance equations turns every nonnegativity
-    constraint into an inequality with coefficients in {-1, 0, 1}, so the
-    matrix stays totally unimodular.  Endpoints default to a farthest pair in
-    the edge graph.
+    Supplies and demands are drawn in 1..5 and redrawn until their totals
+    agree, so a shape with q > 5p or p > 5q raises :class:`InfeasibleTotals`
+    at once.  The free variables are the (p-1)(q-1) cells off the last row
+    and column.  Eliminating the balance equations turns the nonnegativity of
+    the free cells, the last column, the last row and the corner into four
+    blocks of rows with entries in {-1, 0, 1}, so the matrix stays totally
+    unimodular.  Endpoints default to a farthest pair in the edge graph.
     """
     if p < 2 or q < 2:
         raise ValueError("transportation needs p, q >= 2")
+    if q > 5 * p or p > 5 * q:
+        raise InfeasibleTotals(f"a {p}x{q} transportation polytope never balances "
+                               "supplies and demands drawn in 1..5")
     rng = np.random.default_rng(seed)
     for _ in range(_TOTALS_RESAMPLE_LIMIT):
         supplies = rng.integers(1, 6, size=p)
@@ -121,38 +125,13 @@ def gen_transportation(p: int, q: int, seed: int) -> Instance:
             f"no matching totals in {_TOTALS_RESAMPLE_LIMIT} draws")
 
     n = (p - 1) * (q - 1)
-    rows: list[list[int]] = []
-    offsets: list[float] = []
-
-    def cell(i: int, j: int) -> int:
-        return i * (q - 1) + j
-
-    # x_ij >= 0 for the free cells.
-    for i in range(p - 1):
-        for j in range(q - 1):
-            row = [0] * n
-            row[cell(i, j)] = -1
-            rows.append(row)
-            offsets.append(0.0)
-    # last-column cells: sum_j x_ij <= s_i.
-    for i in range(p - 1):
-        row = [0] * n
-        for j in range(q - 1):
-            row[cell(i, j)] = 1
-        rows.append(row)
-        offsets.append(float(supplies[i]))
-    # last-row cells: sum_i x_ij <= d_j.
-    for j in range(q - 1):
-        row = [0] * n
-        for i in range(p - 1):
-            row[cell(i, j)] = 1
-        rows.append(row)
-        offsets.append(float(demands[j]))
-    # the corner cell: its nonnegativity flips every sign.
-    rows.append([-1] * n)
-    offsets.append(float(demands[q - 1] - supplies[:-1].sum()))
-
-    inst = build_instance(rows, offsets, integral=True,
+    A = np.vstack([-np.eye(n, dtype=int),
+                   np.repeat(np.eye(p - 1, dtype=int), q - 1, axis=1),
+                   np.tile(np.eye(q - 1, dtype=int), p - 1),
+                   -np.ones((1, n), dtype=int)])
+    b = np.concatenate([np.zeros(n), supplies[:-1], demands[:-1],
+                        [demands[-1] - supplies[:-1].sum()]])
+    inst = build_instance(A, b, integral=True,
                           name=f"transportation-p{p}q{q}-s{seed}")
     x1, x2 = farthest_vertex_pair(inst)
     return replace(inst, x1=x1, x2=x2)
@@ -240,24 +219,24 @@ def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
     return verts[s].x, verts[t].x
 
 
+# Each family's generator from (n, m, seed), m defaulted; the generator's
+# name is looked up when the entry is called, so a rebound one takes effect.
+FAMILIES = {
+    "hypercube": lambda n, m, seed: gen_hypercube(n),
+    "simplex": lambda n, m, seed: gen_simplex(n),
+    "cut-cube": lambda n, m, seed: gen_cut_cube(n),
+    "random-sphere": lambda n, m, seed: gen_random_sphere(3 * n if m is None else m, n, seed),
+    "transportation": lambda n, m, seed: gen_transportation(n, n if m is None else m, seed),
+    "rotated": lambda n, m, seed: gen_rotated(gen_hypercube(n), seed),
+}
+
+
 def generate(spec: GeneratorSpec) -> Instance:
-    """Dispatch a :class:`GeneratorSpec` to its family generator."""
-    family = spec.family.lower()
-    if family == "hypercube":
-        return gen_hypercube(spec.n)
-    if family == "simplex":
-        return gen_simplex(spec.n)
-    if family == "cut-cube":
-        return gen_cut_cube(spec.n)
-    if family == "random-sphere":
-        m = spec.m if spec.m is not None else 3 * spec.n
-        return gen_random_sphere(m, spec.n, spec.seed)
-    if family == "transportation":
-        q = spec.m if spec.m is not None else spec.n
-        return gen_transportation(spec.n, q, spec.seed)
-    if family == "rotated":
-        return gen_rotated(gen_hypercube(spec.n), spec.seed)
-    raise ValueError(f"unknown family {spec.family!r}")
+    """Dispatch a :class:`GeneratorSpec` to its entry in :data:`FAMILIES`."""
+    make = FAMILIES.get(spec.family.lower())
+    if make is None:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return make(spec.n, spec.m, spec.seed)
 
 
 # --- file format -----------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Any ``indent`` sends :mod:`json` to its pure-Python encoder.  :func:`dumps`
 writes the same text byte for byte: it lays out objects and arrays by hand,
-writes a flat array of ints or of finite floats with one ``join`` over
-``int.__repr__`` or ``float.__repr__``, and gives any other flat array to the
-C encoder in one call, with an item separator that carries the newline and
-the indentation.  Other scalars follow :mod:`json`'s own rules: the C string
-escaper, ``NaN``/``Infinity``, ``int.__repr__`` and ``float.__repr__``.
+and writes an array of ints or of finite floats with one ``join`` over
+``int.__repr__`` or ``float.__repr__``, with an item separator that carries
+the newline and the indentation.  Every other array is laid out item by item,
+and its scalars follow :mod:`json`'s own rules: the C string escaper,
+``NaN``/``Infinity``, ``int.__repr__`` and ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 
 _INDENT = "  "
-_FLAT = frozenset({str, int, float, bool, type(None)})
 _escape = json.encoder.encode_basestring_ascii
 
 
@@ -25,13 +24,6 @@ def _breaks(depth: int) -> tuple[str, str, str]:
     """What opens, closes and separates the items of a container at ``depth``."""
     inner = "\n" + _INDENT * (depth + 1)
     return inner, "\n" + _INDENT * depth, "," + inner
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """The C encoder for a flat array at ``depth``; its output keeps the brackets."""
-    return json.JSONEncoder(check_circular=False,
-                            separators=(_breaks(depth)[2], ": ")).encode
 
 
 def _scalar(value) -> str:
@@ -66,14 +58,12 @@ def _encode(obj, depth: int) -> str:
             return "[]"
         inner, close, separator = _breaks(depth)
         kinds = set(map(type, obj))
-        if not kinds <= _FLAT:
-            text = separator.join([_encode(item, depth + 1) for item in obj])
-        elif kinds == {int}:
+        if kinds == {int}:
             text = separator.join(map(int.__repr__, obj))
         elif kinds == {float} and all(map(math.isfinite, obj)):
             text = separator.join(map(float.__repr__, obj))
         else:
-            text = _flat_encoder(depth)(obj)[1:-1]
+            text = separator.join([_encode(item, depth + 1) for item in obj])
         return "[" + inner + text + close + "]"
     return _scalar(obj)
 

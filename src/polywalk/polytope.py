@@ -165,9 +165,13 @@ def tight_rows(inst: Instance, x) -> tuple[int, ...]:
     """Indices of rows tight at x, ascending.
 
     Raises :class:`Infeasible` naming the most violated row when x is outside
-    the polytope by more than ``TIGHT_TOL``.
+    the polytope by more than ``TIGHT_TOL``, and ``ValueError`` when x does
+    not have n coordinates.
     """
-    slack = inst.slack(x)
+    point = linalg.as_vector(x)
+    if point.size != inst.n:
+        raise ValueError(f"point has length {point.size}, expected {inst.n}")
+    slack = inst.slack(point)
     worst = int(np.argmin(slack))
     if slack[worst] < -TIGHT_TOL:
         raise Infeasible(

@@ -11,7 +11,13 @@ import polywalk.polytope as polytope_mod
 from polywalk.cli import main
 from polywalk.errors import CapExceeded, DependentVectors, RetriesExhausted
 from polywalk.flatness import certify_delta_Delta
-from polywalk.instances import gen_hypercube, gen_transportation, read_instance, write_instance
+from polywalk.instances import (
+    FAMILIES,
+    gen_hypercube,
+    gen_transportation,
+    read_instance,
+    write_instance,
+)
 from polywalk.shadow import ShadowPath
 
 
@@ -59,6 +65,23 @@ def test_path_bad_coordinates(cube_file, capsys):
     assert main(["path", "--instance", str(cube_file),
                  "--x1", "zero,0,0", "--x2", "1,1,1", "--seed", "0"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_path_endpoint_of_the_wrong_length(cube_file, capsys):
+    assert main(["path", "--instance", str(cube_file), "--x1", "0,0", "--seed", "0"]) == 1
+    assert capsys.readouterr().err == "error: point has length 2, expected 3\n"
+
+
+def test_generate_help_and_unknown_family(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["generate", "--help"])
+    text = capsys.readouterr().out
+    assert all(family in text for family in FAMILIES)
+    out = tmp_path / "x.json"
+    assert main(["generate", "--family", "dodecahedron", "--n", "3",
+                 "--out", str(out)]) == 1
+    assert "unknown family 'dodecahedron'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_instance_file(tmp_path, capsys):
@@ -220,10 +243,13 @@ def test_bound_check_transportation_4x4(tmp_path, capsys):
 
 def test_delta_cap_exits_3_in_every_command(tmp_path, capsys, monkeypatch):
     # experiment cannot report without delta, so the cap that refuses it
-    # exits 3 there too, as in delta and bound-check.
+    # exits 3 there too, as in delta and bound-check.  delta_A enumerates
+    # under ENUM_CAP, as every C(., n) basis enumeration does: a cap of 5
+    # passes each endpoint's C(5, 4) = 5 tight subsets and refuses the
+    # C(9, 4) = 126 bases of delta_A and the vertex graph.
     path = tmp_path / "t33.json"
     write_instance(gen_transportation(3, 3, 0), path)
-    monkeypatch.setattr(flatness_mod, "DELTA_CAP", 5)
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", 5)
     assert main(["delta", "--instance", str(path)]) == 3
     assert main(["bound-check", "--instance", str(path)]) == 3
     assert _experiment(path, tmp_path / "report") == 3

@@ -6,16 +6,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from polywalk.errors import NonIntegerEntry, ParseError, SchemaError
+from polywalk.errors import InfeasibleTotals, NonIntegerEntry, ParseError, SchemaError
 from polywalk.flatness import subdet_report
 from polywalk.instances import (
+    FAMILIES,
     GeneratorSpec,
     _clean_draw,
     farthest_vertex_pair,
+    gen_cut_cube,
     gen_degenerate_pyramid,
     gen_hypercube,
     gen_random_sphere,
     gen_rotated,
+    gen_simplex,
     gen_transportation,
     generate,
     read_instance,
@@ -66,6 +69,49 @@ def test_transportation_structure():
     assert subdet_report(inst.int_A).Delta == 1  # reduced system stays TU
     verify_vertex(inst, inst.x1)
     verify_vertex(inst, inst.x2)
+
+
+def _northwest_corner(supplies: list[int], demands: list[int]) -> np.ndarray:
+    plan = np.zeros((len(supplies), len(demands)))
+    s, d = list(supplies), list(demands)
+    i = j = 0
+    while i < len(s) and j < len(d):
+        plan[i, j] = amount = min(s[i], d[j])
+        s[i] -= amount
+        d[j] -= amount
+        if s[i] == 0:
+            i += 1
+        else:
+            j += 1
+    return plan
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_transportation_rows_are_the_cells_of_a_plan(p, q):
+    # Row by row, b - A x is the free cells x, then the last column, the last
+    # row and the corner of the plan whose free cells are x.
+    n = (p - 1) * (q - 1)
+    for seed in range(3):
+        inst = gen_transportation(p, q, seed)
+        b = inst.raw_b.astype(int)
+        supplies, demands, corner = b[n:n + p - 1], b[n + p - 1:-1], b[-1]
+        supplies = [*supplies, demands.sum() + corner]
+        demands = [*demands, corner + sum(supplies[:-1])]
+        assert sum(supplies) == sum(demands)
+        plan = _northwest_corner(supplies, demands)
+        assert np.array_equal(plan.sum(axis=1), supplies)
+        assert np.array_equal(plan.sum(axis=0), demands)
+        cells = np.concatenate([plan[:-1, :-1].ravel(), plan[:-1, -1], plan[-1, :-1],
+                                plan[-1:, -1]])
+        npt.assert_array_equal(inst.raw_b - inst.raw_A @ plan[:-1, :-1].ravel(), cells)
+
+
+@pytest.mark.parametrize("p, q", [(2, 11), (11, 2), (3, 16)])
+def test_transportation_shape_that_never_balances(p, q):
+    with pytest.raises(InfeasibleTotals, match=f"a {p}x{q} transportation polytope "
+                                                "never balances"):
+        gen_transportation(p, q, 0)
 
 
 def test_transportation_determinism():
@@ -176,6 +222,29 @@ def test_generate_dispatch():
     assert rotated.name.startswith("rotated-")
     with pytest.raises(ValueError):
         generate(GeneratorSpec(family="dodecahedron", n=3))
+
+
+# Each family's generator called directly: n, the m to pass, and the call.
+_DIRECT = {
+    "hypercube": (3, 5, lambda m, seed: gen_hypercube(3)),
+    "simplex": (3, 5, lambda m, seed: gen_simplex(3)),
+    "cut-cube": (3, 5, lambda m, seed: gen_cut_cube(3)),
+    "random-sphere": (3, 7, lambda m, seed: gen_random_sphere(m or 9, 3, seed)),
+    "transportation": (2, 3, lambda m, seed: gen_transportation(2, m or 2, seed)),
+    "rotated": (3, 5, lambda m, seed: gen_rotated(gen_hypercube(3), seed)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DIRECT))
+def test_generate_writes_what_the_generator_writes(family, tmp_path):
+    assert set(FAMILIES) == set(_DIRECT)
+    n, m_given, direct = _DIRECT[family]
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    for m in (None, m_given):
+        write_instance(direct(m, 1), want)
+        for spelled in (family, family.upper()):
+            write_instance(generate(GeneratorSpec(family=spelled, n=n, m=m, seed=1)), got)
+            assert got.read_text() == want.read_text()
 
 
 def test_write_read_round_trip(tmp_path, cube3):

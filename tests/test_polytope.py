@@ -67,6 +67,12 @@ def test_tight_rows_cube_corners(cube3):
         tight_rows(cube3, [1.5, 0.0, 0.0])
 
 
+def test_point_of_the_wrong_length_is_named(cube3):
+    for check in (tight_rows, verify_vertex):
+        with pytest.raises(ValueError, match=r"^point has length 2, expected 3$"):
+            check(cube3, [0.0, 0.0])
+
+
 def test_verify_vertex_and_not_a_vertex(cube3, pyramid):
     v = verify_vertex(cube3, [0.0, 0.0, 0.0])
     assert v.basis == (3, 4, 5) and not v.degenerate

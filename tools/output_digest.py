@@ -1,0 +1,107 @@
+"""Digest every seeded output of the command line, one sha256 per group.
+
+Run it as ``python tools/output_digest.py`` (no options) in two checkouts and
+compare the lines: equal digests mean byte-identical outputs.  It imports
+polywalk from the ``src/`` next to this file, writes into a temporary
+directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
+
+* ``instances``   -- the ``generate`` file of every family at fixed sizes and
+  seeds, and the pyramid's ``write_instance`` file;
+* ``path``        -- ``path --json`` (file and stdout) for seeds 0-11 on each
+  of those files;
+* ``experiment``  -- ``report.csv``, ``report.json`` and stdout at 0 and 7
+  trials;
+* ``delta``, ``bound-check`` -- their stdout;
+* ``help``        -- ``--help`` and ``generate --help`` at 80 columns.
+
+Every entry also hashes its label and exit code, so a changed exit shows.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+os.environ["COLUMNS"] = "80"
+
+from polywalk import cli, gen_degenerate_pyramid, write_instance  # noqa: E402
+
+# (family, n, m, seed); m None takes the family's default.
+SPECS = [(family, n, None, 0) for family in ("hypercube", "simplex", "cut-cube")
+         for n in (2, 3, 4)]
+SPECS += [("rotated", n, None, seed) for n in (3, 4) for seed in (0, 1)]
+SPECS += [("random-sphere", 3, None, seed) for seed in (0, 1, 2)]
+SPECS += [("random-sphere", 4, 9, seed) for seed in (0, 1)]
+SPECS += [("transportation", p, q, seed) for p, q in ((2, 2), (2, 3), (3, 3), (3, 4))
+          for seed in (0, 1, 2)]
+PATH_SEEDS = range(12)
+TRIALS = (0, 7)
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one ``polywalk`` command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def main() -> None:
+    groups = {name: hashlib.sha256()
+              for name in ("instances", "path", "experiment", "delta", "bound-check", "help")}
+
+    def add(group: str, label: str, code, text: str) -> None:
+        groups[group].update(f"{label}\0{code}\0".encode() + text.encode() + b"\0")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        files = []
+        for family, n, m, seed in SPECS:
+            path = root / f"{family}-{n}-{m}-{seed}.json"
+            argv = ["generate", "--family", family, "--n", str(n),
+                    "--seed", str(seed), "--out", str(path)]
+            code, _ = run(argv + ([] if m is None else ["--m", str(m)]))
+            add("instances", path.name, code, path.read_text())
+            files.append(path)
+        pyramid = root / "pyramid.json"
+        write_instance(gen_degenerate_pyramid(), pyramid)
+        add("instances", pyramid.name, 0, pyramid.read_text())
+        files.append(pyramid)
+
+        out = root / "walk.json"
+        for path in files:
+            for seed in PATH_SEEDS:
+                out.unlink(missing_ok=True)
+                code, text = run(["path", "--instance", str(path), "--seed", str(seed),
+                                  "--json", str(out)])
+                record = out.read_text() if out.exists() else ""
+                add("path", f"{path.name}:{seed}", code, text + record)
+            for trials in TRIALS:
+                report = root / f"report-{path.stem}-{trials}"
+                code, text = run(["experiment", "--instance", str(path), "--trials",
+                                  str(trials), "--seed", "3", "--out", str(report)])
+                for name in ("report.csv", "report.json"):
+                    text += (report / name).read_text() if (report / name).exists() else ""
+                add("experiment", f"{path.name}:{trials}", code, text)
+            for command in ("delta", "bound-check"):
+                code, text = run([command, "--instance", str(path)])
+                add(command, path.name, code, text)
+
+    for argv in (["--help"], ["generate", "--help"]):
+        code, text = run(argv)
+        add("help", " ".join(argv), code, text)
+    for name, digest in groups.items():
+        print(f"{digest.hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main()
