@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 from .errors import CapExceeded, PolywalkError, RetriesExhausted
-from .experiments import bound_report, emit, run_batch
+from .experiments import bound_report, emit, require_delta, run_batch
 from .flatness import certify_reports, delta_A, subdet_report
 from .instances import (FAMILIES, GeneratorSpec, generate, read_instance, write_instance,
                         write_text)
 from .polytope import bfs_distance
-from .shadow import find_path
+from .shadow import find_path, verify_endpoints
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -103,12 +103,11 @@ def cmd_experiment(args) -> int:
     if inst.x1 is None or inst.x2 is None:
         print("error: instance file lacks x1/x2 endpoints", file=sys.stderr)
         return EXIT_INPUT
+    # Refuse before walking: the endpoints, as the first trial would, then delta.
+    verify_endpoints(inst, inst.x1, inst.x2)
+    require_delta(inst)
     batch = run_batch(inst, inst.x1, inst.x2, args.trials, args.seed)
-    try:
-        bfs = bfs_distance(inst, inst.x1, inst.x2)
-    except CapExceeded:
-        bfs = None
-    report = bound_report(batch, inst, bfs_lower=bfs)
+    report = bound_report(batch, inst, bfs_lower=bfs_distance(inst, inst.x1, inst.x2))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "report.csv", emit(report, "csv"))
@@ -119,7 +118,7 @@ def cmd_experiment(args) -> int:
     print(f"bound={report.bound_8mn2_over_delta2!r}")
     print(f"ratio_mean_to_bound={report.ratio_mean_to_bound!r}")
     if report.trials == 0:
-        return EXIT_OK
+        return EXIT_ALGORITHM if batch.n_trials else EXIT_OK
     return EXIT_OK if report.mean_length <= report.bound_8mn2_over_delta2 else EXIT_ALGORITHM
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from . import jsontext
 from .errors import CapExceeded, MissingDelta, RetriesExhausted
 from .flatness import delta_A, subdet_report
-from .polytope import Instance
+from .polytope import Instance, _check_cap
 from .shadow import find_path
 
 CSV_COLUMNS = ("instance_id", "m", "n", "delta", "trials", "mean", "stderr",
@@ -89,20 +89,25 @@ def run_batch(inst: Instance, x1, x2, n_trials: int, base_seed: int) -> TrialBat
                       retries=tuple(retries), failures=tuple(failures))
 
 
+def require_delta(inst: Instance) -> None:
+    """Raise :class:`MissingDelta` when ``ENUM_CAP`` refuses ``delta_A`` on inst."""
+    try:
+        _check_cap(inst.m, inst.n)
+    except CapExceeded as exc:
+        raise MissingDelta(f"flatness of {inst.name} not computable: {exc}") from exc
+
+
 def bound_report(batch: TrialBatch, inst: Instance, *,
                  bfs_lower: int | None = None) -> BoundReport:
     """Build the comparison report for a finished batch.
 
-    The flatness comes from :func:`~polywalk.flatness.delta_A`
-    (:class:`MissingDelta`, a :class:`CapExceeded`, when the basis
-    enumeration cap refuses), the integral ceiling from
+    The flatness comes from :func:`~polywalk.flatness.delta_A`, after
+    :func:`require_delta`, the integral ceiling from
     :func:`~polywalk.flatness.subdet_report` under ``SUBDET_CAP``.
     ``bfs_lower`` is forwarded verbatim, absent when not supplied.
     """
-    try:
-        delta = delta_A(inst).delta
-    except CapExceeded as exc:
-        raise MissingDelta(f"flatness of {inst.name} not computable: {exc}") from exc
+    require_delta(inst)
+    delta = delta_A(inst).delta
     m, n = inst.m, inst.n
     bound = 8.0 * m * n * n / (delta * delta)
     ceiling = None

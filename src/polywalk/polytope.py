@@ -64,7 +64,7 @@ class Instance:
 
     Two private memos refer to no instance and start empty, in a copy by
     ``dataclasses.replace`` too: ``_endpoint_memo`` holds the last endpoint
-    pair ``find_path`` verified, keyed by the points' bytes, and
+    pair ``verify_endpoints`` verified, keyed by the points' bytes, and
     ``_pivot_memo`` each basis's point, slack and edge directions for ``walk``.
     """
 
@@ -189,7 +189,8 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
     nonsingular and lexicographically feasible: for every tight row j, the
     eps-coefficients of j's slack on b + (eps, ..., eps**m), e_j - a_j B^-1
     on the basis rows, lead with a positive entry in row order (entries
-    within ``DIR_TOL`` of 0 count as 0).
+    within ``DIR_TOL`` of 0 count as 0).  Each nonsingular subset solves to
+    x, so the search only inverts subsets, a chunk at a time up to a hit.
     """
     point = linalg.as_vector(x)
     tight = tight_rows(inst, point)
@@ -204,17 +205,21 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
         if len(basis) < inst.n:
             raise NotAVertex(f"tight rows have rank {len(basis)} < {inst.n}")
     else:
+        _check_cap(len(tight), inst.n)
         rows = np.array(tight)
-        subsets, out, _ = feasible_subsets(inst, rows)
-        coef = -(inst.A[rows] @ out[:, :, :-1])
-        # Only basis rows before j come before j's own coefficient, which is 1.
-        lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < rows[:, None])
-        first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
-        feasible = np.flatnonzero((~lead.any(axis=2) | (first > 0)).all(axis=1))
-        if feasible.size == 0:
+        for subsets in linalg.index_chunks(combinations(tight, inst.n)):
+            ok, inverses = linalg.solve_stack(inst.A[subsets], np.empty((len(subsets), inst.n, 0)))
+            coef = -(inst.A[rows] @ inverses)
+            # Only basis rows before j come before j's own coefficient, which is 1.
+            lead = (np.abs(coef) > DIR_TOL) & (subsets[ok][:, None, :] < rows[:, None])
+            first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+            hits = np.flatnonzero((~lead.any(axis=2) | (first > 0)).all(axis=1))
+            if hits.size:
+                basis = subsets[ok][hits[0]].tolist()
+                break
+        else:
             raise NotAVertex(f"no n-subset of the {rows.size} tight rows is a "
                              "nonsingular, lexicographically feasible basis")
-        basis = subsets[feasible[0]].tolist()
     frozen = point.copy()
     frozen.flags.writeable = False
     return VertexWithBasis(x=frozen, basis=tuple(basis),
@@ -272,29 +277,25 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
         yield VertexWithBasis(x=x, basis=subset, degenerate=degenerate)
 
 
-def feasible_subsets(inst: Instance, rows: Sequence[int]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The feasible bases among the n-subsets of ``rows``, solved as stacks.
+def feasible_subsets(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every feasible basis, with the n-subsets of the rows solved as stacks.
 
     Each chunk of subsets goes through :func:`linalg.solve_stack`, which
     keeps exactly the bases :func:`linalg.solve` accepts, and the feasibility
     and degeneracy tests of :func:`feasible_bases` run on the whole chunk.
-    Returns three arrays with one entry per feasible basis, in combinations
-    order: the subsets ``(k, n)``, the solutions ``(k, n, n + 1)`` of
-    ``A_S X = [I | b_S]`` (the basis inverse, then the point) and the
-    degeneracy flags ``(k,)``.  Guarded by ``ENUM_CAP`` on the number of
-    subsets C(len(rows), n).
+    Returns the subsets ``(k, n)``, points ``(k, n)`` and degeneracy flags
+    ``(k,)`` of the feasible bases in combinations order, under ``ENUM_CAP``.
     """
     n = inst.n
-    _check_cap(len(rows), n)
-    found = [(np.empty((0, n), dtype=np.intp), np.empty((0, n, n + 1)),
-              np.empty(0, dtype=bool))]
-    for subsets in linalg.index_chunks(combinations(rows, n)):
+    _check_cap(inst.m, n)
+    found = []
+    for subsets in linalg.index_chunks(combinations(range(inst.m), n)):
         ok, out = linalg.solve_stack(inst.A[subsets], inst.b[subsets][:, :, None])
-        slack = inst.b - out[:, :, n] @ inst.A.T
+        points = out[:, :, n]
+        slack = inst.b - points @ inst.A.T
         keep = slack.min(axis=1) >= -TIGHT_TOL
         degenerate = (np.abs(slack[keep]) <= TIGHT_TOL).sum(axis=1) > n
-        found.append((subsets[ok][keep], out[keep], degenerate))
+        found.append((subsets[ok][keep], points[keep], degenerate))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
@@ -310,17 +311,16 @@ def _vertex_classes(inst: Instance):
     Returns the vertices (each kept with its first basis), then every
     feasible basis with the index of the vertex it stands for.
     """
-    bases, out, degenerate = feasible_subsets(inst, range(inst.m))
+    bases, points, degenerate = feasible_subsets(inst)
     subsets = bases.tolist()
-    points = np.empty((len(subsets), inst.n))
+    kept = np.empty_like(points)
     verts: list[VertexWithBasis] = []
     owner: list[int] = []
-    for subset, sol, flag in zip(subsets, out, degenerate.tolist()):
-        x = sol[:, -1]
-        idx = _locate(points[:len(verts)], x)
+    for subset, x, flag in zip(subsets, points, degenerate.tolist()):
+        idx = _locate(kept[:len(verts)], x)
         if idx is None:
             idx = len(verts)
-            points[idx] = x
+            kept[idx] = x
             verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
         owner.append(idx)
     return verts, subsets, owner

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,43 +348,38 @@ def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray
     return int(ties[alive[0]])
 
 
-@dataclass(frozen=True)
-class _Endpoints:
-    """Both endpoints of a walk, verified, and whether they are one vertex.
-
-    No seed changes any of this, so :func:`find_path` keeps the last record
-    it built on the instance and repeated walks between the same two points
-    verify them once.
-    """
+class _Endpoints(NamedTuple):
+    """Both endpoints of a walk, verified, and whether they are one vertex."""
 
     v1: VertexWithBasis
     v2: VertexWithBasis
     same: bool
 
 
-def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
-    """Short edge path between two vertices, with retries.
-
-    Verifies the endpoints, then walks with objectives drawn from ``seed``.
-    The instance keeps the last verified endpoint pair, keyed by the bytes
-    of both points, so a later call between the same points (any seed)
-    skips the verification; a failed verification is never kept.  Each
-    endpoint is walked from the basis :func:`verify_vertex` picks.  Numeric
-    walk failures redraw with seed+1 (up to ``MAX_ATTEMPTS`` draws); raises
-    :class:`RetriesExhausted` with the collected failure reasons when every
-    attempt fails.
-    """
+def verify_endpoints(inst: Instance, x1, x2) -> _Endpoints:
+    """Both endpoints verified by :func:`verify_vertex`, unless they are the
+    instance's last pair (keyed by their bytes); a failed pair is never kept."""
     key = (linalg.as_vector(x1).tobytes(), linalg.as_vector(x2).tobytes())
     memo = inst._endpoint_memo
     if memo is None or memo[0] != key:
         v1 = verify_vertex(inst, x1)
         v2 = verify_vertex(inst, x2)
-        memo = (key, _Endpoints(v1=v1, v2=v2,
-                                same=float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL))
+        memo = (key, _Endpoints(v1, v2, float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL))
         # Instance is frozen; its memos are private, mutable slots.
         object.__setattr__(inst, "_endpoint_memo", memo)
-    v1, v2 = memo[1].v1, memo[1].v2
-    if memo[1].same:
+    return memo[1]
+
+
+def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
+    """Short edge path between two vertices, with retries.
+
+    Walks between the bases :func:`verify_endpoints` picks, with objectives
+    drawn from ``seed``.  Numeric walk failures redraw with seed+1 (up to
+    ``MAX_ATTEMPTS`` draws); raises :class:`RetriesExhausted` with the
+    collected failure reasons when every attempt fails.
+    """
+    v1, v2, same = verify_endpoints(inst, x1, x2)
+    if same:
         return ShadowPath(vertices=(v1,), slopes=(), projections=(),
                           pivot_trace=(), status="Completed", seed=int(seed))
 

@@ -1,4 +1,7 @@
-"""Scalar references the stacked exact kernels are tested against."""
+"""Scalar references the stacked exact kernels are tested against, and the
+northwest-corner rule for transportation plans."""
+
+import numpy as np
 
 from polywalk.linalg import as_int_matrix
 
@@ -35,3 +38,19 @@ def int_determinant(mat) -> int:
             row_r[i] = 0
         prev = piv
     return sign * a[-1][-1]
+
+
+def northwest_corner(supplies, demands) -> np.ndarray:
+    """The transportation plan the northwest-corner rule fills, (p, q)."""
+    plan = np.zeros((len(supplies), len(demands)))
+    s, d = list(supplies), list(demands)
+    i = j = 0
+    while i < len(s) and j < len(d):
+        plan[i, j] = amount = min(s[i], d[j])
+        s[i] -= amount
+        d[j] -= amount
+        if s[i] == 0:
+            i += 1
+        else:
+            j += 1
+    return plan

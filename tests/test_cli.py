@@ -257,6 +257,59 @@ def test_delta_cap_exits_3_in_every_command(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "report").exists()
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_experiment_refuses_delta_before_any_trial(tmp_path, capsys, monkeypatch):
+    # The report needs delta, so a cap that refuses it refuses the command
+    # before the first walk, with the message and exit code of the report.
+    path = tmp_path / "t33.json"
+    write_instance(gen_transportation(3, 3, 0), path)
+    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", 5)
+    assert main(["experiment", "--instance", str(path), "--trials", "50", "--seed", "0",
+                 "--out", str(tmp_path / "report")]) == 3
+    assert capsys.readouterr().err == ("error: flatness of transportation-p3q3-s0 not "
+                                       "computable: C(9,4) = 126 subsets exceeds cap 5\n")
+    assert walks == [] and not (tmp_path / "report").exists()
+
+
+def test_experiment_enumerates_delta_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t33.json"
+    write_instance(gen_transportation(3, 3, 0), path)
+    deltas = _count_calls(monkeypatch, experiments_mod, "delta_A")
+    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    assert main(["experiment", "--instance", str(path), "--trials", "50", "--seed", "0",
+                 "--out", str(tmp_path / "report")]) == 0
+    assert len(deltas) == 1 and len(walks) == 50
+
+
+def test_experiment_where_every_trial_fails_exits_2(cube_file, tmp_path, capsys,
+                                                   monkeypatch):
+    def exhausted(inst, x1, x2, seed):
+        raise RetriesExhausted("forced", ["LeftwardEdge"] * 16)
+
+    monkeypatch.setattr(experiments_mod, "find_path", exhausted)
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--instance", str(cube_file), "--trials", "4",
+                 "--seed", "0", "--out", str(out_dir)]) == 2
+    assert "trials=0" in capsys.readouterr().out
+    record = json.loads((out_dir / "report.json").read_text())
+    assert record["trials"] == 0 and record["mean_length"] is None
+    assert (out_dir / "report.csv").exists()
+    assert main(["experiment", "--instance", str(cube_file), "--trials", "0",
+                 "--seed", "0", "--out", str(out_dir)]) == 0
+
+
 def test_degenerate_endpoint_cap_exit_code(tripled_cube3, tmp_path, capsys, monkeypatch):
     path = tmp_path / "tripled.json"
     write_instance(tripled_cube3, path)

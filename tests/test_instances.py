@@ -36,6 +36,8 @@ from polywalk.polytope import (
     vertex_graph,
 )
 
+from reference import northwest_corner
+
 
 def test_hypercube_shape(cube3):
     assert (cube3.m, cube3.n) == (6, 3)
@@ -71,21 +73,6 @@ def test_transportation_structure():
     verify_vertex(inst, inst.x2)
 
 
-def _northwest_corner(supplies: list[int], demands: list[int]) -> np.ndarray:
-    plan = np.zeros((len(supplies), len(demands)))
-    s, d = list(supplies), list(demands)
-    i = j = 0
-    while i < len(s) and j < len(d):
-        plan[i, j] = amount = min(s[i], d[j])
-        s[i] -= amount
-        d[j] -= amount
-        if s[i] == 0:
-            i += 1
-        else:
-            j += 1
-    return plan
-
-
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_transportation_rows_are_the_cells_of_a_plan(p, q):
@@ -99,7 +86,7 @@ def test_transportation_rows_are_the_cells_of_a_plan(p, q):
         supplies = [*supplies, demands.sum() + corner]
         demands = [*demands, corner + sum(supplies[:-1])]
         assert sum(supplies) == sum(demands)
-        plan = _northwest_corner(supplies, demands)
+        plan = northwest_corner(supplies, demands)
         assert np.array_equal(plan.sum(axis=1), supplies)
         assert np.array_equal(plan.sum(axis=0), demands)
         cells = np.concatenate([plan[:-1, :-1].ravel(), plan[:-1, -1], plan[-1, :-1],

@@ -197,17 +197,17 @@ def test_enumeration_same_across_chunk_boundaries(make, monkeypatch):
     inst = make()
     reference = list(feasible_bases(inst))
     verts, adj = vertex_graph(inst)
-    found = feasible_subsets(inst, range(inst.m))
-    bases, out, degenerate = found
+    found = feasible_subsets(inst)
+    bases, points, degenerate = found
     assert [tuple(b) for b in bases.tolist()] == [v.basis for v in reference]
     assert degenerate.tolist() == [v.degenerate for v in reference]
-    for sol, v in zip(out, reference):
-        npt.assert_array_equal(sol[:, -1], v.x)
+    for x, v in zip(points, reference):
+        npt.assert_array_equal(x, v.x)
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
     assert _bases(enumerate_vertices(inst)) == _bases(verts)
     chunked_verts, chunked_adj = vertex_graph(inst)
     assert _bases(chunked_verts) == _bases(verts) and chunked_adj == adj
-    for got, want in zip(feasible_subsets(inst, range(inst.m)), found):
+    for got, want in zip(feasible_subsets(inst), found):
         npt.assert_array_equal(got, want)
 
 
@@ -215,7 +215,7 @@ def test_feasible_subsets_flag_every_apex_basis(pyramid):
     # The apex carries four tight rows, so each of its bases is degenerate;
     # the vertex list keeps the first of them.
     reference = list(feasible_bases(pyramid))
-    bases, _, degenerate = feasible_subsets(pyramid, range(pyramid.m))
+    bases, _, degenerate = feasible_subsets(pyramid)
     assert degenerate.tolist() == [v.degenerate for v in reference]
     assert int(degenerate.sum()) == 4
     apex = [v for v in enumerate_vertices(pyramid) if v.degenerate]
@@ -226,12 +226,12 @@ def _reference_graph(inst):
     """The graph by ratio_step's rule: one ratio test along every edge
     direction of every feasible basis, and its end point matched to the
     first vertex within POINT_TOL."""
-    _, out, _ = feasible_subsets(inst, range(inst.m))
+    bases, xs, _ = feasible_subsets(inst)
     verts = enumerate_vertices(inst)
     points = np.array([v.x for v in verts]).reshape(len(verts), inst.n)
     adjacency = [set() for _ in verts]
-    for sol in out:
-        x, dirs = sol[:, -1], -sol[:, :-1]
+    for subset, x in zip(bases, xs):
+        dirs = -linalg_mod.inverse(inst.A[subset])
         i = int(np.flatnonzero(np.abs(points - x).max(axis=1) <= POINT_TOL)[0])
         denom = inst.A @ dirs
         movers = denom > polytope_mod.DIR_TOL
@@ -320,8 +320,9 @@ def test_stacked_graph_matches_per_basis_reference():
     for inst in _graph_cases():
         _assert_graph_matches_reference(inst)
     for inst in _integer_draws():
-        _, out, _ = feasible_subsets(inst, range(inst.m))
-        rays = (inst.A @ -out[:, :, :-1] <= polytope_mod.DIR_TOL).all(axis=1)
+        bases, _, _ = feasible_subsets(inst)
+        inverses = np.array([linalg_mod.inverse(inst.A[subset]) for subset in bases])
+        rays = (inst.A @ -inverses <= polytope_mod.DIR_TOL).all(axis=1)
         assert rays.any() and any(v.degenerate for v in enumerate_vertices(inst))
 
 

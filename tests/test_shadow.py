@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polywalk.instances as instances_mod
 import polywalk.linalg as linalg_mod
 import polywalk.polytope as polytope_mod
 import polywalk.shadow as shadow_mod
@@ -57,6 +58,8 @@ from polywalk.shadow import (
     sample_objectives,
     walk,
 )
+
+from reference import northwest_corner
 
 
 def _hexagon():
@@ -495,10 +498,10 @@ def _reference_lex_basis(inst, v):
 def test_representative_matches_verify_vertex_route(monkeypatch):
     # find_path walks from verify_vertex's basis at every endpoint.  At a
     # degenerate one that is the first lexicographically feasible basis, by
-    # one stacked search over its tight rows; the family holds degenerate
+    # a chunked search over its tight rows; the family holds degenerate
     # endpoints where the first nonsingular subset qualifies and ones where
     # it does not.
-    counts = _counted(monkeypatch, (polytope_mod, "feasible_subsets"))
+    counts = _counted(monkeypatch, (linalg_mod, "solve_stack"))
     simple = same = other = 0
     for inst in _degenerate_family():
         counts.clear()
@@ -523,9 +526,55 @@ def test_representative_matches_verify_vertex_route(monkeypatch):
             else:
                 other += 1
         # One search per degenerate endpoint in find_path, one more in the
-        # verify_vertex call above.
-        assert counts["polywalk.polytope.feasible_subsets"] == 2 * degenerate_ends
+        # verify_vertex call above, each over one chunk of subsets.
+        assert counts["polywalk.linalg.solve_stack"] == 2 * degenerate_ends
     assert simple > 0 and same > 0 and other > 0
+
+
+def _corner_endpoints(p, q, seed, monkeypatch):
+    """Transportation p x q with the northwest-corner plan as x1 and the
+    same rule on the reversed rows as x2, built without enumerating the
+    vertex graph."""
+    with monkeypatch.context() as patch:
+        patch.setattr(instances_mod, "farthest_vertex_pair", lambda inst: (None, None))
+        inst = gen_transportation(p, q, seed)
+    n = (p - 1) * (q - 1)
+    b = inst.raw_b.astype(int)
+    supplies, demands, corner = b[n:n + p - 1], b[n + p - 1:-1], b[-1]
+    supplies = [*supplies, demands.sum() + corner]
+    demands = [*demands, corner + sum(supplies[:-1])]
+    x1 = northwest_corner(supplies, demands)[:-1, :-1].ravel()
+    x2 = northwest_corner(supplies[::-1], demands)[::-1][:-1, :-1].ravel()
+    return replace(inst, x1=x1, x2=x2)
+
+
+def test_degenerate_search_stops_at_the_first_chunk_with_a_hit(monkeypatch):
+    # The search inverts the subsets of the tight rows one chunk at a time
+    # and stops at the chunk holding the first lexicographically feasible
+    # one, at position k in combinations order: ceil((k + 1) / chunk)
+    # stacked solves, no enumeration of all m rows and no slack beyond
+    # tight_rows' own.
+    insts = _degenerate_family() + [_corner_endpoints(5, 5, s, monkeypatch)
+                                    for s in range(3)]
+    counts = _counted(monkeypatch, (linalg_mod, "solve_stack"),
+                      (polytope_mod, "feasible_subsets"), (polytope_mod.Instance, "slack"))
+    late = Counter()
+    for chunk in (1, 7, linalg_mod.SUBSET_CHUNK):
+        monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
+        for inst in insts:
+            for x in (inst.x1, inst.x2):
+                counts.clear()
+                v = verify_vertex(inst, x)
+                calls = dict(counts)
+                if not v.degenerate:
+                    continue
+                assert v.basis == _reference_lex_basis(inst, v)
+                k = list(combinations(tight_rows(inst, x), inst.n)).index(v.basis)
+                late[chunk] += k >= chunk
+                assert calls == {"polywalk.linalg.solve_stack": -(-(k + 1) // chunk),
+                                 "Instance.slack": 1}
+    # Chunks of 1 and of 7 each stop past their first chunk somewhere.
+    assert late[1] > 0 and late[7] > 0
 
 
 def test_find_path_retries_exhausted(cube3, monkeypatch):
@@ -546,8 +595,11 @@ def test_unfound_representative_is_reported_and_not_kept(monkeypatch):
     # With no lexicographically feasible basis, the endpoint is refused as
     # no vertex, and the memo keeps nothing.
     pyramid = gen_degenerate_pyramid()
-    empty = (np.empty((0, 3), dtype=np.intp), np.empty((0, 3, 4)), np.empty(0, dtype=bool))
-    monkeypatch.setattr(polytope_mod, "feasible_subsets", lambda inst, rows: empty)
+
+    def all_singular(mats, rhs):
+        return np.zeros(len(mats), dtype=bool), np.empty((0, 3, 3 + rhs.shape[2]))
+
+    monkeypatch.setattr(linalg_mod, "solve_stack", all_singular)
     with pytest.raises(NotAVertex, match="lexicographically feasible"):
         find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
     assert pyramid._endpoint_memo is None

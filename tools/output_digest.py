@@ -12,7 +12,9 @@ directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
 * ``experiment``  -- ``report.csv``, ``report.json`` and stdout at 0 and 7
   trials;
 * ``delta``, ``bound-check`` -- their stdout;
-* ``help``        -- ``--help`` and ``generate --help`` at 80 columns.
+* ``help``        -- ``--help`` and ``generate --help`` at 80 columns;
+* ``bases``       -- the basis :func:`polywalk.verify_vertex` picks at every
+  vertex :func:`polywalk.enumerate_vertices` lists on each of those files.
 
 Every entry also hashes its label and exit code, so a changed exit shows.
 """
@@ -30,7 +32,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 os.environ["COLUMNS"] = "80"
 
-from polywalk import cli, gen_degenerate_pyramid, write_instance  # noqa: E402
+from polywalk import (cli, enumerate_vertices, gen_degenerate_pyramid,  # noqa: E402
+                      read_instance, verify_vertex, write_instance)
 
 # (family, n, m, seed); m None takes the family's default.
 SPECS = [(family, n, None, 0) for family in ("hypercube", "simplex", "cut-cube")
@@ -57,7 +60,8 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def main() -> None:
     groups = {name: hashlib.sha256()
-              for name in ("instances", "path", "experiment", "delta", "bound-check", "help")}
+              for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
+                           "bases")}
 
     def add(group: str, label: str, code, text: str) -> None:
         groups[group].update(f"{label}\0{code}\0".encode() + text.encode() + b"\0")
@@ -95,6 +99,9 @@ def main() -> None:
             for command in ("delta", "bound-check"):
                 code, text = run([command, "--instance", str(path)])
                 add(command, path.name, code, text)
+            inst = read_instance(path)
+            bases = [verify_vertex(inst, v.x).basis for v in enumerate_vertices(inst)]
+            add("bases", path.name, 0, repr(bases))
 
     for argv in (["--help"], ["generate", "--help"]):
         code, text = run(argv)
