@@ -39,8 +39,8 @@ def _parse_point(text: str) -> list[float]:
 
 def cmd_path(args) -> int:
     inst = read_instance(args.instance)
-    x1 = _parse_point(args.x1) if args.x1 else inst.x1
-    x2 = _parse_point(args.x2) if args.x2 else inst.x2
+    x1 = inst.x1 if args.x1 is None else _parse_point(args.x1)
+    x2 = inst.x2 if args.x2 is None else _parse_point(args.x2)
     if x1 is None or x2 is None:
         print("error: endpoints missing (no --x1/--x2 and none in the file)",
               file=sys.stderr)
@@ -103,12 +103,15 @@ def cmd_experiment(args) -> int:
     if inst.x1 is None or inst.x2 is None:
         print("error: instance file lacks x1/x2 endpoints", file=sys.stderr)
         return EXIT_INPUT
-    # Refuse before walking: the endpoints, as the first trial would, then delta.
+    # Refuse before walking: the endpoints, as the first trial would, delta,
+    # and an --out on or under a file, by mkdir's own error, creating nothing.
     verify_endpoints(inst, inst.x1, inst.x2)
     require_delta(inst)
+    out = Path(args.out)
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        out.mkdir(parents=True, exist_ok=True)
     batch = run_batch(inst, inst.x1, inst.x2, args.trials, args.seed)
     report = bound_report(batch, inst, bfs_lower=bfs_distance(inst, inst.x1, inst.x2))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_text(out / "report.csv", emit(report, "csv"))
     write_text(out / "report.json", emit(report, "json"))

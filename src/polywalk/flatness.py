@@ -12,9 +12,9 @@ matrix, whose conditioning is itself bounded by 1/flatness; reports carry
 the number of bases checked so callers can judge the enumeration.
 
 The enumerations run on stacks of row subsets, one chunk at a time:
-:func:`delta_A` inverts each chunk of bases at once under the same
-singularity rule as :func:`delta_basis`.  Every exact minor, the integer
-certificate's Delta1 and Delta_{n-1} included, comes from
+:func:`delta_A` inverts each chunk of the one subset stream at once, under
+the same singularity rule as :func:`delta_basis`.  Every exact minor, the
+integer certificate's Delta1 and Delta_{n-1} included, comes from
 :func:`subdet_report`, which takes its chunks of minors through one exact
 kernel, :func:`~polywalk.linalg.int_adjugates`.  Expanding a minor along its
 unit rows (+-e_j) leaves a smaller minor of the other rows, on columns those
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, DependentVectors, NotOrthogonal, Singular
-from .polytope import Instance, _check_cap, build_instance
+from .polytope import Instance, build_instance, solved_subsets
 
 SUBDET_CAP = 10_000_000
 
@@ -118,29 +118,24 @@ def delta_basis(vectors) -> float:
 def delta_A(inst: Instance) -> FlatnessReport:
     """Flatness of the constraint matrix: minimum over all independent bases.
 
-    Exhaustive over the C(m, n) row subsets, skipping dependent ones, guarded
-    by :data:`polywalk.polytope.ENUM_CAP` as every enumeration of n-subsets
-    is.  Each chunk of subsets is inverted as one stack under
-    :func:`delta_basis`'s rule; the witnessing subset is the first one
+    Exhaustive over the C(m, n) row subsets, skipping dependent ones: each
+    chunk of :func:`~polywalk.polytope.solved_subsets`, under ``ENUM_CAP``, on
+    the rows re-normalised here is inverted as one stack under
+    :func:`delta_basis`'s rule.  The witnessing subset is the first one
     attaining the minimum.
     """
-    _check_cap(inst.m, inst.n)
     unit_rows = np.array([linalg.normalize(row) for row in inst.A])
     best = math.inf
     argmin: tuple[int, ...] = ()
     checked = 0
-    for subsets in linalg.index_chunks(combinations(range(inst.m), inst.n)):
-        ok, inverses = linalg.solve_stack(unit_rows[subsets],
-                                          np.empty((len(subsets), inst.n, 0)))
-        if not inverses.size:
-            continue
+    for subsets, inverses in solved_subsets(unit_rows, range(inst.m), inst.n):
         checked += len(inverses)
         col_norms = np.sqrt((inverses * inverses).sum(axis=1))
         values = np.minimum(1.0, 1.0 / col_norms.max(axis=1))
         k = int(np.argmin(values))
         if values[k] < best:
             best = float(values[k])
-            argmin = tuple(int(i) for i in subsets[ok][k])
+            argmin = tuple(int(i) for i in subsets[k])
     if not checked:
         raise DependentVectors("no independent n-row subset exists")
     return FlatnessReport(delta=best, argmin_basis=argmin,

@@ -19,18 +19,14 @@ constants read at call time, with no per-call override:
 * ``RANK_TOL`` -- :func:`rank` counts the singular values above ``RANK_TOL``
   times the largest one.
 
-Enumerations over row subsets run on stacks: :func:`index_chunks` cuts an
-index stream into arrays of ``SUBSET_CHUNK`` rows, :func:`solve_stack` applies
-:func:`solve`'s rule to a whole stack of bases at once, and
-:func:`int_adjugates` runs fraction-free Gauss-Jordan elimination on a stack of
-integer matrices, which gives every nonsingular one's |determinant| and
-adjugate.
+Enumerations over row subsets run on stacks of ``SUBSET_CHUNK`` matrices:
+:func:`solve_stack` applies :func:`solve`'s rule to a whole stack of bases at
+once, and :func:`int_adjugates` runs fraction-free Gauss-Jordan elimination on
+a stack of integer matrices, which gives every nonsingular one's
+|determinant| and adjugate.
 """
 
 from __future__ import annotations
-
-from itertools import islice
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -122,17 +118,6 @@ def rank(mat) -> int:
     """
     sigma = np.linalg.svd(as_matrix(mat), compute_uv=False)
     return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
-
-
-def index_chunks(tuples: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:
-    """Cut a stream of equal-length index tuples into stacked int arrays.
-
-    Yields ``(count, width)`` arrays of at most ``SUBSET_CHUNK`` rows, keeping
-    the stream's order.
-    """
-    stream = iter(tuples)
-    while chunk := list(islice(stream, SUBSET_CHUNK)):
-        yield np.array(chunk, dtype=np.intp)
 
 
 def solve_stack(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,11 @@ numerically.  :func:`verify_vertex` gives it its first lexicographically
 feasible basis on the symbolic right-hand side b + (eps, eps**2, ...,
 eps**m), and :mod:`polywalk.shadow` breaks ratio-test ties by the same rule.
 
-Enumerations run on stacked arrays.  :func:`feasible_subsets` solves each
-chunk of row subsets as one stack; :func:`vertex_graph` reads the edges off
-the feasible bases it returns, joining two vertices whose bases share n - 1
-rows; :func:`graph_distances` is the one breadth-first search, run for a
-block of sources at once with one 0/1 frontier product per level.
+Enumerations run on stacked arrays.  :func:`solved_subsets` is the one
+stream of row subsets, each chunk solved as one stack; :func:`vertex_graph`
+reads the edges off the feasible bases, joining two vertices whose bases
+share n - 1 rows; :func:`graph_distances` is the one breadth-first search,
+run for a block of sources at once with one 0/1 frontier product per level.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -190,7 +190,8 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
     eps-coefficients of j's slack on b + (eps, ..., eps**m), e_j - a_j B^-1
     on the basis rows, lead with a positive entry in row order (entries
     within ``DIR_TOL`` of 0 count as 0).  Each nonsingular subset solves to
-    x, so the search only inverts subsets, a chunk at a time up to a hit.
+    x, so the search only inverts subsets, on :func:`solved_subsets`' chunks
+    up to the first that holds a hit.
     """
     point = linalg.as_vector(x)
     tight = tight_rows(inst, point)
@@ -205,17 +206,15 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
         if len(basis) < inst.n:
             raise NotAVertex(f"tight rows have rank {len(basis)} < {inst.n}")
     else:
-        _check_cap(len(tight), inst.n)
         rows = np.array(tight)
-        for subsets in linalg.index_chunks(combinations(tight, inst.n)):
-            ok, inverses = linalg.solve_stack(inst.A[subsets], np.empty((len(subsets), inst.n, 0)))
+        for subsets, inverses in solved_subsets(inst.A, tight, inst.n):
             coef = -(inst.A[rows] @ inverses)
             # Only basis rows before j come before j's own coefficient, which is 1.
-            lead = (np.abs(coef) > DIR_TOL) & (subsets[ok][:, None, :] < rows[:, None])
+            lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < rows[:, None])
             first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
             hits = np.flatnonzero((~lead.any(axis=2) | (first > 0)).all(axis=1))
             if hits.size:
-                basis = subsets[ok][hits[0]].tolist()
+                basis = subsets[hits[0]].tolist()
                 break
         else:
             raise NotAVertex(f"no n-subset of the {rows.size} tight rows is a "
@@ -261,7 +260,7 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
     geometric vertices must deduplicate by point.  Guarded by ``ENUM_CAP`` on
     the number of subsets C(m, n).  This is the one-subset-at-a-time reference
     (one :func:`linalg.solve` per subset); the enumerations below run on the
-    stacked :func:`feasible_subsets` and yield the same bases.
+    stacked :func:`solved_subsets` and find the same bases.
     """
     _check_cap(inst.m, inst.n)
     for subset in combinations(range(inst.m), inst.n):
@@ -277,26 +276,24 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
         yield VertexWithBasis(x=x, basis=subset, degenerate=degenerate)
 
 
-def feasible_subsets(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every feasible basis, with the n-subsets of the rows solved as stacks.
+def solved_subsets(A: np.ndarray, rows: Sequence[int], n: int,
+                   b: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The nonsingular n-subsets of ``rows`` of A, solved a chunk at a time.
 
-    Each chunk of subsets goes through :func:`linalg.solve_stack`, which
-    keeps exactly the bases :func:`linalg.solve` accepts, and the feasibility
-    and degeneracy tests of :func:`feasible_bases` run on the whole chunk.
-    Returns the subsets ``(k, n)``, points ``(k, n)`` and degeneracy flags
-    ``(k,)`` of the feasible bases in combinations order, under ``ENUM_CAP``.
+    Under ``ENUM_CAP`` on C(len(rows), n), checked before the first solve,
+    one :func:`linalg.solve_stack` runs per ``linalg.SUBSET_CHUNK`` subsets of
+    ``combinations(rows, n)``.  Yields, per chunk that has any, its
+    nonsingular subsets ``(k, n)`` in order with ``[B^-1 | B^-1 b_B]``, or
+    ``B^-1`` alone when b is None.
     """
-    n = inst.n
-    _check_cap(inst.m, n)
-    found = []
-    for subsets in linalg.index_chunks(combinations(range(inst.m), n)):
-        ok, out = linalg.solve_stack(inst.A[subsets], inst.b[subsets][:, :, None])
-        points = out[:, :, n]
-        slack = inst.b - points @ inst.A.T
-        keep = slack.min(axis=1) >= -TIGHT_TOL
-        degenerate = (np.abs(slack[keep]) <= TIGHT_TOL).sum(axis=1) > n
-        found.append((subsets[ok][keep], points[keep], degenerate))
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+    _check_cap(len(rows), n)
+    stream = combinations(rows, n)
+    while chunk := list(islice(stream, linalg.SUBSET_CHUNK)):
+        subsets = np.array(chunk, dtype=np.intp)
+        rhs = np.empty((len(chunk), n, 0)) if b is None else b[subsets][:, :, None]
+        ok, out = linalg.solve_stack(A[subsets], rhs)
+        if ok.any():
+            yield subsets[ok], out
 
 
 def _check_cap(rows: int, n: int) -> None:
@@ -308,21 +305,27 @@ def _check_cap(rows: int, n: int) -> None:
 def _vertex_classes(inst: Instance):
     """Every feasible basis, grouped by point in combinations order.
 
+    :func:`feasible_bases`' tests run on each chunk of :func:`solved_subsets`.
     Returns the vertices (each kept with its first basis), then every
     feasible basis with the index of the vertex it stands for.
     """
-    bases, points, degenerate = feasible_subsets(inst)
-    subsets = bases.tolist()
-    kept = np.empty_like(points)
-    verts: list[VertexWithBasis] = []
-    owner: list[int] = []
-    for subset, x, flag in zip(subsets, points, degenerate.tolist()):
-        idx = _locate(kept[:len(verts)], x)
-        if idx is None:
-            idx = len(verts)
-            kept[idx] = x
-            verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
-        owner.append(idx)
+    n = inst.n
+    kept = np.empty((0, n))
+    verts, subsets, owner = [], [], []
+    for bases, out in solved_subsets(inst.A, range(inst.m), n, inst.b):
+        slack = inst.b - out[:, :, n] @ inst.A.T
+        keep = slack.min(axis=1) >= -TIGHT_TOL
+        degenerate = (np.abs(slack[keep]) <= TIGHT_TOL).sum(axis=1) > n
+        points = out[keep, :, n]
+        kept = np.concatenate((kept[:len(verts)], points))
+        for subset, x, flag in zip(bases[keep].tolist(), points, degenerate.tolist()):
+            idx = _locate(kept[:len(verts)], x)
+            if idx is None:
+                idx = len(verts)
+                kept[idx] = x
+                verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
+            subsets.append(subset)
+            owner.append(idx)
     return verts, subsets, owner
 
 

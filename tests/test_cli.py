@@ -67,6 +67,16 @@ def test_path_bad_coordinates(cube_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--x1", "--x2"])
+def test_path_empty_coordinate_list_is_refused(cube_file, capsys, flag):
+    # An empty list is a bad list, not a missing one: the file's endpoint
+    # must not stand in for it.
+    assert main(["path", "--instance", str(cube_file), flag, "", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad coordinate list ''")
+    assert captured.out == ""
+
+
 def test_path_endpoint_of_the_wrong_length(cube_file, capsys):
     assert main(["path", "--instance", str(cube_file), "--x1", "0,0", "--seed", "0"]) == 1
     assert capsys.readouterr().err == "error: point has length 2, expected 3\n"
@@ -281,6 +291,23 @@ def test_experiment_refuses_delta_before_any_trial(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == ("error: flatness of transportation-p3q3-s0 not "
                                        "computable: C(9,4) = 126 subsets exceeds cap 5\n")
     assert walks == [] and not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_experiment_refuses_out_before_any_trial(tmp_path, capsys, monkeypatch, under):
+    # An --out that is a file, or lies under one, cannot hold the reports:
+    # the command refuses it before the first walk.
+    path = tmp_path / "t33.json"
+    write_instance(gen_transportation(3, 3, 0), path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "report" if under else blocker
+    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    assert main(["experiment", "--instance", str(path), "--trials", "30", "--seed", "0",
+                 "--out", str(out)]) == 1
+    reason = "[Errno 20] Not a directory" if under else "[Errno 17] File exists"
+    assert capsys.readouterr().err == f"error: {reason}: '{out}'\n"
+    assert walks == [] and blocker.read_text() == ""
 
 
 def test_experiment_enumerates_delta_once(tmp_path, capsys, monkeypatch):

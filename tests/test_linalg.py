@@ -1,7 +1,5 @@
 """Dense kernels against numpy oracles and hand-computed values."""
 
-from itertools import combinations
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,7 +12,6 @@ from polywalk.linalg import (
     as_matrix,
     as_vector,
     exact_dtype,
-    index_chunks,
     int_adjugates,
     inverse,
     normalize,
@@ -277,13 +274,6 @@ def test_exact_dtype_tiers():
     assert exact_dtype(1, 2**31) == object
     assert exact_dtype(6, 12) == np.int64
     assert exact_dtype(4, 10**12) == object
-
-
-def test_index_chunks_keep_order_across_boundaries(monkeypatch):
-    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
-    chunks = list(index_chunks(combinations(range(6), 3)))
-    assert [len(c) for c in chunks] == [7, 7, 6]
-    assert [tuple(r) for c in chunks for r in c.tolist()] == list(combinations(range(6), 3))
 
 
 def _cofactor_adjugate(mat):

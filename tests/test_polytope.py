@@ -1,5 +1,9 @@
 """Polytope geometry: tight sets, vertices, edges, ratio test, BFS oracle."""
 
+import math
+import re
+from itertools import combinations
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,11 +12,13 @@ import polywalk.instances as instances_mod
 import polywalk.linalg as linalg_mod
 import polywalk.polytope as polytope_mod
 from polywalk.errors import (
+    CapExceeded,
     Disconnected,
     Infeasible,
     NotAVertex,
     Unbounded,
 )
+from polywalk.flatness import delta_A
 from polywalk.instances import (
     _farthest_pair,
     farthest_vertex_pair,
@@ -30,10 +36,11 @@ from polywalk.polytope import (
     build_instance,
     edge_directions,
     enumerate_vertices,
+    _vertex_classes,
     feasible_bases,
-    feasible_subsets,
     graph_distances,
     ratio_step,
+    solved_subsets,
     tight_rows,
     verify_vertex,
     vertex_graph,
@@ -189,49 +196,126 @@ def _bases(items):
     return [(v.x.tobytes(), v.basis, v.degenerate) for v in items]
 
 
+def _assert_classes_match_reference(inst):
+    """_vertex_classes against the per-subset feasible_bases: the same bases
+    in order, each owned by the first vertex within POINT_TOL of its point,
+    and each vertex bitwise the reference's first basis at it."""
+    reference = list(feasible_bases(inst))
+    verts, bases, owner = _vertex_classes(inst)
+    assert [tuple(b) for b in bases] == [v.basis for v in reference]
+    points = np.array([v.x for v in verts]).reshape(len(verts), inst.n)
+    for v, i in zip(reference, owner):
+        assert int(np.flatnonzero(np.abs(points - v.x).max(axis=1) <= POINT_TOL)[0]) == i
+    assert [verts[i].degenerate for i in owner] == [v.degenerate for v in reference]
+    firsts = [owner.index(i) for i in range(len(verts))]
+    assert firsts == sorted(firsts)
+    assert _bases(verts) == _bases([reference[k] for k in firsts])
+    return verts, bases, owner
+
+
 @pytest.mark.parametrize("make", [lambda: gen_hypercube(4),
                                   lambda: gen_random_sphere(12, 4, seed=1)])
 def test_enumeration_same_across_chunk_boundaries(make, monkeypatch):
     # A chunk of 7 subsets splits C(8,4) = 70 and C(12,4) = 495 many times;
     # the per-subset feasible_bases is the reference.
     inst = make()
-    reference = list(feasible_bases(inst))
     verts, adj = vertex_graph(inst)
-    found = feasible_subsets(inst)
-    bases, points, degenerate = found
-    assert [tuple(b) for b in bases.tolist()] == [v.basis for v in reference]
-    assert degenerate.tolist() == [v.degenerate for v in reference]
-    for x, v in zip(points, reference):
-        npt.assert_array_equal(x, v.x)
+    found = _assert_classes_match_reference(inst)
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
     assert _bases(enumerate_vertices(inst)) == _bases(verts)
     chunked_verts, chunked_adj = vertex_graph(inst)
     assert _bases(chunked_verts) == _bases(verts) and chunked_adj == adj
-    for got, want in zip(feasible_subsets(inst), found):
-        npt.assert_array_equal(got, want)
+    chunked = _assert_classes_match_reference(inst)
+    assert _bases(chunked[0]) == _bases(found[0]) and chunked[1:] == found[1:]
 
 
-def test_feasible_subsets_flag_every_apex_basis(pyramid):
+def test_vertex_classes_flag_every_apex_basis(pyramid):
     # The apex carries four tight rows, so each of its bases is degenerate;
     # the vertex list keeps the first of them.
     reference = list(feasible_bases(pyramid))
-    bases, _, degenerate = feasible_subsets(pyramid)
-    assert degenerate.tolist() == [v.degenerate for v in reference]
-    assert int(degenerate.sum()) == 4
+    verts, bases, owner = _assert_classes_match_reference(pyramid)
+    degenerate = [verts[i].degenerate for i in owner]
+    assert sum(degenerate) == 4
     apex = [v for v in enumerate_vertices(pyramid) if v.degenerate]
-    assert len(apex) == 1 and apex[0].basis == tuple(bases[degenerate][0].tolist())
+    first = degenerate.index(True)
+    assert len(apex) == 1 and apex[0].basis == tuple(bases[first]) == reference[first].basis
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record each linalg.solve_stack call, still running it."""
+    solves = []
+    real = linalg_mod.solve_stack
+    monkeypatch.setattr(linalg_mod, "solve_stack", lambda *a: solves.append(1) or real(*a))
+    return solves
+
+
+def test_solved_subsets_keep_order_across_boundaries(monkeypatch):
+    # Seven subsets per chunk cut the C(6, 3) = 20 subsets of rows 1-6 into
+    # 7, 7 and 6, in combinations order.  The four holding both copies of a
+    # repeated row are singular and drop out, two from each of the first
+    # two chunks.  Without b the stream yields inverses, with b the points
+    # after them.
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((7, 3))
+    A[6] = A[1]
+    rows = range(1, 7)
+    want = [c for c in combinations(rows, 3) if not {1, 6} <= set(c)]
+    solves = _count_solves(monkeypatch)
+    for b in (None, rng.standard_normal(7)):
+        solves.clear()
+        chunks = list(solved_subsets(A, rows, 3, b))
+        assert len(solves) == 3
+        assert [len(c) for c, _ in chunks] == [5, 5, 6]
+        assert [tuple(r) for c, _ in chunks for r in c.tolist()] == want
+        for subsets, out in chunks:
+            assert out.shape == (len(subsets), 3, 3 if b is None else 4)
+            for subset, solved in zip(subsets.tolist(), out):
+                npt.assert_allclose(solved[:, :3], linalg_mod.inverse(A[subset]), atol=1e-12)
+                if b is not None:
+                    npt.assert_allclose(solved[:, 3], linalg_mod.solve(A[subset], b[subset]),
+                                        atol=1e-12)
+
+
+_STREAM_CONSUMERS = {
+    "delta_A": (lambda: gen_random_sphere(12, 4, seed=1), delta_A, 12, 71),
+    "vertex_graph": (lambda: gen_random_sphere(12, 4, seed=1), vertex_graph, 12, 71),
+    "verify_vertex": (gen_degenerate_pyramid,
+                      lambda inst: verify_vertex(inst, [0.0, 0.0, 1.0]), 4, 1),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_STREAM_CONSUMERS))
+def test_every_enumeration_runs_on_the_one_subset_stream(consumer, monkeypatch):
+    # At seven subsets per chunk, delta_A and vertex_graph each make
+    # ceil(495 / 7) = 71 stacked solves on the random sphere, and the apex
+    # search stops in its first chunk.  With ENUM_CAP one below C(r, n),
+    # each is refused by the same cap before its first solve.
+    make, run, rows, calls = _STREAM_CONSUMERS[consumer]
+    inst = make()
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
+    solves = _count_solves(monkeypatch)
+    run(inst)
+    assert len(solves) == calls
+    total = math.comb(rows, inst.n)
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", total - 1)
+    solves.clear()
+    message = f"C({rows},{inst.n}) = {total} subsets exceeds cap {total - 1}"
+    with pytest.raises(CapExceeded, match=re.escape(message)):
+        run(inst)
+    assert solves == []
 
 
 def _reference_graph(inst):
     """The graph by ratio_step's rule: one ratio test along every edge
     direction of every feasible basis, and its end point matched to the
     first vertex within POINT_TOL."""
-    bases, xs, _ = feasible_subsets(inst)
     verts = enumerate_vertices(inst)
     points = np.array([v.x for v in verts]).reshape(len(verts), inst.n)
     adjacency = [set() for _ in verts]
-    for subset, x in zip(bases, xs):
-        dirs = -linalg_mod.inverse(inst.A[subset])
+    for v in feasible_bases(inst):
+        x = v.x
+        dirs = -linalg_mod.inverse(inst.A[list(v.basis)])
         i = int(np.flatnonzero(np.abs(points - x).max(axis=1) <= POINT_TOL)[0])
         denom = inst.A @ dirs
         movers = denom > polytope_mod.DIR_TOL
@@ -320,8 +404,8 @@ def test_stacked_graph_matches_per_basis_reference():
     for inst in _graph_cases():
         _assert_graph_matches_reference(inst)
     for inst in _integer_draws():
-        bases, _, _ = feasible_subsets(inst)
-        inverses = np.array([linalg_mod.inverse(inst.A[subset]) for subset in bases])
+        inverses = np.array([linalg_mod.inverse(inst.A[list(v.basis)])
+                             for v in feasible_bases(inst)])
         rays = (inst.A @ -inverses <= polytope_mod.DIR_TOL).all(axis=1)
         assert rays.any() and any(v.degenerate for v in enumerate_vertices(inst))
 

@@ -557,7 +557,7 @@ def test_degenerate_search_stops_at_the_first_chunk_with_a_hit(monkeypatch):
     insts = _degenerate_family() + [_corner_endpoints(5, 5, s, monkeypatch)
                                     for s in range(3)]
     counts = _counted(monkeypatch, (linalg_mod, "solve_stack"),
-                      (polytope_mod, "feasible_subsets"), (polytope_mod.Instance, "slack"))
+                      (polytope_mod, "_vertex_classes"), (polytope_mod.Instance, "slack"))
     late = Counter()
     for chunk in (1, 7, linalg_mod.SUBSET_CHUNK):
         monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
