@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import CapExceeded, PolywalkError, RetriesExhausted
 from .experiments import bound_report, emit, require_delta, run_batch
-from .flatness import certify_reports, delta_A, subdet_report
+from .flatness import certify_reports, delta_A, subdet_report, subdet_rows
 from .instances import (FAMILIES, GeneratorSpec, generate, read_instance, write_instance,
                         write_text)
 from .polytope import bfs_distance
@@ -104,9 +104,12 @@ def cmd_experiment(args) -> int:
         print("error: instance file lacks x1/x2 endpoints", file=sys.stderr)
         return EXIT_INPUT
     # Refuse before walking: the endpoints, as the first trial would, delta,
-    # and an --out on or under a file, by mkdir's own error, creating nothing.
+    # the integral ceiling's minor count, and an --out on or under a file, by
+    # mkdir's own error, creating nothing.
     verify_endpoints(inst, inst.x1, inst.x2)
     require_delta(inst)
+    if inst.integral:
+        subdet_rows(inst.int_A)
     out = Path(args.out)
     if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
         out.mkdir(parents=True, exist_ok=True)

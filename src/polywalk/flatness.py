@@ -161,29 +161,17 @@ def subdet_report(int_mat) -> SubdetReport:
     :func:`~polywalk.linalg.int_adjugates`, whose |determinants| of the
     nonsingular minors give the chunk's largest per order (a singular minor
     adds 0); each order's row and column subsets are two index arrays, and a
-    chunk gathers its pairs from them by position.  ``SUBDET_CAP`` guards
-    the count enumerated, the sum over k of C(r, k) * C(n, k) for r such
-    rows.  Order k runs in the dtype :func:`~polywalk.linalg.exact_dtype`
-    picks for k and Delta1.
+    chunk gathers its pairs from them by position.  :func:`subdet_rows`
+    picks those rows and checks their minor count against ``SUBDET_CAP``.
+    Order k runs in the dtype :func:`~polywalk.linalg.exact_dtype` picks for
+    k and Delta1.
     """
     mat = linalg.as_int_matrix(int_mat)
     n = len(mat[0])
     Delta1 = max(abs(v) for row in mat for v in row)
-    unit_col = np.zeros(n, dtype=bool)
-    kept: dict[tuple[int, ...], None] = {}
-    for row in mat:
-        support = [j for j, v in enumerate(row) if v]
-        if len(support) == 1 and abs(row[support[0]]) == 1:
-            unit_col[support[0]] = True
-        elif support:
-            sign = 1 if row[support[0]] > 0 else -1
-            kept.setdefault(tuple(sign * v for v in row), None)
-    rest = list(kept)
+    rest, unit_col = subdet_rows(mat)
     r = len(rest)
     k_max = min(r, n)
-    total = sum(math.comb(r, k) * math.comb(n, k) for k in range(1, k_max + 1))
-    if total > SUBDET_CAP:
-        raise CapExceeded(f"{total} square submatrices exceed cap {SUBDET_CAP}")
     # Orders above min(m, n) have no minors; their largest is 0.
     delta_by_order = [0] * (n + 1)
     n_unit = int(np.count_nonzero(unit_col))
@@ -210,6 +198,32 @@ def subdet_report(int_mat) -> SubdetReport:
                         Delta1=Delta1,
                         Delta_n_minus_1=Delta_n_minus_1,
                         bound_on_inv_delta=float(n * Delta1 * Delta_n_minus_1))
+
+
+def subdet_rows(int_mat) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The rows whose minors :func:`subdet_report` enumerates, and its unit rows.
+
+    Returns the rows that are not zero or unit rows, each kept once up to
+    sign, and a mask of the columns that hold a unit row's nonzero entry.
+    Raises :class:`CapExceeded` when the count of their minors, the sum over
+    k of C(r, k) * C(n, k) for r such rows, exceeds ``SUBDET_CAP``.
+    """
+    mat = linalg.as_int_matrix(int_mat)
+    n = len(mat[0])
+    unit_col = np.zeros(n, dtype=bool)
+    kept: dict[tuple[int, ...], None] = {}
+    for row in mat:
+        support = [j for j, v in enumerate(row) if v]
+        if len(support) == 1 and abs(row[support[0]]) == 1:
+            unit_col[support[0]] = True
+        elif support:
+            sign = 1 if row[support[0]] > 0 else -1
+            kept.setdefault(tuple(sign * v for v in row), None)
+    r = len(kept)
+    total = sum(math.comb(r, k) * math.comb(n, k) for k in range(1, min(r, n) + 1))
+    if total > SUBDET_CAP:
+        raise CapExceeded(f"{total} square submatrices exceed cap {SUBDET_CAP}")
+    return list(kept), unit_col
 
 
 def certify_reports(report: FlatnessReport, bound_on_inv_delta: float) -> tuple[bool, float]:

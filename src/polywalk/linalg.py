@@ -73,8 +73,8 @@ def normalize(values) -> np.ndarray:
     return v / norm
 
 
-def _checked_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LAPACK solve of ``a @ X = [I | rhs]``, so X carries the inverse first.
+def _checked(call, a: np.ndarray, *args) -> np.ndarray:
+    """``call(a, *args)``: a LAPACK LU solve whose first n columns are a^-1.
 
     Raises :class:`Singular` when LAPACK meets an exactly zero pivot, when
     the result is not finite, or when an entry of the inverse reaches
@@ -83,12 +83,8 @@ def _checked_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got {a.shape}")
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs length {rhs.shape[0]} does not match matrix order {n}")
-    full = np.eye(n, n + rhs.shape[1])
-    full[:, n:] = rhs
     try:
-        out = np.linalg.solve(a, full)
+        out = call(a, *args)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"LAPACK reports an exactly singular matrix ({exc})") from exc
     if not np.isfinite(out).all():
@@ -100,14 +96,19 @@ def _checked_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve(mat, rhs) -> np.ndarray:
-    """Solve the square system mat @ x = rhs by LAPACK's LU solve."""
-    return _checked_solve(as_matrix(mat), as_vector(rhs)[:, None])[:, -1]
+    """Solve the square system mat @ x = rhs by LAPACK's LU solve against [I | rhs]."""
+    a, b = as_matrix(mat), as_vector(rhs)
+    n = a.shape[0]
+    if b.shape[0] != n:
+        raise ValueError(f"rhs length {b.shape[0]} does not match matrix order {n}")
+    full = np.eye(n, n + 1)
+    full[:, n] = b
+    return _checked(np.linalg.solve, a, full)[:, -1]
 
 
 def inverse(mat) -> np.ndarray:
-    """Invert a square matrix by LAPACK's LU solve against the identity."""
-    a = as_matrix(mat)
-    return _checked_solve(a, np.empty((a.shape[0], 0)))
+    """Invert a square matrix by LAPACK's LU solve against the identity (``inv``)."""
+    return _checked(np.linalg.inv, as_matrix(mat))
 
 
 def rank(mat) -> int:

@@ -65,7 +65,8 @@ class Instance:
     Two private memos refer to no instance and start empty, in a copy by
     ``dataclasses.replace`` too: ``_endpoint_memo`` holds the last endpoint
     pair ``verify_endpoints`` verified, keyed by the points' bytes, and
-    ``_pivot_memo`` each basis's point, slack and edge directions for ``walk``.
+    ``_pivot_memo`` each basis's point, slack, edge directions and pivot
+    outcomes for ``walk``.
     """
 
     name: str

@@ -21,7 +21,8 @@ in the ratio test goes to the row the ray meets first on the perturbed
 polytope; and a pivot that moves nowhere on the original polytope is merged
 into the vertex it leaves.
 Numeric failures are handled by redrawing the objectives with the next seed.
-Walks on one instance share a bounded memo of each basis's point and edges.
+Walks on one instance share a bounded memo of each basis's point, edges and
+pivot outcomes, so a warm walk does only its own seed's work.
 """
 
 from __future__ import annotations
@@ -149,13 +150,30 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     rng = np.random.default_rng(seed)
     lam = 1.0 - rng.random(inst.n)
     mu = 1.0 - rng.random(inst.n)
+    columns1, columns2 = _unit_columns(inst, v1, v2)
+    w1 = -(columns1 @ lam)
+    w2 = columns2 @ mu
+    return ObjectivePair(lam=lam, mu=mu, w1=w1, w2=w2,
+                         u_rows=v1.basis, v_rows=v2.basis, seed=int(seed))
+
+
+def _unit_columns(inst: Instance, v1: VertexWithBasis,
+                  v2: VertexWithBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Both endpoints' unit basis rows as read-only, C-ordered columns.
+
+    Read from the endpoint memo when its pair has these bases, since they
+    depend on nothing else.
+    """
+    memo = inst._endpoint_memo
+    if memo is not None and (memo[1].v1.basis, memo[1].v2.basis) == (v1.basis, v2.basis):
+        return memo[1].columns
     rows = inst.A[list(v1.basis) + list(v2.basis)]
     # Each norm is the row's own dot product, so the bits match linalg.normalize.
     units = rows / np.sqrt([r @ r for r in rows])[:, None]
-    w1 = -(np.ascontiguousarray(units[:inst.n].T) @ lam)
-    w2 = np.ascontiguousarray(units[inst.n:].T) @ mu
-    return ObjectivePair(lam=lam, mu=mu, w1=w1, w2=w2,
-                         u_rows=v1.basis, v_rows=v2.basis, seed=int(seed))
+    columns = np.ascontiguousarray(units[:inst.n].T), np.ascontiguousarray(units[inst.n:].T)
+    for c in columns:
+        c.flags.writeable = False
+    return columns
 
 
 def project(pair: ObjectivePair, x) -> tuple[float, float]:
@@ -186,21 +204,33 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     vertex, endpoints included, is "Perturbed+Completed".  Raises a
     :class:`WalkFailure` subtype on numeric trouble.
 
-    The instance's pivot memo keeps each basis's read-only point, slack and
-    edge directions: a pivot looks its new basis up once, computes only what
-    is missing and stores no failure; the start takes only its directions
-    from it.  Each stored value is a deterministic function of (A, b, basis)
-    made by the call a memo-less walk makes, so every output is
-    byte-identical.  No basis repeats within one walk (the kept slopes
-    strictly decrease, and the lexicographic rule never returns to a basis),
-    so a walk on a fresh instance makes exactly a memo-less walk's calls.
+    The instance's pivot memo keeps each basis's read-only point, slack,
+    edge directions and outcome table, all counted against
+    ``PIVOT_MEMO_BYTES``: a pivot looks its new basis up once, computes
+    only what is missing and stores no failure; the start takes only its
+    directions from it.  The outcome of the pivot along edge k (the
+    entering row after the tie-break, the step and whether the landing was
+    degenerate) is fixed by (A, b, basis, k) and the slack the pivot started
+    from, so it is kept with that slack: in the entry of a pivot-reached
+    basis, and for the start, whose slack is its verified point's, in the
+    endpoint memo's record when the start is that pair's x1.  A warm pivot,
+    along an edge stored before, computes only what depends on the seed
+    (the two products with the directions, the slope choice and its checks)
+    plus the next basis and one lookup.  Each stored value is made by the
+    call a memo-less walk makes, so every output is byte-identical.  No
+    basis repeats within one walk (the kept slopes strictly decrease, and
+    the lexicographic rule never returns to a basis), so a walk on a fresh
+    instance makes exactly a memo-less walk's calls.
     """
     limit = default_max_steps(inst)
     target_basis = set(target.basis)
     met_degenerate = start.degenerate or target.degenerate
 
     current = start
-    slack = inst.slack(start.x)
+    # The start's outcomes are kept apart from its basis's entry: its slack
+    # is its verified point's, not the basis's solve.
+    record = _start_record(inst, start)
+    slack = record[1]
     entry = _entry(inst, start.basis)
     vertices = [start]
     slopes: list[float] = []
@@ -238,37 +268,46 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         edge_slopes = rises[candidates] / runs[candidates]
         # argmax keeps the first maximum: ties go to the earliest basis row.
         best = int(edge_slopes.argmax())
-        leaving = current.basis[candidates[best]]
+        k = int(candidates[best])
+        leaving = current.basis[k]
         edge_slope = float(edge_slopes[best])
         if edge_slope > prev_slope - SLOPE_TOL:
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
 
-        d = directions[candidates[best]]
-        try:
-            entering, step = ratio_step(inst, slack, d)
-        except Unbounded as exc:
-            raise UnboundedShadow(str(exc)) from exc
-
         staying = set(current.basis) - {leaving}
-        new_basis = tuple(sorted(staying | {entering}))
-        x_new, new_slack, _ = entry = _basic_point(inst, new_basis)
-        tight = np.abs(new_slack) <= TIGHT_TOL
-        landed_degenerate = np.count_nonzero(tight) > inst.n
-        if landed_degenerate:
-            met_degenerate = True
-            lex = _lex_entering(inst, current.basis, directions, d, np.flatnonzero(tight))
-            if lex != entering:
-                entering = lex
-                new_basis = tuple(sorted(staying | {entering}))
-                x_new, new_slack, _ = entry = _basic_point(inst, new_basis)
+        known = record[3]
+        if known is not None and known[k, 0] >= 0:
+            entering, step, landed_degenerate = known[k].tolist()
+            entering, landed_degenerate = int(entering), landed_degenerate > 0
+            new_basis = tuple(sorted(staying | {entering}))
+            after = _basic_point(inst, new_basis)
+        else:
+            d = directions[k]
+            try:
+                entering, step = ratio_step(inst, slack, d)
+            except Unbounded as exc:
+                raise UnboundedShadow(str(exc)) from exc
+            new_basis = tuple(sorted(staying | {entering}))
+            after = _basic_point(inst, new_basis)
+            tight = np.abs(after[1]) <= TIGHT_TOL
+            landed_degenerate = bool(np.count_nonzero(tight) > inst.n)
+            if landed_degenerate:
+                lex = _lex_entering(inst, current.basis, directions, d, np.flatnonzero(tight))
+                if lex != entering:
+                    entering = lex
+                    new_basis = tuple(sorted(staying | {entering}))
+                    after = _basic_point(inst, new_basis)
+            _store(record, k, (entering, step, landed_degenerate))
+        met_degenerate = met_degenerate or landed_degenerate
         moved = not current.degenerate or slack[entering] > TIGHT_TOL
-        slack = new_slack
-        current = VertexWithBasis(x=x_new, basis=new_basis, degenerate=landed_degenerate)
+        entry = record = after
+        slack = after[1]
+        current = VertexWithBasis(x=after[0], basis=new_basis, degenerate=landed_degenerate)
         if moved:
             vertices.append(current)
             slopes.append(edge_slope)
-            projections.append(project(pair, x_new))
+            projections.append(project(pair, current.x))
             trace.append((leaving, entering, step))
         prev_slope = edge_slope
 
@@ -276,11 +315,11 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
 
 
 def _entry(inst: Instance, basis: tuple[int, ...]) -> list:
-    """The memo's [point, slack, directions] of a basis, now its most recent."""
+    """The memo's [point, slack, directions, outcomes] of a basis, now its most recent."""
     entry = inst._pivot_memo.get(basis)
     if entry is not None:
         inst._pivot_memo.move_to_end(basis)
-    return entry or [None, None, None]
+    return entry or [None, None, None, None]
 
 
 def _keep(inst: Instance, basis: tuple[int, ...], entry: list) -> None:
@@ -288,10 +327,40 @@ def _keep(inst: Instance, basis: tuple[int, ...], entry: list) -> None:
     memo = inst._pivot_memo
     memo[basis] = entry
     m, n = inst.A.shape
-    # At most 2 n^2 + n + m float64s: the point stays a column of its solve's
-    # (n, n + 1) block, as a copy would change the bits of its dot products.
-    if 8 * len(memo) * (n * (2 * n + 1) + m) > PIVOT_MEMO_BYTES:
+    # At most 2 n^2 + 4 n + m float64s: the point stays a column of its
+    # solve's (n, n + 1) block, as a copy would change the bits of its dot
+    # products, and the outcome table holds three per edge.
+    if 8 * len(memo) * (n * (2 * n + 4) + m) > PIVOT_MEMO_BYTES:
         memo.popitem(last=False)
+
+
+def _store(record: list, k: int, outcome: tuple[int, float, bool]) -> None:
+    """Store the (entering, step, landed degenerate) of the pivot along edge k.
+
+    The record's outcome table has one read-only row per edge, -1 in the
+    first column where no pivot along it was stored.
+    """
+    table = record[3]
+    if table is None:
+        table = record[3] = np.full((record[0].size, 3), -1.0)
+    table.setflags(write=True)
+    table[k] = outcome
+    table.setflags(write=False)
+
+
+def _start_record(inst: Instance, start: VertexWithBasis) -> list:
+    """The [point, slack, None, outcomes] record of a walk's start.
+
+    It is the endpoint memo's when the start is that pair's verified x1,
+    whose point and so slack are fixed, and a new one for this walk alone
+    otherwise.
+    """
+    memo = inst._endpoint_memo
+    if memo is not None and memo[1].v1 is start:
+        return memo[1].start
+    slack = inst.slack(start.x)
+    slack.flags.writeable = False
+    return [start.x, slack, None, None]
 
 
 def _basic_point(inst: Instance, basis: tuple[int, ...]) -> list:
@@ -349,11 +418,14 @@ def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray
 
 
 class _Endpoints(NamedTuple):
-    """Both endpoints of a walk, verified, and whether they are one vertex."""
+    """Both endpoints of a walk, verified, whether they are one vertex, and
+    their unit basis rows as the columns :func:`sample_objectives` mixes."""
 
     v1: VertexWithBasis
     v2: VertexWithBasis
     same: bool
+    columns: tuple[np.ndarray, np.ndarray]
+    start: list
 
 
 def verify_endpoints(inst: Instance, x1, x2) -> _Endpoints:
@@ -364,7 +436,9 @@ def verify_endpoints(inst: Instance, x1, x2) -> _Endpoints:
     if memo is None or memo[0] != key:
         v1 = verify_vertex(inst, x1)
         v2 = verify_vertex(inst, x2)
-        memo = (key, _Endpoints(v1, v2, float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL))
+        same = float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL
+        memo = (key, _Endpoints(v1, v2, same, _unit_columns(inst, v1, v2),
+                                _start_record(inst, v1)))
         # Instance is frozen; its memos are private, mutable slots.
         object.__setattr__(inst, "_endpoint_memo", memo)
     return memo[1]
@@ -378,7 +452,7 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     ``MAX_ATTEMPTS`` draws); raises :class:`RetriesExhausted` with the
     collected failure reasons when every attempt fails.
     """
-    v1, v2, same = verify_endpoints(inst, x1, x2)
+    v1, v2, same = verify_endpoints(inst, x1, x2)[:3]
     if same:
         return ShadowPath(vertices=(v1,), slopes=(), projections=(),
                           pivot_trace=(), status="Completed", seed=int(seed))

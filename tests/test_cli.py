@@ -293,6 +293,20 @@ def test_experiment_refuses_delta_before_any_trial(tmp_path, capsys, monkeypatch
     assert walks == [] and not (tmp_path / "report").exists()
 
 
+def test_experiment_refuses_subdet_cap_before_any_trial(pyramid, tmp_path, capsys,
+                                                        monkeypatch):
+    # The integral ceiling needs the certificate, so a SUBDET_CAP that
+    # refuses its 34 minors refuses the command before the first walk.
+    path = tmp_path / "pyramid.json"
+    write_instance(pyramid, path)
+    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 33)
+    assert main(["experiment", "--instance", str(path), "--trials", "30", "--seed", "0",
+                 "--out", str(tmp_path / "report")]) == 3
+    assert capsys.readouterr().err == "error: 34 square submatrices exceed cap 33\n"
+    assert walks == [] and not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_experiment_refuses_out_before_any_trial(tmp_path, capsys, monkeypatch, under):
     # An --out that is a file, or lies under one, cannot hold the reports:

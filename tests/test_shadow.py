@@ -24,6 +24,8 @@ from polywalk.errors import (
     RetriesExhausted,
     LeftwardEdge,
     Singular,
+    Unbounded,
+    UnboundedShadow,
     WalkFailure,
 )
 from polywalk.instances import (
@@ -56,6 +58,7 @@ from polywalk.shadow import (
     find_path,
     project,
     sample_objectives,
+    verify_endpoints,
     walk,
 )
 
@@ -737,9 +740,10 @@ def test_first_call_counts_unchanged_and_repeat_skips_verification(monkeypatch):
                       **walk_calls}
     counts.clear()
     # The repeat finds every basis it reaches in the instance's pivot memo:
-    # no inverse, solve, edge_directions, verification or rank call is left.
+    # no inverse, solve, edge_directions, verification or rank call is left,
+    # and every pivot, the start's too, reads its stored outcome.
     find_path(cube, cube.x1, cube.x2, seed=0)
-    assert counts == {"polywalk.shadow.ratio_step": 10}
+    assert counts == {}
 
 
 def test_fresh_find_path_ranks_only_the_simple_endpoint(monkeypatch):
@@ -774,7 +778,8 @@ def _path_record(inst, x1, x2, seed):
 
 
 def _memo_bytes(memo):
-    """Bytes the memo keeps alive: a view keeps all of its base."""
+    """Bytes the memo keeps alive, outcome tables included: a view keeps all
+    of its base."""
     return sum((a if a.base is None else a.base).nbytes
                for entry in memo.values() for a in entry if a is not None)
 
@@ -793,16 +798,99 @@ def test_shared_pivot_memo_matches_fresh_instances(name):
     assert inst._pivot_memo
 
 
-@pytest.mark.parametrize("where", ["solve", "edge_directions"])
+def test_start_outcomes_are_not_read_after_a_pivot():
+    # A start keeps its verified point, so its slack need not be its basis's
+    # solve: from (1, 1, 1, -2^-40) the pivot to x2 steps 1 + 2^-40, where
+    # from the pivot-reached (1, 1, 1, 0) it steps 1.  The x1 -> x2 walks
+    # after it, on the same instance, match walks on fresh copies.
+    for j in range(4):
+        cube = gen_hypercube(4)
+        nudged = np.ones(4)
+        nudged[j] = -2.0**-40
+        find_path(cube, nudged, cube.x2, seed=0)
+        for seed in range(12):
+            shared = _path_record(cube, cube.x1, cube.x2, seed)
+            assert shared == _path_record(replace(cube), cube.x1, cube.x2, seed)
+
+
+def _dangling_outcomes(inst):
+    """Stored outcomes whose next basis is not in the pivot memo."""
+    records = [(basis, entry[3]) for basis, entry in inst._pivot_memo.items()]
+    if inst._endpoint_memo is not None:
+        ends = inst._endpoint_memo[1]
+        records.append((ends.v1.basis, ends.start[3]))
+    count = 0
+    for basis, table in records:
+        for k, (entering, _, _) in enumerate([] if table is None else table.tolist()):
+            after = tuple(sorted(set(basis) - {basis[k]} | {int(entering)}))
+            count += entering >= 0 and after not in inst._pivot_memo
+    return count
+
+
+@pytest.mark.parametrize("name", ["hypercube", "transportation-3x3-s0",
+                                  "transportation-3x4-s0"])
+def test_outcomes_whose_next_basis_was_evicted(name, monkeypatch):
+    # A memo of four entries evicts the next basis of stored outcomes; a walk
+    # that reads one solves that basis again.  The transportation routes
+    # take lexicographic tie-breaks.
+    inst = _PIVOT_MEMO_INSTANCES[name]()
+    m, n = inst.A.shape
+    monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", 8 * 4 * (n * (2 * n + 4) + m))
+    dangling = 0
+    for x1, x2 in ((inst.x1, inst.x2), (inst.x2, inst.x1)):
+        for seed in range(30):
+            dangling += _dangling_outcomes(inst)
+            shared = _path_record(inst, x1, x2, seed)
+            assert shared == _path_record(replace(inst), x1, x2, seed)
+            assert _memo_bytes(inst._pivot_memo) <= shadow_mod.PIVOT_MEMO_BYTES
+    assert dangling
+
+
+def _objectives_by_formula(inst, v1, v2, seed):
+    """w1 and w2 as sample_objectives computed them per seed."""
+    rng = np.random.default_rng(seed)
+    lam = 1.0 - rng.random(inst.n)
+    mu = 1.0 - rng.random(inst.n)
+    rows = inst.A[list(v1.basis) + list(v2.basis)]
+    units = rows / np.sqrt([r @ r for r in rows])[:, None]
+    return (-(np.ascontiguousarray(units[:inst.n].T) @ lam),
+            np.ascontiguousarray(units[inst.n:].T) @ mu)
+
+
+@pytest.mark.parametrize("family", ["pyramid", "transportation"])
+def test_objective_columns_match_the_per_seed_formula(family):
+    # Two endpoint pairs alternate on one instance: each pair's objectives
+    # read the endpoint memo's columns, and the other pair's, drawn while
+    # the memo holds this one, compute theirs; both give the formula's bits.
+    inst = _MEMO_FAMILIES[family]()
+    pairs = [(inst.x1, inst.x2), (inst.x2, inst.x1)]
+    for seed in range(6):
+        for (x1, x2), (y1, y2) in (pairs, pairs[::-1]):
+            ends = verify_endpoints(inst, x1, x2)
+            other = verify_endpoints(replace(inst), y1, y2)
+            assert shadow_mod._unit_columns(inst, ends.v1, ends.v2) is ends.columns
+            for v1, v2 in ((ends.v1, ends.v2), (other.v1, other.v2)):
+                pair = sample_objectives(inst, v1, v2, seed)
+                w1, w2 = _objectives_by_formula(inst, v1, v2, seed)
+                assert pair.w1.tobytes() == w1.tobytes()
+                assert pair.w2.tobytes() == w2.tobytes()
+
+
+@pytest.mark.parametrize("where", ["solve", "edge_directions", "ratio_step"])
 def test_pivot_memo_stores_no_failure(where, monkeypatch):
     cube = gen_hypercube(4)
-    v1, v2 = verify_vertex(cube, cube.x1), verify_vertex(cube, cube.x2)
+    # The endpoint memo's vertices: a walk from its x1 keeps the start's
+    # outcomes in the memo's start record.
+    ends = verify_endpoints(cube, cube.x1, cube.x2)
+    v1, v2 = ends.v1, ends.v2
     pair = sample_objectives(cube, v1, v2, 0)
     expected = walk(replace(cube), v1, v2, pair)
     # The second vertex: a pivot reaches it, then walks from it.
     bad = expected.vertices[1].basis
+    bad_slack = cube.slack(expected.vertices[1].x).tobytes()
     failed = Counter()
     real_solve, real_directions = linalg_mod.solve, shadow_mod.edge_directions
+    real_ratio_step = shadow_mod.ratio_step
 
     def solve(mat, rhs):
         if mat.tobytes() == cube.A[list(bad)].tobytes():
@@ -816,17 +904,32 @@ def test_pivot_memo_stores_no_failure(where, monkeypatch):
             raise Singular("forced")
         return real_directions(inst, v)
 
+    def ratio_step(inst, slack, d):
+        if slack.tobytes() == bad_slack:
+            failed["ratio_step"] += 1
+            raise Unbounded("forced")
+        return real_ratio_step(inst, slack, d)
+
     if where == "solve":
         monkeypatch.setattr(linalg_mod, "solve", solve)
-    else:
+    elif where == "edge_directions":
         monkeypatch.setattr(shadow_mod, "edge_directions", edge_directions)
+    else:
+        monkeypatch.setattr(shadow_mod, "ratio_step", ratio_step)
     for attempt in (1, 2):
-        with pytest.raises(InfeasibleStep):
+        with pytest.raises(UnboundedShadow if where == "ratio_step" else InfeasibleStep):
             walk(cube, v1, v2, pair)
         # Raised again on the next walk: the failure was never stored.
         assert failed[where] == attempt
         entry = cube._pivot_memo.get(bad)
-        assert entry is None if where == "solve" else entry[2] is None
+        if where == "solve":
+            # The start's pivot to bad failed: it stored no outcome either.
+            assert entry is None and ends.start[3] is None
+        elif where == "edge_directions":
+            assert entry[2] is None and entry[3] is None
+        else:
+            # bad's own pivot failed and stored no outcome.
+            assert entry[2] is not None and entry[3] is None
     monkeypatch.undo()
     assert walk(cube, v1, v2, pair).to_json() == expected.to_json()
     assert all(part is not None for part in cube._pivot_memo[bad])
@@ -836,7 +939,7 @@ def test_pivot_memo_forced_infeasible_point_is_not_stored(monkeypatch):
     cube = gen_hypercube(4)
     v1, v2 = verify_vertex(cube, cube.x1), verify_vertex(cube, cube.x2)
     pair = sample_objectives(cube, v1, v2, 0)
-    bad = walk(replace(cube), v1, v2, pair).vertices[2].basis
+    before, bad = (v.basis for v in walk(replace(cube), v1, v2, pair).vertices[1:3])
     real = linalg_mod.solve
     calls = Counter()
 
@@ -851,6 +954,8 @@ def test_pivot_memo_forced_infeasible_point_is_not_stored(monkeypatch):
         with pytest.raises(InfeasibleStep, match="outside the polytope"):
             walk(cube, v1, v2, pair)
         assert calls["bad"] == attempt and bad not in cube._pivot_memo
+        # The basis the failed pivot left stored no outcome for it.
+        assert cube._pivot_memo[before][3] is None
 
 
 def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
@@ -891,11 +996,15 @@ def test_memo_arrays_are_read_only():
         for v in path.vertices:
             with pytest.raises(ValueError):
                 v.x[0] = 1.0
-    for entry in inst._pivot_memo.values():
-        for part in entry:
-            if part is not None:
-                with pytest.raises(ValueError):
-                    part[0] = 1.0
+    ends = inst._endpoint_memo[1]
+    arrays = [part for entry in inst._pivot_memo.values() for part in entry]
+    arrays += [*ends.columns, *ends.start]
+    assert any(entry[3] is not None for entry in inst._pivot_memo.values())
+    assert ends.start[3] is not None
+    for part in arrays:
+        if part is not None:
+            with pytest.raises(ValueError):
+                part[0] = 1.0
 
 
 def test_pivot_memo_keeps_no_instance_alive():

@@ -14,7 +14,10 @@ directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
 * ``delta``, ``bound-check`` -- their stdout;
 * ``help``        -- ``--help`` and ``generate --help`` at 80 columns;
 * ``bases``       -- the basis :func:`polywalk.verify_vertex` picks at every
-  vertex :func:`polywalk.enumerate_vertices` lists on each of those files.
+  vertex :func:`polywalk.enumerate_vertices` lists on each of those files;
+* ``walks``       -- :func:`polywalk.find_path`'s JSON and pivot trace for
+  seeds 0-11, x1 to x2 and then x2 to x1, twice over, all on one instance
+  read from each of those files, so that later walks run on a warm memo.
 
 Every entry also hashes its label and exit code, so a changed exit shows.
 """
@@ -32,8 +35,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 os.environ["COLUMNS"] = "80"
 
-from polywalk import (cli, enumerate_vertices, gen_degenerate_pyramid,  # noqa: E402
-                      read_instance, verify_vertex, write_instance)
+from polywalk import (cli, enumerate_vertices, find_path,  # noqa: E402
+                      gen_degenerate_pyramid, read_instance, verify_vertex,
+                      write_instance)
+from polywalk.errors import RetriesExhausted  # noqa: E402
 
 # (family, n, m, seed); m None takes the family's default.
 SPECS = [(family, n, None, 0) for family in ("hypercube", "simplex", "cut-cube")
@@ -61,7 +66,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main() -> None:
     groups = {name: hashlib.sha256()
               for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
-                           "bases")}
+                           "bases", "walks")}
 
     def add(group: str, label: str, code, text: str) -> None:
         groups[group].update(f"{label}\0{code}\0".encode() + text.encode() + b"\0")
@@ -102,6 +107,15 @@ def main() -> None:
             inst = read_instance(path)
             bases = [verify_vertex(inst, v.x).basis for v in enumerate_vertices(inst)]
             add("bases", path.name, 0, repr(bases))
+            for turn in range(2):
+                for way, (x1, x2) in enumerate(((inst.x1, inst.x2), (inst.x2, inst.x1))):
+                    for seed in PATH_SEEDS:
+                        try:
+                            walked, code = find_path(inst, x1, x2, seed), 0
+                        except RetriesExhausted as exc:
+                            walked, code = exc.path, type(exc).__name__
+                        add("walks", f"{path.name}:{turn}:{way}:{seed}", code,
+                            walked.to_json() + repr(walked.pivot_trace))
 
     for argv in (["--help"], ["generate", "--help"]):
         code, text = run(argv)
