@@ -124,7 +124,7 @@ def delta_A(inst: Instance) -> FlatnessReport:
     :func:`delta_basis`'s rule.  The witnessing subset is the first one
     attaining the minimum.
     """
-    unit_rows = np.array([linalg.normalize(row) for row in inst.A])
+    unit_rows = linalg.unit_rows(inst.A)
     best = math.inf
     argmin: tuple[int, ...] = ()
     checked = 0

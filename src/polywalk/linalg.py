@@ -73,6 +73,11 @@ def normalize(values) -> np.ndarray:
     return v / norm
 
 
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row over its norm: :func:`normalize`'s bits, no zero check."""
+    return rows / np.sqrt([r @ r for r in rows])[:, None]
+
+
 def _checked(call, a: np.ndarray, *args) -> np.ndarray:
     """``call(a, *args)``: a LAPACK LU solve whose first n columns are a^-1.
 

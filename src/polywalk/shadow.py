@@ -28,6 +28,7 @@ pivot outcomes, so a warm walk does only its own seed's work.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -142,14 +143,13 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     """Draw the two endpoint objectives from the seeded generator.
 
     Weights are 1 - U with U uniform on [0, 1), so they land in (0, 1]; lam
-    is drawn before mu.  The rows are the endpoints' bases: at a degenerate
-    vertex, the lexicographically feasible basis
+    and mu are the two halves of one draw.  The rows are the endpoints'
+    bases: at a degenerate vertex, the lexicographically feasible basis
     :func:`~polywalk.polytope.verify_vertex` picks, so the endpoint
     optimizes its objective uniquely on the perturbed polytope as well.
     """
-    rng = np.random.default_rng(seed)
-    lam = 1.0 - rng.random(inst.n)
-    mu = 1.0 - rng.random(inst.n)
+    weights = 1.0 - np.random.default_rng(seed).random(2 * inst.n)
+    lam, mu = weights[:inst.n], weights[inst.n:]
     columns1, columns2 = _unit_columns(inst, v1, v2)
     w1 = -(columns1 @ lam)
     w2 = columns2 @ mu
@@ -167,9 +167,7 @@ def _unit_columns(inst: Instance, v1: VertexWithBasis,
     memo = inst._endpoint_memo
     if memo is not None and (memo[1].v1.basis, memo[1].v2.basis) == (v1.basis, v2.basis):
         return memo[1].columns
-    rows = inst.A[list(v1.basis) + list(v2.basis)]
-    # Each norm is the row's own dot product, so the bits match linalg.normalize.
-    units = rows / np.sqrt([r @ r for r in rows])[:, None]
+    units = linalg.unit_rows(inst.A[list(v1.basis) + list(v2.basis)])
     columns = np.ascontiguousarray(units[:inst.n].T), np.ascontiguousarray(units[inst.n:].T)
     for c in columns:
         c.flags.writeable = False
@@ -198,11 +196,11 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     lexicographically feasible start basis every basis visited is one; a
     pivot whose entering row was already tight moves nowhere and is merged
     into the vertex it leaves, which keeps the slope and pivot of the step
-    that reached it.  Termination is by basis-set match with the target,
-    with a point-proximity fallback; the walk gives up after
-    :func:`default_max_steps` pivots.  A walk that meets a degenerate
-    vertex, endpoints included, is "Perturbed+Completed".  Raises a
-    :class:`WalkFailure` subtype on numeric trouble.
+    that reached it.  Termination is by basis match with the target (bases
+    in increasing row order, as ``verify_vertex`` picks them), with a
+    point-proximity fallback, after at most :func:`default_max_steps`
+    pivots.  A walk that meets a degenerate vertex, endpoints included, is
+    "Perturbed+Completed".  Raises a :class:`WalkFailure` on numeric trouble.
 
     The instance's pivot memo keeps each basis's read-only point, slack,
     edge directions and outcome table, all counted against
@@ -215,16 +213,16 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     basis, and for the start, whose slack is its verified point's, in the
     endpoint memo's record when the start is that pair's x1.  A warm pivot,
     along an edge stored before, computes only what depends on the seed
-    (the two products with the directions, the slope choice and its checks)
-    plus the next basis and one lookup.  Each stored value is made by the
-    call a memo-less walk makes, so every output is byte-identical.  No
-    basis repeats within one walk (the kept slopes strictly decrease, and
-    the lexicographic rule never returns to a basis), so a walk on a fresh
-    instance makes exactly a memo-less walk's calls.
+    (the products with the directions and the new point, the slope choice
+    and its checks) plus the next basis, one lookup and the end test.  Each
+    stored value is made by the call a memo-less walk makes, so every output
+    is byte-identical.  No basis repeats within one walk (the kept slopes
+    strictly decrease, and the lexicographic rule never returns to a basis),
+    so a walk on a fresh instance makes exactly a memo-less walk's calls.
     """
     limit = default_max_steps(inst)
-    target_basis = set(target.basis)
     met_degenerate = start.degenerate or target.degenerate
+    target_x0 = float(target.x[0])  # one far coordinate settles the proximity test
 
     current = start
     # The start's outcomes are kept apart from its basis's entry: its slack
@@ -234,13 +232,13 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     entry = _entry(inst, start.basis)
     vertices = [start]
     slopes: list[float] = []
-    projections = [project(pair, start.x)]
+    projections = [(float(pair.w1 @ record[0]), float(pair.w2 @ record[0]))]
     trace: list[tuple[int, int, float]] = []
     prev_slope = math.inf
 
     for _ in range(limit):
-        if set(current.basis) == target_basis or \
-                np.abs(current.x - target.x).max() <= POINT_TOL:
+        if current.basis == target.basis or (abs(current.x[0] - target_x0) <= POINT_TOL
+                                             and np.abs(current.x - target.x).max() <= POINT_TOL):
             return ShadowPath(vertices=tuple(vertices), slopes=tuple(slopes),
                               projections=tuple(projections), pivot_trace=tuple(trace),
                               status="Perturbed+Completed" if met_degenerate else "Completed",
@@ -258,7 +256,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 _keep(inst, current.basis, entry)
         rises = directions @ pair.w2
         runs = directions @ pair.w1
-        candidates = np.flatnonzero(rises > SLOPE_TOL)
+        candidates = (rises > SLOPE_TOL).nonzero()[0]
         if candidates.size == 0:
             raise StalledWalk("no improving edge although the target was not reached")
         leftward = candidates[runs[candidates] <= SLOPE_TOL]
@@ -275,12 +273,10 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
 
-        staying = set(current.basis) - {leaving}
-        known = record[3]
-        if known is not None and known[k, 0] >= 0:
-            entering, step, landed_degenerate = known[k].tolist()
-            entering, landed_degenerate = int(entering), landed_degenerate > 0
-            new_basis = tuple(sorted(staying | {entering}))
+        known = None if record[3] is None else record[3][k].tolist()
+        if known is not None and known[0] >= 0:
+            entering, step, landed_degenerate = int(known[0]), known[1], known[2] > 0
+            new_basis = _next_basis(current.basis, k, entering)
             after = _basic_point(inst, new_basis)
         else:
             d = directions[k]
@@ -288,7 +284,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 entering, step = ratio_step(inst, slack, d)
             except Unbounded as exc:
                 raise UnboundedShadow(str(exc)) from exc
-            new_basis = tuple(sorted(staying | {entering}))
+            new_basis = _next_basis(current.basis, k, entering)
             after = _basic_point(inst, new_basis)
             tight = np.abs(after[1]) <= TIGHT_TOL
             landed_degenerate = bool(np.count_nonzero(tight) > inst.n)
@@ -296,7 +292,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 lex = _lex_entering(inst, current.basis, directions, d, np.flatnonzero(tight))
                 if lex != entering:
                     entering = lex
-                    new_basis = tuple(sorted(staying | {entering}))
+                    new_basis = _next_basis(current.basis, k, entering)
                     after = _basic_point(inst, new_basis)
             _store(record, k, (entering, step, landed_degenerate))
         met_degenerate = met_degenerate or landed_degenerate
@@ -307,11 +303,17 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         if moved:
             vertices.append(current)
             slopes.append(edge_slope)
-            projections.append(project(pair, current.x))
+            projections.append((float(pair.w1 @ after[0]), float(pair.w2 @ after[0])))
             trace.append((leaving, entering, step))
         prev_slope = edge_slope
 
     raise StepLimit(f"no termination within {limit} steps")
+
+
+def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...]:
+    """The sorted basis with its row k swapped for ``entering``."""
+    rest = basis[:k] + basis[k + 1:]
+    return rest[:(i := bisect(rest, entering))] + (entering,) + rest[i:]
 
 
 def _entry(inst: Instance, basis: tuple[int, ...]) -> list:
@@ -353,14 +355,14 @@ def _start_record(inst: Instance, start: VertexWithBasis) -> list:
 
     It is the endpoint memo's when the start is that pair's verified x1,
     whose point and so slack are fixed, and a new one for this walk alone
-    otherwise.
+    otherwise; either way its point has passed ``as_vector``.
     """
     memo = inst._endpoint_memo
     if memo is not None and memo[1].v1 is start:
         return memo[1].start
     slack = inst.slack(start.x)
     slack.flags.writeable = False
-    return [start.x, slack, None, None]
+    return [linalg.as_vector(start.x), slack, None, None]
 
 
 def _basic_point(inst: Instance, basis: tuple[int, ...]) -> list:
@@ -431,8 +433,12 @@ class _Endpoints(NamedTuple):
 def verify_endpoints(inst: Instance, x1, x2) -> _Endpoints:
     """Both endpoints verified by :func:`verify_vertex`, unless they are the
     instance's last pair (keyed by their bytes); a failed pair is never kept."""
-    key = (linalg.as_vector(x1).tobytes(), linalg.as_vector(x2).tobytes())
     memo = inst._endpoint_memo
+    # A 1-d float64 array is its own as_vector, and bytes equal to a key's are finite.
+    if memo is not None and type(x1) is type(x2) is np.ndarray and x1.ndim == x2.ndim == 1 \
+            and x1.dtype == x2.dtype == float and (x1.tobytes(), x2.tobytes()) == memo[0]:
+        return memo[1]
+    key = (linalg.as_vector(x1).tobytes(), linalg.as_vector(x2).tobytes())
     if memo is None or memo[0] != key:
         v1 = verify_vertex(inst, x1)
         v2 = verify_vertex(inst, x2)
@@ -448,9 +454,9 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     """Short edge path between two vertices, with retries.
 
     Walks between the bases :func:`verify_endpoints` picks, with objectives
-    drawn from ``seed``.  Numeric walk failures redraw with seed+1 (up to
-    ``MAX_ATTEMPTS`` draws); raises :class:`RetriesExhausted` with the
-    collected failure reasons when every attempt fails.
+    drawn from ``seed``; numeric walk failures redraw with seed+1, up to
+    ``MAX_ATTEMPTS`` draws, then raise :class:`RetriesExhausted` with their
+    reasons.  A warm call, on the last pair again, pays only for its seed.
     """
     v1, v2, same = verify_endpoints(inst, x1, x2)[:3]
     if same:
@@ -460,9 +466,8 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     reasons: list[str] = []
     for attempt in range(MAX_ATTEMPTS):
         try:
-            pair = sample_objectives(inst, v1, v2, seed + attempt)
-            path = walk(inst, v1, v2, pair)
-            return replace(path, seed=int(seed), retries=attempt)
+            path = walk(inst, v1, v2, sample_objectives(inst, v1, v2, seed + attempt))
+            return replace(path, seed=int(seed), retries=attempt) if attempt else path
         except WalkFailure as exc:
             reasons.append(type(exc).__name__)
 

@@ -72,6 +72,12 @@ def test_boundaries_reject_non_finite_and_misshaped_input(entry, bad):
         call(_BAD_INPUTS[kind][bad])
 
 
+def test_unit_rows_match_normalize_bit_for_bit():
+    rows = np.random.default_rng(0).normal(size=(40, 7)) * np.logspace(-3, 3, 40)[:, None]
+    expected = np.array([normalize(r) for r in rows])
+    assert linalg_mod.unit_rows(rows).tobytes() == expected.tobytes()
+
+
 def test_normalize_unit_and_zero():
     npt.assert_allclose(np.linalg.norm(normalize([3.0, 4.0])), 1.0, rtol=0, atol=1e-15)
     npt.assert_allclose(normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)

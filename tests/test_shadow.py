@@ -246,6 +246,34 @@ def _assert_walk_matches_reference(inst, v1, v2, seed):
     return path
 
 
+def _cut_corner_cube():
+    """The 3-cube with its corner (1, 1, 1) cut by x + y + z <= 3 - 1e-8,
+    and the three vertices of the cut triangle, within POINT_TOL of each
+    other."""
+    A = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
+    inst = build_instance(A, [1.0] * 6 + [3.0 - 1e-8], name="cut-corner-cube")
+    return inst, [np.where(np.arange(3) == j, 1.0 - 1e-8, 1.0) for j in range(3)]
+
+
+def test_walk_matches_reference_at_the_proximity_fallback():
+    # Each walk to a simple triangle vertex is compared with the reference
+    # on a fresh copy and on one shared, warm instance.  The walks that
+    # reach another triangle vertex first end there, under its basis, by
+    # the proximity fallback alone.
+    shared, corners = _cut_corner_cube()
+    x1 = -np.ones(3)
+    by_fallback = 0
+    for x2 in corners:
+        for seed in range(40):
+            for inst in (replace(shared), shared):
+                ends = verify_endpoints(inst, x1, x2)
+                assert not ends.v2.degenerate
+                path = _assert_walk_matches_reference(inst, ends.v1, ends.v2, seed)
+            assert find_path(shared, x1, x2, seed).to_json() == path.to_json()
+            by_fallback += path.vertices[-1].basis != ends.v2.basis
+    assert by_fallback
+
+
 @pytest.mark.parametrize("n", [8, 12])
 def test_walk_matches_reference_on_rotated_cubes(n):
     for seed in range(10):
@@ -711,6 +739,26 @@ def test_failed_verification_is_never_kept(bad, error, monkeypatch):
     assert counts["polywalk.shadow.verify_vertex"] == expected
     find_path(inst, inst.x1, inst.x2, seed=1)
     assert counts["polywalk.shadow.verify_vertex"] == expected
+
+
+def test_endpoint_key_stays_strict(monkeypatch):
+    # After a warm walk, a (1, n) or (n, 1) endpoint has the memo key's
+    # bytes and still fails as_vector's shape check, before any
+    # verification; a list or a big-endian copy of the pair hits the memo.
+    inst = gen_transportation(3, 4, 0)
+    expected = find_path(inst, inst.x1, inst.x2, seed=0).to_json()
+    memo = inst._endpoint_memo
+    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    for reshape in (lambda x: x[None, :], lambda x: x[:, None]):
+        for x1, x2 in ((reshape(inst.x1), inst.x2), (inst.x1, reshape(inst.x2))):
+            assert (x1.tobytes(), x2.tobytes()) == memo[0]
+            with pytest.raises(ValueError, match="1-d vector"):
+                find_path(inst, x1, x2, 0)
+            assert inst._endpoint_memo is memo
+    for x1, x2 in ((inst.x1.tolist(), inst.x2.tolist()),
+                   (inst.x1.astype(">f8"), inst.x2.astype(">f8"))):
+        assert find_path(inst, x1, x2, seed=0).to_json() == expected
+    assert counts["polywalk.shadow.verify_vertex"] == 0 and inst._endpoint_memo is memo
 
 
 def test_endpoint_memo_keeps_no_instance_alive():

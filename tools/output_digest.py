@@ -17,7 +17,10 @@ directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
   vertex :func:`polywalk.enumerate_vertices` lists on each of those files;
 * ``walks``       -- :func:`polywalk.find_path`'s JSON and pivot trace for
   seeds 0-11, x1 to x2 and then x2 to x1, twice over, all on one instance
-  read from each of those files, so that later walks run on a warm memo.
+  read from each of those files, so that later walks run on a warm memo;
+  then the same on the cut-corner cube (the 3-cube with x + y + z <= 3 - 1e-8)
+  from (-1, -1, -1) to each vertex of its cut triangle in turn, where walks
+  that reach another triangle vertex, within ``POINT_TOL``, end there.
 
 Every entry also hashes its label and exit code, so a changed exit shows.
 """
@@ -32,12 +35,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 os.environ["COLUMNS"] = "80"
 
-from polywalk import (cli, enumerate_vertices, find_path,  # noqa: E402
-                      gen_degenerate_pyramid, read_instance, verify_vertex,
-                      write_instance)
+from polywalk import (build_instance, cli, enumerate_vertices,  # noqa: E402
+                      find_path, gen_degenerate_pyramid, read_instance,
+                      verify_vertex, write_instance)
 from polywalk.errors import RetriesExhausted  # noqa: E402
 
 # (family, n, m, seed); m None takes the family's default.
@@ -61,6 +66,19 @@ def run(argv: list[str]) -> tuple[int, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
+
+
+def walks(add, label: str, inst, x1, x2) -> None:
+    """Seeds 0-11 both ways between x1 and x2, twice over, on one instance."""
+    for turn in range(2):
+        for way, (a, b) in enumerate(((x1, x2), (x2, x1))):
+            for seed in PATH_SEEDS:
+                try:
+                    walked, code = find_path(inst, a, b, seed), 0
+                except RetriesExhausted as exc:
+                    walked, code = exc.path, type(exc).__name__
+                add("walks", f"{label}:{turn}:{way}:{seed}", code,
+                    walked.to_json() + repr(walked.pivot_trace))
 
 
 def main() -> None:
@@ -107,15 +125,12 @@ def main() -> None:
             inst = read_instance(path)
             bases = [verify_vertex(inst, v.x).basis for v in enumerate_vertices(inst)]
             add("bases", path.name, 0, repr(bases))
-            for turn in range(2):
-                for way, (x1, x2) in enumerate(((inst.x1, inst.x2), (inst.x2, inst.x1))):
-                    for seed in PATH_SEEDS:
-                        try:
-                            walked, code = find_path(inst, x1, x2, seed), 0
-                        except RetriesExhausted as exc:
-                            walked, code = exc.path, type(exc).__name__
-                        add("walks", f"{path.name}:{turn}:{way}:{seed}", code,
-                            walked.to_json() + repr(walked.pivot_trace))
+            walks(add, path.name, inst, inst.x1, inst.x2)
+        cube = build_instance(np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))]),
+                              [1.0] * 6 + [3.0 - 1e-8], name="cut-corner-cube")
+        for j in range(3):
+            walks(add, f"{cube.name}:{j}", cube, -np.ones(3),
+                  np.where(np.arange(3) == j, 1.0 - 1e-8, 1.0))
 
     for argv in (["--help"], ["generate", "--help"]):
         code, text = run(argv)
