@@ -11,18 +11,13 @@ slope in the projection plane.  Slopes are positive and strictly decrease,
 which is also the invariant the walk enforces step by step.
 
 Degenerate vertices (more than n tight rows) are walked on the symbolic
-right-hand side b + (eps, eps**2, ..., eps**m), which makes the polytope
-simple for every small eps > 0 (Dantzig, Orden & Wolfe, 1955).  The paper
-randomises only the objectives and assumes only that the polytope walked is
-simple, so this perturbation serves as well as a random one, and no
-perturbed instance is ever built.  A degenerate endpoint stands for its
-first lexicographically feasible basis, picked by ``verify_vertex``; a tie
-in the ratio test goes to the row the ray meets first on the perturbed
-polytope; and a pivot that moves nowhere on the original polytope is merged
-into the vertex it leaves.
-Numeric failures are handled by redrawing the objectives with the next seed.
-Walks on one instance share a bounded memo of each basis's point, edges and
-pivot outcomes, so a warm walk does only its own seed's work.
+right-hand side b + (eps, eps**2, ..., eps**m), simple for every small
+eps > 0 (Dantzig, Orden & Wolfe, 1955).  The paper randomises only the
+objectives and assumes only a simple polytope, so this perturbation serves
+as well as a random one, and no perturbed instance is built.  Numeric
+failures redraw the objectives with the next seed.  Walks on one instance
+share a bounded memo of each basis's point, edges and pivot outcomes, so a
+warm walk does only its own seed's work.
 """
 
 from __future__ import annotations
@@ -143,16 +138,17 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     """Draw the two endpoint objectives from the seeded generator.
 
     Weights are 1 - U with U uniform on [0, 1), so they land in (0, 1]; lam
-    and mu are the two halves of one draw.  The rows are the endpoints'
-    bases: at a degenerate vertex, the lexicographically feasible basis
-    :func:`~polywalk.polytope.verify_vertex` picks, so the endpoint
-    optimizes its objective uniquely on the perturbed polytope as well.
+    and mu are the two halves of one draw, mixed by ``ndarray.dot``.  The
+    rows are the endpoints' bases: at a degenerate vertex, the
+    lexicographically feasible basis :func:`~polywalk.polytope.verify_vertex`
+    picks, so the endpoint optimizes its objective uniquely on the perturbed
+    polytope as well.
     """
     weights = 1.0 - np.random.default_rng(seed).random(2 * inst.n)
     lam, mu = weights[:inst.n], weights[inst.n:]
     columns1, columns2 = _unit_columns(inst, v1, v2)
-    w1 = -(columns1 @ lam)
-    w2 = columns2 @ mu
+    w1 = -columns1.dot(lam)
+    w2 = columns2.dot(mu)
     return ObjectivePair(lam=lam, mu=mu, w1=w1, w2=w2,
                          u_rows=v1.basis, v_rows=v2.basis, seed=int(seed))
 
@@ -189,36 +185,28 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
          pair: ObjectivePair) -> ShadowPath:
     """Follow the shadow boundary from start to target.
 
-    At each vertex the candidate edges are those gaining on the second
-    projection axis; the walk takes the candidate with the largest slope
-    (ties to the smallest leaving row).  A pivot that lands on a degenerate
-    vertex takes its entering row from :func:`_lex_entering`, so from a
-    lexicographically feasible start basis every basis visited is one; a
-    pivot whose entering row was already tight moves nowhere and is merged
-    into the vertex it leaves, which keeps the slope and pivot of the step
-    that reached it.  Termination is by basis match with the target (bases
-    in increasing row order, as ``verify_vertex`` picks them), with a
-    point-proximity fallback, after at most :func:`default_max_steps`
-    pivots.  A walk that meets a degenerate vertex, endpoints included, is
-    "Perturbed+Completed".  Raises a :class:`WalkFailure` on numeric trouble.
+    Each pivot takes the edge :func:`_steepest_edge` picks.  Each kept
+    vertex's image stays on ``@``, which sums two vectors from +0.0, where
+    ``ndarray.dot`` keeps a -0.0 (n = 1, as on transportation 2x2).  A pivot
+    landing on a degenerate vertex takes its entering row from
+    :func:`_lex_entering`, so every basis visited from a lexicographically
+    feasible start is one; a pivot whose entering row was already tight
+    moves nowhere and is merged into the vertex it leaves.  The walk ends at
+    the target's basis (sorted rows, as ``verify_vertex`` picks them) or
+    else within ``POINT_TOL`` of its point, within :func:`default_max_steps`
+    pivots; meeting a degenerate vertex, endpoints included, makes it
+    "Perturbed+Completed".  Raises :class:`WalkFailure` on numeric trouble.
 
-    The instance's pivot memo keeps each basis's read-only point, slack,
-    edge directions and outcome table, all counted against
-    ``PIVOT_MEMO_BYTES``: a pivot looks its new basis up once, computes
-    only what is missing and stores no failure; the start takes only its
-    directions from it.  The outcome of the pivot along edge k (the
-    entering row after the tie-break, the step and whether the landing was
-    degenerate) is fixed by (A, b, basis, k) and the slack the pivot started
-    from, so it is kept with that slack: in the entry of a pivot-reached
-    basis, and for the start, whose slack is its verified point's, in the
-    endpoint memo's record when the start is that pair's x1.  A warm pivot,
-    along an edge stored before, computes only what depends on the seed
-    (the products with the directions and the new point, the slope choice
-    and its checks) plus the next basis, one lookup and the end test.  Each
-    stored value is made by the call a memo-less walk makes, so every output
-    is byte-identical.  No basis repeats within one walk (the kept slopes
-    strictly decrease, and the lexicographic rule never returns to a basis),
-    so a walk on a fresh instance makes exactly a memo-less walk's calls.
+    The instance's pivot memo keeps, within ``PIVOT_MEMO_BYTES``, each
+    basis's read-only point, slack, edge directions and outcome table: the
+    entering row, step and degenerate landing of the pivot along each edge
+    taken, fixed by (A, b, basis, k) and the slack it started from, and so
+    kept with that slack (the start's with the endpoint memo's x1).  A warm
+    pivot does only its seed's work, the edge choice and the new image, plus
+    the next basis, one lookup and the end test.  Each stored value is made
+    by the call a memo-less walk makes, and no basis repeats within a walk
+    (the slopes strictly decrease), so every output is byte-identical and a
+    walk on a fresh instance makes exactly a memo-less walk's calls.
     """
     limit = default_max_steps(inst)
     met_degenerate = start.degenerate or target.degenerate
@@ -254,21 +242,8 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 raise InfeasibleStep(f"basis {current.basis} became singular") from exc
             if entry[0] is None:  # the start's entry, which no pivot stored
                 _keep(inst, current.basis, entry)
-        rises = directions @ pair.w2
-        runs = directions @ pair.w1
-        candidates = (rises > SLOPE_TOL).nonzero()[0]
-        if candidates.size == 0:
-            raise StalledWalk("no improving edge although the target was not reached")
-        leftward = candidates[runs[candidates] <= SLOPE_TOL]
-        if leftward.size:
-            raise LeftwardEdge(f"edge relaxing row {current.basis[leftward[0]]} gains eta "
-                               f"but w1.d = {runs[leftward[0]]:.3e}")
-        edge_slopes = rises[candidates] / runs[candidates]
-        # argmax keeps the first maximum: ties go to the earliest basis row.
-        best = int(edge_slopes.argmax())
-        k = int(candidates[best])
+        k, edge_slope = _steepest_edge(directions, pair.w1, pair.w2, current.basis)
         leaving = current.basis[k]
-        edge_slope = float(edge_slopes[best])
         if edge_slope > prev_slope - SLOPE_TOL:
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
@@ -308,6 +283,31 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         prev_slope = edge_slope
 
     raise StepLimit(f"no termination within {limit} steps")
+
+
+def _steepest_edge(directions: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                   basis: tuple[int, ...]) -> tuple[int, float]:
+    """Index and slope of the improving edge with the largest slope.
+
+    One pass over the Python floats of the products ``ndarray.dot`` takes
+    (``@``'s values, for less call overhead): a rise d.w2 above ``SLOPE_TOL``
+    makes a candidate; the first with a run d.w1 at most ``SLOPE_TOL`` raises
+    :class:`LeftwardEdge` (a zero run printed unsigned, as ``@`` gives it);
+    the strict > keeps the first maximum of rise / run, so a tie goes to the
+    earliest basis row; and no candidate raises :class:`StalledWalk`.
+    """
+    k, best = -1, -math.inf
+    for i, (rise, run) in enumerate(zip(directions.dot(w2).tolist(),
+                                        directions.dot(w1).tolist())):
+        if rise > SLOPE_TOL:
+            if run <= SLOPE_TOL:
+                raise LeftwardEdge(f"edge relaxing row {basis[i]} gains eta "
+                                   f"but w1.d = {run + 0.0:.3e}")
+            if (slope := rise / run) > best:
+                k, best = i, slope
+    if k < 0:
+        raise StalledWalk("no improving edge although the target was not reached")
+    return k, best
 
 
 def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...]:

@@ -1,9 +1,12 @@
-"""Scalar references the stacked exact kernels are tested against, and the
+"""Scalar references the stacked exact kernels are tested against, the
+numpy edge choice the walk's scalar pass is tested against, and the
 northwest-corner rule for transportation plans."""
 
 import numpy as np
 
+from polywalk.errors import LeftwardEdge, StalledWalk
 from polywalk.linalg import as_int_matrix
+from polywalk.shadow import SLOPE_TOL
 
 
 def int_determinant(mat) -> int:
@@ -38,6 +41,29 @@ def int_determinant(mat) -> int:
             row_r[i] = 0
         prev = piv
     return sign * a[-1][-1]
+
+
+def steepest_edge(directions, w1, w2, basis) -> tuple[int, float]:
+    """The walk's edge choice as numpy array operations: the index and slope
+    of the improving edge with the largest slope, ties to the earliest row.
+
+    Raises ``StalledWalk`` when no edge gains more than ``SLOPE_TOL`` on
+    w2, and ``LeftwardEdge`` at the first that does with a run of at most
+    ``SLOPE_TOL`` on w1.
+    """
+    rises = directions @ w2
+    runs = directions @ w1
+    candidates = (rises > SLOPE_TOL).nonzero()[0]
+    if candidates.size == 0:
+        raise StalledWalk("no improving edge although the target was not reached")
+    leftward = candidates[runs[candidates] <= SLOPE_TOL]
+    if leftward.size:
+        raise LeftwardEdge(f"edge relaxing row {basis[leftward[0]]} gains eta "
+                           f"but w1.d = {runs[leftward[0]]:.3e}")
+    edge_slopes = rises[candidates] / runs[candidates]
+    # argmax keeps the first maximum: ties go to the earliest basis row.
+    best = int(edge_slopes.argmax())
+    return int(candidates[best]), float(edge_slopes[best])
 
 
 def northwest_corner(supplies, demands) -> np.ndarray:

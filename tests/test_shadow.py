@@ -24,6 +24,7 @@ from polywalk.errors import (
     RetriesExhausted,
     LeftwardEdge,
     Singular,
+    StalledWalk,
     Unbounded,
     UnboundedShadow,
     WalkFailure,
@@ -62,7 +63,7 @@ from polywalk.shadow import (
     walk,
 )
 
-from reference import northwest_corner
+from reference import northwest_corner, steepest_edge
 
 
 def _hexagon():
@@ -136,6 +137,74 @@ def test_project_and_slope_hand_values():
     assert [v.x.tolist() for v in path.vertices] == [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     assert path.slopes == (2.0, 0.5)
     assert path.projections == ((0.0, 0.0), (1.0, 2.0), (3.0, 3.0))
+
+
+def _edge_draws():
+    """Seeded (directions, w1, w2, basis) draws at n = 1-24, in four kinds:
+    every run positive, no rise (stalled), runs and rises of either sign,
+    and rows scaled around ``SLOPE_TOL`` with signed zeros in w1.  Every
+    kind repeats a row, so edges tie exactly, also at the steepest edge."""
+    rng = np.random.default_rng(26)
+    for t in range(2400):
+        n, kind = 1 + t % 24, t // 24 % 4
+        directions = rng.standard_normal((n, n))
+        w1, w2 = rng.standard_normal(n), rng.standard_normal(n)
+        if kind == 0:
+            directions *= np.where(directions @ w1 < 0, -1.0, 1.0)[:, None]
+        elif kind == 1:
+            directions *= np.where(directions @ w2 > 0, -1.0, 1.0)[:, None]
+        elif kind == 3:
+            directions *= 10.0 ** rng.uniform(-14, -10, (n, 1))
+            w1[rng.random(n) < 0.3] = -0.0
+        basis = tuple(sorted(rng.choice(3 * n, n, replace=False).tolist()))
+        if n > 1:
+            rises, runs = directions @ w2, directions @ w1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slopes = np.where((rises > SLOPE_TOL) & (runs > SLOPE_TOL), rises / runs,
+                                  -np.inf)
+            # Copy the steepest row over another, before or after it.
+            directions[rng.choice(np.delete(np.arange(n), slopes.argmax()))] = \
+                directions[slopes.argmax()]
+        yield directions, w1, w2, basis
+
+
+def _edge_choice(choose, directions, w1, w2, basis):
+    """(k, slope bytes) of an edge choice, or its exception's class and text."""
+    try:
+        k, slope = choose(directions, w1, w2, basis)
+    except WalkFailure as exc:
+        return type(exc), str(exc)
+    return k, np.float64(slope).tobytes()
+
+
+def test_steepest_edge_matches_the_numpy_reference():
+    outcomes = Counter()
+    for directions, w1, w2, basis in _edge_draws():
+        got = _edge_choice(shadow_mod._steepest_edge, directions, w1, w2, basis)
+        assert got == _edge_choice(steepest_edge, directions, w1, w2, basis), \
+            (directions, w1, w2)
+        rises, runs = directions.dot(w2), directions.dot(w1)
+        if got[0] is LeftwardEdge:
+            first = np.flatnonzero(rises > SLOPE_TOL)[0]
+            outcomes["leftward after a rightward edge" if runs[first] > SLOPE_TOL
+                     else "leftward"] += 1
+        elif got[0] is StalledWalk:
+            outcomes["stalled"] += 1
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ties = np.count_nonzero(rises / runs == rises[got[0]] / runs[got[0]])
+            outcomes["tie" if ties > 1 else "chosen"] += 1
+    assert min(outcomes[key] for key in ("leftward", "leftward after a rightward edge",
+                                         "stalled", "tie", "chosen")) >= 50, outcomes
+
+
+def test_steepest_edge_prints_a_zero_run_unsigned():
+    # At n = 1 ndarray.dot keeps the -0.0 of 1.0 * -0.0, where @ gives 0.0.
+    directions, w1, w2 = np.ones((1, 1)), np.array([-0.0]), np.ones(1)
+    with pytest.raises(LeftwardEdge, match=r"w1\.d = 0\.000e\+00$"):
+        shadow_mod._steepest_edge(directions, w1, w2, (4,))
+    assert _edge_choice(shadow_mod._steepest_edge, directions, w1, w2, (4,)) == \
+        _edge_choice(steepest_edge, directions, w1, w2, (4,))
 
 
 def test_default_max_steps(cube3):
@@ -287,6 +356,21 @@ def test_walk_matches_reference_on_cut_cube():
     v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
     for seed in range(10):
         _assert_walk_matches_reference(inst, v1, v2, seed)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3)])
+def test_walk_matches_reference_on_small_transportation(p, q):
+    # n = 1 and 2.  Some endpoints carry -0.0 coordinates, and their images
+    # read 0.0 under @, so comparing the projections' reprs catches a
+    # signed-zero change in how a vertex is projected.
+    signed_zeros = 0
+    for s in range(3):
+        inst = gen_transportation(p, q, s)
+        v1, v2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
+        signed_zeros += int(np.count_nonzero((v1.x == 0) & np.signbit(v1.x)))
+        for seed in range(10):
+            _assert_walk_matches_reference(inst, v1, v2, seed)
+    assert signed_zeros
 
 
 def test_walk_matches_reference_on_perturbed_transportation(monkeypatch):

@@ -1,7 +1,10 @@
 """Digest every seeded output of the command line, one sha256 per group.
 
-Run it as ``python tools/output_digest.py`` (no options) in two checkouts and
-compare the lines: equal digests mean byte-identical outputs.  It imports
+Run it as ``python tools/output_digest.py`` in two checkouts and compare the
+lines: equal digests mean byte-identical outputs.  Or save one checkout's
+lines to a file and run ``python tools/output_digest.py --check FILE`` in the
+other: it prints its own lines, names each group whose digest differs from
+the file's, and exits 1 on any difference.  It imports
 polywalk from the ``src/`` next to this file, writes into a temporary
 directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
 
@@ -27,6 +30,7 @@ Every entry also hashes its label and exit code, so a changed exit shows.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -81,7 +85,21 @@ def walks(add, label: str, inst, x1, x2) -> None:
                     walked.to_json() + repr(walked.pivot_trace))
 
 
-def main() -> None:
+def differing(lines: list[str], saved: list[str]) -> list[str]:
+    """Names of the groups whose digests differ between two listings, a
+    group missing from either one included."""
+    ours, theirs = ({name: digest for digest, _, name in
+                     (line.partition("  ") for line in listing if line.strip())}
+                    for listing in (lines, saved))
+    return [name for name in {**ours, **theirs} if ours.get(name) != theirs.get(name)]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with a saved listing; exit 1 on any difference")
+    args = parser.parse_args()
+    saved = None if args.check is None else Path(args.check).read_text().splitlines()
     groups = {name: hashlib.sha256()
               for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
                            "bases", "walks")}
@@ -135,9 +153,15 @@ def main() -> None:
     for argv in (["--help"], ["generate", "--help"]):
         code, text = run(argv)
         add("help", " ".join(argv), code, text)
-    for name, digest in groups.items():
-        print(f"{digest.hexdigest()}  {name}")
+    lines = [f"{digest.hexdigest()}  {name}" for name, digest in groups.items()]
+    print("\n".join(lines))
+    if saved is None:
+        return 0
+    differ = differing(lines, saved)
+    for name in differ:
+        print(f"differs: {name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
