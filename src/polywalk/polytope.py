@@ -31,7 +31,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from .errors import (
     Singular,
     Unbounded,
 )
+
+if TYPE_CHECKING:
+    from .shadow import _Basis, _Endpoints
 
 TIGHT_TOL = 1e-9
 DIR_TOL = 1e-12
@@ -62,11 +65,10 @@ class Instance:
     lossless serialization, and ``int_A`` keeps the exact integer rows of an
     integral instance; ``integral`` is true exactly when it is set.
 
-    Two private memos refer to no instance and start empty, in a copy by
-    ``dataclasses.replace`` too: ``_endpoint_memo`` holds the last endpoint
-    pair ``verify_endpoints`` verified, keyed by the points' bytes, and
-    ``_pivot_memo`` each basis's point, slack, edge directions and pivot
-    outcomes for ``walk``.
+    Two private memos of :mod:`polywalk.shadow` refer to no instance and
+    start empty, in a copy by ``dataclasses.replace`` too: ``_endpoint_memo``
+    is the record of the last endpoint pair ``verify_endpoints`` verified,
+    and ``_pivot_memo`` maps each basis ``walk`` reached to its record.
     """
 
     name: str
@@ -77,10 +79,10 @@ class Instance:
     int_A: tuple[tuple[int, ...], ...] | None = None
     x1: np.ndarray | None = None
     x2: np.ndarray | None = None
-    _endpoint_memo: tuple | None = field(default=None, init=False, repr=False,
-                                         compare=False)
-    _pivot_memo: OrderedDict = field(default_factory=OrderedDict, init=False,
-                                     repr=False, compare=False)
+    _endpoint_memo: _Endpoints | None = field(default=None, init=False, repr=False,
+                                              compare=False)
+    _pivot_memo: OrderedDict[tuple[int, ...], _Basis] = field(
+        default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     @property
     def integral(self) -> bool:

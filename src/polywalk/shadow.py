@@ -16,8 +16,8 @@ eps > 0 (Dantzig, Orden & Wolfe, 1955).  The paper randomises only the
 objectives and assumes only a simple polytope, so this perturbation serves
 as well as a random one, and no perturbed instance is built.  Numeric
 failures redraw the objectives with the next seed.  Walks on one instance
-share a bounded memo of each basis's point, edges and pivot outcomes, so a
-warm walk does only its own seed's work.
+share a bounded memo with one record per basis, of its point, edges and
+pivot outcomes, so a warm walk does only its own seed's work.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def _unit_columns(inst: Instance, v1: VertexWithBasis,
     depend on nothing else.
     """
     memo = inst._endpoint_memo
-    if memo is not None and (memo[1].v1.basis, memo[1].v2.basis) == (v1.basis, v2.basis):
-        return memo[1].columns
+    if memo is not None and (memo.v1.basis, memo.v2.basis) == (v1.basis, v2.basis):
+        return memo.columns
     units = linalg.unit_rows(inst.A[list(v1.basis) + list(v2.basis)])
     columns = np.ascontiguousarray(units[:inst.n].T), np.ascontiguousarray(units[inst.n:].T)
     for c in columns:
@@ -197,30 +197,25 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     pivots; meeting a degenerate vertex, endpoints included, makes it
     "Perturbed+Completed".  Raises :class:`WalkFailure` on numeric trouble.
 
-    The instance's pivot memo keeps, within ``PIVOT_MEMO_BYTES``, each
-    basis's read-only point, slack, edge directions and outcome table: the
-    entering row, step and degenerate landing of the pivot along each edge
-    taken, fixed by (A, b, basis, k) and the slack it started from, and so
-    kept with that slack (the start's with the endpoint memo's x1).  A warm
-    pivot does only its seed's work, the edge choice and the new image, plus
-    the next basis, one lookup and the end test.  Each stored value is made
-    by the call a memo-less walk makes, and no basis repeats within a walk
-    (the slopes strictly decrease), so every output is byte-identical and a
-    walk on a fresh instance makes exactly a memo-less walk's calls.
+    The instance's pivot memo keeps, within ``PIVOT_MEMO_BYTES``, one
+    :class:`_Basis` per basis a walk reached; the start's outcomes go in the
+    start's own record, as its slack is its verified point's.  A warm pivot
+    does only its seed's work, the edge choice and the new image, plus the
+    next basis, one lookup and the end test.  Each stored value is made by
+    the call a memo-less walk makes, and no basis repeats within a walk (the
+    slopes strictly decrease), so every output is byte-identical and a walk
+    on a fresh instance makes exactly a memo-less walk's calls.
     """
     limit = default_max_steps(inst)
     met_degenerate = start.degenerate or target.degenerate
     target_x0 = float(target.x[0])  # one far coordinate settles the proximity test
 
     current = start
-    # The start's outcomes are kept apart from its basis's entry: its slack
-    # is its verified point's, not the basis's solve.
     record = _start_record(inst, start)
-    slack = record[1]
     entry = _entry(inst, start.basis)
     vertices = [start]
     slopes: list[float] = []
-    projections = [(float(pair.w1 @ record[0]), float(pair.w2 @ record[0]))]
+    projections = [(float(pair.w1 @ record.x), float(pair.w2 @ record.x))]
     trace: list[tuple[int, int, float]] = []
     prev_slope = math.inf
 
@@ -234,51 +229,46 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                               perturbation=PerturbationRecord(pair.seed) if met_degenerate
                               else None)
 
-        directions = entry[2]
-        if directions is None:
+        if entry.directions is None:
             try:
-                directions = entry[2] = edge_directions(inst, current)
+                entry.directions = edge_directions(inst, current)
             except Singular as exc:
                 raise InfeasibleStep(f"basis {current.basis} became singular") from exc
-            if entry[0] is None:  # the start's entry, which no pivot stored
+            if entry.x is None:  # the start's entry, which no pivot stored
                 _keep(inst, current.basis, entry)
-        k, edge_slope = _steepest_edge(directions, pair.w1, pair.w2, current.basis)
+        k, edge_slope = _steepest_edge(entry.directions, pair.w1, pair.w2, current.basis)
         leaving = current.basis[k]
         if edge_slope > prev_slope - SLOPE_TOL:
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
 
-        known = None if record[3] is None else record[3][k].tolist()
-        if known is not None and known[0] >= 0:
-            entering, step, landed_degenerate = int(known[0]), known[1], known[2] > 0
-            new_basis = _next_basis(current.basis, k, entering)
-            after = _basic_point(inst, new_basis)
+        known = None if record.outcomes is None else record.outcomes[k].tolist()
+        if hit := (known is not None and known[0] >= 0):
+            entering, step, landed_degenerate, after = int(known[0]), known[1], known[2] > 0, None
         else:
-            d = directions[k]
+            d = entry.directions[k]
             try:
-                entering, step = ratio_step(inst, slack, d)
+                entering, step = ratio_step(inst, record.slack, d)
             except Unbounded as exc:
                 raise UnboundedShadow(str(exc)) from exc
-            new_basis = _next_basis(current.basis, k, entering)
-            after = _basic_point(inst, new_basis)
-            tight = np.abs(after[1]) <= TIGHT_TOL
-            landed_degenerate = bool(np.count_nonzero(tight) > inst.n)
-            if landed_degenerate:
-                lex = _lex_entering(inst, current.basis, directions, d, np.flatnonzero(tight))
-                if lex != entering:
-                    entering = lex
-                    new_basis = _next_basis(current.basis, k, entering)
-                    after = _basic_point(inst, new_basis)
-            _store(record, k, (entering, step, landed_degenerate))
+            after = _basic_point(inst, _next_basis(current.basis, k, entering))
+            tight = (np.abs(after.slack) <= TIGHT_TOL).nonzero()[0]
+            landed_degenerate = tight.size > inst.n
+            if landed_degenerate and (lex := _lex_entering(
+                    inst, current.basis, entry.directions, d, tight)) != entering:
+                entering, after = lex, None
+        new_basis = _next_basis(current.basis, k, entering)
+        after = after or _basic_point(inst, new_basis)
+        if not hit:
+            record.store(k, (entering, step, landed_degenerate))
         met_degenerate = met_degenerate or landed_degenerate
-        moved = not current.degenerate or slack[entering] > TIGHT_TOL
+        moved = not current.degenerate or record.slack[entering] > TIGHT_TOL
         entry = record = after
-        slack = after[1]
-        current = VertexWithBasis(x=after[0], basis=new_basis, degenerate=landed_degenerate)
+        current = VertexWithBasis(x=after.x, basis=new_basis, degenerate=landed_degenerate)
         if moved:
             vertices.append(current)
             slopes.append(edge_slope)
-            projections.append((float(pair.w1 @ after[0]), float(pair.w2 @ after[0])))
+            projections.append((float(pair.w1 @ after.x), float(pair.w2 @ after.x)))
             trace.append((leaving, entering, step))
         prev_slope = edge_slope
 
@@ -316,63 +306,69 @@ def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...
     return rest[:(i := bisect(rest, entering))] + (entering,) + rest[i:]
 
 
-def _entry(inst: Instance, basis: tuple[int, ...]) -> list:
-    """The memo's [point, slack, directions, outcomes] of a basis, now its most recent."""
-    entry = inst._pivot_memo.get(basis)
-    if entry is not None:
+class _Basis:
+    """What walks know of one basis, each part None until computed: its
+    read-only point, slack and edge directions, and the outcome table that
+    :meth:`store` builds, read-only with one row per edge: the entering row,
+    step and degenerate landing of the pivot along it, fixed by (A, b, basis,
+    k) and the slack it started from, and -1 as entering row if none is kept."""
+
+    __slots__ = ("x", "slack", "directions", "outcomes")
+
+    def __init__(self, x=None, slack=None):
+        self.x, self.slack, self.directions, self.outcomes = x, slack, None, None
+
+    def store(self, k: int, outcome: tuple[int, float, bool]) -> None:
+        """Store the (entering, step, landed degenerate) of the pivot along edge k."""
+        if self.outcomes is None:
+            self.outcomes = np.full((self.x.size, 3), -1.0)
+        self.outcomes.setflags(write=True)
+        self.outcomes[k] = outcome
+        self.outcomes.setflags(write=False)
+
+
+def _entry(inst: Instance, basis: tuple[int, ...]) -> _Basis:
+    """The memo's record of a basis, now its most recent, or a new empty one."""
+    if (entry := inst._pivot_memo.get(basis)) is not None:
         inst._pivot_memo.move_to_end(basis)
-    return entry or [None, None, None, None]
+    return entry or _Basis()
 
 
-def _keep(inst: Instance, basis: tuple[int, ...], entry: list) -> None:
-    """Store an entry, evicting the least recent past ``PIVOT_MEMO_BYTES``."""
+def _record_bytes(m: int, n: int) -> int:
+    """Bytes of arrays one pivot-memo record holds at most: 2 n^2 + 4 n + m
+    float64s, its point a column of its solve's (n, n + 1) block (a copy would
+    change the bits of its dot products) and its table three per edge."""
+    return 8 * (n * (2 * n + 4) + m)
+
+
+def _keep(inst: Instance, basis: tuple[int, ...], entry: _Basis) -> None:
+    """Store a record, evicting the least recent past ``PIVOT_MEMO_BYTES``."""
     memo = inst._pivot_memo
     memo[basis] = entry
-    m, n = inst.A.shape
-    # At most 2 n^2 + 4 n + m float64s: the point stays a column of its
-    # solve's (n, n + 1) block, as a copy would change the bits of its dot
-    # products, and the outcome table holds three per edge.
-    if 8 * len(memo) * (n * (2 * n + 4) + m) > PIVOT_MEMO_BYTES:
+    if len(memo) * _record_bytes(*inst.A.shape) > PIVOT_MEMO_BYTES:
         memo.popitem(last=False)
 
 
-def _store(record: list, k: int, outcome: tuple[int, float, bool]) -> None:
-    """Store the (entering, step, landed degenerate) of the pivot along edge k.
-
-    The record's outcome table has one read-only row per edge, -1 in the
-    first column where no pivot along it was stored.
-    """
-    table = record[3]
-    if table is None:
-        table = record[3] = np.full((record[0].size, 3), -1.0)
-    table.setflags(write=True)
-    table[k] = outcome
-    table.setflags(write=False)
-
-
-def _start_record(inst: Instance, start: VertexWithBasis) -> list:
-    """The [point, slack, None, outcomes] record of a walk's start.
-
-    It is the endpoint memo's when the start is that pair's verified x1,
-    whose point and so slack are fixed, and a new one for this walk alone
-    otherwise; either way its point has passed ``as_vector``.
-    """
+def _start_record(inst: Instance, start: VertexWithBasis) -> _Basis:
+    """The record of a walk's start: the endpoint memo's when the start is
+    that pair's verified x1, whose point and so slack are fixed, and a new
+    one for this walk alone otherwise, its point passed through ``as_vector``."""
     memo = inst._endpoint_memo
-    if memo is not None and memo[1].v1 is start:
-        return memo[1].start
+    if memo is not None and memo.v1 is start:
+        return memo.start
     slack = inst.slack(start.x)
     slack.flags.writeable = False
-    return [linalg.as_vector(start.x), slack, None, None]
+    return _Basis(linalg.as_vector(start.x), slack)
 
 
-def _basic_point(inst: Instance, basis: tuple[int, ...]) -> list:
-    """The memo entry of a pivot's new basis, with its read-only point and slack.
+def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
+    """The memo record of a pivot's new basis, with its read-only point and slack.
 
     Raises :class:`InfeasibleStep`, storing nothing, when the basis is
     singular or its point leaves the polytope.
     """
     entry = _entry(inst, basis)
-    if entry[0] is not None:
+    if entry.x is not None:
         return entry
     rows = list(basis)
     try:
@@ -384,7 +380,7 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> list:
     if slack[worst] < -TIGHT_TOL:
         raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
     x.flags.writeable = slack.flags.writeable = False
-    entry[0], entry[1] = x, slack
+    entry.x, entry.slack = x, slack
     _keep(inst, basis, entry)
     return entry
 
@@ -420,34 +416,35 @@ def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray
 
 
 class _Endpoints(NamedTuple):
-    """Both endpoints of a walk, verified, whether they are one vertex, and
-    their unit basis rows as the columns :func:`sample_objectives` mixes."""
+    """A verified endpoint pair under its key, the points' bytes: both
+    vertices, whether they are one, their unit basis rows as the columns
+    :func:`sample_objectives` mixes, and the start's record."""
 
+    key: tuple[bytes, bytes]
     v1: VertexWithBasis
     v2: VertexWithBasis
     same: bool
     columns: tuple[np.ndarray, np.ndarray]
-    start: list
+    start: _Basis
 
 
 def verify_endpoints(inst: Instance, x1, x2) -> _Endpoints:
     """Both endpoints verified by :func:`verify_vertex`, unless they are the
-    instance's last pair (keyed by their bytes); a failed pair is never kept."""
+    instance's last pair; a failed pair is never kept."""
     memo = inst._endpoint_memo
     # A 1-d float64 array is its own as_vector, and bytes equal to a key's are finite.
     if memo is not None and type(x1) is type(x2) is np.ndarray and x1.ndim == x2.ndim == 1 \
-            and x1.dtype == x2.dtype == float and (x1.tobytes(), x2.tobytes()) == memo[0]:
-        return memo[1]
+            and x1.dtype == x2.dtype == float and (x1.tobytes(), x2.tobytes()) == memo.key:
+        return memo
     key = (linalg.as_vector(x1).tobytes(), linalg.as_vector(x2).tobytes())
-    if memo is None or memo[0] != key:
-        v1 = verify_vertex(inst, x1)
-        v2 = verify_vertex(inst, x2)
+    if memo is None or memo.key != key:
+        v1, v2 = verify_vertex(inst, x1), verify_vertex(inst, x2)
         same = float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL
-        memo = (key, _Endpoints(v1, v2, same, _unit_columns(inst, v1, v2),
-                                _start_record(inst, v1)))
+        memo = _Endpoints(key, v1, v2, same, _unit_columns(inst, v1, v2),
+                          _start_record(inst, v1))
         # Instance is frozen; its memos are private, mutable slots.
         object.__setattr__(inst, "_endpoint_memo", memo)
-    return memo[1]
+    return memo
 
 
 def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
@@ -458,8 +455,9 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     ``MAX_ATTEMPTS`` draws, then raise :class:`RetriesExhausted` with their
     reasons.  A warm call, on the last pair again, pays only for its seed.
     """
-    v1, v2, same = verify_endpoints(inst, x1, x2)[:3]
-    if same:
+    ends = verify_endpoints(inst, x1, x2)
+    v1, v2 = ends.v1, ends.v2
+    if ends.same:
         return ShadowPath(vertices=(v1,), slopes=(), projections=(),
                           pivot_trace=(), status="Completed", seed=int(seed))
 

@@ -621,7 +621,7 @@ def test_representative_matches_verify_vertex_route(monkeypatch):
     for inst in _degenerate_family():
         counts.clear()
         find_path(inst, inst.x1, inst.x2, seed=0)
-        ends = inst._endpoint_memo[1]
+        ends = inst._endpoint_memo
         degenerate_ends = 0
         for x, rep in ((inst.x1, ends.v1), (inst.x2, ends.v2)):
             v = verify_vertex(inst, x)
@@ -799,8 +799,8 @@ def test_endpoint_memo_holds_the_last_pair_only(monkeypatch):
         # A new pair is verified and replaces the one slot; the first pair,
         # walked again after others, is verified again.
         assert counts["polywalk.shadow.verify_vertex"] == 2 * k
-        key, ends = inst._endpoint_memo
-        assert key == (x1.tobytes(), x2.tobytes())
+        ends = inst._endpoint_memo
+        assert ends.key == (x1.tobytes(), x2.tobytes())
         npt.assert_array_equal(ends.v1.x, x1)
 
 
@@ -835,7 +835,7 @@ def test_endpoint_key_stays_strict(monkeypatch):
     counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
     for reshape in (lambda x: x[None, :], lambda x: x[:, None]):
         for x1, x2 in ((reshape(inst.x1), inst.x2), (inst.x1, reshape(inst.x2))):
-            assert (x1.tobytes(), x2.tobytes()) == memo[0]
+            assert (x1.tobytes(), x2.tobytes()) == memo.key
             with pytest.raises(ValueError, match="1-d vector"):
                 find_path(inst, x1, x2, 0)
             assert inst._endpoint_memo is memo
@@ -909,11 +909,17 @@ def _path_record(inst, x1, x2, seed):
     return path.to_json(), repr(path.pivot_trace)
 
 
+def _arrays(record):
+    """The arrays a basis record holds, by field: point, slack, edge
+    directions and outcome table, None where not yet computed."""
+    return [getattr(record, field) for field in record.__slots__]
+
+
 def _memo_bytes(memo):
     """Bytes the memo keeps alive, outcome tables included: a view keeps all
     of its base."""
     return sum((a if a.base is None else a.base).nbytes
-               for entry in memo.values() for a in entry if a is not None)
+               for record in memo.values() for a in _arrays(record) if a is not None)
 
 
 @pytest.mark.parametrize("name", sorted(_PIVOT_MEMO_INSTANCES))
@@ -947,10 +953,10 @@ def test_start_outcomes_are_not_read_after_a_pivot():
 
 def _dangling_outcomes(inst):
     """Stored outcomes whose next basis is not in the pivot memo."""
-    records = [(basis, entry[3]) for basis, entry in inst._pivot_memo.items()]
+    records = [(basis, record.outcomes) for basis, record in inst._pivot_memo.items()]
     if inst._endpoint_memo is not None:
-        ends = inst._endpoint_memo[1]
-        records.append((ends.v1.basis, ends.start[3]))
+        ends = inst._endpoint_memo
+        records.append((ends.v1.basis, ends.start.outcomes))
     count = 0
     for basis, table in records:
         for k, (entering, _, _) in enumerate([] if table is None else table.tolist()):
@@ -962,20 +968,51 @@ def _dangling_outcomes(inst):
 @pytest.mark.parametrize("name", ["hypercube", "transportation-3x3-s0",
                                   "transportation-3x4-s0"])
 def test_outcomes_whose_next_basis_was_evicted(name, monkeypatch):
-    # A memo of four entries evicts the next basis of stored outcomes; a walk
-    # that reads one solves that basis again.  The transportation routes
-    # take lexicographic tie-breaks.
+    # A memo of four records evicts the next basis of stored outcomes; a walk
+    # that reads one solves that basis again.  A memo of none evicts each
+    # record as it stores it, so only the start's record keeps outcomes.  The
+    # transportation routes take lexicographic tie-breaks.
+    for entries in (4, 0):
+        inst = _PIVOT_MEMO_INSTANCES[name]()
+        bound = entries * shadow_mod._record_bytes(*inst.A.shape)
+        monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", bound)
+        dangling = 0
+        for x1, x2 in ((inst.x1, inst.x2), (inst.x2, inst.x1)):
+            for seed in range(30):
+                dangling += _dangling_outcomes(inst)
+                shared = _path_record(inst, x1, x2, seed)
+                assert shared == _path_record(replace(inst), x1, x2, seed)
+                assert _memo_bytes(inst._pivot_memo) <= shadow_mod.PIVOT_MEMO_BYTES
+                assert len(inst._pivot_memo) <= entries
+        assert dangling
+
+
+@pytest.mark.parametrize("name", ["hypercube", "transportation-3x3-s0",
+                                  "transportation-3x4-s0"])
+def test_fresh_walk_calls_do_not_depend_on_the_bound(name, monkeypatch):
+    # A walk on a fresh instance makes a memo-less walk's calls at any bound:
+    # with room for no record, a pivot still solves the basis it probes
+    # once.  The transportation walks take lexicographic tie-breaks.
     inst = _PIVOT_MEMO_INSTANCES[name]()
-    m, n = inst.A.shape
-    monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", 8 * 4 * (n * (2 * n + 4) + m))
-    dangling = 0
-    for x1, x2 in ((inst.x1, inst.x2), (inst.x2, inst.x1)):
-        for seed in range(30):
-            dangling += _dangling_outcomes(inst)
-            shared = _path_record(inst, x1, x2, seed)
-            assert shared == _path_record(replace(inst), x1, x2, seed)
-            assert _memo_bytes(inst._pivot_memo) <= shadow_mod.PIVOT_MEMO_BYTES
-    assert dangling
+    counts = _counted(monkeypatch, (linalg_mod, "solve"), (shadow_mod, "ratio_step"),
+                      (shadow_mod, "edge_directions"), (shadow_mod, "_lex_entering"))
+
+    def fresh_walk_calls(seed):
+        fresh = replace(inst)
+        ends = verify_endpoints(fresh, inst.x1, inst.x2)
+        pair = sample_objectives(fresh, ends.v1, ends.v2, seed)
+        counts.clear()
+        try:
+            walk(fresh, ends.v1, ends.v2, pair)
+        except WalkFailure:
+            pass
+        return dict(counts)
+
+    expected = [fresh_walk_calls(seed) for seed in range(20)]
+    monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", 0)
+    assert [fresh_walk_calls(seed) for seed in range(20)] == expected
+    if name != "hypercube":
+        assert any("polywalk.shadow._lex_entering" in calls for calls in expected)
 
 
 def _objectives_by_formula(inst, v1, v2, seed):
@@ -1053,18 +1090,60 @@ def test_pivot_memo_stores_no_failure(where, monkeypatch):
             walk(cube, v1, v2, pair)
         # Raised again on the next walk: the failure was never stored.
         assert failed[where] == attempt
-        entry = cube._pivot_memo.get(bad)
+        record = cube._pivot_memo.get(bad)
         if where == "solve":
             # The start's pivot to bad failed: it stored no outcome either.
-            assert entry is None and ends.start[3] is None
+            assert record is None and ends.start.outcomes is None
         elif where == "edge_directions":
-            assert entry[2] is None and entry[3] is None
+            assert record.directions is None and record.outcomes is None
         else:
             # bad's own pivot failed and stored no outcome.
-            assert entry[2] is not None and entry[3] is None
+            assert record.directions is not None and record.outcomes is None
     monkeypatch.undo()
     assert walk(cube, v1, v2, pair).to_json() == expected.to_json()
-    assert all(part is not None for part in cube._pivot_memo[bad])
+    assert all(part is not None for part in _arrays(cube._pivot_memo[bad]))
+
+
+def _force_outside(monkeypatch, inst, bad, shift):
+    """Shift every solve of basis ``bad`` by ``shift``, out of the polytope,
+    counting those solves."""
+    real = linalg_mod.solve
+    calls = Counter()
+
+    def outside(mat, rhs):
+        if mat.tobytes() == inst.A[list(bad)].tobytes():
+            calls["bad"] += 1
+            return real(mat, rhs) + shift
+        return real(mat, rhs)
+
+    monkeypatch.setattr(linalg_mod, "solve", outside)
+    return calls
+
+
+def _lex_changes(inst, ends, pair, monkeypatch):
+    """A walk on a fresh copy of inst, and the (basis, k, ratio test's row,
+    lexicographic row) of each of its pivots whose tie-break changed the
+    entering row."""
+    real_ratio_step, real_lex = shadow_mod.ratio_step, shadow_mod._lex_entering
+    ratio_rows, changes = [], []
+
+    def ratio_step(inst_, slack, d):
+        entering, step = real_ratio_step(inst_, slack, d)
+        ratio_rows.append(entering)
+        return entering, step
+
+    def lex_entering(inst_, basis, directions, d, tight):
+        entering = real_lex(inst_, basis, directions, d, tight)
+        if entering != ratio_rows[-1]:
+            k = next(i for i, row in enumerate(directions) if np.array_equal(row, d))
+            changes.append((basis, k, ratio_rows[-1], entering))
+        return entering
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shadow_mod, "ratio_step", ratio_step)
+        patch.setattr(shadow_mod, "_lex_entering", lex_entering)
+        path = walk(replace(inst), ends.v1, ends.v2, pair)
+    return path, changes
 
 
 def test_pivot_memo_forced_infeasible_point_is_not_stored(monkeypatch):
@@ -1072,22 +1151,37 @@ def test_pivot_memo_forced_infeasible_point_is_not_stored(monkeypatch):
     v1, v2 = verify_vertex(cube, cube.x1), verify_vertex(cube, cube.x2)
     pair = sample_objectives(cube, v1, v2, 0)
     before, bad = (v.basis for v in walk(replace(cube), v1, v2, pair).vertices[1:3])
-    real = linalg_mod.solve
-    calls = Counter()
-
-    def outside(mat, rhs):
-        if mat.tobytes() == cube.A[list(bad)].tobytes():
-            calls["bad"] += 1
-            return real(mat, rhs) + 2.0
-        return real(mat, rhs)
-
-    monkeypatch.setattr(linalg_mod, "solve", outside)
+    calls = _force_outside(monkeypatch, cube, bad, 2.0)
     for attempt in (1, 2):
         with pytest.raises(InfeasibleStep, match="outside the polytope"):
             walk(cube, v1, v2, pair)
         assert calls["bad"] == attempt and bad not in cube._pivot_memo
         # The basis the failed pivot left stored no outcome for it.
-        assert cube._pivot_memo[before][3] is None
+        assert cube._pivot_memo[before].outcomes is None
+    monkeypatch.undo()
+
+    # Degenerate landings where the lexicographic rule picks another basis
+    # than the ratio test's: that basis, forced outside the polytope, fails
+    # the pivot after the ratio test's basis was kept, no outcome is stored
+    # for the edge, and the next walk raises again.
+    for p, q, s, seed in ((2, 3, 1, 0), (3, 3, 0, 1), (3, 4, 2, 0)):
+        inst = gen_transportation(p, q, s)
+        ends = verify_endpoints(inst, inst.x1, inst.x2)
+        pair = sample_objectives(inst, ends.v1, ends.v2, seed)
+        expected, changes = _lex_changes(inst, ends, pair, monkeypatch)
+        before, k, ratio_row, lex_row = changes[0]
+        rest = set(before) - {before[k]}
+        probe, bad = (tuple(sorted(rest | {row})) for row in (ratio_row, lex_row))
+        calls = _force_outside(monkeypatch, inst, bad, -1e3)
+        for attempt in (1, 2):
+            with pytest.raises(InfeasibleStep, match="outside the polytope"):
+                walk(inst, ends.v1, ends.v2, pair)
+            assert calls["bad"] == attempt and bad not in inst._pivot_memo
+            assert probe in inst._pivot_memo
+            left = ends.start if before == ends.v1.basis else inst._pivot_memo[before]
+            assert left.outcomes is None or left.outcomes[k].tolist()[0] < 0
+        monkeypatch.undo()
+        assert walk(inst, ends.v1, ends.v2, pair).to_json() == expected.to_json()
 
 
 def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
@@ -1128,11 +1222,11 @@ def test_memo_arrays_are_read_only():
         for v in path.vertices:
             with pytest.raises(ValueError):
                 v.x[0] = 1.0
-    ends = inst._endpoint_memo[1]
-    arrays = [part for entry in inst._pivot_memo.values() for part in entry]
-    arrays += [*ends.columns, *ends.start]
-    assert any(entry[3] is not None for entry in inst._pivot_memo.values())
-    assert ends.start[3] is not None
+    ends = inst._endpoint_memo
+    arrays = [part for record in inst._pivot_memo.values() for part in _arrays(record)]
+    arrays += [*ends.columns, *_arrays(ends.start)]
+    assert any(record.outcomes is not None for record in inst._pivot_memo.values())
+    assert ends.start.outcomes is not None
     for part in arrays:
         if part is not None:
             with pytest.raises(ValueError):
