@@ -16,10 +16,10 @@ The enumerations run on stacks of row subsets, one chunk at a time:
 the same singularity rule as :func:`delta_basis`.  Every exact minor, the
 integer certificate's Delta1 and Delta_{n-1} included, comes from
 :func:`subdet_report`, which takes its chunks of minors through one exact
-kernel, :func:`~polywalk.linalg.int_adjugates`.  Expanding a minor along its
-unit rows (+-e_j) leaves a smaller minor of the other rows, on columns those
-unit rows do not cover, so it enumerates the minors of the other rows only
-and reads every order off them.  It picks the kernel's dtype by one rule,
+kernel, :func:`~polywalk.linalg.int_determinants`.  Expanding a minor along
+its unit rows (+-e_j) leaves a smaller minor of the other rows, on columns
+those unit rows do not cover, so it enumerates the minors of the other rows
+only and reads every order off them.  It picks the kernel's dtype by one rule,
 :func:`~polywalk.linalg.exact_dtype`: machine numbers (float64, then int64)
 where a Hadamard bound keeps every intermediate exact, and Python ints
 otherwise.
@@ -158,7 +158,7 @@ def subdet_report(int_mat) -> SubdetReport:
     Only the minors of the other rows are enumerated, after zero rows are
     dropped and rows that repeat up to sign are kept once (a minor holding
     both has determinant 0).  Each chunk of them goes, stacked, through
-    :func:`~polywalk.linalg.int_adjugates`, whose |determinants| of the
+    :func:`~polywalk.linalg.int_determinants`, whose |determinants| of the
     nonsingular minors give the chunk's largest per order (a singular minor
     adds 0); each order's row and column subsets are two index arrays, and a
     chunk gathers its pairs from them by position.  :func:`subdet_rows`
@@ -188,7 +188,7 @@ def subdet_report(int_mat) -> SubdetReport:
             pair = np.arange(lo, min(lo + linalg.SUBSET_CHUNK, count))
             r_sub, c_sub = rows[pair // len(cols)], pair % len(cols)
             minors = entries[r_sub[:, :, None], cols[c_sub][:, None, :]]
-            ok, dets, _ = linalg.int_adjugates(minors)
+            ok, dets = linalg.int_determinants(minors)
             # Order k + t takes the minors with at least t spare unit rows.
             u = spare[c_sub[ok]]
             for t in range(int(u.max(initial=-1)) + 1):

@@ -2,8 +2,8 @@
 
 Real vectors and matrices are plain float64 numpy arrays; :func:`as_vector`
 and :func:`as_matrix` validate shape and finiteness at the package boundary.
-Integer matrices have one exact kernel, :func:`int_adjugates`, and one rule,
-:func:`exact_dtype`, for the dtype it runs in: float64 or int64 where a
+Integer matrices have one exact kernel, :func:`int_determinants`, and one
+rule, :func:`exact_dtype`, for the dtype it runs in: float64 or int64 where a
 Hadamard bound keeps every intermediate exact, unbounded Python ints
 otherwise.
 
@@ -21,9 +21,9 @@ constants read at call time, with no per-call override:
 
 Enumerations over row subsets run on stacks of ``SUBSET_CHUNK`` matrices:
 :func:`solve_stack` applies :func:`solve`'s rule to a whole stack of bases at
-once, and :func:`int_adjugates` runs fraction-free Gauss-Jordan elimination on
+once, and :func:`int_determinants` runs fraction-free Bareiss elimination on
 a stack of integer matrices, which gives every nonsingular one's
-|determinant| and adjugate.
+|determinant|.
 """
 
 from __future__ import annotations
@@ -150,15 +150,15 @@ def solve_stack(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def exact_dtype(k: int, Delta1: int) -> np.dtype:
-    """The dtype in which :func:`int_adjugates` is exact on k x k matrices.
+    """The dtype in which :func:`int_determinants` is exact on k x k matrices.
 
     ``Delta1`` bounds the absolute values of the integer entries.  Every
-    number the elimination forms is a minor of ``[B | I]`` or the product of
-    two, and Hadamard's inequality bounds the square of such a minor by
-    H = (k * Delta1**2 + 1)**k.  So float64 is exact while H < 2**52 (every
-    product, difference and quotient is an integer below 2**53), int64 while
-    H < 2**62 (every difference of two products is below 2**63), and numpy
-    ``object`` (Python ints) is needed otherwise.
+    number the elimination forms is a minor of B or the product of two
+    before a division, and Hadamard's inequality bounds the square of a
+    minor below H = (k * Delta1**2 + 1)**k.  So float64 is exact while
+    H < 2**52 (every product, difference and quotient is an integer below
+    2**53), int64 while H < 2**62 (every difference of two products is below
+    2**63), and numpy ``object`` (Python ints) is needed otherwise.
     """
     bound = (k * Delta1 * Delta1 + 1) ** k
     if bound < 2**52:
@@ -168,54 +168,41 @@ def exact_dtype(k: int, Delta1: int) -> np.dtype:
     return np.dtype(object)
 
 
-def int_adjugates(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact |determinants| and adjugates of a ``(s, n, n)`` integer stack.
+def int_determinants(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact |determinants| of a ``(s, n, n)`` integer stack.
 
-    Fraction-free Gauss-Jordan on ``[B | I]``, stored in place: after step k,
-    column j of the stack holds column j of the right block for j <= k and of
-    the left block for j > k; the other columns of both blocks are multiples
-    of unit vectors and are not stored.  The row swap is chosen per matrix,
-    and a matrix whose pivot column is zero from the diagonal down is
-    singular and leaves the stack.  Every stored entry is, up to sign, a
-    minor of ``[B | I]``, so every division is exact (``/`` on a float
-    stack, ``//`` on any other) and the result is exact in the dtype
-    :func:`exact_dtype` picks for the stack.
+    Bareiss's fraction-free elimination (1968), on the block below and to the
+    right of each pivot only: after step k every entry of that block is a
+    (k + 1)-minor of B, up to sign, so every division is exact (``/`` on a
+    float stack, ``//`` on any other) and the result is exact in the dtype
+    :func:`exact_dtype` picks for the stack.  The row swap is chosen per
+    matrix, and a matrix whose pivot column is zero from the diagonal down
+    is singular and leaves the stack.
 
     Returns the mask of the nonsingular matrices and, for those in stack
-    order, |det B| and the adjugate up to sign and column order (a row swap
-    permutes the columns of the right block).
+    order, |det B|.
     """
     a = mats.copy()
-    s, n, _ = a.shape
-    live = np.arange(s)
-    prev = np.ones(s, dtype=a.dtype)
-    for k in range(n):
-        nonzero = a[:, k:, k] != 0
+    live = np.arange(len(a))
+    prev = np.ones(len(a), dtype=a.dtype)
+    for _ in range(a.shape[1]):
+        nonzero = a[:, :, 0] != 0
         keep = nonzero.any(axis=1)
         if not keep.all():
             a, prev, live, nonzero = a[keep], prev[keep], live[keep], nonzero[keep]
-        p = k + np.argmax(nonzero, axis=1)
-        swap = np.flatnonzero(p != k)
-        rows_k = a[swap, k].copy()
-        a[swap, k] = a[swap, p[swap]]
-        a[swap, p[swap]] = rows_k
-        col = a[:, :, k].copy()
-        row = a[:, k, :].copy()
-        piv = col[:, k]
-        a *= piv[:, None, None]
-        a -= col[:, :, None] * row[:, None, :]
+        p = np.argmax(nonzero, axis=1)
+        swap = (p != 0).nonzero()[0]
+        a[swap, 0], a[swap, p[swap]] = a[swap, p[swap]], a[swap, 0]
+        piv = a[:, 0, 0]
+        a = piv[:, None, None] * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:]
         if a.dtype.kind == "f":
             a /= prev[:, None, None]
         else:
             a //= prev[:, None, None]
-        # Row k is the pivot row, kept; column k enters the right block.
-        a[:, :, k] = -col
-        a[:, k, :] = row
-        a[:, k, k] = prev
         prev = piv
-    ok = np.zeros(s, dtype=bool)
+    ok = np.zeros(len(mats), dtype=bool)
     ok[live] = True
-    return ok, np.abs(prev), a
+    return ok, np.abs(prev)
 
 
 def as_int_matrix(rows) -> list[list[int]]:

@@ -180,7 +180,7 @@ def tight_rows(inst: Instance, x) -> tuple[int, ...]:
         raise Infeasible(
             f"row {worst} violated: a[{worst}]@x exceeds b[{worst}] by {-slack[worst]:.3e}"
         )
-    return tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= TIGHT_TOL))
+    return tuple((np.abs(slack) <= TIGHT_TOL).nonzero()[0].tolist())
 
 
 def verify_vertex(inst: Instance, x) -> VertexWithBasis:
@@ -215,7 +215,7 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
             # Only basis rows before j come before j's own coefficient, which is 1.
             lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < rows[:, None])
             first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
-            hits = np.flatnonzero((~lead.any(axis=2) | (first > 0)).all(axis=1))
+            hits = (~lead.any(axis=2) | (first > 0)).all(axis=1).nonzero()[0]
             if hits.size:
                 basis = subsets[hits[0]].tolist()
                 break
@@ -248,7 +248,7 @@ def ratio_step(inst: Instance, slack: np.ndarray, d) -> tuple[int, float]:
     row index.  Raises :class:`Unbounded` when no row does.
     """
     denom = inst.A @ linalg.as_vector(d)
-    movers = np.flatnonzero(denom > DIR_TOL)
+    movers = (denom > DIR_TOL).nonzero()[0]
     if movers.size == 0:
         raise Unbounded("the polytope is unbounded along this direction")
     steps = slack[movers] / denom[movers]
@@ -375,7 +375,7 @@ def vertex_graph(inst: Instance) -> tuple[list[VertexWithBasis], list[set[int]]]
 
 def _locate(points: np.ndarray, x: np.ndarray) -> int | None:
     """Index of the first row of ``points`` matching x within POINT_TOL."""
-    hits = np.flatnonzero(np.abs(points - x).max(axis=1) <= POINT_TOL)
+    hits = (np.abs(points - x).max(axis=1) <= POINT_TOL).nonzero()[0]
     return int(hits[0]) if hits.size else None
 
 

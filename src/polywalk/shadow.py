@@ -198,13 +198,14 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     "Perturbed+Completed".  Raises :class:`WalkFailure` on numeric trouble.
 
     The instance's pivot memo keeps, within ``PIVOT_MEMO_BYTES``, one
-    :class:`_Basis` per basis a walk reached; the start's outcomes go in the
-    start's own record, as its slack is its verified point's.  A warm pivot
-    does only its seed's work, the edge choice and the new image, plus the
-    next basis, one lookup and the end test.  Each stored value is made by
-    the call a memo-less walk makes, and no basis repeats within a walk (the
-    slopes strictly decrease), so every output is byte-identical and a walk
-    on a fresh instance makes exactly a memo-less walk's calls.
+    :class:`_Basis` per basis a pivot reached; the start's directions and
+    outcomes go in the start's own record, as its slack is its verified
+    point's.  A warm pivot does only its seed's work, the edge choice and
+    the new image, plus the next basis, one lookup and the end test.  Each
+    stored value is made by the call a memo-less walk makes, and no basis
+    repeats within a walk (the slopes strictly decrease), so every output is
+    byte-identical and a walk on a fresh instance makes exactly a memo-less
+    walk's calls.
     """
     limit = default_max_steps(inst)
     met_degenerate = start.degenerate or target.degenerate
@@ -212,7 +213,6 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
 
     current = start
     record = _start_record(inst, start)
-    entry = _entry(inst, start.basis)
     vertices = [start]
     slopes: list[float] = []
     projections = [(float(pair.w1 @ record.x), float(pair.w2 @ record.x))]
@@ -229,14 +229,12 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                               perturbation=PerturbationRecord(pair.seed) if met_degenerate
                               else None)
 
-        if entry.directions is None:
+        if record.directions is None:
             try:
-                entry.directions = edge_directions(inst, current)
+                record.directions = edge_directions(inst, current)
             except Singular as exc:
                 raise InfeasibleStep(f"basis {current.basis} became singular") from exc
-            if entry.x is None:  # the start's entry, which no pivot stored
-                _keep(inst, current.basis, entry)
-        k, edge_slope = _steepest_edge(entry.directions, pair.w1, pair.w2, current.basis)
+        k, edge_slope = _steepest_edge(record.directions, pair.w1, pair.w2, current.basis)
         leaving = current.basis[k]
         if edge_slope > prev_slope - SLOPE_TOL:
             raise NonMonotoneSlopes(
@@ -246,7 +244,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         if hit := (known is not None and known[0] >= 0):
             entering, step, landed_degenerate, after = int(known[0]), known[1], known[2] > 0, None
         else:
-            d = entry.directions[k]
+            d = record.directions[k]
             try:
                 entering, step = ratio_step(inst, record.slack, d)
             except Unbounded as exc:
@@ -255,7 +253,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             tight = (np.abs(after.slack) <= TIGHT_TOL).nonzero()[0]
             landed_degenerate = tight.size > inst.n
             if landed_degenerate and (lex := _lex_entering(
-                    inst, current.basis, entry.directions, d, tight)) != entering:
+                    inst, current.basis, record.directions, d, tight)) != entering:
                 entering, after = lex, None
         new_basis = _next_basis(current.basis, k, entering)
         after = after or _basic_point(inst, new_basis)
@@ -263,7 +261,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             record.store(k, (entering, step, landed_degenerate))
         met_degenerate = met_degenerate or landed_degenerate
         moved = not current.degenerate or record.slack[entering] > TIGHT_TOL
-        entry = record = after
+        record = after
         current = VertexWithBasis(x=after.x, basis=new_basis, degenerate=landed_degenerate)
         if moved:
             vertices.append(current)
@@ -307,15 +305,16 @@ def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...
 
 
 class _Basis:
-    """What walks know of one basis, each part None until computed: its
-    read-only point, slack and edge directions, and the outcome table that
-    :meth:`store` builds, read-only with one row per edge: the entering row,
-    step and degenerate landing of the pivot along it, fixed by (A, b, basis,
-    k) and the slack it started from, and -1 as entering row if none is kept."""
+    """What walks know of one basis: its read-only point and slack, and,
+    each None until computed, its read-only edge directions and the outcome
+    table that :meth:`store` builds, read-only with one row per edge: the
+    entering row, step and degenerate landing of the pivot along it, fixed
+    by (A, b, basis, k) and the slack it started from, and -1 as entering
+    row if none is kept."""
 
     __slots__ = ("x", "slack", "directions", "outcomes")
 
-    def __init__(self, x=None, slack=None):
+    def __init__(self, x: np.ndarray, slack: np.ndarray):
         self.x, self.slack, self.directions, self.outcomes = x, slack, None, None
 
     def store(self, k: int, outcome: tuple[int, float, bool]) -> None:
@@ -327,13 +326,6 @@ class _Basis:
         self.outcomes.setflags(write=False)
 
 
-def _entry(inst: Instance, basis: tuple[int, ...]) -> _Basis:
-    """The memo's record of a basis, now its most recent, or a new empty one."""
-    if (entry := inst._pivot_memo.get(basis)) is not None:
-        inst._pivot_memo.move_to_end(basis)
-    return entry or _Basis()
-
-
 def _record_bytes(m: int, n: int) -> int:
     """Bytes of arrays one pivot-memo record holds at most: 2 n^2 + 4 n + m
     float64s, its point a column of its solve's (n, n + 1) block (a copy would
@@ -341,18 +333,11 @@ def _record_bytes(m: int, n: int) -> int:
     return 8 * (n * (2 * n + 4) + m)
 
 
-def _keep(inst: Instance, basis: tuple[int, ...], entry: _Basis) -> None:
-    """Store a record, evicting the least recent past ``PIVOT_MEMO_BYTES``."""
-    memo = inst._pivot_memo
-    memo[basis] = entry
-    if len(memo) * _record_bytes(*inst.A.shape) > PIVOT_MEMO_BYTES:
-        memo.popitem(last=False)
-
-
 def _start_record(inst: Instance, start: VertexWithBasis) -> _Basis:
-    """The record of a walk's start: the endpoint memo's when the start is
-    that pair's verified x1, whose point and so slack are fixed, and a new
-    one for this walk alone otherwise, its point passed through ``as_vector``."""
+    """The record of a walk's start, which keeps its own directions: the
+    endpoint memo's when the start is that pair's verified x1, whose point
+    and so slack are fixed, and a new one for this walk alone otherwise, its
+    point passed through ``as_vector``."""
     memo = inst._endpoint_memo
     if memo is not None and memo.v1 is start:
         return memo.start
@@ -362,14 +347,17 @@ def _start_record(inst: Instance, start: VertexWithBasis) -> _Basis:
 
 
 def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
-    """The memo record of a pivot's new basis, with its read-only point and slack.
+    """The memo record of a pivot's new basis, now the memo's most recent,
+    or a new one with its read-only point and slack, stored, evicting the
+    least recent record past ``PIVOT_MEMO_BYTES``.
 
     Raises :class:`InfeasibleStep`, storing nothing, when the basis is
     singular or its point leaves the polytope.
     """
-    entry = _entry(inst, basis)
-    if entry.x is not None:
-        return entry
+    memo = inst._pivot_memo
+    if (record := memo.get(basis)) is not None:
+        memo.move_to_end(basis)
+        return record
     rows = list(basis)
     try:
         x = linalg.solve(inst.A[rows], inst.b[rows])
@@ -380,9 +368,10 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
     if slack[worst] < -TIGHT_TOL:
         raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
     x.flags.writeable = slack.flags.writeable = False
-    entry.x, entry.slack = x, slack
-    _keep(inst, basis, entry)
-    return entry
+    memo[basis] = record = _Basis(x, slack)
+    if len(memo) * _record_bytes(*inst.A.shape) > PIVOT_MEMO_BYTES:
+        memo.popitem(last=False)
+    return record
 
 
 def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray,

@@ -291,14 +291,14 @@ def _unit_row_cases(rng):
 
 
 def test_subdet_report_matches_scalar_reference(monkeypatch):
-    real = linalg_mod.int_adjugates
+    real = linalg_mod.int_determinants
     dtypes = set()
 
     def recording(minors):
         dtypes.add(minors.dtype)
         return real(minors)
 
-    monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
+    monkeypatch.setattr(linalg_mod, "int_determinants", recording)
     rng = np.random.default_rng(41)
     cases = [rng.integers(-9, 10, size=(7, 5)).tolist() for _ in range(6)]
     cases += [rng.integers(-10**12, 10**12, size=(5, 4)).tolist() for _ in range(2)]
@@ -362,18 +362,18 @@ def test_subdet_report_every_order_on_the_integral_corpus(chunk, monkeypatch):
               for p, q in ((2, 2), (2, 3), (3, 3), (3, 4)) for s in range(3)]
     if chunk is not None:
         monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
-    real = linalg_mod.int_adjugates
+    real = linalg_mod.int_determinants
     seen = {}
     sizes = []
 
     def recording(minors):
-        ok, dets, adjs = real(minors)
+        ok, dets = real(minors)
         k = minors.shape[-1]
         seen[k] = max(seen.get(k, 0), int(dets.max(initial=0)))
         sizes.append(len(minors))
-        return ok, dets, adjs
+        return ok, dets
 
-    monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
+    monkeypatch.setattr(linalg_mod, "int_determinants", recording)
     enumerated = []
     for inst in insts:
         seen.clear()
@@ -407,13 +407,13 @@ def test_order_6_minors_of_small_entries_run_in_int64(monkeypatch):
     # (6 * 12**2 + 1)**6 lies between 2**52 and 2**62: subdet_report takes
     # the order-6 minors of this matrix through the kernel as int64.
     mat = np.random.default_rng(45).integers(-12, 13, size=(8, 6)).tolist()
-    real = linalg_mod.int_adjugates
+    real = linalg_mod.int_determinants
     dtypes = {}
 
     def recording(minors):
         dtypes.setdefault(minors.shape[-1], set()).add(minors.dtype)
         return real(minors)
 
-    monkeypatch.setattr(linalg_mod, "int_adjugates", recording)
+    monkeypatch.setattr(linalg_mod, "int_determinants", recording)
     assert subdet_report(mat) == _subdet_reference(mat)
     assert dtypes[6] == {np.dtype(np.int64)}

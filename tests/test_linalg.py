@@ -12,7 +12,7 @@ from polywalk.linalg import (
     as_matrix,
     as_vector,
     exact_dtype,
-    int_adjugates,
+    int_determinants,
     inverse,
     normalize,
     rank,
@@ -248,26 +248,38 @@ def test_solve_stack_empty_and_all_singular():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
-def test_int_adjugates_determinants_match_reference(dtype):
+def test_int_determinants_match_reference(dtype):
     rng = np.random.default_rng(31)
     for k in range(1, 6):
         mats = rng.integers(-9, 10, size=(40, k, k)).astype(dtype)
         mats[:5, -1] = mats[:5, 0]  # repeated rows: determinant 0
-        ok, dets, adjs = int_adjugates(mats)
-        assert dets.dtype == adjs.dtype == np.dtype(dtype)
-        _check_adjugates(mats, ok, dets, adjs)
+        mats[5:15][rng.random((10, k, k)) < 0.6] = 0  # zero pivots force row swaps
+        assert k == 1 or any(a[0][0] == 0 and int_determinant(a) for a in mats.tolist())
+        ok, dets = int_determinants(mats)
+        assert dets.dtype == np.dtype(dtype)
+        _check_determinants(mats, ok, dets)
 
 
-def test_int_adjugates_determinants_exact_on_object_stacks():
+def test_int_determinants_exact_on_object_stacks():
     # Products of 1e12 entries overflow int64; Python ints stay exact.
     rng = np.random.default_rng(32)
     mats = rng.integers(-10**12, 10**12, size=(20, 4, 4)).astype(object)
     mats[0] = [[10**12, 10**12 - 1, 0, 0], [10**12 + 1, 10**12, 0, 0],
                [0, 0, 1, 0], [0, 0, 0, 1]]
     mats[1, 3] = mats[1, 0] - mats[1, 2]  # dependent rows: determinant 0
-    ok, dets, adjs = int_adjugates(mats)
+    ok, dets = int_determinants(mats)
     assert dets[0] == 1 and not ok[1]
-    _check_adjugates(mats, ok, dets, adjs)
+    _check_determinants(mats, ok, dets)
+
+
+def test_int_determinants_zero_leading_column_on_object_stacks():
+    # The first pivot of mats[0] comes from a row swap.
+    mats = np.random.default_rng(34).integers(-10**12, 10**12, size=(12, 3, 3)).astype(object)
+    mats[0] = [[0, 0, 1], [10**12, 10**12 - 1, 0], [10**12 + 1, 10**12, 0]]
+    mats[1, 2] = 2 * mats[1, 0]
+    ok, dets = int_determinants(mats)
+    assert not ok[1] and dets[0] == 1
+    _check_determinants(mats, ok, dets)
 
 
 def test_exact_dtype_tiers():
@@ -282,57 +294,30 @@ def test_exact_dtype_tiers():
     assert exact_dtype(4, 10**12) == object
 
 
-def _cofactor_adjugate(mat):
-    """adj(B) entry by entry, each a scalar int_determinant of a minor."""
-    k = len(mat)
-    if k == 1:
-        return [[1]]
-    return [[(-1) ** (i + j) * int_determinant([[mat[r][c] for c in range(k) if c != i]
-                                                 for r in range(k) if r != j])
-              for j in range(k)] for i in range(k)]
+@pytest.mark.parametrize("k, Delta1, dtype", [
+    (2, 5792, np.float64), (3, 234, np.float64), (4, 45, np.float64), (6, 8, np.float64),
+    (2, 32767, np.int64), (3, 744, np.int64), (4, 107, np.int64), (6, 14, np.int64)])
+def test_int_determinants_exact_at_the_widest_entries_of_each_tier(k, Delta1, dtype):
+    # The widest entries exact_dtype still runs in float64 or int64: every
+    # Bareiss intermediate, a minor or a product of two, stays exact there.
+    assert exact_dtype(k, Delta1) == dtype and exact_dtype(k, Delta1 + 1) != dtype
+    rng = np.random.default_rng(35)
+    mats = rng.choice([-Delta1, Delta1], size=(30, k, k)).astype(dtype)
+    mats[20:] = rng.integers(-Delta1, Delta1 + 1, size=(10, k, k))
+    mats[25:, 0, 0] = 0
+    ok, dets = int_determinants(mats)
+    _check_determinants(mats, ok, dets)
 
 
-def _check_adjugates(mats, ok, dets, adjs):
+def _check_determinants(mats, ok, dets):
     nonsingular = [a for a in mats.tolist() if int_determinant(a) != 0]
     assert ok.tolist() == [int_determinant(a) != 0 for a in mats.tolist()]
     assert [int(d) for d in dets] == [abs(int_determinant(a)) for a in nonsingular]
-    for mat, det, adj in zip(nonsingular, dets, adjs):
-        got = np.array(adj.tolist(), dtype=object)
-        # Up to sign and column order: B @ got is det times a signed permutation.
-        prod = np.array(mat, dtype=object) @ got
-        assert (np.abs(prod) == int(det)).sum() == len(mat) and \
-            (prod != 0).sum() == len(mat)
-        ref = _cofactor_adjugate(mat)
-        assert sorted(abs(int(v)) for v in got.ravel()) == \
-            sorted(abs(v) for row in ref for v in row)
 
 
-def test_int_adjugates_match_cofactor_reference():
-    rng = np.random.default_rng(33)
-    for k in range(1, 6):
-        mats = rng.integers(-4, 5, size=(30, k, k)).astype(float)
-        mats[:5, -1] = mats[:5, 0]  # repeated rows: singular
-        mats[5:10][rng.random((5, k, k)) < 0.6] = 0  # zero pivots force row swaps
-        ok, dets, adjs = int_adjugates(mats)
-        assert dets.dtype == adjs.dtype == np.float64
-        assert adjs.shape == (int(ok.sum()), k, k)
-        _check_adjugates(mats, ok, dets, adjs)
-
-
-def test_int_adjugates_exact_on_object_stacks():
-    # Products of 1e12 entries overflow int64; Python ints stay exact.
-    rng = np.random.default_rng(34)
-    mats = rng.integers(-10**12, 10**12, size=(12, 3, 3)).astype(object)
-    mats[0] = [[0, 0, 1], [10**12, 10**12 - 1, 0], [10**12 + 1, 10**12, 0]]
-    mats[1, 2] = 2 * mats[1, 0]
-    ok, dets, adjs = int_adjugates(mats)
-    assert not ok[1] and dets[0] == 1
-    _check_adjugates(mats, ok, dets, adjs)
-
-
-def test_int_adjugates_empty_and_all_singular():
+def test_int_determinants_empty_and_all_singular():
     cube = np.vstack([np.eye(2), -np.eye(2)])
-    ok, dets, adjs = int_adjugates(np.array([cube[[0, 2]], cube[[1, 3]]]))
-    assert ok.tolist() == [False, False] and dets.shape == (0,) and adjs.shape == (0, 2, 2)
-    ok, dets, adjs = int_adjugates(np.empty((0, 3, 3)))
-    assert ok.shape == dets.shape == (0,) and adjs.shape == (0, 3, 3)
+    ok, dets = int_determinants(np.array([cube[[0, 2]], cube[[1, 3]]]))
+    assert ok.tolist() == [False, False] and dets.shape == (0,)
+    ok, dets = int_determinants(np.empty((0, 3, 3)))
+    assert ok.shape == dets.shape == (0,)

@@ -1196,7 +1196,6 @@ def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
     # Bases were evicted.
     assert len(inst._pivot_memo) < len(reached)
     start = path.vertices[0].basis
-    assert start in inst._pivot_memo
     seen = []
     real = shadow_mod.edge_directions
 
@@ -1207,11 +1206,40 @@ def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
     monkeypatch.setattr(shadow_mod, "edge_directions", recording)
     again = find_path(inst, inst.x1, inst.x2, seed=0)
     assert again.to_json() == first
+    # The start's record, the endpoint memo's, keeps its directions.
     assert start not in seen
-    # Least recently used first out: the repeat's bases, hits included, are
-    # now the memo's most recent, in the order the walk reached them.
-    bases = [v.basis for v in again.vertices]
+    # Least recently used first out: the bases the repeat's pivots reached,
+    # hits included, are now the memo's most recent, in the order reached.
+    bases = [v.basis for v in again.vertices[1:]]
     assert list(inst._pivot_memo)[-len(bases):] == bases
+
+
+def test_pivot_memo_records_are_whole(monkeypatch):
+    # Every record holds its point and slack, after walks both ways and after
+    # walks that a forced singular basis failed.
+    for name in ("hypercube", "transportation-3x4-s0"):
+        inst = _PIVOT_MEMO_INSTANCES[name]()
+        for x1, x2 in ((inst.x1, inst.x2), (inst.x2, inst.x1)):
+            for seed in range(6):
+                find_path(inst, x1, x2, seed=seed)
+        assert inst._pivot_memo
+        assert all(r.x is not None and r.slack is not None for r in inst._pivot_memo.values())
+    cube = gen_hypercube(4)
+    ends = verify_endpoints(cube, cube.x1, cube.x2)
+    pair = sample_objectives(cube, ends.v1, ends.v2, 0)
+    bad = walk(replace(cube), ends.v1, ends.v2, pair).vertices[2].basis
+    real = shadow_mod.edge_directions
+
+    def edge_directions(inst_, v):
+        if v.basis == bad:
+            raise Singular("forced")
+        return real(inst_, v)
+
+    monkeypatch.setattr(shadow_mod, "edge_directions", edge_directions)
+    with pytest.raises(InfeasibleStep):
+        walk(cube, ends.v1, ends.v2, pair)
+    assert bad in cube._pivot_memo and cube._pivot_memo[bad].directions is None
+    assert all(r.x is not None and r.slack is not None for r in cube._pivot_memo.values())
 
 
 def test_memo_arrays_are_read_only():

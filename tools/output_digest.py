@@ -23,7 +23,11 @@ directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
   read from each of those files, so that later walks run on a warm memo;
   then the same on the cut-corner cube (the 3-cube with x + y + z <= 3 - 1e-8)
   from (-1, -1, -1) to each vertex of its cut triangle in turn, where walks
-  that reach another triangle vertex, within ``POINT_TOL``, end there.
+  that reach another triangle vertex, within ``POINT_TOL``, end there;
+* ``minors``      -- the ``repr`` of :func:`polywalk.subdet_report` on seeded
+  integer matrices whose minors run in every dtype
+  :func:`polywalk.linalg.exact_dtype` picks, float64, int64 and Python ints,
+  each with a zero row, a unit row and a row repeated up to sign appended.
 
 Every entry also hashes its label and exit code, so a changed exit shows.
 """
@@ -46,7 +50,7 @@ os.environ["COLUMNS"] = "80"
 
 from polywalk import (build_instance, cli, enumerate_vertices,  # noqa: E402
                       find_path, gen_degenerate_pyramid, read_instance,
-                      verify_vertex, write_instance)
+                      subdet_report, verify_vertex, write_instance)
 from polywalk.errors import RetriesExhausted  # noqa: E402
 
 # (family, n, m, seed); m None takes the family's default.
@@ -59,6 +63,10 @@ SPECS += [("transportation", p, q, seed) for p, q in ((2, 2), (2, 3), (3, 3), (3
           for seed in (0, 1, 2)]
 PATH_SEEDS = range(12)
 TRIALS = (0, 7)
+# (rows, columns, largest entry) of the seeded matrices: every order in
+# float64; order 6 in int64; order 3 in int64 and 4 on Python ints; all on
+# Python ints.
+MINOR_SPECS = [(7, 5, 9), (8, 6, 12), (6, 4, 300), (5, 3, 10**12)]
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -85,6 +93,16 @@ def walks(add, label: str, inst, x1, x2) -> None:
                     walked.to_json() + repr(walked.pivot_trace))
 
 
+def minors(add) -> None:
+    """Seeds 0 and 1 of every ``MINOR_SPECS`` shape, plus a zero row, a unit
+    row and the first row negated."""
+    for m, n, high in MINOR_SPECS:
+        for seed in range(2):
+            mat = np.random.default_rng(seed).integers(-high, high + 1, size=(m, n)).tolist()
+            mat += [[0] * n, [0] * (n - 1) + [-1], [-v for v in mat[0]]]
+            add("minors", f"{m}x{n}:{high}:{seed}", 0, repr(subdet_report(mat)))
+
+
 def differing(lines: list[str], saved: list[str]) -> list[str]:
     """Names of the groups whose digests differ between two listings, a
     group missing from either one included."""
@@ -102,7 +120,7 @@ def main() -> int:
     saved = None if args.check is None else Path(args.check).read_text().splitlines()
     groups = {name: hashlib.sha256()
               for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
-                           "bases", "walks")}
+                           "bases", "walks", "minors")}
 
     def add(group: str, label: str, code, text: str) -> None:
         groups[group].update(f"{label}\0{code}\0".encode() + text.encode() + b"\0")
@@ -153,6 +171,7 @@ def main() -> int:
     for argv in (["--help"], ["generate", "--help"]):
         code, text = run(argv)
         add("help", " ".join(argv), code, text)
+    minors(add)
     lines = [f"{digest.hexdigest()}  {name}" for name, digest in groups.items()]
     print("\n".join(lines))
     if saved is None:
