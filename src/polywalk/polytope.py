@@ -5,13 +5,13 @@ unit norm at construction (``b`` rescaled alongside), which the walk and the
 flatness computations both assume.  When the ingested matrix is integer, the
 original integer rows are retained for exact sub-determinant work.
 
-Row indices are 0-based everywhere.  Three tolerances govern the geometry,
+Row indices are 0-based everywhere.  Two tolerances govern the geometry,
 each a module constant read at call time, with no per-call override:
 
 * ``TIGHT_TOL``  -- |a_i.x - b_i| at or below this counts the row as tight,
+  and two points are the same vertex exactly when the same rows are tight,
 * ``DIR_TOL``    -- a_j.d must exceed this for row j to stop a ray, and an
-  epsilon-coefficient of the lexicographic rule within it of 0 counts as 0,
-* ``POINT_TOL``  -- points closer than this (max-norm) are the same vertex.
+  epsilon-coefficient of the lexicographic rule within it of 0 counts as 0.
 
 Every instance is walked as given: a degenerate vertex is never perturbed
 numerically.  :func:`verify_vertex` gives it its first lexicographically
@@ -51,7 +51,6 @@ if TYPE_CHECKING:
 
 TIGHT_TOL = 1e-9
 DIR_TOL = 1e-12
-POINT_TOL = 1e-7
 
 ENUM_CAP = 2_000_000
 
@@ -260,7 +259,7 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
     """Yield every feasible basic solution, one per independent row subset.
 
     Degenerate vertices appear once per feasible basis; consumers that want
-    geometric vertices must deduplicate by point.  Guarded by ``ENUM_CAP`` on
+    geometric vertices group them by tight rows.  Guarded by ``ENUM_CAP`` on
     the number of subsets C(m, n).  This is the one-subset-at-a-time reference
     (one :func:`linalg.solve` per subset); the enumerations below run on the
     stacked :func:`solved_subsets` and find the same bases.
@@ -306,34 +305,37 @@ def _check_cap(rows: int, n: int) -> None:
 
 
 def _vertex_classes(inst: Instance):
-    """Every feasible basis, grouped by point in combinations order.
+    """Every feasible basis, grouped by its tight rows in combinations order.
 
     :func:`feasible_bases`' tests run on each chunk of :func:`solved_subsets`.
     Returns the vertices (each kept with its first basis), then every
     feasible basis with the index of the vertex it stands for.
     """
     n = inst.n
-    kept = np.empty((0, n))
+    index: dict[bytes, int] = {}
     verts, subsets, owner = [], [], []
     for bases, out in solved_subsets(inst.A, range(inst.m), n, inst.b):
         slack = inst.b - out[:, :, n] @ inst.A.T
         keep = slack.min(axis=1) >= -TIGHT_TOL
         degenerate = (np.abs(slack[keep]) <= TIGHT_TOL).sum(axis=1) > n
-        points = out[keep, :, n]
-        kept = np.concatenate((kept[:len(verts)], points))
-        for subset, x, flag in zip(bases[keep].tolist(), points, degenerate.tolist()):
-            idx = _locate(kept[:len(verts)], x)
-            if idx is None:
-                idx = len(verts)
-                kept[idx] = x
+        for subset, x, flag, key in zip(bases[keep].tolist(), out[keep, :, n],
+                                        degenerate.tolist(), _tight_keys(slack[keep])):
+            idx = index.setdefault(key, len(verts))
+            if idx == len(verts):
                 verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
             subsets.append(subset)
             owner.append(idx)
     return verts, subsets, owner
 
 
+def _tight_keys(slack: np.ndarray) -> list[bytes]:
+    """One key per row of a (k, m) slack array: its rows tight at
+    ``TIGHT_TOL``, packed.  Equal keys mean the same vertex."""
+    return [row.tobytes() for row in np.packbits(np.abs(slack) <= TIGHT_TOL, axis=1)]
+
+
 def enumerate_vertices(inst: Instance) -> list[VertexWithBasis]:
-    """All vertices by brute-force basis enumeration, deduplicated by point.
+    """All vertices by brute-force basis enumeration, one per set of tight rows.
 
     Each returned vertex keeps the lexicographically first feasible basis
     that produced it.  Intended for desk-scale audits and oracles.
@@ -371,12 +373,6 @@ def vertex_graph(inst: Instance) -> tuple[list[VertexWithBasis], list[set[int]]]
         for i in group:
             adjacency[i] |= group - {i}
     return verts, adjacency
-
-
-def _locate(points: np.ndarray, x: np.ndarray) -> int | None:
-    """Index of the first row of ``points`` matching x within POINT_TOL."""
-    hits = (np.abs(points - x).max(axis=1) <= POINT_TOL).nonzero()[0]
-    return int(hits[0]) if hits.size else None
 
 
 def graph_distances(adjacency: Sequence[set[int]], sources: Sequence[int]) -> np.ndarray:
@@ -418,15 +414,16 @@ def bfs_distance(inst: Instance, s, t) -> int:
     """Edge-graph distance between vertices s and t by breadth-first search.
 
     Enumerates the :func:`vertex_graph` on every call; a caller that holds
-    the graph calls :func:`graph_distances` on it instead.  Raises
-    :class:`Disconnected` when no route exists.
+    the graph calls :func:`graph_distances` on it instead.  Each endpoint is
+    the vertex with its tight rows.  Raises :class:`NotAVertex` when no
+    vertex has them and :class:`Disconnected` when no route exists.
     """
-    source = linalg.as_vector(s.x if isinstance(s, VertexWithBasis) else s)
-    target = linalg.as_vector(t.x if isinstance(t, VertexWithBasis) else t)
     verts, adjacency = vertex_graph(inst)
-    points = np.reshape([v.x for v in verts], (len(verts), inst.n))
-    si = _locate(points, source)
-    ti = _locate(points, target)
+    points = [v.x for v in verts] + [s.x if isinstance(s, VertexWithBasis) else s,
+                                     t.x if isinstance(t, VertexWithBasis) else t]
+    keys = _tight_keys(inst.b - np.reshape(points, (len(points), inst.n)) @ inst.A.T)
+    index = dict(zip(keys[:-2], range(len(verts))))
+    si, ti = index.get(keys[-2]), index.get(keys[-1])
     if si is None or ti is None:
         raise NotAVertex("endpoint does not match any enumerated vertex")
     dist = int(graph_distances(adjacency, [si])[0, ti])

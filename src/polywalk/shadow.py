@@ -44,7 +44,6 @@ from .errors import (
 )
 from .polytope import (
     DIR_TOL,
-    POINT_TOL,
     TIGHT_TOL,
     Instance,
     VertexWithBasis,
@@ -192,10 +191,12 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     :func:`_lex_entering`, so every basis visited from a lexicographically
     feasible start is one; a pivot whose entering row was already tight
     moves nowhere and is merged into the vertex it leaves.  The walk ends at
-    the target's basis (sorted rows, as ``verify_vertex`` picks them) or
-    else within ``POINT_TOL`` of its point, within :func:`default_max_steps`
-    pivots; meeting a degenerate vertex, endpoints included, makes it
-    "Perturbed+Completed".  Raises :class:`WalkFailure` on numeric trouble.
+    the target's basis (sorted rows, as ``verify_vertex`` picks them), or,
+    when it stands on a degenerate vertex and the target is one, where every
+    row of the target's basis is tight: that is the target's point under
+    another basis.  It ends within :func:`default_max_steps` pivots; meeting
+    a degenerate vertex, endpoints included, makes it "Perturbed+Completed".
+    Raises :class:`WalkFailure` on numeric trouble.
 
     The instance's pivot memo keeps, within ``PIVOT_MEMO_BYTES``, one
     :class:`_Basis` per basis a pivot reached; the start's directions and
@@ -209,7 +210,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     """
     limit = default_max_steps(inst)
     met_degenerate = start.degenerate or target.degenerate
-    target_x0 = float(target.x[0])  # one far coordinate settles the proximity test
+    target_rows = list(target.basis)
 
     current = start
     record = _start_record(inst, start)
@@ -220,8 +221,8 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     prev_slope = math.inf
 
     for _ in range(limit):
-        if current.basis == target.basis or (abs(current.x[0] - target_x0) <= POINT_TOL
-                                             and np.abs(current.x - target.x).max() <= POINT_TOL):
+        if current.basis == target.basis or (target.degenerate and current.degenerate and
+                                             record.slack[target_rows].max() <= TIGHT_TOL):
             return ShadowPath(vertices=tuple(vertices), slopes=tuple(slopes),
                               projections=tuple(projections), pivot_trace=tuple(trace),
                               status="Perturbed+Completed" if met_degenerate else "Completed",
@@ -406,13 +407,12 @@ def _lex_entering(inst: Instance, basis: tuple[int, ...], directions: np.ndarray
 
 class _Endpoints(NamedTuple):
     """A verified endpoint pair under its key, the points' bytes: both
-    vertices, whether they are one, their unit basis rows as the columns
-    :func:`sample_objectives` mixes, and the start's record."""
+    vertices, their unit basis rows as the columns :func:`sample_objectives`
+    mixes, and the start's record."""
 
     key: tuple[bytes, bytes]
     v1: VertexWithBasis
     v2: VertexWithBasis
-    same: bool
     columns: tuple[np.ndarray, np.ndarray]
     start: _Basis
 
@@ -428,9 +428,7 @@ def verify_endpoints(inst: Instance, x1, x2) -> _Endpoints:
     key = (linalg.as_vector(x1).tobytes(), linalg.as_vector(x2).tobytes())
     if memo is None or memo.key != key:
         v1, v2 = verify_vertex(inst, x1), verify_vertex(inst, x2)
-        same = float(np.max(np.abs(v1.x - v2.x))) <= POINT_TOL
-        memo = _Endpoints(key, v1, v2, same, _unit_columns(inst, v1, v2),
-                          _start_record(inst, v1))
+        memo = _Endpoints(key, v1, v2, _unit_columns(inst, v1, v2), _start_record(inst, v1))
         # Instance is frozen; its memos are private, mutable slots.
         object.__setattr__(inst, "_endpoint_memo", memo)
     return memo
@@ -440,13 +438,14 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     """Short edge path between two vertices, with retries.
 
     Walks between the bases :func:`verify_endpoints` picks, with objectives
-    drawn from ``seed``; numeric walk failures redraw with seed+1, up to
-    ``MAX_ATTEMPTS`` draws, then raise :class:`RetriesExhausted` with their
-    reasons.  A warm call, on the last pair again, pays only for its seed.
+    drawn from ``seed``; equal bases are one vertex, and a zero-length path.
+    Numeric walk failures redraw with seed+1, up to ``MAX_ATTEMPTS`` draws,
+    then raise :class:`RetriesExhausted` with their reasons.  A warm call,
+    on the last pair again, pays only for its seed.
     """
     ends = verify_endpoints(inst, x1, x2)
     v1, v2 = ends.v1, ends.v2
-    if ends.same:
+    if v1.basis == v2.basis:
         return ShadowPath(vertices=(v1,), slopes=(), projections=(),
                           pivot_trace=(), status="Completed", seed=int(seed))
 

@@ -31,7 +31,6 @@ from polywalk.instances import (
     gen_transportation,
 )
 from polywalk.polytope import (
-    POINT_TOL,
     bfs_distance,
     build_instance,
     edge_directions,
@@ -198,14 +197,14 @@ def _bases(items):
 
 def _assert_classes_match_reference(inst):
     """_vertex_classes against the per-subset feasible_bases: the same bases
-    in order, each owned by the first vertex within POINT_TOL of its point,
-    and each vertex bitwise the reference's first basis at it."""
+    in order, each owned by the first vertex with its tight rows, and each
+    vertex bitwise the reference's first basis at it."""
     reference = list(feasible_bases(inst))
     verts, bases, owner = _vertex_classes(inst)
     assert [tuple(b) for b in bases] == [v.basis for v in reference]
-    points = np.array([v.x for v in verts]).reshape(len(verts), inst.n)
+    tight = [tight_rows(inst, v.x) for v in verts]
     for v, i in zip(reference, owner):
-        assert int(np.flatnonzero(np.abs(points - v.x).max(axis=1) <= POINT_TOL)[0]) == i
+        assert tight.index(tight_rows(inst, v.x)) == i
     assert [verts[i].degenerate for i in owner] == [v.degenerate for v in reference]
     firsts = [owner.index(i) for i in range(len(verts))]
     assert firsts == sorted(firsts)
@@ -309,26 +308,23 @@ def test_every_enumeration_runs_on_the_one_subset_stream(consumer, monkeypatch):
 def _reference_graph(inst):
     """The graph by ratio_step's rule: one ratio test along every edge
     direction of every feasible basis, and its end point matched to the
-    first vertex within POINT_TOL."""
+    vertex with its tight rows."""
     verts = enumerate_vertices(inst)
-    points = np.array([v.x for v in verts]).reshape(len(verts), inst.n)
+    index = {tight_rows(inst, v.x): i for i, v in enumerate(verts)}
     adjacency = [set() for _ in verts]
     for v in feasible_bases(inst):
         x = v.x
         dirs = -linalg_mod.inverse(inst.A[list(v.basis)])
-        i = int(np.flatnonzero(np.abs(points - x).max(axis=1) <= POINT_TOL)[0])
+        i = index[tight_rows(inst, x)]
         denom = inst.A @ dirs
         movers = denom > polytope_mod.DIR_TOL
         steps = np.divide(inst.slack(x)[:, None], denom,
                           out=np.full(denom.shape, np.inf), where=movers)
-        bounded = movers.any(axis=0)
-        step = np.where(bounded, np.maximum(steps.min(axis=0), 0.0), 0.0)
-        ends = x[:, None] + step * dirs
-        near = np.abs(points[:, :, None] - ends).max(axis=1) <= POINT_TOL
-        targets = np.argmax(near, axis=0)
-        for t in targets[bounded & near.any(axis=0) & (targets != i)].tolist():
-            adjacency[i].add(t)
-            adjacency[t].add(i)
+        for k in movers.any(axis=0).nonzero()[0].tolist():
+            t = index[tight_rows(inst, x + max(steps[:, k].min(), 0.0) * dirs[:, k])]
+            if t != i:
+                adjacency[i].add(t)
+                adjacency[t].add(i)
     return verts, adjacency
 
 

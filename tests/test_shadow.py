@@ -42,14 +42,15 @@ from polywalk.instances import (
 )
 from polywalk.polytope import (
     DIR_TOL,
-    POINT_TOL,
     TIGHT_TOL,
     VertexWithBasis,
+    bfs_distance,
     build_instance,
     enumerate_vertices,
     ratio_step,
     tight_rows,
     verify_vertex,
+    vertex_graph,
 )
 from polywalk.shadow import (
     SLOPE_TOL,
@@ -253,14 +254,17 @@ def _reference_walk(inst, start, target, pair):
     restacks them for the edge choice, and solves the new basis afresh.  At
     a degenerate vertex, each tied row's full epsilon-coefficient vector
     e_j - a_j B^-1 E_B is built from the inverse and divided by a_j.d, and
-    the vectors are compared pairwise; a pivot that lands within POINT_TOL
-    of the last kept vertex is merged into it.
+    the vectors are compared pairwise; a pivot whose entering row was tight
+    at the point it leaves is merged into the last kept vertex.  The walk
+    ends at the target's basis, or, on a degenerate vertex when the target
+    is one, where every row of the target's basis is tight.
     """
     current, vertices, slopes, trace = start, [start], [], []
     projections = [project(pair, start.x)]
     for _ in range(default_max_steps(inst)):
-        if set(current.basis) == set(target.basis) or \
-                float(np.max(np.abs(current.x - target.x))) <= POINT_TOL:
+        if set(current.basis) == set(target.basis) or (
+                current.degenerate and target.degenerate
+                and set(target.basis) <= set(tight_rows(inst, current.x))):
             return vertices, slopes, projections, trace
         basis_inv = linalg_mod.inverse(inst.A[list(current.basis)])
         directions = [(row, -basis_inv[:, k]) for k, row in enumerate(current.basis)]
@@ -288,8 +292,9 @@ def _reference_walk(inst, start, target, pair):
             new_basis = tuple(sorted(set(current.basis) - {leaving} | {entering}))
             x_new = linalg_mod.solve(inst.A[list(new_basis)], inst.b[list(new_basis)])
         assert float(np.min(inst.slack(x_new))) >= -TIGHT_TOL
-        current = VertexWithBasis(x=x_new, basis=new_basis)
-        if float(np.max(np.abs(x_new - vertices[-1].x))) <= POINT_TOL:
+        merged = float(inst.slack(current.x)[entering]) <= TIGHT_TOL
+        current = VertexWithBasis(x=x_new, basis=new_basis, degenerate=len(tight) > inst.n)
+        if merged:
             continue
         vertices.append(current)
         slopes.append(float(edge_slopes[best]))
@@ -315,32 +320,68 @@ def _assert_walk_matches_reference(inst, v1, v2, seed):
     return path
 
 
-def _cut_corner_cube():
-    """The 3-cube with its corner (1, 1, 1) cut by x + y + z <= 3 - 1e-8,
-    and the three vertices of the cut triangle, within POINT_TOL of each
-    other."""
+def _cut_corner_cube(eps):
+    """The 3-cube with its corner (1, 1, 1) cut by x + y + z <= 3 - eps, and
+    the three vertices of the cut triangle, eps apart."""
     A = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
-    inst = build_instance(A, [1.0] * 6 + [3.0 - 1e-8], name="cut-corner-cube")
-    return inst, [np.where(np.arange(3) == j, 1.0 - 1e-8, 1.0) for j in range(3)]
+    inst = build_instance(A, [1.0] * 6 + [3.0 - eps], name="cut-corner-cube")
+    return inst, [np.where(np.arange(3) == j, 1.0 - eps, 1.0) for j in range(3)]
 
 
 def test_walk_matches_reference_at_the_proximity_fallback():
-    # Each walk to a simple triangle vertex is compared with the reference
-    # on a fresh copy and on one shared, warm instance.  The walks that
-    # reach another triangle vertex first end there, under its basis, by
-    # the proximity fallback alone.
-    shared, corners = _cut_corner_cube()
+    # The triangle vertices lie 1e-8 apart, yet each is simple, with tight
+    # rows of its own.  Each walk to one of them is compared with the
+    # reference on a fresh copy and on one shared, warm instance: every walk
+    # ends at x2's verified basis, and walks that reach another triangle
+    # vertex first go on from there.
+    shared, corners = _cut_corner_cube(1e-8)
     x1 = -np.ones(3)
-    by_fallback = 0
-    for x2 in corners:
+    passed = 0
+    for j, x2 in enumerate(corners):
+        others = {tight_rows(shared, c) for k, c in enumerate(corners) if k != j}
         for seed in range(40):
             for inst in (replace(shared), shared):
                 ends = verify_endpoints(inst, x1, x2)
                 assert not ends.v2.degenerate
                 path = _assert_walk_matches_reference(inst, ends.v1, ends.v2, seed)
+                assert path.vertices[-1].basis == ends.v2.basis
             assert find_path(shared, x1, x2, seed).to_json() == path.to_json()
-            by_fallback += path.vertices[-1].basis != ends.v2.basis
-    assert by_fallback
+            passed += any(v.basis in others for v in path.vertices[1:-1])
+    assert passed
+
+
+def _cut_corner_routes(eps):
+    """(status, retries, bases) of find_path from (-1, -1, -1) to each cut
+    triangle vertex, seeds 0-39."""
+    inst, corners = _cut_corner_cube(eps)
+    routes = []
+    for x2 in corners:
+        for seed in range(40):
+            path = find_path(inst, -np.ones(3), x2, seed)
+            routes.append((path.status, path.retries, [v.basis for v in path.vertices]))
+    return routes
+
+
+@pytest.mark.parametrize("eps", [1e-7, 3e-8, 1e-8, 3e-9])
+def test_cut_corner_routes_do_not_depend_on_a_small_cut(eps):
+    # Above TIGHT_TOL the triangle vertices are distinct simple vertices
+    # however close they lie, so each route is the one at a wide cut.
+    assert _cut_corner_routes(eps) == _cut_corner_routes(1e-4)
+
+
+def test_close_cut_corner_vertices_are_adjacent_not_one():
+    # Two triangle vertices 1e-8 apart share an edge; a walk between them
+    # takes it, or goes round by the third as it does at a wide cut.
+    inst, corners = _cut_corner_cube(1e-8)
+    verts, adjacency = vertex_graph(inst)
+    assert len(verts) == 10 and all(len(a) == 3 for a in adjacency)
+    assert bfs_distance(inst, corners[0], corners[1]) == 1
+    path = find_path(inst, corners[0], corners[1], seed=0)
+    assert path.status == "Completed" and path.length == 1
+    wide, far = _cut_corner_cube(1e-4)
+    for seed in range(20):
+        bases = [v.basis for v in find_path(inst, corners[0], corners[1], seed).vertices]
+        assert bases == [v.basis for v in find_path(wide, far[0], far[1], seed).vertices]
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -501,6 +542,15 @@ def test_find_path_trivial_same_endpoint(cube3):
     assert path.status == "Completed"
     assert path.length == 0
     assert path.slopes == () and path.projections == ()
+
+
+def test_find_path_same_degenerate_vertex_with_noise(pyramid):
+    # The apex given again with noise far below TIGHT_TOL has the same tight
+    # rows, so the same basis: one vertex, and a zero-length path.
+    apex = np.array([0.0, 0.0, 1.0])
+    path = find_path(pyramid, apex, apex + 1e-12, seed=0)
+    assert path.status == "Completed" and path.length == 0
+    assert path.vertices[0].degenerate
 
 
 def test_find_path_pyramid_degeneracy(pyramid):

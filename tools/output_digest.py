@@ -22,8 +22,9 @@ directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
   seeds 0-11, x1 to x2 and then x2 to x1, twice over, all on one instance
   read from each of those files, so that later walks run on a warm memo;
   then the same on the cut-corner cube (the 3-cube with x + y + z <= 3 - 1e-8)
-  from (-1, -1, -1) to each vertex of its cut triangle in turn, where walks
-  that reach another triangle vertex, within ``POINT_TOL``, end there;
+  from (-1, -1, -1) to each vertex of its cut triangle in turn, and between
+  each two of those vertices, which lie 1e-8 apart but each have tight rows
+  of their own; and the cube's :func:`polywalk.enumerate_vertices`;
 * ``minors``      -- the ``repr`` of :func:`polywalk.subdet_report` on seeded
   integer matrices whose minors run in every dtype
   :func:`polywalk.linalg.exact_dtype` picks, float64, int64 and Python ints,
@@ -41,6 +42,7 @@ import io
 import os
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -164,9 +166,13 @@ def main() -> int:
             walks(add, path.name, inst, inst.x1, inst.x2)
         cube = build_instance(np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))]),
                               [1.0] * 6 + [3.0 - 1e-8], name="cut-corner-cube")
-        for j in range(3):
-            walks(add, f"{cube.name}:{j}", cube, -np.ones(3),
-                  np.where(np.arange(3) == j, 1.0 - 1e-8, 1.0))
+        corners = [np.where(np.arange(3) == j, 1.0 - 1e-8, 1.0) for j in range(3)]
+        for j, corner in enumerate(corners):
+            walks(add, f"{cube.name}:{j}", cube, -np.ones(3), corner)
+        for i, j in combinations(range(3), 2):
+            walks(add, f"{cube.name}:{i}-{j}", cube, corners[i], corners[j])
+        add("walks", f"{cube.name}:vertices", 0,
+            repr([(v.x.tolist(), v.basis, v.degenerate) for v in enumerate_vertices(cube)]))
 
     for argv in (["--help"], ["generate", "--help"]):
         code, text = run(argv)
