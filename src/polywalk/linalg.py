@@ -28,6 +28,8 @@ a stack of integer matrices, which gives every nonsingular one's
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonIntegerEntry, Singular, ZeroVector
@@ -92,10 +94,12 @@ def _checked(call, a: np.ndarray, *args) -> np.ndarray:
         out = call(a, *args)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"LAPACK reports an exactly singular matrix ({exc})") from exc
-    if not np.isfinite(out).all():
+    # One reduction over the columns: np.maximum keeps a NaN, so every column
+    # peak is finite exactly when the whole result is.
+    peaks = np.maximum.reduce(np.abs(out)).tolist()
+    if not all(map(math.isfinite, peaks)):
         raise Singular("the inverse or the solution is not finite")
-    largest = float(np.abs(out[:, :n]).max())
-    if largest >= 1.0 / PIVOT_TOL:
+    if (largest := max(peaks[:n])) >= 1.0 / PIVOT_TOL:
         raise Singular(f"inverse entry {largest:.3e} reaches 1/{PIVOT_TOL:.1e}")
     return out
 

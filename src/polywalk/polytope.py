@@ -179,7 +179,7 @@ def tight_rows(inst: Instance, x) -> tuple[int, ...]:
         raise Infeasible(
             f"row {worst} violated: a[{worst}]@x exceeds b[{worst}] by {-slack[worst]:.3e}"
         )
-    return tuple((np.abs(slack) <= TIGHT_TOL).nonzero()[0].tolist())
+    return tuple((slack <= TIGHT_TOL).nonzero()[0].tolist())
 
 
 def verify_vertex(inst: Instance, x) -> VertexWithBasis:
@@ -233,7 +233,7 @@ def edge_directions(inst: Instance, v: VertexWithBasis) -> np.ndarray:
     Row k is minus column k of the basis inverse: the d with A_basis d = -e_k,
     along which only basis row ``v.basis[k]`` goes slack.
     """
-    dirs = np.negative(linalg.inverse(inst.A[list(v.basis)]).T, order="C")
+    dirs = np.negative(linalg.inverse(inst.A.take(v.basis, axis=0)).T, order="C")
     dirs.flags.writeable = False
     return dirs
 
@@ -251,7 +251,7 @@ def ratio_step(inst: Instance, slack: np.ndarray, d) -> tuple[int, float]:
     if movers.size == 0:
         raise Unbounded("the polytope is unbounded along this direction")
     steps = slack[movers] / denom[movers]
-    best = int(np.argmin(steps))
+    best = int(steps.argmin())
     return int(movers[best]), float(max(steps[best], 0.0))
 
 

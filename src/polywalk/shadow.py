@@ -250,14 +250,15 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 entering, step = ratio_step(inst, record.slack, d)
             except Unbounded as exc:
                 raise UnboundedShadow(str(exc)) from exc
-            after = _basic_point(inst, _next_basis(current.basis, k, entering))
-            tight = (np.abs(after.slack) <= TIGHT_TOL).nonzero()[0]
+            after = _basic_point(inst, new_basis := _next_basis(current.basis, k, entering))
+            # _basic_point refused any slack below -TIGHT_TOL: no abs is needed.
+            tight = (after.slack <= TIGHT_TOL).nonzero()[0]
             landed_degenerate = tight.size > inst.n
             if landed_degenerate and (lex := _lex_entering(
                     inst, current.basis, record.directions, d, tight)) != entering:
                 entering, after = lex, None
-        new_basis = _next_basis(current.basis, k, entering)
-        after = after or _basic_point(inst, new_basis)
+        if after is None:
+            after = _basic_point(inst, new_basis := _next_basis(current.basis, k, entering))
         if not hit:
             record.store(k, (entering, step, landed_degenerate))
         met_degenerate = met_degenerate or landed_degenerate
@@ -359,9 +360,8 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
     if (record := memo.get(basis)) is not None:
         memo.move_to_end(basis)
         return record
-    rows = list(basis)
     try:
-        x = linalg.solve(inst.A[rows], inst.b[rows])
+        x = linalg.solve(inst.A.take(basis, axis=0), inst.b.take(basis))
     except Singular as exc:
         raise InfeasibleStep(f"pivot to basis {basis} is singular") from exc
     slack = inst.slack(x)

@@ -160,6 +160,52 @@ def test_pivot_tol_is_one_setting_read_at_call_time(monkeypatch):
     assert ok.tolist() == [False] and out.shape == (0, 2, 2)
 
 
+_NOT_FINITE = "the inverse or the solution is not finite"
+_AT_BOUND = "inverse entry 1.000e+12 reaches 1/1.0e-12"
+
+
+def _returning(out):
+    """A stand-in for the LAPACK call that returns ``out`` whatever it is given."""
+    return lambda a, *args: np.array(out, dtype=float)
+
+
+@pytest.mark.parametrize("out, message", [
+    # Column 1's NaN follows column 0's larger peak: a Python max over the
+    # column peaks would keep 5.0 and miss it.
+    ([[5.0, np.nan, 0.0], [1.0, 0.0, 1.0]], _NOT_FINITE),
+    ([[5.0, np.nan], [1.0, 0.0]], _NOT_FINITE),
+    ([[1.0, 0.0, 0.5], [0.0, 1.0, np.nan]], _NOT_FINITE),
+    ([[1.0, 0.0, -np.inf], [0.0, 1.0, 0.5]], _NOT_FINITE),
+    ([[1.0, 0.0, np.inf], [0.0, 1.0, 0.5]], _NOT_FINITE),
+    ([[1.0, 0.0, 0.5], [0.0, -1e12, 0.5]], _AT_BOUND),
+    ([[1e12, 0.0], [0.0, 1.0]], _AT_BOUND),
+], ids=["nan-after-larger-peak", "nan-in-inverse", "nan-in-solution",
+        "minus-inf-in-solution", "inf-in-solution", "solve-at-bound", "inverse-at-bound"])
+def test_checked_rejects_with_one_pass_over_column_peaks(out, message):
+    assert 1.0 / linalg_mod.PIVOT_TOL == 1e12
+    with pytest.raises(Singular) as caught:
+        linalg_mod._checked(_returning(out), np.eye(2))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("out", [
+    [[1.0, 0.0, 1e300], [0.0, 1.0, -1e300]],
+    [[np.nextafter(1e12, 0.0), 0.0, 1.0], [0.0, 1.0, 1.0]],
+    [[1.0, 0.0], [0.0, -np.nextafter(1e12, 0.0)]],
+], ids=["huge-solution", "solve-below-bound", "inverse-below-bound"])
+def test_checked_passes_huge_solutions_and_entries_below_the_bound(out):
+    npt.assert_array_equal(linalg_mod._checked(_returning(out), np.eye(2)), out)
+
+
+@pytest.mark.parametrize("call, args", [(np.linalg.solve, (np.eye(2, 3),)),
+                                        (np.linalg.inv, ())], ids=["solve", "inv"])
+def test_checked_reports_lapack_singular_matrix(call, args):
+    with pytest.raises(Singular) as caught:
+        linalg_mod._checked(call, np.array([[1.0, 2.0], [2.0, 4.0]]), *args)
+    assert str(caught.value) == "LAPACK reports an exactly singular matrix (Singular matrix)"
+    assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_rank_unit_rows_with_duplicate():
     rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [1.0, 0.0, 0.0]])
     assert rank(rows) == 2

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -477,6 +478,50 @@ def test_walk_takes_one_slack_per_pivot(monkeypatch):
         assert counts["Instance.slack"] == counts["polywalk.linalg.solve"] + 1
         assert counts["polywalk.linalg.solve"] >= pivots
         monkeypatch.undo()
+
+
+def test_walk_makes_one_next_basis_per_pivot(monkeypatch):
+    # A cold pivot names its new basis once, and again only when the
+    # lexicographic rule changes the entering row; a warm one names it once.
+    inst = gen_rotated(gen_hypercube(8), 0)
+    ends = verify_endpoints(inst, inst.x1, inst.x2)
+    counts = _counted(monkeypatch, (shadow_mod, "_next_basis"), (shadow_mod, "ratio_step"))
+    for _ in range(2):
+        counts.clear()
+        walk(inst, ends.v1, ends.v2, sample_objectives(inst, ends.v1, ends.v2, 0))
+        assert counts["polywalk.shadow._next_basis"] == inst.n
+    assert counts["polywalk.shadow.ratio_step"] == 0
+    monkeypatch.undo()
+
+    inst = gen_transportation(3, 4, 2)
+    ends = verify_endpoints(inst, inst.x1, inst.x2)
+    pair = sample_objectives(inst, ends.v1, ends.v2, 0)
+    _, changes = _lex_changes(inst, ends, pair, monkeypatch)
+    counts = _counted(monkeypatch, (shadow_mod, "_next_basis"), (shadow_mod, "ratio_step"))
+    walk(replace(inst), ends.v1, ends.v2, pair)
+    assert changes
+    assert counts["polywalk.shadow._next_basis"] == \
+        counts["polywalk.shadow.ratio_step"] + len(changes)
+
+
+def test_walk_tight_sets_need_no_abs(monkeypatch):
+    # Every record a pivot keeps has refused any slack below -TIGHT_TOL, so
+    # slack <= TIGHT_TOL is its tight set: tight_rows' at its point.  On the
+    # acceptance corpus and rotated n = 16, with no record evicted.
+    from test_acceptance import N_PATH_SEEDS, _corpus_specs
+
+    monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", math.inf)
+    specs = _corpus_specs() + [GeneratorSpec(family="rotated", n=16)]
+    checked = 0
+    for inst in map(generate, specs):
+        for seed in range(N_PATH_SEEDS):
+            find_path(inst, inst.x1, inst.x2, seed=seed)
+        for record in [*inst._pivot_memo.values(), inst._endpoint_memo.start]:
+            assert record.slack.min() >= -TIGHT_TOL
+            tight = tuple((record.slack <= TIGHT_TOL).nonzero()[0].tolist())
+            assert tight == tight_rows(inst, record.x)
+            checked += 1
+    assert checked > 1000
 
 
 def test_walk_hexagon_opposite_is_three():

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = [sys.executable, str(ROOT / "tools" / "output_digest.py")]
 SRC_LINES = ROOT / "tools" / "src_lines.py"
 GROUPS = ["instances", "path", "experiment", "delta", "bound-check", "help", "bases",
-          "walks", "minors"]
+          "walks", "minors", "walk-large"]
 
 
 def _run(*args):

@@ -28,7 +28,11 @@ directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
 * ``minors``      -- the ``repr`` of :func:`polywalk.subdet_report` on seeded
   integer matrices whose minors run in every dtype
   :func:`polywalk.linalg.exact_dtype` picks, float64, int64 and Python ints,
-  each with a zero row, a unit row and a row repeated up to sign appended.
+  each with a zero row, a unit row and a row repeated up to sign appended;
+* ``walk-large``  -- :func:`polywalk.find_path`'s JSON and pivot trace for
+  seeds 0-24 from x1 to x2, all on one instance each of the rotated hypercube
+  at n = 16, 20 and 24 (generator seeds 0-2) and the cut cube at n = 20: the
+  long, cold walks of the benchmark's ``walk-large`` workload.
 
 Every entry also hashes its label and exit code, so a changed exit shows.
 """
@@ -50,9 +54,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 os.environ["COLUMNS"] = "80"
 
-from polywalk import (build_instance, cli, enumerate_vertices,  # noqa: E402
-                      find_path, gen_degenerate_pyramid, read_instance,
-                      subdet_report, verify_vertex, write_instance)
+from polywalk import (GeneratorSpec, build_instance, cli,  # noqa: E402
+                      enumerate_vertices, find_path, gen_degenerate_pyramid,
+                      generate, read_instance, subdet_report, verify_vertex,
+                      write_instance)
 from polywalk.errors import RetriesExhausted  # noqa: E402
 
 # (family, n, m, seed); m None takes the family's default.
@@ -69,6 +74,10 @@ TRIALS = (0, 7)
 # float64; order 6 in int64; order 3 in int64 and 4 on Python ints; all on
 # Python ints.
 MINOR_SPECS = [(7, 5, 9), (8, 6, 12), (6, 4, 300), (5, 3, 10**12)]
+# (family, n, seed) of the walk-large instances, and their walk seeds.
+LARGE_SPECS = [("rotated", n, seed) for n in (16, 20, 24) for seed in range(3)]
+LARGE_SPECS += [("cut-cube", 20, 0)]
+LARGE_SEEDS = range(25)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -82,17 +91,31 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def add_walk(add, group: str, label: str, inst, a, b, seed: int) -> None:
+    """One :func:`polywalk.find_path` call's JSON and pivot trace, or those
+    of the failed path it raises with."""
+    try:
+        walked, code = find_path(inst, a, b, seed), 0
+    except RetriesExhausted as exc:
+        walked, code = exc.path, type(exc).__name__
+    add(group, label, code, walked.to_json() + repr(walked.pivot_trace))
+
+
 def walks(add, label: str, inst, x1, x2) -> None:
     """Seeds 0-11 both ways between x1 and x2, twice over, on one instance."""
     for turn in range(2):
         for way, (a, b) in enumerate(((x1, x2), (x2, x1))):
             for seed in PATH_SEEDS:
-                try:
-                    walked, code = find_path(inst, a, b, seed), 0
-                except RetriesExhausted as exc:
-                    walked, code = exc.path, type(exc).__name__
-                add("walks", f"{label}:{turn}:{way}:{seed}", code,
-                    walked.to_json() + repr(walked.pivot_trace))
+                add_walk(add, "walks", f"{label}:{turn}:{way}:{seed}", inst, a, b, seed)
+
+
+def large_walks(add) -> None:
+    """Seeds 0-24 from x1 to x2 on one instance of each ``LARGE_SPECS`` entry."""
+    for family, n, seed in LARGE_SPECS:
+        inst = generate(GeneratorSpec(family=family, n=n, seed=seed))
+        for path_seed in LARGE_SEEDS:
+            add_walk(add, "walk-large", f"{family}-{n}-{seed}:{path_seed}", inst,
+                     inst.x1, inst.x2, path_seed)
 
 
 def minors(add) -> None:
@@ -122,7 +145,7 @@ def main() -> int:
     saved = None if args.check is None else Path(args.check).read_text().splitlines()
     groups = {name: hashlib.sha256()
               for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
-                           "bases", "walks", "minors")}
+                           "bases", "walks", "minors", "walk-large")}
 
     def add(group: str, label: str, code, text: str) -> None:
         groups[group].update(f"{label}\0{code}\0".encode() + text.encode() + b"\0")
@@ -178,6 +201,7 @@ def main() -> int:
         code, text = run(argv)
         add("help", " ".join(argv), code, text)
     minors(add)
+    large_walks(add)
     lines = [f"{digest.hexdigest()}  {name}" for name, digest in groups.items()]
     print("\n".join(lines))
     if saved is None:
