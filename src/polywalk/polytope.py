@@ -191,9 +191,11 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
     nonsingular and lexicographically feasible: for every tight row j, the
     eps-coefficients of j's slack on b + (eps, ..., eps**m), e_j - a_j B^-1
     on the basis rows, lead with a positive entry in row order (entries
-    within ``DIR_TOL`` of 0 count as 0).  Each nonsingular subset solves to
-    x, so the search only inverts subsets, on :func:`solved_subsets`' chunks
-    up to the first that holds a hit.
+    within ``DIR_TOL`` of 0 count as 0), and whose own solution is x: feasible
+    at ``TIGHT_TOL``, with exactly x's tight rows, as the vertex enumeration
+    groups bases.  The search runs on :func:`solved_subsets`' chunks with b,
+    up to the first that holds a hit, and raises :class:`NotAVertex` when no
+    subset is one, so a walk never ends at another vertex's basis.
     """
     point = linalg.as_vector(x)
     tight = tight_rows(inst, point)
@@ -209,18 +211,25 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
             raise NotAVertex(f"tight rows have rank {len(basis)} < {inst.n}")
     else:
         rows = np.array(tight)
-        for subsets, inverses in solved_subsets(inst.A, tight, inst.n):
-            coef = -(inst.A[rows] @ inverses)
+        want = np.zeros(inst.m, dtype=bool)
+        want[rows] = True
+        for subsets, out in solved_subsets(inst.A, tight, inst.n, inst.b):
+            coef = -(inst.A[rows] @ out[:, :, :inst.n])
             # Only basis rows before j come before j's own coefficient, which is 1.
             lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < rows[:, None])
             first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
             hits = (~lead.any(axis=2) | (first > 0)).all(axis=1).nonzero()[0]
+            # A hit's own point must be x: feasible (so no abs), with x's tight rows.
+            slack = inst.b - out[hits, :, inst.n] @ inst.A.T
+            same = ((slack <= TIGHT_TOL) == want).all(axis=1)
+            hits = hits[same & (slack.min(axis=1) >= -TIGHT_TOL)]
             if hits.size:
                 basis = subsets[hits[0]].tolist()
                 break
         else:
             raise NotAVertex(f"no n-subset of the {rows.size} tight rows is a "
-                             "nonsingular, lexicographically feasible basis")
+                             "nonsingular, lexicographically feasible basis whose "
+                             "solution has exactly those tight rows")
     frozen = point.copy()
     frozen.flags.writeable = False
     return VertexWithBasis(x=frozen, basis=tuple(basis),

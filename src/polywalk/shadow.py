@@ -57,7 +57,7 @@ from .polytope import (
 SLOPE_TOL = 1e-12
 
 MAX_ATTEMPTS = 16
-# Bytes of arrays each instance's pivot memo holds at most (see walk).
+# Bytes each instance's pivot memo is charged at most, by _record_bytes (see walk).
 PIVOT_MEMO_BYTES = 2**18
 
 
@@ -201,12 +201,12 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     The instance's pivot memo keeps, within ``PIVOT_MEMO_BYTES``, one
     :class:`_Basis` per basis a pivot reached; the start's directions and
     outcomes go in the start's own record, as its slack is its verified
-    point's.  A warm pivot does only its seed's work, the edge choice and
-    the new image, plus the next basis, one lookup and the end test.  Each
-    stored value is made by the call a memo-less walk makes, and no basis
-    repeats within a walk (the slopes strictly decrease), so every output is
-    byte-identical and a walk on a fresh instance makes exactly a memo-less
-    walk's calls.
+    point's.  A warm pivot does its seed's work, the edge choice, slope checks
+    and new image, plus one lookup: its outcome holds the next basis, whose
+    record holds the vertex.  Each stored value is made by the call a memo-less
+    walk makes, and no basis repeats within a walk (the slopes strictly
+    decrease), so every output is byte-identical and a walk on a fresh
+    instance makes exactly a memo-less walk's calls.
     """
     limit = default_max_steps(inst)
     met_degenerate = start.degenerate or target.degenerate
@@ -241,10 +241,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             raise NonMonotoneSlopes(
                 f"slope {edge_slope!r} does not decrease below {prev_slope!r}")
 
-        known = None if record.outcomes is None else record.outcomes[k].tolist()
-        if hit := (known is not None and known[0] >= 0):
-            entering, step, landed_degenerate, after = int(known[0]), known[1], known[2] > 0, None
-        else:
+        if record.outcomes is None or (known := record.outcomes[k]) is None:
             d = record.directions[k]
             try:
                 entering, step = ratio_step(inst, record.slack, d)
@@ -256,15 +253,18 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
             landed_degenerate = tight.size > inst.n
             if landed_degenerate and (lex := _lex_entering(
                     inst, current.basis, record.directions, d, tight)) != entering:
-                entering, after = lex, None
-        if after is None:
-            after = _basic_point(inst, new_basis := _next_basis(current.basis, k, entering))
-        if not hit:
-            record.store(k, (entering, step, landed_degenerate))
+                entering = lex
+                after = _basic_point(inst, new_basis := _next_basis(current.basis, k, entering))
+            record.store(k, (entering, step, landed_degenerate, new_basis))
+        else:
+            entering, step, landed_degenerate, new_basis = known
+            after = _basic_point(inst, new_basis)
         met_degenerate = met_degenerate or landed_degenerate
         moved = not current.degenerate or record.slack[entering] > TIGHT_TOL
         record = after
-        current = VertexWithBasis(x=after.x, basis=new_basis, degenerate=landed_degenerate)
+        if (current := after.vertex) is None or current.degenerate != landed_degenerate:
+            current = after.vertex = VertexWithBasis(x=after.x, basis=new_basis,
+                                                     degenerate=landed_degenerate)
         if moved:
             vertices.append(current)
             slopes.append(edge_slope)
@@ -308,30 +308,28 @@ def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...
 
 class _Basis:
     """What walks know of one basis: its read-only point and slack, and,
-    each None until computed, its read-only edge directions and the outcome
-    table that :meth:`store` builds, read-only with one row per edge: the
-    entering row, step and degenerate landing of the pivot along it, fixed
-    by (A, b, basis, k) and the slack it started from, and -1 as entering
-    row if none is kept."""
+    each None until computed, its read-only edge directions, the outcome
+    tuple :meth:`store` builds, per edge None or the entering row, step,
+    degenerate landing and next basis of the pivot along it, fixed by (A, b,
+    basis, k) and the slack it left, and the last vertex a pivot landed on."""
 
-    __slots__ = ("x", "slack", "directions", "outcomes")
+    __slots__ = ("x", "slack", "directions", "outcomes", "vertex")
 
     def __init__(self, x: np.ndarray, slack: np.ndarray):
-        self.x, self.slack, self.directions, self.outcomes = x, slack, None, None
+        self.x, self.slack = x, slack
+        self.directions = self.outcomes = self.vertex = None
 
-    def store(self, k: int, outcome: tuple[int, float, bool]) -> None:
-        """Store the (entering, step, landed degenerate) of the pivot along edge k."""
-        if self.outcomes is None:
-            self.outcomes = np.full((self.x.size, 3), -1.0)
-        self.outcomes.setflags(write=True)
-        self.outcomes[k] = outcome
-        self.outcomes.setflags(write=False)
+    def store(self, k: int, outcome: tuple[int, float, bool, tuple[int, ...]]) -> None:
+        """Store the (entering, step, landed degenerate, next basis) along edge k."""
+        table = self.outcomes or (None,) * self.x.size
+        self.outcomes = table[:k] + (outcome,) + table[k + 1:]
 
 
 def _record_bytes(m: int, n: int) -> int:
-    """Bytes of arrays one pivot-memo record holds at most: 2 n^2 + 4 n + m
-    float64s, its point a column of its solve's (n, n + 1) block (a copy would
-    change the bits of its dot products) and its table three per edge."""
+    """Bytes one pivot-memo record is charged: 2 n^2 + 4 n + m float64s, its
+    arrays (its point a column of its solve's (n, n + 1) block, as a copy would
+    change the bits of its dot products) and three per edge for its outcomes.
+    Left out: tuples, the keys and stored next bases, and its vertex."""
     return 8 * (n * (2 * n + 4) + m)
 
 

@@ -88,6 +88,58 @@ def test_verify_vertex_and_not_a_vertex(cube3, pyramid):
         verify_vertex(cube3, [0.5, 0.0, 0.0])  # edge midpoint, rank 2
 
 
+def _cube_with_shallow_cuts():
+    """The 3-cube (rows I with b = 1, then -I with b = 0) plus seeded cuts,
+    each 1e-9 inside a random cube vertex: m = 9."""
+    rng = np.random.default_rng(2)
+    rows, rhs = [np.eye(3), -np.eye(3)], [np.ones(3), np.zeros(3)]
+    for _ in range(rng.integers(1, 4)):
+        v = rng.integers(0, 2, size=3)
+        a = rng.standard_normal(3)
+        a /= np.linalg.norm(a)
+        rows.append(a[None, :])
+        rhs.append([a @ v - 1e-9])
+    return build_instance(np.vstack(rows), np.concatenate(rhs))
+
+
+def test_degenerate_vertex_basis_reproduces_its_tight_rows():
+    # The vertex with tight rows (0, 1, 2, 7) has one basis whose point has
+    # them, (0, 1, 2), and it is not lexicographically feasible; the feasible
+    # (0, 2, 7) solves to the vertex with tight rows (0, 2, 7).  So no basis
+    # stands for the vertex, and every other vertex keeps a basis of its own.
+    inst = _cube_with_shallow_cuts()
+    assert inst.m == 9
+    verts = enumerate_vertices(inst)
+    by_rows = {tight_rows(inst, v.x): v for v in verts}
+    assert (0, 1, 2, 7) in by_rows and (0, 2, 7) in by_rows
+
+    def solved_rows(basis):
+        """Tight rows of the basis's point, None when it leaves the polytope."""
+        try:
+            return tight_rows(inst, linalg_mod.solve(inst.A[list(basis)], inst.b[list(basis)]))
+        except Infeasible:
+            return None
+
+    assert [s for s in combinations((0, 1, 2, 7), 3)
+            if solved_rows(s) == (0, 1, 2, 7)] == [(0, 1, 2)]
+    with pytest.raises(NotAVertex, match="exactly those tight rows"):
+        verify_vertex(inst, by_rows[(0, 1, 2, 7)].x)
+    for rows, v in by_rows.items():
+        if rows != (0, 1, 2, 7):
+            assert solved_rows(verify_vertex(inst, v.x).basis) == rows
+
+    # Rows 1 and 2 meet at the origin, 1.2e-9 outside row 0, so their basis,
+    # the one lexicographically feasible subset, has the three tight rows of
+    # (0, -5e-10) but leaves the polytope: that is not the point either.
+    wedge = build_instance([[0.0, 1.0], [-1e-3, 1.0], [1e-3, 1.0], [0.0, -1.0]],
+                           [-1.2e-9, 0.0, 0.0, 1.0])
+    assert tight_rows(wedge, [0.0, -5e-10]) == (0, 1, 2)
+    origin = linalg_mod.solve(wedge.A[[1, 2]], wedge.b[[1, 2]])
+    assert wedge.slack(origin)[0] < -polytope_mod.TIGHT_TOL
+    with pytest.raises(NotAVertex, match="exactly those tight rows"):
+        verify_vertex(wedge, [0.0, -5e-10])
+
+
 def test_edge_directions_cube_origin(cube3):
     v = verify_vertex(cube3, [0.0, 0.0, 0.0])
     dirs = dict(zip(v.basis, edge_directions(cube3, v)))

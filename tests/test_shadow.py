@@ -482,15 +482,16 @@ def test_walk_takes_one_slack_per_pivot(monkeypatch):
 
 def test_walk_makes_one_next_basis_per_pivot(monkeypatch):
     # A cold pivot names its new basis once, and again only when the
-    # lexicographic rule changes the entering row; a warm one names it once.
+    # lexicographic rule changes the entering row; a warm one reads it from
+    # the stored outcome and names none.
     inst = gen_rotated(gen_hypercube(8), 0)
     ends = verify_endpoints(inst, inst.x1, inst.x2)
     counts = _counted(monkeypatch, (shadow_mod, "_next_basis"), (shadow_mod, "ratio_step"))
-    for _ in range(2):
+    for expected in (inst.n, 0):
         counts.clear()
         walk(inst, ends.v1, ends.v2, sample_objectives(inst, ends.v1, ends.v2, 0))
-        assert counts["polywalk.shadow._next_basis"] == inst.n
-    assert counts["polywalk.shadow.ratio_step"] == 0
+        assert counts["polywalk.shadow._next_basis"] == expected
+        assert counts["polywalk.shadow.ratio_step"] == expected
     monkeypatch.undo()
 
     inst = gen_transportation(3, 4, 2)
@@ -853,6 +854,24 @@ def _counted(monkeypatch, *targets):
     return counts
 
 
+@pytest.mark.parametrize("family", ["hypercube", "simplex", "random-sphere", "transportation"])
+def test_warm_walk_reads_every_pivot_from_the_memo(family, monkeypatch):
+    # The second walk with one seed finds each pivot's outcome, next basis
+    # and vertex in the memo: no ratio test, next basis, solve, directions or
+    # new vertex, and the first walk's JSON, which a fresh copy also gives.
+    inst = _MEMO_FAMILIES[family]()
+    first = find_path(inst, inst.x1, inst.x2, seed=0)
+    assert first.length > 0
+    counts = _counted(monkeypatch, (shadow_mod, "_next_basis"), (shadow_mod, "ratio_step"),
+                      (linalg_mod, "solve"), (shadow_mod, "edge_directions"),
+                      (shadow_mod, "VertexWithBasis"))
+    again = find_path(inst, inst.x1, inst.x2, seed=0)
+    assert not counts
+    monkeypatch.undo()
+    assert again.to_json() == first.to_json()
+    assert again.to_json() == find_path(replace(inst), inst.x1, inst.x2, seed=0).to_json()
+
+
 @pytest.mark.parametrize("family", sorted(_MEMO_FAMILIES))
 def test_repeated_find_path_skips_verification(family, monkeypatch):
     make = _MEMO_FAMILIES[family]
@@ -1005,14 +1024,15 @@ def _path_record(inst, x1, x2, seed):
 
 
 def _arrays(record):
-    """The arrays a basis record holds, by field: point, slack, edge
-    directions and outcome table, None where not yet computed."""
-    return [getattr(record, field) for field in record.__slots__]
+    """The arrays a basis record holds: point, slack and edge directions,
+    None where not yet computed.  Its outcome table and vertex are tuples
+    and a frozen dataclass around the point."""
+    return [record.x, record.slack, record.directions]
 
 
 def _memo_bytes(memo):
-    """Bytes the memo keeps alive, outcome tables included: a view keeps all
-    of its base."""
+    """Bytes of arrays the memo keeps alive, which ``_record_bytes`` bounds:
+    a view keeps all of its base."""
     return sum((a if a.base is None else a.base).nbytes
                for record in memo.values() for a in _arrays(record) if a is not None)
 
@@ -1054,9 +1074,11 @@ def _dangling_outcomes(inst):
         records.append((ends.v1.basis, ends.start.outcomes))
     count = 0
     for basis, table in records:
-        for k, (entering, _, _) in enumerate([] if table is None else table.tolist()):
-            after = tuple(sorted(set(basis) - {basis[k]} | {int(entering)}))
-            count += entering >= 0 and after not in inst._pivot_memo
+        for k, outcome in enumerate(table or ()):
+            if outcome is not None:
+                entering, _, _, after = outcome
+                assert after == tuple(sorted(set(basis) - {basis[k]} | {entering}))
+                count += after not in inst._pivot_memo
     return count
 
 
@@ -1197,6 +1219,7 @@ def test_pivot_memo_stores_no_failure(where, monkeypatch):
     monkeypatch.undo()
     assert walk(cube, v1, v2, pair).to_json() == expected.to_json()
     assert all(part is not None for part in _arrays(cube._pivot_memo[bad]))
+    assert cube._pivot_memo[bad].outcomes is not None
 
 
 def _force_outside(monkeypatch, inst, bad, shift):
@@ -1274,7 +1297,7 @@ def test_pivot_memo_forced_infeasible_point_is_not_stored(monkeypatch):
             assert calls["bad"] == attempt and bad not in inst._pivot_memo
             assert probe in inst._pivot_memo
             left = ends.start if before == ends.v1.basis else inst._pivot_memo[before]
-            assert left.outcomes is None or left.outcomes[k].tolist()[0] < 0
+            assert left.outcomes is None or left.outcomes[k] is None
         monkeypatch.undo()
         assert walk(inst, ends.v1, ends.v2, pair).to_json() == expected.to_json()
 
@@ -1346,14 +1369,21 @@ def test_memo_arrays_are_read_only():
             with pytest.raises(ValueError):
                 v.x[0] = 1.0
     ends = inst._endpoint_memo
-    arrays = [part for record in inst._pivot_memo.values() for part in _arrays(record)]
-    arrays += [*ends.columns, *_arrays(ends.start)]
+    records = [*inst._pivot_memo.values(), ends.start]
+    arrays = [part for record in records for part in _arrays(record)] + [*ends.columns]
     assert any(record.outcomes is not None for record in inst._pivot_memo.values())
     assert ends.start.outcomes is not None
     for part in arrays:
         if part is not None:
             with pytest.raises(ValueError):
                 part[0] = 1.0
+    # The outcome tables and each stored outcome are tuples: they refuse writes too.
+    for table in [record.outcomes for record in records if record.outcomes is not None]:
+        with pytest.raises(TypeError):
+            table[0] = None
+        for outcome in [outcome for outcome in table if outcome is not None]:
+            with pytest.raises(TypeError):
+                outcome[0] = -1
 
 
 def test_pivot_memo_keeps_no_instance_alive():

@@ -1,7 +1,9 @@
 """The byte-identity tool runs to completion, prints one digest per group and
-checks a run against a saved listing; the line counter counts each module."""
+checks a run against a saved listing; the line counter counts each module;
+the paired benchmark alternates its two checkouts and summarizes each side."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -84,3 +86,65 @@ def test_src_lines_counts_no_docstring_comment_or_blank_line():
     assert counted(top, "# a comment\n") == (physical + 1, code)
     assert counted(top, "\n") == (physical + 1, code)
     assert counted(top, "\n_EXTRA = 1\n") == (physical + 2, code + 1)
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
+    # A stub runner writes each run's result file, as bench/run.py does.  In
+    # pair i the parent runs at 100 + i walks per second and the change 10%
+    # faster; the change's p50 is worse, setup_s ties, and one digest.
+    tool = _load_tool("paired_bench")
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    calls = []
+
+    def stub(checkout, args):
+        side = next(s for s, path in sides.items() if path == checkout)
+        calls.append((side, args))
+        pair = [s for s, _ in calls].count(side) - 1
+        value = {"walks_per_s": 100.0 + pair, "setup_s": 0.5, "walk_p50_ms": 2.0,
+                 "walk_p90_ms": 3.0, "pass_s": 1.0, "peak_rss_mb": 40.0}
+        if side == "change":
+            value["walks_per_s"] *= 1.1
+            value["walk_p50_ms"] = 2.5
+        metrics = {name: {"value": v, "unit": "u"} for name, v in value.items()}
+        out = checkout / ".bench_out"
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "result-corpus-seed1-trace0.json").write_text(json.dumps({
+            "end_to_end": metrics, "raw": metrics, "digest": "abc", "failed": 0,
+            "env": {"source_sha256": side}}))
+
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"walk-large-seed0": {"kept": True}}))
+    argv = [str(sides["parent"]), str(sides["change"]), "--workload", "corpus",
+            "--pairs", "3", "--seed", "1", "--seconds", "2", "--out", str(out)]
+    assert tool.main(argv, runner=stub) == 0
+    assert [side for side, _ in calls] == ["parent", "change", "change", "parent",
+                                           "parent", "change"]
+    assert all(args == ["--workload", "corpus", "--seed", "1", "--seconds", "2.0",
+                        "--trace", "0"] for _, args in calls)
+
+    record = json.loads(out.read_text())
+    assert record["walk-large-seed0"] == {"kept": True}
+    summary = record["corpus-seed1"]
+    assert summary["first"] == ["parent", "change", "parent"]
+    assert summary["digests_match"] and summary["failed"] == {"parent": [0] * 3,
+                                                              "change": [0] * 3}
+    walks = summary["metrics"]["walks_per_s"]
+    assert walks["better"] == "higher" and walks["bound"] == 0.24
+    assert walks["wins"] == {"parent": 0, "change": 3}
+    assert all(abs(r - 1.1) < 1e-12 for r in walks["ratio"])
+    assert walks["parent"] == [100.0, 101.0, 102.0]
+    assert walks["median"]["parent"] == 101.0
+    assert walks["q1"]["parent"] <= walks["median"]["parent"] <= walks["q3"]["parent"]
+    assert walks["gap_exceeds_parent_iqr"]
+    assert summary["metrics"]["setup_s"]["wins"] == {"parent": 0, "change": 0}
+    slower = summary["metrics"]["walk_p50_ms"]
+    assert slower["wins"] == {"parent": 3, "change": 0} and not slower["gap_exceeds_parent_iqr"]
+    assert set(summary["raw"]) == set(summary["metrics"])
+    assert "bound" not in summary["raw"]["pass_s"]
