@@ -247,15 +247,15 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 entering, step = ratio_step(inst, record.slack, d)
             except Unbounded as exc:
                 raise UnboundedShadow(str(exc)) from exc
-            after = _basic_point(inst, new_basis := _next_basis(current.basis, k, entering))
+            after = _basic_point(inst, _next_basis(current.basis, k, entering))
             # _basic_point refused any slack below -TIGHT_TOL: no abs is needed.
             tight = (after.slack <= TIGHT_TOL).nonzero()[0]
             landed_degenerate = tight.size > inst.n
             if landed_degenerate and (lex := _lex_entering(
                     inst, current.basis, record.directions, d, tight)) != entering:
                 entering = lex
-                after = _basic_point(inst, new_basis := _next_basis(current.basis, k, entering))
-            record.store(k, (entering, step, landed_degenerate, new_basis))
+                after = _basic_point(inst, _next_basis(current.basis, k, entering))
+            record.store(k, (entering, step, landed_degenerate, after.basis))
         else:
             entering, step, landed_degenerate, new_basis = known
             after = _basic_point(inst, new_basis)
@@ -263,7 +263,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         moved = not current.degenerate or record.slack[entering] > TIGHT_TOL
         record = after
         if (current := after.vertex) is None or current.degenerate != landed_degenerate:
-            current = after.vertex = VertexWithBasis(x=after.x, basis=new_basis,
+            current = after.vertex = VertexWithBasis(x=after.x, basis=after.basis,
                                                      degenerate=landed_degenerate)
         if moved:
             vertices.append(current)
@@ -307,16 +307,17 @@ def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...
 
 
 class _Basis:
-    """What walks know of one basis: its read-only point and slack, and,
-    each None until computed, its read-only edge directions, the outcome
-    tuple :meth:`store` builds, per edge None or the entering row, step,
-    degenerate landing and next basis of the pivot along it, fixed by (A, b,
-    basis, k) and the slack it left, and the last vertex a pivot landed on."""
+    """What walks know of one basis: its rows (a memo record's own key),
+    its read-only point and slack, and, each None until computed, its
+    read-only edge directions, the outcome tuple :meth:`store` builds, per
+    edge None or the entering row, step, degenerate landing and next basis
+    (that record's rows) of the pivot along it, fixed by (A, b, basis, k) and
+    the slack it left, and the last vertex a pivot landed on."""
 
-    __slots__ = ("x", "slack", "directions", "outcomes", "vertex")
+    __slots__ = ("basis", "x", "slack", "directions", "outcomes", "vertex")
 
-    def __init__(self, x: np.ndarray, slack: np.ndarray):
-        self.x, self.slack = x, slack
+    def __init__(self, basis: tuple[int, ...], x: np.ndarray, slack: np.ndarray):
+        self.basis, self.x, self.slack = basis, x, slack
         self.directions = self.outcomes = self.vertex = None
 
     def store(self, k: int, outcome: tuple[int, float, bool, tuple[int, ...]]) -> None:
@@ -329,7 +330,8 @@ def _record_bytes(m: int, n: int) -> int:
     """Bytes one pivot-memo record is charged: 2 n^2 + 4 n + m float64s, its
     arrays (its point a column of its solve's (n, n + 1) block, as a copy would
     change the bits of its dot products) and three per edge for its outcomes.
-    Left out: tuples, the keys and stored next bases, and its vertex."""
+    Left out: object overheads, its rows (its memo key, which the next bases
+    stored in outcomes share while it is kept) and its vertex."""
     return 8 * (n * (2 * n + 4) + m)
 
 
@@ -343,7 +345,7 @@ def _start_record(inst: Instance, start: VertexWithBasis) -> _Basis:
         return memo.start
     slack = inst.slack(start.x)
     slack.flags.writeable = False
-    return _Basis(linalg.as_vector(start.x), slack)
+    return _Basis(start.basis, linalg.as_vector(start.x), slack)
 
 
 def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
@@ -367,7 +369,7 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
     if slack[worst] < -TIGHT_TOL:
         raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
     x.flags.writeable = slack.flags.writeable = False
-    memo[basis] = record = _Basis(x, slack)
+    memo[basis] = record = _Basis(basis, x, slack)
     if len(memo) * _record_bytes(*inst.A.shape) > PIVOT_MEMO_BYTES:
         memo.popitem(last=False)
     return record

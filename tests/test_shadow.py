@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -854,7 +855,7 @@ def _counted(monkeypatch, *targets):
     return counts
 
 
-@pytest.mark.parametrize("family", ["hypercube", "simplex", "random-sphere", "transportation"])
+@pytest.mark.parametrize("family", sorted(_MEMO_FAMILIES))
 def test_warm_walk_reads_every_pivot_from_the_memo(family, monkeypatch):
     # The second walk with one seed finds each pivot's outcome, next basis
     # and vertex in the memo: no ratio test, next basis, solve, directions or
@@ -870,6 +871,30 @@ def test_warm_walk_reads_every_pivot_from_the_memo(family, monkeypatch):
     monkeypatch.undo()
     assert again.to_json() == first.to_json()
     assert again.to_json() == find_path(replace(inst), inst.x1, inst.x2, seed=0).to_json()
+
+
+@pytest.mark.parametrize("family", ["hypercube", "pyramid"])
+def test_warm_landing_rebuilds_a_vertex_whose_flag_differs(family, monkeypatch):
+    # A record's vertex is reused only when the landing's degenerate flag is
+    # its own.  With every kept vertex's flag flipped, each warm landing
+    # builds a new vertex with the landing's flag, which the next warm walk
+    # reuses; the JSON stays the first walk's.
+    inst = _MEMO_FAMILIES[family]()
+    first = find_path(inst, inst.x1, inst.x2, seed=0).to_json()
+    for record in inst._pivot_memo.values():
+        if record.vertex is not None:
+            record.vertex = replace(record.vertex, degenerate=not record.vertex.degenerate)
+    counts = _counted(monkeypatch, (shadow_mod, "VertexWithBasis"),
+                      (shadow_mod, "_basic_point"))
+    again = find_path(inst, inst.x1, inst.x2, seed=0)
+    built = counts.pop("polywalk.shadow.VertexWithBasis")
+    assert built == counts["polywalk.shadow._basic_point"] > 0
+    assert again.to_json() == first
+    for v in again.vertices[1:]:
+        assert v is inst._pivot_memo[v.basis].vertex
+    counts.clear()
+    assert find_path(inst, inst.x1, inst.x2, seed=0).to_json() == first
+    assert "polywalk.shadow.VertexWithBasis" not in counts
 
 
 @pytest.mark.parametrize("family", sorted(_MEMO_FAMILIES))
@@ -1037,6 +1062,21 @@ def _memo_bytes(memo):
                for record in memo.values() for a in _arrays(record) if a is not None)
 
 
+def _outcome_bytes(memo):
+    """Bytes of the outcome tuples the memo keeps alive: each table, each
+    outcome and its step, and each next basis that is not a kept record's
+    key.  Entering rows below 257 are Python's cached ints and the flags its
+    two bools, so they add nothing."""
+    total = 0
+    for table in [record.outcomes for record in memo.values() if record.outcomes]:
+        total += sys.getsizeof(table)
+        for outcome in [outcome for outcome in table if outcome is not None]:
+            total += sys.getsizeof(outcome) + sys.getsizeof(outcome[1])
+            if (after := outcome[3]) not in memo or memo[after].basis is not after:
+                total += sys.getsizeof(after)
+    return total
+
+
 @pytest.mark.parametrize("name", sorted(_PIVOT_MEMO_INSTANCES))
 def test_shared_pivot_memo_matches_fresh_instances(name):
     # Seeds 0-29 in both directions on one instance, each against the same
@@ -1049,6 +1089,12 @@ def test_shared_pivot_memo_matches_fresh_instances(name):
             assert not fresh._pivot_memo
             assert shared == _path_record(fresh, x1, x2, seed)
     assert inst._pivot_memo
+    # Nothing was evicted, so each stored next basis is its record's key
+    # itself, not a copy.
+    records = [*inst._pivot_memo.values(), inst._endpoint_memo.start]
+    for table in [record.outcomes for record in records if record.outcomes]:
+        for after in [outcome[3] for outcome in table if outcome is not None]:
+            assert after is inst._pivot_memo[after].basis
 
 
 def test_start_outcomes_are_not_read_after_a_pivot():
@@ -1310,7 +1356,11 @@ def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
         if seed == 0:
             first = path.to_json()
         reached.update(v.basis for v in path.vertices)
-        assert _memo_bytes(inst._pivot_memo) <= shadow_mod.PIVOT_MEMO_BYTES
+        # The arrays stay within the bound, and the outcome tuples within the
+        # three float64s per edge that _record_bytes charges for them.
+        outcomes = _outcome_bytes(inst._pivot_memo)
+        assert outcomes <= len(inst._pivot_memo) * 3 * 8 * inst.n
+        assert _memo_bytes(inst._pivot_memo) + outcomes <= shadow_mod.PIVOT_MEMO_BYTES
     # Bases were evicted.
     assert len(inst._pivot_memo) < len(reached)
     start = path.vertices[0].basis

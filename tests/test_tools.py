@@ -122,12 +122,15 @@ def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"walk-large-seed0": {"kept": True}}))
     argv = [str(sides["parent"]), str(sides["change"]), "--workload", "corpus",
-            "--pairs", "3", "--seed", "1", "--seconds", "2", "--out", str(out)]
+            "--pairs", "3", "--seed", "1", "--out", str(out)]
     assert tool.main(argv, runner=stub) == 0
     assert [side for side, _ in calls] == ["parent", "change", "change", "parent",
                                            "parent", "change"]
-    assert all(args == ["--workload", "corpus", "--seed", "1", "--seconds", "2.0",
-                        "--trace", "0"] for _, args in calls)
+    # The command and run length are the benchmark's own.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert all(args == spec["command"] + ["--workload", "corpus", "--seed", "1", "--seconds",
+                                          str(spec["run_seconds"]), "--trace", "0"]
+               for _, args in calls)
 
     record = json.loads(out.read_text())
     assert record["walk-large-seed0"] == {"kept": True}
@@ -141,10 +144,13 @@ def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
     assert all(abs(r - 1.1) < 1e-12 for r in walks["ratio"])
     assert walks["parent"] == [100.0, 101.0, 102.0]
     assert walks["median"]["parent"] == 101.0
-    assert walks["q1"]["parent"] <= walks["median"]["parent"] <= walks["q3"]["parent"]
+    # Quartiles as bench/collect.py takes them: statistics.quantiles(n=4).
+    assert (walks["q1"]["parent"], walks["q3"]["parent"]) == (100.0, 102.0)
     assert walks["gap_exceeds_parent_iqr"]
     assert summary["metrics"]["setup_s"]["wins"] == {"parent": 0, "change": 0}
     slower = summary["metrics"]["walk_p50_ms"]
     assert slower["wins"] == {"parent": 3, "change": 0} and not slower["gap_exceeds_parent_iqr"]
     assert set(summary["raw"]) == set(summary["metrics"])
     assert "bound" not in summary["raw"]["pass_s"]
+    with pytest.raises(SystemExit):
+        tool.main(argv + ["--seconds", "2"], runner=stub)
