@@ -130,24 +130,20 @@ def bound_report(batch: TrialBatch, inst: Instance, *,
 def emit(report: BoundReport, fmt: str = "json") -> str:
     """Render a report as a stable CSV table or JSON object.
 
-    The CSV column order is pinned (see ``CSV_COLUMNS``); absent statistics
-    become empty cells.  The JSON object holds the report's fields in order,
-    dropping those that default to None when they are None, and round-trips
-    through ``json.loads``.
+    The CSV column order is pinned (see ``CSV_COLUMNS``); floats are written
+    by ``repr`` and absent statistics become empty cells.  The JSON object
+    holds the report's fields in order, dropping those that default to None
+    when they are None, and round-trips through ``json.loads``.
     """
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerow([
-            report.instance_id, report.m, report.n, repr(report.delta),
-            report.trials,
-            "" if report.mean_length is None else repr(report.mean_length),
-            "" if report.std_err is None else repr(report.std_err),
-            repr(report.bound_8mn2_over_delta2),
-            "" if report.ratio_mean_to_bound is None else repr(report.ratio_mean_to_bound),
-            "" if report.bfs_lower is None else report.bfs_lower,
-        ])
+        writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
+                         for v in (report.instance_id, report.m, report.n, report.delta,
+                                   report.trials, report.mean_length, report.std_err,
+                                   report.bound_8mn2_over_delta2,
+                                   report.ratio_mean_to_bound, report.bfs_lower)])
         return buf.getvalue()
     if fmt == "json":
         payload = {f.name: getattr(report, f.name) for f in fields(report)

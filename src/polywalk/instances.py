@@ -280,10 +280,9 @@ def write_instance(inst: Instance, path) -> None:
         "b": [float(v) for v in inst.raw_b],
         "integral": inst.integral,
     }
-    if inst.x1 is not None:
-        payload["x1"] = [float(v) for v in inst.x1]
-    if inst.x2 is not None:
-        payload["x2"] = [float(v) for v in inst.x2]
+    for key, point in (("x1", inst.x1), ("x2", inst.x2)):
+        if point is not None:
+            payload[key] = [float(v) for v in point]
     write_text(path, jsontext.dumps(payload) + "\n")
 
 

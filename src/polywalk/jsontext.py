@@ -31,10 +31,8 @@ def _scalar(value) -> str:
         return _escape(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):

@@ -7,9 +7,12 @@ rule, :func:`exact_dtype`, for the dtype it runs in: float64 or int64 where a
 Hadamard bound keeps every intermediate exact, unbounded Python ints
 otherwise.
 
-:func:`solve`, :func:`inverse` and :func:`rank` run on numpy's LAPACK
-calls.  Two thresholds are used package-wide and kept here, as module
-constants read at call time, with no per-call override:
+:func:`solve`, :func:`inverse` and :func:`solve_stack` call the LAPACK
+gufuncs behind ``np.linalg.solve`` and ``np.linalg.inv`` directly, under the
+floating-point error state numpy sets around them, so they run the same LU
+and give the same bits without numpy's Python wrappers; :func:`rank` runs on
+``np.linalg.svd``.  Two thresholds are used package-wide and kept here, as
+module constants read at call time, with no per-call override:
 
 * ``PIVOT_TOL`` -- :func:`solve` and :func:`inverse` report :class:`Singular`
   when an entry of the inverse reaches ``1 / PIVOT_TOL`` (or LAPACK finds an
@@ -20,17 +23,24 @@ constants read at call time, with no per-call override:
   times the largest one.
 
 Enumerations over row subsets run on stacks of ``SUBSET_CHUNK`` matrices:
-:func:`solve_stack` applies :func:`solve`'s rule to a whole stack of bases at
-once, and :func:`int_determinants` runs fraction-free Bareiss elimination on
-a stack of integer matrices, which gives every nonsingular one's
-|determinant|.
+:func:`solve_stack` applies :func:`solve`'s rule to a whole stack of bases in
+one LAPACK solve, with no determinant screen (LAPACK fills an exactly
+singular member with NaN, and the rule then drops it), and
+:func:`int_determinants` runs fraction-free Bareiss elimination on a stack of
+integer matrices, which gives every nonsingular one's |determinant|.
+
+Row norms (:func:`row_norms`) are taken from plain sums of squares, and
+recomputed on the row scaled by its largest |entry| only where such a sum
+over- or underflows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonIntegerEntry, Singular, ZeroVector
 
@@ -45,13 +55,33 @@ SUBSET_CHUNK = 256
 # Norms at or below this are treated as exactly zero.
 _ZERO_NORM_FLOOR = 1e-300
 
+# The gufuncs np.linalg.solve and np.linalg.inv call, bound to their float64
+# loops as those wrappers bind them.
+_SOLVE = functools.partial(_umath_linalg.solve, signature="dd->d")
+_INV = functools.partial(_umath_linalg.inv, signature="d->d")
+
+
+def _lapack_singular(err, flag):
+    """The floating-point error call numpy's wrappers install: LAPACK met an
+    exactly zero pivot."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_lapack_singular, all="ignore", invalid="call")
+def _lapack(call, *args):
+    """``call(*args)`` under the error state ``np.linalg.solve`` sets, so an
+    exactly zero pivot raises ``LinAlgError`` from :func:`_lapack_singular`.
+    As a decorator it builds no ``np.errstate`` object per call."""
+    return call(*args)
+
 
 def as_vector(values) -> np.ndarray:
     """Coerce to a finite 1-d float64 array."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    # The reduction ndarray.all runs, without its Python-level wrapper.
+    if not np.logical_and.reduce(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
 
@@ -61,15 +91,35 @@ def as_matrix(values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # The reduction ndarray.all runs, without its Python-level wrapper.
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def row_norms(rows: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """The norms of a ``(k, n)`` array's rows, given their sums of ``squares``.
+
+    A norm is ``sqrt(squares)``, the bits of the caller's own expression,
+    wherever the sum is finite and at least the smallest normal float.  A
+    nonzero row whose sum overflowed (the caller ignores the overflow) or
+    underflowed is divided by its largest |entry| s first, and its norm is s
+    times the norm of the scaled row.
+    """
+    norms = np.sqrt(squares)
+    redo = (squares < np.finfo(float).tiny) | (squares == np.inf)
+    if redo.any():
+        redo &= rows.any(axis=1)
+        scale = np.abs(rows[redo]).max(axis=1, keepdims=True)
+        norms[redo] = scale[:, 0] * np.sqrt(((rows[redo] / scale) ** 2).sum(axis=1))
+    return norms
 
 
 def normalize(values) -> np.ndarray:
     """Return v / ||v||, raising :class:`ZeroVector` when the norm vanishes."""
     v = as_vector(values)
-    norm = float(np.sqrt(v @ v))
+    with np.errstate(over="ignore"):
+        norm = float(row_norms(v[None], np.array([v @ v]))[0])
     if norm <= _ZERO_NORM_FLOOR:
         raise ZeroVector("cannot normalize a vector of (near-)zero norm")
     return v / norm
@@ -77,21 +127,25 @@ def normalize(values) -> np.ndarray:
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row over its norm: :func:`normalize`'s bits, no zero check."""
-    return rows / np.sqrt([r @ r for r in rows])[:, None]
+    with np.errstate(over="ignore"):
+        return rows / row_norms(rows, np.array([r @ r for r in rows]))[:, None]
 
 
 def _checked(call, a: np.ndarray, *args) -> np.ndarray:
     """``call(a, *args)``: a LAPACK LU solve whose first n columns are a^-1.
 
-    Raises :class:`Singular` when LAPACK meets an exactly zero pivot, when
-    the result is not finite, or when an entry of the inverse reaches
-    ``1 / PIVOT_TOL``.
+    The call runs through :func:`_lapack`, so an exactly zero pivot, which
+    LAPACK reports by filling the result with NaN and raising the invalid
+    flag, raises ``LinAlgError`` before the result is read.  Raises
+    :class:`Singular` on that error, when the result is not finite, or when
+    an entry of the inverse reaches ``1 / PIVOT_TOL``; there is no
+    determinant screen.
     """
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got {a.shape}")
     try:
-        out = call(a, *args)
+        out = _lapack(call, a, *args)
     except np.linalg.LinAlgError as exc:
         raise Singular(f"LAPACK reports an exactly singular matrix ({exc})") from exc
     # One reduction over the columns: np.maximum keeps a NaN, so every column
@@ -110,14 +164,15 @@ def solve(mat, rhs) -> np.ndarray:
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"rhs length {b.shape[0]} does not match matrix order {n}")
-    full = np.eye(n, n + 1)
+    full = np.zeros((n, n + 1))
+    full.ravel()[::n + 2] = 1.0  # the identity block, as np.eye(n, n + 1) sets it
     full[:, n] = b
-    return _checked(np.linalg.solve, a, full)[:, -1]
+    return _checked(_SOLVE, a, full)[:, -1]
 
 
 def inverse(mat) -> np.ndarray:
     """Invert a square matrix by LAPACK's LU solve against the identity (``inv``)."""
-    return _checked(np.linalg.inv, as_matrix(mat))
+    return _checked(_INV, as_matrix(mat))
 
 
 def rank(mat) -> int:
@@ -136,21 +191,24 @@ def solve_stack(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Returns a mask of the matrices that are not :class:`Singular` under
     :func:`solve`'s rule and, for those in stack order, the solutions of
     ``mats[i] @ X = [I | rhs[i]]`` (``rhs`` is ``(s, n, r)``; ``r = 0`` gives
-    the inverses).  LAPACK's LU returns a zero determinant sign exactly when
-    it meets a zero pivot, which is when its solve reports a singular matrix,
-    so the sign screens those out before one stacked solve; the finiteness
-    and ``1 / PIVOT_TOL`` checks then run per matrix.
+    the inverses).  One LAPACK solve runs over the whole stack, with no
+    determinant screen: LAPACK fills each matrix whose LU meets an exactly
+    zero pivot with NaN, with the invalid flag ignored, so the per-matrix
+    finiteness and ``1 / PIVOT_TOL`` checks drop it with the rest.
     """
     n = mats.shape[1]
-    ok = np.linalg.slogdet(mats)[0] != 0
-    full = np.empty((int(np.count_nonzero(ok)), n, n + rhs.shape[2]))
+    full = np.empty((len(mats), n, n + rhs.shape[2]))
     full[:, :, :n] = np.eye(n)
-    full[:, :, n:] = rhs[ok]
-    out = np.linalg.solve(mats[ok], full)
-    good = np.isfinite(out).all(axis=(1, 2)) \
-        & (np.abs(out[:, :, :n]).max(axis=(1, 2), initial=0.0) < 1.0 / PIVOT_TOL)
-    ok[ok] = good
-    return ok, out[good]
+    full[:, :, n:] = rhs
+    with np.errstate(all="ignore"):
+        out = _SOLVE(mats, full)
+    # Each matrix reduced as one row, several times faster than over two
+    # trailing axes.  A NaN or an infinity in the inverse block fails the
+    # bound by itself, so only the solution columns need isfinite.
+    s, r = out.shape[0], rhs.shape[2]
+    ok = (np.abs(out[:, :, :n]).reshape(s, n * n).max(axis=1) < 1.0 / PIVOT_TOL) \
+        & np.isfinite(out[:, :, n:]).reshape(s, n * r).all(axis=1)
+    return ok, out[ok]
 
 
 def exact_dtype(k: int, Delta1: int) -> np.dtype:
@@ -222,9 +280,8 @@ def as_int_matrix(rows) -> list[list[int]]:
         for v in row:
             if isinstance(v, (bool, np.bool_)):
                 raise NonIntegerEntry(f"boolean entry {v!r} is not a valid integer entry")
-            if isinstance(v, (int, np.integer)):
-                converted.append(int(v))
-            elif isinstance(v, (float, np.floating)) and float(v).is_integer():
+            if isinstance(v, (int, np.integer)) or (
+                    isinstance(v, (float, np.floating)) and float(v).is_integer()):
                 converted.append(int(v))
             else:
                 raise NonIntegerEntry(f"entry {v!r} is not exactly an integer")

@@ -126,20 +126,21 @@ def build_instance(A, b, *, name: str = "", integral: bool | None = None,
         raise ValueError(f"b has length {raw_b.size}, expected {m}")
     if m < n:
         raise ValueError(f"need at least n={n} rows, got m={m}")
-    norms = np.sqrt((raw_A * raw_A).sum(axis=1))
-    if np.any(norms <= 0.0):
+    with np.errstate(over="ignore"):
+        norms = linalg.row_norms(raw_A, (raw_A * raw_A).sum(axis=1))
+    if (norms <= 0.0).any():
         raise ValueError(f"row {int(np.argmin(norms))} of A has zero norm")
 
     # The exact certificate must run on the caller's data: no entry is
     # rounded here, and float64 holds every integer below 2**53 exactly while
     # a larger entry may already have been rounded on the way in.
     if integral is None:
-        integral = bool(np.all(raw_A == np.round(raw_A)))
-    elif integral and not np.all(raw_A == np.round(raw_A)):
+        integral = bool((raw_A == raw_A.round()).all())
+    elif integral and not (raw_A == raw_A.round()).all():
         raise NonIntegerEntry("an integral instance needs integer-valued entries in A")
     int_A = None
     if integral:
-        if np.any(np.abs(raw_A) >= 2**53):
+        if (np.abs(raw_A) >= 2**53).any():
             raise ValueError("integral entries of A must have magnitude below 2**53")
         exact = raw_A.astype(np.int64)
         int_A = tuple(map(tuple, exact.tolist()))

@@ -1,9 +1,11 @@
 """Scalar references the stacked exact kernels are tested against, the
-numpy edge choice the walk's scalar pass is tested against, and the
+determinant-screened stacked solve the direct LAPACK call is tested against,
+the numpy edge choice the walk's scalar pass is tested against, and the
 northwest-corner rule for transportation plans."""
 
 import numpy as np
 
+import polywalk.linalg as linalg_mod
 from polywalk.errors import LeftwardEdge, StalledWalk
 from polywalk.linalg import as_int_matrix
 from polywalk.shadow import SLOPE_TOL
@@ -41,6 +43,27 @@ def int_determinant(mat) -> int:
             row_r[i] = 0
         prev = piv
     return sign * a[-1][-1]
+
+
+def solve_stack_screened(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked solve with a ``slogdet`` screen, through numpy's wrappers.
+
+    LAPACK's LU gives a zero determinant sign exactly when it meets a zero
+    pivot, so the sign screens those matrices out before one
+    ``np.linalg.solve`` on the rest; the finiteness and ``1 / PIVOT_TOL``
+    checks then run per matrix.  Returns the mask of the kept matrices and
+    their solutions of ``mats[i] @ X = [I | rhs[i]]``.
+    """
+    n = mats.shape[1]
+    ok = np.linalg.slogdet(mats)[0] != 0
+    full = np.empty((int(np.count_nonzero(ok)), n, n + rhs.shape[2]))
+    full[:, :, :n] = np.eye(n)
+    full[:, :, n:] = rhs[ok]
+    out = np.linalg.solve(mats[ok], full)
+    good = np.isfinite(out).all(axis=(1, 2)) \
+        & (np.abs(out[:, :, :n]).max(axis=(1, 2), initial=0.0) < 1.0 / linalg_mod.PIVOT_TOL)
+    ok[ok] = good
+    return ok, out[good]
 
 
 def steepest_edge(directions, w1, w2, basis) -> tuple[int, float]:

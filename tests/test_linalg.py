@@ -1,5 +1,7 @@
 """Dense kernels against numpy oracles and hand-computed values."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,7 +23,7 @@ from polywalk.linalg import (
 )
 from polywalk.polytope import ratio_step, verify_vertex
 from polywalk.shadow import ObjectivePair, project
-from reference import int_determinant
+from reference import int_determinant, solve_stack_screened
 
 
 def test_as_vector_rejects_non_finite():
@@ -83,6 +85,32 @@ def test_normalize_unit_and_zero():
     npt.assert_allclose(normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
     with pytest.raises(ZeroVector):
         normalize([0.0, 0.0, 0.0])
+    with pytest.raises(ZeroVector):
+        normalize([1e-301, 0.0])  # a norm at or below the zero floor
+
+
+def test_normalize_keeps_the_plain_norm_bits_in_range():
+    rng = np.random.default_rng(37)
+    rows = rng.normal(size=(60, 9)) * np.logspace(-150, 150, 60)[:, None]
+    for v in rows:
+        assert normalize(v).tobytes() == (v / np.sqrt(v @ v)).tobytes()
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([1e200, 0.5], [1.0, 5e-201]),
+    ([3e200, -4e200], [0.6, -0.8]),
+    ([1e-200, 0.0], [1.0, 0.0]),
+    ([3e-200, 4e-200], [0.6, 0.8]),
+    ([1e-160, 1e-160], [0.5**0.5, 0.5**0.5]),  # a subnormal sum of squares
+], ids=["overflow", "overflow-both", "underflow-to-zero", "underflow", "subnormal"])
+def test_normalize_rescales_sums_of_squares_outside_the_normal_range(values, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = normalize(values)
+        rows = linalg_mod.unit_rows(np.array([values, [3.0, 4.0]]))
+    npt.assert_allclose(got, expected, rtol=1e-15, atol=0)
+    assert rows[0].tobytes() == got.tobytes()
+    assert rows[1].tobytes() == normalize([3.0, 4.0]).tobytes()
 
 
 def test_solve_recovers_random_systems():
@@ -283,6 +311,83 @@ def test_solve_stack_matches_per_matrix_rule():
     for sol, a, x in zip(out, mats[ok], accepted):
         npt.assert_array_equal(sol[:, -1], x)
         npt.assert_array_equal(sol[:, :3], inverse(a))
+
+
+def test_solve_and_inverse_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in range(1, 41):
+        for _ in range(3):
+            mat = linalg_mod.unit_rows(rng.standard_normal((n, n)))
+            rhs = rng.standard_normal(n)
+            full = np.eye(n, n + 1)
+            full[:, n] = rhs
+            assert solve(mat, rhs).tobytes() == np.linalg.solve(mat, full)[:, n].tobytes()
+            assert inverse(mat).tobytes() == np.linalg.inv(mat).tobytes()
+
+
+def _mixed_stack(n, rng):
+    """Unit-row bases of order n, exactly singular ones (a repeated row and a
+    zero column, or the 1 x 1 zero) and diagonal ones whose inverse has an
+    entry on either side of 1/PIVOT_TOL."""
+    mats = list(linalg_mod.unit_rows(rng.standard_normal((8 * n, n))).reshape(8, n, n))
+    if n == 1:
+        mats.append(np.zeros((1, 1)))
+    else:
+        repeated = mats[0].copy()
+        repeated[-1] = repeated[0]
+        zero_column = mats[1].copy()
+        zero_column[:, 0] = 0.0
+        mats += [repeated, zero_column]
+    for pivot in (1e-12, np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0), 1e-11, 1e-13):
+        edge = np.eye(n)
+        edge[-1, -1] = pivot
+        mats.append(edge)
+    order = rng.permutation(len(mats))
+    return np.array(mats)[order]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+@pytest.mark.parametrize("r", [0, 1])
+def test_solve_stack_equals_the_screened_rule(n, r):
+    rng = np.random.default_rng(43 + n)
+    mats = _mixed_stack(n, rng)
+    rhs = rng.standard_normal((len(mats), n, r))
+    if r:
+        # An inverse well inside the bound whose solution overflows.
+        mats = np.concatenate([mats, [0.5 * np.eye(n)]])
+        rhs = np.concatenate([rhs, np.full((1, n, r), 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, out = solve_stack(mats, rhs)
+        want_ok, want_out = solve_stack_screened(mats, rhs)
+    assert ok.tolist() == want_ok.tolist()
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+    # Both sides of each rule are in the stack: exactly singular members and
+    # members on either side of the 1/PIVOT_TOL bound.
+    singular = np.linalg.slogdet(mats)[0] == 0
+    assert singular.any() and not ok[singular].any()
+    assert not (r and ok[-1])
+    edge = (np.abs(mats).min(axis=(1, 2), where=mats != 0, initial=1.0) < 1e-10)
+    assert ok[edge].any() and not ok[edge].all()
+
+
+def test_lapack_calls_raise_no_warning_and_restore_the_error_state():
+    before = (np.geterr(), np.geterrcall())
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        npt.assert_array_equal(solve(np.eye(2), [1.0, 2.0]), [1.0, 2.0])
+        npt.assert_array_equal(inverse(2.0 * np.eye(2)), 0.5 * np.eye(2))
+        for call in (lambda: solve(singular, [1.0, 1.0]), lambda: inverse(singular)):
+            with pytest.raises(Singular, match="LAPACK reports an exactly singular matrix"):
+                call()
+            assert (np.geterr(), np.geterrcall()) == before
+            # A caller's own error state does not change the rule.
+            with np.errstate(all="raise"), pytest.raises(Singular):
+                call()
+        ok, out = solve_stack(np.array([np.eye(2), singular]), np.ones((2, 2, 1)))
+    assert ok.tolist() == [True, False] and out.shape == (1, 2, 3)
+    assert (np.geterr(), np.geterrcall()) == before
 
 
 def test_solve_stack_empty_and_all_singular():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -53,6 +54,35 @@ def test_build_instance_canonicalizes_rows():
     npt.assert_allclose(inst.b, [2.0, 0.0, 2.0 / np.sqrt(2.0)])
     assert inst.integral  # entries are integer-valued floats
     assert inst.int_A == ((2, 0), (0, -3), (1, 1))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_build_instance_norms_rows_whose_sum_of_squares_leaves_the_normal_range(scale):
+    rows = [[1.0, 0.5], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    box = build_instance(rows, [1.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = build_instance([[scale, scale / 2]] + rows[1:], [scale, 1.0, 1.0, 1.0],
+                              integral=False)
+    npt.assert_allclose(inst.A, box.A, rtol=1e-15, atol=0)
+    npt.assert_allclose(inst.b, box.b, rtol=1e-15, atol=0)
+    assert inst.raw_A[0].tolist() == [scale, scale / 2]
+    got, want = enumerate_vertices(inst), enumerate_vertices(box)
+    assert [v.basis for v in got] == [v.basis for v in want] and len(want) == 4
+    npt.assert_allclose([v.x for v in got], [v.x for v in want], rtol=1e-14, atol=1e-15)
+    corner = [1.5, -1.0]
+    assert verify_vertex(inst, corner).basis == verify_vertex(box, corner).basis == (0, 3)
+
+
+def test_build_instance_keeps_a_row_with_a_huge_entry():
+    # (1e200)**2 overflows: the plain norm was inf, which turned the row into 0 <= 0.
+    inst = build_instance([[1e200, 0.5], [0, 1], [-1, 0], [0, -1]], [1e200, 1, 1, 1],
+                          integral=False)
+    npt.assert_allclose(inst.A[0], [1.0, 5e-201], rtol=1e-15, atol=0)
+    assert inst.b[0] == 1.0
+    assert verify_vertex(inst, [1.0, 1.0]).basis == (0, 1)
+    with pytest.raises(ValueError, match="row 1 of A has zero norm"):
+        build_instance([[1e-200, 5e-201], [0.0, 0.0]], [1.0, 1.0], integral=False)
 
 
 def test_build_instance_rejects_bad_shapes():

@@ -95,13 +95,10 @@ def _load_tool(name):
     return tool
 
 
-def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
-    # A stub runner writes each run's result file, as bench/run.py does.  In
-    # pair i the parent runs at 100 + i walks per second and the change 10%
-    # faster; the change's p50 is worse, setup_s ties, and one digest.
-    tool = _load_tool("paired_bench")
-    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
-    calls = []
+def _paired_stub(sides, calls, digest=lambda side, pair: "abc", failed=lambda side, pair: 0):
+    """A runner that writes each run's result file, as bench/run.py does.  In
+    pair i the parent runs at 100 + i walks per second and the change 10%
+    faster; the change's p50 is 25% worse, setup_s ties."""
 
     def stub(checkout, args):
         side = next(s for s, path in sides.items() if path == checkout)
@@ -116,8 +113,17 @@ def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
         out = checkout / ".bench_out"
         out.mkdir(parents=True, exist_ok=True)
         (out / "result-corpus-seed1-trace0.json").write_text(json.dumps({
-            "end_to_end": metrics, "raw": metrics, "digest": "abc", "failed": 0,
-            "env": {"source_sha256": side}}))
+            "end_to_end": metrics, "raw": metrics, "digest": digest(side, pair),
+            "failed": failed(side, pair), "env": {"source_sha256": side}}))
+
+    return stub
+
+
+def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
+    tool = _load_tool("paired_bench")
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    calls = []
+    stub = _paired_stub(sides, calls)
 
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"walk-large-seed0": {"kept": True}}))
@@ -138,6 +144,7 @@ def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
     assert summary["first"] == ["parent", "change", "parent"]
     assert summary["digests_match"] and summary["failed"] == {"parent": [0] * 3,
                                                               "change": [0] * 3}
+    assert summary["failed_total"] == {"parent": 0, "change": 0}
     walks = summary["metrics"]["walks_per_s"]
     assert walks["better"] == "higher" and walks["bound"] == 0.24
     assert walks["wins"] == {"parent": 0, "change": 3}
@@ -147,10 +154,39 @@ def test_paired_bench_alternates_sides_and_summarizes(tmp_path):
     # Quartiles as bench/collect.py takes them: statistics.quantiles(n=4).
     assert (walks["q1"]["parent"], walks["q3"]["parent"]) == (100.0, 102.0)
     assert walks["gap_exceeds_parent_iqr"]
-    assert summary["metrics"]["setup_s"]["wins"] == {"parent": 0, "change": 0}
+    assert walks["gain"] and walks["within_bound"]
+    setup = summary["metrics"]["setup_s"]
+    assert setup["wins"] == {"parent": 0, "change": 0}
+    assert not setup["gain"] and setup["within_bound"]
+    # 2.5 ms against 2.0 ms is 25% worse, past the bound of 24%.
     slower = summary["metrics"]["walk_p50_ms"]
     assert slower["wins"] == {"parent": 3, "change": 0} and not slower["gap_exceeds_parent_iqr"]
+    assert slower["bound"] == 0.24 and not slower["gain"] and not slower["within_bound"]
     assert set(summary["raw"]) == set(summary["metrics"])
-    assert "bound" not in summary["raw"]["pass_s"]
+    assert not {"bound", "within_bound"} & set(summary["raw"]["pass_s"])
+    assert summary["raw"]["walks_per_s"]["gain"]
     with pytest.raises(SystemExit):
         tool.main(argv + ["--seconds", "2"], runner=stub)
+
+
+@pytest.mark.parametrize("digest, failed, match, code", [
+    (lambda side, pair: "abc" if (side, pair) != ("change", 1) else "xyz", lambda s, p: 0,
+     False, 1),
+    (lambda side, pair: "abc", lambda side, pair: int((side, pair) == ("change", 2)), True, 1),
+    (lambda side, pair: "abc", lambda side, pair: int(side == "parent"), True, 0),
+], ids=["digest-mismatch", "change-fails-more", "parent-fails-more"])
+def test_paired_bench_exits_1_on_a_digest_mismatch_or_more_failures(tmp_path, digest, failed,
+                                                                     match, code):
+    tool = _load_tool("paired_bench")
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    stub = _paired_stub(sides, [], digest, failed)
+    out = tmp_path / "bench.json"
+    argv = [str(sides["parent"]), str(sides["change"]), "--workload", "corpus",
+            "--pairs", "4", "--seed", "1", "--out", str(out)]
+    assert tool.main(argv, runner=stub) == code
+    summary = json.loads(out.read_text())["corpus-seed1"]
+    assert summary["digests_match"] is match
+    assert summary["failed_total"] == {side: sum(failed(side, i) for i in range(4))
+                                       for side in ("parent", "change")}
+    # Four pairs all won: 10 * 4 >= 9 * 4.
+    assert summary["metrics"]["walks_per_s"]["gain"]

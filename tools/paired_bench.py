@@ -20,8 +20,18 @@ pair, the wins of each side (by the metric's direction in ``BENCHMARK.json``;
 a tie is no one's win), each side's median and quartiles as
 ``bench/collect.py`` summarises them (``statistics.quantiles(values, n=4)``),
 and whether the gap between the medians exceeds the parent's interquartile
-range.  It also says whether every run's digest was the same.  Nothing is
-written into ``bench/``.
+range.  Two verdicts follow the repository's rules for a benchmark claim:
+
+* ``gain`` -- the change won at least 9 in 10 of the pairs and the gap
+  between the medians exceeds the parent's interquartile range;
+* ``within_bound`` (end-to-end metrics) -- the change's median is worse than
+  the parent's by no more than the metric's ``bound``, a fraction of the
+  parent's median.
+
+The summary also says whether every run's digest was the same and counts
+each side's failed operations.  The exit status is 1 when the digests
+differ or the change failed more operations than the parent, else 0.
+Nothing is written into ``bench/``.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ def summarize(results: list[dict], kind: str, spec: dict) -> dict:
         parent, change = stats["parent"][name], stats["change"][name]
         sign = 1.0 if rule["better"] == "higher" else -1.0
         diffs = [sign * (c - p) for p, c in zip(parent["values"], change["values"])]
+        gap = sign * (change["median"] - parent["median"])
         entry = {
             "unit": parent["unit"],
             "better": rule["better"],
@@ -87,11 +98,13 @@ def summarize(results: list[dict], kind: str, spec: dict) -> dict:
             "wins": {"parent": sum(d < 0 for d in diffs), "change": sum(d > 0 for d in diffs)},
             **{key: {side: stats[side][name][key] for side in SIDES}
                for key in ("median", "q1", "q3")},
-            "gap_exceeds_parent_iqr": sign * (change["median"] - parent["median"])
-            > parent["q3"] - parent["q1"],
+            "gap_exceeds_parent_iqr": gap > parent["q3"] - parent["q1"],
         }
+        entry["gain"] = 10 * entry["wins"]["change"] >= 9 * len(diffs) \
+            and entry["gap_exceeds_parent_iqr"]
         if "bound" in parent:
             entry["bound"] = parent["bound"]
+            entry["within_bound"] = -gap <= parent["bound"] * parent["median"]
         out[name] = entry
     return out
 
@@ -118,6 +131,7 @@ def main(argv=None, runner=run_bench) -> int:
         "digests": digests,
         "digests_match": digests["parent"] == digests["change"] and len(digests["parent"]) == 1,
         "failed": {side: [r[side]["failed"] for r in results] for side in SIDES},
+        "failed_total": {side: sum(r[side]["failed"] for r in results) for side in SIDES},
         "source_sha256": {side: sorted({r[side]["env"]["source_sha256"] for r in results})
                           for side in SIDES},
         "metrics": summarize(results, "end_to_end", spec),
@@ -129,9 +143,11 @@ def main(argv=None, runner=run_bench) -> int:
     for name, entry in summary["metrics"].items():
         print(f"{name}: change wins {entry['wins']['change']} of {args.pairs}, median "
               f"{entry['median']['parent']:.6g} -> {entry['median']['change']:.6g} "
-              f"{entry['unit']}")
-    print(f"digests match: {summary['digests_match']}")
-    return 0
+              f"{entry['unit']}; gain {entry['gain']}, within bound {entry['within_bound']}")
+    failed = summary["failed_total"]
+    print(f"digests match: {summary['digests_match']}; failed operations: "
+          f"parent {failed['parent']}, change {failed['change']}")
+    return 0 if summary["digests_match"] and failed["change"] <= failed["parent"] else 1
 
 
 if __name__ == "__main__":
