@@ -47,9 +47,11 @@ from .errors import NonIntegerEntry, Singular, ZeroVector
 PIVOT_TOL = 1e-12
 RANK_TOL = 1e-9
 
-# Subsets per chunk of a stacked enumeration.  At order 10 a chunk's bases,
-# right-hand sides and solutions take about 0.7 MB; larger chunks run no
-# faster on the test corpus but raise the process's peak memory.
+# Bases per stack of an enumeration: the subsets per chunk of the subset
+# stream, and the bases per ratio test and per solve of the pivoting vertex
+# search.  At order 10 a chunk's bases, right-hand sides and solutions take
+# about 0.7 MB; larger chunks run no faster on the test corpus but raise the
+# process's peak memory.
 SUBSET_CHUNK = 256
 
 # Norms at or below this are treated as exactly zero.

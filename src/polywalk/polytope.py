@@ -19,10 +19,14 @@ feasible basis on the symbolic right-hand side b + (eps, eps**2, ...,
 eps**m), and :mod:`polywalk.shadow` breaks ratio-test ties by the same rule.
 
 Enumerations run on stacked arrays.  :func:`solved_subsets` is the one
-stream of row subsets, each chunk solved as one stack; :func:`vertex_graph`
-reads the edges off the feasible bases, joining two vertices whose bases
-share n - 1 rows; :func:`graph_distances` is the one breadth-first search,
-run for a block of sources at once with one 0/1 frontier product per level.
+stream of row subsets, each chunk solved as one stack.  The vertices come
+from a breadth-first search over the feasible bases by pivots,
+started from the stream's first chunk that holds one, so it solves about as
+many bases as the polytope has, not all C(m, n) subsets; :func:`vertex_graph`
+reads the edges off those bases, joining two vertices whose bases share
+n - 1 rows; :func:`graph_distances` is the one breadth-first search over
+vertices, run for a block of sources at once with one 0/1 frontier product
+per level.
 """
 
 from __future__ import annotations
@@ -271,8 +275,8 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
     Degenerate vertices appear once per feasible basis; consumers that want
     geometric vertices group them by tight rows.  Guarded by ``ENUM_CAP`` on
     the number of subsets C(m, n).  This is the one-subset-at-a-time reference
-    (one :func:`linalg.solve` per subset); the enumerations below run on the
-    stacked :func:`solved_subsets` and find the same bases.
+    (one :func:`linalg.solve` per subset); the vertex search below finds the
+    same bases by pivoting, on stacked solves.
     """
     _check_cap(inst.m, inst.n)
     for subset in combinations(range(inst.m), inst.n):
@@ -294,7 +298,8 @@ def solved_subsets(A: np.ndarray, rows: Sequence[int], n: int,
 
     Under ``ENUM_CAP`` on C(len(rows), n), checked before the first solve,
     one :func:`linalg.solve_stack` runs per ``linalg.SUBSET_CHUNK`` subsets of
-    ``combinations(rows, n)``.  Yields, per chunk that has any, its
+    ``combinations(rows, n)`` (:func:`_vertex_classes` relies on that chunk
+    size to tell when its first chunk was the whole stream).  Yields, per chunk that has any, its
     nonsingular subsets ``(k, n)`` in order with ``[B^-1 | B^-1 b_B]``, or
     ``B^-1`` alone when b is None.
     """
@@ -317,25 +322,114 @@ def _check_cap(rows: int, n: int) -> None:
 def _vertex_classes(inst: Instance):
     """Every feasible basis, grouped by its tight rows in combinations order.
 
-    :func:`feasible_bases`' tests run on each chunk of :func:`solved_subsets`.
+    A breadth-first search over the feasible bases by pivots (Avis & Fukuda
+    1992).  The first chunk of :func:`solved_subsets` that holds a feasible
+    basis gives the first level; when all C(m, n) subsets fit in one chunk,
+    that chunk solved them all and no pivot runs.  From each basis of a
+    level, each basis row k leaves along its edge direction d_k, and every
+    row j outside the basis enters whose exchange :func:`_pivots` finds
+    could be kept: the rows at the minimum ratio, ties included, those
+    within the ``TIGHT_TOL`` band of it, and at a degenerate vertex every
+    tight row whatever the sign of a_j.d_k.  The bases not met before are solved a chunk at a
+    time by :func:`linalg.solve_stack` against [I | b_B], and kept under
+    :func:`feasible_bases`' tests, as the next level.  A stacked member has
+    its single solve's bits, so the bases found, sorted in combinations
+    order and grouped by their tight rows, give what solving all C(m, n)
+    subsets gives whenever the search meets every basis that pass keeps.
+    In exact arithmetic it does: a simplex path joins any feasible basis to
+    a basis of any vertex, one exchange at a time, and the bases of one
+    vertex are joined as a matroid's bases are.  Inside the ``TIGHT_TOL``
+    band the tests check it on sampled cut and tilted cubes.
+
     Returns the vertices (each kept with its first basis), then every
     feasible basis with the index of the vertex it stands for.
     """
     n = inst.n
+    for subsets, out in solved_subsets(inst.A, range(inst.m), n, inst.b):
+        level = _feasible(inst, subsets, out)
+        if len(level[0]):
+            break
+    else:
+        return [], [], []
+    bases, solved, slack = level
+    # solved_subsets takes SUBSET_CHUNK subsets per chunk, so a first chunk
+    # holds all of them exactly when C(m, n) is at most that.
+    if math.comb(inst.m, n) > linalg.SUBSET_CHUNK:
+        levels = [level]
+        seen = set(map(tuple, bases.tolist()))
+        while fresh := _pivots(inst, level, seen):
+            parts = []
+            for lo in range(0, len(fresh), linalg.SUBSET_CHUNK):
+                chunk = np.array(fresh[lo:lo + linalg.SUBSET_CHUNK], dtype=np.intp)
+                ok, out = linalg.solve_stack(inst.A[chunk], inst.b[chunk][:, :, None])
+                parts.append(_feasible(inst, chunk[ok], out))
+            level = tuple(map(np.concatenate, zip(*parts)))
+            levels.append(level)
+        bases, solved, slack = map(np.concatenate, zip(*levels))
+        order = np.lexsort(bases.T[::-1])
+        bases, solved, slack = bases[order], solved[order], slack[order]
+    degenerate = (np.abs(slack) <= TIGHT_TOL).sum(axis=1) > n
     index: dict[bytes, int] = {}
-    verts, subsets, owner = [], [], []
-    for bases, out in solved_subsets(inst.A, range(inst.m), n, inst.b):
-        slack = inst.b - out[:, :, n] @ inst.A.T
-        keep = slack.min(axis=1) >= -TIGHT_TOL
-        degenerate = (np.abs(slack[keep]) <= TIGHT_TOL).sum(axis=1) > n
-        for subset, x, flag, key in zip(bases[keep].tolist(), out[keep, :, n],
-                                        degenerate.tolist(), _tight_keys(slack[keep])):
-            idx = index.setdefault(key, len(verts))
-            if idx == len(verts):
-                verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
-            subsets.append(subset)
-            owner.append(idx)
-    return verts, subsets, owner
+    verts, owner = [], []
+    for subset, x, flag, key in zip(bases.tolist(), solved[:, :, n].copy(),
+                                    degenerate.tolist(), _tight_keys(slack)):
+        idx = index.setdefault(key, len(verts))
+        if idx == len(verts):
+            verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
+        owner.append(idx)
+    return verts, bases.tolist(), owner
+
+
+def _feasible(inst: Instance, subsets: np.ndarray, out: np.ndarray):
+    """The solved subsets whose point has min slack at least ``-TIGHT_TOL``:
+    their rows, their ``[B^-1 | x]`` and their slacks."""
+    slack = inst.b - out[:, :, inst.n] @ inst.A.T
+    keep = slack.min(axis=1) >= -TIGHT_TOL
+    return subsets[keep], out[keep], slack[keep]
+
+
+def _pivots(inst: Instance, level, seen: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The sorted bases one exchange leads to from a level's bases that
+    :func:`_feasible` could keep and that are not in ``seen``; each is added
+    to it.
+
+    Basis row k leaves along d_k, and row j outside the basis enters at the
+    step t_j = s_j / (a_j.d_k) where it turns tight, whatever the sign of
+    a_j.d_k: at a degenerate vertex t_j = 0, so its bases reach each other as
+    the bases of a matroid do.  B - k + j is kept only if every row's slack
+    s_i - t_j a_i.d_k is at least ``-TIGHT_TOL``, and only if its inverse
+    stays below ``1 / PIVOT_TOL``; that inverse has an entry of at least
+    1 / (|a_j.d_k| sqrt(n)) on unit rows.  Both bounds are tested here with
+    a factor of two to spare for rounding, so every basis the solve would
+    keep enters, and :func:`_feasible` drops the few that only pass here.
+    The tests run for ``linalg.SUBSET_CHUNK`` bases at a time, on the
+    (bases, m, n) rates a_i.d.
+    """
+    n = inst.n
+    fresh: list[tuple[int, ...]] = []
+    for lo in range(0, len(level[0]), linalg.SUBSET_CHUNK):
+        bases, solved, slack = (part[lo:lo + linalg.SUBSET_CHUNK] for part in level)
+        rates = -(inst.A @ solved[:, :, :n])
+        slack = slack[:, :, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = slack / rates
+            reach = (slack + 2 * TIGHT_TOL) / rates
+        # The steps at which every row keeps slack -2 TIGHT_TOL: row k's rate
+        # is -1, so the interval is finite below and holds t = 0.
+        top = np.where(rates > 0, reach, np.inf).min(axis=1, keepdims=True)
+        bottom = np.where(rates < 0, reach, -np.inf).max(axis=1, keepdims=True)
+        enter = (2 * math.sqrt(n) * np.abs(rates) > linalg.PIVOT_TOL) \
+            & (bottom <= steps) & (steps <= top)
+        enter[np.arange(len(bases))[:, None], bases] = False
+        f, j, k = enter.nonzero()
+        moved = bases[f]
+        moved[np.arange(f.size), k] = j
+        moved.sort(axis=1)
+        for basis in map(tuple, moved.tolist()):
+            if basis not in seen:
+                seen.add(basis)
+                fresh.append(basis)
+    return fresh
 
 
 def _tight_keys(slack: np.ndarray) -> list[bytes]:
@@ -345,10 +439,12 @@ def _tight_keys(slack: np.ndarray) -> list[bytes]:
 
 
 def enumerate_vertices(inst: Instance) -> list[VertexWithBasis]:
-    """All vertices by brute-force basis enumeration, one per set of tight rows.
+    """All vertices, one per set of tight rows, from the pivoting search over
+    feasible bases.
 
     Each returned vertex keeps the lexicographically first feasible basis
-    that produced it.  Intended for desk-scale audits and oracles.
+    that produced it.  Guarded by ``ENUM_CAP`` on C(m, n), although the
+    search solves far fewer subsets.
     """
     return _vertex_classes(inst)[0]
 
@@ -356,10 +452,12 @@ def enumerate_vertices(inst: Instance) -> list[VertexWithBasis]:
 def vertex_graph(inst: Instance) -> tuple[list[VertexWithBasis], list[set[int]]]:
     """Vertices plus adjacency over the polytope's edge graph.
 
-    Two vertices are adjacent exactly when feasible bases of theirs share
-    n - 1 rows, so every feasible basis is keyed once per row by its other
-    n - 1 rows, and distinct vertices under one key are joined.  This is the
-    graph of :func:`ratio_step`'s rule run from every feasible basis:
+    The feasible bases come from the pivoting search of
+    :func:`enumerate_vertices`.  Two vertices are adjacent exactly when
+    feasible bases of theirs share n - 1 rows, so every feasible basis is
+    keyed once per row by its other n - 1 rows, and distinct vertices under
+    one key are joined.  This is the graph of :func:`ratio_step`'s rule run
+    from every feasible basis:
 
     * If bases of vertices u != v share rows R, those n - 1 rows are
       independent and tight at both points, and each is valid for P, so

@@ -1,13 +1,15 @@
 """Scalar references the stacked exact kernels are tested against, the
 determinant-screened stacked solve the direct LAPACK call is tested against,
-the numpy edge choice the walk's scalar pass is tested against, and the
-northwest-corner rule for transportation plans."""
+the numpy edge choice the walk's scalar pass is tested against, the pass
+over all C(m, n) row subsets the pivoting vertex search is tested against,
+and the northwest-corner rule for transportation plans."""
 
 import numpy as np
 
 import polywalk.linalg as linalg_mod
 from polywalk.errors import LeftwardEdge, StalledWalk
 from polywalk.linalg import as_int_matrix
+from polywalk.polytope import TIGHT_TOL, VertexWithBasis, _tight_keys, solved_subsets
 from polywalk.shadow import SLOPE_TOL
 
 
@@ -64,6 +66,32 @@ def solve_stack_screened(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
         & (np.abs(out[:, :, :n]).max(axis=(1, 2), initial=0.0) < 1.0 / linalg_mod.PIVOT_TOL)
     ok[ok] = good
     return ok, out[good]
+
+
+def vertex_classes(inst):
+    """Every feasible basis, grouped by its tight rows in combinations order,
+    from one solve of every one of the C(m, n) row subsets.
+
+    Each chunk of :func:`solved_subsets` keeps the subsets with min slack at
+    least ``-TIGHT_TOL``.  Returns the vertices (each kept with its first
+    basis), then every feasible basis with the index of the vertex it
+    stands for.
+    """
+    n = inst.n
+    index: dict[bytes, int] = {}
+    verts, subsets, owner = [], [], []
+    for bases, out in solved_subsets(inst.A, range(inst.m), n, inst.b):
+        slack = inst.b - out[:, :, n] @ inst.A.T
+        keep = slack.min(axis=1) >= -TIGHT_TOL
+        degenerate = (np.abs(slack[keep]) <= TIGHT_TOL).sum(axis=1) > n
+        for subset, x, flag, key in zip(bases[keep].tolist(), out[keep, :, n],
+                                        degenerate.tolist(), _tight_keys(slack[keep])):
+            idx = index.setdefault(key, len(verts))
+            if idx == len(verts):
+                verts.append(VertexWithBasis(x=x, basis=tuple(subset), degenerate=flag))
+            subsets.append(subset)
+            owner.append(idx)
+    return verts, subsets, owner
 
 
 def steepest_edge(directions, w1, w2, basis) -> tuple[int, float]:

@@ -45,6 +45,7 @@ from polywalk.polytope import (
     verify_vertex,
     vertex_graph,
 )
+from reference import vertex_classes
 
 
 def test_build_instance_canonicalizes_rows():
@@ -323,10 +324,11 @@ def test_vertex_classes_flag_every_apex_basis(pyramid):
 
 
 def _count_solves(monkeypatch) -> list:
-    """Record each linalg.solve_stack call, still running it."""
+    """Record the stack size of each linalg.solve_stack call, still running it."""
     solves = []
     real = linalg_mod.solve_stack
-    monkeypatch.setattr(linalg_mod, "solve_stack", lambda *a: solves.append(1) or real(*a))
+    monkeypatch.setattr(linalg_mod, "solve_stack",
+                        lambda mats, rhs: solves.append(len(mats)) or real(mats, rhs))
     return solves
 
 
@@ -360,7 +362,7 @@ def test_solved_subsets_keep_order_across_boundaries(monkeypatch):
 
 _STREAM_CONSUMERS = {
     "delta_A": (lambda: gen_random_sphere(12, 4, seed=1), delta_A, 12, 71),
-    "vertex_graph": (lambda: gen_random_sphere(12, 4, seed=1), vertex_graph, 12, 71),
+    "vertex_graph": (lambda: gen_random_sphere(12, 4, seed=1), vertex_graph, 12, 9),
     "verify_vertex": (gen_degenerate_pyramid,
                       lambda inst: verify_vertex(inst, [0.0, 0.0, 1.0]), 4, 1),
 }
@@ -368,10 +370,12 @@ _STREAM_CONSUMERS = {
 
 @pytest.mark.parametrize("consumer", sorted(_STREAM_CONSUMERS))
 def test_every_enumeration_runs_on_the_one_subset_stream(consumer, monkeypatch):
-    # At seven subsets per chunk, delta_A and vertex_graph each make
-    # ceil(495 / 7) = 71 stacked solves on the random sphere, and the apex
-    # search stops in its first chunk.  With ENUM_CAP one below C(r, n),
-    # each is refused by the same cap before its first solve.
+    # At seven subsets per chunk, delta_A makes ceil(495 / 7) = 71 stacked
+    # solves on the random sphere, and the apex search stops in its first
+    # chunk.  vertex_graph's first chunk holds a feasible basis, and its
+    # pivot search then solves 12, 10, 8, 2 and 2 new bases, level by level,
+    # in 2 + 2 + 2 + 1 + 1 chunks of at most seven.  With ENUM_CAP one below
+    # C(r, n), each is refused by the same cap before its first solve.
     make, run, rows, calls = _STREAM_CONSUMERS[consumer]
     inst = make()
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
@@ -385,6 +389,91 @@ def test_every_enumeration_runs_on_the_one_subset_stream(consumer, monkeypatch):
     with pytest.raises(CapExceeded, match=re.escape(message)):
         run(inst)
     assert solves == []
+
+
+def _band_cubes():
+    """A seeded sample of the tolerance band, on the n-cube [-1, 1]^n for
+    n = 3, 4: one to three cuts, each eps inside a random corner, and facet
+    0 repeated and tilted by eta.  Then the 5-cube cut eps inside one corner,
+    as given and rotated, where C(11, 5) = 462 subsets make the search pivot
+    at the default chunk: for eps in (TIGHT_TOL / sqrt(5), TIGHT_TOL] the
+    corner stays a vertex, although the facet that closes it is left
+    eps sqrt(5) > TIGHT_TOL of slack by the cut along every cube edge."""
+    rng = np.random.default_rng(7)
+    for n in (3, 4):
+        eye = np.eye(n)
+        rows, rhs = np.vstack([eye, -eye]), np.ones(2 * n)
+        for eps in (1e-4, 1e-7, 1e-9, 8e-10, 7e-10, 3e-10, 1e-10, 1e-12):
+            corners = rng.choice([-1.0, 1.0], size=(rng.integers(1, 4), n))
+            yield build_instance(np.vstack([rows, corners]),
+                                 np.append(rhs, [n - eps * np.sqrt(n)] * len(corners)),
+                                 integral=False, name=f"cut-n{n}-eps{eps:g}")
+        for eta in (1e-3, 1e-8, 1e-9, 1e-10, 1e-12):
+            tilted = eye[0] + eta * rng.standard_normal(n)
+            yield build_instance(np.vstack([rows, tilted]), np.append(rhs, 1.0),
+                                 integral=False, name=f"tilt-n{n}-eta{eta:g}")
+    eye = np.eye(5)
+    for eps in (1e-9, 8e-10, 7e-10, 5e-10, 3e-10):
+        cube = build_instance(np.vstack([eye, -eye, -np.ones(5)]),
+                              np.append(np.ones(10), 5 - eps * np.sqrt(5)),
+                              integral=False, name=f"cut-n5-eps{eps:g}")
+        yield cube
+        yield gen_rotated(cube, seed=5)
+
+
+def _enumeration_cases():
+    yield from (gen_hypercube(4), gen_simplex(5), gen_cut_cube(4), gen_degenerate_pyramid(),
+                gen_rotated(gen_hypercube(6), seed=0))
+    for n in range(3, 8):
+        yield gen_random_sphere(3 * n, n, seed=0)
+    for p, q in ((2, 3), (3, 3), (3, 4), (4, 4)):
+        yield gen_transportation(p, q, seed=0)
+    yield from _band_cubes()
+    yield from _unbounded_cases()
+    yield from _integer_draws()
+
+
+def _empty_cases():
+    """An infeasible cube, and a prism whose rows span two of three dimensions."""
+    eye = np.eye(3)
+    yield build_instance(np.vstack([eye, -eye, np.ones((1, 3))]), [1.0] * 3 + [0.0] * 3 + [-1.0],
+                         name="infeasible")
+    yield build_instance([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 1, 0]],
+                         [1, 1, 1, 1, 1], name="rank-deficient")
+
+
+def test_pivoting_search_equals_the_all_subsets_pass(monkeypatch):
+    # Points bit for bit, first bases, degenerate flags, and every feasible
+    # basis with its owner, at the default chunk and at chunks small enough
+    # that every instance with C(m, n) > 2 pivots.
+    default = linalg_mod.SUBSET_CHUNK
+    degenerate = 0
+    for inst in _enumeration_cases():
+        monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", default)
+        verts, bases, owner = vertex_classes(inst)
+        want = (_bases(verts), [tuple(b) for b in bases], owner)
+        assert verts, inst.name
+        degenerate += any(v.degenerate for v in verts)
+        for chunk in (default, 7, 2):
+            monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
+            verts, bases, owner = _vertex_classes(inst)
+            assert (_bases(verts), [tuple(b) for b in bases], owner) == want, (inst.name, chunk)
+    assert degenerate >= 10
+    monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", default)
+    assert _vertex_classes(_split_cone())[1] == [[6, 7, 8], [6, 7, 9], [6, 8, 9], [7, 8, 9]]
+    for inst in _empty_cases():
+        assert vertex_classes(inst) == ([], [], [])
+        for chunk in (default, 2):
+            monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
+            assert _vertex_classes(inst) == ([], [], [])
+
+
+def test_vertex_graph_solves_far_fewer_bases_than_subsets(monkeypatch):
+    # 98 vertices, against C(15, 5) = 3,003 subsets.
+    inst = gen_random_sphere(15, 5, seed=0)
+    solves = _count_solves(monkeypatch)
+    verts, _ = vertex_graph(inst)
+    assert len(verts) == 98 and sum(solves) < 1000
 
 
 def _reference_graph(inst):
@@ -437,7 +526,23 @@ def _reference_farthest(verts, adjacency):
 def _unbounded_cases():
     return [build_instance([[-1, 0], [0, -1]], [0, 0]),
             build_instance([[-1, 0], [0, -1], [-1, -1]], [0, 0, -1]),
-            build_instance([[-1, 0], [0, -1], [1, 1], [1, -1]], [0, 0, 1, 1])]
+            build_instance([[-1, 0], [0, -1], [1, 1], [1, -1]], [0, 0, 1, 1]),
+            _split_cone()]
+
+
+def _split_cone():
+    """The cone x >= |y| + |z|, rows 6..9, padded with nine rows that are
+    never tight, so that C(13, 3) = 286 subsets fill more than one chunk.
+
+    Its apex has four tight rows with a_6 + a_7 = a_8 + a_9 and every edge
+    is a ray.  Bases {6, 7, 8} and {6, 7, 9} lie in the first chunk and
+    reach each other by min-ratio pivots; {6, 8, 9} and {7, 8, 9} lie in the
+    second and are reached only by exchanges against a_j.d < 0 at the apex.
+    """
+    pads = [[-1.0, c, 0.0] for c in np.linspace(-0.9, 0.9, 9)]
+    cone = [[-1, 1, -1], [-1, -1, 1], [-1, 1, 1], [-1, -1, -1]]
+    return build_instance(pads[:6] + cone + pads[6:], [1] * 6 + [0] * 4 + [1] * 3,
+                          integral=False, name="split-cone")
 
 
 def _integer_draws():

@@ -1,5 +1,6 @@
-"""The byte-identity tool runs to completion, prints one digest per group and
-checks a run against a saved listing; the line counter counts each module;
+"""The byte-identity tool runs to completion, prints one digest per group,
+checks a run against a saved listing and finds the tree's outputs equal to
+the checked-in listing; the line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side."""
 
 import importlib.util
@@ -9,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = [sys.executable, str(ROOT / "tools" / "output_digest.py")]
+LISTING = ROOT / "tools" / "output_digests.txt"
 SRC_LINES = ROOT / "tools" / "src_lines.py"
 GROUPS = ["instances", "path", "experiment", "delta", "bound-check", "help", "bases",
           "walks", "minors", "walk-large"]
@@ -51,6 +54,18 @@ def test_output_digest_check_names_each_differing_group(digests, tmp_path):
     proc = _run("--check", str(saved))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["differs: walks"]
+
+
+def test_outputs_match_the_checked_in_listing():
+    # The listing's first line names the numpy version it was recorded
+    # with; another version may link another LAPACK, with other bits.
+    header = LISTING.read_text().splitlines()[0]
+    recorded = header.removeprefix("# numpy ")
+    if recorded != np.__version__:
+        pytest.skip(f"{LISTING.name} was recorded with numpy {recorded}, "
+                    f"this is numpy {np.__version__}")
+    proc = _run("--check", str(LISTING))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_src_lines_counts_every_module():

@@ -4,9 +4,13 @@ Run it as ``python tools/output_digest.py`` in two checkouts and compare the
 lines: equal digests mean byte-identical outputs.  Or save one checkout's
 lines to a file and run ``python tools/output_digest.py --check FILE`` in the
 other: it prints its own lines, names each group whose digest differs from
-the file's, and exits 1 on any difference.  It imports
-polywalk from the ``src/`` next to this file, writes into a temporary
-directory, and drives :func:`polywalk.cli.main` in-process.  The groups:
+the file's, and exits 1 on any difference; lines of the file that start with
+``#`` are comments.  ``tools/output_digests.txt`` is the listing of the
+current tree, headed by the numpy version it was recorded with, as digests
+depend on the LAPACK build; a change that moves a digest on purpose updates
+it and says why.  It imports polywalk from the ``src/`` next to this file,
+writes into a temporary directory, and drives :func:`polywalk.cli.main`
+in-process.  The groups:
 
 * ``instances``   -- the ``generate`` file of every family at fixed sizes and
   seeds, and the pyramid's ``write_instance`` file;
@@ -142,7 +146,8 @@ def main() -> int:
     parser.add_argument("--check", metavar="FILE",
                         help="compare with a saved listing; exit 1 on any difference")
     args = parser.parse_args()
-    saved = None if args.check is None else Path(args.check).read_text().splitlines()
+    saved = None if args.check is None else [
+        line for line in Path(args.check).read_text().splitlines() if not line.startswith("#")]
     groups = {name: hashlib.sha256()
               for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
                            "bases", "walks", "minors", "walk-large")}
