@@ -103,11 +103,13 @@ def gen_transportation(p: int, q: int, seed: int) -> Instance:
 
     Supplies and demands are drawn in 1..5 and redrawn until their totals
     agree, so a shape with q > 5p or p > 5q raises :class:`InfeasibleTotals`
-    at once.  The free variables are the (p-1)(q-1) cells off the last row
-    and column.  Eliminating the balance equations turns the nonnegativity of
-    the free cells, the last column, the last row and the corner into four
-    blocks of rows with entries in {-1, 0, 1}, so the matrix stays totally
-    unimodular.  Endpoints default to a farthest pair in the edge graph.
+    at once.  A lopsided shape that passes that check can still exhaust the
+    ``_TOTALS_RESAMPLE_LIMIT`` draws and raise it too: ``(2, 8, seed)``
+    succeeds only for seeds 19, 31 and 32 of 0-39.  The free variables are
+    the (p-1)(q-1) cells off the last row and column.  Eliminating the
+    balance equations turns the nonnegativity of the free cells, the last
+    column, the last row and the corner into four blocks of rows with entries
+    in {-1, 0, 1}, so the matrix stays totally unimodular.  Endpoints default to a farthest pair in the edge graph.
     """
     if p < 2 or q < 2:
         raise ValueError("transportation needs p, q >= 2")

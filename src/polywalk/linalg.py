@@ -8,15 +8,17 @@ Hadamard bound keeps every intermediate exact, unbounded Python ints
 otherwise.
 
 :func:`solve`, :func:`inverse` and :func:`solve_stack` call the LAPACK
-gufuncs behind ``np.linalg.solve`` and ``np.linalg.inv`` directly, under the
-floating-point error state numpy sets around them, so they run the same LU
-and give the same bits without numpy's Python wrappers; :func:`rank` runs on
-``np.linalg.svd``.  Two thresholds are used package-wide and kept here, as
-module constants read at call time, with no per-call override:
+gufuncs behind ``np.linalg.solve`` and ``np.linalg.inv`` directly, so they
+run the same LU and give the same bits without numpy's Python wrappers, and
+they share one rule for :class:`Singular`: the floating-point error state is
+ignored around the call, so an exactly zero pivot shows only as the NaN that
+LAPACK fills the result with.  :func:`rank` runs on ``np.linalg.svd``.  Two
+thresholds are used package-wide and kept here, as module constants read at
+call time, with no per-call override:
 
 * ``PIVOT_TOL`` -- :func:`solve` and :func:`inverse` report :class:`Singular`
-  when an entry of the inverse reaches ``1 / PIVOT_TOL`` (or LAPACK finds an
-  exactly zero pivot, or the result is not finite).  The last row of the
+  when the result is not finite (an exactly zero pivot's NaN fill included)
+  or an entry of the inverse reaches ``1 / PIVOT_TOL``.  The last row of the
   inverse carries 1/u_nn of the LU factors, so every final pivot below
   ``PIVOT_TOL`` is caught.
 * ``RANK_TOL`` -- :func:`rank` counts the singular values above ``RANK_TOL``
@@ -24,8 +26,7 @@ module constants read at call time, with no per-call override:
 
 Enumerations over row subsets run on stacks of ``SUBSET_CHUNK`` matrices:
 :func:`solve_stack` applies :func:`solve`'s rule to a whole stack of bases in
-one LAPACK solve, with no determinant screen (LAPACK fills an exactly
-singular member with NaN, and the rule then drops it), and
+one LAPACK solve, with no determinant screen, and
 :func:`int_determinants` runs fraction-free Bareiss elimination on a stack of
 integer matrices, which gives every nonsingular one's |determinant|.
 
@@ -48,8 +49,8 @@ PIVOT_TOL = 1e-12
 RANK_TOL = 1e-9
 
 # Bases per stack of an enumeration: the subsets per chunk of the subset
-# stream, and the bases per ratio test and per solve of the pivoting vertex
-# search.  At order 10 a chunk's bases, right-hand sides and solutions take
+# stream, and the bases per solve, and so at most per ratio test, of the
+# pivoting vertex search.  At order 10 a chunk's bases, right-hand sides and solutions take
 # about 0.7 MB; larger chunks run no faster on the test corpus but raise the
 # process's peak memory.
 SUBSET_CHUNK = 256
@@ -61,20 +62,6 @@ _ZERO_NORM_FLOOR = 1e-300
 # loops as those wrappers bind them.
 _SOLVE = functools.partial(_umath_linalg.solve, signature="dd->d")
 _INV = functools.partial(_umath_linalg.inv, signature="d->d")
-
-
-def _lapack_singular(err, flag):
-    """The floating-point error call numpy's wrappers install: LAPACK met an
-    exactly zero pivot."""
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-@np.errstate(call=_lapack_singular, all="ignore", invalid="call")
-def _lapack(call, *args):
-    """``call(*args)`` under the error state ``np.linalg.solve`` sets, so an
-    exactly zero pivot raises ``LinAlgError`` from :func:`_lapack_singular`.
-    As a decorator it builds no ``np.errstate`` object per call."""
-    return call(*args)
 
 
 def as_vector(values) -> np.ndarray:
@@ -133,23 +120,19 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
         return rows / row_norms(rows, np.array([r @ r for r in rows]))[:, None]
 
 
+@np.errstate(all="ignore")
 def _checked(call, a: np.ndarray, *args) -> np.ndarray:
     """``call(a, *args)``: a LAPACK LU solve whose first n columns are a^-1.
 
-    The call runs through :func:`_lapack`, so an exactly zero pivot, which
-    LAPACK reports by filling the result with NaN and raising the invalid
-    flag, raises ``LinAlgError`` before the result is read.  Raises
-    :class:`Singular` on that error, when the result is not finite, or when
-    an entry of the inverse reaches ``1 / PIVOT_TOL``; there is no
-    determinant screen.
+    Raises :class:`Singular` when the result is not finite, as when LAPACK
+    meets an exactly zero pivot and fills the result with NaN, or when an
+    entry of the inverse reaches ``1 / PIVOT_TOL``; there is no determinant
+    screen.  As a decorator the error state is not rebuilt per call.
     """
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got {a.shape}")
-    try:
-        out = _lapack(call, a, *args)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(f"LAPACK reports an exactly singular matrix ({exc})") from exc
+    out = call(a, *args)
     # One reduction over the columns: np.maximum keeps a NaN, so every column
     # peak is finite exactly when the whole result is.
     peaks = np.maximum.reduce(np.abs(out)).tolist()
@@ -187,23 +170,22 @@ def rank(mat) -> int:
     return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
 
 
+@np.errstate(all="ignore")
 def solve_stack(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`solve` and :func:`inverse` on a ``(s, n, n)`` stack at once.
 
     Returns a mask of the matrices that are not :class:`Singular` under
     :func:`solve`'s rule and, for those in stack order, the solutions of
     ``mats[i] @ X = [I | rhs[i]]`` (``rhs`` is ``(s, n, r)``; ``r = 0`` gives
-    the inverses).  One LAPACK solve runs over the whole stack, with no
-    determinant screen: LAPACK fills each matrix whose LU meets an exactly
-    zero pivot with NaN, with the invalid flag ignored, so the per-matrix
-    finiteness and ``1 / PIVOT_TOL`` checks drop it with the rest.
+    the inverses).  One LAPACK solve runs over the whole stack, under the
+    same ignored error state, and the per-matrix finiteness and
+    ``1 / PIVOT_TOL`` checks drop each NaN-filled member with the rest.
     """
     n = mats.shape[1]
     full = np.empty((len(mats), n, n + rhs.shape[2]))
     full[:, :, :n] = np.eye(n)
     full[:, :, n:] = rhs
-    with np.errstate(all="ignore"):
-        out = _SOLVE(mats, full)
+    out = _SOLVE(mats, full)
     # Each matrix reduced as one row, several times faster than over two
     # trailing axes.  A NaN or an infinity in the inverse block fails the
     # bound by itself, so only the solution columns need isfinite.

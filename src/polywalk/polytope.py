@@ -18,15 +18,15 @@ numerically.  :func:`verify_vertex` gives it its first lexicographically
 feasible basis on the symbolic right-hand side b + (eps, eps**2, ...,
 eps**m), and :mod:`polywalk.shadow` breaks ratio-test ties by the same rule.
 
-Enumerations run on stacked arrays.  :func:`solved_subsets` is the one
-stream of row subsets, each chunk solved as one stack.  The vertices come
-from a breadth-first search over the feasible bases by pivots,
-started from the stream's first chunk that holds one, so it solves about as
-many bases as the polytope has, not all C(m, n) subsets; :func:`vertex_graph`
-reads the edges off those bases, joining two vertices whose bases share
-n - 1 rows; :func:`graph_distances` is the one breadth-first search over
-vertices, run for a block of sources at once with one 0/1 frontier product
-per level.
+Enumerations run on stacked arrays, each chunk solved as one stack by the
+one chunk loop, which :func:`solved_subsets` feeds every row subset.  The
+vertices come from a breadth-first search over the feasible bases by
+pivots, started from the stream's first chunk that holds one, its levels
+solved by that loop, so it solves about as many bases as the polytope has;
+:func:`vertex_graph` reads the edges off those bases, joining two vertices
+whose bases share n - 1 rows; :func:`graph_distances` is the one
+breadth-first search over vertices, run for a block of sources at once with
+one 0/1 frontier product per level.
 """
 
 from __future__ import annotations
@@ -294,23 +294,25 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
 
 def solved_subsets(A: np.ndarray, rows: Sequence[int], n: int,
                    b: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The nonsingular n-subsets of ``rows`` of A, solved a chunk at a time.
-
-    Under ``ENUM_CAP`` on C(len(rows), n), checked before the first solve,
-    one :func:`linalg.solve_stack` runs per ``linalg.SUBSET_CHUNK`` subsets of
-    ``combinations(rows, n)`` (:func:`_vertex_classes` relies on that chunk
-    size to tell when its first chunk was the whole stream).  Yields, per chunk that has any, its
-    nonsingular subsets ``(k, n)`` in order with ``[B^-1 | B^-1 b_B]``, or
-    ``B^-1`` alone when b is None.
-    """
+    """The nonsingular n-subsets of ``rows`` of A, solved a chunk at a time:
+    :func:`_solved_chunks` over ``combinations(rows, n)``, under ``ENUM_CAP``
+    on C(len(rows), n), checked before the first solve."""
     _check_cap(len(rows), n)
-    stream = combinations(rows, n)
-    while chunk := list(islice(stream, linalg.SUBSET_CHUNK)):
-        subsets = np.array(chunk, dtype=np.intp)
-        rhs = np.empty((len(chunk), n, 0)) if b is None else b[subsets][:, :, None]
-        ok, out = linalg.solve_stack(A[subsets], rhs)
+    return _solved_chunks(A, b, combinations(rows, n), n)
+
+
+def _solved_chunks(A: np.ndarray, b: np.ndarray | None, subsets: Iterator[Sequence[int]],
+                   n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one chunk loop, whose size :func:`_vertex_classes` relies on: one
+    :func:`linalg.solve_stack` per ``linalg.SUBSET_CHUNK`` n-subsets, and each
+    chunk's nonsingular ones ``(k, n)``, if any, yielded in order with
+    ``[B^-1 | B^-1 b_B]``, or ``B^-1`` alone when b is None."""
+    while chunk := list(islice(subsets, linalg.SUBSET_CHUNK)):
+        rows = np.array(chunk, dtype=np.intp)
+        rhs = np.empty((len(chunk), n, 0)) if b is None else b[rows][:, :, None]
+        ok, out = linalg.solve_stack(A[rows], rhs)
         if ok.any():
-            yield subsets[ok], out
+            yield rows[ok], out
 
 
 def _check_cap(rows: int, n: int) -> None:
@@ -330,8 +332,8 @@ def _vertex_classes(inst: Instance):
     row j outside the basis enters whose exchange :func:`_pivots` finds
     could be kept: the rows at the minimum ratio, ties included, those
     within the ``TIGHT_TOL`` band of it, and at a degenerate vertex every
-    tight row whatever the sign of a_j.d_k.  The bases not met before are solved a chunk at a
-    time by :func:`linalg.solve_stack` against [I | b_B], and kept under
+    tight row whatever the sign of a_j.d_k.  The bases not met before are
+    solved by :func:`_solved_chunks` against [I | b_B], and kept under
     :func:`feasible_bases`' tests, as the next level.  A stacked member has
     its single solve's bits, so the bases found, sorted in combinations
     order and grouped by their tight rows, give what solving all C(m, n)
@@ -352,20 +354,16 @@ def _vertex_classes(inst: Instance):
     else:
         return [], [], []
     bases, solved, slack = level
-    # solved_subsets takes SUBSET_CHUNK subsets per chunk, so a first chunk
+    # _solved_chunks takes SUBSET_CHUNK subsets per chunk, so a first chunk
     # holds all of them exactly when C(m, n) is at most that.
     if math.comb(inst.m, n) > linalg.SUBSET_CHUNK:
-        levels = [level]
+        found, frontier = [level], [level]
         seen = set(map(tuple, bases.tolist()))
-        while fresh := _pivots(inst, level, seen):
-            parts = []
-            for lo in range(0, len(fresh), linalg.SUBSET_CHUNK):
-                chunk = np.array(fresh[lo:lo + linalg.SUBSET_CHUNK], dtype=np.intp)
-                ok, out = linalg.solve_stack(inst.A[chunk], inst.b[chunk][:, :, None])
-                parts.append(_feasible(inst, chunk[ok], out))
-            level = tuple(map(np.concatenate, zip(*parts)))
-            levels.append(level)
-        bases, solved, slack = map(np.concatenate, zip(*levels))
+        while fresh := _pivots(inst, frontier, seen):
+            frontier = [_feasible(inst, *chunk)
+                        for chunk in _solved_chunks(inst.A, inst.b, iter(fresh), n)]
+            found += frontier
+        bases, solved, slack = map(np.concatenate, zip(*found))
         order = np.lexsort(bases.T[::-1])
         bases, solved, slack = bases[order], solved[order], slack[order]
     degenerate = (np.abs(slack) <= TIGHT_TOL).sum(axis=1) > n
@@ -388,7 +386,7 @@ def _feasible(inst: Instance, subsets: np.ndarray, out: np.ndarray):
     return subsets[keep], out[keep], slack[keep]
 
 
-def _pivots(inst: Instance, level, seen: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _pivots(inst: Instance, frontier, seen: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The sorted bases one exchange leads to from a level's bases that
     :func:`_feasible` could keep and that are not in ``seen``; each is added
     to it.
@@ -402,13 +400,12 @@ def _pivots(inst: Instance, level, seen: set[tuple[int, ...]]) -> list[tuple[int
     1 / (|a_j.d_k| sqrt(n)) on unit rows.  Both bounds are tested here with
     a factor of two to spare for rounding, so every basis the solve would
     keep enters, and :func:`_feasible` drops the few that only pass here.
-    The tests run for ``linalg.SUBSET_CHUNK`` bases at a time, on the
-    (bases, m, n) rates a_i.d.
+    The tests run a part of the ``frontier`` at a time, one part per solved
+    chunk, on its (bases, m, n) rates a_i.d.
     """
     n = inst.n
     fresh: list[tuple[int, ...]] = []
-    for lo in range(0, len(level[0]), linalg.SUBSET_CHUNK):
-        bases, solved, slack = (part[lo:lo + linalg.SUBSET_CHUNK] for part in level)
+    for bases, solved, slack in frontier:
         rates = -(inst.A @ solved[:, :, :n])
         slack = slack[:, :, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -523,13 +520,16 @@ def bfs_distance(inst: Instance, s, t) -> int:
 
     Enumerates the :func:`vertex_graph` on every call; a caller that holds
     the graph calls :func:`graph_distances` on it instead.  Each endpoint is
-    the vertex with its tight rows.  Raises :class:`NotAVertex` when no
-    vertex has them and :class:`Disconnected` when no route exists.
+    the vertex with its tight rows.  Raises ``ValueError`` when an endpoint
+    does not have n coordinates, :class:`NotAVertex` when no vertex has its
+    tight rows and :class:`Disconnected` when no route exists.
     """
     verts, adjacency = vertex_graph(inst)
-    points = [v.x for v in verts] + [s.x if isinstance(s, VertexWithBasis) else s,
-                                     t.x if isinstance(t, VertexWithBasis) else t]
-    keys = _tight_keys(inst.b - np.reshape(points, (len(points), inst.n)) @ inst.A.T)
+    ends = [p.x if isinstance(p, VertexWithBasis) else p for p in (s, t)]
+    for end in ends:
+        if (size := np.size(end)) != inst.n:
+            raise ValueError(f"point has length {size}, expected {inst.n}")
+    keys = _tight_keys(inst.b - np.reshape([v.x for v in verts] + ends, (-1, inst.n)) @ inst.A.T)
     index = dict(zip(keys[:-2], range(len(verts))))
     si, ti = index.get(keys[-2]), index.get(keys[-1])
     if si is None or ti is None:

@@ -57,7 +57,8 @@ from .polytope import (
 SLOPE_TOL = 1e-12
 
 MAX_ATTEMPTS = 16
-# Bytes each instance's pivot memo is charged at most, by _record_bytes (see walk).
+# Bytes each instance's pivot memo is charged at most, by _record_bytes (see
+# walk).  The charge counts float64 payloads only, so the memo holds more.
 PIVOT_MEMO_BYTES = 2**18
 
 
@@ -331,7 +332,10 @@ def _record_bytes(m: int, n: int) -> int:
     arrays (its point a column of its solve's (n, n + 1) block, as a copy would
     change the bits of its dot products) and three per edge for its outcomes.
     Left out: object overheads, its rows (its memo key, which the next bases
-    stored in outcomes share while it is kept) and its vertex."""
+    stored in outcomes share while it is kept) and its vertex.  So the bound
+    charges float64 payloads only: measured by ``tracemalloc``, a memo holds
+    2.2x its charge after one corpus cycle (n <= 6) and 1.1x on walk-large
+    (n = 16-24)."""
     return 8 * (n * (2 * n + 4) + m)
 
 

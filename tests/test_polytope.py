@@ -245,6 +245,8 @@ def test_bfs_distance_values(cube3, cut_cube3):
     assert bfs_distance(cube3, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]) == 3
     assert bfs_distance(cube3, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]) == 0
     assert bfs_distance(cut_cube3, cut_cube3.x1, cut_cube3.x2) == 3
+    with pytest.raises(ValueError, match=re.escape("point has length 2, expected 3")):
+        bfs_distance(cube3, [0.0, 0.0], [1.0, 1.0, 1.0])
 
 
 def test_bfs_accepts_prebuilt_graph(cube3):
