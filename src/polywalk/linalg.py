@@ -9,8 +9,13 @@ otherwise.
 
 :func:`solve`, :func:`inverse` and :func:`solve_stack` call the LAPACK
 gufuncs behind ``np.linalg.solve`` and ``np.linalg.inv`` directly, so they
-run the same LU and give the same bits without numpy's Python wrappers, and
-they share one rule for :class:`Singular`: the floating-point error state is
+run the same LU and give the same bits without numpy's Python wrappers.  No
+``signature`` is passed: those wrappers pass ``dd->d``, and every input here
+is float64 already (from :func:`as_matrix` or a float stack), so the gufunc
+picks the same loop.  :func:`solve` solves against ``[I | b]``, copied from
+a read-only identity block cached for the eight orders solved last, because
+column n of that solve has other bits than a one-column solve.  The three
+share one rule for :class:`Singular`: the floating-point error state is
 ignored around the call, so an exactly zero pivot shows only as the NaN that
 LAPACK fills the result with.  :func:`rank` runs on ``np.linalg.svd``.  Two
 thresholds are used package-wide and kept here, as module constants read at
@@ -20,7 +25,11 @@ call time, with no per-call override:
   when the result is not finite (an exactly zero pivot's NaN fill included)
   or an entry of the inverse reaches ``1 / PIVOT_TOL``.  The last row of the
   inverse carries 1/u_nn of the LU factors, so every final pivot below
-  ``PIVOT_TOL`` is caught.
+  ``PIVOT_TOL`` is caught.  The check is one NaN-keeping reduction, every
+  |entry| below ``1 / PIVOT_TOL``, which passes a result both rules pass;
+  only a result that fails it, a huge solution entry beside a small inverse
+  included, goes on to the per-column pass that gives the verdict and its
+  message.
 * ``RANK_TOL`` -- :func:`rank` counts the singular values above ``RANK_TOL``
   times the largest one.
 
@@ -58,10 +67,11 @@ SUBSET_CHUNK = 256
 # Norms at or below this are treated as exactly zero.
 _ZERO_NORM_FLOOR = 1e-300
 
-# The gufuncs np.linalg.solve and np.linalg.inv call, bound to their float64
-# loops as those wrappers bind them.
-_SOLVE = functools.partial(_umath_linalg.solve, signature="dd->d")
-_INV = functools.partial(_umath_linalg.inv, signature="d->d")
+# The gufuncs np.linalg.solve and np.linalg.inv call.  Those wrappers pass
+# signature="dd->d"; every input here is already float64, so the gufunc picks
+# that loop itself.
+_SOLVE = _umath_linalg.solve
+_INV = _umath_linalg.inv
 
 
 def as_vector(values) -> np.ndarray:
@@ -133,8 +143,11 @@ def _checked(call, a: np.ndarray, *args) -> np.ndarray:
     if a.shape[1] != n:
         raise ValueError(f"matrix must be square, got {a.shape}")
     out = call(a, *args)
-    # One reduction over the columns: np.maximum keeps a NaN, so every column
-    # peak is finite exactly when the whole result is.
+    # One reduction that keeps a NaN: every |entry| below the bound passes
+    # both rules, so only a result that fails it needs the column pass.
+    if np.maximum.reduce(np.abs(out), axis=None) < 1.0 / PIVOT_TOL:
+        return out
+    # Every column peak is finite exactly when the whole result is.
     peaks = np.maximum.reduce(np.abs(out)).tolist()
     if not all(map(math.isfinite, peaks)):
         raise Singular("the inverse or the solution is not finite")
@@ -143,14 +156,23 @@ def _checked(call, a: np.ndarray, *args) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _identity_block(n: int) -> np.ndarray:
+    """The read-only (n, n + 1) block [I | 0], kept for the eight orders
+    solved last, so a solve at a large order pins its block only until eight
+    other orders have been solved."""
+    block = np.eye(n, n + 1)
+    block.flags.writeable = False
+    return block
+
+
 def solve(mat, rhs) -> np.ndarray:
     """Solve the square system mat @ x = rhs by LAPACK's LU solve against [I | rhs]."""
     a, b = as_matrix(mat), as_vector(rhs)
     n = a.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"rhs length {b.shape[0]} does not match matrix order {n}")
-    full = np.zeros((n, n + 1))
-    full.ravel()[::n + 2] = 1.0  # the identity block, as np.eye(n, n + 1) sets it
+    full = _identity_block(n).copy()
     full[:, n] = b
     return _checked(_SOLVE, a, full)[:, -1]
 

@@ -521,15 +521,15 @@ def bfs_distance(inst: Instance, s, t) -> int:
     Enumerates the :func:`vertex_graph` on every call; a caller that holds
     the graph calls :func:`graph_distances` on it instead.  Each endpoint is
     the vertex with its tight rows.  Raises ``ValueError`` when an endpoint
-    does not have n coordinates, :class:`NotAVertex` when no vertex has its
-    tight rows and :class:`Disconnected` when no route exists.
+    is not a finite vector of n coordinates, :class:`NotAVertex` when no
+    vertex has its tight rows and :class:`Disconnected` when no route exists.
     """
     verts, adjacency = vertex_graph(inst)
-    ends = [p.x if isinstance(p, VertexWithBasis) else p for p in (s, t)]
+    ends = [linalg.as_vector(p.x if isinstance(p, VertexWithBasis) else p) for p in (s, t)]
     for end in ends:
-        if (size := np.size(end)) != inst.n:
-            raise ValueError(f"point has length {size}, expected {inst.n}")
-    keys = _tight_keys(inst.b - np.reshape([v.x for v in verts] + ends, (-1, inst.n)) @ inst.A.T)
+        if end.size != inst.n:
+            raise ValueError(f"point has length {end.size}, expected {inst.n}")
+    keys = _tight_keys(inst.b - np.array([v.x for v in verts] + ends) @ inst.A.T)
     index = dict(zip(keys[:-2], range(len(verts))))
     si, ti = index.get(keys[-2]), index.get(keys[-1])
     if si is None or ti is None:

@@ -365,7 +365,8 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
         memo.move_to_end(basis)
         return record
     try:
-        x = linalg.solve(inst.A.take(basis, axis=0), inst.b.take(basis))
+        rows = np.array(basis, dtype=np.intp)
+        x = linalg.solve(inst.A.take(rows, axis=0), inst.b.take(rows))
     except Singular as exc:
         raise InfeasibleStep(f"pivot to basis {basis} is singular") from exc
     slack = inst.slack(x)

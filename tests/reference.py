@@ -1,13 +1,16 @@
 """Scalar references the stacked exact kernels are tested against, the
 determinant-screened stacked solve the direct LAPACK call is tested against,
+the per-column check ``linalg._checked``'s one-reduction pass is tested against,
 the numpy edge choice the walk's scalar pass is tested against, the pass
 over all C(m, n) row subsets the pivoting vertex search is tested against,
 and the northwest-corner rule for transportation plans."""
 
+import math
+
 import numpy as np
 
 import polywalk.linalg as linalg_mod
-from polywalk.errors import LeftwardEdge, StalledWalk
+from polywalk.errors import LeftwardEdge, Singular, StalledWalk
 from polywalk.linalg import as_int_matrix
 from polywalk.polytope import TIGHT_TOL, VertexWithBasis, _tight_keys, solved_subsets
 from polywalk.shadow import SLOPE_TOL
@@ -66,6 +69,24 @@ def solve_stack_screened(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
         & (np.abs(out[:, :, :n]).max(axis=(1, 2), initial=0.0) < 1.0 / linalg_mod.PIVOT_TOL)
     ok[ok] = good
     return ok, out[good]
+
+
+def checked_by_columns(call, a: np.ndarray, *args) -> np.ndarray:
+    """``call(a, *args)`` under the :class:`Singular` rule by one pass over
+    the column peaks: a result with a column peak that is not finite is "not
+    finite", else an inverse column (the first n) whose peak reaches
+    ``1 / PIVOT_TOL`` names the largest such peak."""
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError(f"matrix must be square, got {a.shape}")
+    with np.errstate(all="ignore"):
+        out = call(a, *args)
+        peaks = np.maximum.reduce(np.abs(out)).tolist()
+    if not all(map(math.isfinite, peaks)):
+        raise Singular("the inverse or the solution is not finite")
+    if (largest := max(peaks[:n])) >= 1.0 / linalg_mod.PIVOT_TOL:
+        raise Singular(f"inverse entry {largest:.3e} reaches 1/{linalg_mod.PIVOT_TOL:.1e}")
+    return out
 
 
 def vertex_classes(inst):

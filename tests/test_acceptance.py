@@ -26,6 +26,7 @@ from polywalk.instances import (
     write_instance,
 )
 from polywalk.polytope import (
+    TIGHT_TOL,
     build_instance,
     graph_distances,
     tight_rows,
@@ -104,7 +105,7 @@ def _vertex_index(points: np.ndarray, x, label: str) -> int:
 
 
 def _upper_left_chain(points: np.ndarray, pair, x1, x2,
-                      label: str) -> list[int]:
+                      label: str, index=_vertex_index) -> list[int]:
     """Vertex indices of the upper-left shadow chain from x1 to x2.
 
     Independent of the walk: every vertex is projected onto (w1.x, w2.x) of
@@ -113,7 +114,8 @@ def _upper_left_chain(points: np.ndarray, pair, x1, x2,
     coincident within TIE_TOL
     (relative to the cloud's scale), or three hull candidates whose turn has
     a sine within TIE_TOL of zero, leave the chain ambiguous and fail with
-    ``label`` rather than pick one.
+    ``label`` rather than pick one.  ``index(points, x, label)`` finds the
+    row of ``points`` that is the vertex x.
     """
     images = points @ np.column_stack([pair.w1, pair.w2])
     scale = max(1.0, float(np.max(np.abs(images))))
@@ -133,8 +135,8 @@ def _upper_left_chain(points: np.ndarray, pair, x1, x2,
                 break
             hull.pop()
         hull.append(int(i))
-    start = _vertex_index(points, x1, label)
-    end = _vertex_index(points, x2, label)
+    start = index(points, x1, label)
+    end = index(points, x2, label)
     assert hull[0] == start, f"{label}: image(x1) is not the leftmost hull point"
     assert end in hull, f"{label}: image(x2) is not on the upper hull"
     return hull[:hull.index(end) + 1]
@@ -336,6 +338,36 @@ def test_criterion_08_oracle_dominance(corpus, corpus_paths, corpus_graphs):
     # takes one edge only when the direct edge is the whole chain.
     assert chain_mismatches == 0, \
         f"{chain_mismatches} simplex runs left the upper-left shadow chain"
+
+
+def test_every_corpus_walk_is_the_upper_left_shadow_chain(corpus, corpus_paths,
+                                                          corpus_graphs):
+    """Criterion 8's hull oracle on all 1,000 corpus walks, degenerate
+    transportation walks included, with each vertex found by its rows tight
+    at TIGHT_TOL, the program's own vertex identity.  An ambiguous hull fails
+    with its label."""
+    paths, _ = corpus_paths
+    for inst in corpus:
+        points = np.array([v.x for v in corpus_graphs[inst.name][0]])
+
+        def rows(x):
+            return tuple(np.flatnonzero(np.abs(inst.b - inst.A @ x) <= TIGHT_TOL))
+
+        by_rows = {rows(x): i for i, x in enumerate(points)}
+        assert len(by_rows) == len(points), f"{inst.name}: two vertices share tight rows"
+
+        def index(_points, x, label):
+            assert (key := rows(x)) in by_rows, f"{label}: no vertex has the tight rows of {x}"
+            return by_rows[key]
+
+        for seed in range(N_PATH_SEEDS):
+            label = f"{inst.name} seed {seed}"
+            path = paths[(inst.name, seed)]
+            assert path.status.endswith("Completed"), f"{label}: {path.status}"
+            chain = _upper_left_chain(points, path.objective, inst.x1, inst.x2, label,
+                                      index=index)
+            walked = [index(points, v.x, label) for v in path.vertices]
+            assert walked == chain, f"{label}: the walk left the upper-left shadow chain"
 
 
 def test_criterion_09_degeneracy_pipeline():

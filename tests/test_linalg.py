@@ -23,7 +23,7 @@ from polywalk.linalg import (
 )
 from polywalk.polytope import ratio_step, verify_vertex
 from polywalk.shadow import ObjectivePair, project
-from reference import int_determinant, solve_stack_screened
+from reference import checked_by_columns, int_determinant, solve_stack_screened
 
 
 def test_as_vector_rejects_non_finite():
@@ -234,6 +234,59 @@ def test_checked_reports_lapack_singular_matrix(call, args):
         linalg_mod._checked(call, np.array([[1.0, 2.0], [2.0, 4.0]]), *args)
     assert str(caught.value) == _NOT_FINITE
     assert caught.value.__cause__ is None
+
+
+_BELOW = np.nextafter(1e12, 0.0)
+# Planted entries: either side of the bound, non-finite values and a huge
+# solution entry, which passes beside a small inverse.
+_PLANTED = [_BELOW, -_BELOW, 1e12, -1e12, np.nan, np.inf, -np.inf, 1e300, -1e300]
+
+
+def _verdict(check, out):
+    try:
+        return "pass", check(_returning(out), np.eye(out.shape[0])).tobytes()
+    except Singular as exc:
+        return "singular", str(exc)
+
+
+def test_checked_equals_the_column_pass_on_seeded_outputs():
+    """The one-reduction pass gives the per-column rule's verdict and message
+    on inverses (n x n) and solves (n x (n + 1)), with planted entries in the
+    inverse columns and in the solution column."""
+    rng = np.random.default_rng(47)
+    seen = set()
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        r = int(rng.integers(0, 2))
+        out = rng.standard_normal((n, n + r)) * 10.0 ** rng.uniform(-3, 11)
+        for _ in range(int(rng.integers(0, 3))):
+            col = n if r and rng.random() < 0.5 else int(rng.integers(0, n))
+            out[int(rng.integers(0, n)), col] = _PLANTED[int(rng.integers(0, len(_PLANTED)))]
+        got, want = _verdict(linalg_mod._checked, out), _verdict(checked_by_columns, out)
+        assert got == want, out
+        # The verdict, where the first non-finite entry lies, and whether the
+        # result needed the column pass.
+        finite = np.isfinite(out)
+        seen.add((got[0] if got[0] == "pass" or got[1] == _NOT_FINITE else "bound",
+                  "finite" if finite.all() else "inverse" if not finite[:, :n].all()
+                  else "solution", not np.abs(out).max() < 1e12,
+                  got[0] == "pass" and np.abs(out[:, :n]).max() == _BELOW))
+    assert {("pass", "finite", False, False), ("pass", "finite", False, True),
+            ("pass", "finite", True, False), ("pass", "finite", True, True),
+            ("singular", "inverse", True, False), ("singular", "solution", True, False),
+            ("bound", "finite", True, False)} <= seen
+
+
+def test_solve_reuses_one_read_only_identity_block():
+    rng = np.random.default_rng(53)
+    mat = linalg_mod.unit_rows(rng.standard_normal((7, 7)))
+    for rhs in rng.standard_normal((2, 7)):
+        full = np.eye(7, 8)
+        full[:, 7] = rhs
+        assert solve(mat, rhs).tobytes() == np.linalg.solve(mat, full)[:, 7].tobytes()
+    block = linalg_mod._identity_block(7)
+    assert block is linalg_mod._identity_block(7)
+    assert not block.flags.writeable and block.tobytes() == np.eye(7, 8).tobytes()
 
 
 def test_rank_unit_rows_with_duplicate():

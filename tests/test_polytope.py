@@ -247,6 +247,11 @@ def test_bfs_distance_values(cube3, cut_cube3):
     assert bfs_distance(cut_cube3, cut_cube3.x1, cut_cube3.x2) == 3
     with pytest.raises(ValueError, match=re.escape("point has length 2, expected 3")):
         bfs_distance(cube3, [0.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(
+            "expected a nonempty 1-d vector, got shape (1, 3)")):
+        bfs_distance(cube3, [[0.0, 0.0, 0.0]], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        bfs_distance(cube3, [0.0, 0.0, 0.0], [np.nan] * 3)
 
 
 def test_bfs_accepts_prebuilt_graph(cube3):

@@ -1,7 +1,8 @@
 """The byte-identity tool runs to completion, prints one digest per group,
 checks a run against a saved listing and finds the tree's outputs equal to
 the checked-in listing; the line counter counts each module;
-the paired benchmark alternates its two checkouts and summarizes each side."""
+the paired benchmark alternates its two checkouts and summarizes each side;
+the pivot timer runs on a small rotated cube."""
 
 import importlib.util
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from polywalk.instances import GeneratorSpec, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = [sys.executable, str(ROOT / "tools" / "output_digest.py")]
@@ -205,3 +208,12 @@ def test_paired_bench_exits_1_on_a_digest_mismatch_or_more_failures(tmp_path, di
                                        for side in ("parent", "change")}
     # Four pairs all won: 10 * 4 >= 9 * 4.
     assert summary["metrics"]["walks_per_s"]["gain"]
+
+
+def test_pivot_cost_times_cold_pivots_on_a_small_rotated_cube():
+    tool = _load_tool("pivot_cost")
+    row = tool.measure(generate(GeneratorSpec(family="rotated", n=4)), 2, 1)
+    # A rotated n-cube's walk from x1 to x2 takes n pivots.
+    assert (row["n"], row["walks"], row["pivots"]) == (4, 2, 8)
+    assert row["pivot_us"] > 0.0 and row["gufunc_us"] > 0.0
+    assert row["outside_share"] == pytest.approx(1.0 - row["gufunc_us"] / row["pivot_us"])
