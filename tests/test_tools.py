@@ -21,7 +21,7 @@ TOOL = [sys.executable, str(ROOT / "tools" / "output_digest.py")]
 LISTING = ROOT / "tools" / "output_digests.txt"
 SRC_LINES = ROOT / "tools" / "src_lines.py"
 GROUPS = ["instances", "path", "experiment", "delta", "bound-check", "help", "bases",
-          "walks", "minors", "walk-large"]
+          "walks", "minors", "walk-large", "pairs"]
 
 
 def _run(*args):

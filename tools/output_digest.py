@@ -36,7 +36,11 @@ in-process.  The groups:
 * ``walk-large``  -- :func:`polywalk.find_path`'s JSON and pivot trace for
   seeds 0-24 from x1 to x2, all on one instance each of the rotated hypercube
   at n = 16, 20 and 24 (generator seeds 0-2) and the cut cube at n = 20: the
-  long, cold walks of the benchmark's ``walk-large`` workload.
+  long, cold walks of the benchmark's ``walk-large`` workload;
+* ``pairs``       -- the ``generate`` file of random-sphere at n = 6 (m = 18,
+  seeds 0-2), n = 7 (m = 21, seed 2) and n = 8 (m = 24, seed 0) and of
+  transportation 4x4 (seed 0): endpoints from farthest-pair searches over
+  64 or more vertices, so more than one 64-source word.
 
 Every entry also hashes its label and exit code, so a changed exit shows.
 """
@@ -82,6 +86,10 @@ MINOR_SPECS = [(7, 5, 9), (8, 6, 12), (6, 4, 300), (5, 3, 10**12)]
 LARGE_SPECS = [("rotated", n, seed) for n in (16, 20, 24) for seed in range(3)]
 LARGE_SPECS += [("cut-cube", 20, 0)]
 LARGE_SEEDS = range(25)
+# (family, n, m, seed) of the pairs group's generated files.
+PAIR_SPECS = [("random-sphere", 6, 18, seed) for seed in range(3)]
+PAIR_SPECS += [("random-sphere", 7, 21, 2), ("random-sphere", 8, 24, 0),
+               ("transportation", 4, 4, 0)]
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -150,7 +158,7 @@ def main() -> int:
         line for line in Path(args.check).read_text().splitlines() if not line.startswith("#")]
     groups = {name: hashlib.sha256()
               for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
-                           "bases", "walks", "minors", "walk-large")}
+                           "bases", "walks", "minors", "walk-large", "pairs")}
 
     def add(group: str, label: str, code, text: str) -> None:
         groups[group].update(f"{label}\0{code}\0".encode() + text.encode() + b"\0")
@@ -201,6 +209,11 @@ def main() -> int:
             walks(add, f"{cube.name}:{i}-{j}", cube, corners[i], corners[j])
         add("walks", f"{cube.name}:vertices", 0,
             repr([(v.x.tolist(), v.basis, v.degenerate) for v in enumerate_vertices(cube)]))
+        for family, n, m, seed in PAIR_SPECS:
+            path = root / f"pair-{family}-{n}-{m}-{seed}.json"
+            code, _ = run(["generate", "--family", family, "--n", str(n), "--m", str(m),
+                           "--seed", str(seed), "--out", str(path)])
+            add("pairs", path.name, code, path.read_text())
 
     for argv in (["--help"], ["generate", "--help"]):
         code, text = run(argv)
