@@ -33,15 +33,13 @@ from .flatness import random_orthogonal, rotate_rows
 from .polytope import (
     Instance,
     VertexWithBasis,
+    _bfs_levels,
     build_instance,
-    graph_distances,
     vertex_graph,
 )
 
 _SPHERE_RESAMPLE_LIMIT = 64
 _TOTALS_RESAMPLE_LIMIT = 10_000
-# Distances per block of sources in the farthest-pair search.
-_BFS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -203,21 +201,17 @@ def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The first pair at the largest distance, sources in ascending order.
 
-    The breadth-first search runs for a block of sources at a time, at most
-    ``_BFS_BLOCK`` distances per block; the first maximum of each block in
-    row-major order is its candidate, and a later block must beat it.
+    The last level of the breadth-first search from every vertex holds
+    exactly the pairs at the largest distance; the first of its bits in
+    (source, target) order is the pair.
     """
     count = len(verts)
     if count < 2:
         raise ValueError("need at least two vertices for an endpoint pair")
-    block = max(1, _BFS_BLOCK // count)
-    best, at = -1, 0
-    for lo in range(0, count, block):
-        dist = graph_distances(adjacency, range(lo, min(lo + block, count)))
-        k = int(dist.argmax())
-        if dist.flat[k] > best:
-            best, at = int(dist.flat[k]), lo * count + k
-    s, t = divmod(at, count)
+    for last in _bfs_levels(adjacency, range(count)):
+        pass
+    pairs = np.unpackbits(last, axis=1, count=count, bitorder="little").T
+    s, t = divmod(int(pairs.argmax()), count)
     return verts[s].x, verts[t].x
 
 

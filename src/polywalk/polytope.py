@@ -25,8 +25,7 @@ pivots, started from the stream's first chunk that holds one, its levels
 solved by that loop, so it solves about as many bases as the polytope has;
 :func:`vertex_graph` reads the edges off those bases, joining two vertices
 whose bases share n - 1 rows; :func:`graph_distances` is the one
-breadth-first search over vertices, run for a block of sources at once with
-one 0/1 frontier product per level.
+breadth-first search over vertices, from many sources at once, a bit each.
 """
 
 from __future__ import annotations
@@ -481,38 +480,44 @@ def vertex_graph(inst: Instance) -> tuple[list[VertexWithBasis], list[set[int]]]
 
 
 def graph_distances(adjacency: Sequence[set[int]], sources: Sequence[int]) -> np.ndarray:
-    """Edge-graph distances from each of ``sources`` to every vertex.
+    """Edge-graph distances from each of ``sources`` to every vertex: the levels
+    of :func:`_bfs_levels` unpacked into a ``(len(sources), V)`` integer array,
+    -1 where unreachable; ``IndexError`` for a source outside ``range(V)``."""
+    dist = np.full((len(sources), len(adjacency)), -1, dtype=np.intp)
+    for level, reached in enumerate(_bfs_levels(adjacency, sources)):
+        bits = np.unpackbits(reached, axis=1, count=len(sources), bitorder="little")
+        dist.T[bits == 1] = level
+    return dist
 
-    One breadth-first search over :func:`vertex_graph` adjacency for all the
-    sources at once: each level expands every source's frontier with one 0/1
-    product against the adjacency matrix.  Returns a ``(len(sources), V)``
-    integer array; -1 marks an unreachable vertex.  Beyond the ``(V, V)``
-    adjacency matrix, memory grows with ``len(sources) * V``, so a caller
-    bounds it by passing blocks of sources.
+
+def _bfs_levels(adjacency: Sequence[set[int]], sources: Sequence[int]) -> Iterator[np.ndarray]:
+    """A breadth-first search from all of ``sources`` at once, source i as
+    bit i % 64 of word i // 64 (Then et al., PVLDB 2014).
+
+    Yields, from level 0 to the last nonempty one, the vertices each source
+    first reaches at that level: a fresh ``(V, 8 * words)`` uint8 array of
+    little-endian words, so bit i % 8 of byte i // 8 marks source i, as
+    ``np.unpackbits(..., bitorder="little")`` reads it.  A level ORs the
+    frontier rows of every neighbour, gathered at once through a
+    ``(V + 1, max degree)`` table padded with index V, the frontier's zero
+    row.  Raises ``IndexError`` for a source outside ``range(V)``.
     """
     count = len(adjacency)
-    degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=count)
-    # float64, as every other product here: float32 counts neighbours just as
-    # exactly but pulls in BLAS's single-precision kernels, 0.1 MB resident.
-    edges = np.zeros((count, count))
-    edges[np.repeat(np.arange(count), degree),
-          np.fromiter(chain.from_iterable(adjacency), dtype=np.intp,
-                      count=int(degree.sum()))] = 1.0
     sources = np.asarray(sources, dtype=np.intp)
-    rows = np.arange(sources.size)
-    dist = np.full((sources.size, count), -1, dtype=np.intp)
-    dist[rows, sources] = 0
-    frontier = np.zeros((sources.size, count))
-    frontier[rows, sources] = 1.0
-    level = 0
-    while True:
-        reached = frontier @ edges > 0.0
-        reached &= dist < 0
-        if not reached.any():
-            return dist
-        level += 1
-        dist[reached] = level
-        frontier = reached.astype(float)
+    if ((sources < 0) | (sources >= count)).any():
+        raise IndexError(f"sources must lie in range({count})")
+    degree = np.fromiter(map(len, [*adjacency, ()]), dtype=np.intp, count=count + 1)
+    table = np.full((count + 1, degree.max()), count, dtype=np.intp)
+    table[np.arange(table.shape[1]) < degree[:, None]] = np.fromiter(
+        chain.from_iterable(adjacency), dtype=np.intp, count=int(degree.sum()))
+    bit = np.arange(sources.size, dtype=np.uint64)
+    frontier = np.zeros((count + 1, -(-sources.size // 64)), dtype=np.uint64)
+    np.bitwise_or.at(frontier, (sources, bit // 64), np.uint64(1) << bit % 64)
+    seen = frontier.copy()
+    while frontier.any():
+        yield frontier[:count].astype("<u8").view(np.uint8)
+        frontier = np.bitwise_or.reduce(frontier[table], axis=1) & ~seen
+        seen |= frontier
 
 
 def bfs_distance(inst: Instance, s, t) -> int:

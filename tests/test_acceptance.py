@@ -9,6 +9,7 @@ values, and the vertex graphs.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ from polywalk.instances import (
 from polywalk.polytope import (
     TIGHT_TOL,
     build_instance,
+    enumerate_vertices,
     graph_distances,
     tight_rows,
     verify_vertex,
@@ -118,23 +120,29 @@ def _upper_left_chain(points: np.ndarray, pair, x1, x2,
     row of ``points`` that is the vertex x.
     """
     images = points @ np.column_stack([pair.w1, pair.w2])
-    scale = max(1.0, float(np.max(np.abs(images))))
-    gaps = np.max(np.abs(images[:, None, :] - images[None, :, :]), axis=2)
-    np.fill_diagonal(gaps, np.inf)
-    assert float(np.min(gaps)) > TIE_TOL * scale, \
-        f"{label}: two vertex images coincide"
+    tol = TIE_TOL * max(1.0, float(np.max(np.abs(images))))
+    # Two images within tol in both coordinates are within tol in the first.
+    # Sorted by it, images k places apart are no closer in it than images
+    # k - 1 apart, so no pair is left once no two k places apart are close.
+    by_x = images[np.argsort(images[:, 0])]
+    for k in range(1, len(by_x)):
+        near = by_x[k:, 0] - by_x[:-k, 0] <= tol
+        if not near.any():
+            break
+        assert not (np.abs(by_x[k:, 1] - by_x[:-k, 1])[near] <= tol).any(), \
+            f"{label}: two vertex images coincide"
+    xy = images.tolist()
     hull: list[int] = []
-    for i in np.lexsort((images[:, 1], images[:, 0])):
+    for i in np.lexsort((images[:, 1], images[:, 0])).tolist():
         while len(hull) >= 2:
-            u = images[hull[-1]] - images[hull[-2]]
-            v = images[i] - images[hull[-2]]
-            cross = float(u[0] * v[1] - u[1] * v[0])
-            assert abs(cross) > TIE_TOL * np.linalg.norm(u) * np.linalg.norm(v), \
-                f"{label}: collinear vertex images"
+            (ax, ay), (bx, by), (cx, cy) = xy[hull[-2]], xy[hull[-1]], xy[i]
+            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            assert abs(cross) > TIE_TOL * math.hypot(bx - ax, by - ay) \
+                * math.hypot(cx - ax, cy - ay), f"{label}: collinear vertex images"
             if cross < 0.0:
                 break
             hull.pop()
-        hull.append(int(i))
+        hull.append(i)
     start = index(points, x1, label)
     end = index(points, x2, label)
     assert hull[0] == start, f"{label}: image(x1) is not the leftmost hull point"
@@ -340,34 +348,59 @@ def test_criterion_08_oracle_dominance(corpus, corpus_paths, corpus_graphs):
         f"{chain_mismatches} simplex runs left the upper-left shadow chain"
 
 
+def _assert_upper_left_chains(inst, points: np.ndarray, walks) -> None:
+    """Criterion 8's hull oracle on each ``(label, path)`` of ``walks``, all
+    from inst.x1 to inst.x2 over the vertices ``points``, with each vertex
+    found by its rows tight at TIGHT_TOL, the program's own vertex identity.
+    An ambiguous hull fails with its label."""
+
+    def rows(x):
+        return tuple(np.flatnonzero(np.abs(inst.b - inst.A @ x) <= TIGHT_TOL))
+
+    by_rows = {rows(x): i for i, x in enumerate(points)}
+    assert len(by_rows) == len(points), f"{inst.name}: two vertices share tight rows"
+
+    def index(_points, x, label):
+        assert (key := rows(x)) in by_rows, f"{label}: no vertex has the tight rows of {x}"
+        return by_rows[key]
+
+    for label, path in walks:
+        assert path.status.endswith("Completed"), f"{label}: {path.status}"
+        chain = _upper_left_chain(points, path.objective, inst.x1, inst.x2, label,
+                                  index=index)
+        walked = [index(points, v.x, label) for v in path.vertices]
+        assert walked == chain, f"{label}: the walk left the upper-left shadow chain"
+
+
 def test_every_corpus_walk_is_the_upper_left_shadow_chain(corpus, corpus_paths,
                                                           corpus_graphs):
-    """Criterion 8's hull oracle on all 1,000 corpus walks, degenerate
-    transportation walks included, with each vertex found by its rows tight
-    at TIGHT_TOL, the program's own vertex identity.  An ambiguous hull fails
-    with its label."""
+    """The hull oracle on all 1,000 corpus walks, degenerate transportation
+    walks included."""
     paths, _ = corpus_paths
     for inst in corpus:
         points = np.array([v.x for v in corpus_graphs[inst.name][0]])
+        _assert_upper_left_chains(inst, points, [(f"{inst.name} seed {seed}",
+                                                  paths[(inst.name, seed)])
+                                                 for seed in range(N_PATH_SEEDS)])
 
-        def rows(x):
-            return tuple(np.flatnonzero(np.abs(inst.b - inst.A @ x) <= TIGHT_TOL))
 
-        by_rows = {rows(x): i for i, x in enumerate(points)}
-        assert len(by_rows) == len(points), f"{inst.name}: two vertices share tight rows"
-
-        def index(_points, x, label):
-            assert (key := rows(x)) in by_rows, f"{label}: no vertex has the tight rows of {x}"
-            return by_rows[key]
-
-        for seed in range(N_PATH_SEEDS):
-            label = f"{inst.name} seed {seed}"
-            path = paths[(inst.name, seed)]
-            assert path.status.endswith("Completed"), f"{label}: {path.status}"
-            chain = _upper_left_chain(points, path.objective, inst.x1, inst.x2, label,
-                                      index=index)
-            walked = [index(points, v.x, label) for v in path.vertices]
-            assert walked == chain, f"{label}: the walk left the upper-left shadow chain"
+@pytest.mark.parametrize("make", [
+    gen_degenerate_pyramid,
+    lambda: generate(GeneratorSpec(family="cut-cube", n=6)),
+    lambda: generate(GeneratorSpec(family="rotated", n=8)),
+    lambda: generate(GeneratorSpec(family="random-sphere", n=7)),
+    lambda: generate(GeneratorSpec(family="random-sphere", n=8)),
+    lambda: generate(GeneratorSpec(family="transportation", n=4, m=4)),
+], ids=["pyramid", "cut-cube-n6", "rotated-n8", "random-sphere-n7", "random-sphere-n8",
+        "transportation-4x4"])
+def test_walks_beyond_the_corpus_are_the_upper_left_shadow_chain(make):
+    """The hull oracle on twenty walks of each instance, seed 0 of every
+    generated one, up to the 2,012 vertices of random-sphere n = 8."""
+    inst = make()
+    points = np.array([v.x for v in enumerate_vertices(inst)])
+    _assert_upper_left_chains(inst, points, [(f"{inst.name} seed {seed}",
+                                              find_path(inst, inst.x1, inst.x2, seed=seed))
+                                             for seed in range(N_PATH_SEEDS)])
 
 
 def test_criterion_09_degeneracy_pipeline():

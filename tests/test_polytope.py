@@ -9,7 +9,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import polywalk.instances as instances_mod
 import polywalk.linalg as linalg_mod
 import polywalk.polytope as polytope_mod
 from polywalk.errors import (
@@ -604,11 +603,10 @@ def test_stacked_graph_matches_per_basis_reference():
                                   lambda: gen_random_sphere(15, 5, seed=0),
                                   gen_degenerate_pyramid])
 def test_stacked_graph_same_across_chunks_and_blocks(make, monkeypatch):
-    # One source per search block; seven subsets per enumeration chunk.
+    # Seven subsets per enumeration chunk.
     inst = make()
     verts, adjacency = vertex_graph(inst)
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
-    monkeypatch.setattr(instances_mod, "_BFS_BLOCK", 1)
     _assert_graph_matches_reference(inst)
     chunked_verts, chunked_adjacency = vertex_graph(inst)
     assert _bases(chunked_verts) == _bases(verts) and chunked_adjacency == adjacency
@@ -624,6 +622,38 @@ def test_farthest_pair_tie_goes_to_first_source():
     x1, x2 = farthest_vertex_pair(cube)
     assert x1.tobytes() == verts[0].x.tobytes()
     npt.assert_array_equal(x2, 1.0 - verts[0].x)
+
+
+@pytest.mark.parametrize("make, count", [(lambda: gen_hypercube(6), 64),
+                                         (lambda: gen_hypercube(7), 128),
+                                         (lambda: gen_random_sphere(21, 7, seed=2), 792)],
+                         ids=["one-word", "two-words", "thirteen-words"])
+def test_distances_and_farthest_pair_across_source_words(make, count):
+    # The search packs 64 sources to a word: 64 vertices fill one word, 128
+    # fill two, and 792 take 13, the last one partly.
+    verts, adjacency = vertex_graph(make())
+    assert len(verts) == count
+    dist = graph_distances(adjacency, range(count))
+    assert dist.tolist() == [_reference_distances(adjacency, s) for s in range(count)]
+    pair = _farthest_pair(verts, adjacency)
+    ref_pair = _reference_farthest(verts, adjacency)
+    assert [x.tobytes() for x in pair] == [x.tobytes() for x in ref_pair]
+
+
+def test_graph_distances_of_repeated_and_empty_sources(cube3):
+    _, adjacency = vertex_graph(cube3)
+    empty = graph_distances(adjacency, [])
+    assert empty.shape == (0, 8) and empty.dtype == np.intp
+    sources = [5, 0, 5] + [3] * 70
+    assert graph_distances(adjacency, sources).tolist() == \
+        [_reference_distances(adjacency, s) for s in sources]
+
+
+@pytest.mark.parametrize("source", [-1, 8])
+def test_graph_distances_rejects_a_source_outside_the_graph(cube3, source):
+    _, adjacency = vertex_graph(cube3)
+    with pytest.raises(IndexError, match=re.escape("sources must lie in range(8)")):
+        graph_distances(adjacency, [0, source])
 
 
 def test_bfs_distance_disconnected(cube3, monkeypatch):

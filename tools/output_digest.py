@@ -40,7 +40,7 @@ in-process.  The groups:
 * ``pairs``       -- the ``generate`` file of random-sphere at n = 6 (m = 18,
   seeds 0-2), n = 7 (m = 21, seed 2) and n = 8 (m = 24, seed 0) and of
   transportation 4x4 (seed 0): endpoints from farthest-pair searches over
-  64 or more vertices, so more than one 64-source word.
+  184 to 2,012 vertices, 3 to 32 words of 64 sources.
 
 Every entry also hashes its label and exit code, so a changed exit shows.
 """
