@@ -181,9 +181,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except RetriesExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALGORITHM
     except (PolywalkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -200,11 +200,12 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     Raises :class:`WalkFailure` on numeric trouble.
 
     The instance's pivot memo keeps, within ``PIVOT_MEMO_BYTES``, one
-    :class:`_Basis` per basis a pivot reached; the start's directions and
-    outcomes go in the start's own record, as its slack is its verified
-    point's.  A warm pivot does its seed's work, the edge choice, slope checks
-    and new image, plus one lookup: its outcome holds the next basis, whose
-    record holds the vertex.  Each stored value is made by the call a memo-less
+    :class:`_Basis` per basis a pivot reached, its vertex built with it from
+    that basis's own solve; the start's directions and outcomes go in a
+    record around the start itself, as its slack is its verified point's.  A
+    warm pivot does its seed's work, the edge choice, slope checks and new
+    image, plus one lookup: its outcome holds the next basis, whose record
+    holds the vertex.  Each stored value is made by the call a memo-less
     walk makes, and no basis repeats within a walk (the slopes strictly
     decrease), so every output is byte-identical and a walk on a fresh
     instance makes exactly a memo-less walk's calls.
@@ -213,11 +214,11 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     met_degenerate = start.degenerate or target.degenerate
     target_rows = list(target.basis)
 
-    current = start
     record = _start_record(inst, start)
-    vertices = [start]
+    current = record.vertex
+    vertices = [current]
     slopes: list[float] = []
-    projections = [(float(pair.w1 @ record.x), float(pair.w2 @ record.x))]
+    projections = [(float(pair.w1 @ current.x), float(pair.w2 @ current.x))]
     trace: list[tuple[int, int, float]] = []
     prev_slope = math.inf
 
@@ -250,26 +251,22 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
                 raise UnboundedShadow(str(exc)) from exc
             after = _basic_point(inst, _next_basis(current.basis, k, entering))
             # _basic_point refused any slack below -TIGHT_TOL: no abs is needed.
-            tight = (after.slack <= TIGHT_TOL).nonzero()[0]
-            landed_degenerate = tight.size > inst.n
-            if landed_degenerate and (lex := _lex_entering(
-                    inst, current.basis, record.directions, d, tight)) != entering:
+            if after.vertex.degenerate and (lex := _lex_entering(
+                    inst, current.basis, record.directions, d,
+                    (after.slack <= TIGHT_TOL).nonzero()[0])) != entering:
                 entering = lex
                 after = _basic_point(inst, _next_basis(current.basis, k, entering))
-            record.store(k, (entering, step, landed_degenerate, after.basis))
+            record.store(k, (entering, step, after.vertex.basis))
         else:
-            entering, step, landed_degenerate, new_basis = known
+            entering, step, new_basis = known
             after = _basic_point(inst, new_basis)
-        met_degenerate = met_degenerate or landed_degenerate
         moved = not current.degenerate or record.slack[entering] > TIGHT_TOL
-        record = after
-        if (current := after.vertex) is None or current.degenerate != landed_degenerate:
-            current = after.vertex = VertexWithBasis(x=after.x, basis=after.basis,
-                                                     degenerate=landed_degenerate)
+        record, current = after, after.vertex
+        met_degenerate = met_degenerate or current.degenerate
         if moved:
             vertices.append(current)
             slopes.append(edge_slope)
-            projections.append((float(pair.w1 @ after.x), float(pair.w2 @ after.x)))
+            projections.append((float(pair.w1 @ current.x), float(pair.w2 @ current.x)))
             trace.append((leaving, entering, step))
         prev_slope = edge_slope
 
@@ -308,22 +305,22 @@ def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...
 
 
 class _Basis:
-    """What walks know of one basis: its rows (a memo record's own key),
-    its read-only point and slack, and, each None until computed, its
-    read-only edge directions, the outcome tuple :meth:`store` builds, per
-    edge None or the entering row, step, degenerate landing and next basis
-    (that record's rows) of the pivot along it, fixed by (A, b, basis, k) and
-    the slack it left, and the last vertex a pivot landed on."""
+    """What walks know of one basis: its vertex (its rows a memo record's own
+    key, its read-only point and degenerate flag from its own solve), its
+    read-only slack, and, each None until computed, its read-only edge
+    directions and the outcome tuple :meth:`store` builds, per edge None or
+    the entering row, step and next basis (that record's rows) of the pivot
+    along it, fixed by (A, b, basis, k) and the slack it left."""
 
-    __slots__ = ("basis", "x", "slack", "directions", "outcomes", "vertex")
+    __slots__ = ("vertex", "slack", "directions", "outcomes")
 
-    def __init__(self, basis: tuple[int, ...], x: np.ndarray, slack: np.ndarray):
-        self.basis, self.x, self.slack = basis, x, slack
-        self.directions = self.outcomes = self.vertex = None
+    def __init__(self, vertex: VertexWithBasis, slack: np.ndarray):
+        self.vertex, self.slack = vertex, slack
+        self.directions = self.outcomes = None
 
-    def store(self, k: int, outcome: tuple[int, float, bool, tuple[int, ...]]) -> None:
-        """Store the (entering, step, landed degenerate, next basis) along edge k."""
-        table = self.outcomes or (None,) * self.x.size
+    def store(self, k: int, outcome: tuple[int, float, tuple[int, ...]]) -> None:
+        """Store the (entering, step, next basis) along edge k."""
+        table = self.outcomes or (None,) * len(self.vertex.basis)
         self.outcomes = table[:k] + (outcome,) + table[k + 1:]
 
 
@@ -332,30 +329,31 @@ def _record_bytes(m: int, n: int) -> int:
     arrays (its point a column of its solve's (n, n + 1) block, as a copy would
     change the bits of its dot products) and three per edge for its outcomes.
     Left out: object overheads, its rows (its memo key, which the next bases
-    stored in outcomes share while it is kept) and its vertex.  So the bound
-    charges float64 payloads only: measured by ``tracemalloc``, a memo holds
-    2.2x its charge after one corpus cycle (n <= 6) and 1.1x on walk-large
-    (n = 16-24)."""
+    stored in outcomes share while it is kept) and its vertex, whose point is
+    its own.  So the bound charges float64 payloads only: by ``tracemalloc``,
+    a memo holds 2.1x its charge after one corpus cycle (n <= 6) and 1.1x
+    on walk-large (n = 16-24)."""
     return 8 * (n * (2 * n + 4) + m)
 
 
 def _start_record(inst: Instance, start: VertexWithBasis) -> _Basis:
-    """The record of a walk's start, which keeps its own directions: the
-    endpoint memo's when the start is that pair's verified x1, whose point
-    and so slack are fixed, and a new one for this walk alone otherwise, its
-    point passed through ``as_vector``."""
+    """The record of a walk's start, around the start itself, which keeps
+    its own directions: the endpoint memo's when the start is that pair's
+    verified x1, whose point and so slack are fixed, and a new one for this
+    walk alone otherwise."""
     memo = inst._endpoint_memo
     if memo is not None and memo.v1 is start:
         return memo.start
     slack = inst.slack(start.x)
     slack.flags.writeable = False
-    return _Basis(start.basis, linalg.as_vector(start.x), slack)
+    return _Basis(start, slack)
 
 
 def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
     """The memo record of a pivot's new basis, now the memo's most recent,
-    or a new one with its read-only point and slack, stored, evicting the
-    least recent record past ``PIVOT_MEMO_BYTES``.
+    or a new one with its vertex, degenerate when over n rows of its slack
+    (none below -``TIGHT_TOL``) are at most ``TIGHT_TOL``, and read-only
+    slack, stored, evicting the least recent record past ``PIVOT_MEMO_BYTES``.
 
     Raises :class:`InfeasibleStep`, storing nothing, when the basis is
     singular or its point leaves the polytope.
@@ -374,7 +372,8 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
     if slack[worst] < -TIGHT_TOL:
         raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
     x.flags.writeable = slack.flags.writeable = False
-    memo[basis] = record = _Basis(basis, x, slack)
+    degenerate = np.count_nonzero(slack <= TIGHT_TOL) > inst.n
+    memo[basis] = record = _Basis(VertexWithBasis(x, basis, degenerate), slack)
     if len(memo) * _record_bytes(*inst.A.shape) > PIVOT_MEMO_BYTES:
         memo.popitem(last=False)
     return record

@@ -506,24 +506,55 @@ def test_walk_makes_one_next_basis_per_pivot(monkeypatch):
         counts["polywalk.shadow.ratio_step"] + len(changes)
 
 
+@pytest.mark.parametrize("make", [lambda: gen_transportation(3, 4, 0),
+                                  lambda: gen_hypercube(5), gen_degenerate_pyramid],
+                         ids=["transportation-3x4-s0", "hypercube-5", "pyramid"])
+def test_walk_from_a_list_start(make):
+    # The start's record holds the start as given: a point given as a
+    # Python list walks as its array does, and a NaN in it is still refused
+    # by Instance.slack.
+    inst = make()
+    v1, v2 = (verify_vertex(inst, x) for x in (inst.x1, inst.x2))
+    listed = VertexWithBasis(x=list(v1.x), basis=v1.basis, degenerate=v1.degenerate)
+    for seed in range(3):
+        pair = sample_objectives(inst, v1, v2, seed)
+        assert walk(replace(inst), listed, v2, pair).to_json() == \
+            walk(replace(inst), v1, v2, pair).to_json()
+    nan = replace(listed, x=[math.nan, *listed.x[1:]])
+    fresh = replace(inst)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        walk(fresh, nan, v2, sample_objectives(inst, v1, v2, 0))
+    assert not fresh._pivot_memo
+
+
 def test_walk_tight_sets_need_no_abs(monkeypatch):
     # Every record a pivot keeps has refused any slack below -TIGHT_TOL, so
-    # slack <= TIGHT_TOL is its tight set: tight_rows' at its point.  On the
-    # acceptance corpus and rotated n = 16, with no record evicted.
+    # slack <= TIGHT_TOL is its tight set: tight_rows' at its point.  Each
+    # pivot record's vertex is fixed by (A, b, basis): its rows are its memo
+    # key and its degenerate flag is its own tight set's.  On the acceptance
+    # corpus and rotated n = 16, with no record evicted.
     from test_acceptance import N_PATH_SEEDS, _corpus_specs
 
     monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", math.inf)
     specs = _corpus_specs() + [GeneratorSpec(family="rotated", n=16)]
-    checked = 0
+    checked = degenerate = 0
     for inst in map(generate, specs):
         for seed in range(N_PATH_SEEDS):
             find_path(inst, inst.x1, inst.x2, seed=seed)
-        for record in [*inst._pivot_memo.values(), inst._endpoint_memo.start]:
+        ends = inst._endpoint_memo
+        assert ends.start.vertex is ends.v1
+        for key, record in [*inst._pivot_memo.items(), (None, ends.start)]:
             assert record.slack.min() >= -TIGHT_TOL
             tight = tuple((record.slack <= TIGHT_TOL).nonzero()[0].tolist())
-            assert tight == tight_rows(inst, record.x)
+            assert tight == tight_rows(inst, record.vertex.x)
             checked += 1
+            if key is not None:
+                assert record.vertex.basis is key
+                assert record.vertex.degenerate == (len(tight) > inst.n)
+                assert not record.vertex.x.flags.writeable
+                degenerate += record.vertex.degenerate
     assert checked > 1000
+    assert degenerate > 0
 
 
 def test_walk_hexagon_opposite_is_three():
@@ -873,30 +904,6 @@ def test_warm_walk_reads_every_pivot_from_the_memo(family, monkeypatch):
     assert again.to_json() == find_path(replace(inst), inst.x1, inst.x2, seed=0).to_json()
 
 
-@pytest.mark.parametrize("family", ["hypercube", "pyramid"])
-def test_warm_landing_rebuilds_a_vertex_whose_flag_differs(family, monkeypatch):
-    # A record's vertex is reused only when the landing's degenerate flag is
-    # its own.  With every kept vertex's flag flipped, each warm landing
-    # builds a new vertex with the landing's flag, which the next warm walk
-    # reuses; the JSON stays the first walk's.
-    inst = _MEMO_FAMILIES[family]()
-    first = find_path(inst, inst.x1, inst.x2, seed=0).to_json()
-    for record in inst._pivot_memo.values():
-        if record.vertex is not None:
-            record.vertex = replace(record.vertex, degenerate=not record.vertex.degenerate)
-    counts = _counted(monkeypatch, (shadow_mod, "VertexWithBasis"),
-                      (shadow_mod, "_basic_point"))
-    again = find_path(inst, inst.x1, inst.x2, seed=0)
-    built = counts.pop("polywalk.shadow.VertexWithBasis")
-    assert built == counts["polywalk.shadow._basic_point"] > 0
-    assert again.to_json() == first
-    for v in again.vertices[1:]:
-        assert v is inst._pivot_memo[v.basis].vertex
-    counts.clear()
-    assert find_path(inst, inst.x1, inst.x2, seed=0).to_json() == first
-    assert "polywalk.shadow.VertexWithBasis" not in counts
-
-
 @pytest.mark.parametrize("family", sorted(_MEMO_FAMILIES))
 def test_repeated_find_path_skips_verification(family, monkeypatch):
     make = _MEMO_FAMILIES[family]
@@ -1049,10 +1056,10 @@ def _path_record(inst, x1, x2, seed):
 
 
 def _arrays(record):
-    """The arrays a basis record holds: point, slack and edge directions,
-    None where not yet computed.  Its outcome table and vertex are tuples
-    and a frozen dataclass around the point."""
-    return [record.x, record.slack, record.directions]
+    """The arrays a basis record holds: its vertex's point, slack and edge
+    directions, None where not yet computed.  Its outcome table is a tuple
+    and its vertex a frozen dataclass around the point."""
+    return [record.vertex.x, record.slack, record.directions]
 
 
 def _memo_bytes(memo):
@@ -1065,14 +1072,14 @@ def _memo_bytes(memo):
 def _outcome_bytes(memo):
     """Bytes of the outcome tuples the memo keeps alive: each table, each
     outcome and its step, and each next basis that is not a kept record's
-    key.  Entering rows below 257 are Python's cached ints and the flags its
-    two bools, so they add nothing."""
+    key.  Entering rows below 257 are Python's cached ints, so they add
+    nothing."""
     total = 0
     for table in [record.outcomes for record in memo.values() if record.outcomes]:
         total += sys.getsizeof(table)
         for outcome in [outcome for outcome in table if outcome is not None]:
             total += sys.getsizeof(outcome) + sys.getsizeof(outcome[1])
-            if (after := outcome[3]) not in memo or memo[after].basis is not after:
+            if (after := outcome[2]) not in memo or memo[after].vertex.basis is not after:
                 total += sys.getsizeof(after)
     return total
 
@@ -1093,8 +1100,8 @@ def test_shared_pivot_memo_matches_fresh_instances(name):
     # itself, not a copy.
     records = [*inst._pivot_memo.values(), inst._endpoint_memo.start]
     for table in [record.outcomes for record in records if record.outcomes]:
-        for after in [outcome[3] for outcome in table if outcome is not None]:
-            assert after is inst._pivot_memo[after].basis
+        for after in [outcome[2] for outcome in table if outcome is not None]:
+            assert after is inst._pivot_memo[after].vertex.basis
 
 
 def test_start_outcomes_are_not_read_after_a_pivot():
@@ -1122,7 +1129,7 @@ def _dangling_outcomes(inst):
     for basis, table in records:
         for k, outcome in enumerate(table or ()):
             if outcome is not None:
-                entering, _, _, after = outcome
+                entering, _, after = outcome
                 assert after == tuple(sorted(set(basis) - {basis[k]} | {entering}))
                 count += after not in inst._pivot_memo
     return count
@@ -1391,7 +1398,8 @@ def test_pivot_memo_records_are_whole(monkeypatch):
             for seed in range(6):
                 find_path(inst, x1, x2, seed=seed)
         assert inst._pivot_memo
-        assert all(r.x is not None and r.slack is not None for r in inst._pivot_memo.values())
+        assert all(r.vertex.x is not None and r.slack is not None
+                   for r in inst._pivot_memo.values())
     cube = gen_hypercube(4)
     ends = verify_endpoints(cube, cube.x1, cube.x2)
     pair = sample_objectives(cube, ends.v1, ends.v2, 0)
@@ -1407,7 +1415,7 @@ def test_pivot_memo_records_are_whole(monkeypatch):
     with pytest.raises(InfeasibleStep):
         walk(cube, ends.v1, ends.v2, pair)
     assert bad in cube._pivot_memo and cube._pivot_memo[bad].directions is None
-    assert all(r.x is not None and r.slack is not None for r in cube._pivot_memo.values())
+    assert all(r.vertex.x is not None and r.slack is not None for r in cube._pivot_memo.values())
 
 
 def test_memo_arrays_are_read_only():
