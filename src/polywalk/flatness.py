@@ -13,23 +13,23 @@ the number of bases checked so callers can judge the enumeration.
 
 The enumerations run on stacks of row subsets, one chunk at a time:
 :func:`delta_A` inverts each chunk of the one subset stream at once, under
-the same singularity rule as :func:`delta_basis`.  Every exact minor, the
-integer certificate's Delta1 and Delta_{n-1} included, comes from
-:func:`subdet_report`, which takes its chunks of minors through one exact
+:func:`delta_basis`'s singularity rule, with one square root per basis,
+after the max over its columns.  Every exact minor, the certificate's
+Delta1 and Delta_{n-1} included, comes from :func:`subdet_report`, which
+validates its matrix once and takes its chunks of minors through one exact
 kernel, :func:`~polywalk.linalg.int_determinants`.  Expanding a minor along
 its unit rows (+-e_j) leaves a smaller minor of the other rows, on columns
 those unit rows do not cover, so it enumerates the minors of the other rows
-only and reads every order off them.  It picks the kernel's dtype by one rule,
+only and reads every order off them, in the kernel dtype of one rule,
 :func:`~polywalk.linalg.exact_dtype`: machine numbers (float64, then int64)
-where a Hadamard bound keeps every intermediate exact, and Python ints
-otherwise.
+where a Hadamard bound keeps every intermediate exact, Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -130,9 +130,11 @@ def delta_A(inst: Instance) -> FlatnessReport:
     checked = 0
     for subsets, inverses in solved_subsets(unit_rows, range(inst.m), inst.n):
         checked += len(inverses)
-        col_norms = np.sqrt((inverses * inverses).sum(axis=1))
-        values = np.minimum(1.0, 1.0 / col_norms.max(axis=1))
-        k = int(np.argmin(values))
+        # Squares laid out (i, j, basis): both reductions run over outer axes,
+        # rows i summed in order.  sqrt is monotone: the root of the max is the max norm.
+        sums = np.square(inverses.transpose(1, 2, 0), order="C").sum(axis=0)
+        values = np.minimum(1.0, 1.0 / np.sqrt(sums.max(axis=0)))
+        k = int(values.argmin())
         if values[k] < best:
             best = float(values[k])
             argmin = tuple(int(i) for i in subsets[k])
@@ -169,7 +171,7 @@ def subdet_report(int_mat) -> SubdetReport:
     mat = linalg.as_int_matrix(int_mat)
     n = len(mat[0])
     Delta1 = max(abs(v) for row in mat for v in row)
-    rest, unit_col = subdet_rows(mat)
+    rest, unit_col = _subdet_rows(mat)
     r = len(rest)
     k_max = min(r, n)
     # Orders above min(m, n) have no minors; their largest is 0.
@@ -179,8 +181,10 @@ def subdet_report(int_mat) -> SubdetReport:
     delta_by_order[1:n_unit + 1] = [1] * n_unit
     for k in range(1, k_max + 1):
         entries = np.array(rest, dtype=linalg.exact_dtype(k, Delta1))
-        rows = np.array(list(combinations(range(r), k)), dtype=np.intp)
-        cols = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        rows = np.fromiter(chain.from_iterable(combinations(range(r), k)),
+                           dtype=np.intp).reshape(-1, k)
+        cols = np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                           dtype=np.intp).reshape(-1, k)
         spare = n_unit - np.count_nonzero(unit_col[cols], axis=1)
         # Row subsets outer, column subsets inner, in chunks of SUBSET_CHUNK.
         count = len(rows) * len(cols)
@@ -208,7 +212,11 @@ def subdet_rows(int_mat) -> tuple[list[tuple[int, ...]], np.ndarray]:
     Raises :class:`CapExceeded` when the count of their minors, the sum over
     k of C(r, k) * C(n, k) for r such rows, exceeds ``SUBDET_CAP``.
     """
-    mat = linalg.as_int_matrix(int_mat)
+    return _subdet_rows(linalg.as_int_matrix(int_mat))
+
+
+def _subdet_rows(mat: list[list[int]]) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """:func:`subdet_rows` on rows already from ``as_int_matrix``."""
     n = len(mat[0])
     unit_col = np.zeros(n, dtype=bool)
     kept: dict[tuple[int, ...], None] = {}

@@ -35,9 +35,10 @@ call time, with no per-call override:
 
 Enumerations over row subsets run on stacks of ``SUBSET_CHUNK`` matrices:
 :func:`solve_stack` applies :func:`solve`'s rule to a whole stack of bases in
-one LAPACK solve, with no determinant screen, and
-:func:`int_determinants` runs fraction-free Bareiss elimination on a stack of
-integer matrices, which gives every nonsingular one's |determinant|.
+one LAPACK call, with no determinant screen (without a right-hand side the
+``inv`` gufunc, as :func:`inverse`), and :func:`int_determinants` runs
+fraction-free Bareiss elimination on a stack of integer matrices, which
+gives every nonsingular one's |determinant|.
 
 Row norms (:func:`row_norms`) are taken from plain sums of squares, and
 recomputed on the row scaled by its largest |entry| only where such a sum
@@ -198,23 +199,28 @@ def solve_stack(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Returns a mask of the matrices that are not :class:`Singular` under
     :func:`solve`'s rule and, for those in stack order, the solutions of
-    ``mats[i] @ X = [I | rhs[i]]`` (``rhs`` is ``(s, n, r)``; ``r = 0`` gives
-    the inverses).  One LAPACK solve runs over the whole stack, under the
-    same ignored error state, and the per-matrix finiteness and
-    ``1 / PIVOT_TOL`` checks drop each NaN-filled member with the rest.
+    ``mats[i] @ X = [I | rhs[i]]`` (``rhs`` is ``(s, n, r)``; at ``r = 0`` the
+    ``inv`` gufunc gives the inverses).  One LAPACK call runs over the whole
+    stack, under the same ignored error state, and the per-matrix finiteness
+    and ``1 / PIVOT_TOL`` checks drop each NaN-filled member with the rest;
+    when none is dropped, the solved stack itself is returned, not a copy.
     """
-    n = mats.shape[1]
-    full = np.empty((len(mats), n, n + rhs.shape[2]))
-    full[:, :, :n] = np.eye(n)
-    full[:, :, n:] = rhs
-    out = _SOLVE(mats, full)
+    n, r = mats.shape[1], rhs.shape[2]
+    if r:
+        full = np.empty((len(mats), n, n + r))
+        full[:, :, :n] = np.eye(n)
+        full[:, :, n:] = rhs
+        out = _SOLVE(mats, full)
+    else:
+        out = _INV(mats)
     # Each matrix reduced as one row, several times faster than over two
     # trailing axes.  A NaN or an infinity in the inverse block fails the
-    # bound by itself, so only the solution columns need isfinite.
-    s, r = out.shape[0], rhs.shape[2]
-    ok = (np.abs(out[:, :, :n]).reshape(s, n * n).max(axis=1) < 1.0 / PIVOT_TOL) \
-        & np.isfinite(out[:, :, n:]).reshape(s, n * r).all(axis=1)
-    return ok, out[ok]
+    # bound by itself, so only the solution columns, if any, need isfinite.
+    s = len(out)
+    ok = np.abs(out[:, :, :n]).reshape(s, n * n).max(axis=1) < 1.0 / PIVOT_TOL
+    if r:
+        ok &= np.isfinite(out[:, :, n:]).reshape(s, n * r).all(axis=1)
+    return ok, out if ok.all() else out[ok]
 
 
 def exact_dtype(k: int, Delta1: int) -> np.dtype:
@@ -258,7 +264,7 @@ def int_determinants(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = nonzero.any(axis=1)
         if not keep.all():
             a, prev, live, nonzero = a[keep], prev[keep], live[keep], nonzero[keep]
-        p = np.argmax(nonzero, axis=1)
+        p = nonzero.argmax(axis=1)
         swap = (p != 0).nonzero()[0]
         a[swap, 0], a[swap, p[swap]] = a[swap, p[swap]], a[swap, 0]
         piv = a[:, 0, 0]

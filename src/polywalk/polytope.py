@@ -303,13 +303,13 @@ def solved_subsets(A: np.ndarray, rows: Sequence[int], n: int,
 def _solved_chunks(A: np.ndarray, b: np.ndarray | None, subsets: Iterator[Sequence[int]],
                    n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one chunk loop, whose size :func:`_vertex_classes` relies on: one
-    :func:`linalg.solve_stack` per ``linalg.SUBSET_CHUNK`` n-subsets, and each
-    chunk's nonsingular ones ``(k, n)``, if any, yielded in order with
-    ``[B^-1 | B^-1 b_B]``, or ``B^-1`` alone when b is None."""
-    while chunk := list(islice(subsets, linalg.SUBSET_CHUNK)):
-        rows = np.array(chunk, dtype=np.intp)
-        rhs = np.empty((len(chunk), n, 0)) if b is None else b[rows][:, :, None]
-        ok, out = linalg.solve_stack(A[rows], rhs)
+    :func:`linalg.solve_stack` per ``linalg.SUBSET_CHUNK`` n-subsets, read by
+    ``np.fromiter`` as a ``(k, n)`` array, and each chunk's nonsingular ones,
+    if any, yielded in order with ``[B^-1 | B^-1 b_B]``, or ``B^-1`` when b is None."""
+    while len(rows := np.fromiter(chain.from_iterable(islice(subsets, linalg.SUBSET_CHUNK)),
+                                  dtype=np.intp).reshape(-1, n)):
+        rhs = np.empty((len(rows), n, 0)) if b is None else b.take(rows)[:, :, None]
+        ok, out = linalg.solve_stack(A.take(rows, axis=0), rhs)
         if ok.any():
             yield rows[ok], out
 

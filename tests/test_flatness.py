@@ -221,17 +221,22 @@ def test_delta_A_same_across_chunk_boundaries(make, monkeypatch):
 
 
 def test_delta_A_matches_delta_basis_on_every_subset():
-    inst = gen_random_sphere(12, 4, seed=1)
-    values = {}
-    for subset in combinations(range(inst.m), inst.n):
-        try:
-            values[subset] = delta_basis([inst.A[i] for i in subset])
-        except DependentVectors:
-            pass
-    report = delta_A(inst)
-    assert report.n_bases_checked == len(values)
-    assert report.delta == min(values.values()) == values[report.argmin_basis]
-    assert report.argmin_basis == min(values, key=values.get)
+    # Bit for bit, at orders 4, 8 and 12 and on the 5-cube, whose 252
+    # subsets hold 220 singular ones.
+    rng = np.random.default_rng(3)
+    for inst in (gen_random_sphere(12, 4, seed=1), gen_hypercube(5),
+                 *(build_instance(rng.standard_normal((n + 2, n)), np.ones(n + 2),
+                                  integral=False) for n in (8, 12))):
+        values = {}
+        for subset in combinations(range(inst.m), inst.n):
+            try:
+                values[subset] = delta_basis([inst.A[i] for i in subset])
+            except DependentVectors:
+                pass
+        report = delta_A(inst)
+        assert report.n_bases_checked == len(values)
+        assert report.delta == min(values.values()) == values[report.argmin_basis]
+        assert report.argmin_basis == min(values, key=values.get)
 
 
 def _subdet_reference(mat):

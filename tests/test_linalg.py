@@ -461,6 +461,31 @@ def test_solve_stack_empty_and_all_singular():
     assert ok.shape == (0,) and out.shape == (0, 2, 3)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_inverse_only_stack_equals_the_solve_against_identity(n):
+    # Without a right-hand side the stack is inverted by the inv gufunc: the
+    # same verdicts and bits as the inverse block of the [I | b] stack solve
+    # and as linalg.inverse on each member.
+    rng = np.random.default_rng(61 + n)
+    mats = _mixed_stack(n, rng)
+    ok, out = solve_stack(mats, np.empty((len(mats), n, 0)))
+    solved_ok, solved = solve_stack(mats, rng.standard_normal((len(mats), n, 1)))
+    assert ok.any() and not ok.all() and ok.tolist() == solved_ok.tolist()
+    assert out.shape == (ok.sum(), n, n)
+    assert out.tobytes() == np.ascontiguousarray(solved[:, :, :n]).tobytes()
+    inverses = [_unless_singular(inverse, a) for a in mats]
+    assert ok.tolist() == [x is not None for x in inverses]
+    assert out.tobytes() == np.array([x for x in inverses if x is not None]).tobytes()
+    # A stack whose members all pass gives every one, in order; one whose
+    # members all fail, and an empty one, give none.
+    passed, again = solve_stack(mats[ok], np.empty((ok.sum(), n, 0)))
+    assert passed.all() and again.tobytes() == out.tobytes()
+    for stack in (mats[~ok], mats[:0]):
+        none_ok, none = solve_stack(stack, np.empty((len(stack), n, 0)))
+        assert none_ok.shape == (len(stack),) and not none_ok.any()
+        assert none.shape == (0, n, n)
+
+
 # The two int_adjugates tests keep the names they had when the kernel also
 # returned adj(B); they check the mask and |det| of int_determinants.
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, object])

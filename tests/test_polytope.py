@@ -16,6 +16,7 @@ from polywalk.errors import (
     Disconnected,
     Infeasible,
     NotAVertex,
+    Singular,
     Unbounded,
 )
 from polywalk.flatness import delta_A
@@ -338,6 +339,46 @@ def _count_solves(monkeypatch) -> list:
     return solves
 
 
+def _stream_cases():
+    """(name, A, rows, n, nonsingular subsets) for the subset stream: rows
+    1-6 with row 1 repeated as row 6, n = 1 with two zero rows, fewer rows
+    than n, rows in general position (every subset nonsingular) and rows of
+    rank 2 < n (every subset singular)."""
+    rng = np.random.default_rng(0)
+    repeated = rng.standard_normal((7, 3))
+    repeated[6] = repeated[1]
+    flat = rng.standard_normal((6, 3))
+    flat[:, 2] = 0.0
+    yield "repeated row", repeated, range(1, 7), 3, 16
+    yield "n = 1", np.array([[0.5], [0.0], [-2.0], [1.0], [0.0]]), range(5), 1, 3
+    yield "too few rows", rng.standard_normal((4, 3)), range(2), 3, 0
+    yield "all pass", rng.standard_normal((6, 3)), range(6), 3, 20
+    yield "all fail", flat, range(6), 3, 0
+
+
+def _stream_by_hand(A, rows, n, b, chunk):
+    """The stream's chunks from first principles: the n-subsets of rows in
+    combinations order, ``chunk`` at a time, each subset kept when
+    linalg.inverse takes it, with [B^-1 | linalg.solve(B, b_B)] when b is
+    given; chunks left empty are not yielded.  Also the solves it takes."""
+    subsets = list(combinations(rows, n))
+    groups = [subsets[lo:lo + chunk] for lo in range(0, len(subsets), chunk)]
+    chunks = []
+    for group in groups:
+        kept = []
+        for subset in group:
+            try:
+                inv = linalg_mod.inverse(A[list(subset)])
+            except Singular:
+                continue
+            if b is not None:
+                inv = np.column_stack([inv, linalg_mod.solve(A[list(subset)], b[list(subset)])])
+            kept.append((subset, inv))
+        if kept:
+            chunks.append(kept)
+    return chunks, len(groups)
+
+
 def test_solved_subsets_keep_order_across_boundaries(monkeypatch):
     # Seven subsets per chunk cut the C(6, 3) = 20 subsets of rows 1-6 into
     # 7, 7 and 6, in combinations order.  The four holding both copies of a
@@ -364,6 +405,26 @@ def test_solved_subsets_keep_order_across_boundaries(monkeypatch):
                 if b is not None:
                     npt.assert_allclose(solved[:, 3], linalg_mod.solve(A[subset], b[subset]),
                                         atol=1e-12)
+    # Every edge of the stream, at one subset per chunk, seven and the
+    # default: each chunk is one stacked solve, a chunk whose subsets all
+    # fail yields nothing, one whose subsets all pass yields every one in
+    # order, and fewer rows than n give no chunk and no solve.  Each member
+    # has the bits of its own inverse and solve.
+    for name, A, rows, n, nonsingular in _stream_cases():
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
+            for b in (None, np.arange(1.0, len(A) + 1.0)):
+                solves.clear()
+                want, calls = _stream_by_hand(A, rows, n, b, chunk)
+                assert calls == -(-math.comb(len(rows), n) // chunk)
+                assert sum(map(len, want)) == nonsingular, name
+                got = list(solved_subsets(A, rows, n, b))
+                assert len(solves) == calls and all(s <= chunk for s in solves), (name, chunk)
+                assert [[tuple(s) for s in subsets.tolist()] for subsets, _ in got] \
+                    == [[s for s, _ in kept] for kept in want], (name, chunk)
+                for (subsets, out), kept in zip(got, want):
+                    assert out.shape == (len(subsets), n, n + (b is not None))
+                    assert out.tobytes() == np.array([x for _, x in kept]).tobytes(), name
 
 
 _STREAM_CONSUMERS = {

@@ -2,7 +2,8 @@
 checks a run against a saved listing and finds the tree's outputs equal to
 the checked-in listing; the line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side;
-the pivot timer runs on a small rotated cube."""
+the pivot timer runs on a small rotated cube and the oracle timer on a
+small cube and a random sphere."""
 
 import importlib.util
 import json
@@ -217,3 +218,19 @@ def test_pivot_cost_times_cold_pivots_on_a_small_rotated_cube():
     assert (row["n"], row["walks"], row["pivots"]) == (4, 2, 8)
     assert row["pivot_us"] > 0.0 and row["gufunc_us"] > 0.0
     assert row["outside_share"] == pytest.approx(1.0 - row["gufunc_us"] / row["pivot_us"])
+
+
+def test_oracle_cost_times_both_oracles_on_small_instances(monkeypatch):
+    tool = _load_tool("oracle_cost")
+    cube = generate(GeneratorSpec(family="hypercube", n=3))
+    row = tool.measure(cube, 1)
+    assert (row["n"], row["m"], row["bases"]) == (3, 6, 20)
+    assert row["delta_us"] > 0.0 and row["certify_us"] > 0.0 and row["inv_us"] > 0.0
+    assert row["delta_outside"] == pytest.approx(1.0 - row["inv_us"] / row["delta_us"])
+    assert row["certify_outside"] == pytest.approx(1.0 - row["inv_us"] / row["certify_us"])
+    # The stacks are delta_A's chunks: C(6, 3) = 20 bases, seven at a time.
+    monkeypatch.setattr(tool.linalg, "SUBSET_CHUNK", 7)
+    assert [len(s) for s in tool.subset_stacks(cube)] == [7, 7, 6]
+    # A float instance has no certificate.
+    row = tool.measure(generate(GeneratorSpec(family="random-sphere", n=3, m=9, seed=0)), 1)
+    assert row["bases"] == 84 and row["certify_us"] is None and row["certify_outside"] is None
