@@ -17,9 +17,10 @@ a read-only identity block cached for the eight orders solved last, because
 column n of that solve has other bits than a one-column solve.  The three
 share one rule for :class:`Singular`: the floating-point error state is
 ignored around the call, so an exactly zero pivot shows only as the NaN that
-LAPACK fills the result with.  :func:`rank` runs on ``np.linalg.svd``.  Two
-thresholds are used package-wide and kept here, as module constants read at
-call time, with no per-call override:
+LAPACK fills the result with.  :func:`rank` calls the SVD gufunc the same
+way, under ``np.linalg.svd``'s error state, which raises its ``LinAlgError``
+when LAPACK does not converge.  Two thresholds are used package-wide and kept
+here, as module constants read at call time, with no per-call override:
 
 * ``PIVOT_TOL`` -- :func:`solve` and :func:`inverse` report :class:`Singular`
   when the result is not finite (an exactly zero pivot's NaN fill included)
@@ -68,11 +69,20 @@ SUBSET_CHUNK = 256
 # Norms at or below this are treated as exactly zero.
 _ZERO_NORM_FLOOR = 1e-300
 
-# The gufuncs np.linalg.solve and np.linalg.inv call.  Those wrappers pass
-# signature="dd->d"; every input here is already float64, so the gufunc picks
-# that loop itself.
+# The gufuncs np.linalg.solve, np.linalg.inv and np.linalg.svd (without u and
+# v) call.  Those wrappers pass signature="dd->d" or "d->d"; every input here
+# is already float64, so the gufunc picks that loop itself.  The SVD keeps
+# svd's error state, which turns LAPACK's failure to converge into LinAlgError.
 _SOLVE = _umath_linalg.solve
 _INV = _umath_linalg.inv
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+_SVD = np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+                   under="ignore")(_umath_linalg.svd)
 
 
 def as_vector(values) -> np.ndarray:
@@ -126,9 +136,10 @@ def normalize(values) -> np.ndarray:
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row over its norm: :func:`normalize`'s bits, no zero check."""
+    """Each row over its norm: :func:`normalize`'s bits, no zero check; every
+    row's ``r @ r`` comes from one stacked (1, n) @ (n, 1) matmul, same dot."""
     with np.errstate(over="ignore"):
-        return rows / row_norms(rows, np.array([r @ r for r in rows]))[:, None]
+        return rows / row_norms(rows, np.matmul(rows[:, None], rows[:, :, None])[:, 0, 0])[:, None]
 
 
 @np.errstate(all="ignore")
@@ -189,7 +200,7 @@ def rank(mat) -> int:
     The relative floor makes the answer invariant under global scaling of
     the matrix; the zero matrix has rank 0.
     """
-    sigma = np.linalg.svd(as_matrix(mat), compute_uv=False)
+    sigma = _SVD(as_matrix(mat))
     return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
 
 

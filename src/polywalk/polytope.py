@@ -17,6 +17,9 @@ Every instance is walked as given: a degenerate vertex is never perturbed
 numerically.  :func:`verify_vertex` gives it its first lexicographically
 feasible basis on the symbolic right-hand side b + (eps, eps**2, ...,
 eps**m), and :mod:`polywalk.shadow` breaks ratio-test ties by the same rule.
+A point is checked once, where it enters: :meth:`Instance.slack` and
+:func:`verify_vertex` check theirs, and a point already checked or solved
+takes its slack by ``Instance._slack``.
 
 Enumerations run on stacked arrays, each chunk solved as one stack by the
 one chunk loop, which :func:`solved_subsets` feeds every row subset.  The
@@ -100,7 +103,11 @@ class Instance:
 
     def slack(self, x) -> np.ndarray:
         """b - A x for a point x (positive where strictly inside)."""
-        return self.b - self.A @ linalg.as_vector(x)
+        return self._slack(linalg.as_vector(x))
+
+    def _slack(self, point: np.ndarray) -> np.ndarray:
+        """:meth:`slack` of a point already checked by ``as_vector``."""
+        return self.b - self.A @ point
 
 
 @dataclass(frozen=True)
@@ -174,16 +181,20 @@ def tight_rows(inst: Instance, x) -> tuple[int, ...]:
     the polytope by more than ``TIGHT_TOL``, and ``ValueError`` when x does
     not have n coordinates.
     """
-    point = linalg.as_vector(x)
+    return tuple(_tight_mask(inst, linalg.as_vector(x)).nonzero()[0].tolist())
+
+
+def _tight_mask(inst: Instance, point: np.ndarray) -> np.ndarray:
+    """:func:`tight_rows` as a mask, for a point already checked by ``as_vector``."""
     if point.size != inst.n:
         raise ValueError(f"point has length {point.size}, expected {inst.n}")
-    slack = inst.slack(point)
-    worst = int(np.argmin(slack))
+    slack = inst._slack(point)
+    worst = int(slack.argmin())
     if slack[worst] < -TIGHT_TOL:
         raise Infeasible(
             f"row {worst} violated: a[{worst}]@x exceeds b[{worst}] by {-slack[worst]:.3e}"
         )
-    return tuple((slack <= TIGHT_TOL).nonzero()[0].tolist())
+    return slack <= TIGHT_TOL
 
 
 def verify_vertex(inst: Instance, x) -> VertexWithBasis:
@@ -202,26 +213,26 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
     subset is one, so a walk never ends at another vertex's basis.
     """
     point = linalg.as_vector(x)
-    tight = tight_rows(inst, point)
+    want = _tight_mask(inst, point)
+    rows = want.nonzero()[0]
+    tight = rows.tolist()
     if len(tight) < inst.n:
         raise NotAVertex(f"only {len(tight)} tight rows, need {inst.n}")
     if len(tight) == inst.n:
         basis: list[int] = []
         for i in tight:
             candidate = basis + [i]
-            if linalg.rank(inst.A[candidate]) == len(candidate):
+            if linalg.rank(inst.A.take(candidate, axis=0)) == len(candidate):
                 basis.append(i)
         if len(basis) < inst.n:
             raise NotAVertex(f"tight rows have rank {len(basis)} < {inst.n}")
     else:
-        rows = np.array(tight)
-        want = np.zeros(inst.m, dtype=bool)
-        want[rows] = True
+        tight_A = inst.A.take(rows, axis=0)
         for subsets, out in solved_subsets(inst.A, tight, inst.n, inst.b):
-            coef = -(inst.A[rows] @ out[:, :, :inst.n])
+            coef = -(tight_A @ out[:, :, :inst.n])
             # Only basis rows before j come before j's own coefficient, which is 1.
             lead = (np.abs(coef) > DIR_TOL) & (subsets[:, None, :] < rows[:, None])
-            first = np.take_along_axis(coef, lead.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+            first = coef[np.arange(len(coef))[:, None], np.arange(rows.size), lead.argmax(axis=2)]
             hits = (~lead.any(axis=2) | (first > 0)).all(axis=1).nonzero()[0]
             # A hit's own point must be x: feasible (so no abs), with x's tight rows.
             slack = inst.b - out[hits, :, inst.n] @ inst.A.T
@@ -284,7 +295,7 @@ def feasible_bases(inst: Instance) -> Iterator[VertexWithBasis]:
             x = linalg.solve(inst.A[rows], inst.b[rows])
         except Singular:
             continue
-        slack = inst.slack(x)
+        slack = inst._slack(x)
         if float(np.min(slack)) < -TIGHT_TOL:
             continue
         degenerate = int(np.count_nonzero(np.abs(slack) <= TIGHT_TOL)) > inst.n

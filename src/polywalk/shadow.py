@@ -122,7 +122,7 @@ class ShadowPath:
             "status": self.status,
             "seed": int(self.seed),
             "retries": int(self.retries),
-            "vertices": [[float(c) for c in v.x] for v in self.vertices],
+            "vertices": [np.asarray(v.x, dtype=float).tolist() for v in self.vertices],
             "bases": [[int(i) for i in v.basis] for v in self.vertices],
             "slopes": [float(s) for s in self.slopes],
             "projections": [[float(a), float(b)] for a, b in self.projections],
@@ -163,7 +163,7 @@ def _unit_columns(inst: Instance, v1: VertexWithBasis,
     memo = inst._endpoint_memo
     if memo is not None and (memo.v1.basis, memo.v2.basis) == (v1.basis, v2.basis):
         return memo.columns
-    units = linalg.unit_rows(inst.A[list(v1.basis) + list(v2.basis)])
+    units = linalg.unit_rows(inst.A.take(v1.basis + v2.basis, axis=0))
     columns = np.ascontiguousarray(units[:inst.n].T), np.ascontiguousarray(units[inst.n:].T)
     for c in columns:
         c.flags.writeable = False
@@ -367,7 +367,8 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
         x = linalg.solve(inst.A.take(rows, axis=0), inst.b.take(rows))
     except Singular as exc:
         raise InfeasibleStep(f"pivot to basis {basis} is singular") from exc
-    slack = inst.slack(x)
+    # solve refused any point that is not finite.
+    slack = inst._slack(x)
     worst = int(slack.argmin())
     if slack[worst] < -TIGHT_TOL:
         raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")

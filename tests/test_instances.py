@@ -1,12 +1,21 @@
 """Instance generators and the JSON file format."""
 
+import functools
 import json
+import operator
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from polywalk.errors import InfeasibleTotals, NonIntegerEntry, ParseError, SchemaError
+from polywalk.errors import (
+    InfeasibleTotals,
+    NonIntegerEntry,
+    ParseError,
+    PolywalkError,
+    SchemaError,
+)
 from polywalk.flatness import subdet_report
 from polywalk.instances import (
     FAMILIES,
@@ -299,6 +308,64 @@ def test_read_rejects_numbers_beyond_the_float_range(tmp_path, cube3, field, num
     path.write_text(json.dumps(data).replace('"HUGE"', number))
     with pytest.raises(ParseError, match=f"{field}.* contains a non-finite number"):
         read_instance(path)
+
+
+_HUGE_INT = str(int(sys.float_info.max) + 1)
+
+
+def _edit(*keys, value):
+    def edit(data):
+        functools.reduce(operator.getitem, keys[:-1], data)[keys[-1]] = value
+    return edit
+
+
+def _bool_after_fraction(data):
+    data["A"][1][0] = 0.5
+    data["A"][3][2] = True
+
+
+@pytest.mark.parametrize("edit, literal, error, message", [
+    (_edit("A", 1, 2, value=True), None, SchemaError, "A[1] contains a non-number: True"),
+    (_edit("b", 4, value="x"), None, SchemaError, "b contains a non-number: 'x'"),
+    (_edit("A", 2, 0, value=0.5), None, SchemaError,
+     "A[2] must be integers in an integral instance"),
+    (_edit("x1", 1, value="HUGE"), "9" * 400, ParseError, "x1 contains a non-finite number"),
+    (_edit("A", 3, 1, value="HUGE"), "1e400", ParseError, "A[3] contains a non-finite number"),
+    (_edit("A", 0, 0, value="HUGE"), _HUGE_INT, ParseError, "A[0] contains a non-finite number"),
+    (_edit("A", 4, value=[0, -1]), None, SchemaError, "A[4] must be a list of 3 numbers"),
+    (_bool_after_fraction, None, SchemaError, "A[3] contains a non-number: True"),
+], ids=["bool-in-A", "string-in-b", "fraction-in-integral-A", "huge-int-in-x1", "1e400-in-A",
+        "int-above-the-largest-float", "short-row", "types-before-integrality"])
+def test_read_errors_keep_their_type_and_message(tmp_path, cube3, edit, literal, error,
+                                                 message):
+    # A is checked as one array; a file that fails a check is read entry by
+    # entry, row by row, and every type is checked before integrality, so the
+    # error names its field and row as the per-entry reader always has.  An
+    # int just above the largest float converts to it, and is still refused.
+    path = tmp_path / "bad.json"
+    write_instance(cube3, path)
+    data = json.loads(path.read_text())
+    edit(data)
+    text = json.dumps(data)
+    path.write_text(text if literal is None else text.replace('"HUGE"', literal))
+    with pytest.raises(PolywalkError) as info:
+        read_instance(path)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_read_takes_a_as_the_per_entry_reader_does(tmp_path):
+    # Mixed ints and floats, -0.0 and an entry of exactly the largest float,
+    # which only the per-entry reader tells from a larger int and accepts.
+    rows = [[3, -0.0], [0.1, 2**60 + 1], [-1, 0], [0, -1]]
+    path = tmp_path / "mixed.json"
+    for top in (7, sys.float_info.max):
+        rows[0][0] = top
+        path.write_text(json.dumps({"name": "mixed", "m": 4, "n": 2, "A": rows,
+                                    "b": [1.0] * 4, "integral": False}))
+        got, want = read_instance(path), build_instance([list(map(float, r)) for r in rows],
+                                                        [1.0] * 4, integral=False)
+        assert got.raw_A.tobytes() == want.raw_A.tobytes()
+        assert got.A.tobytes() == want.A.tobytes()
 
 
 def test_read_rejects_malformed_json(tmp_path):

@@ -75,9 +75,12 @@ def test_boundaries_reject_non_finite_and_misshaped_input(entry, bad):
 
 
 def test_unit_rows_match_normalize_bit_for_bit():
-    rows = np.random.default_rng(0).normal(size=(40, 7)) * np.logspace(-3, 3, 40)[:, None]
-    expected = np.array([normalize(r) for r in rows])
-    assert linalg_mod.unit_rows(rows).tobytes() == expected.tobytes()
+    # Each row's r @ r comes from one stacked matmul, at every order.
+    rng = np.random.default_rng(0)
+    for n in range(1, 25):
+        rows = rng.normal(size=(40, n)) * np.logspace(-3, 3, 40)[:, None]
+        expected = np.array([normalize(r) for r in rows])
+        assert linalg_mod.unit_rows(rows).tobytes() == expected.tobytes()
 
 
 def test_normalize_unit_and_zero():
@@ -155,6 +158,49 @@ def test_rank_known_and_random():
         r = int(rng.integers(0, min(m, n) + 1))
         a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) if r else np.zeros((m, n))
         assert rank(a) == np.linalg.matrix_rank(a, tol=1e-9)
+
+
+def _rank_cases(rng):
+    """Seeded k x n matrices, n = 1-12 and k <= n: full rank, rank-deficient
+    products, a row within 1e-10 of another, and rows or the whole matrix
+    scaled over hundreds of orders of magnitude."""
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            r = int(rng.integers(0, k))
+            yield rng.standard_normal((k, n))
+            yield rng.standard_normal((k, r)) @ rng.standard_normal((r, n))
+            near = rng.standard_normal((k, n))
+            near[-1] = near[0] + 1e-10 * rng.standard_normal(n)
+            yield near
+            yield rng.standard_normal((k, n)) * 10.0 ** rng.integers(-150, 150, size=(k, 1))
+            yield rng.standard_normal((k, n)) * 10.0 ** float(rng.choice([-200, 200]))
+
+
+def test_rank_takes_the_singular_values_of_np_linalg_svd():
+    # rank calls the SVD gufunc itself: its singular values are
+    # np.linalg.svd(compute_uv=False)'s bit for bit, and its rank is the one
+    # counted on those values.
+    ranks = set()
+    for a in _rank_cases(np.random.default_rng(47)):
+        sigma = np.linalg.svd(a, compute_uv=False)
+        assert linalg_mod._SVD(a).tobytes() == sigma.tobytes()
+        expected = int(np.count_nonzero(sigma > linalg_mod.RANK_TOL * sigma[0]))
+        assert rank(a) == expected
+        ranks.add((expected < len(a), expected == 0))
+    assert ranks == {(False, False), (True, False), (True, True)}
+
+
+def test_rank_raises_on_lapack_non_convergence():
+    # A NaN never reaches rank, whose as_matrix refuses it, but it makes LAPACK
+    # fail to converge: the gufunc raises np.linalg.svd's error and leaves
+    # the caller's error state as it was.
+    before = (np.geterr(), np.geterrcall())
+    for svd in (lambda a: np.linalg.svd(a, compute_uv=False), linalg_mod._SVD):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                svd(np.full((2, 3), np.nan))
+        assert (np.geterr(), np.geterrcall()) == before
 
 
 def _unit_rows_at_angle(theta):

@@ -467,16 +467,18 @@ def test_walk_through_a_degenerate_vertex_is_not_redrawn():
 
 def test_walk_takes_one_slack_per_pivot(monkeypatch):
     # ratio_step reads the slack the walk computed when it reached the
-    # vertex: one slack for the start, then one per new basis.
+    # vertex: one slack for the start, then one per new basis.  Instance.slack
+    # and _basic_point's unchecked slack of a solved point both take it by
+    # Instance._slack.
     for inst in (gen_rotated(gen_hypercube(8), 0), gen_transportation(3, 4, 0)):
         v1, v2 = (verify_vertex(inst, x) for x in (inst.x1, inst.x2))
         pair = sample_objectives(inst, v1, v2, 0)
         counts = _counted(monkeypatch, (shadow_mod, "ratio_step"),
-                          (polytope_mod.Instance, "slack"), (linalg_mod, "solve"))
+                          (polytope_mod.Instance, "_slack"), (linalg_mod, "solve"))
         walk(inst, v1, v2, pair)
         pivots = counts["polywalk.shadow.ratio_step"]
         assert pivots >= inst.n
-        assert counts["Instance.slack"] == counts["polywalk.linalg.solve"] + 1
+        assert counts["Instance._slack"] == counts["polywalk.linalg.solve"] + 1
         assert counts["polywalk.linalg.solve"] >= pivots
         monkeypatch.undo()
 
@@ -795,12 +797,12 @@ def test_degenerate_search_stops_at_the_first_chunk_with_a_hit(monkeypatch):
     # The search inverts the subsets of the tight rows one chunk at a time
     # and stops at the chunk holding the first lexicographically feasible
     # one, at position k in combinations order: ceil((k + 1) / chunk)
-    # stacked solves, no enumeration of all m rows and no slack beyond
-    # tight_rows' own.
+    # stacked solves, no enumeration of all m rows and no slack beyond the
+    # one of its checked point (Instance._slack, as tight_rows takes it).
     insts = _degenerate_family() + [_corner_endpoints(5, 5, s, monkeypatch)
                                     for s in range(3)]
     counts = _counted(monkeypatch, (linalg_mod, "solve_stack"),
-                      (polytope_mod, "_vertex_classes"), (polytope_mod.Instance, "slack"))
+                      (polytope_mod, "_vertex_classes"), (polytope_mod.Instance, "_slack"))
     late = Counter()
     for chunk in (1, 7, linalg_mod.SUBSET_CHUNK):
         monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
@@ -815,7 +817,7 @@ def test_degenerate_search_stops_at_the_first_chunk_with_a_hit(monkeypatch):
                 k = list(combinations(tight_rows(inst, x), inst.n)).index(v.basis)
                 late[chunk] += k >= chunk
                 assert calls == {"polywalk.linalg.solve_stack": -(-(k + 1) // chunk),
-                                 "Instance.slack": 1}
+                                 "Instance._slack": 1}
     # Chunks of 1 and of 7 each stop past their first chunk somewhere.
     assert late[1] > 0 and late[7] > 0
 

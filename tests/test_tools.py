@@ -2,8 +2,9 @@
 checks a run against a saved listing and finds the tree's outputs equal to
 the checked-in listing; the line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side;
-the pivot timer runs on a small rotated cube and the oracle timer on a
-small cube and a random sphere."""
+the pivot timer runs on a small rotated cube, the oracle timer on a
+small cube and a random sphere, and the path-command timer on the
+cli-degenerate workload's files."""
 
 import importlib.util
 import json
@@ -234,3 +235,17 @@ def test_oracle_cost_times_both_oracles_on_small_instances(monkeypatch):
     # A float instance has no certificate.
     row = tool.measure(generate(GeneratorSpec(family="random-sphere", n=3, m=9, seed=0)), 1)
     assert row["bases"] == 84 and row["certify_us"] is None and row["certify_outside"] is None
+
+
+def test_path_cost_times_each_phase_of_a_cold_path_command(tmp_path):
+    tool = _load_tool("path_cost")
+    files = tool.cli_degenerate_files(tmp_path)
+    assert [f.name for f in files] == ["transportation-3x3.json", "transportation-3x4.json",
+                                       "pyramid.json"]
+    out = tmp_path / "path.json"
+    row = tool.measure(files[-1], 2, 1, out)
+    assert row["commands"] == 2
+    assert all(row[f"{name}_us"] > 0.0 for name in (*tool.PHASES, "command"))
+    assert row["sum_us"] == pytest.approx(sum(row[f"{name}_us"] for name in tool.PHASES))
+    # The last run, the whole command at seed 1, left its path record.
+    assert json.loads(out.read_text())["seed"] == 1
