@@ -9,18 +9,15 @@ ones.
 The on-disk format is JSON with the keys ``name, m, n, A, b, integral, x1,
 x2`` (the endpoints optional).  Integral matrices are written as exact
 integers, floats with full round-trip precision; non-finite numbers are
-rejected on read.  The reader checks A as one array and reads it entry by
-entry only to word the error of a file that fails a check.
+rejected on read.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -299,27 +296,6 @@ def _number_list(values, length: int, label: str) -> list[float]:
     return out
 
 
-def _number_matrix(rows: list, n: int, integral: bool) -> np.ndarray | list[list[float]]:
-    """A's rows as one float64 array, under :func:`_number_list`'s checks and,
-    if ``integral``, integer values: entry types in one pass over the flattened
-    rows, the rest on the array.  Rows that fail go through those checks entry
-    by entry, which word the error (or accept an entry of exactly the largest
-    float, which the array cannot tell from a larger int)."""
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {n} \
-            and set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        with contextlib.suppress(OverflowError):
-            a = np.array(rows, dtype=float)
-            finite = (np.abs(a) < sys.float_info.max).all()
-            if finite and (not integral or (a == np.trunc(a)).all()):
-                return a
-    matrix = [_number_list(row, n, f"A[{i}]") for i, row in enumerate(rows)]
-    if integral:
-        for i, row in enumerate(matrix):
-            if any(not float(v).is_integer() for v in row):
-                raise SchemaError(f"A[{i}] must be integers in an integral instance")
-    return matrix
-
-
 def read_instance(path) -> Instance:
     """Parse and validate an instance file.
 
@@ -347,7 +323,11 @@ def read_instance(path) -> Instance:
         raise SchemaError("integral must be a boolean")
     if not isinstance(data["A"], list) or len(data["A"]) != m:
         raise SchemaError(f"A must be a list of {m} rows")
-    matrix = _number_matrix(data["A"], n, integral)
+    matrix = [_number_list(row, n, f"A[{i}]") for i, row in enumerate(data["A"])]
+    if integral:
+        for i, row in enumerate(matrix):
+            if any(not float(v).is_integer() for v in row):
+                raise SchemaError(f"A[{i}] must be integers in an integral instance")
     offsets = _number_list(data["b"], m, "b")
     x1 = _number_list(data["x1"], n, "x1") if "x1" in data else None
     x2 = _number_list(data["x2"], n, "x2") if "x2" in data else None

@@ -73,6 +73,7 @@ _ZERO_NORM_FLOOR = 1e-300
 # v) call.  Those wrappers pass signature="dd->d" or "d->d"; every input here
 # is already float64, so the gufunc picks that loop itself.  The SVD keeps
 # svd's error state, which turns LAPACK's failure to converge into LinAlgError.
+# numpy 2.0 is the first with the one svd gufunc; pyproject.toml requires it.
 _SOLVE = _umath_linalg.solve
 _INV = _umath_linalg.inv
 

@@ -338,10 +338,9 @@ def _bool_after_fraction(data):
         "int-above-the-largest-float", "short-row", "types-before-integrality"])
 def test_read_errors_keep_their_type_and_message(tmp_path, cube3, edit, literal, error,
                                                  message):
-    # A is checked as one array; a file that fails a check is read entry by
-    # entry, row by row, and every type is checked before integrality, so the
-    # error names its field and row as the per-entry reader always has.  An
-    # int just above the largest float converts to it, and is still refused.
+    # A is read entry by entry, row by row, and every type is checked before
+    # integrality, so the error names its field and row.  An int just above
+    # the largest float is refused although it rounds to that float.
     path = tmp_path / "bad.json"
     write_instance(cube3, path)
     data = json.loads(path.read_text())
@@ -353,9 +352,9 @@ def test_read_errors_keep_their_type_and_message(tmp_path, cube3, edit, literal,
     assert type(info.value) is error and str(info.value) == message
 
 
-def test_read_takes_a_as_the_per_entry_reader_does(tmp_path):
+def test_read_takes_a_as_build_instance_does(tmp_path):
     # Mixed ints and floats, -0.0 and an entry of exactly the largest float,
-    # which only the per-entry reader tells from a larger int and accepts.
+    # which the reader accepts, though it refuses any larger int.
     rows = [[3, -0.0], [0.1, 2**60 + 1], [-1, 0], [0, -1]]
     path = tmp_path / "mixed.json"
     for top in (7, sys.float_info.max):
