@@ -9,14 +9,12 @@ values, and the vertex graphs.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 import pytest
 
 from polywalk.cli import main as cli_main
-from polywalk.errors import RetriesExhausted
 from polywalk.flatness import delta_A, delta_basis, delta_hat, subdet_report
 from polywalk.flatness import certify_delta_Delta
 from polywalk.instances import (
@@ -27,11 +25,8 @@ from polywalk.instances import (
     write_instance,
 )
 from polywalk.polytope import (
-    TIGHT_TOL,
     build_instance,
-    enumerate_vertices,
     graph_distances,
-    tight_rows,
     verify_vertex,
     vertex_graph,
 )
@@ -40,6 +35,8 @@ from polywalk.shadow import (
     sample_objectives,
     walk,
 )
+
+from oracles import _upper_left_chain, _vertex_index, check_walk
 
 N_PATH_SEEDS = 20
 N_TRIALS = 100
@@ -95,77 +92,13 @@ def _report(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-TIE_TOL = 1e-12
-MATCH_TOL = 1e-7
-
-
-def _vertex_index(points: np.ndarray, x, label: str) -> int:
-    """Index of the one row of ``points`` within MATCH_TOL of ``x``."""
-    hits = np.flatnonzero(np.max(np.abs(points - x), axis=1) <= MATCH_TOL)
-    assert len(hits) == 1, f"{label}: {len(hits)} vertices match {x}"
-    return int(hits[0])
-
-
-def _upper_left_chain(points: np.ndarray, pair, x1, x2,
-                      label: str, index=_vertex_index) -> list[int]:
-    """Vertex indices of the upper-left shadow chain from x1 to x2.
-
-    Independent of the walk: every vertex is projected onto (w1.x, w2.x) of
-    the objective ``pair``, and the strict upper hull of the images is taken
-    by a monotone chain, from the leftmost image to image(x2).  Two images
-    coincident within TIE_TOL
-    (relative to the cloud's scale), or three hull candidates whose turn has
-    a sine within TIE_TOL of zero, leave the chain ambiguous and fail with
-    ``label`` rather than pick one.  ``index(points, x, label)`` finds the
-    row of ``points`` that is the vertex x.
-    """
-    images = points @ np.column_stack([pair.w1, pair.w2])
-    tol = TIE_TOL * max(1.0, float(np.max(np.abs(images))))
-    # Two images within tol in both coordinates are within tol in the first.
-    # Sorted by it, images k places apart are no closer in it than images
-    # k - 1 apart, so no pair is left once no two k places apart are close.
-    by_x = images[np.argsort(images[:, 0])]
-    for k in range(1, len(by_x)):
-        near = by_x[k:, 0] - by_x[:-k, 0] <= tol
-        if not near.any():
-            break
-        assert not (np.abs(by_x[k:, 1] - by_x[:-k, 1])[near] <= tol).any(), \
-            f"{label}: two vertex images coincide"
-    xy = images.tolist()
-    hull: list[int] = []
-    for i in np.lexsort((images[:, 1], images[:, 0])).tolist():
-        while len(hull) >= 2:
-            (ax, ay), (bx, by), (cx, cy) = xy[hull[-2]], xy[hull[-1]], xy[i]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            assert abs(cross) > TIE_TOL * math.hypot(bx - ax, by - ay) \
-                * math.hypot(cx - ax, cy - ay), f"{label}: collinear vertex images"
-            if cross < 0.0:
-                break
-            hull.pop()
-        hull.append(i)
-    start = index(points, x1, label)
-    end = index(points, x2, label)
-    assert hull[0] == start, f"{label}: image(x1) is not the leftmost hull point"
-    assert end in hull, f"{label}: image(x2) is not on the upper hull"
-    return hull[:hull.index(end) + 1]
-
-
 def test_criterion_01_path_validity(corpus, corpus_paths):
     paths, elapsed = corpus_paths
     by_name = {inst.name: inst for inst in corpus}
     checked = 0
     for (name, seed), path in paths.items():
         inst = by_name[name]
-        assert path.status in ("Completed", "Perturbed+Completed"), \
-            f"{name} seed {seed}: {path.status}"
-        if path.status == "Completed":
-            for a, c in zip(path.vertices, path.vertices[1:]):
-                shared = len(set(a.basis) & set(c.basis))
-                assert shared == inst.n - 1, \
-                    f"{name} seed {seed}: consecutive bases share {shared}"
-        for v in path.vertices:
-            assert float(np.min(inst.slack(v.x))) >= -1e-7, \
-                f"{name} seed {seed}: infeasible vertex"
+        assert check_walk(inst, path) == [], f"{name} seed {seed}"
         assert float(np.max(np.abs(path.vertices[0].x - inst.x1))) <= 1e-7
         assert float(np.max(np.abs(path.vertices[-1].x - inst.x2))) <= 1e-7
         checked += 1
@@ -175,18 +108,14 @@ def test_criterion_01_path_validity(corpus, corpus_paths):
     assert elapsed < 60.0
 
 
-def test_criterion_02_slope_monotonicity(corpus_paths):
+def test_criterion_02_slope_monotonicity(corpus, corpus_paths):
     paths, _ = corpus_paths
-    violations = 0
-    for path in paths.values():
-        for s in path.slopes:
-            if not s > 0.0:
-                violations += 1
-        for s1, s2 in zip(path.slopes, path.slopes[1:]):
-            if not s1 - s2 > 1e-12:
-                violations += 1
-    _report(2, violations == 0, f"{violations} violations over {len(paths)} paths")
-    assert violations == 0
+    by_name = {inst.name: inst for inst in corpus}
+    violations = [failure for (name, _), path in paths.items()
+                  for failure in check_walk(by_name[name], path)
+                  if failure.startswith("slopes")]
+    _report(2, not violations, f"{len(violations)} violations over {len(paths)} paths")
+    assert violations == []
 
 
 def test_criterion_03_expected_length_bound(corpus, corpus_deltas):
@@ -348,40 +277,17 @@ def test_criterion_08_oracle_dominance(corpus, corpus_paths, corpus_graphs):
         f"{chain_mismatches} simplex runs left the upper-left shadow chain"
 
 
-def _assert_upper_left_chains(inst, points: np.ndarray, walks) -> None:
-    """Criterion 8's hull oracle on each ``(label, path)`` of ``walks``, all
-    from inst.x1 to inst.x2 over the vertices ``points``, with each vertex
-    found by its rows tight at TIGHT_TOL, the program's own vertex identity.
-    An ambiguous hull fails with its label."""
-
-    def rows(x):
-        return tuple(np.flatnonzero(np.abs(inst.b - inst.A @ x) <= TIGHT_TOL))
-
-    by_rows = {rows(x): i for i, x in enumerate(points)}
-    assert len(by_rows) == len(points), f"{inst.name}: two vertices share tight rows"
-
-    def index(_points, x, label):
-        assert (key := rows(x)) in by_rows, f"{label}: no vertex has the tight rows of {x}"
-        return by_rows[key]
-
-    for label, path in walks:
-        assert path.status.endswith("Completed"), f"{label}: {path.status}"
-        chain = _upper_left_chain(points, path.objective, inst.x1, inst.x2, label,
-                                  index=index)
-        walked = [index(points, v.x, label) for v in path.vertices]
-        assert walked == chain, f"{label}: the walk left the upper-left shadow chain"
-
-
 def test_every_corpus_walk_is_the_upper_left_shadow_chain(corpus, corpus_paths,
                                                           corpus_graphs):
     """The hull oracle on all 1,000 corpus walks, degenerate transportation
     walks included."""
     paths, _ = corpus_paths
     for inst in corpus:
-        points = np.array([v.x for v in corpus_graphs[inst.name][0]])
-        _assert_upper_left_chains(inst, points, [(f"{inst.name} seed {seed}",
-                                                  paths[(inst.name, seed)])
-                                                 for seed in range(N_PATH_SEEDS)])
+        graph = corpus_graphs[inst.name]
+        points = np.array([v.x for v in graph[0]])
+        for seed in range(N_PATH_SEEDS):
+            assert check_walk(inst, paths[(inst.name, seed)], points, graph) == [], \
+                f"{inst.name} seed {seed}"
 
 
 @pytest.mark.parametrize("make", [
@@ -397,10 +303,11 @@ def test_walks_beyond_the_corpus_are_the_upper_left_shadow_chain(make):
     """The hull oracle on twenty walks of each instance, seed 0 of every
     generated one, up to the 2,012 vertices of random-sphere n = 8."""
     inst = make()
-    points = np.array([v.x for v in enumerate_vertices(inst)])
-    _assert_upper_left_chains(inst, points, [(f"{inst.name} seed {seed}",
-                                              find_path(inst, inst.x1, inst.x2, seed=seed))
-                                             for seed in range(N_PATH_SEEDS)])
+    graph = vertex_graph(inst)
+    points = np.array([v.x for v in graph[0]])
+    for seed in range(N_PATH_SEEDS):
+        assert check_walk(inst, find_path(inst, inst.x1, inst.x2, seed=seed), points,
+                          graph) == [], f"{inst.name} seed {seed}"
 
 
 def test_criterion_09_degeneracy_pipeline():
@@ -420,13 +327,8 @@ def test_criterion_09_degeneracy_pipeline():
     assert walked.to_json() == path.to_json()
     points = [v.x for v in walked.vertices]
     assert float(np.max(np.abs(points[-1] - apex))) <= 1e-9
-    for x in points:
-        assert float(np.min(pyramid.slack(x))) >= -1e-7
-    for a, c in zip(points, points[1:]):
-        assert float(np.max(np.abs(a - c))) > 1e-7
-        shared = set(tight_rows(pyramid, a)) & set(tight_rows(pyramid, c))
-        assert len(shared) >= pyramid.n - 1
-    assert all(s1 > s2 for s1, s2 in zip(walked.slopes, walked.slopes[1:]))
+    assert check_walk(pyramid, walked) == []
+    assert all(float(np.max(np.abs(a - c))) > 1e-7 for a, c in zip(points, points[1:]))
     _report(9, True, f"lexicographic walk has {walked.length} step(s), "
                      "feasible, duplicate-free, ends at apex")
 

@@ -1,6 +1,7 @@
 """Command line behaviors: happy paths, exit codes, emitted files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -80,6 +81,15 @@ def test_path_empty_coordinate_list_is_refused(cube_file, capsys, flag):
 def test_path_endpoint_of_the_wrong_length(cube_file, capsys):
     assert main(["path", "--instance", str(cube_file), "--x1", "0,0", "--seed", "0"]) == 1
     assert capsys.readouterr().err == "error: point has length 2, expected 3\n"
+
+
+def test_path_without_endpoints_in_the_file_or_flags(tmp_path, capsys):
+    bare = tmp_path / "bare.json"
+    write_instance(replace(gen_hypercube(3), x1=None, x2=None), bare)
+    assert main(["path", "--instance", str(bare), "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: endpoints missing (no --x1/--x2 and none in the file)\n"
+    assert captured.out == ""
 
 
 def test_generate_help_and_unknown_family(tmp_path, capsys):

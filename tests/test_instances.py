@@ -110,6 +110,12 @@ def test_transportation_shape_that_never_balances(p, q):
         gen_transportation(p, q, 0)
 
 
+def test_transportation_totals_unmatched_within_the_draw_limit():
+    # (2, 8) passes the shape check, but seed 0 never balances its totals.
+    with pytest.raises(InfeasibleTotals, match="no matching totals in"):
+        gen_transportation(2, 8, 0)
+
+
 def test_transportation_determinism():
     a = gen_transportation(3, 3, seed=7)
     b = gen_transportation(3, 3, seed=7)

@@ -252,6 +252,8 @@ def test_bfs_distance_values(cube3, cut_cube3):
         bfs_distance(cube3, [[0.0, 0.0, 0.0]], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="vector entries must be finite"):
         bfs_distance(cube3, [0.0, 0.0, 0.0], [np.nan] * 3)
+    with pytest.raises(NotAVertex, match="does not match any enumerated vertex"):
+        bfs_distance(cube3, [0.5, 0.0, 0.0], [1.0, 1.0, 1.0])
 
 
 def test_bfs_accepts_prebuilt_graph(cube3):

@@ -8,7 +8,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import numpy.testing as npt
@@ -66,6 +66,7 @@ from polywalk.shadow import (
     walk,
 )
 
+from oracles import check_walk
 from reference import northwest_corner, steepest_edge
 
 
@@ -214,6 +215,24 @@ def test_default_max_steps(cube3):
     assert default_max_steps(cube3) == 10 * 20
 
 
+def _exhausted_reasons(inst):
+    with pytest.raises(RetriesExhausted) as info:
+        find_path(inst, inst.x1, inst.x2, seed=0)
+    return info.value.reasons
+
+
+def test_walk_refuses_a_slope_above_the_last(monkeypatch):
+    steepest, rising = shadow_mod._steepest_edge, count(1.0)
+    monkeypatch.setattr(shadow_mod, "_steepest_edge",
+                        lambda *args: (steepest(*args)[0], next(rising)))
+    assert "NonMonotoneSlopes" in _exhausted_reasons(gen_hypercube(3))
+
+
+def test_walk_stops_at_its_step_limit(monkeypatch):
+    monkeypatch.setattr(shadow_mod, "default_max_steps", lambda inst: 1)
+    assert "StepLimit" in _exhausted_reasons(gen_hypercube(3))
+
+
 def test_walk_cube_always_length_n():
     for n in (2, 3, 4):
         inst = gen_hypercube(n)
@@ -224,10 +243,7 @@ def test_walk_cube_always_length_n():
             path = walk(inst, v1, v2, pair)
             assert path.status == "Completed"
             assert path.length == n
-            for a, c in zip(path.vertices, path.vertices[1:]):
-                assert len(set(a.basis) & set(c.basis)) == n - 1
-            assert all(s > 0 for s in path.slopes)
-            assert all(s1 - s2 > 0 for s1, s2 in zip(path.slopes, path.slopes[1:]))
+            assert check_walk(inst, path) == []
 
 
 def _reference_objectives(inst, v1, v2, seed):
@@ -573,38 +589,24 @@ def test_walk_hexagon_opposite_is_three():
         assert path.length == 3
 
 
-def _assert_chain_supports_cloud(inst, path):
-    """Every walked edge's line must support the whole projected vertex set
-    from above: that is what makes the walk the upper-left chain."""
-    pair = path.objective
-    pts = [project(pair, v.x) for v in enumerate_vertices(inst)]
-    for (xi0, eta0), s in zip(path.projections, path.slopes):
-        level = eta0 - s * xi0
-        for xq, yq in pts:
-            assert yq - s * xq <= level + 1e-9
-
-
 def test_walk_simplex_follows_upper_left_chain():
     inst = gen_simplex(3)
+    points = np.array([v.x for v in enumerate_vertices(inst)])
     # Seed 1 is a draw where the walk legitimately visits an intermediate
     # vertex even though the endpoints are adjacent.
-    path = find_path(inst, inst.x1, inst.x2, seed=1)
-    assert path.length == 2
-    _assert_chain_supports_cloud(inst, path)
-    path = find_path(inst, inst.x1, inst.x2, seed=0)
-    assert path.length == 1
-    _assert_chain_supports_cloud(inst, path)
+    for seed, length in ((1, 2), (0, 1)):
+        path = find_path(inst, inst.x1, inst.x2, seed=seed)
+        assert path.length == length
+        assert check_walk(inst, path, points) == []
 
 
 def test_walk_sphere_follows_upper_left_chain():
     inst = gen_random_sphere(9, 3, seed=0)
+    points = np.array([v.x for v in enumerate_vertices(inst)])
     for seed in range(6):
         path = find_path(inst, inst.x1, inst.x2, seed=seed)
         assert path.status == "Completed"
-        _assert_chain_supports_cloud(inst, path)
-        # The projected chain is concave: increasing xi, decreasing slopes.
-        xs = [xi for xi, _ in path.projections]
-        assert all(b - a > 0 for a, b in zip(xs, xs[1:]))
+        assert check_walk(inst, path, points) == []
 
 
 def test_find_path_deterministic_json(cube3):
@@ -638,13 +640,8 @@ def test_find_path_pyramid_degeneracy(pyramid):
     assert path.status == "Perturbed+Completed" and path.retries == 0
     assert path.perturbation == PerturbationRecord(seed=0)
     npt.assert_allclose(path.vertices[-1].x, [0.0, 0.0, 1.0], atol=1e-7)
-    for v in path.vertices:
-        assert float(np.min(pyramid.slack(v.x))) >= -1e-7
-    for a, c in zip(path.vertices, path.vertices[1:]):
-        assert float(np.max(np.abs(a.x - c.x))) > 1e-7  # no duplicates
-        shared = set(tight_rows(pyramid, a.x)) & set(tight_rows(pyramid, c.x))
-        assert len(shared) >= pyramid.n - 1  # consecutive points share an edge
-    assert all(s1 - s2 > 0 for s1, s2 in zip(path.slopes, path.slopes[1:]))
+    assert check_walk(pyramid, path) == []
+    assert all(np.max(np.abs(a.x - c.x)) > 1e-7 for a, c in zip(path.vertices, path.vertices[1:]))
 
 
 def _exact_lex_feasible(inst, basis, rows):

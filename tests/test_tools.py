@@ -4,7 +4,8 @@ the checked-in listing; the line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side;
 the pivot timer runs on a small rotated cube, the oracle timer on a
 small cube and a random sphere, and the path-command timer on the
-cli-degenerate workload's files."""
+cli-degenerate workload's files; the walk oracle loads by file path, as a
+script outside the tests loads it."""
 
 import importlib.util
 import json
@@ -16,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polywalk.instances import GeneratorSpec, generate
+from polywalk.instances import GeneratorSpec, gen_degenerate_pyramid, generate
+from polywalk.polytope import vertex_graph
+from polywalk.shadow import find_path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = [sys.executable, str(ROOT / "tools" / "output_digest.py")]
@@ -108,8 +111,8 @@ def test_src_lines_counts_no_docstring_comment_or_blank_line():
     assert counted(top, "\n_EXTRA = 1\n") == (physical + 2, code + 1)
 
 
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def _load_tool(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -249,3 +252,11 @@ def test_path_cost_times_each_phase_of_a_cold_path_command(tmp_path):
     assert row["sum_us"] == pytest.approx(sum(row[f"{name}_us"] for name in tool.PHASES))
     # The last run, the whole command at seed 1, left its path record.
     assert json.loads(out.read_text())["seed"] == 1
+
+
+def test_walk_oracle_loads_by_file_path():
+    oracles = _load_tool("oracles", "tests")
+    pyramid = gen_degenerate_pyramid()
+    graph = vertex_graph(pyramid)
+    path = find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
+    assert oracles.check_walk(pyramid, path, np.array([v.x for v in graph[0]]), graph) == []
