@@ -1,6 +1,7 @@
 """The per-walk oracle.  :func:`check_walk` returns every failure of a walk
-and never asserts, so a script can count failures.  It imports only numpy and
-polywalk, so a script outside the tests loads it by file path."""
+and never asserts, so a script can count failures, under ``python -O`` too.
+It imports only numpy and polywalk, so a script outside the tests loads it by
+file path."""
 
 import math
 
@@ -12,10 +13,15 @@ TIE_TOL = 1e-12
 MATCH_TOL = 1e-7
 
 
+class ChainError(Exception):
+    """The hull chain is ambiguous, or misses x1 or x2; the message is labelled."""
+
+
 def _vertex_index(points: np.ndarray, x, label: str) -> int:
     """Index of the one row of ``points`` within MATCH_TOL of ``x``."""
     hits = np.flatnonzero(np.max(np.abs(points - x), axis=1) <= MATCH_TOL)
-    assert len(hits) == 1, f"{label}: {len(hits)} vertices match {x}"
+    if len(hits) != 1:
+        raise ChainError(f"{label}: {len(hits)} vertices match {x}")
     return int(hits[0])
 
 
@@ -28,8 +34,9 @@ def _upper_left_chain(points: np.ndarray, pair, x1, x2,
     by a monotone chain, from the leftmost image to image(x2).  Two images
     coincident within TIE_TOL
     (relative to the cloud's scale), or three hull candidates whose turn has
-    a sine within TIE_TOL of zero, leave the chain ambiguous and fail with
-    ``label`` rather than pick one.  ``index(points, x, label)`` finds the
+    a sine within TIE_TOL of zero, leave the chain ambiguous and raise
+    :class:`ChainError` with ``label`` rather than pick one, as does an x1 or
+    x2 that is not the chain's end.  ``index(points, x, label)`` finds the
     row of ``points`` that is the vertex x.
     """
     images = points @ np.column_stack([pair.w1, pair.w2])
@@ -42,24 +49,27 @@ def _upper_left_chain(points: np.ndarray, pair, x1, x2,
         near = by_x[k:, 0] - by_x[:-k, 0] <= tol
         if not near.any():
             break
-        assert not (np.abs(by_x[k:, 1] - by_x[:-k, 1])[near] <= tol).any(), \
-            f"{label}: two vertex images coincide"
+        if (np.abs(by_x[k:, 1] - by_x[:-k, 1])[near] <= tol).any():
+            raise ChainError(f"{label}: two vertex images coincide")
     xy = images.tolist()
     hull: list[int] = []
     for i in np.lexsort((images[:, 1], images[:, 0])).tolist():
         while len(hull) >= 2:
             (ax, ay), (bx, by), (cx, cy) = xy[hull[-2]], xy[hull[-1]], xy[i]
             cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            assert abs(cross) > TIE_TOL * math.hypot(bx - ax, by - ay) \
-                * math.hypot(cx - ax, cy - ay), f"{label}: collinear vertex images"
+            if not abs(cross) > TIE_TOL * math.hypot(bx - ax, by - ay) \
+                    * math.hypot(cx - ax, cy - ay):
+                raise ChainError(f"{label}: collinear vertex images")
             if cross < 0.0:
                 break
             hull.pop()
         hull.append(i)
     start = index(points, x1, label)
     end = index(points, x2, label)
-    assert hull[0] == start, f"{label}: image(x1) is not the leftmost hull point"
-    assert end in hull, f"{label}: image(x2) is not on the upper hull"
+    if hull[0] != start:
+        raise ChainError(f"{label}: image(x1) is not the leftmost hull point")
+    if end not in hull:
+        raise ChainError(f"{label}: image(x2) is not on the upper hull")
     return hull[:hull.index(end) + 1]
 
 
@@ -107,6 +117,6 @@ def check_walk(inst, path, points=None, graph=None) -> list[str]:
                     points, path.objective, inst.x1, inst.x2, "chain",
                     index=lambda _, x, __: index.get(_rows(inst, [x])[0])):
                 failures.append("chain: the walk left the upper-left shadow chain")
-        except AssertionError as exc:
+        except ChainError as exc:
             failures.append(str(exc))
     return failures

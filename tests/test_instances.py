@@ -9,12 +9,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polywalk.instances as instances_mod
 from polywalk.errors import (
     InfeasibleTotals,
     NonIntegerEntry,
     ParseError,
     PolywalkError,
     SchemaError,
+    UnboundedSample,
 )
 from polywalk.flatness import subdet_report
 from polywalk.instances import (
@@ -189,6 +191,23 @@ def test_clean_draw_rule(make, kept):
     assert _clean_draw(verts, adjacency, inst.n) is kept
 
 
+def test_random_sphere_redraws_up_to_its_limit(monkeypatch):
+    # Three lines in the plane bound a triangle only when their normals
+    # surround the origin; most seeds' first draw does not, and is redrawn.
+    monkeypatch.setattr(instances_mod, "_SPHERE_RESAMPLE_LIMIT", 1)
+    refused = []
+    for seed in range(10):
+        try:
+            gen_random_sphere(3, 2, seed)
+        except UnboundedSample as exc:
+            assert str(exc) == "no bounded non-degenerate draw in 1 attempts"
+            refused.append(seed)
+    assert refused == [1, 2, 3, 4, 6, 7, 8]
+    monkeypatch.undo()
+    inst = gen_random_sphere(3, 2, 1)
+    assert inst.name == "sphere-m3-n2-s1" and len(vertex_graph(inst)[0]) == 3
+
+
 def test_random_sphere_determinism():
     a = gen_random_sphere(12, 4, seed=3)
     b = gen_random_sphere(12, 4, seed=3)
@@ -340,18 +359,27 @@ def _bool_after_fraction(data):
     (_edit("A", 0, 0, value="HUGE"), _HUGE_INT, ParseError, "A[0] contains a non-finite number"),
     (_edit("A", 4, value=[0, -1]), None, SchemaError, "A[4] must be a list of 3 numbers"),
     (_bool_after_fraction, None, SchemaError, "A[3] contains a non-number: True"),
+    (lambda data: [data], None, SchemaError, "instance file must hold a JSON object"),
+    (_edit("name", value=3), None, SchemaError, "name must be a string"),
+    (_edit("m", value=True), None, SchemaError, "m and n must be positive integers"),
+    (_edit("n", value=0), None, SchemaError, "m and n must be positive integers"),
+    (_edit("integral", value=1), None, SchemaError, "integral must be a boolean"),
+    (_edit("m", value=5), None, SchemaError, "A must be a list of 5 rows"),
 ], ids=["bool-in-A", "string-in-b", "fraction-in-integral-A", "huge-int-in-x1", "1e400-in-A",
-        "int-above-the-largest-float", "short-row", "types-before-integrality"])
+        "int-above-the-largest-float", "short-row", "types-before-integrality",
+        "top-level-list", "name-not-a-string", "bool-m", "zero-n", "int-integral",
+        "m-not-the-rows-of-A"])
 def test_read_errors_keep_their_type_and_message(tmp_path, cube3, edit, literal, error,
                                                  message):
     # A is read entry by entry, row by row, and every type is checked before
     # integrality, so the error names its field and row.  An int just above
-    # the largest float is refused although it rounds to that float.
+    # the largest float is refused although it rounds to that float.  An
+    # edit that returns a value replaces the whole payload with it.
     path = tmp_path / "bad.json"
     write_instance(cube3, path)
     data = json.loads(path.read_text())
-    edit(data)
-    text = json.dumps(data)
+    replaced = edit(data)
+    text = json.dumps(data if replaced is None else replaced)
     path.write_text(text if literal is None else text.replace('"HUGE"', literal))
     with pytest.raises(PolywalkError) as info:
         read_instance(path)

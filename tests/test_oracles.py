@@ -1,7 +1,13 @@
-"""The per-walk oracle catches walks that break the shadow rule."""
+"""The per-walk oracle catches walks that break the shadow rule, and names
+an x1 missing from the cloud under ``python -O`` too."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +18,22 @@ from polywalk.polytope import vertex_graph
 from polywalk.shadow import SLOPE_TOL, find_path
 
 from oracles import check_walk
+
+TESTS = Path(__file__).resolve().parent
+
+# Simplex-3's walk at seed 1, checked against a cloud without x1's vertex.
+_NO_X1 = """
+import json, sys
+import numpy as np
+from polywalk.instances import gen_simplex
+from polywalk.polytope import vertex_graph
+from polywalk.shadow import find_path
+from oracles import check_walk
+inst = gen_simplex(3)
+path = find_path(inst, inst.x1, inst.x2, seed=1)
+points = np.array([v.x for v in vertex_graph(inst)[0] if np.max(np.abs(v.x - inst.x1)) > 0.0])
+print(json.dumps([sys.flags.optimize, check_walk(inst, path, points)]))
+"""
 
 
 def test_a_walk_off_the_steepest_edge_leaves_the_chain(monkeypatch):
@@ -54,3 +76,17 @@ def test_slopes_that_do_not_decrease_are_flagged():
     assert check_walk(inst, path) == []
     failures = check_walk(inst, replace(path, slopes=path.slopes[::-1]))
     assert failures and all(failure.startswith("slopes") for failure in failures)
+
+
+def test_a_cloud_without_x1_is_named_under_python_O():
+    # python -O strips assert statements; the chain's own checks must stay.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(TESTS.parent / "src"), str(TESTS)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", _NO_X1], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    optimize, failures = json.loads(proc.stdout)
+    assert optimize == 1
+    assert failures == ["chain: image(x1) is not the leftmost hull point"]

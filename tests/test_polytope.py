@@ -117,6 +117,10 @@ def test_verify_vertex_and_not_a_vertex(cube3, pyramid):
     assert apex.degenerate and len(apex.basis) == 3
     with pytest.raises(NotAVertex):
         verify_vertex(cube3, [0.5, 0.0, 0.0])  # edge midpoint, rank 2
+    # Two tight rows at a point, one written twice: n tight rows of rank 1.
+    doubled = build_instance([[1, 0], [2, 0], [-1, 0], [0, 1], [0, -1]], [1, 2, 0, 1, 0])
+    with pytest.raises(NotAVertex, match=r"^tight rows have rank 1 < 2$"):
+        verify_vertex(doubled, [1.0, 0.5])
 
 
 def _cube_with_shallow_cuts():

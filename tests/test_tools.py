@@ -2,9 +2,10 @@
 checks a run against a saved listing and finds the tree's outputs equal to
 the checked-in listing; the line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side;
-the pivot timer runs on a small rotated cube, the oracle timer on a
-small cube and a random sphere, and the path-command timer on the
-cli-degenerate workload's files; the walk oracle loads by file path, as a
+the layer timer's pivot layer runs on a small rotated cube, its oracle layer
+on a small cube and a random sphere, and its path layer on the
+cli-degenerate workload's files, and it prints and writes one row per name;
+the walk oracle loads by file path, as a
 script outside the tests loads it."""
 
 import importlib.util
@@ -216,8 +217,8 @@ def test_paired_bench_exits_1_on_a_digest_mismatch_or_more_failures(tmp_path, di
 
 
 def test_pivot_cost_times_cold_pivots_on_a_small_rotated_cube():
-    tool = _load_tool("pivot_cost")
-    row = tool.measure(generate(GeneratorSpec(family="rotated", n=4)), 2, 1)
+    tool = _load_tool("layer_cost")
+    row = tool.pivot_measure(generate(GeneratorSpec(family="rotated", n=4)), 2, 1)
     # A rotated n-cube's walk from x1 to x2 takes n pivots.
     assert (row["n"], row["walks"], row["pivots"]) == (4, 2, 8)
     assert row["pivot_us"] > 0.0 and row["gufunc_us"] > 0.0
@@ -225,9 +226,9 @@ def test_pivot_cost_times_cold_pivots_on_a_small_rotated_cube():
 
 
 def test_oracle_cost_times_both_oracles_on_small_instances(monkeypatch):
-    tool = _load_tool("oracle_cost")
+    tool = _load_tool("layer_cost")
     cube = generate(GeneratorSpec(family="hypercube", n=3))
-    row = tool.measure(cube, 1)
+    row = tool.oracle_measure(cube, 1)
     assert (row["n"], row["m"], row["bases"]) == (3, 6, 20)
     assert row["delta_us"] > 0.0 and row["certify_us"] > 0.0 and row["inv_us"] > 0.0
     assert row["delta_outside"] == pytest.approx(1.0 - row["inv_us"] / row["delta_us"])
@@ -236,22 +237,50 @@ def test_oracle_cost_times_both_oracles_on_small_instances(monkeypatch):
     monkeypatch.setattr(tool.linalg, "SUBSET_CHUNK", 7)
     assert [len(s) for s in tool.subset_stacks(cube)] == [7, 7, 6]
     # A float instance has no certificate.
-    row = tool.measure(generate(GeneratorSpec(family="random-sphere", n=3, m=9, seed=0)), 1)
+    row = tool.oracle_measure(generate(GeneratorSpec(family="random-sphere", n=3, m=9, seed=0)),
+                              1)
     assert row["bases"] == 84 and row["certify_us"] is None and row["certify_outside"] is None
 
 
 def test_path_cost_times_each_phase_of_a_cold_path_command(tmp_path):
-    tool = _load_tool("path_cost")
-    files = tool.cli_degenerate_files(tmp_path)
+    tool = _load_tool("layer_cost")
+    files = tool.set_up(tool.workloads.CliDegenerate(0, tmp_path)).files
     assert [f.name for f in files] == ["transportation-3x3.json", "transportation-3x4.json",
                                        "pyramid.json"]
     out = tmp_path / "path.json"
-    row = tool.measure(files[-1], 2, 1, out)
+    row = tool.path_measure(files[-1], 2, 1, out)
     assert row["commands"] == 2
     assert all(row[f"{name}_us"] > 0.0 for name in (*tool.PHASES, "command"))
     assert row["sum_us"] == pytest.approx(sum(row[f"{name}_us"] for name in tool.PHASES))
     # The last run, the whole command at seed 1, left its path record.
     assert json.loads(out.read_text())["seed"] == 1
+
+
+def test_layer_cost_prints_and_writes_each_layer_row(monkeypatch, tmp_path, capsys):
+    tool = _load_tool("layer_cost")
+    rows = {"a": {"bases": 4, "delta_us": 2.0, "certify_us": None, "inv_us": 1.0,
+                  "delta_outside": 0.5, "certify_outside": None},
+            "b": {"bases": 6, "delta_us": 4.0, "certify_us": 8.0, "inv_us": 2.0,
+                  "delta_outside": 0.5, "certify_outside": 0.75}}
+    asked = []
+
+    def stub(repeats):
+        asked.append(repeats)
+        yield from rows.items()
+
+    monkeypatch.setitem(tool.LAYERS, "oracle", (stub, *tool.LAYERS["oracle"][1:]))
+    out = tmp_path / "oracle.json"
+    assert tool.main(["oracle", "--json", str(out)]) == 0
+    assert asked == [9] and json.loads(out.read_text()) == rows
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["instance", "(us)", "bases", "delta_A", "certify", "inv",
+                                "delta", "out", "cert", "out"]
+    assert [line.split() for line in lines[1:]] == [
+        ["a", "4", "2.0", "-", "1.0", "50.0%", "-"],
+        ["b", "6", "4.0", "8.0", "2.0", "50.0%", "75.0%"],
+        ["total", "6.0", "8.0", "3.0"]]
+    with pytest.raises(SystemExit):
+        tool.main(["walk"])
 
 
 def test_walk_oracle_loads_by_file_path():
