@@ -3,6 +3,7 @@ determinant-screened stacked solve the direct LAPACK call is tested against,
 the per-column check ``linalg._checked``'s one-reduction pass is tested against,
 the numpy edge choice the walk's scalar pass is tested against, the pass
 over all C(m, n) row subsets the pivoting vertex search is tested against,
+the one-source breadth-first search the graph distances are tested against,
 and the northwest-corner rule for transportation plans."""
 
 import math
@@ -136,6 +137,20 @@ def steepest_edge(directions, w1, w2, basis) -> tuple[int, float]:
     # argmax keeps the first maximum: ties go to the earliest basis row.
     best = int(edge_slopes.argmax())
     return int(candidates[best]), float(edge_slopes[best])
+
+
+def hop_distances(adjacency, source) -> list[int]:
+    """Edge counts from source to every vertex of a graph given as neighbour
+    sets, -1 where no path reaches: one breadth-first search, one queue."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for w in adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def northwest_corner(supplies, demands) -> np.ndarray:

@@ -104,6 +104,25 @@ def test_generate_help_and_unknown_family(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--family", "hypercube", "--n", "0"], "dimension must be positive"),
+    (["generate", "--family", "simplex", "--n", "0"], "dimension must be positive"),
+    (["generate", "--family", "cut-cube", "--n", "1"], "dimension must be at least 2"),
+    (["generate", "--family", "transportation", "--n", "1"], "transportation needs p, q >= 2"),
+    (["generate", "--family", "random-sphere", "--n", "3", "--m", "3"],
+     "need at least n+1 rows for a bounded polytope"),
+    (["experiment", "--trials", "-1", "--seed", "0"], "trial count must be nonnegative"),
+], ids=["hypercube-n0", "simplex-n0", "cut-cube-n1", "transportation-n1", "sphere-m3-n3",
+        "trials-negative"])
+def test_out_of_range_sizes_exit_1_and_write_nothing(cube_file, tmp_path, capsys, argv,
+                                                     message):
+    out = tmp_path / "out"
+    extra = ["--instance", str(cube_file)] if argv[0] == "experiment" else []
+    assert main(argv + extra + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_missing_instance_file(tmp_path, capsys):
     assert main(["delta", "--instance", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -165,30 +184,11 @@ def test_bound_check_violated_exit(cube_file, capsys, monkeypatch):
     assert "certificate=violated" in capsys.readouterr().out
 
 
-def test_bound_check_enumerates_once(cube_file, capsys, monkeypatch):
-    calls = {"delta_A": 0, "subdet_report": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(flatness_mod, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(flatness_mod, name, counted)
-        monkeypatch.setattr(cli_mod, name, counted)
+def test_bound_check_enumerates_once(cube_file, capsys, calls):
+    calls.watch((flatness_mod, cli_mod), "delta_A", "subdet_report")
     assert main(["bound-check", "--instance", str(cube_file)]) == 0
     assert "certificate=holds" in capsys.readouterr().out
-    assert calls == {"delta_A": 1, "subdet_report": 1}
-
-
-def _count_subdet_reports(monkeypatch) -> list:
-    calls = []
-    original = flatness_mod.subdet_report
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod in (flatness_mod, cli_mod, experiments_mod):
-        monkeypatch.setattr(mod, "subdet_report", counted, raising=False)
-    return calls
+    assert calls.counts() == {"delta_A": 1, "subdet_report": 1}
 
 
 def _experiment(instance, out_dir) -> int:
@@ -196,16 +196,16 @@ def _experiment(instance, out_dir) -> int:
                  "--seed", "0", "--out", str(out_dir)])
 
 
-def test_every_certificate_reads_one_subdet_report(cube_file, tmp_path, capsys, monkeypatch):
-    calls = _count_subdet_reports(monkeypatch)
+def test_every_certificate_reads_one_subdet_report(cube_file, tmp_path, capsys, calls):
+    calls.watch((flatness_mod, cli_mod, experiments_mod), "subdet_report")
     assert certify_delta_Delta(gen_hypercube(3)) == (True, 2.0)
-    assert len(calls) == 1
+    assert len(calls["subdet_report"]) == 1
     assert _experiment(cube_file, tmp_path / "report") == 0
     report = json.loads((tmp_path / "report" / "report.json").read_text())
     assert report["bound_integral_ceiling"] == 8 * 6 * 9 * 9
-    assert len(calls) == 2
+    assert len(calls["subdet_report"]) == 2
     assert main(["bound-check", "--instance", str(cube_file)]) == 0
-    assert len(calls) == 3
+    assert len(calls["subdet_report"]) == 3
     capsys.readouterr()
 
 
@@ -277,48 +277,36 @@ def test_delta_cap_exits_3_in_every_command(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "report").exists()
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_experiment_refuses_delta_before_any_trial(tmp_path, capsys, monkeypatch):
+def test_experiment_refuses_delta_before_any_trial(tmp_path, capsys, calls, monkeypatch):
     # The report needs delta, so a cap that refuses it refuses the command
     # before the first walk, with the message and exit code of the report.
     path = tmp_path / "t33.json"
     write_instance(gen_transportation(3, 3, 0), path)
-    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    calls.watch(experiments_mod, "find_path")
     monkeypatch.setattr(polytope_mod, "ENUM_CAP", 5)
     assert main(["experiment", "--instance", str(path), "--trials", "50", "--seed", "0",
                  "--out", str(tmp_path / "report")]) == 3
     assert capsys.readouterr().err == ("error: flatness of transportation-p3q3-s0 not "
                                        "computable: C(9,4) = 126 subsets exceeds cap 5\n")
-    assert walks == [] and not (tmp_path / "report").exists()
+    assert calls["find_path"] == [] and not (tmp_path / "report").exists()
 
 
-def test_experiment_refuses_subdet_cap_before_any_trial(pyramid, tmp_path, capsys,
+def test_experiment_refuses_subdet_cap_before_any_trial(pyramid, tmp_path, capsys, calls,
                                                         monkeypatch):
     # The integral ceiling needs the certificate, so a SUBDET_CAP that
     # refuses its 34 minors refuses the command before the first walk.
     path = tmp_path / "pyramid.json"
     write_instance(pyramid, path)
-    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    calls.watch(experiments_mod, "find_path")
     monkeypatch.setattr(flatness_mod, "SUBDET_CAP", 33)
     assert main(["experiment", "--instance", str(path), "--trials", "30", "--seed", "0",
                  "--out", str(tmp_path / "report")]) == 3
     assert capsys.readouterr().err == "error: 34 square submatrices exceed cap 33\n"
-    assert walks == [] and not (tmp_path / "report").exists()
+    assert calls["find_path"] == [] and not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-def test_experiment_refuses_out_before_any_trial(tmp_path, capsys, monkeypatch, under):
+def test_experiment_refuses_out_before_any_trial(tmp_path, capsys, calls, under):
     # An --out that is a file, or lies under one, cannot hold the reports:
     # the command refuses it before the first walk.
     path = tmp_path / "t33.json"
@@ -326,22 +314,21 @@ def test_experiment_refuses_out_before_any_trial(tmp_path, capsys, monkeypatch, 
     blocker = tmp_path / "taken"
     blocker.write_text("")
     out = blocker / "report" if under else blocker
-    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    calls.watch(experiments_mod, "find_path")
     assert main(["experiment", "--instance", str(path), "--trials", "30", "--seed", "0",
                  "--out", str(out)]) == 1
     reason = "[Errno 20] Not a directory" if under else "[Errno 17] File exists"
     assert capsys.readouterr().err == f"error: {reason}: '{out}'\n"
-    assert walks == [] and blocker.read_text() == ""
+    assert calls["find_path"] == [] and blocker.read_text() == ""
 
 
-def test_experiment_enumerates_delta_once(tmp_path, capsys, monkeypatch):
+def test_experiment_enumerates_delta_once(tmp_path, capsys, calls):
     path = tmp_path / "t33.json"
     write_instance(gen_transportation(3, 3, 0), path)
-    deltas = _count_calls(monkeypatch, experiments_mod, "delta_A")
-    walks = _count_calls(monkeypatch, experiments_mod, "find_path")
+    calls.watch(experiments_mod, "delta_A", "find_path")
     assert main(["experiment", "--instance", str(path), "--trials", "50", "--seed", "0",
                  "--out", str(tmp_path / "report")]) == 0
-    assert len(deltas) == 1 and len(walks) == 50
+    assert calls.counts() == {"delta_A": 1, "find_path": 50}
 
 
 def test_experiment_where_every_trial_fails_exits_2(cube_file, tmp_path, capsys,

@@ -176,22 +176,12 @@ def _per_trial_batch(inst, n_trials, base_seed):
                       failures=tuple(failures))
 
 
-def test_run_batch_verifies_endpoints_once(monkeypatch):
+def test_run_batch_verifies_endpoints_once(calls):
     inst = gen_transportation(3, 4, 0)
-    calls = []
-    real = shadow_mod.verify_vertex
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(shadow_mod, "verify_vertex", counted)
-    run_batch(inst, inst.x1, inst.x2, n_trials=5, base_seed=0)
-    assert len(calls) == 2
-    run_batch(inst, inst.x1, inst.x2, n_trials=0, base_seed=0)
-    assert len(calls) == 2
-    run_batch(inst, inst.x1, inst.x2, n_trials=5, base_seed=5)
-    assert len(calls) == 2
+    calls.watch(shadow_mod, "verify_vertex")
+    for trials, base_seed in ((5, 0), (0, 0), (5, 5)):
+        run_batch(inst, inst.x1, inst.x2, n_trials=trials, base_seed=base_seed)
+        assert len(calls["verify_vertex"]) == 2
 
 
 @pytest.mark.parametrize("make", [lambda: gen_transportation(3, 3, 0),

@@ -116,6 +116,21 @@ def test_delta_A_cap():
         delta_A(gen_hypercube(30))  # C(60,30) blows the default cap
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: delta_basis([[1, 0], [1, 0, 0]]), "vectors must share one dimension"),
+    (lambda: delta_hat([[1, 0, 0]], [0, 0, 1]), "need n-1 span vectors for dimension 3, got 1"),
+    (lambda: delta_basis([[1, 0, 0], [0, 1, 0]]), "need exactly 3 vectors, got 2"),
+    (lambda: rotate_rows(gen_hypercube(3), np.eye(2)), "rotation must be 3x3, got (2, 2)"),
+    (lambda: subdet_report([[1, 2], [3]]), "matrix rows have differing lengths"),
+    (lambda: subdet_report([]), "expected a nonempty integer matrix"),
+], ids=["mixed-dimensions", "span-too-small", "too-few-vectors", "rotation-order",
+        "ragged-rows", "empty-matrix"])
+def test_misshaped_input_is_refused(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_subdet_report_small_matrix():
     report = subdet_report([[2, 1], [1, 1]])
     assert report.Delta == 2

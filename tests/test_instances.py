@@ -47,7 +47,7 @@ from polywalk.polytope import (
     vertex_graph,
 )
 
-from reference import northwest_corner
+from reference import hop_distances, northwest_corner
 
 
 def test_hypercube_shape(cube3):
@@ -136,24 +136,6 @@ def test_random_sphere_clean():
     npt.assert_allclose(np.linalg.norm(inst.raw_A, axis=1), 1.0, atol=1e-12)
 
 
-def _hop_distances(adjacency):
-    """All-pairs edge counts by boolean frontier products (no BFS queue)."""
-    count = len(adjacency)
-    adj = np.zeros((count, count), dtype=int)
-    for u, nbrs in enumerate(adjacency):
-        adj[u, list(nbrs)] = 1
-    dist = np.where(np.eye(count, dtype=bool), 0, -1)
-    reached = np.eye(count, dtype=bool)
-    hops = 0
-    while not reached.all():
-        hops += 1
-        frontier = (reached.astype(int) @ adj > 0) & ~reached
-        assert frontier.any(), "vertex graph is disconnected"
-        dist[frontier] = hops
-        reached |= frontier
-    return dist
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_random_sphere_simple_bounded_and_farthest(n):
     for m in (n + 2, 3 * n):
@@ -167,7 +149,8 @@ def test_random_sphere_simple_bounded_and_farthest(n):
                     ratio_step(inst, slack, d)  # raises Unbounded on a ray
             x1, x2 = farthest_vertex_pair(inst)
             assert x1.tobytes() == inst.x1.tobytes() and x2.tobytes() == inst.x2.tobytes()
-            dist = _hop_distances(adjacency)
+            dist = np.array([hop_distances(adjacency, s) for s in range(len(verts))])
+            assert (dist >= 0).all(), "vertex graph is disconnected"
             points = np.array([v.x for v in verts])
             pair = [int(np.flatnonzero((points == x).all(axis=1))[0]) for x in (x1, x2)]
             assert bfs_distance(inst, x1, x2) == dist.max()
@@ -232,6 +215,9 @@ def test_pyramid_fixture():
 def test_farthest_vertex_pair(cube3):
     a, b = farthest_vertex_pair(cube3)
     assert bfs_distance(cube3, a, b) == 3
+    # A wedge has one vertex: no pair.
+    with pytest.raises(ValueError, match="^need at least two vertices for an endpoint pair$"):
+        farthest_vertex_pair(build_instance([[-1, 0], [0, -1]], [0, 0]))
 
 
 def test_generate_dispatch():

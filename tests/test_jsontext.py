@@ -41,6 +41,15 @@ def test_dumps_matches_json_indent2(obj):
     assert jsontext.dumps(obj) == json.dumps(obj, indent=2)
 
 
+def test_unserializable_value_keeps_the_json_error():
+    obj = {"a": object()}
+    with pytest.raises(TypeError) as ours:
+        jsontext.dumps(obj)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(obj, indent=2)
+    assert str(ours.value) == str(theirs.value) == "Object of type object is not JSON serializable"
+
+
 def test_path_records(cube3, monkeypatch):
     completed = find_path(cube3, cube3.x1, cube3.x2, seed=0)
     perturbed = find_path(gen_degenerate_pyramid(), [1.0, 1.0, 0.0], [0.0, 0.0, 1.0], seed=0)

@@ -340,6 +340,16 @@ def test_rank_unit_rows_with_duplicate():
     assert rank(rows) == 2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: inverse(np.ones((2, 3))), "matrix must be square, got (2, 3)"),
+    (lambda: solve(np.eye(2), [1.0, 2.0, 3.0]), "rhs length 3 does not match matrix order 2"),
+], ids=["inverse-not-square", "solve-rhs-length"])
+def test_misshaped_system_is_refused(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_as_int_matrix_exact_and_rejections():
     assert as_int_matrix([[1.0, -2.0], [3.0, 0.0]]) == [[1, -2], [3, 0]]
     assert as_int_matrix(np.array([[5, 7]], dtype=np.int64)) == [[5, 7]]

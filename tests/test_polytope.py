@@ -45,7 +45,7 @@ from polywalk.polytope import (
     verify_vertex,
     vertex_graph,
 )
-from reference import vertex_classes
+from reference import hop_distances, vertex_classes
 
 
 def test_build_instance_canonicalizes_rows():
@@ -93,6 +93,8 @@ def test_build_instance_rejects_bad_shapes():
         build_instance([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])  # zero row
     with pytest.raises(ValueError):
         build_instance([[1.0, 0.0], [0.0, 1.0]], [1.0])  # b length
+    with pytest.raises(ValueError, match=r"^endpoint has length 3, expected 2$"):
+        build_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], x1=[0.0, 0.0, 0.0])
 
 
 def test_tight_rows_cube_corners(cube3):
@@ -336,15 +338,6 @@ def test_vertex_classes_flag_every_apex_basis(pyramid):
     assert len(apex) == 1 and apex[0].basis == tuple(bases[first]) == reference[first].basis
 
 
-def _count_solves(monkeypatch) -> list:
-    """Record the stack size of each linalg.solve_stack call, still running it."""
-    solves = []
-    real = linalg_mod.solve_stack
-    monkeypatch.setattr(linalg_mod, "solve_stack",
-                        lambda mats, rhs: solves.append(len(mats)) or real(mats, rhs))
-    return solves
-
-
 def _stream_cases():
     """(name, A, rows, n, nonsingular subsets) for the subset stream: rows
     1-6 with row 1 repeated as row 6, n = 1 with two zero rows, fewer rows
@@ -385,7 +378,7 @@ def _stream_by_hand(A, rows, n, b, chunk):
     return chunks, len(groups)
 
 
-def test_solved_subsets_keep_order_across_boundaries(monkeypatch):
+def test_solved_subsets_keep_order_across_boundaries(calls, monkeypatch):
     # Seven subsets per chunk cut the C(6, 3) = 20 subsets of rows 1-6 into
     # 7, 7 and 6, in combinations order.  The four holding both copies of a
     # repeated row are singular and drop out, two from each of the first
@@ -397,11 +390,11 @@ def test_solved_subsets_keep_order_across_boundaries(monkeypatch):
     A[6] = A[1]
     rows = range(1, 7)
     want = [c for c in combinations(rows, 3) if not {1, 6} <= set(c)]
-    solves = _count_solves(monkeypatch)
+    calls.watch(linalg_mod, "solve_stack")
     for b in (None, rng.standard_normal(7)):
-        solves.clear()
+        calls.clear()
         chunks = list(solved_subsets(A, rows, 3, b))
-        assert len(solves) == 3
+        assert len(calls["solve_stack"]) == 3
         assert [len(c) for c, _ in chunks] == [5, 5, 6]
         assert [tuple(r) for c, _ in chunks for r in c.tolist()] == want
         for subsets, out in chunks:
@@ -420,12 +413,13 @@ def test_solved_subsets_keep_order_across_boundaries(monkeypatch):
         for chunk in (1, 7, 256):
             monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
             for b in (None, np.arange(1.0, len(A) + 1.0)):
-                solves.clear()
-                want, calls = _stream_by_hand(A, rows, n, b, chunk)
-                assert calls == -(-math.comb(len(rows), n) // chunk)
+                want, solves = _stream_by_hand(A, rows, n, b, chunk)
+                assert solves == -(-math.comb(len(rows), n) // chunk)
                 assert sum(map(len, want)) == nonsingular, name
+                calls.clear()
                 got = list(solved_subsets(A, rows, n, b))
-                assert len(solves) == calls and all(s <= chunk for s in solves), (name, chunk)
+                sizes = [len(call["mats"]) for call in calls["solve_stack"]]
+                assert len(sizes) == solves and all(s <= chunk for s in sizes), (name, chunk)
                 assert [[tuple(s) for s in subsets.tolist()] for subsets, _ in got] \
                     == [[s for s, _ in kept] for kept in want], (name, chunk)
                 for (subsets, out), kept in zip(got, want):
@@ -442,26 +436,26 @@ _STREAM_CONSUMERS = {
 
 
 @pytest.mark.parametrize("consumer", sorted(_STREAM_CONSUMERS))
-def test_every_enumeration_runs_on_the_one_subset_stream(consumer, monkeypatch):
+def test_every_enumeration_runs_on_the_one_subset_stream(consumer, calls, monkeypatch):
     # At seven subsets per chunk, delta_A makes ceil(495 / 7) = 71 stacked
     # solves on the random sphere, and the apex search stops in its first
     # chunk.  vertex_graph's first chunk holds a feasible basis, and its
     # pivot search then solves 12, 10, 8, 2 and 2 new bases, level by level,
     # in 2 + 2 + 2 + 1 + 1 chunks of at most seven.  With ENUM_CAP one below
     # C(r, n), each is refused by the same cap before its first solve.
-    make, run, rows, calls = _STREAM_CONSUMERS[consumer]
+    make, run, rows, solves = _STREAM_CONSUMERS[consumer]
     inst = make()
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
-    solves = _count_solves(monkeypatch)
+    calls.watch(linalg_mod, "solve_stack")
     run(inst)
-    assert len(solves) == calls
+    assert len(calls["solve_stack"]) == solves
     total = math.comb(rows, inst.n)
     monkeypatch.setattr(polytope_mod, "ENUM_CAP", total - 1)
-    solves.clear()
+    calls.clear()
     message = f"C({rows},{inst.n}) = {total} subsets exceeds cap {total - 1}"
     with pytest.raises(CapExceeded, match=re.escape(message)):
         run(inst)
-    assert solves == []
+    assert calls["solve_stack"] == []
 
 
 def _band_cubes():
@@ -541,12 +535,12 @@ def test_pivoting_search_equals_the_all_subsets_pass(monkeypatch):
             assert _vertex_classes(inst) == ([], [], [])
 
 
-def test_vertex_graph_solves_far_fewer_bases_than_subsets(monkeypatch):
+def test_vertex_graph_solves_far_fewer_bases_than_subsets(calls):
     # 98 vertices, against C(15, 5) = 3,003 subsets.
     inst = gen_random_sphere(15, 5, seed=0)
-    solves = _count_solves(monkeypatch)
+    calls.watch(linalg_mod, "solve_stack")
     verts, _ = vertex_graph(inst)
-    assert len(verts) == 98 and sum(solves) < 1000
+    assert len(verts) == 98 and sum(len(call["mats"]) for call in calls["solve_stack"]) < 1000
 
 
 def _reference_graph(inst):
@@ -572,24 +566,11 @@ def _reference_graph(inst):
     return verts, adjacency
 
 
-def _reference_distances(adjacency, source):
-    """The earlier breadth-first search: one source, one queue."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = [source]
-    for u in queue:
-        for w in adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def _reference_farthest(verts, adjacency):
     """The earlier farthest pair: one search per source, first maximum wins."""
     best = (-1, 0, 0)
     for s in range(len(verts)):
-        dist = _reference_distances(adjacency, s)
+        dist = hop_distances(adjacency, s)
         t = max(range(len(verts)), key=dist.__getitem__)
         if dist[t] > best[0]:
             best = (dist[t], s, t)
@@ -649,7 +630,7 @@ def _assert_graph_matches_reference(inst):
     assert adjacency == ref_adjacency
     count = len(verts)
     dist = graph_distances(adjacency, range(count))
-    assert dist.tolist() == [_reference_distances(adjacency, s) for s in range(count)]
+    assert dist.tolist() == [hop_distances(adjacency, s) for s in range(count)]
     if count > 1:
         pair = _farthest_pair(verts, adjacency)
         ref_pair = _reference_farthest(verts, adjacency)
@@ -701,7 +682,7 @@ def test_distances_and_farthest_pair_across_source_words(make, count):
     verts, adjacency = vertex_graph(make())
     assert len(verts) == count
     dist = graph_distances(adjacency, range(count))
-    assert dist.tolist() == [_reference_distances(adjacency, s) for s in range(count)]
+    assert dist.tolist() == [hop_distances(adjacency, s) for s in range(count)]
     pair = _farthest_pair(verts, adjacency)
     ref_pair = _reference_farthest(verts, adjacency)
     assert [x.tobytes() for x in pair] == [x.tobytes() for x in ref_pair]
@@ -713,7 +694,7 @@ def test_graph_distances_of_repeated_and_empty_sources(cube3):
     assert empty.shape == (0, 8) and empty.dtype == np.intp
     sources = [5, 0, 5] + [3] * 70
     assert graph_distances(adjacency, sources).tolist() == \
-        [_reference_distances(adjacency, s) for s in sources]
+        [hop_distances(adjacency, s) for s in sources]
 
 
 @pytest.mark.parametrize("source", [-1, 8])

@@ -432,17 +432,17 @@ def test_walk_matches_reference_on_small_transportation(p, q):
     assert signed_zeros
 
 
-def test_walk_matches_reference_on_perturbed_transportation(monkeypatch):
+def test_walk_matches_reference_on_perturbed_transportation(calls):
     # Walked on the lexicographically perturbed right-hand side: most
     # endpoints are degenerate, and so are vertices met on the way.
-    counts = _counted(monkeypatch, (shadow_mod, "edge_directions"))
+    calls.watch(shadow_mod, "edge_directions")
     walks = pivots = steps = met = 0
     for p, q in ((3, 3), (3, 4)):
         for s in range(3):
             inst = gen_transportation(p, q, s)
             r1, r2 = verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
             for seed in range(10):
-                counts.clear()
+                calls.clear()
                 # A fresh copy has an empty pivot memo: every pivot is counted.
                 try:
                     path = _assert_walk_matches_reference(replace(inst), r1, r2, seed)
@@ -454,7 +454,7 @@ def test_walk_matches_reference_on_perturbed_transportation(monkeypatch):
                 else:
                     assert path.status == "Completed" and path.perturbation is None
                 walks += 1
-                pivots += counts["polywalk.shadow.edge_directions"]
+                pivots += len(calls["edge_directions"])
                 steps += path.length
                 met += sum(v.degenerate for v in path.vertices[1:-1])
     # Zero-length pivots were merged, and degenerate vertices met mid-walk.
@@ -481,47 +481,44 @@ def test_walk_through_a_degenerate_vertex_is_not_redrawn():
     assert crossed >= 5
 
 
-def test_walk_takes_one_slack_per_pivot(monkeypatch):
+def test_walk_takes_one_slack_per_pivot(calls):
     # ratio_step reads the slack the walk computed when it reached the
     # vertex: one slack for the start, then one per new basis.  Instance.slack
     # and _basic_point's unchecked slack of a solved point both take it by
     # Instance._slack.
+    calls.watch(shadow_mod, "ratio_step")
+    calls.watch(polytope_mod.Instance, "_slack")
+    calls.watch(linalg_mod, "solve")
     for inst in (gen_rotated(gen_hypercube(8), 0), gen_transportation(3, 4, 0)):
         v1, v2 = (verify_vertex(inst, x) for x in (inst.x1, inst.x2))
         pair = sample_objectives(inst, v1, v2, 0)
-        counts = _counted(monkeypatch, (shadow_mod, "ratio_step"),
-                          (polytope_mod.Instance, "_slack"), (linalg_mod, "solve"))
+        calls.clear()
         walk(inst, v1, v2, pair)
-        pivots = counts["polywalk.shadow.ratio_step"]
-        assert pivots >= inst.n
-        assert counts["Instance._slack"] == counts["polywalk.linalg.solve"] + 1
-        assert counts["polywalk.linalg.solve"] >= pivots
-        monkeypatch.undo()
+        counts = calls.counts()
+        assert counts["ratio_step"] >= inst.n
+        assert counts["_slack"] == counts["solve"] + 1
+        assert counts["solve"] >= counts["ratio_step"]
 
 
-def test_walk_makes_one_next_basis_per_pivot(monkeypatch):
+def test_walk_makes_one_next_basis_per_pivot(calls, monkeypatch):
     # A cold pivot names its new basis once, and again only when the
     # lexicographic rule changes the entering row; a warm one reads it from
     # the stored outcome and names none.
-    inst = gen_rotated(gen_hypercube(8), 0)
-    ends = verify_endpoints(inst, inst.x1, inst.x2)
-    counts = _counted(monkeypatch, (shadow_mod, "_next_basis"), (shadow_mod, "ratio_step"))
-    for expected in (inst.n, 0):
-        counts.clear()
-        walk(inst, ends.v1, ends.v2, sample_objectives(inst, ends.v1, ends.v2, 0))
-        assert counts["polywalk.shadow._next_basis"] == expected
-        assert counts["polywalk.shadow.ratio_step"] == expected
-    monkeypatch.undo()
-
     inst = gen_transportation(3, 4, 2)
     ends = verify_endpoints(inst, inst.x1, inst.x2)
     pair = sample_objectives(inst, ends.v1, ends.v2, 0)
     _, changes = _lex_changes(inst, ends, pair, monkeypatch)
-    counts = _counted(monkeypatch, (shadow_mod, "_next_basis"), (shadow_mod, "ratio_step"))
+    calls.watch(shadow_mod, "_next_basis", "ratio_step")
     walk(replace(inst), ends.v1, ends.v2, pair)
     assert changes
-    assert counts["polywalk.shadow._next_basis"] == \
-        counts["polywalk.shadow.ratio_step"] + len(changes)
+    assert len(calls["_next_basis"]) == len(calls["ratio_step"]) + len(changes)
+
+    inst = gen_rotated(gen_hypercube(8), 0)
+    ends = verify_endpoints(inst, inst.x1, inst.x2)
+    for expected in (inst.n, 0):
+        calls.clear()
+        walk(inst, ends.v1, ends.v2, sample_objectives(inst, ends.v1, ends.v2, 0))
+        assert len(calls["_next_basis"]) == len(calls["ratio_step"]) == expected
 
 
 @pytest.mark.parametrize("make", [lambda: gen_transportation(3, 4, 0),
@@ -737,16 +734,16 @@ def _reference_lex_basis(inst, v):
     raise AssertionError("no lexicographically feasible basis")
 
 
-def test_representative_matches_verify_vertex_route(monkeypatch):
+def test_representative_matches_verify_vertex_route(calls):
     # find_path walks from verify_vertex's basis at every endpoint.  At a
     # degenerate one that is the first lexicographically feasible basis, by
     # a chunked search over its tight rows; the family holds degenerate
     # endpoints where the first nonsingular subset qualifies and ones where
     # it does not.
-    counts = _counted(monkeypatch, (linalg_mod, "solve_stack"))
+    calls.watch(linalg_mod, "solve_stack")
     simple = same = other = 0
     for inst in _degenerate_family():
-        counts.clear()
+        calls.clear()
         find_path(inst, inst.x1, inst.x2, seed=0)
         ends = inst._endpoint_memo
         degenerate_ends = 0
@@ -769,7 +766,7 @@ def test_representative_matches_verify_vertex_route(monkeypatch):
                 other += 1
         # One search per degenerate endpoint in find_path, one more in the
         # verify_vertex call above, each over one chunk of subsets.
-        assert counts["polywalk.linalg.solve_stack"] == 2 * degenerate_ends
+        assert len(calls["solve_stack"]) == 2 * degenerate_ends
     assert simple > 0 and same > 0 and other > 0
 
 
@@ -790,31 +787,32 @@ def _corner_endpoints(p, q, seed, monkeypatch):
     return replace(inst, x1=x1, x2=x2)
 
 
-def test_degenerate_search_stops_at_the_first_chunk_with_a_hit(monkeypatch):
-    # The search inverts the subsets of the tight rows one chunk at a time
-    # and stops at the chunk holding the first lexicographically feasible
-    # one, at position k in combinations order: ceil((k + 1) / chunk)
-    # stacked solves, no enumeration of all m rows and no slack beyond the
-    # one of its checked point (Instance._slack, as tight_rows takes it).
+def test_degenerate_search_stops_at_the_first_chunk_with_a_hit(calls, monkeypatch):
+    # The search solves the subsets of the tight rows against b one chunk at
+    # a time, and stops at the chunk holding the first lexicographically
+    # feasible one, at position k in combinations order: ceil((k + 1) /
+    # chunk) stacked solves, and no enumeration of all m rows.  A hit's
+    # slack and tight rows come from its solved point; the only
+    # Instance._slack call is tight_rows' slack of the checked point.
     insts = _degenerate_family() + [_corner_endpoints(5, 5, s, monkeypatch)
                                     for s in range(3)]
-    counts = _counted(monkeypatch, (linalg_mod, "solve_stack"),
-                      (polytope_mod, "_vertex_classes"), (polytope_mod.Instance, "_slack"))
+    calls.watch(linalg_mod, "solve_stack")
+    calls.watch(polytope_mod, "_vertex_classes")
+    calls.watch(polytope_mod.Instance, "_slack")
     late = Counter()
     for chunk in (1, 7, linalg_mod.SUBSET_CHUNK):
         monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", chunk)
         for inst in insts:
             for x in (inst.x1, inst.x2):
-                counts.clear()
+                calls.clear()
                 v = verify_vertex(inst, x)
-                calls = dict(counts)
+                counts = calls.counts()
                 if not v.degenerate:
                     continue
                 assert v.basis == _reference_lex_basis(inst, v)
                 k = list(combinations(tight_rows(inst, x), inst.n)).index(v.basis)
                 late[chunk] += k >= chunk
-                assert calls == {"polywalk.linalg.solve_stack": -(-(k + 1) // chunk),
-                                 "Instance._slack": 1}
+                assert counts == {"solve_stack": -(-(k + 1) // chunk), "_slack": 1}
     # Chunks of 1 and of 7 each stop past their first chunk somewhere.
     assert late[1] > 0 and late[7] > 0
 
@@ -871,70 +869,56 @@ _MEMO_FAMILIES = {
 }
 
 
-def _counted(monkeypatch, *targets):
-    """Count the calls of each (module, name) in targets, still running them."""
-    counts = Counter()
-    for module, name in targets:
-        real = getattr(module, name)
-
-        def counted(*args, _real=real, _key=f"{module.__name__}.{name}", **kwargs):
-            counts[_key] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("family", sorted(_MEMO_FAMILIES))
-def test_warm_walk_reads_every_pivot_from_the_memo(family, monkeypatch):
+def test_warm_walk_reads_every_pivot_from_the_memo(family, calls, monkeypatch):
     # The second walk with one seed finds each pivot's outcome, next basis
-    # and vertex in the memo: no ratio test, next basis, solve, directions or
-    # new vertex, and the first walk's JSON, which a fresh copy also gives.
+    # and vertex in the memo, and its endpoints in the endpoint memo: no
+    # ratio test, next basis, solve, inverse, directions, rank or new
+    # vertex, and the first walk's JSON, which a fresh copy also gives.
     inst = _MEMO_FAMILIES[family]()
     first = find_path(inst, inst.x1, inst.x2, seed=0)
     assert first.length > 0
-    counts = _counted(monkeypatch, (shadow_mod, "_next_basis"), (shadow_mod, "ratio_step"),
-                      (linalg_mod, "solve"), (shadow_mod, "edge_directions"),
-                      (shadow_mod, "VertexWithBasis"))
+    calls.watch(shadow_mod, "_next_basis", "ratio_step", "edge_directions", "VertexWithBasis")
+    calls.watch(linalg_mod, "solve", "inverse", "rank")
     again = find_path(inst, inst.x1, inst.x2, seed=0)
-    assert not counts
+    assert calls.counts() == {}
     monkeypatch.undo()
     assert again.to_json() == first.to_json()
     assert again.to_json() == find_path(replace(inst), inst.x1, inst.x2, seed=0).to_json()
 
 
 @pytest.mark.parametrize("family", sorted(_MEMO_FAMILIES))
-def test_repeated_find_path_skips_verification(family, monkeypatch):
+def test_repeated_find_path_skips_verification(family, calls):
     make = _MEMO_FAMILIES[family]
     inst = make()
-    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    calls.watch(shadow_mod, "verify_vertex")
     first = find_path(inst, inst.x1, inst.x2, seed=0)
-    assert counts["polywalk.shadow.verify_vertex"] == 2
+    assert len(calls["verify_vertex"]) == 2
     if family == "transportation":
         assert first.perturbation is not None
     for seed in (0, 1, 7):
         again = find_path(inst, inst.x1, inst.x2, seed=seed).to_json()
         assert again == find_path(make(), inst.x1, inst.x2, seed=seed).to_json()
     # Each fresh instance verifies once; the repeated calls on inst never do.
-    assert counts["polywalk.shadow.verify_vertex"] == 2 + 2 * 3
+    assert len(calls["verify_vertex"]) == 2 + 2 * 3
 
 
-def test_endpoint_memo_list_and_array_agree(monkeypatch):
+def test_endpoint_memo_list_and_array_agree(calls):
     inst = gen_transportation(3, 4, 0)
-    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    calls.watch(shadow_mod, "verify_vertex")
     from_arrays = find_path(inst, inst.x1, inst.x2, seed=3).to_json()
     from_lists = find_path(inst, inst.x1.tolist(), inst.x2.tolist(), seed=3).to_json()
     assert from_lists == from_arrays
-    assert counts["polywalk.shadow.verify_vertex"] == 2
+    assert len(calls["verify_vertex"]) == 2
     fresh = gen_transportation(3, 4, 0)
     assert find_path(fresh, fresh.x1.tolist(), fresh.x2.tolist(), seed=3).to_json() \
         == from_arrays
 
 
-def test_endpoint_memo_holds_the_last_pair_only(monkeypatch):
+def test_endpoint_memo_holds_the_last_pair_only(calls):
     inst = gen_hypercube(3)
     points = [v.x for v in enumerate_vertices(inst)]
-    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    calls.watch(shadow_mod, "verify_vertex")
     pairs = [(points[0], points[-1]), (points[1], points[2]), (points[3], points[0]),
              (points[0], points[-1])]
     for k, (x1, x2) in enumerate(pairs, start=1):
@@ -943,7 +927,7 @@ def test_endpoint_memo_holds_the_last_pair_only(monkeypatch):
         npt.assert_array_equal(path.vertices[-1].x, x2)
         # A new pair is verified and replaces the one slot; the first pair,
         # walked again after others, is verified again.
-        assert counts["polywalk.shadow.verify_vertex"] == 2 * k
+        assert len(calls["verify_vertex"]) == 2 * k
         ends = inst._endpoint_memo
         assert ends.key == (x1.tobytes(), x2.tobytes())
         npt.assert_array_equal(ends.v1.x, x1)
@@ -952,11 +936,11 @@ def test_endpoint_memo_holds_the_last_pair_only(monkeypatch):
 @pytest.mark.parametrize("bad, error", [([0.5, 0.0, 0.0], NotAVertex),
                                         ([2.0, 0.0, 0.0], Infeasible),
                                         ([np.nan, 0.0, 0.0], ValueError)])
-def test_failed_verification_is_never_kept(bad, error, monkeypatch):
+def test_failed_verification_is_never_kept(bad, error, calls):
     inst = gen_hypercube(3)
     find_path(inst, inst.x1, inst.x2, seed=0)
     memo = inst._endpoint_memo
-    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    calls.watch(shadow_mod, "verify_vertex")
     for _ in range(2):
         with pytest.raises(error):
             find_path(inst, inst.x1, bad, seed=0)
@@ -965,19 +949,19 @@ def test_failed_verification_is_never_kept(bad, error, monkeypatch):
         assert inst._endpoint_memo is memo
     # A non-finite point fails while its key is taken, before any check.
     expected = 0 if error is ValueError else 6
-    assert counts["polywalk.shadow.verify_vertex"] == expected
+    assert len(calls["verify_vertex"]) == expected
     find_path(inst, inst.x1, inst.x2, seed=1)
-    assert counts["polywalk.shadow.verify_vertex"] == expected
+    assert len(calls["verify_vertex"]) == expected
 
 
-def test_endpoint_key_stays_strict(monkeypatch):
+def test_endpoint_key_stays_strict(calls):
     # After a warm walk, a (1, n) or (n, 1) endpoint has the memo key's
     # bytes and still fails as_vector's shape check, before any
     # verification; a list or a big-endian copy of the pair hits the memo.
     inst = gen_transportation(3, 4, 0)
     expected = find_path(inst, inst.x1, inst.x2, seed=0).to_json()
     memo = inst._endpoint_memo
-    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"))
+    calls.watch(shadow_mod, "verify_vertex")
     for reshape in (lambda x: x[None, :], lambda x: x[:, None]):
         for x1, x2 in ((reshape(inst.x1), inst.x2), (inst.x1, reshape(inst.x2))):
             assert (x1.tobytes(), x2.tobytes()) == memo.key
@@ -987,7 +971,7 @@ def test_endpoint_key_stays_strict(monkeypatch):
     for x1, x2 in ((inst.x1.tolist(), inst.x2.tolist()),
                    (inst.x1.astype(">f8"), inst.x2.astype(">f8"))):
         assert find_path(inst, x1, x2, seed=0).to_json() == expected
-    assert counts["polywalk.shadow.verify_vertex"] == 0 and inst._endpoint_memo is memo
+    assert calls["verify_vertex"] == [] and inst._endpoint_memo is memo
 
 
 def test_endpoint_memo_keeps_no_instance_alive():
@@ -1004,33 +988,15 @@ def test_endpoint_memo_keeps_no_instance_alive():
         gc.enable()
 
 
-def test_first_call_counts_unchanged_and_repeat_skips_verification(monkeypatch):
-    # The counts the benchmark's tracer pins for a fresh hypercube-10 walk.
-    cube = gen_hypercube(10)
-    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"), (linalg_mod, "rank"),
-                      (linalg_mod, "inverse"), (linalg_mod, "solve"),
-                      (shadow_mod, "ratio_step"), (shadow_mod, "edge_directions"))
-    walk_calls = {"polywalk.linalg.inverse": 10, "polywalk.linalg.solve": 10,
-                  "polywalk.shadow.ratio_step": 10, "polywalk.shadow.edge_directions": 10}
-    find_path(cube, cube.x1, cube.x2, seed=0)
-    assert counts == {"polywalk.shadow.verify_vertex": 2, "polywalk.linalg.rank": 20,
-                      **walk_calls}
-    counts.clear()
-    # The repeat finds every basis it reaches in the instance's pivot memo:
-    # no inverse, solve, edge_directions, verification or rank call is left,
-    # and every pivot, the start's too, reads its stored outcome.
-    find_path(cube, cube.x1, cube.x2, seed=0)
-    assert counts == {}
-
-
-def test_fresh_find_path_ranks_only_the_simple_endpoint(monkeypatch):
+def test_fresh_find_path_ranks_only_the_simple_endpoint(calls):
     # The pyramid's x1 is simple and its apex x2 degenerate: verify_vertex
     # runs its rank loop over x1's n tight rows only, and picks the apex's
     # basis by the lexicographic search alone.
     pyramid = gen_degenerate_pyramid()
-    counts = _counted(monkeypatch, (shadow_mod, "verify_vertex"), (linalg_mod, "rank"))
+    calls.watch(shadow_mod, "verify_vertex")
+    calls.watch(linalg_mod, "rank")
     find_path(pyramid, pyramid.x1, pyramid.x2, seed=0)
-    assert counts == {"polywalk.shadow.verify_vertex": 2, "polywalk.linalg.rank": pyramid.n}
+    assert calls.counts() == {"verify_vertex": 2, "rank": pyramid.n}
 
 
 # -- the per-instance pivot memo of walk ---------------------------------------
@@ -1158,48 +1124,37 @@ def test_outcomes_whose_next_basis_was_evicted(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["hypercube", "transportation-3x3-s0",
                                   "transportation-3x4-s0"])
-def test_fresh_walk_calls_do_not_depend_on_the_bound(name, monkeypatch):
+def test_fresh_walk_calls_do_not_depend_on_the_bound(name, calls, monkeypatch):
     # A walk on a fresh instance makes a memo-less walk's calls at any bound:
     # with room for no record, a pivot still solves the basis it probes
     # once.  The transportation walks take lexicographic tie-breaks.
     inst = _PIVOT_MEMO_INSTANCES[name]()
-    counts = _counted(monkeypatch, (linalg_mod, "solve"), (shadow_mod, "ratio_step"),
-                      (shadow_mod, "edge_directions"), (shadow_mod, "_lex_entering"))
+    calls.watch(linalg_mod, "solve")
+    calls.watch(shadow_mod, "ratio_step", "edge_directions", "_lex_entering")
 
     def fresh_walk_calls(seed):
         fresh = replace(inst)
         ends = verify_endpoints(fresh, inst.x1, inst.x2)
         pair = sample_objectives(fresh, ends.v1, ends.v2, seed)
-        counts.clear()
+        calls.clear()
         try:
             walk(fresh, ends.v1, ends.v2, pair)
         except WalkFailure:
             pass
-        return dict(counts)
+        return calls.counts()
 
     expected = [fresh_walk_calls(seed) for seed in range(20)]
     monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", 0)
     assert [fresh_walk_calls(seed) for seed in range(20)] == expected
     if name != "hypercube":
-        assert any("polywalk.shadow._lex_entering" in calls for calls in expected)
-
-
-def _objectives_by_formula(inst, v1, v2, seed):
-    """w1 and w2 as sample_objectives computed them per seed."""
-    rng = np.random.default_rng(seed)
-    lam = 1.0 - rng.random(inst.n)
-    mu = 1.0 - rng.random(inst.n)
-    rows = inst.A[list(v1.basis) + list(v2.basis)]
-    units = rows / np.sqrt([r @ r for r in rows])[:, None]
-    return (-(np.ascontiguousarray(units[:inst.n].T) @ lam),
-            np.ascontiguousarray(units[inst.n:].T) @ mu)
+        assert any("_lex_entering" in counts for counts in expected)
 
 
 @pytest.mark.parametrize("family", ["pyramid", "transportation"])
 def test_objective_columns_match_the_per_seed_formula(family):
     # Two endpoint pairs alternate on one instance: each pair's objectives
     # read the endpoint memo's columns, and the other pair's, drawn while
-    # the memo holds this one, compute theirs; both give the formula's bits.
+    # the memo holds this one, compute theirs; both give the reference's bits.
     inst = _MEMO_FAMILIES[family]()
     pairs = [(inst.x1, inst.x2), (inst.x2, inst.x1)]
     for seed in range(6):
@@ -1209,9 +1164,9 @@ def test_objective_columns_match_the_per_seed_formula(family):
             assert shadow_mod._unit_columns(inst, ends.v1, ends.v2) is ends.columns
             for v1, v2 in ((ends.v1, ends.v2), (other.v1, other.v2)):
                 pair = sample_objectives(inst, v1, v2, seed)
-                w1, w2 = _objectives_by_formula(inst, v1, v2, seed)
-                assert pair.w1.tobytes() == w1.tobytes()
-                assert pair.w2.tobytes() == w2.tobytes()
+                reference = _reference_objectives(inst, v1, v2, seed)
+                assert pair.w1.tobytes() == reference.w1.tobytes()
+                assert pair.w2.tobytes() == reference.w2.tobytes()
 
 
 @pytest.mark.parametrize("where", ["solve", "edge_directions", "ratio_step"])
@@ -1354,7 +1309,7 @@ def test_pivot_memo_forced_infeasible_point_is_not_stored(monkeypatch):
         assert walk(inst, ends.v1, ends.v2, pair).to_json() == expected.to_json()
 
 
-def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
+def test_pivot_memo_is_bounded_and_keeps_the_start(calls):
     inst = gen_rotated(gen_hypercube(24), 0)
     reached = set()
     for seed in range(25):
@@ -1370,18 +1325,11 @@ def test_pivot_memo_is_bounded_and_keeps_the_start(monkeypatch):
     # Bases were evicted.
     assert len(inst._pivot_memo) < len(reached)
     start = path.vertices[0].basis
-    seen = []
-    real = shadow_mod.edge_directions
-
-    def recording(inst_, v):
-        seen.append(v.basis)
-        return real(inst_, v)
-
-    monkeypatch.setattr(shadow_mod, "edge_directions", recording)
+    calls.watch(shadow_mod, "edge_directions")
     again = find_path(inst, inst.x1, inst.x2, seed=0)
     assert again.to_json() == first
     # The start's record, the endpoint memo's, keeps its directions.
-    assert start not in seen
+    assert start not in [call["v"].basis for call in calls["edge_directions"]]
     # Least recently used first out: the bases the repeat's pivots reached,
     # hits included, are now the memo's most recent, in the order reached.
     bases = [v.basis for v in again.vertices[1:]]
@@ -1481,30 +1429,23 @@ def _exact_slack(inst, x):
 
 
 @pytest.mark.parametrize("family", sorted(_LEX_FAMILIES))
-def test_lex_walk_exact_oracle(family, monkeypatch):
+def test_lex_walk_exact_oracle(family, calls):
     # Every basis a walk visits, zero-length pivots included, is checked in
     # exact rationals: it is lexicographically feasible, and consecutive
     # bases differ in one row.  Every kept point is a vertex of P, the slopes
     # strictly decrease, and the walk ends at x2.
     inst = _LEX_FAMILIES[family]()
-    visited = []
-    real = shadow_mod.edge_directions
-
-    def recording(inst_, v):
-        visited.append(v.basis)
-        return real(inst_, v)
-
-    monkeypatch.setattr(shadow_mod, "edge_directions", recording)
+    calls.watch(shadow_mod, "edge_directions")
     # x2 as generated carries rounding; its vertex is the point of its basis.
     target = _exact_point(inst, verify_vertex(inst, inst.x2).basis)
     pivots = steps = 0
     for seed in range(20):
-        visited.clear()
+        calls.clear()
         # Each seed walks a fresh copy, so edge_directions sees every basis.
         fresh = replace(inst)
         path = find_path(fresh, fresh.x1, fresh.x2, seed=seed)
         assert path.status == "Perturbed+Completed" and path.retries == 0
-        bases = visited + [path.vertices[-1].basis]
+        bases = [call["v"].basis for call in calls["edge_directions"]] + [path.vertices[-1].basis]
         for basis in bases:
             slack = _exact_slack(inst, _exact_point(inst, basis))
             assert min(slack) >= 0

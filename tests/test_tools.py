@@ -1,15 +1,18 @@
-"""The byte-identity tool runs to completion, prints one digest per group,
-checks a run against a saved listing and finds the tree's outputs equal to
-the checked-in listing; the line counter counts each module;
+"""The byte-identity tool runs to completion once and prints one digest per
+group; in-process, its check of those lines names each group that differs
+from a saved listing, and finds none against the checked-in listing; the
+line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side;
 the layer timer's pivot layer runs on a small rotated cube, its oracle layer
 on a small cube and a random sphere, and its path layer on the
 cli-degenerate workload's files, and it prints and writes one row per name;
-the walk oracle loads by file path, as a
-script outside the tests loads it."""
+the line tracer lists what one test module leaves unrun, each line with
+its reason; the walk oracle loads by file path, as a script outside the
+tests loads it."""
 
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -30,42 +33,56 @@ GROUPS = ["instances", "path", "experiment", "delta", "bound-check", "help", "ba
           "walks", "minors", "walk-large", "pairs"]
 
 
-def _run(*args):
-    return subprocess.run(TOOL + list(args), cwd=ROOT, capture_output=True, text=True,
-                          timeout=300)
+def _load_tool(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 @pytest.fixture(scope="module")
 def digests():
-    proc = _run()
+    """The lines of the one run of the digest tool as a script."""
+    proc = subprocess.run(TOOL, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def digest_tool(digests):
+    """The digest tool loaded in-process, its listing stubbed to that run's lines."""
+    tool = _load_tool("output_digest")
+    tool.listing = lambda: list(digests)
+    return tool
 
 
 def test_output_digest_prints_every_group(digests):
     # The digests themselves depend on the LAPACK build, so only their form
     # and order are pinned.
-    lines = digests.splitlines()
-    assert all(re.fullmatch(r"[0-9a-f]{64}  [a-z-]+", line) for line in lines), lines
-    assert [line.split("  ")[1] for line in lines] == GROUPS
+    assert all(re.fullmatch(r"[0-9a-f]{64}  [a-z-]+", line) for line in digests), digests
+    assert [line.split("  ")[1] for line in digests] == GROUPS
+    # Loading the tool sets no environment variable: COLUMNS is set only
+    # while the help group renders.
+    environ = dict(os.environ)
+    _load_tool("output_digest")
+    assert dict(os.environ) == environ
 
 
-def test_output_digest_check_names_each_differing_group(digests, tmp_path):
+def test_output_digest_check_names_each_differing_group(digest_tool, digests, tmp_path,
+                                                        capsys):
     saved = tmp_path / "digests.txt"
-    saved.write_text(digests)
-    proc = _run("--check", str(saved))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == digests and proc.stderr == ""
+    saved.write_text("\n".join(digests) + "\n")
+    assert digest_tool.main(["--check", str(saved)]) == 0
+    assert capsys.readouterr() == ("\n".join(digests) + "\n", "")
 
-    lines = digests.splitlines()
+    lines = list(digests)
     lines[GROUPS.index("walks")] = "0" * 64 + "  walks"
     saved.write_text("\n".join(lines) + "\n")
-    proc = _run("--check", str(saved))
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["differs: walks"]
+    assert digest_tool.main(["--check", str(saved)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["differs: walks"]
 
 
-def test_outputs_match_the_checked_in_listing():
+def test_outputs_match_the_checked_in_listing(digest_tool, capsys):
     # The listing's first line names the numpy version it was recorded
     # with; another version may link another LAPACK, with other bits.
     header = LISTING.read_text().splitlines()[0]
@@ -73,8 +90,7 @@ def test_outputs_match_the_checked_in_listing():
     if recorded != np.__version__:
         pytest.skip(f"{LISTING.name} was recorded with numpy {recorded}, "
                     f"this is numpy {np.__version__}")
-    proc = _run("--check", str(LISTING))
-    assert proc.returncode == 0, proc.stderr
+    assert digest_tool.main(["--check", str(LISTING)]) == 0, capsys.readouterr().err
 
 
 def test_src_lines_counts_every_module():
@@ -91,9 +107,7 @@ def test_src_lines_counts_every_module():
 
 
 def test_src_lines_counts_no_docstring_comment_or_blank_line():
-    spec = importlib.util.spec_from_file_location("src_lines", SRC_LINES)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load_tool("src_lines")
     lines = (ROOT / "src" / "polywalk" / "shadow.py").read_text().splitlines(keepends=True)
     physical, code = tool.count("".join(lines))
     assert physical == len(lines)
@@ -110,13 +124,6 @@ def test_src_lines_counts_no_docstring_comment_or_blank_line():
     assert counted(top, "# a comment\n") == (physical + 1, code)
     assert counted(top, "\n") == (physical + 1, code)
     assert counted(top, "\n_EXTRA = 1\n") == (physical + 2, code + 1)
-
-
-def _load_tool(name, folder="tools"):
-    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 def _paired_stub(sides, calls, digest=lambda side, pair: "abc", failed=lambda side, pair: 0):
@@ -281,6 +288,31 @@ def test_layer_cost_prints_and_writes_each_layer_row(monkeypatch, tmp_path, caps
         ["total", "6.0", "8.0", "3.0"]]
     with pytest.raises(SystemExit):
         tool.main(["walk"])
+
+
+def _line_of(module, statement):
+    """``module:line`` of the first line of a src/polywalk module that holds
+    just the statement."""
+    lines = (ROOT / "src" / "polywalk" / module).read_text().splitlines()
+    return f"{module}:{[line.strip() for line in lines].index(statement) + 1}"
+
+
+def test_line_reach_lists_what_a_small_target_leaves_unrun(tmp_path):
+    out = tmp_path / "reach.txt"
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "line_reach.py"), "--out",
+                           str(out), "-q", "-p", "no:cacheprovider", "tests/test_jsontext.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    listed = dict(line.split("  ", 1) for line in out.read_text().splitlines())
+    # No test runs the module entry or the TYPE_CHECKING import; these tests
+    # make no hypercube, but reach every line of the JSON writer.
+    assert listed[_line_of("cli.py", "sys.exit(main())")] == \
+        "runs only as `python -m polywalk.cli`"
+    assert listed[_line_of("polytope.py", "from .shadow import _Basis, _Endpoints")] == \
+        "a TYPE_CHECKING import, run only by a type checker"
+    assert listed[_line_of("instances.py", 'raise ValueError("dimension must be positive")')] \
+        == "no test meets `n < 1`"
+    assert not any(key.startswith("jsontext.py:") for key in listed)
 
 
 def test_walk_oracle_loads_by_file_path():

@@ -56,11 +56,11 @@ import sys
 import tempfile
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-os.environ["COLUMNS"] = "80"
 
 from polywalk import (GeneratorSpec, build_instance, cli,  # noqa: E402
                       enumerate_vertices, find_path, gen_degenerate_pyramid,
@@ -149,13 +149,8 @@ def differing(lines: list[str], saved: list[str]) -> list[str]:
     return [name for name in {**ours, **theirs} if ours.get(name) != theirs.get(name)]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", metavar="FILE",
-                        help="compare with a saved listing; exit 1 on any difference")
-    args = parser.parse_args()
-    saved = None if args.check is None else [
-        line for line in Path(args.check).read_text().splitlines() if not line.startswith("#")]
+def listing() -> list[str]:
+    """One ``<sha256>  <group>`` line per group, in the order listed above."""
     groups = {name: hashlib.sha256()
               for name in ("instances", "path", "experiment", "delta", "bound-check", "help",
                            "bases", "walks", "minors", "walk-large", "pairs")}
@@ -215,12 +210,23 @@ def main() -> int:
                            "--seed", str(seed), "--out", str(path)])
             add("pairs", path.name, code, path.read_text())
 
-    for argv in (["--help"], ["generate", "--help"]):
-        code, text = run(argv)
-        add("help", " ".join(argv), code, text)
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for argv in (["--help"], ["generate", "--help"]):
+            code, text = run(argv)
+            add("help", " ".join(argv), code, text)
     minors(add)
     large_walks(add)
-    lines = [f"{digest.hexdigest()}  {name}" for name, digest in groups.items()]
+    return [f"{digest.hexdigest()}  {name}" for name, digest in groups.items()]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with a saved listing; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    saved = None if args.check is None else [
+        line for line in Path(args.check).read_text().splitlines() if not line.startswith("#")]
+    lines = listing()
     print("\n".join(lines))
     if saved is None:
         return 0
