@@ -24,7 +24,7 @@ print("apex", apex, "has", len(tight_rows(pyramid, apex)), "tight rows in R^3")
 for seed in range(4):
     path = find_path(pyramid, pyramid.x1, pyramid.x2, seed=seed)
     print(f"seed {seed}: {path.status}, {path.length} step(s), "
-          f"objectives drawn from seed {path.perturbation.seed}")
+          f"objectives drawn from seed {path.objective.seed}")
     for vertex in path.vertices:
         slack = float(np.min(pyramid.slack(vertex.x)))
         print(f"  {np.round(vertex.x, 6)}  basis {vertex.basis}  min slack {slack:+.2e}")

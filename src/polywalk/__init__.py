@@ -66,7 +66,6 @@ from .polytope import (
 )
 from .shadow import (
     ObjectivePair,
-    PerturbationRecord,
     ShadowPath,
     find_path,
     project,

@@ -48,9 +48,9 @@ def cmd_path(args) -> int:
     try:
         path = find_path(inst, x1, x2, args.seed)
     except RetriesExhausted as exc:
-        if args.json and exc.path is not None:
+        if args.json:
             write_text(args.json, exc.path.to_json() + "\n")
-        print(f"status={exc.path.status if exc.path else 'Failed'}")
+        print(f"status={exc.path.status}")
         return EXIT_ALGORITHM
     if args.json:
         write_text(args.json, path.to_json() + "\n")

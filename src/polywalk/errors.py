@@ -101,7 +101,7 @@ class RetriesExhausted(PolywalkError):
     failed-status path object suitable for serialization.
     """
 
-    def __init__(self, message: str, reasons: list[str], path=None):
+    def __init__(self, message: str, reasons: list[str], path):
         super().__init__(message)
         self.reasons = reasons
         self.path = path

@@ -82,42 +82,43 @@ class ObjectivePair:
 
 
 @dataclass(frozen=True)
-class PerturbationRecord:
-    """Marks a walk that met a degenerate vertex, endpoints included.
-
-    Such a walk ran on the symbolic right-hand side b + (eps, ..., eps**m)
-    by the lexicographic rule; ``seed`` is the draw of its objectives.
-    """
-
-    seed: int
-
-
-@dataclass(frozen=True)
 class ShadowPath:
     """An edge path plus everything needed to audit it.
 
-    ``slopes`` has one entry per traversed edge, ``projections`` one (xi,
-    eta) pair per vertex (empty for a zero-length path, which samples no
-    objectives), ``pivot_trace`` one (leaving_row, entering_row, step) triple
-    per edge.  ``status`` is "Completed", "Perturbed+Completed" (the walk
-    met a degenerate vertex, and ``perturbation`` is set) or "Failed(...)".
+    ``slopes`` has one entry per traversed edge, ``pivot_trace`` one
+    (leaving_row, entering_row, step) triple per edge.  ``status`` is
+    "Completed", "Perturbed+Completed" (the walk met a degenerate vertex,
+    endpoints included, and ran on the symbolic right-hand side
+    b + (eps, ..., eps**m)) or "Failed(...)".  ``objective`` is the draw the
+    path was walked with: None for a zero-length path, which draws none, and
+    for a failed one.
     """
 
     vertices: tuple[VertexWithBasis, ...]
     slopes: tuple[float, ...]
-    projections: tuple[tuple[float, float], ...]
     pivot_trace: tuple[tuple[int, int, float], ...]
     status: str
     seed: int
     retries: int = 0
-    perturbation: PerturbationRecord | None = None
     objective: ObjectivePair | None = None
 
     @property
     def length(self) -> int:
         return max(len(self.vertices) - 1, 0)
 
+    @property
+    def projections(self) -> tuple[tuple[float, float], ...]:
+        """One (xi, eta) image per vertex under ``objective``, computed on
+        read; empty without one.  ``@`` sums two vectors from +0.0, where
+        ``ndarray.dot`` keeps a -0.0 (n = 1, as on transportation 2x2)."""
+        pair = self.objective
+        if pair is None:
+            return ()
+        return tuple((float(pair.w1 @ v.x), float(pair.w2 @ v.x)) for v in self.vertices)
+
     def to_json(self) -> str:
+        """The path record; ``perturbation`` holds the seed of the objectives
+        a perturbed walk was drawn from, seed + retries."""
         record = {
             "status": self.status,
             "seed": int(self.seed),
@@ -125,10 +126,9 @@ class ShadowPath:
             "vertices": [np.asarray(v.x, dtype=float).tolist() for v in self.vertices],
             "bases": [[int(i) for i in v.basis] for v in self.vertices],
             "slopes": [float(s) for s in self.slopes],
-            "projections": [[float(a), float(b)] for a, b in self.projections],
-            "perturbation": None if self.perturbation is None else {
-                "seed": int(self.perturbation.seed),
-            },
+            "projections": [[a, b] for a, b in self.projections],
+            "perturbation": {"seed": int(self.objective.seed)}
+            if self.status == "Perturbed+Completed" else None,
         }
         return jsontext.dumps(record)
 
@@ -138,17 +138,20 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     """Draw the two endpoint objectives from the seeded generator.
 
     Weights are 1 - U with U uniform on [0, 1), so they land in (0, 1]; lam
-    and mu are the two halves of one draw, mixed by ``ndarray.dot``.  The
+    and mu are the two halves of one draw, mixed by ``ndarray.dot``.  All
+    four arrays are read-only, so a path's images cannot change later.  The
     rows are the endpoints' bases: at a degenerate vertex, the
     lexicographically feasible basis :func:`~polywalk.polytope.verify_vertex`
     picks, so the endpoint optimizes its objective uniquely on the perturbed
     polytope as well.
     """
     weights = 1.0 - np.random.default_rng(seed).random(2 * inst.n)
+    weights.flags.writeable = False
     lam, mu = weights[:inst.n], weights[inst.n:]
     columns1, columns2 = _unit_columns(inst, v1, v2)
     w1 = -columns1.dot(lam)
     w2 = columns2.dot(mu)
+    w1.flags.writeable = w2.flags.writeable = False
     return ObjectivePair(lam=lam, mu=mu, w1=w1, w2=w2,
                          u_rows=v1.basis, v_rows=v2.basis, seed=int(seed))
 
@@ -185,9 +188,7 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
          pair: ObjectivePair) -> ShadowPath:
     """Follow the shadow boundary from start to target.
 
-    Each pivot takes the edge :func:`_steepest_edge` picks.  Each kept
-    vertex's image stays on ``@``, which sums two vectors from +0.0, where
-    ``ndarray.dot`` keeps a -0.0 (n = 1, as on transportation 2x2).  A pivot
+    Each pivot takes the edge :func:`_steepest_edge` picks.  A pivot
     landing on a degenerate vertex takes its entering row from
     :func:`_lex_entering`, so every basis visited from a lexicographically
     feasible start is one; a pivot whose entering row was already tight
@@ -203,9 +204,9 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     :class:`_Basis` per basis a pivot reached, its vertex built with it from
     that basis's own solve; the start's directions and outcomes go in a
     record around the start itself, as its slack is its verified point's.  A
-    warm pivot does its seed's work, the edge choice, slope checks and new
-    image, plus one lookup: its outcome holds the next basis, whose record
-    holds the vertex.  Each stored value is made by the call a memo-less
+    warm pivot does its seed's work, the edge choice and slope checks, plus
+    one lookup: its outcome holds the next basis, whose record holds the
+    vertex.  Each stored value is made by the call a memo-less
     walk makes, and no basis repeats within a walk (the slopes strictly
     decrease), so every output is byte-identical and a walk on a fresh
     instance makes exactly a memo-less walk's calls.
@@ -218,7 +219,6 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
     current = record.vertex
     vertices = [current]
     slopes: list[float] = []
-    projections = [(float(pair.w1 @ current.x), float(pair.w2 @ current.x))]
     trace: list[tuple[int, int, float]] = []
     prev_slope = math.inf
 
@@ -226,11 +226,9 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         if current.basis == target.basis or (target.degenerate and current.degenerate and
                                              record.slack[target_rows].max() <= TIGHT_TOL):
             return ShadowPath(vertices=tuple(vertices), slopes=tuple(slopes),
-                              projections=tuple(projections), pivot_trace=tuple(trace),
+                              pivot_trace=tuple(trace),
                               status="Perturbed+Completed" if met_degenerate else "Completed",
-                              seed=pair.seed, objective=pair,
-                              perturbation=PerturbationRecord(pair.seed) if met_degenerate
-                              else None)
+                              seed=pair.seed, objective=pair)
 
         if record.directions is None:
             try:
@@ -266,7 +264,6 @@ def walk(inst: Instance, start: VertexWithBasis, target: VertexWithBasis,
         if moved:
             vertices.append(current)
             slopes.append(edge_slope)
-            projections.append((float(pair.w1 @ current.x), float(pair.w2 @ current.x)))
             trace.append((leaving, entering, step))
         prev_slope = edge_slope
 
@@ -451,8 +448,8 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
     ends = verify_endpoints(inst, x1, x2)
     v1, v2 = ends.v1, ends.v2
     if v1.basis == v2.basis:
-        return ShadowPath(vertices=(v1,), slopes=(), projections=(),
-                          pivot_trace=(), status="Completed", seed=int(seed))
+        return ShadowPath(vertices=(v1,), slopes=(), pivot_trace=(), status="Completed",
+                          seed=int(seed))
 
     reasons: list[str] = []
     for attempt in range(MAX_ATTEMPTS):
@@ -462,9 +459,9 @@ def find_path(inst: Instance, x1, x2, seed: int) -> ShadowPath:
         except WalkFailure as exc:
             reasons.append(type(exc).__name__)
 
-    failed = ShadowPath(vertices=(v1,), slopes=(), projections=(),
-                        pivot_trace=(), status=f"Failed({';'.join(reasons)})",
-                        seed=int(seed), retries=MAX_ATTEMPTS)
+    failed = ShadowPath(vertices=(v1,), slopes=(), pivot_trace=(),
+                        status=f"Failed({';'.join(reasons)})", seed=int(seed),
+                        retries=MAX_ATTEMPTS)
     raise RetriesExhausted(
         f"no walk succeeded in {MAX_ATTEMPTS} attempts: {', '.join(reasons)}",
         reasons, path=failed)

@@ -333,8 +333,11 @@ def test_experiment_enumerates_delta_once(tmp_path, capsys, calls):
 
 def test_experiment_where_every_trial_fails_exits_2(cube_file, tmp_path, capsys,
                                                    monkeypatch):
+    failed = ShadowPath(vertices=(), slopes=(), pivot_trace=(),
+                        status="Failed(LeftwardEdge)", seed=0, retries=16)
+
     def exhausted(inst, x1, x2, seed):
-        raise RetriesExhausted("forced", ["LeftwardEdge"] * 16)
+        raise RetriesExhausted("forced", ["LeftwardEdge"] * 16, path=failed)
 
     monkeypatch.setattr(experiments_mod, "find_path", exhausted)
     out_dir = tmp_path / "exp"
@@ -360,9 +363,8 @@ def test_degenerate_endpoint_cap_exit_code(tripled_cube3, tmp_path, capsys, monk
 
 
 def test_path_retries_exhausted_exit(cube_file, tmp_path, capsys, monkeypatch):
-    failed = ShadowPath(vertices=(), slopes=(), projections=(),
-                        pivot_trace=(), status="Failed(LeftwardEdge)",
-                        seed=0, retries=16)
+    failed = ShadowPath(vertices=(), slopes=(), pivot_trace=(),
+                        status="Failed(LeftwardEdge)", seed=0, retries=16)
 
     def exhausted(inst, x1, x2, seed):
         raise RetriesExhausted("forced", ["LeftwardEdge"] * 16, path=failed)
@@ -373,7 +375,9 @@ def test_path_retries_exhausted_exit(cube_file, tmp_path, capsys, monkeypatch):
                  "--json", str(out_json)])
     assert code == 2
     assert "status=Failed(LeftwardEdge)" in capsys.readouterr().out
-    assert json.loads(out_json.read_text())["status"] == "Failed(LeftwardEdge)"
+    record = json.loads(out_json.read_text())
+    assert record["status"] == "Failed(LeftwardEdge)"
+    assert record["projections"] == [] and record["perturbation"] is None
 
 
 def test_experiment_writes_reports(cube_file, tmp_path, capsys):

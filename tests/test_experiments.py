@@ -141,8 +141,7 @@ def test_run_batch_records_failures(cube3, monkeypatch):
 
     def flaky(inst, x1, x2, seed):
         if seed % 2:
-            failed = ShadowPath(vertices=(), slopes=(), projections=(),
-                                pivot_trace=(), status="Failed(LeftwardEdge)",
+            failed = ShadowPath(vertices=(), slopes=(), pivot_trace=(), status="Failed(LeftwardEdge)",
                                 seed=seed, retries=16)
             raise RetriesExhausted("forced", ["LeftwardEdge"] * 2, path=failed)
         return real(inst, x1, x2, seed)

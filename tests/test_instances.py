@@ -191,6 +191,34 @@ def test_random_sphere_redraws_up_to_its_limit(monkeypatch):
     assert inst.name == "sphere-m3-n2-s1" and len(vertex_graph(inst)[0]) == 3
 
 
+def test_random_sphere_redraws_a_zero_row(monkeypatch, tmp_path):
+    # A row of norm at most 1e-12 cannot be normalised, so its draw is
+    # redrawn.  The patched generator yields one such draw first, made apart
+    # from the seed's stream, so the redraws are the unpatched draws.
+    real = np.random.default_rng
+    draws = []
+
+    class ZeroRowFirst:
+        def __init__(self, seed):
+            self.seed, self.rng = seed, real(seed)
+
+        def standard_normal(self, shape):
+            if draws:
+                rows = self.rng.standard_normal(shape)
+            else:
+                rows = real(self.seed).standard_normal(shape)
+                rows[1] = 0.0
+            draws.append(rows)
+            return rows
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
+    write_instance(gen_random_sphere(9, 3, 0), tmp_path / "redrawn.json")
+    monkeypatch.undo()
+    assert len(draws) >= 2 and not draws[0][1].any() and draws[1][1].any()
+    write_instance(gen_random_sphere(9, 3, 0), tmp_path / "unpatched.json")
+    assert (tmp_path / "redrawn.json").read_bytes() == (tmp_path / "unpatched.json").read_bytes()
+
+
 def test_random_sphere_determinism():
     a = gen_random_sphere(12, 4, seed=3)
     b = gen_random_sphere(12, 4, seed=3)

@@ -57,7 +57,6 @@ from polywalk.polytope import (
 from polywalk.shadow import (
     SLOPE_TOL,
     ObjectivePair,
-    PerturbationRecord,
     default_max_steps,
     find_path,
     project,
@@ -450,9 +449,10 @@ def test_walk_matches_reference_on_perturbed_transportation(calls):
                     continue
                 if any(v.degenerate for v in path.vertices):
                     assert path.status == "Perturbed+Completed"
-                    assert path.perturbation == PerturbationRecord(seed=seed)
+                    assert path.objective.seed == seed
                 else:
-                    assert path.status == "Completed" and path.perturbation is None
+                    assert path.status == "Completed"
+                    assert json.loads(path.to_json())["perturbation"] is None
                 walks += 1
                 pivots += len(calls["edge_directions"])
                 steps += path.length
@@ -474,7 +474,7 @@ def test_walk_through_a_degenerate_vertex_is_not_redrawn():
         assert path.retries == 0 and path.vertices[0].basis == ends[0].basis
         if any(v.degenerate for v in path.vertices[1:-1]):
             assert path.status == "Perturbed+Completed"
-            assert path.perturbation == PerturbationRecord(seed=seed)
+            assert path.objective.seed == seed
             crossed += 1
         else:
             assert path.status == "Completed"
@@ -621,6 +621,8 @@ def test_find_path_trivial_same_endpoint(cube3):
     assert path.status == "Completed"
     assert path.length == 0
     assert path.slopes == () and path.projections == ()
+    record = json.loads(path.to_json())
+    assert record["projections"] == [] and record["perturbation"] is None
 
 
 def test_find_path_same_degenerate_vertex_with_noise(pyramid):
@@ -635,7 +637,7 @@ def test_find_path_same_degenerate_vertex_with_noise(pyramid):
 def test_find_path_pyramid_degeneracy(pyramid):
     path = find_path(pyramid, [1.0, 1.0, 0.0], [0.0, 0.0, 1.0], seed=0)
     assert path.status == "Perturbed+Completed" and path.retries == 0
-    assert path.perturbation == PerturbationRecord(seed=0)
+    assert path.objective.seed == 0
     npt.assert_allclose(path.vertices[-1].x, [0.0, 0.0, 1.0], atol=1e-7)
     assert check_walk(pyramid, path) == []
     assert all(np.max(np.abs(a.x - c.x)) > 1e-7 for a, c in zip(path.vertices, path.vertices[1:]))
@@ -895,7 +897,7 @@ def test_repeated_find_path_skips_verification(family, calls):
     first = find_path(inst, inst.x1, inst.x2, seed=0)
     assert len(calls["verify_vertex"]) == 2
     if family == "transportation":
-        assert first.perturbation is not None
+        assert first.status == "Perturbed+Completed"
     for seed in (0, 1, 7):
         again = find_path(inst, inst.x1, inst.x2, seed=seed).to_json()
         assert again == find_path(make(), inst.x1, inst.x2, seed=seed).to_json()
@@ -1373,6 +1375,10 @@ def test_memo_arrays_are_read_only():
         for v in path.vertices:
             with pytest.raises(ValueError):
                 v.x[0] = 1.0
+        pair = path.objective
+        for part in (pair.w1, pair.w2, pair.lam, pair.mu):
+            with pytest.raises(ValueError):
+                part[0] = 1.0
     ends = inst._endpoint_memo
     records = [*inst._pivot_memo.values(), ends.start]
     arrays = [part for record in records for part in _arrays(record)] + [*ends.columns]

@@ -111,7 +111,7 @@ def pivot_measure(inst, seeds: int, repeats: int) -> dict:
         seconds, path = best_of(walk, repeats, cold)
         if path.vertices[-1].basis != target:
             raise SystemExit(f"error: {inst.name} seed {seed}: the walk missed x2")
-        if path.perturbation is not None:
+        if path.status == "Perturbed+Completed":
             raise SystemExit(f"error: {inst.name} seed {seed}: a degenerate walk")
         mats = [inst.A[list(v.basis)] for v in path.vertices]
         fulls = [np.column_stack([np.eye(inst.n), inst.b[list(v.basis)]])
