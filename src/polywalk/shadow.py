@@ -17,7 +17,9 @@ objectives and assumes only a simple polytope, so this perturbation serves
 as well as a random one, and no perturbed instance is built.  Numeric
 failures redraw the objectives with the next seed.  Walks on one instance
 share a bounded memo with one record per basis, of its point, edges and
-pivot outcomes, so a warm walk does only its own seed's work.
+pivot outcomes, and every walk in the process shares one bounded memo of
+weight draws, each drawn once per (seed, 2n) and read-only, so a warm walk
+does only its own seed's products and slope choices.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +63,11 @@ MAX_ATTEMPTS = 16
 # Bytes each instance's pivot memo is charged at most, by _record_bytes (see
 # walk).  The charge counts float64 payloads only, so the memo holds more.
 PIVOT_MEMO_BYTES = 2**18
+# (seed, 2n) weight draws the process keeps, shared by every instance.  A
+# batch reuses one seed list on each instance: the benchmark's corpus walks
+# 180 keys, demos/bound_experiment.py 200.  An entry holds 414 B at n = 6 and
+# 1,213 B at n = 60 (tracemalloc), so the memo holds at most 0.2 to 0.6 MB.
+OBJECTIVE_MEMO_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -138,22 +146,37 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     """Draw the two endpoint objectives from the seeded generator.
 
     Weights are 1 - U with U uniform on [0, 1), so they land in (0, 1]; lam
-    and mu are the two halves of one draw, mixed by ``ndarray.dot``.  All
-    four arrays are read-only, so a path's images cannot change later.  The
-    rows are the endpoints' bases: at a degenerate vertex, the
-    lexicographically feasible basis :func:`~polywalk.polytope.verify_vertex`
-    picks, so the endpoint optimizes its objective uniquely on the perturbed
-    polytope as well.
+    and mu are the two halves of one draw of 2n, made once per (seed, 2n)
+    in the process by :func:`_objective_weights` and shared read-only by
+    every pair drawn with that seed, and mixed by ``ndarray.dot``.  All four
+    arrays are read-only, so a path's images cannot change later.  The rows
+    are the endpoints' bases: at a degenerate vertex, the lexicographically
+    feasible basis :func:`~polywalk.polytope.verify_vertex` picks, so the
+    endpoint optimizes its objective uniquely on the perturbed polytope as
+    well.  The seed is an int or a numpy integer, as ``default_rng`` takes.
     """
-    weights = 1.0 - np.random.default_rng(seed).random(2 * inst.n)
-    weights.flags.writeable = False
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)
+    weights = _objective_weights(seed, 2 * inst.n)
     lam, mu = weights[:inst.n], weights[inst.n:]
     columns1, columns2 = _unit_columns(inst, v1, v2)
     w1 = -columns1.dot(lam)
     w2 = columns2.dot(mu)
     w1.flags.writeable = w2.flags.writeable = False
     return ObjectivePair(lam=lam, mu=mu, w1=w1, w2=w2,
-                         u_rows=v1.basis, v_rows=v2.basis, seed=int(seed))
+                         u_rows=v1.basis, v_rows=v2.basis, seed=seed)
+
+
+@lru_cache(maxsize=OBJECTIVE_MEMO_SIZE)
+def _objective_weights(seed: int, size: int) -> np.ndarray:
+    """``1 - default_rng(seed).random(size)``, read-only, kept for the
+    ``OBJECTIVE_MEMO_SIZE`` keys used last.  A seed ``default_rng`` refuses
+    raises and is not kept.  A test that patches ``np.random.default_rng``
+    must clear this memo (``cache_clear``) before and after."""
+    weights = 1.0 - np.random.default_rng(seed).random(size)
+    weights.flags.writeable = False
+    return weights
 
 
 def _unit_columns(inst: Instance, v1: VertexWithBasis,

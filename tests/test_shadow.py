@@ -126,6 +126,104 @@ def test_sample_objectives_draws_from_a_degenerate_endpoints_basis(pyramid):
         assert eta[-1] - eta[-2] > 1e-12
 
 
+def _endpoints(inst):
+    return verify_vertex(inst, inst.x1), verify_vertex(inst, inst.x2)
+
+
+def _pair_bytes(pair):
+    return tuple(part.tobytes() for part in (pair.lam, pair.mu, pair.w1, pair.w2))
+
+
+def test_sample_objectives_equals_the_reference_in_any_draw_order(cube3, simplex3):
+    memo = shadow_mod._objective_weights
+    # The cube and the simplex share n = 3, and so every (seed, 6) draw;
+    # transportation 3x3 has n = 4.
+    cases = [(inst, *_endpoints(inst)) for inst in (cube3, simplex3, gen_transportation(3, 3, 0))]
+    expected = {(i, seed): _pair_bytes(_reference_objectives(inst, v1, v2, seed))
+                for i, (inst, v1, v2) in enumerate(cases) for seed in range(6)}
+    keys = list(expected)
+    for order in (keys, keys[::-1], keys[1::2] + keys[::2]):
+        memo.cache_clear()
+        for rounds in (1, 2):
+            for i, seed in order:
+                inst, v1, v2 = cases[i]
+                assert _pair_bytes(sample_objectives(inst, v1, v2, seed)) == expected[i, seed]
+            # Six seeds at two sizes are drawn once; every other call is a hit.
+            info = memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (12, 18 * rounds - 12, 12)
+
+
+def _drawn_as_before(seed):
+    """The draw and seed check of ``sample_objectives`` before the memo."""
+    np.random.default_rng(seed).random(6)
+    return int(seed)
+
+
+def test_refused_seeds_raise_as_before_and_are_not_kept(cube3):
+    memo = shadow_mod._objective_weights
+    v1, v2 = _endpoints(cube3)
+    memo.cache_clear()
+    sample_objectives(cube3, v1, v2, 1)
+    for bad, raised in ((1.0, TypeError), (np.float64(1.0), TypeError), (-1, ValueError),
+                        (None, TypeError), (np.array(1), TypeError), ("1", TypeError)):
+        with pytest.raises(raised):
+            _drawn_as_before(bad)
+        with pytest.raises(raised):
+            sample_objectives(cube3, v1, v2, bad)
+    assert memo.cache_info().currsize == 1
+    # A numpy integer and a bool are seeds as before, under the int key.
+    for seed in (np.int64(1), True):
+        assert _pair_bytes(sample_objectives(cube3, v1, v2, seed)) \
+            == _pair_bytes(sample_objectives(cube3, v1, v2, 1))
+    assert memo.cache_info().currsize == 1
+
+
+def test_objective_memo_evicts_the_least_recently_used_draw(cube3):
+    memo, bound = shadow_mod._objective_weights, shadow_mod.OBJECTIVE_MEMO_SIZE
+    v1, v2 = _endpoints(cube3)
+    memo.cache_clear()
+    for seed in range(bound):
+        sample_objectives(cube3, v1, v2, seed)
+    sample_objectives(cube3, v1, v2, 0)
+    for seed in range(bound, bound + 10):
+        sample_objectives(cube3, v1, v2, seed)
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (bound, bound + 10, 1)
+    # Seed 0 was used again before the new keys, so seeds 1-10 went.
+    sample_objectives(cube3, v1, v2, 0)
+    sample_objectives(cube3, v1, v2, 11)
+    assert memo.cache_info().hits == 3
+    sample_objectives(cube3, v1, v2, 10)
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (bound, bound + 11, 3)
+
+
+def test_pairs_from_one_seed_share_read_only_weights(cube3, simplex3):
+    a = sample_objectives(cube3, *_endpoints(cube3), 7)
+    b = sample_objectives(simplex3, *_endpoints(simplex3), 7)
+    weights = a.lam.base
+    assert weights is a.mu.base is b.lam.base is b.mu.base
+    assert weights is shadow_mod._objective_weights(7, 6)
+    for part in (weights, a.lam, a.mu, b.lam, b.mu):
+        with pytest.raises(ValueError):
+            part[0] = 0.5
+    assert weights.tobytes() == (1.0 - np.random.default_rng(7).random(6)).tobytes()
+
+
+def test_path_bytes_do_not_depend_on_earlier_walks():
+    memo = shadow_mod._objective_weights
+    cube, inst = gen_hypercube(4), gen_transportation(3, 3, 0)
+    assert cube.n == inst.n == 4
+    memo.cache_clear()
+    for seed in range(20):
+        find_path(cube, cube.x1, cube.x2, seed)
+    warm = [find_path(inst, inst.x1, inst.x2, seed).to_json() for seed in range(20)]
+    assert memo.cache_info().hits >= 20
+    memo.cache_clear()
+    fresh = replace(inst)
+    assert [find_path(fresh, fresh.x1, fresh.x2, seed).to_json() for seed in range(20)] == warm
+
+
 def test_project_and_slope_hand_values():
     # On the unit square, w1 = (2, 1) is least at the origin and w2 = (1, 2)
     # greatest at (1, 1).  Going up first gains eta at slope 2 against 1/2

@@ -4,8 +4,9 @@ from a saved listing, and finds none against the checked-in listing; the
 line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side;
 the layer timer's pivot layer runs on a small rotated cube, its oracle layer
-on a small cube and a random sphere, and its path layer on the
-cli-degenerate workload's files, and it prints and writes one row per name;
+on a small cube and a random sphere, its path layer on the cli-degenerate
+workload's files and its warm layer on a small cube, and it prints and
+writes one row per name;
 the line tracer lists what one test module leaves unrun, each line with
 its reason; the walk oracle loads by file path, as a script outside the
 tests loads it."""
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polywalk.shadow as shadow_mod
 from polywalk.instances import GeneratorSpec, gen_degenerate_pyramid, generate
 from polywalk.polytope import vertex_graph
 from polywalk.shadow import find_path
@@ -261,6 +263,18 @@ def test_path_cost_times_each_phase_of_a_cold_path_command(tmp_path):
     assert row["sum_us"] == pytest.approx(sum(row[f"{name}_us"] for name in tool.PHASES))
     # The last run, the whole command at seed 1, left its path record.
     assert json.loads(out.read_text())["seed"] == 1
+
+
+def test_warm_cost_times_a_warm_walk_its_objectives_and_the_bare_draw():
+    tool = _load_tool("layer_cost")
+    memo = shadow_mod._objective_weights
+    memo.cache_clear()
+    row = tool.warm_measure(generate(GeneratorSpec(family="hypercube", n=3)), 2, 1)
+    assert (row["n"], row["walks"]) == (3, 2)
+    assert all(row[f"{part}_us"] > 0.0 for part in tool.WARM_PARTS)
+    # The untimed pass drew both seeds; each timed walk and objective draw hit the memo.
+    info = memo.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_layer_cost_prints_and_writes_each_layer_row(monkeypatch, tmp_path, capsys):

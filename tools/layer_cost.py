@@ -1,6 +1,6 @@
 """Time one layer of the program against the calls under it.
 
-Run it as ``python tools/layer_cost.py {pivot,oracle,path} [--json FILE]``.
+Run it as ``python tools/layer_cost.py {pivot,oracle,path,warm} [--json FILE]``.
 Each layer runs on the instances of one benchmark workload at its seed 0,
 built by that workload's own set-up in ``bench/workloads.py``; every time is
 the best of the layer's ``REPEATS`` runs, and BLAS runs on one thread, as in
@@ -37,6 +37,13 @@ writes the same numbers, keyed by instance or file name.
   written to OUT).  Per file: the commands and the mean microseconds per
   command of each phase, their sum and the whole command through
   ``cli.main``, its printed lines captured.
+* ``warm`` -- warm walks on the ``corpus`` instances.  After one untimed
+  :func:`polywalk.find_path` per path seed (``Corpus.PATH_SEEDS``), which
+  fills the instance's memos and the process's weight memo, each seed times
+  ``find_path`` again, its :func:`polywalk.shadow.sample_objectives` on the
+  verified endpoints, and the bare ``1 - default_rng(seed).random(2n)``
+  that a weight memo miss draws.  Per instance: the walks and the mean
+  microseconds per seed of each.
 """
 
 from __future__ import annotations
@@ -75,8 +82,9 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 # Runs per timing, the best kept, by layer.
-REPEATS = {"pivot": 5, "oracle": 9, "path": 5}
+REPEATS = {"pivot": 5, "oracle": 9, "path": 5, "warm": 9}
 PHASES = ("parse", "read", "verify", "walk", "write")
+WARM_PARTS = ("walk", "sample", "draw")
 
 
 def best_of(call, repeats: int, fresh=tuple):
@@ -197,6 +205,25 @@ def path_measure(instance: Path, seeds: int, repeats: int, out: Path) -> dict:
     return {"commands": seeds, **{f"{name}_us": us for name, us in row.items()}}
 
 
+def warm_measure(inst, seeds: int, repeats: int) -> dict:
+    """Mean microseconds per seed of a warm ``find_path``, of its
+    ``sample_objectives`` and of the bare weight draw."""
+    for seed in range(seeds):
+        find_path(inst, inst.x1, inst.x2, seed)
+    ends = verify_endpoints(inst, inst.x1, inst.x2)
+    total = dict.fromkeys(WARM_PARTS, 0.0)
+    for seed in range(seeds):
+        calls = {
+            "walk": lambda seed=seed: find_path(inst, inst.x1, inst.x2, seed),
+            "sample": lambda seed=seed: sample_objectives(inst, ends.v1, ends.v2, seed),
+            "draw": lambda seed=seed: 1.0 - np.random.default_rng(seed).random(2 * inst.n),
+        }
+        for part, call in calls.items():
+            total[part] += best_of(call, repeats)[0]
+    return {"n": inst.n, "walks": seeds,
+            **{f"{part}_us": 1e6 * seconds / seeds for part, seconds in total.items()}}
+
+
 def pivot_rows(repeats: int):
     for inst in set_up(workloads.WalkLarge(0)).instances:
         yield inst.name, pivot_measure(inst, workloads.WalkLarge.WALKS_EACH, repeats)
@@ -214,6 +241,11 @@ def path_rows(repeats: int):
                                        Path(tmp) / "path.json")
 
 
+def warm_rows(repeats: int):
+    for inst in set_up(workloads.Corpus(0)).instances:
+        yield inst.name, warm_measure(inst, workloads.Corpus.PATH_SEEDS, repeats)
+
+
 # Per layer: its rows, the name column's heading, its columns (each a JSON key,
 # a heading and a format) and the keys summed on a last row, if any.
 LAYERS = {
@@ -226,6 +258,8 @@ LAYERS = {
         ("certify_outside", "cert out", ".1%")], ("delta_us", "certify_us", "inv_us")),
     "path": (path_rows, "file (us)", [("commands", "runs", "d")]
              + [(f"{c}_us", c, ".1f") for c in (*PHASES, "sum", "command")], ()),
+    "warm": (warm_rows, "instance (us)", [("walks", "walks", "d")]
+             + [(f"{part}_us", part, ".1f") for part in WARM_PARTS], ()),
 }
 
 
