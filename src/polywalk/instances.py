@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import jsontext
+from . import jsontext, linalg
 from .errors import (
     InfeasibleTotals,
     ParseError,
@@ -203,7 +203,8 @@ def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
 
     The last level of the breadth-first search from every vertex holds
     exactly the pairs at the largest distance; the first of its bits in
-    (source, target) order is the pair.
+    (source, target) order is the pair, returned as frozen copies, not as
+    views into the enumeration's point array.
     """
     count = len(verts)
     if count < 2:
@@ -212,7 +213,7 @@ def _farthest_pair(verts: list[VertexWithBasis], adjacency: list[set[int]]
         pass
     pairs = np.unpackbits(last, axis=1, count=count, bitorder="little").T
     s, t = divmod(int(pairs.argmax()), count)
-    return verts[s].x, verts[t].x
+    return linalg._frozen(verts[s].x), linalg._frozen(verts[t].x)
 
 
 # Each family's generator from (n, m, seed), m defaulted; the generator's

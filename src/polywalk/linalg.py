@@ -13,7 +13,7 @@ run the same LU and give the same bits without numpy's Python wrappers.  No
 ``signature`` is passed: those wrappers pass ``dd->d``, and every input here
 is float64 already (from :func:`as_matrix` or a float stack), so the gufunc
 picks the same loop.  :func:`solve` solves against ``[I | b]``, copied from
-a read-only identity block cached for the eight orders solved last, because
+an identity block cached for the eight orders solved last, because
 column n of that solve has other bits than a one-column solve.  The three
 share one rule for :class:`Singular`: the floating-point error state is
 ignored around the call, so an exactly zero pivot shows only as the NaN that
@@ -44,6 +44,13 @@ gives every nonsingular one's |determinant|.
 Row norms (:func:`row_norms`) are taken from plain sums of squares, and
 recomputed on the row scaled by its largest |entry| only where such a sum
 over- or underflows.
+
+One immutability rule covers the package: every array it keeps past the
+call that made it (an :class:`~polywalk.polytope.Instance`'s arrays, verified
+points, edge directions, the identity blocks here and every array in the
+memos of :mod:`polywalk.shadow`) is built by :func:`_frozen` over an
+immutable buffer, so no caller can switch its ``writeable`` flag back, and a
+path record depends on nothing but (A, b, x1, x2, seed).
 """
 
 from __future__ import annotations
@@ -95,6 +102,12 @@ def as_vector(values) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``a`` over an immutable ``bytes`` buffer: numpy
+    refuses ``flags.writeable = True`` on it, and on every view of it."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
 def as_matrix(values) -> np.ndarray:
@@ -171,12 +184,10 @@ def _checked(call, a: np.ndarray, *args) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _identity_block(n: int) -> np.ndarray:
-    """The read-only (n, n + 1) block [I | 0], kept for the eight orders
-    solved last, so a solve at a large order pins its block only until eight
-    other orders have been solved."""
-    block = np.eye(n, n + 1)
-    block.flags.writeable = False
-    return block
+    """The (n, n + 1) block [I | 0], kept for the eight orders solved last,
+    so a solve at a large order pins its block only until eight other orders
+    have been solved."""
+    return _frozen(np.eye(n, n + 1))
 
 
 def solve(mat, rhs) -> np.ndarray:

@@ -127,7 +127,8 @@ def build_instance(A, b, *, name: str = "", integral: bool | None = None,
     integer-valued is ingested as exact integers, which must have magnitude
     below 2**53; ``integral=True`` on any other entry raises
     :class:`NonIntegerEntry`.  Requires m >= n and a nonzero norm on every
-    row.
+    row.  The instance keeps frozen copies (``linalg._frozen``), so the
+    caller's arrays stay writable and a later write into them changes nothing.
     """
     raw_A = linalg.as_matrix(A)
     raw_b = linalg.as_vector(b)
@@ -156,10 +157,8 @@ def build_instance(A, b, *, name: str = "", integral: bool | None = None,
         int_A = tuple(map(tuple, exact.tolist()))
         raw_A = exact.astype(float)
 
-    canon_A = raw_A / norms[:, None]
-    canon_b = raw_b / norms
-    for arr in (canon_A, canon_b, raw_A, raw_b):
-        arr.flags.writeable = False
+    canon_A, canon_b, raw_A, raw_b = map(linalg._frozen, (raw_A / norms[:, None],
+                                                          raw_b / norms, raw_A, raw_b))
 
     def _point(p):
         if p is None:
@@ -167,8 +166,7 @@ def build_instance(A, b, *, name: str = "", integral: bool | None = None,
         v = linalg.as_vector(p)
         if v.size != n:
             raise ValueError(f"endpoint has length {v.size}, expected {n}")
-        v.flags.writeable = False
-        return v
+        return linalg._frozen(v)
 
     return Instance(name=name, A=canon_A, b=canon_b, raw_A=raw_A, raw_b=raw_b,
                     int_A=int_A, x1=_point(x1), x2=_point(x2))
@@ -245,21 +243,17 @@ def verify_vertex(inst: Instance, x) -> VertexWithBasis:
             raise NotAVertex(f"no n-subset of the {rows.size} tight rows is a "
                              "nonsingular, lexicographically feasible basis whose "
                              "solution has exactly those tight rows")
-    frozen = point.copy()
-    frozen.flags.writeable = False
-    return VertexWithBasis(x=frozen, basis=tuple(basis),
+    return VertexWithBasis(x=linalg._frozen(point), basis=tuple(basis),
                            degenerate=len(tight) > inst.n)
 
 
 def edge_directions(inst: Instance, v: VertexWithBasis) -> np.ndarray:
-    """Edge directions leaving vertex v, as one read-only C-ordered (n, n) array.
+    """Edge directions leaving vertex v, as one frozen (n, n) array.
 
     Row k is minus column k of the basis inverse: the d with A_basis d = -e_k,
     along which only basis row ``v.basis[k]`` goes slack.
     """
-    dirs = np.negative(linalg.inverse(inst.A.take(v.basis, axis=0)).T, order="C")
-    dirs.flags.writeable = False
-    return dirs
+    return linalg._frozen(-linalg.inverse(inst.A.take(v.basis, axis=0)).T)
 
 
 def ratio_step(inst: Instance, slack: np.ndarray, d) -> tuple[int, float]:

@@ -18,8 +18,8 @@ as well as a random one, and no perturbed instance is built.  Numeric
 failures redraw the objectives with the next seed.  Walks on one instance
 share a bounded memo with one record per basis, of its point, edges and
 pivot outcomes, and every walk in the process shares one bounded memo of
-weight draws, each drawn once per (seed, 2n) and read-only, so a warm walk
-does only its own seed's products and slope choices.
+weight draws, each drawn once per (seed, 2n), so a warm walk does only its
+own seed's products and slope choices.
 """
 
 from __future__ import annotations
@@ -146,14 +146,15 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
     """Draw the two endpoint objectives from the seeded generator.
 
     Weights are 1 - U with U uniform on [0, 1), so they land in (0, 1]; lam
-    and mu are the two halves of one draw of 2n, made once per (seed, 2n)
-    in the process by :func:`_objective_weights` and shared read-only by
-    every pair drawn with that seed, and mixed by ``ndarray.dot``.  All four
-    arrays are read-only, so a path's images cannot change later.  The rows
-    are the endpoints' bases: at a degenerate vertex, the lexicographically
-    feasible basis :func:`~polywalk.polytope.verify_vertex` picks, so the
-    endpoint optimizes its objective uniquely on the perturbed polytope as
-    well.  The seed is an int or a numpy integer, as ``default_rng`` takes.
+    and mu are views of the two halves of one frozen draw of 2n, made once
+    per (seed, 2n) in the process by :func:`_objective_weights` and shared by
+    every pair drawn with that seed, and mixed by ``ndarray.dot``.  ``w1``
+    and ``w2`` belong to the pair, built for its one path and kept by no
+    memo, so they are only flagged read-only.  The rows are the endpoints'
+    bases: at a degenerate vertex, the lexicographically feasible basis
+    :func:`~polywalk.polytope.verify_vertex` picks, so the endpoint optimizes
+    its objective uniquely on the perturbed polytope as well.  The seed is an
+    int or a numpy integer, as ``default_rng`` takes.
     """
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
@@ -170,18 +171,16 @@ def sample_objectives(inst: Instance, v1: VertexWithBasis, v2: VertexWithBasis,
 
 @lru_cache(maxsize=OBJECTIVE_MEMO_SIZE)
 def _objective_weights(seed: int, size: int) -> np.ndarray:
-    """``1 - default_rng(seed).random(size)``, read-only, kept for the
+    """``1 - default_rng(seed).random(size)``, frozen, kept for the
     ``OBJECTIVE_MEMO_SIZE`` keys used last.  A seed ``default_rng`` refuses
     raises and is not kept.  A test that patches ``np.random.default_rng``
     must clear this memo (``cache_clear``) before and after."""
-    weights = 1.0 - np.random.default_rng(seed).random(size)
-    weights.flags.writeable = False
-    return weights
+    return linalg._frozen(1.0 - np.random.default_rng(seed).random(size))
 
 
 def _unit_columns(inst: Instance, v1: VertexWithBasis,
                   v2: VertexWithBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Both endpoints' unit basis rows as read-only, C-ordered columns.
+    """Both endpoints' unit basis rows as frozen columns.
 
     Read from the endpoint memo when its pair has these bases, since they
     depend on nothing else.
@@ -190,10 +189,7 @@ def _unit_columns(inst: Instance, v1: VertexWithBasis,
     if memo is not None and (memo.v1.basis, memo.v2.basis) == (v1.basis, v2.basis):
         return memo.columns
     units = linalg.unit_rows(inst.A.take(v1.basis + v2.basis, axis=0))
-    columns = np.ascontiguousarray(units[:inst.n].T), np.ascontiguousarray(units[inst.n:].T)
-    for c in columns:
-        c.flags.writeable = False
-    return columns
+    return linalg._frozen(units[:inst.n].T), linalg._frozen(units[inst.n:].T)
 
 
 def project(pair: ObjectivePair, x) -> tuple[float, float]:
@@ -326,11 +322,11 @@ def _next_basis(basis: tuple[int, ...], k: int, entering: int) -> tuple[int, ...
 
 class _Basis:
     """What walks know of one basis: its vertex (its rows a memo record's own
-    key, its read-only point and degenerate flag from its own solve), its
-    read-only slack, and, each None until computed, its read-only edge
-    directions and the outcome tuple :meth:`store` builds, per edge None or
-    the entering row, step and next basis (that record's rows) of the pivot
-    along it, fixed by (A, b, basis, k) and the slack it left."""
+    key, its point and degenerate flag from its own solve), its slack, and,
+    each None until computed, its edge directions and the outcome tuple
+    :meth:`store` builds, per edge None or the entering row, step and next
+    basis (that record's rows) of the pivot along it, fixed by (A, b, basis,
+    k) and the slack it left."""
 
     __slots__ = ("vertex", "slack", "directions", "outcomes")
 
@@ -364,16 +360,16 @@ def _start_record(inst: Instance, start: VertexWithBasis) -> _Basis:
     memo = inst._endpoint_memo
     if memo is not None and memo.v1 is start:
         return memo.start
-    slack = inst.slack(start.x)
-    slack.flags.writeable = False
-    return _Basis(start, slack)
+    return _Basis(start, linalg._frozen(inst.slack(start.x)))
 
 
 def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
     """The memo record of a pivot's new basis, now the memo's most recent,
     or a new one with its vertex, degenerate when over n rows of its slack
-    (none below -``TIGHT_TOL``) are at most ``TIGHT_TOL``, and read-only
-    slack, stored, evicting the least recent record past ``PIVOT_MEMO_BYTES``.
+    (none below -``TIGHT_TOL``) are at most ``TIGHT_TOL``, and slack, stored,
+    evicting the least recent record past ``PIVOT_MEMO_BYTES``.  The point
+    stays column n of the (n, n + 1) block ``solve`` took it from, ``x.base``,
+    frozen whole, so its dot products keep their bits.
 
     Raises :class:`InfeasibleStep`, storing nothing, when the basis is
     singular or its point leaves the polytope.
@@ -392,9 +388,10 @@ def _basic_point(inst: Instance, basis: tuple[int, ...]) -> _Basis:
     worst = int(slack.argmin())
     if slack[worst] < -TIGHT_TOL:
         raise InfeasibleStep(f"pivot landed outside the polytope at row {worst}")
-    x.flags.writeable = slack.flags.writeable = False
     degenerate = np.count_nonzero(slack <= TIGHT_TOL) > inst.n
-    memo[basis] = record = _Basis(VertexWithBasis(x, basis, degenerate), slack)
+    memo[basis] = record = _Basis(
+        VertexWithBasis(linalg._frozen(x.base)[:, inst.n], basis, degenerate),
+        linalg._frozen(slack))
     if len(memo) * _record_bytes(*inst.A.shape) > PIVOT_MEMO_BYTES:
         memo.popitem(last=False)
     return record

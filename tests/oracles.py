@@ -10,23 +10,13 @@ import numpy as np
 from polywalk.polytope import TIGHT_TOL
 
 TIE_TOL = 1e-12
-MATCH_TOL = 1e-7
 
 
 class ChainError(Exception):
     """The hull chain is ambiguous, or misses x1 or x2; the message is labelled."""
 
 
-def _vertex_index(points: np.ndarray, x, label: str) -> int:
-    """Index of the one row of ``points`` within MATCH_TOL of ``x``."""
-    hits = np.flatnonzero(np.max(np.abs(points - x), axis=1) <= MATCH_TOL)
-    if len(hits) != 1:
-        raise ChainError(f"{label}: {len(hits)} vertices match {x}")
-    return int(hits[0])
-
-
-def _upper_left_chain(points: np.ndarray, pair, x1, x2,
-                      label: str, index=_vertex_index) -> list[int]:
+def _upper_left_chain(points: np.ndarray, pair, x1, x2, label: str, index) -> list[int]:
     """Vertex indices of the upper-left shadow chain from x1 to x2.
 
     Independent of the walk: every vertex is projected onto (w1.x, w2.x) of

@@ -36,7 +36,7 @@ from polywalk.shadow import (
     walk,
 )
 
-from oracles import _upper_left_chain, _vertex_index, check_walk
+from oracles import _rows, check_walk
 
 N_PATH_SEEDS = 20
 N_TRIALS = 100
@@ -240,23 +240,20 @@ def test_criterion_08_oracle_dominance(corpus, corpus_paths, corpus_graphs):
     hypercube_violations = 0
     for (name, seed), path in paths.items():
         inst = by_name[name]
+        graph = corpus_graphs[name]
         if name not in bfs_cache:
-            verts, adjacency = corpus_graphs[name]
-            points = np.array([v.x for v in verts])
-            ends = [_vertex_index(points, x, name) for x in (inst.x1, inst.x2)]
-            bfs_cache[name] = int(graph_distances(adjacency, ends[:1])[0, ends[1]])
-            assert bfs_cache[name] >= 0, f"{name}: endpoints disconnected"
-        lower = bfs_cache[name]
+            points = np.array([v.x for v in graph[0]])
+            index = {key: i for i, key in enumerate(_rows(inst, points))}
+            ends = [index[key] for key in _rows(inst, [inst.x1, inst.x2])]
+            bfs_cache[name] = points, int(graph_distances(graph[1], ends[:1])[0, ends[1]])
+            assert bfs_cache[name][1] >= 0, f"{name}: endpoints disconnected"
+        points, lower = bfs_cache[name]
         if path.length < lower:
             dominance_violations += 1
         if name.startswith("simplex"):
-            label = f"{name} seed {seed}"
-            assert path.status == "Completed", f"{label}: {path.status}"
-            points = np.array([v.x for v in corpus_graphs[name][0]])
-            chain = _upper_left_chain(points, path.objective, inst.x1,
-                                      inst.x2, label)
-            walked = [_vertex_index(points, v.x, label) for v in path.vertices]
-            if walked != chain:
+            assert path.status == "Completed", f"{name} seed {seed}: {path.status}"
+            failures = check_walk(inst, path, points, graph)
+            if any(failure.startswith("chain") for failure in failures):
                 chain_mismatches += 1
             if path.length > 1:
                 simplex_longer += 1

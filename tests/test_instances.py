@@ -294,6 +294,29 @@ def test_write_read_round_trip(tmp_path, cube3):
     npt.assert_array_equal(loaded.x2, cube3.x2)
 
 
+def test_build_instance_keeps_copies_of_the_callers_arrays(tmp_path):
+    # The instance keeps frozen copies: the caller's float64 arrays stay
+    # writable, and a later write into them changes neither the instance nor
+    # the file written from it.
+    A = np.array([[1.5, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    b, x1 = np.array([1.5, 1.0, 0.0, 0.0]), np.array([1.0, 1.0])
+    inst = build_instance(A, b, x1=x1, x2=np.zeros(2))
+    assert not inst.integral
+    kept = [a.tobytes() for a in (inst.A, inst.b, inst.raw_A, inst.raw_b, inst.x1)]
+    write_instance(inst, tmp_path / "before.json")
+    for mine, its in ((A, inst.raw_A), (b, inst.raw_b), (x1, inst.x1)):
+        assert mine.flags.writeable and not np.shares_memory(mine, its)
+        mine[0] = 7.0
+    assert [a.tobytes() for a in (inst.A, inst.b, inst.raw_A, inst.raw_b, inst.x1)] == kept
+    write_instance(inst, tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    # A sampled family's endpoints hold their own points, not views into the
+    # enumeration's whole point array.
+    for sampled in (gen_transportation(3, 4, 0), gen_random_sphere(15, 5, 0)):
+        for x in (sampled.x1, sampled.x2):
+            assert x.base.size == sampled.n
+
+
 def test_write_text_rewrites_in_place(tmp_path):
     path = tmp_path / "out.json"
     write_text(path, "a longer first text\n")

@@ -8,6 +8,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, count
 
 import numpy as np
@@ -201,12 +202,17 @@ def test_objective_memo_evicts_the_least_recently_used_draw(cube3):
 def test_pairs_from_one_seed_share_read_only_weights(cube3, simplex3):
     a = sample_objectives(cube3, *_endpoints(cube3), 7)
     b = sample_objectives(simplex3, *_endpoints(simplex3), 7)
-    weights = a.lam.base
-    assert weights is a.mu.base is b.lam.base is b.mu.base
-    assert weights is shadow_mod._objective_weights(7, 6)
-    for part in (weights, a.lam, a.mu, b.lam, b.mu):
+    weights = shadow_mod._objective_weights(7, 6)
+    # One frozen buffer per (seed, 2n): both halves of both pairs view the
+    # memo's draw, and another seed has a buffer of its own.
+    assert a.lam.base is a.mu.base is b.lam.base is b.mu.base is weights.base
+    assert np.shares_memory(a.lam, weights) and np.shares_memory(b.mu, weights)
+    assert not np.shares_memory(shadow_mod._objective_weights(8, 6), weights)
+    for part in (weights, weights.base, a.lam, a.mu, b.lam, b.mu):
         with pytest.raises(ValueError):
             part[0] = 0.5
+        with pytest.raises(ValueError):
+            part.flags.writeable = True
     assert weights.tobytes() == (1.0 - np.random.default_rng(7).random(6)).tobytes()
 
 
@@ -1111,12 +1117,17 @@ _PIVOT_MEMO_INSTANCES = {
 }
 
 
+def _walked(inst, x1, x2, seed):
+    """``find_path``'s path, or the failed one ``RetriesExhausted`` carries."""
+    try:
+        return find_path(inst, x1, x2, seed=seed)
+    except RetriesExhausted as exc:
+        return exc.path
+
+
 def _path_record(inst, x1, x2, seed):
     """The path JSON plus the ratio-test steps, which the JSON leaves out."""
-    try:
-        path = find_path(inst, x1, x2, seed=seed)
-    except RetriesExhausted as exc:
-        path = exc.path
+    path = _walked(inst, x1, x2, seed)
     return path.to_json(), repr(path.pivot_trace)
 
 
@@ -1465,25 +1476,41 @@ def test_pivot_memo_records_are_whole(monkeypatch):
     assert all(r.vertex.x is not None and r.slack is not None for r in cube._pivot_memo.values())
 
 
+def _kept_arrays(inst, paths):
+    """Every array the package keeps that ``paths`` and ``inst`` reach: each
+    vertex point, each objective's lam and mu, the endpoint memo's points,
+    columns and start record, each pivot-memo record and the instance."""
+    arrays = [inst.A, inst.b, inst.raw_A, inst.raw_b, inst.x1, inst.x2]
+    for path in paths:
+        arrays += [v.x for v in path.vertices]
+        if path.objective is not None:
+            arrays += [path.objective.lam, path.objective.mu]
+    if (ends := inst._endpoint_memo) is not None:
+        arrays += [ends.v1.x, ends.v2.x, *ends.columns, *_arrays(ends.start)]
+    for record in inst._pivot_memo.values():
+        arrays += _arrays(record)
+    return [a for a in arrays if a is not None]
+
+
+def _assert_frozen(arrays):
+    """Each array, and the array it views, refuses ``flags.writeable = True``."""
+    for a in arrays:
+        for part in (a, a.base):
+            with pytest.raises(ValueError):
+                part.flags.writeable = True
+
+
 def test_memo_arrays_are_read_only():
     inst = gen_transportation(3, 4, 0)
-    for seed in range(3):
-        path = find_path(inst, inst.x1, inst.x2, seed=seed)
-        assert path.length > 0
-        for v in path.vertices:
-            with pytest.raises(ValueError):
-                v.x[0] = 1.0
-        pair = path.objective
-        for part in (pair.w1, pair.w2, pair.lam, pair.mu):
-            with pytest.raises(ValueError):
-                part[0] = 1.0
-    ends = inst._endpoint_memo
-    records = [*inst._pivot_memo.values(), ends.start]
-    arrays = [part for record in records for part in _arrays(record)] + [*ends.columns]
+    paths = [find_path(inst, inst.x1, inst.x2, seed=seed) for seed in range(3)]
+    assert all(path.length > 0 for path in paths)
+    records = [*inst._pivot_memo.values(), inst._endpoint_memo.start]
     assert any(record.outcomes is not None for record in inst._pivot_memo.values())
-    assert ends.start.outcomes is not None
-    for part in arrays:
-        if part is not None:
+    assert inst._endpoint_memo.start.outcomes is not None
+    _assert_frozen(_kept_arrays(inst, paths))
+    # w1 and w2 belong to their pair, which no memo keeps: only flagged read-only.
+    for pair in [path.objective for path in paths]:
+        for part in (pair.w1, pair.w2):
             with pytest.raises(ValueError):
                 part[0] = 1.0
     # The outcome tables and each stored outcome are tuples: they refuse writes too.
@@ -1493,6 +1520,54 @@ def test_memo_arrays_are_read_only():
         for outcome in [outcome for outcome in table if outcome is not None]:
             with pytest.raises(TypeError):
                 outcome[0] = -1
+
+
+_HISTORY_INSTANCES = (
+    lambda: gen_transportation(3, 3, 0),
+    lambda: gen_transportation(3, 4, 1),
+    lambda: gen_random_sphere(15, 5, 0),
+    lambda: gen_random_sphere(12, 4, 2),
+    lambda: gen_cut_cube(4),
+    gen_degenerate_pyramid,
+)
+
+
+def test_walk_history_changes_no_record_with_both_memos_evicting(monkeypatch):
+    # 1,008 seeded walks between random vertex pairs, interleaved over six
+    # instances, one shared copy each, with both memos small enough to evict:
+    # 4 KiB of pivot records per instance and 16 weight draws.  Each record
+    # equals the same walk on a fresh copy with the weight memo cleared, and
+    # afterwards no array the walks kept accepts the writeable flag back.
+    monkeypatch.setattr(shadow_mod, "PIVOT_MEMO_BYTES", 4096)
+    memo = lru_cache(maxsize=16)(shadow_mod._objective_weights.__wrapped__)
+    monkeypatch.setattr(shadow_mod, "_objective_weights", memo)
+    shared = [make() for make in _HISTORY_INSTANCES]
+    points = [[v.x for v in enumerate_vertices(inst)] for inst in shared]
+    rng = np.random.default_rng(31)
+    draws = []
+    for i in rng.integers(len(shared), size=1008).tolist():
+        a, b = rng.integers(len(points[i]), size=2).tolist()
+        draws.append((i, points[i][a], points[i][b], int(rng.integers(700))))
+    expected = []
+    for i, x1, x2, seed in draws:
+        memo.cache_clear()
+        expected.append(_path_record(replace(shared[i]), x1, x2, seed))
+    memo.cache_clear()
+    paths = [[] for _ in shared]
+    for (i, x1, x2, seed), want in zip(draws, expected):
+        path = _walked(shared[i], x1, x2, seed)
+        assert (path.to_json(), repr(path.pivot_trace)) == want, (i, seed)
+        paths[i].append(path)
+    info = memo.cache_info()
+    assert info.currsize == 16 and info.misses > 16 and info.hits
+    evicted = 0
+    for inst, walked in zip(shared, paths):
+        room = shadow_mod.PIVOT_MEMO_BYTES // shadow_mod._record_bytes(*inst.A.shape)
+        assert len(inst._pivot_memo) <= room
+        evicted += len({v.basis for path in walked for v in path.vertices[1:]}) > room
+        _assert_frozen(_kept_arrays(inst, walked))
+    # Every memo but the pyramid's, whose six reached bases all fit, evicted.
+    assert evicted == len(shared) - 1
 
 
 def test_pivot_memo_keeps_no_instance_alive():
