@@ -23,6 +23,11 @@ those unit rows do not cover, so it enumerates the minors of the other rows
 only and reads every order off them, in the kernel dtype of one rule,
 :func:`~polywalk.linalg.exact_dtype`: machine numbers (float64, then int64)
 where a Hadamard bound keeps every intermediate exact, Python ints otherwise.
+
+Flatness depends on A alone, so an instance keeps :func:`delta_A`'s report:
+a later :func:`delta_A`, and :func:`certify_delta_Delta` after it, return
+it after checking ``ENUM_CAP``, and a call that raises keeps nothing.
+:func:`subdet_report` keeps nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CapExceeded, DependentVectors, NotOrthogonal, Singular
-from .polytope import Instance, build_instance, solved_subsets
+from .polytope import Instance, _check_cap, build_instance, solved_subsets
 
 SUBDET_CAP = 10_000_000
 
@@ -122,8 +127,12 @@ def delta_A(inst: Instance) -> FlatnessReport:
     chunk of :func:`~polywalk.polytope.solved_subsets`, under ``ENUM_CAP``, on
     the rows re-normalised here is inverted as one stack under
     :func:`delta_basis`'s rule.  The witnessing subset is the first one
-    attaining the minimum.
+    attaining the minimum.  The instance keeps the report, which a later call
+    returns after checking ``ENUM_CAP``.
     """
+    _check_cap(inst.m, inst.n)
+    if inst._delta_memo is not None:
+        return inst._delta_memo
     unit_rows = linalg.unit_rows(inst.A)
     best = math.inf
     argmin: tuple[int, ...] = ()
@@ -140,8 +149,10 @@ def delta_A(inst: Instance) -> FlatnessReport:
             argmin = tuple(int(i) for i in subsets[k])
     if not checked:
         raise DependentVectors("no independent n-row subset exists")
-    return FlatnessReport(delta=best, argmin_basis=argmin,
-                          method="enumeration", n_bases_checked=checked)
+    report = FlatnessReport(delta=best, argmin_basis=argmin,
+                            method="enumeration", n_bases_checked=checked)
+    object.__setattr__(inst, "_delta_memo", report)
+    return report
 
 
 def subdet_report(int_mat) -> SubdetReport:
@@ -250,7 +261,8 @@ def certify_delta_Delta(inst: Instance) -> tuple[bool, float]:
 
     The bound comes from :func:`subdet_report`, as in ``bound-check``, so
     ``SUBDET_CAP`` guards it; :func:`delta_A` runs first and raises
-    :class:`DependentVectors` on a matrix of rank below n.
+    :class:`DependentVectors` on a matrix of rank below n, or returns the
+    instance's kept report.
     """
     if not inst.integral:
         raise ValueError("certificate needs an instance ingested with integer A")

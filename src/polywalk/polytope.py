@@ -53,6 +53,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from .flatness import FlatnessReport
     from .shadow import _Basis, _Endpoints
 
 TIGHT_TOL = 1e-9
@@ -70,10 +71,13 @@ class Instance:
     lossless serialization, and ``int_A`` keeps the exact integer rows of an
     integral instance; ``integral`` is true exactly when it is set.
 
-    Two private memos of :mod:`polywalk.shadow` refer to no instance and
-    start empty, in a copy by ``dataclasses.replace`` too: ``_endpoint_memo``
-    is the record of the last endpoint pair ``verify_endpoints`` verified,
-    and ``_pivot_memo`` maps each basis ``walk`` reached to its record.
+    Three private memos refer to no instance and start empty, in a copy by
+    ``dataclasses.replace`` too.  Two are kept by :mod:`polywalk.shadow`:
+    ``_endpoint_memo`` is the record of the last endpoint pair
+    ``verify_endpoints`` verified, and ``_pivot_memo`` maps each basis
+    ``walk`` reached to its record.  ``_delta_memo`` is the report of
+    :func:`~polywalk.flatness.delta_A`, which depends on A alone, so that
+    ``certify_delta_Delta`` after ``delta_A`` reuses delta.
     """
 
     name: str
@@ -88,6 +92,8 @@ class Instance:
                                               compare=False)
     _pivot_memo: OrderedDict[tuple[int, ...], _Basis] = field(
         default_factory=OrderedDict, init=False, repr=False, compare=False)
+    _delta_memo: FlatnessReport | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     @property
     def integral(self) -> bool:

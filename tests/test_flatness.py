@@ -2,6 +2,7 @@
 exact sub-determinant bounds."""
 
 import math
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import polywalk.linalg as linalg_mod
+import polywalk.polytope as polytope_mod
 from polywalk.errors import CapExceeded, DependentVectors, NotOrthogonal
 from polywalk.flatness import (
     SubdetReport,
@@ -26,6 +28,7 @@ from polywalk.instances import (
     gen_random_sphere,
     gen_simplex,
     gen_transportation,
+    generate,
 )
 from polywalk.polytope import build_instance
 from reference import int_determinant
@@ -229,7 +232,8 @@ def test_delta_A_same_across_chunk_boundaries(make, monkeypatch):
     inst = make()
     default = delta_A(inst)
     monkeypatch.setattr(linalg_mod, "SUBSET_CHUNK", 7)
-    assert delta_A(inst) == default
+    # A fresh copy, since the instance keeps its report.
+    assert delta_A(replace(inst)) == default
     if inst.name == "hypercube-n4":
         # All 16 independent bases tie at 1.0: the first subset wins.
         assert default.argmin_basis == (0, 1, 2, 3)
@@ -437,3 +441,65 @@ def test_order_6_minors_of_small_entries_run_in_int64(monkeypatch):
     monkeypatch.setattr(linalg_mod, "int_determinants", recording)
     assert subdet_report(mat) == _subdet_reference(mat)
     assert dtypes[6] == {np.dtype(np.int64)}
+
+
+def test_an_instance_computes_delta_once(calls):
+    # On a fresh copy delta_A enumerates once: a second delta_A and the
+    # certificate reuse its report, and the certificate forms the minors of
+    # subdet_report alone.
+    calls.watch(linalg_mod, "solve_stack", "int_determinants")
+    for inst in (gen_transportation(3, 3, 0), gen_degenerate_pyramid()):
+        calls.clear()
+        subdet_report(inst.int_A)
+        minors = calls.counts()
+        assert set(minors) == {"int_determinants"}
+        copy = replace(inst)
+        calls.clear()
+        report = delta_A(copy)
+        assert calls["solve_stack"] and not calls["int_determinants"]
+        calls.clear()
+        assert delta_A(copy) is report
+        assert calls.counts() == {}
+        certify_delta_Delta(copy)
+        assert calls.counts() == minors
+
+
+def test_kept_delta_equals_a_fresh_copys_on_the_corpus():
+    from test_acceptance import _corpus_specs
+
+    for inst in map(generate, _corpus_specs()):
+        kept = delta_A(inst)
+        assert delta_A(inst) is kept
+        assert kept == delta_A(replace(inst))
+        if inst.integral:
+            assert certify_delta_Delta(inst) == certify_delta_Delta(replace(inst))
+        assert replace(inst)._delta_memo is None
+
+
+def test_kept_delta_still_meets_enum_cap(calls, monkeypatch):
+    # The pyramid has C(5, 3) = 10 bases.  A cap lowered after delta is kept
+    # refuses the instance as it refuses a fresh copy, without enumerating,
+    # and the kept report returns when the cap allows it again.
+    inst = replace(gen_degenerate_pyramid())
+    kept = delta_A(inst)
+    calls.watch(linalg_mod, "solve_stack")
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", 9)
+    for call in (delta_A, certify_delta_Delta):
+        for target in (inst, replace(inst)):
+            with pytest.raises(CapExceeded, match=r"C\(5,3\) = 10 subsets exceeds cap 9"):
+                call(target)
+    monkeypatch.setattr(polytope_mod, "ENUM_CAP", 10)
+    assert delta_A(inst) is kept
+    assert calls.counts() == {}
+
+
+def test_a_raise_keeps_nothing(calls):
+    # Rank 1 in the plane: no independent pair of rows, so each call
+    # enumerates again and raises again.
+    inst = build_instance([[1, 1], [2, 2], [3, 3]], [1, 2, 3])
+    calls.watch(linalg_mod, "solve_stack")
+    for call in (delta_A, delta_A, certify_delta_Delta):
+        with pytest.raises(DependentVectors):
+            call(inst)
+    assert len(calls["solve_stack"]) == 3
+    assert inst._delta_memo is None

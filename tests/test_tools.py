@@ -4,9 +4,9 @@ from a saved listing, and finds none against the checked-in listing; the
 line counter counts each module;
 the paired benchmark alternates its two checkouts and summarizes each side;
 the layer timer's pivot layer runs on a small rotated cube, its oracle layer
-on a small cube and a random sphere, its path layer on the cli-degenerate
-workload's files and its warm layer on a small cube, and it prints and
-writes one row per name;
+on fresh copies of a small cube and a random sphere, its path layer on the
+cli-degenerate workload's files and its warm layer on a small cube, and it
+prints and writes one row per name;
 the line tracer lists what one test module leaves unrun, each line with
 its reason; the walk oracle loads by file path, as a script outside the
 tests loads it."""
@@ -239,16 +239,20 @@ def test_oracle_cost_times_both_oracles_on_small_instances(monkeypatch):
     cube = generate(GeneratorSpec(family="hypercube", n=3))
     row = tool.oracle_measure(cube, 1)
     assert (row["n"], row["m"], row["bases"]) == (3, 6, 20)
-    assert row["delta_us"] > 0.0 and row["certify_us"] > 0.0 and row["inv_us"] > 0.0
+    assert all(row[f"{key}_us"] > 0.0 for key in ("delta", "certify", "subdet", "inv"))
     assert row["delta_outside"] == pytest.approx(1.0 - row["inv_us"] / row["delta_us"])
-    assert row["certify_outside"] == pytest.approx(1.0 - row["inv_us"] / row["certify_us"])
+    assert row["certify_outside"] == pytest.approx(1.0 - row["subdet_us"] / row["certify_us"])
+    # Every cold run has a fresh copy: the instance itself keeps nothing.
+    assert cube._delta_memo is None
     # The stacks are delta_A's chunks: C(6, 3) = 20 bases, seven at a time.
     monkeypatch.setattr(tool.linalg, "SUBSET_CHUNK", 7)
     assert [len(s) for s in tool.subset_stacks(cube)] == [7, 7, 6]
     # A float instance has no certificate.
     row = tool.oracle_measure(generate(GeneratorSpec(family="random-sphere", n=3, m=9, seed=0)),
                               1)
-    assert row["bases"] == 84 and row["certify_us"] is None and row["certify_outside"] is None
+    assert row["bases"] == 84
+    assert row["certify_us"] is None and row["subdet_us"] is None
+    assert row["certify_outside"] is None
 
 
 def test_path_cost_times_each_phase_of_a_cold_path_command(tmp_path):
@@ -279,10 +283,10 @@ def test_warm_cost_times_a_warm_walk_its_objectives_and_the_bare_draw():
 
 def test_layer_cost_prints_and_writes_each_layer_row(monkeypatch, tmp_path, capsys):
     tool = _load_tool("layer_cost")
-    rows = {"a": {"bases": 4, "delta_us": 2.0, "certify_us": None, "inv_us": 1.0,
-                  "delta_outside": 0.5, "certify_outside": None},
-            "b": {"bases": 6, "delta_us": 4.0, "certify_us": 8.0, "inv_us": 2.0,
-                  "delta_outside": 0.5, "certify_outside": 0.75}}
+    rows = {"a": {"bases": 4, "delta_us": 2.0, "certify_us": None, "subdet_us": None,
+                  "inv_us": 1.0, "delta_outside": 0.5, "certify_outside": None},
+            "b": {"bases": 6, "delta_us": 4.0, "certify_us": 8.0, "subdet_us": 2.0,
+                  "inv_us": 2.0, "delta_outside": 0.5, "certify_outside": 0.75}}
     asked = []
 
     def stub(repeats):
@@ -294,12 +298,12 @@ def test_layer_cost_prints_and_writes_each_layer_row(monkeypatch, tmp_path, caps
     assert tool.main(["oracle", "--json", str(out)]) == 0
     assert asked == [9] and json.loads(out.read_text()) == rows
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["instance", "(us)", "bases", "delta_A", "certify", "inv",
-                                "delta", "out", "cert", "out"]
+    assert lines[0].split() == ["instance", "(us)", "bases", "delta_A", "certify", "subdet",
+                                "inv", "delta", "out", "cert", "out"]
     assert [line.split() for line in lines[1:]] == [
-        ["a", "4", "2.0", "-", "1.0", "50.0%", "-"],
-        ["b", "6", "4.0", "8.0", "2.0", "50.0%", "75.0%"],
-        ["total", "6.0", "8.0", "3.0"]]
+        ["a", "4", "2.0", "-", "-", "1.0", "50.0%", "-"],
+        ["b", "6", "4.0", "8.0", "2.0", "2.0", "50.0%", "75.0%"],
+        ["total", "6.0", "8.0", "2.0", "3.0"]]
     with pytest.raises(SystemExit):
         tool.main(["walk"])
 

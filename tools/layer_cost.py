@@ -18,15 +18,19 @@ writes the same numbers, keyed by instance or file name.
   solves on B_1..B_L against ``[I | b_B]``, the inverses on B_0..B_(L-1)).
   Per instance: the pivots, the microseconds per cold pivot, the gufuncs'
   microseconds per pivot and the share of the pivot outside them.
-* ``oracle`` -- :func:`polywalk.delta_A` and, on an integral instance,
-  :func:`polywalk.certify_delta_Delta` on the ``corpus`` instances, as the
-  workload's oracle pass calls them, then the bare gufunc behind
-  ``np.linalg.inv`` on the subset stacks ``delta_A`` inverts (every n-subset
-  of the unit rows, ``SUBSET_CHUNK`` at a time in combinations order,
-  stacked before the clock starts).  Per instance: the bases, the
-  microseconds of each oracle and of the bare inverses, and the share of
-  each oracle outside them (``certify_delta_Delta``'s share also holds the
-  exact minors of ``subdet_report``); then the totals.
+* ``oracle`` -- the exact oracles on the ``corpus`` instances, cold: each
+  run calls them on a fresh ``dataclasses.replace`` copy, which keeps no
+  delta.  ``delta_A`` is :func:`polywalk.delta_A` on such a copy;
+  ``certify``, on an integral instance, is
+  :func:`polywalk.certify_delta_Delta` on a copy that has run ``delta_A``
+  outside the clock, as the workload's oracle pass calls them, so it costs
+  about what ``subdet`` does, :func:`polywalk.subdet_report` on the bare
+  ``int_A``.  Then the bare gufunc behind ``np.linalg.inv`` runs on the
+  subset stacks ``delta_A`` inverts (every n-subset of the unit rows,
+  ``SUBSET_CHUNK`` at a time in combinations order, stacked before the clock
+  starts).  Per instance: the bases, the microseconds of each, the share of
+  ``delta_A`` outside the bare inverses and the share of ``certify`` outside
+  ``subdet``; then the totals.
 * ``path`` -- one cold ``path --instance FILE --seed S --json OUT`` command
   per path seed (``CliDegenerate.PATH_SEEDS``) on the ``cli-degenerate``
   files, written into a temporary directory, split into the phases the
@@ -73,7 +77,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from polywalk import cli, linalg  # noqa: E402
-from polywalk.flatness import certify_delta_Delta, delta_A  # noqa: E402
+from polywalk.flatness import certify_delta_Delta, delta_A, subdet_report  # noqa: E402
 from polywalk.instances import read_instance, write_text  # noqa: E402
 from polywalk.shadow import find_path, sample_objectives, verify_endpoints, walk  # noqa: E402
 
@@ -149,24 +153,32 @@ def subset_stacks(inst) -> list[np.ndarray]:
 
 
 def oracle_measure(inst, repeats: int) -> dict:
-    """Microseconds of each oracle and of its bare inverses, and the shares
-    outside them; ``certify_us`` and its share are None on a float instance."""
+    """Microseconds of each cold oracle and of the calls under them, and the
+    shares outside those; the certificate's keys are None on a float
+    instance."""
     stacks = subset_stacks(inst)
 
     def inverses():
         for stack in stacks:
             _umath_linalg.inv(stack)
 
+    def after_delta():
+        copy = dataclasses.replace(inst)
+        delta_A(copy)
+        return (copy,)
+
     with np.errstate(all="ignore"):
         inv_s = best_of(inverses, repeats)[0]
-    delta_s = best_of(lambda: delta_A(inst), repeats)[0]
+    delta_s = best_of(delta_A, repeats, lambda: (dataclasses.replace(inst),))[0]
     row = {"n": inst.n, "m": inst.m, "bases": math.comb(inst.m, inst.n),
-           "delta_us": 1e6 * delta_s, "certify_us": None, "inv_us": 1e6 * inv_s,
+           "delta_us": 1e6 * delta_s, "certify_us": None, "subdet_us": None,
+           "inv_us": 1e6 * inv_s,
            "delta_outside": 1.0 - inv_s / delta_s, "certify_outside": None}
     if inst.integral:
-        certify_s = best_of(lambda: certify_delta_Delta(inst), repeats)[0]
-        row["certify_us"] = 1e6 * certify_s
-        row["certify_outside"] = 1.0 - inv_s / certify_s
+        certify_s = best_of(certify_delta_Delta, repeats, after_delta)[0]
+        subdet_s = best_of(subdet_report, repeats, lambda: (inst.int_A,))[0]
+        row.update(certify_us=1e6 * certify_s, subdet_us=1e6 * subdet_s,
+                   certify_outside=1.0 - subdet_s / certify_s)
     return row
 
 
@@ -254,8 +266,9 @@ LAYERS = {
                                        ("outside_share", "outside", ".1%")], ()),
     "oracle": (oracle_rows, "instance (us)", [
         ("bases", "bases", "d"), ("delta_us", "delta_A", ".1f"), ("certify_us", "certify", ".1f"),
-        ("inv_us", "inv", ".1f"), ("delta_outside", "delta out", ".1%"),
-        ("certify_outside", "cert out", ".1%")], ("delta_us", "certify_us", "inv_us")),
+        ("subdet_us", "subdet", ".1f"), ("inv_us", "inv", ".1f"),
+        ("delta_outside", "delta out", ".1%"), ("certify_outside", "cert out", ".1%")],
+        ("delta_us", "certify_us", "subdet_us", "inv_us")),
     "path": (path_rows, "file (us)", [("commands", "runs", "d")]
              + [(f"{c}_us", c, ".1f") for c in (*PHASES, "sum", "command")], ()),
     "warm": (warm_rows, "instance (us)", [("walks", "walks", "d")]
